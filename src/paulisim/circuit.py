@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import CircuitSyntaxError
 from .gates import RotationNoise
@@ -232,44 +232,21 @@ class NoiseModel:
         self.measurement()
         self.memory()
 
+    def _part(self, cls):
+        """The sub-model ``cls``, filled from this model's fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def rotation(self) -> RotationNoise:
-        return RotationNoise(
-            alpha_x=self.alpha_x,
-            r_x=self.r_x,
-            alpha_y=self.alpha_y,
-            r_y=self.r_y,
-            alpha_z=self.alpha_z,
-            r_z=self.r_z,
-            alpha_cx=self.alpha_cx,
-            r_cx=self.r_cx,
-        )
+        return self._part(RotationNoise)
 
     def measurement(self) -> MeasurementNoise:
-        return MeasurementNoise(d1=self.d1, d2=self.d2)
+        return self._part(MeasurementNoise)
 
     def memory(self) -> MemoryNoise:
-        return MemoryNoise(
-            f=self.f, g=self.g, p=self.p, f_meas=self.f_meas, g_meas=self.g_meas
-        )
+        return self._part(MemoryNoise)
 
 
-NOISE_KEYS = (
-    "p",
-    "alpha_x",
-    "r_x",
-    "alpha_y",
-    "r_y",
-    "alpha_z",
-    "r_z",
-    "alpha_cx",
-    "r_cx",
-    "d1",
-    "d2",
-    "f",
-    "g",
-    "f_meas",
-    "g_meas",
-)
+NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
 
 
 def parse_noise_config(text: str) -> NoiseModel:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gates, measurement, memory, oracle
 from .circuit import Instruction, NoiseModel, parse_circuit
-from .errors import StateFormatError
+from .errors import CapacityError, StateFormatError
 from .state import (
     DEFAULT_QUBIT_CAP,
     PauliState,
@@ -183,6 +183,8 @@ def run_circuit(
     max_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> RunReport:
     """Full pipeline on circuit text; returns the report with final state."""
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     noise = noise or NoiseModel()
     start = time.perf_counter()
     n, instructions = parse_circuit(circuit_text)
@@ -267,9 +269,13 @@ def verify_circuit(
     Both paths share the compiled schedule and the noise model but nothing
     else: the oracle evolves a full density matrix through unitary mixtures
     and Kraus sums.  Reports the largest coefficient and record divergence.
+    Circuits above ``oracle.ORACLE_QUBIT_CAP`` qubits raise ``CapacityError``
+    before either state is allocated.
     """
     noise = noise or NoiseModel()
     n, instructions = parse_circuit(circuit_text)
+    if n > oracle.ORACLE_QUBIT_CAP:
+        raise CapacityError(f"n={n} exceeds the oracle's qubit cap of {oracle.ORACLE_QUBIT_CAP}")
     _, schedule = compile_circuit(n, instructions)
 
     state = make_initial_state(n, init, noise, max_qubits=DEFAULT_QUBIT_CAP)

@@ -1,9 +1,9 @@
 """Gate action on Pauli coefficients via real transfer matrices.
 
-A one-qubit gate is a 4x4 real matrix applied along the qubit's digit axis;
-the controlled-NOT is a 16x16 matrix applied across two axes.  Every transfer
-matrix has first row (1, 0, ..., 0), so the trace coefficient is preserved
-exactly, not just to rounding.
+A one-qubit gate is a 4x4 real matrix applied to the qubit's Pauli digit;
+the controlled-NOT is a 16x16 matrix applied to two digits.  Both go through
+``state.apply_transfer``.  Every transfer matrix has first row (1, 0, ..., 0),
+so the trace coefficient is preserved exactly, not just to rounding.
 
 Rotation errors follow the substitution cos(theta) -> r cos(theta + abar):
 each rotation is replaced by the equal mixture of the two exact rotations at
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .state import PauliState
+from .state import PauliState, apply_transfer
 
 # cyclic partner components (v, w) for each rotation axis: a_v' = c a_v - s a_w
 _CYCLIC = {"x": (2, 3), "y": (3, 1), "z": (1, 2)}
@@ -151,14 +151,12 @@ def named_gate_transfer(name: str) -> np.ndarray:
 
 def apply_single(state: PauliState, k: int, t: np.ndarray) -> None:
     """Replace every digit-k 4-tuple of coefficients by T times the tuple."""
-    ax = state.axis(k)
-    out = np.tensordot(t, state.tensor(), axes=([1], [ax]))
-    state.coeffs = np.moveaxis(out, 0, ax).reshape(-1)
+    apply_transfer(state, (k,), t)
 
 
 def apply_u1(state: PauliState, k: int, lam: float, noise: RotationNoise = NOISELESS) -> None:
     """Phase gate: one z-rotation transfer by lam."""
-    apply_single(state, k, rotation_transfer("z", lam, noise))
+    apply_transfer(state, (k,), rotation_transfer("z", lam, noise))
 
 
 def apply_u3(
@@ -171,11 +169,11 @@ def apply_u3(
 ) -> None:
     """General one-qubit gate R_z(phi) R_y(theta) R_z(lam).
 
-    Each Euler factor carries its own axis's noise parameters.
+    Each Euler factor carries its own axis's noise parameters; the three
+    transfers are multiplied into one, so the state sees a single pass.
     """
-    apply_single(state, k, rotation_transfer("z", lam, noise))
-    apply_single(state, k, rotation_transfer("y", theta, noise))
-    apply_single(state, k, rotation_transfer("z", phi, noise))
+    t = rotation_transfer("z", phi, noise) @ rotation_transfer("y", theta, noise)
+    apply_transfer(state, (k,), t @ rotation_transfer("z", lam, noise))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +251,4 @@ def apply_cnot(
     """Apply the controlled-NOT transfer to the (control, target) digit pair."""
     if control == target:
         raise ValueError("control and target must be distinct qubits")
-    axc, axt = state.axis(control), state.axis(target)
-    t4 = cnot_transfer(noise).reshape(4, 4, 4, 4)
-    out = np.tensordot(t4, state.tensor(), axes=([2, 3], [axc, axt]))
-    state.coeffs = np.moveaxis(out, (0, 1), (axc, axt)).reshape(-1)
+    apply_transfer(state, (control, target), cnot_transfer(noise))

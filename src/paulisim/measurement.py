@@ -2,7 +2,9 @@
 
 All modes are non-selective: the state is replaced by the full
 post-measurement mixture, never collapsed to a sampled branch.  Sampling,
-when wanted, happens downstream from the returned distribution.
+when wanted, happens downstream from the returned distribution.  Each mode
+reads its outcome first, then applies its update as a transfer matrix; every
+returned distribution passes ``_finalize``.
 
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError
-from .state import PauliState
+from .state import PauliState, apply_product, apply_transfer
 
 PAULI_LABELS = "IXYZ"
 
@@ -64,18 +66,12 @@ def _finalize(labels: list[str], values: np.ndarray) -> dict[str, float]:
     return {lab: float(v) for lab, v in zip(labels, values)}
 
 
-def _digit_view(state: PauliState, k: int) -> np.ndarray:
-    """Writable view of the coefficient tensor with digit k as axis 0."""
-    return np.moveaxis(state.tensor(), state.axis(k), 0)
-
-
-def _damp_axis_digit(state: PauliState, k: int, j: int, d1: float) -> None:
-    """Zero the digit-k components perpendicular to Pauli j, scale j by d1."""
-    view = _digit_view(state, k)
-    for other in (1, 2, 3):
-        if other != j:
-            view[other] = 0.0
-    view[j] *= d1
+def _axis_transfer(nvec: np.ndarray, d1: float) -> np.ndarray:
+    """Non-selective measurement along nvec: the Bloch block becomes d1 n n^T."""
+    t = np.zeros((4, 4))
+    t[0, 0] = 1.0
+    t[1:, 1:] = d1 * np.outer(nvec, nvec)
+    return t
 
 
 def expect_pauli_string(
@@ -99,7 +95,7 @@ def expect_pauli_string(
     value = noise.d1**w * 2**state.n * state.coeffs[index]
     for k, d in enumerate(digits):
         if d != 0:
-            _damp_axis_digit(state, k, d, noise.d1)
+            apply_transfer(state, (k,), _axis_transfer(np.eye(3)[d - 1], noise.d1))
     return float(value)
 
 
@@ -122,11 +118,9 @@ def measure_qubit(
         raise ValueError("measurement axis must have unit length")
     c = np.array([state.coeffs[j * 4**k] for j in (1, 2, 3)])
     lean = 2**state.n * noise.d1 * float(nvec @ c)
-    view = _digit_view(state, k)
-    bloch = view[1:4]
-    along = np.tensordot(nvec, bloch, axes=([0], [0]))
-    view[1:4] = noise.d1 * np.multiply.outer(nvec, along)
-    return ((1.0 + lean) / 2.0, (1.0 - lean) / 2.0)
+    apply_transfer(state, (k,), _axis_transfer(nvec, noise.d1))
+    dist = _finalize(["+", "-"], np.array([(1.0 + lean) / 2.0, (1.0 - lean) / 2.0]))
+    return (dist["+"], dist["-"])
 
 
 def ensemble_distribution(
@@ -148,13 +142,8 @@ def ensemble_distribution(
     for ax in range(n):
         sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [ax])), 0, ax)
     probs = sub.reshape(-1)
-    labels = [format(i, f"0{n}b") for i in range(2**n)]
-    for ax in range(n):
-        view = np.moveaxis(state.tensor(), ax, 0)
-        view[1] = 0.0
-        view[2] = 0.0
-        view[3] *= noise.d1
-    return _finalize(labels, probs)
+    apply_product(state, np.diag([1.0, 0.0, 0.0, noise.d1]))
+    return _finalize([format(i, f"0{n}b") for i in range(2**n)], probs)
 
 
 def bell_measure(
@@ -177,13 +166,9 @@ def bell_measure(
             for lab in BELL_LABELS
         ]
     )
-    view = np.moveaxis(state.tensor(), (state.axis(k), state.axis(l)), (0, 1))
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                view[i, j] = 0.0
-    for j in (1, 2, 3):
-        view[j, j] *= noise.d2
+    kept = noise.d2 * np.eye(4)  # (digit_k, digit_l) -> factor
+    kept[0, 0] = 1.0
+    apply_transfer(state, (k, l), np.diag(kept.reshape(-1)))
     return _finalize(list(BELL_LABELS), probs)
 
 
@@ -193,7 +178,4 @@ def reset_qubit(state: PauliState, k: int) -> None:
     Digit-k components 1 and 2 vanish and component 3 is set equal to
     component 0, the Kraus action of {P0, sigma_x P1}.
     """
-    view = _digit_view(state, k)
-    view[1] = 0.0
-    view[2] = 0.0
-    view[3] = view[0]
+    apply_transfer(state, (k,), np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]))

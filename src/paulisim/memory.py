@@ -1,6 +1,7 @@
 """Idle-time decoherence and decay applied after every clock step.
 
-Both channels act independently on each qubit.  Decoherence multiplies
+Both channels act independently on each qubit, as one 4x4 transfer matrix
+applied to every qubit by ``state.apply_product``.  Decoherence multiplies
 transverse (digit 1 or 2) occurrences by f = exp(-dt/T2); decay scales them
 by sqrt(g) with g = exp(-dt/T1) and relaxes the longitudinal component
 toward the thermal point: a3 <- g a3 + (2p - 1)(1 - g) a0.  The thermal
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import PauliState
+from .state import PauliState, apply_product
 
 PARTITION_CATEGORIES = ("gate", "measurement", "solo")
 
@@ -69,31 +70,22 @@ def decohere(state: PauliState, f: float) -> None:
     _check_unit("f", f)
     if f == 1.0:
         return
-    for ax in range(state.n):
-        view = np.moveaxis(state.tensor(), ax, 0)
-        view[1] *= f
-        view[2] *= f
+    apply_product(state, np.diag([1.0, f, f, 1.0]))
 
 
 def decay(state: PauliState, g: float, p: float) -> None:
     """Relax every qubit toward the thermal point with population p.
 
     Transverse digit occurrences shrink by sqrt(g); each digit-3 coefficient
-    moves toward (2p - 1) times its digit-0 partner.  Per-qubit channels
-    commute, so the ascending sweep order is immaterial.
+    moves toward (2p - 1) times its digit-0 partner.
     """
     _check_unit("g", g)
     _check_unit("p", p)
     if g == 1.0:
         return
-    sg = np.sqrt(g)
-    pull = (2.0 * p - 1.0) * (1.0 - g)
-    for ax in range(state.n):
-        view = np.moveaxis(state.tensor(), ax, 0)
-        view[1] *= sg
-        view[2] *= sg
-        view[3] *= g
-        view[3] += pull * view[0]
+    t = np.diag([1.0, np.sqrt(g), np.sqrt(g), g])
+    t[3, 0] = (2.0 * p - 1.0) * (1.0 - g)
+    apply_product(state, t)
 
 
 def end_of_partition(state: PauliState, noise: MemoryNoise, category: str = "gate") -> None:

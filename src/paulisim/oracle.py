@@ -3,7 +3,8 @@
 Everything here works on explicit 2^n x 2^n complex density matrices,
 evolved by unitary conjugation and Kraus sums.  It is deliberately slow and
 simple: the point is an independent second route for every operation the
-coefficient engine implements, not performance.  Intended for n <= 8.
+coefficient engine implements, not performance.  Intended for n <=
+``ORACLE_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ SIGMA = np.array(
 )
 
 _AXIS_INDEX = {"x": 1, "y": 2, "z": 3}
+
+#: Largest qubit count ``verify_circuit`` hands to the oracle: a 2^8 x 2^8
+#: complex matrix is 1 MiB, and each added qubit quadruples it.
+ORACLE_QUBIT_CAP = 8
 
 
 @dataclass

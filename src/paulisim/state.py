@@ -13,10 +13,16 @@ k-th *least significant* base-4 digit of the flat index.  Bitstrings and
 Pauli strings in text form are written most-significant-qubit first, so the
 rightmost character always refers to qubit 0.
 
-Two invariants characterise a valid state:
+Three invariants characterise a valid state:
 
 * ``a[0] == 2**-n`` (unit trace),
-* ``2**n * sum(a**2) <= 1`` (purity at most 1), up to rounding slack.
+* ``2**n * sum(a**2) <= 1`` (purity at most 1), up to rounding slack,
+* ``|a[idx]| <= 2**-n`` for every index, up to rounding slack.
+
+Every state update is a Pauli transfer matrix (PTM) applied by
+``apply_transfer`` or ``apply_product``, the only code that knows the digit
+layout.  Every PTM here has first row (1, 0, ..., 0), so ``a[0]`` comes out
+of each update bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from .errors import CapacityError, StateFormatError
 #: the cap explicitly.  Coefficient storage quadruples per added qubit.
 DEFAULT_QUBIT_CAP = 14
 
-#: Slack allowed on the purity bound 2^n * sum(a^2) <= 1.
+#: Relative slack allowed on the purity bound 2^n * sum(a^2) <= 1 and on the
+#: coefficient bound |a_i| <= 2^-n.
 PURITY_TOL = 1e-9
 
 _FILE_HEADER = "pauli-dm v1"
@@ -41,8 +48,9 @@ _FILE_HEADER = "pauli-dm v1"
 class PauliState:
     """Mutable n-qubit state: qubit count plus the 4^n Pauli coefficients.
 
-    Gate, measurement and noise operations mutate ``coeffs`` in place.  The
-    trace coefficient ``coeffs[0]`` is never written by any operation.
+    Gate, measurement and noise operations update the state in place through
+    ``apply_transfer`` and ``apply_product``, which may replace ``coeffs`` by
+    a new array.  Each keeps the trace coefficient ``coeffs[0]`` bit-exact.
     """
 
     __slots__ = ("n", "coeffs")
@@ -83,9 +91,56 @@ class PauliState:
         pur = purity(self)
         if pur > 1.0 + PURITY_TOL:
             raise StateFormatError(f"purity bound violated: 2^n * sum(a^2) = {pur!r} > 1")
+        big = int(np.argmax(np.abs(self.coeffs)))
+        if abs(self.coeffs[big]) > 2.0**-self.n * (1.0 + PURITY_TOL):
+            raise StateFormatError(
+                f"coefficient {big} is {self.coeffs[big]!r}, above the bound 2^-n = {2.0**-self.n}"
+            )
 
     def __repr__(self) -> str:
         return f"PauliState(n={self.n})"
+
+
+def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> None:
+    """Apply a 4^m x 4^m transfer matrix to the m = 1 or 2 listed qubits.
+
+    For m = 2 the matrix index is 4 * digit(qubits[0]) + digit(qubits[1]),
+    the first listed qubit kron-major.
+    """
+    n, m = state.n, len(qubits)
+    if m not in (1, 2) or len(set(qubits)) != m or t.shape != (4**m, 4**m):
+        raise ValueError(f"need a {4**m}x{4**m} transfer on {m} distinct qubits, got {t.shape}")
+    for k in qubits:
+        state.axis(k)  # range check
+    if m == 2 and qubits[0] < qubits[1]:  # put the more significant qubit's digit first
+        t = t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+    hi, lo = max(qubits), min(qubits)
+    rows, mid, cols = 4 ** (n - 1 - hi), 4 ** max(hi - lo - 1, 0), 4**lo
+    x = state.coeffs
+    if mid > 1:
+        # Digits apart: a matmul cannot contract two axes with a gap between
+        # them, so the lo digit moves up next to hi for the product (one
+        # copy) and back down after it (a second, into the first's buffer).
+        x = np.ascontiguousarray(x.reshape(rows, 4, mid, 4, cols).transpose(0, 1, 3, 2, 4))
+    x = x.reshape(rows, len(t), mid * cols)
+    if mid * cols == 1:  # digits last; t @ x would run `rows` tiny products
+        out = x[:, :, 0] @ t.T
+    else:
+        out = np.matmul(t, x)
+    if mid > 1:
+        back = out.reshape(rows, 4, 4, mid, cols).transpose(0, 1, 3, 2, 4)
+        out = x.reshape(rows, 4, mid, 4, cols)
+        out[...] = back
+    state.coeffs = out.reshape(-1)
+
+
+def apply_product(state: PauliState, t: np.ndarray) -> None:
+    """Apply the same 4x4 transfer to every qubit, in ceil(n / 2) kron(t, t) passes."""
+    pair = np.kron(t, t)
+    for lo in range(0, state.n - 1, 2):
+        apply_transfer(state, (lo + 1, lo), pair)
+    if state.n % 2:
+        apply_transfer(state, (state.n - 1,), t)
 
 
 def _check_capacity(n: int, max_qubits: int) -> None:

@@ -112,6 +112,17 @@ def test_exit_code_capacity(tmp_path, capsys):
     assert main(["run", "--circuit", circuit]) == 5
 
 
+def test_exit_code_negative_shots(tmp_path, capsys):
+    circuit = write(tmp_path / "bell.circ", BELL)
+    assert main(["run", "--circuit", circuit, "--shots", "-1"]) == 2
+    assert "shots" in capsys.readouterr().err
+
+
+def test_exit_code_verify_over_oracle_cap(tmp_path, capsys):
+    circuit = write(tmp_path / "nine.circ", "qubits 9\nx q[0]\nensemble\n")
+    assert main(["verify", "--circuit", circuit]) == 5
+
+
 def test_exit_code_state_format(tmp_path, capsys):
     circuit = write(tmp_path / "id.circ", "qubits 1\nensemble\n")
     state = write(tmp_path / "bad.state", "junk\n")

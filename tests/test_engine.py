@@ -72,6 +72,17 @@ def test_qubit_capacity_enforced():
     run_circuit("qubits 3\nx q[0]\n", max_qubits=3)
 
 
+def test_negative_shots_rejected():
+    with pytest.raises(ValueError):
+        run_circuit(BELL, shots=-1)
+
+
+def test_verify_enforces_oracle_cap():
+    # 9 qubits is under the engine cap but over the oracle's; nothing is allocated
+    with pytest.raises(CapacityError):
+        verify_circuit("qubits 9\nx q[0]\nensemble\n")
+
+
 def test_fidelity_against_reference():
     # pure output: the ensemble readout would dephase the state, so skip it
     pure = "qubits 2\nh q[0]\ncx q[0],q[1]\n"

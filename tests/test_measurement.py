@@ -264,6 +264,13 @@ def test_distributions_reject_bad_normalization():
         ensemble_distribution(s)
 
 
+def test_measure_qubit_validates_its_probabilities():
+    s = init_zero(1)
+    s.coeffs[3] = 0.6  # not a state: the lean 2 * a_3 is 1.2, so p- = -0.1
+    with pytest.raises(InternalError):
+        measure_qubit(s, 0, (0.0, 0.0, 1.0))
+
+
 def test_distributions_clamp_tiny_negatives():
     s = init_zero(1)
     s.coeffs[3] = 0.5 + 4e-11  # p(1) = -4e-11, inside the floor

@@ -186,6 +186,14 @@ def test_load_rejects_bad_header_and_sizes(tmp_path):
         load_state(bad)
 
 
+def test_load_rejects_coefficient_above_bound(tmp_path):
+    # purity 4 * (0.25^2 + 0.4^2) = 0.89 passes, but |a_1| = 0.4 > 2^-2
+    bad = tmp_path / "big.state"
+    bad.write_text("pauli-dm v1 n=2\n0.25\n0.4\n" + "0.0\n" * 14)
+    with pytest.raises(StateFormatError, match="coefficient 1"):
+        load_state(bad)
+
+
 def test_load_enforces_capacity(tmp_path, rng):
     s = init_zero(3)
     path = tmp_path / "state.txt"

@@ -1,0 +1,163 @@
+"""The transfer kernel: layout, memory, trace row, and engine vs oracle."""
+
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_circuit_text, random_pauli_state
+from paulisim import gates, measurement, memory
+from paulisim.circuit import NOISE_KEYS, NoiseModel
+from paulisim.engine import run_circuit, verify_circuit
+from paulisim.gates import RotationNoise
+from paulisim.measurement import MeasurementNoise
+from paulisim.state import PauliState, apply_product, apply_transfer, save_state
+
+
+def reference_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> np.ndarray:
+    """The contraction apply_transfer must match, spelled out on the tensor view."""
+    n, m = state.n, len(qubits)
+    src, outs, ins = "abcdefghij"[:n], "pq"[:m], ""
+    dst = list(src)
+    for k, o in zip(qubits, outs):  # qubit k is tensor axis n - 1 - k
+        ins += src[n - 1 - k]
+        dst[n - 1 - k] = o
+    spec = f"{outs}{ins},{src}->{''.join(dst)}"
+    return np.einsum(spec, t.reshape((4,) * (2 * m)), state.tensor()).reshape(-1)
+
+
+def test_apply_transfer_matches_reference_on_every_placement(rng):
+    for n in (1, 2, 3, 5):
+        placements = [(k,) for k in range(n)]
+        placements += [(a, b) for a in range(n) for b in range(n) if a != b]
+        for qubits in placements:
+            s = PauliState(n, rng.standard_normal(4**n))
+            t = rng.standard_normal((4 ** len(qubits),) * 2)
+            want = reference_transfer(s, qubits, t)
+            apply_transfer(s, qubits, t)
+            assert np.max(np.abs(s.coeffs - want)) < 1e-12, qubits
+
+
+def test_apply_product_is_the_same_transfer_on_every_qubit(rng):
+    for n in (1, 2, 3, 4):
+        s = PauliState(n, rng.standard_normal(4**n))
+        t = rng.standard_normal((4, 4))
+        want = s.copy()
+        for k in range(n):
+            apply_transfer(want, (k,), t)
+        apply_product(s, t)
+        assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12
+
+
+def test_apply_transfer_rejects_bad_operands():
+    s = PauliState(3, np.zeros(64))
+    with pytest.raises(ValueError):
+        apply_transfer(s, (0,), np.eye(16))
+    with pytest.raises(ValueError):
+        apply_transfer(s, (1, 1), np.eye(16))
+    with pytest.raises(IndexError):
+        apply_transfer(s, (3,), np.eye(4))
+
+
+# --- memory and the trace row -------------------------------------------------
+
+_ROT = RotationNoise(alpha_x=0.01, r_y=0.99, alpha_cx=0.02, r_cx=0.97)
+_MEAS = MeasurementNoise(d1=0.97, d2=0.95)
+
+UPDATES = {
+    "u1": lambda s: gates.apply_u1(s, 3, 0.4, _ROT),
+    "u3 on qubit 0": lambda s: gates.apply_u3(s, 0, 0.3, 0.2, 0.1, _ROT),
+    "u3": lambda s: gates.apply_u3(s, 5, 0.3, 0.2, 0.1, _ROT),
+    "cx adjacent": lambda s: gates.apply_cnot(s, 4, 5, _ROT),
+    "cx apart": lambda s: gates.apply_cnot(s, 1, 6, _ROT),
+    "reset": lambda s: measurement.reset_qubit(s, 2),
+    "measure_x": lambda s: measurement.measure_qubit(s, 7, (1.0, 0.0, 0.0), _MEAS),
+    "expect": lambda s: measurement.expect_pauli_string(s, "XIZYIIXZ", _MEAS),
+    "ensemble": lambda s: measurement.ensemble_distribution(s, _MEAS),
+    "bell": lambda s: measurement.bell_measure(s, 0, 3, _MEAS),
+    "decohere": lambda s: memory.decohere(s, 0.99),
+    "decay": lambda s: memory.decay(s, 0.98, 0.9),
+}
+
+# array headers, shape tuples, the small transfer matrices and other
+# interpreter objects an update creates; about 9 KiB, whatever the state size
+_OBJECT_SLACK = 16384
+
+
+@pytest.mark.parametrize("kind", sorted(UPDATES))
+def test_update_peak_memory_and_trace_row(kind):
+    s = random_pauli_state(np.random.default_rng(8), 8)
+    trace = s.coeffs[0]
+    state_bytes = s.coeffs.nbytes
+    tracemalloc.start()
+    try:
+        UPDATES[kind](s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state_bytes + _OBJECT_SLACK, f"{kind}: {peak / state_bytes:.2f}x the state"
+    assert s.coeffs[0].tobytes() == trace.tobytes()
+
+
+def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
+    seen = []
+
+    def spy(kernel):
+        def wrapped(state, *args):
+            seen.append(np.array(args[-1]))
+            kernel(state, *args)
+
+        return wrapped
+
+    for module in (gates, measurement, memory):
+        for name in ("apply_transfer", "apply_product"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    text = (
+        "qubits 3\n"
+        "h q[0]\nu1(0.3) q[1]\nu3(0.7,0.2,-0.4) q[2]\ncx q[0],q[1]\ncx q[2],q[0]\n"
+        "measure q[0]\nmeasure_x q[1]\nmeasure_y q[2]\nreset q[1]\n"
+        "expect XYZ\nbell q[0],q[2]\nensemble\n"
+    )
+    noise = NoiseModel(**{k: 0.9 for k in NOISE_KEYS if not k.startswith("alpha")}, alpha_cx=0.1)
+    run_circuit(text, noise)
+    assert {t.shape for t in seen} == {(4, 4), (16, 16)}
+    assert len(seen) >= 12
+    for t in seen:
+        assert t[0, 0] == 1.0 and not t[0, 1:].any()
+
+
+# --- engine vs oracle under noise ------------------------------------------------
+
+UNIT = st.floats(0.0, 1.0)
+NOISE = st.fixed_dictionaries(
+    {k: st.floats(-0.5, 0.5) if k.startswith("alpha") else UNIT for k in NOISE_KEYS}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    n_instr=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    values=NOISE,
+    init=st.sampled_from(["zero", "uniform", "thermal", "bitstring", "file"]),
+)
+def test_engine_matches_oracle_on_noisy_random_circuits(n, n_instr, seed, values, init):
+    rng = np.random.default_rng(seed)
+    text = random_circuit_text(rng, n, n_instr)
+    noise = NoiseModel(**values)
+    with tempfile.TemporaryDirectory() as tmp:
+        if init == "bitstring":
+            init = "bitstring:" + "".join(rng.choice(list("01"), size=n))
+        elif init == "file":
+            path = Path(tmp) / "start.state"
+            save_state(random_pauli_state(rng, n), path)
+            init = f"file:{path}"
+        res = verify_circuit(text, noise, init=init)
+    assert res.state_divergence <= 1e-12, text
+    assert res.record_divergence <= 1e-12, text
