@@ -96,31 +96,50 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def make_initial_state(
-    n: int, init: str, noise: NoiseModel, max_qubits: int = DEFAULT_QUBIT_CAP
-) -> PauliState:
-    """Build the starting state from an option string.
+@dataclass(frozen=True)
+class InitSpec:
+    """A parsed ``--init`` option; ``file:`` holds the state read from the file."""
+
+    kind: str  # zero | uniform | thermal | bitstring | file
+    bits: str = ""
+    state: PauliState | None = None
+
+
+def parse_init(n: int, init: str, max_qubits: int = DEFAULT_QUBIT_CAP) -> InitSpec:
+    """Parse an option string for an n-qubit circuit, reading a state file once.
 
     Options: ``zero``, ``uniform``, ``thermal`` (population = noise p),
     ``bitstring:S`` and ``file:PATH``.
     """
-    if init == "zero":
-        return init_zero(n, max_qubits)
-    if init == "uniform":
-        return init_uniform(n, max_qubits)
-    if init == "thermal":
-        return init_thermal(n, noise.p, max_qubits)
+    if init in ("zero", "uniform", "thermal"):
+        return InitSpec(init)
     if init.startswith("bitstring:"):
         bits = init.partition(":")[2]
         if len(bits) != n:
             raise ValueError(f"bitstring length {len(bits)} does not match {n} qubits")
-        return init_bitstring(bits, max_qubits)
+        return InitSpec("bitstring", bits=bits)
     if init.startswith("file:"):
         state = load_state(init.partition(":")[2], max_qubits)
         if state.n != n:
             raise StateFormatError(f"state file holds {state.n} qubits, circuit needs {n}")
-        return state
+        return InitSpec("file", state=state)
     raise ValueError(f"unknown init option {init!r}")
+
+
+def make_initial_state(
+    n: int, init: str | InitSpec, noise: NoiseModel, max_qubits: int = DEFAULT_QUBIT_CAP
+) -> PauliState:
+    """Build the starting state from an option string (see ``parse_init``) or its ``InitSpec``."""
+    spec = parse_init(n, init, max_qubits) if isinstance(init, str) else init
+    if spec.kind == "zero":
+        return init_zero(n, max_qubits)
+    if spec.kind == "uniform":
+        return init_uniform(n, max_qubits)
+    if spec.kind == "thermal":
+        return init_thermal(n, noise.p, max_qubits)
+    if spec.kind == "bitstring":
+        return init_bitstring(spec.bits, max_qubits)
+    return spec.state.copy()  # execution updates the state in place
 
 
 def execute_schedule(
@@ -238,18 +257,16 @@ class VerifyResult:
         return "\n".join(lines) + "\n"
 
 
-def _dense_initial(n: int, init: str, noise: NoiseModel) -> oracle.DenseState:
-    if init == "zero":
+def _dense_initial(n: int, spec: InitSpec, noise: NoiseModel) -> oracle.DenseState:
+    if spec.kind == "zero":
         return oracle.dense_zero(n)
-    if init == "uniform":
+    if spec.kind == "uniform":
         return oracle.dense_uniform(n)
-    if init == "thermal":
+    if spec.kind == "thermal":
         return oracle.dense_thermal(n, noise.p)
-    if init.startswith("bitstring:"):
-        return oracle.dense_bitstring(init.partition(":")[2])
-    if init.startswith("file:"):
-        return oracle.to_dense(load_state(init.partition(":")[2]))
-    raise ValueError(f"unknown init option {init!r}")
+    if spec.kind == "bitstring":
+        return oracle.dense_bitstring(spec.bits)
+    return oracle.to_dense(spec.state)
 
 
 def _record_divergence(rec: Record, ref: tuple) -> float:
@@ -278,10 +295,11 @@ def verify_circuit(
         raise CapacityError(f"n={n} exceeds the oracle's qubit cap of {oracle.ORACLE_QUBIT_CAP}")
     _, schedule = compile_circuit(n, instructions)
 
-    state = make_initial_state(n, init, noise, max_qubits=DEFAULT_QUBIT_CAP)
+    spec = parse_init(n, init)
+    state = make_initial_state(n, spec, noise)
     records = execute_schedule(state, schedule, noise)
 
-    dense = _dense_initial(n, init, noise)
+    dense = _dense_initial(n, spec, noise)
     dense_records = oracle.run_schedule_dense(dense, schedule, noise)
 
     state_div = float(np.max(np.abs(state.coeffs - oracle.from_dense(dense).coeffs)))

@@ -94,8 +94,10 @@ def expect_pauli_string(
     w = sum(1 for d in digits if d != 0)
     value = noise.d1**w * 2**state.n * state.coeffs[index]
     for k, d in enumerate(digits):
-        if d != 0:
-            apply_transfer(state, (k,), _axis_transfer(np.eye(3)[d - 1], noise.d1))
+        if d != 0:  # _axis_transfer along axis d: its diagonal
+            damp = np.zeros(4)
+            damp[0], damp[d] = 1.0, noise.d1
+            apply_transfer(state, (k,), damp)
     return float(value)
 
 
@@ -123,6 +125,20 @@ def measure_qubit(
     return (dist["+"], dist["-"])
 
 
+def _bitstring_probs(state: PauliState, d1: float) -> np.ndarray:
+    """The ensemble readout, indexed by bitstring with qubit n - 1 most significant."""
+    n = state.n
+    index = np.zeros(1, dtype=np.intp)  # of the 2^n coefficients with digits in {0, 3}
+    for k in range(n):  # qubit n - 1 ends up most significant
+        index = np.add.outer([0, 3 * 4**k], index).ravel()
+    sub = state.coeffs[index].reshape((2,) * n)
+    # per-axis map from (digit0, d1 * digit3) to the two outcome bits
+    m = np.array([[1.0, d1], [1.0, -d1]])
+    for ax in range(n):
+        sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [ax])), 0, ax)
+    return sub.reshape(-1)
+
+
 def ensemble_distribution(
     state: PauliState, noise: MeasurementNoise = IDEAL
 ) -> dict[str, float]:
@@ -133,17 +149,9 @@ def ensemble_distribution(
     update zeroes every coefficient with a digit in {1, 2} and scales each
     digit-3 occurrence by d1.
     """
-    n = state.n
-    sub = state.tensor()
-    for ax in range(n):
-        sub = np.take(sub, (0, 3), axis=ax)
-    # per-axis map from (digit0, d1 * digit3) to the two outcome bits
-    m = np.array([[1.0, noise.d1], [1.0, -noise.d1]])
-    for ax in range(n):
-        sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [ax])), 0, ax)
-    probs = sub.reshape(-1)
-    apply_product(state, np.diag([1.0, 0.0, 0.0, noise.d1]))
-    return _finalize([format(i, f"0{n}b") for i in range(2**n)], probs)
+    probs = _bitstring_probs(state, noise.d1)
+    apply_product(state, np.array([1.0, 0.0, 0.0, noise.d1]))
+    return _finalize([format(i, f"0{state.n}b") for i in range(2**state.n)], probs)
 
 
 def bell_measure(
@@ -168,7 +176,7 @@ def bell_measure(
     )
     kept = noise.d2 * np.eye(4)  # (digit_k, digit_l) -> factor
     kept[0, 0] = 1.0
-    apply_transfer(state, (k, l), np.diag(kept.reshape(-1)))
+    apply_transfer(state, (k, l), kept.reshape(-1))
     return _finalize(list(BELL_LABELS), probs)
 
 

@@ -1,7 +1,9 @@
 """Idle-time decoherence and decay applied after every clock step.
 
 Both channels act independently on each qubit, as one 4x4 transfer matrix
-applied to every qubit by ``state.apply_product``.  Decoherence multiplies
+applied to every qubit by ``state.apply_product``: decoherence is diagonal
+and passed as its diagonal, so it scales the coefficients in place, while
+decay's a3 <- a0 entry makes it a matmul.  Decoherence multiplies
 transverse (digit 1 or 2) occurrences by f = exp(-dt/T2); decay scales them
 by sqrt(g) with g = exp(-dt/T1) and relaxes the longitudinal component
 toward the thermal point: a3 <- g a3 + (2p - 1)(1 - g) a0.  The thermal
@@ -70,7 +72,7 @@ def decohere(state: PauliState, f: float) -> None:
     _check_unit("f", f)
     if f == 1.0:
         return
-    apply_product(state, np.diag([1.0, f, f, 1.0]))
+    apply_product(state, np.array([1.0, f, f, 1.0]))
 
 
 def decay(state: PauliState, g: float, p: float) -> None:

@@ -13,21 +13,27 @@ k-th *least significant* base-4 digit of the flat index.  Bitstrings and
 Pauli strings in text form are written most-significant-qubit first, so the
 rightmost character always refers to qubit 0.
 
-Three invariants characterise a valid state:
+A valid state keeps these invariants; ``PauliState.validate`` checks the
+first three, and ``load_state`` checks positivity too, for files of at most
+``oracle.ORACLE_QUBIT_CAP`` qubits:
 
 * ``a[0] == 2**-n`` (unit trace),
 * ``2**n * sum(a**2) <= 1`` (purity at most 1), up to rounding slack,
-* ``|a[idx]| <= 2**-n`` for every index, up to rounding slack.
+* ``|a[idx]| <= 2**-n`` for every index, up to rounding slack,
+* the density matrix has no eigenvalue below ``-PSD_TOL`` (positivity).
 
 Every state update is a Pauli transfer matrix (PTM) applied by
 ``apply_transfer`` or ``apply_product``, the only code that knows the digit
-layout.  Every PTM here has first row (1, 0, ..., 0), so ``a[0]`` comes out
-of each update bit for bit.
+layout.  A diagonal PTM is passed as its diagonal and applied as an in-place
+scaling of the coefficients; any other goes through a matmul.  Every PTM
+here has first row (1, 0, ..., 0), so ``a[0]`` comes out of each update bit
+for bit.
 """
 
 from __future__ import annotations
 
 import io
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +48,9 @@ DEFAULT_QUBIT_CAP = 14
 #: coefficient bound |a_i| <= 2^-n.
 PURITY_TOL = 1e-9
 
+#: Most negative density-matrix eigenvalue ``load_state`` lets through.
+PSD_TOL = 1e-9
+
 _FILE_HEADER = "pauli-dm v1"
 
 
@@ -49,8 +58,10 @@ class PauliState:
     """Mutable n-qubit state: qubit count plus the 4^n Pauli coefficients.
 
     Gate, measurement and noise operations update the state in place through
-    ``apply_transfer`` and ``apply_product``, which may replace ``coeffs`` by
-    a new array.  Each keeps the trace coefficient ``coeffs[0]`` bit-exact.
+    ``apply_transfer`` and ``apply_product``: a diagonal PTM scales
+    ``coeffs`` in place, any other replaces it by a new array.  Each keeps
+    the trace coefficient ``coeffs[0]`` bit-exact.  The constructor keeps
+    a float64 array as given, without a copy.
     """
 
     __slots__ = ("n", "coeffs")
@@ -105,18 +116,30 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
     """Apply a 4^m x 4^m transfer matrix to the m = 1 or 2 listed qubits.
 
     For m = 2 the matrix index is 4 * digit(qubits[0]) + digit(qubits[1]),
-    the first listed qubit kron-major.
+    the first listed qubit kron-major.  A 1-D ``t`` of length 4^m is the
+    diagonal of a diagonal transfer matrix; it scales ``coeffs`` in place.
     """
     n, m = state.n, len(qubits)
-    if m not in (1, 2) or len(set(qubits)) != m or t.shape != (4**m, 4**m):
-        raise ValueError(f"need a {4**m}x{4**m} transfer on {m} distinct qubits, got {t.shape}")
+    size = 4**m
+    if m not in (1, 2) or len(set(qubits)) != m or t.shape not in ((size, size), (size,)):
+        raise ValueError(
+            f"need a {size}x{size} transfer or its diagonal on {m} distinct qubits, got {t.shape}"
+        )
     for k in qubits:
         state.axis(k)  # range check
-    if m == 2 and qubits[0] < qubits[1]:  # put the more significant qubit's digit first
-        t = t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
     hi, lo = max(qubits), min(qubits)
     rows, mid, cols = 4 ** (n - 1 - hi), 4 ** max(hi - lo - 1, 0), 4**lo
     x = state.coeffs
+    if t.ndim == 1:  # a diagonal: one broadcast multiply, no copy
+        if m == 1:
+            view, w = x.reshape(rows, 4, cols), t[:, None]
+        else:
+            d = t.reshape(4, 4) if qubits[0] > qubits[1] else t.reshape(4, 4).T
+            view, w = x.reshape(rows, 4, mid, 4, cols), d[:, None, :, None]
+        np.multiply(view, w, out=view)
+        return
+    if m == 2 and qubits[0] < qubits[1]:  # put the more significant qubit's digit first
+        t = t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
     if mid > 1:
         # Digits apart: a matmul cannot contract two axes with a gap between
         # them, so the lo digit moves up next to hi for the product (one
@@ -135,7 +158,22 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
 
 
 def apply_product(state: PauliState, t: np.ndarray) -> None:
-    """Apply the same 4x4 transfer to every qubit, in ceil(n / 2) kron(t, t) passes."""
+    """Apply the same 4x4 transfer, or 4-entry diagonal, to every qubit.
+
+    A matrix goes in ceil(n / 2) kron(t, t) passes.  A diagonal scales
+    ``coeffs`` in place twice: by its n-fold product over the high half of
+    the digits, then over the low half.
+    """
+    if t.shape not in ((4,), (4, 4)):
+        raise ValueError(f"need a 4x4 transfer or its diagonal, got {t.shape}")
+    if t.ndim == 1:
+        low = state.n // 2
+        w_hi = reduce(np.kron, [t] * (state.n - low), np.ones(1))
+        w_lo = reduce(np.kron, [t] * low, np.ones(1))
+        x = state.coeffs.reshape(len(w_hi), len(w_lo))
+        np.multiply(x, w_hi[:, None], out=x)
+        np.multiply(x, w_lo, out=x)
+        return
     pair = np.kron(t, t)
     for lo in range(0, state.n - 1, 2):
         apply_transfer(state, (lo + 1, lo), pair)
@@ -242,7 +280,11 @@ def save_state(s: PauliState, sink: str | Path | io.TextIOBase) -> None:
 
 
 def load_state(source: str | Path | io.TextIOBase, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState:
-    """Read a coefficient file and validate both state invariants."""
+    """Read a coefficient file and check the state invariants.
+
+    Up to ``oracle.ORACLE_QUBIT_CAP`` qubits the density matrix must also be
+    positive: no eigenvalue below -``PSD_TOL``.
+    """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
     else:
@@ -278,4 +320,10 @@ def load_state(source: str | Path | io.TextIOBase, max_qubits: int = DEFAULT_QUB
         )
     state = PauliState(n, np.array(values))
     state.validate()
+    from . import oracle  # here, not at the top: oracle imports this module
+
+    if n <= oracle.ORACLE_QUBIT_CAP:  # purity <= 1 does not imply positivity for n >= 2
+        low = float(np.linalg.eigvalsh(oracle.to_dense(state).rho).min())
+        if low < -PSD_TOL:
+            raise StateFormatError(f"density matrix has eigenvalue {low!r} below -{PSD_TOL}")
     return state

@@ -19,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .circuit import NOISE_KEYS, NoiseModel, parse_circuit
-from .engine import Record, execute_schedule, make_initial_state
+from .engine import Record, execute_schedule, make_initial_state, parse_init
 from .state import PauliState, load_state, overlap
 from .transpile import compile_circuit
 
@@ -72,6 +72,7 @@ def sweep(
     base = base_noise or NoiseModel()
     n, instructions = parse_circuit(circuit_text)
     _, schedule = compile_circuit(n, instructions)
+    spec = parse_init(n, init)
 
     pattern = None
     reference: PauliState | None = None
@@ -86,7 +87,7 @@ def sweep(
             if reference.n != n:
                 raise ValueError(f"reference state has {reference.n} qubits, circuit {n}")
         else:
-            reference = make_initial_state(n, init, base)
+            reference = make_initial_state(n, spec, base)
             execute_schedule(reference, schedule, NoiseModel())
     else:
         raise ValueError(f"unknown metric {metric!r}")
@@ -94,7 +95,7 @@ def sweep(
     rows = []
     for value in values:
         noise = build_noise(base, param, value)
-        state = make_initial_state(n, init, noise)
+        state = make_initial_state(n, spec, noise)
         records = execute_schedule(state, schedule, noise)
         if pattern is not None:
             m = pattern_mass(_last_ensemble(records), pattern)

@@ -127,6 +127,12 @@ def test_exit_code_state_format(tmp_path, capsys):
     circuit = write(tmp_path / "id.circ", "qubits 1\nensemble\n")
     state = write(tmp_path / "bad.state", "junk\n")
     assert main(["run", "--circuit", circuit, "--init", f"file:{state}"]) == 6
+    # 1/4 (II + XX + YY + ZZ) passes the purity and coefficient bounds but is not positive
+    pair = write(tmp_path / "pair.circ", "qubits 2\nbell q[0],q[1]\n")
+    lines = ["pauli-dm v1 n=2"] + ["0.25" if i in (0, 5, 10, 15) else "0.0" for i in range(16)]
+    state = write(tmp_path / "nonpositive.state", "\n".join(lines) + "\n")
+    assert main(["run", "--circuit", pair, "--init", f"file:{state}"]) == 6
+    assert main(["verify", "--circuit", pair, "--init", f"file:{state}"]) == 6
 
 
 def test_exit_code_missing_file(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_circuit_text
+from paulisim import engine
 from paulisim.circuit import NoiseModel, parse_circuit
 from paulisim.engine import (
     dump_schedule,
@@ -10,7 +11,16 @@ from paulisim.engine import (
     verify_circuit,
 )
 from paulisim.errors import CapacityError, StateFormatError
-from paulisim.state import init_bitstring, init_thermal, init_uniform, init_zero, overlap, save_state
+from paulisim.state import (
+    init_bitstring,
+    init_thermal,
+    init_uniform,
+    init_zero,
+    load_state,
+    overlap,
+    save_state,
+)
+from paulisim.sweep import sweep
 
 BELL = "qubits 2\nh q[0]\ncx q[0],q[1]\nensemble\n"
 
@@ -54,6 +64,23 @@ def test_initial_state_from_file(tmp_path):
     save_state(init_bitstring("11"), path)
     report = run_circuit("qubits 2\nensemble\n", init=f"file:{path}")
     assert abs(report.records[0].dist["11"] - 1.0) < 1e-12
+
+
+def test_init_file_is_read_once_per_call(tmp_path, monkeypatch):
+    path = tmp_path / "start.state"
+    save_state(init_thermal(2, 0.8), path)
+    reads = []
+
+    def counting_load(*args):
+        reads.append(args)
+        return load_state(*args)
+
+    monkeypatch.setattr(engine, "load_state", counting_load)
+    res = verify_circuit(BELL, NoiseModel(f=0.9), init=f"file:{path}")
+    assert len(reads) == 1 and res.state_divergence < 1e-12
+    reads.clear()
+    rows = sweep(BELL, "f", [1.0, 0.9, 0.8], "success:00", init=f"file:{path}")
+    assert len(reads) == 1 and len(rows) == 3
 
 
 def test_init_file_qubit_mismatch(tmp_path):

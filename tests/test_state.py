@@ -194,6 +194,16 @@ def test_load_rejects_coefficient_above_bound(tmp_path):
         load_state(bad)
 
 
+def test_load_rejects_state_that_is_not_positive(tmp_path):
+    # 1/4 (II + XX + YY + ZZ): purity 1 and every |a_i| <= 1/4, eigenvalues (-1/2, 1/2, 1/2, 1/2)
+    coeffs = np.zeros(16)
+    coeffs[[0, 5, 10, 15]] = 0.25
+    bad = tmp_path / "nonpositive.state"
+    save_state(PauliState(2, coeffs), bad)
+    with pytest.raises(StateFormatError, match="eigenvalue"):
+        load_state(bad)
+
+
 def test_load_enforces_capacity(tmp_path, rng):
     s = init_zero(3)
     path = tmp_path / "state.txt"

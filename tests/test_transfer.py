@@ -20,6 +20,8 @@ from paulisim.state import PauliState, apply_product, apply_transfer, save_state
 
 def reference_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> np.ndarray:
     """The contraction apply_transfer must match, spelled out on the tensor view."""
+    if t.ndim == 1:
+        t = np.diag(t)
     n, m = state.n, len(qubits)
     src, outs, ins = "abcdefghij"[:n], "pq"[:m], ""
     dst = list(src)
@@ -35,22 +37,24 @@ def test_apply_transfer_matches_reference_on_every_placement(rng):
         placements = [(k,) for k in range(n)]
         placements += [(a, b) for a in range(n) for b in range(n) if a != b]
         for qubits in placements:
-            s = PauliState(n, rng.standard_normal(4**n))
-            t = rng.standard_normal((4 ** len(qubits),) * 2)
-            want = reference_transfer(s, qubits, t)
-            apply_transfer(s, qubits, t)
-            assert np.max(np.abs(s.coeffs - want)) < 1e-12, qubits
+            for ndim in (2, 1):  # a matrix, and a diagonal given as a vector
+                s = PauliState(n, rng.standard_normal(4**n))
+                t = rng.standard_normal((4 ** len(qubits),) * ndim)
+                want = reference_transfer(s, qubits, t)
+                apply_transfer(s, qubits, t)
+                assert np.max(np.abs(s.coeffs - want)) < 1e-12, (qubits, ndim)
 
 
 def test_apply_product_is_the_same_transfer_on_every_qubit(rng):
-    for n in (1, 2, 3, 4):
-        s = PauliState(n, rng.standard_normal(4**n))
-        t = rng.standard_normal((4, 4))
-        want = s.copy()
-        for k in range(n):
-            apply_transfer(want, (k,), t)
-        apply_product(s, t)
-        assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12
+    for n in (1, 2, 3, 4, 5):
+        for shape in ((4, 4), (4,)):
+            s = PauliState(n, rng.standard_normal(2 * 4**n)[::2])  # a view, scaled in place
+            t = rng.standard_normal(shape)
+            want = s.copy()
+            for k in range(n):
+                apply_transfer(want, (k,), t)
+            apply_product(s, t)
+            assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, (n, shape)
 
 
 def test_apply_transfer_rejects_bad_operands():
@@ -59,6 +63,10 @@ def test_apply_transfer_rejects_bad_operands():
         apply_transfer(s, (0,), np.eye(16))
     with pytest.raises(ValueError):
         apply_transfer(s, (1, 1), np.eye(16))
+    with pytest.raises(ValueError):
+        apply_transfer(s, (0, 2), np.ones(4))
+    with pytest.raises(ValueError):
+        apply_product(s, np.ones(16))
     with pytest.raises(IndexError):
         apply_transfer(s, (3,), np.eye(4))
 
@@ -103,6 +111,29 @@ def test_update_peak_memory_and_trace_row(kind):
     assert s.coeffs[0].tobytes() == trace.tobytes()
 
 
+IN_PLACE = ("bell", "decohere", "ensemble", "expect")
+
+# a broadcast multiply runs through numpy's buffered ufunc iterator, which
+# allocates one getbufsize()-element buffer, whatever the state size
+_UFUNC_BUFFER = 8 * np.getbufsize()
+
+
+@pytest.mark.parametrize("kind", IN_PLACE)
+def test_diagonal_updates_scale_the_state_in_place(kind):
+    s = random_pauli_state(np.random.default_rng(9), 8)
+    coeffs = s.coeffs
+    trace = s.coeffs[0]
+    tracemalloc.start()
+    try:
+        UPDATES[kind](s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.coeffs is coeffs
+    assert peak < _OBJECT_SLACK + _UFUNC_BUFFER, f"{kind}: {peak} bytes"
+    assert s.coeffs[0].tobytes() == trace.tobytes()
+
+
 def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
     seen = []
 
@@ -125,10 +156,13 @@ def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
     )
     noise = NoiseModel(**{k: 0.9 for k in NOISE_KEYS if not k.startswith("alpha")}, alpha_cx=0.1)
     run_circuit(text, noise)
-    assert {t.shape for t in seen} == {(4, 4), (16, 16)}
+    assert {t.shape for t in seen} == {(4,), (16,), (4, 4), (16, 16)}
     assert len(seen) >= 12
     for t in seen:
-        assert t[0, 0] == 1.0 and not t[0, 1:].any()
+        if t.ndim == 1:  # a diagonal: its first row is e0 when d[0] == 1
+            assert t[0] == 1.0
+        else:
+            assert t[0, 0] == 1.0 and not t[0, 1:].any()
 
 
 # --- engine vs oracle under noise ------------------------------------------------
