@@ -21,6 +21,7 @@ from .errors import CapacityError, StateFormatError
 from .state import (
     DEFAULT_QUBIT_CAP,
     PauliState,
+    check_capacity,
     init_bitstring,
     init_thermal,
     init_uniform,
@@ -207,6 +208,7 @@ def run_circuit(
     noise = noise or NoiseModel()
     start = time.perf_counter()
     n, instructions = parse_circuit(circuit_text)
+    check_capacity(n, max_qubits)
     merged, schedule = compile_circuit(n, instructions)
     state = make_initial_state(n, init, noise, max_qubits)
     records = execute_schedule(state, schedule, noise)
@@ -226,8 +228,13 @@ def run_circuit(
 
 
 def dump_schedule(circuit_text: str) -> str:
-    """Compile only, returning the partition-per-line schedule text."""
+    """Compile only, returning the partition-per-line schedule text.
+
+    Circuits above the default qubit cap raise ``CapacityError`` before
+    compiling, as ``run_circuit`` does.
+    """
     n, instructions = parse_circuit(circuit_text)
+    check_capacity(n)
     _, schedule = compile_circuit(n, instructions)
     return format_schedule(schedule)
 

@@ -67,10 +67,17 @@ def _finalize(labels: list[str], values: np.ndarray) -> dict[str, float]:
 
 
 def _axis_transfer(nvec: np.ndarray, d1: float) -> np.ndarray:
-    """Non-selective measurement along nvec: the Bloch block becomes d1 n n^T."""
+    """Non-selective measurement along nvec: the Bloch block becomes d1 n n^T.
+
+    Along a basis axis that block is diagonal, and only the diagonal is
+    returned, which the kernel applies in place.
+    """
+    block = d1 * np.outer(nvec, nvec)
+    if np.count_nonzero(nvec) == 1:
+        return np.concatenate(([1.0], np.diag(block)))
     t = np.zeros((4, 4))
     t[0, 0] = 1.0
-    t[1:, 1:] = d1 * np.outer(nvec, nvec)
+    t[1:, 1:] = block
     return t
 
 
@@ -94,10 +101,8 @@ def expect_pauli_string(
     w = sum(1 for d in digits if d != 0)
     value = noise.d1**w * 2**state.n * state.coeffs[index]
     for k, d in enumerate(digits):
-        if d != 0:  # _axis_transfer along axis d: its diagonal
-            damp = np.zeros(4)
-            damp[0], damp[d] = 1.0, noise.d1
-            apply_transfer(state, (k,), damp)
+        if d != 0:
+            apply_transfer(state, (k,), _axis_transfer(np.eye(3)[d - 1], noise.d1))
     return float(value)
 
 

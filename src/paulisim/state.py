@@ -137,6 +137,8 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
             d = t.reshape(4, 4) if qubits[0] > qubits[1] else t.reshape(4, 4).T
             view, w = x.reshape(rows, 4, mid, 4, cols), d[:, None, :, None]
         np.multiply(view, w, out=view)
+        if not t.all():  # 0 * a negative is -0.0, where the matmul gives +0.0
+            np.add(x, 0.0, out=x)
         return
     if m == 2 and qubits[0] < qubits[1]:  # put the more significant qubit's digit first
         t = t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
@@ -173,6 +175,8 @@ def apply_product(state: PauliState, t: np.ndarray) -> None:
         x = state.coeffs.reshape(len(w_hi), len(w_lo))
         np.multiply(x, w_hi[:, None], out=x)
         np.multiply(x, w_lo, out=x)
+        if not t.all():
+            np.add(x, 0.0, out=x)
         return
     pair = np.kron(t, t)
     for lo in range(0, state.n - 1, 2):
@@ -181,7 +185,8 @@ def apply_product(state: PauliState, t: np.ndarray) -> None:
         apply_transfer(state, (state.n - 1,), t)
 
 
-def _check_capacity(n: int, max_qubits: int) -> None:
+def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
+    """Raise ``CapacityError`` for n above ``max_qubits``, ``ValueError`` for n < 1."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if n > max_qubits:
@@ -198,14 +203,14 @@ def _product_state(factors: list[np.ndarray]) -> PauliState:
 
 def init_zero(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState:
     """All qubits in |0>: the product of (I + sigma_z)/2 factors."""
-    _check_capacity(n, max_qubits)
+    check_capacity(n, max_qubits)
     q = np.array([0.5, 0.0, 0.0, 0.5])
     return _product_state([q] * n)
 
 
 def init_uniform(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState:
     """All qubits in |+>: the product of (I + sigma_x)/2 factors."""
-    _check_capacity(n, max_qubits)
+    check_capacity(n, max_qubits)
     q = np.array([0.5, 0.5, 0.0, 0.0])
     return _product_state([q] * n)
 
@@ -218,7 +223,7 @@ def init_bitstring(bits: str, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState
     """
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"bitstring must be non-empty over {{0,1}}, got {bits!r}")
-    _check_capacity(len(bits), max_qubits)
+    check_capacity(len(bits), max_qubits)
     factors = []
     for c in reversed(bits):  # qubit 0 first
         sign = 1.0 if c == "0" else -1.0
@@ -234,7 +239,7 @@ def init_thermal(n: int, p: float, max_qubits: int = DEFAULT_QUBIT_CAP) -> Pauli
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"thermal population p must be in [0, 1], got {p}")
-    _check_capacity(n, max_qubits)
+    check_capacity(n, max_qubits)
     q = np.array([0.5, 0.0, 0.0, p - 0.5])
     return _product_state([q] * n)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .circuit import NOISE_KEYS, NoiseModel, parse_circuit
 from .engine import Record, execute_schedule, make_initial_state, parse_init
-from .state import PauliState, load_state, overlap
+from .state import PauliState, check_capacity, load_state, overlap
 from .transpile import compile_circuit
 
 GROUP_KEYS = {
@@ -71,6 +71,7 @@ def sweep(
 ) -> list[SweepRow]:
     base = base_noise or NoiseModel()
     n, instructions = parse_circuit(circuit_text)
+    check_capacity(n)
     _, schedule = compile_circuit(n, instructions)
     spec = parse_init(n, init)
 

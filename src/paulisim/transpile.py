@@ -2,14 +2,15 @@
 
 Circuits are lowered to the select set {u1, u3, cx}, maximal runs of
 consecutive one-qubit gates are fused per qubit, and the result is split
-into clock-step partitions via per-qubit FIFO columns: every instruction is
-appended to the columns of the qubits it touches, single-qubit measurements
-additionally park a dummy on every other column, and whole-register
-operations (expect, ensemble, bell) occupy all columns at once.  A round
-pops from the column bottoms, one instruction per qubit, admitting a
-two-qubit gate only when it heads both of its columns.  Barrier markers,
-inserted by the user or automatically between gate and measurement phases,
-must align across all columns before they dissolve.
+into clock-step partitions by as-soon-as-possible layering in one pass.
+The program falls into phases: runs of one category (gate or measurement),
+cut at every barrier and category change; each whole-register instruction
+(expect, ensemble, bell) is a phase and a partition of its own.  A phase
+opens a fresh partition.  Each gate or measurement joins the earliest
+partition of its phase that comes after the last one holding any of its
+qubits; a measurement also never goes before the measurement preceding it
+in source order.  Gate members are listed by lowest qubit, measurement
+members in source order.
 
 Idle time between partitions is where memory noise elapses, so partition
 count is the circuit's effective clock depth.
@@ -18,7 +19,6 @@ count is the circuit's effective clock depth.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,58 +217,20 @@ def merge(n: int, instructions: list[Instruction]) -> list[Instruction]:
 
 
 # ---------------------------------------------------------------------------
-# Qubit stack and partitioner
+# Partitioner
 
 
-class _Dummy:
-    """Column placeholder pinning cross-qubit order around a measurement."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, parent: Instruction) -> None:
-        self.parent = parent
-
-
-@dataclass
+@dataclass(frozen=True)
 class QubitStack:
-    """One FIFO column per qubit; bottoms sit at the left end."""
+    """Partitioner input: the register size and the fused instruction list."""
 
-    columns: list[deque]
-
-
-def _with_phase_barriers(instructions: list[Instruction]) -> list[Instruction]:
-    """Insert barriers at gate/measurement category changes and around solos."""
-    out: list[Instruction] = []
-    prev: str | None = None
-    for ins in instructions:
-        cat = category_of(ins.kind)
-        if cat is None:
-            out.append(ins)
-            prev = None
-            continue
-        if prev is not None and (cat != prev or cat == "solo"):
-            out.append(Instruction("barrier"))
-        out.append(ins)
-        prev = cat
-    return out
+    n: int
+    instructions: tuple[Instruction, ...]
 
 
 def build_stack(n: int, instructions: list[Instruction]) -> QubitStack:
-    """Distribute instructions onto per-qubit columns in source order."""
-    cols: list[deque] = [deque() for _ in range(n)]
-    for ins in _with_phase_barriers(instructions):
-        k = ins.kind
-        if k == "barrier" or k in SOLO_KINDS:
-            for c in cols:
-                c.append(ins)
-        elif k in MEASURE_KINDS:
-            q = ins.qubits[0]
-            for i, c in enumerate(cols):
-                c.append(ins if i == q else _Dummy(ins))
-        else:
-            for q in ins.qubits:
-                cols[q].append(ins)
-    return QubitStack(cols)
+    """Package a fused program for ``partition``."""
+    return QubitStack(n, tuple(instructions))
 
 
 @dataclass
@@ -285,105 +247,34 @@ class Schedule:
         return len(self.partitions)
 
 
-def _is_barrier(obj) -> bool:
-    return isinstance(obj, Instruction) and obj.kind == "barrier"
-
-
 def partition(stack: QubitStack) -> Schedule:
-    """Pop the qubit stack into clock-step partitions (consumes a copy)."""
-    cols = [deque(c) for c in stack.columns]
-    scheduled: set[int] = set()  # id() of every instruction already placed
+    """Place each instruction in the first partition its phase and qubits allow."""
     parts: list[Partition] = []
-
-    def drop_dead_dummies() -> None:
-        for c in cols:
-            while c and isinstance(c[0], _Dummy) and id(c[0].parent) in scheduled:
-                c.popleft()
-
-    while True:
-        drop_dead_dummies()
-        if all(not c for c in cols):
-            break
-        bottoms = [c[0] if c else None for c in cols]
-        if all(b is not None and _is_barrier(b) for b in bottoms):
-            if len({id(b) for b in bottoms}) != 1:
-                raise InternalError("misaligned barriers in qubit stack")
-            for c in cols:
-                c.popleft()
+    free = [0] * stack.n  # first partition each qubit may join next
+    start = 0  # first partition of the current phase
+    last_measure = 0  # partition of the latest measurement
+    prev: str | None = None
+    for ins in stack.instructions:
+        cat = category_of(ins.kind)
+        if cat != prev or cat == "solo":
+            start = len(parts)
+        prev = cat
+        if cat is None:  # a barrier only ends the phase
             continue
-        real = [b for b in bottoms if b is not None and not isinstance(b, _Dummy) and not _is_barrier(b)]
-        if not real:
-            raise InternalError("scheduler deadlock: every column is blocked")
-        cat = category_of(real[0].kind)
-
         if cat == "solo":
-            solo = real[0]
-            for c in cols:
-                if not c or c[0] is not solo:
-                    raise InternalError("whole-register instruction misaligned across columns")
-                c.popleft()
-            scheduled.add(id(solo))
-            parts.append(Partition("solo", [solo]))
+            parts.append(Partition("solo", [ins]))
             continue
-
-        if cat == "gate":
-            members: list[Instruction] = []
-            used: set[int] = set()
-            for q in range(len(cols)):
-                c = cols[q]
-                if not c or q in used:
-                    continue
-                b = c[0]
-                if isinstance(b, _Dummy) or _is_barrier(b):
-                    continue
-                if category_of(b.kind) != "gate":
-                    raise InternalError("measurement reached a gate round without a barrier")
-                if any(qq in used for qq in b.qubits):
-                    continue
-                if len(b.qubits) == 1:
-                    c.popleft()
-                elif all(cols[qq] and cols[qq][0] is b for qq in b.qubits):
-                    for qq in b.qubits:
-                        cols[qq].popleft()
-                else:
-                    continue  # two-qubit gate not yet at both bottoms
-                members.append(b)
-                used.update(b.qubits)
-                scheduled.add(id(b))
-            if not members:
-                raise InternalError("scheduler deadlock in gate round")
-            parts.append(Partition("gate", members))
-            continue
-
-        # measurement round: multi-pass so freshly dead dummies unblock columns
-        members = []
-        used = set()
-        progress = True
-        while progress:
-            progress = False
-            for q in range(len(cols)):
-                c = cols[q]
-                if not c:
-                    continue
-                b = c[0]
-                if isinstance(b, _Dummy):
-                    if id(b.parent) in scheduled:
-                        c.popleft()
-                        progress = True
-                    continue
-                if _is_barrier(b) or q in used:
-                    continue
-                if category_of(b.kind) != "measurement":
-                    raise InternalError("gate reached a measurement round without a barrier")
-                c.popleft()
-                members.append(b)
-                used.add(q)
-                scheduled.add(id(b))
-                progress = True
-        if not members:
-            raise InternalError("scheduler deadlock in measurement round")
-        parts.append(Partition("measurement", members))
-
+        slot = max(start, *(free[q] for q in ins.qubits))
+        if cat == "measurement":
+            slot = last_measure = max(slot, last_measure)
+        if slot == len(parts):
+            parts.append(Partition(cat, []))
+        parts[slot].members.append(ins)
+        for q in ins.qubits:
+            free[q] = slot + 1
+    for part in parts:
+        if part.category == "gate":
+            part.members.sort(key=lambda m: min(m.qubits))
     return Schedule(parts)
 
 

@@ -112,6 +112,15 @@ def test_exit_code_capacity(tmp_path, capsys):
     assert main(["run", "--circuit", circuit]) == 5
 
 
+def test_exit_code_capacity_before_schedule_dump(tmp_path, capsys):
+    circuit = write(tmp_path / "big.circ", "qubits 15\nx q[0]\nensemble\n")
+    assert main(["run", "--circuit", circuit, "--schedule-dump", "-"]) == 5
+    assert capsys.readouterr().out == ""
+    dump = tmp_path / "schedule.txt"
+    assert main(["run", "--circuit", circuit, "--schedule-dump", str(dump)]) == 5
+    assert not dump.exists()
+
+
 def test_exit_code_negative_shots(tmp_path, capsys):
     circuit = write(tmp_path / "bell.circ", BELL)
     assert main(["run", "--circuit", circuit, "--shots", "-1"]) == 2

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ def test_qubit_capacity_enforced():
     with pytest.raises(CapacityError):
         run_circuit("qubits 4\nx q[0]\n", max_qubits=3)
     run_circuit("qubits 3\nx q[0]\n", max_qubits=3)
+
+
+def test_qubit_capacity_enforced_before_compiling():
+    # compiling a whole-register instruction costs O(n^2) in the schedule
+    # check, so a register this wide must be refused straight after parsing
+    wide = "qubits 100000\nensemble\n"
+    for call in (lambda: run_circuit(wide), lambda: sweep(wide, "f", [0.9], "fidelity")):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            call()
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(CapacityError):
+        dump_schedule("qubits 15\nx q[0]\n")
 
 
 def test_negative_shots_rejected():

@@ -57,6 +57,24 @@ def test_apply_product_is_the_same_transfer_on_every_qubit(rng):
             assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, (n, shape)
 
 
+def test_diagonal_and_matrix_forms_give_the_same_bytes(rng):
+    # zero entries included: 0 * a negative coefficient is -0.0 in a plain
+    # multiply, while the matmul sums to +0.0
+    for n in (1, 3):
+        placements = [(k,) for k in range(n)] + [(a, b) for a in range(n) for b in range(n) if a != b]
+        for qubits in placements:
+            d = rng.choice([0.0, 0.97, 1.0], size=4 ** len(qubits))
+            d[0] = 0.0
+            s = PauliState(n, rng.standard_normal(4**n))
+            want = s.copy()
+            apply_transfer(want, qubits, np.diag(d))
+            apply_transfer(s, qubits, d)
+            assert s.coeffs.tobytes() == want.coeffs.tobytes(), qubits
+    s = PauliState(4, rng.standard_normal(4**4))
+    apply_product(s, np.array([1.0, 0.0, 0.0, 0.97]))
+    assert not np.signbit(s.coeffs[s.coeffs == 0.0]).any()
+
+
 def test_apply_transfer_rejects_bad_operands():
     s = PauliState(3, np.zeros(64))
     with pytest.raises(ValueError):
@@ -83,7 +101,10 @@ UPDATES = {
     "cx adjacent": lambda s: gates.apply_cnot(s, 4, 5, _ROT),
     "cx apart": lambda s: gates.apply_cnot(s, 1, 6, _ROT),
     "reset": lambda s: measurement.reset_qubit(s, 2),
+    "measure": lambda s: measurement.measure_qubit(s, 0, (0.0, 0.0, 1.0), _MEAS),
     "measure_x": lambda s: measurement.measure_qubit(s, 7, (1.0, 0.0, 0.0), _MEAS),
+    "measure -y": lambda s: measurement.measure_qubit(s, 4, (0.0, -1.0, 0.0), _MEAS),
+    "measure tilted": lambda s: measurement.measure_qubit(s, 2, (0.6, 0.0, 0.8), _MEAS),
     "expect": lambda s: measurement.expect_pauli_string(s, "XIZYIIXZ", _MEAS),
     "ensemble": lambda s: measurement.ensemble_distribution(s, _MEAS),
     "bell": lambda s: measurement.bell_measure(s, 0, 3, _MEAS),
@@ -111,7 +132,7 @@ def test_update_peak_memory_and_trace_row(kind):
     assert s.coeffs[0].tobytes() == trace.tobytes()
 
 
-IN_PLACE = ("bell", "decohere", "ensemble", "expect")
+IN_PLACE = ("bell", "decohere", "ensemble", "expect", "measure", "measure_x", "measure -y")
 
 # a broadcast multiply runs through numpy's buffered ufunc iterator, which
 # allocates one getbufsize()-element buffer, whatever the state size

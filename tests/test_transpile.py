@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from helpers import random_circuit_text
 from paulisim import oracle
 from paulisim.circuit import Instruction, parse_circuit
+from paulisim.errors import InternalError
+from paulisim.generators import gen_adder, gen_qft
 from paulisim.transpile import (
+    Partition,
     Schedule,
     build_stack,
     category_of,
@@ -239,12 +243,41 @@ def test_repeated_measurements_on_same_qubit_serialize():
 
 
 def test_single_qubit_measurement_blocks_later_gates_on_other_qubits():
-    # the dummy entry keeps cross-qubit order: the later x on qubit 1 cannot
-    # jump ahead of the measurement partition
+    # a phase opens a fresh partition: the later x on qubit 1 cannot jump
+    # ahead of the measurement partition
     src = "qubits 2\nmeasure q[0]\nx q[1]\n"
     out = golden(src)
     assert out[0][0] == "measurement"
     assert out[1] == ("gate", ["u3[1]"])
+
+
+def test_measurement_waits_for_its_qubit_and_the_measurement_before_it():
+    src = "qubits 2\nmeasure q[0]\nmeasure q[1]\nmeasure q[0]\n"
+    assert golden(src) == [
+        ("measurement", ["measure[0]", "measure[1]"]),
+        ("measurement", ["measure[0]"]),
+    ]
+    # measure q[1] has its qubit free from the start, yet follows measure q[0]
+    src = "qubits 2\nmeasure q[0]\nmeasure q[0]\nmeasure q[1]\n"
+    assert golden(src) == [
+        ("measurement", ["measure[0]"]),
+        ("measurement", ["measure[0]", "measure[1]"]),
+    ]
+
+
+def test_measurement_members_keep_source_order():
+    src = "qubits 2\nmeasure q[1]\nmeasure q[0]\n"
+    assert golden(src) == [("measurement", ["measure[1]", "measure[0]"])]
+
+
+def test_gate_members_are_listed_by_lowest_qubit():
+    src = "qubits 4\nu1(0.1) q[2]\ncx q[3],q[1]\nu1(0.2) q[0]\n"
+    assert golden(src) == [("gate", ["u1[0]", "cx[3, 1]", "u1[2]"])]
+
+
+def test_barrier_splits_a_measurement_phase():
+    src = "qubits 2\nmeasure q[0]\nbarrier\nmeasure q[1]\n"
+    assert golden(src) == [("measurement", ["measure[0]"]), ("measurement", ["measure[1]"])]
 
 
 def test_category_of_kinds():
@@ -254,6 +287,52 @@ def test_category_of_kinds():
     assert category_of("reset") == "measurement"
     assert category_of("ensemble") == "solo"
     assert category_of("barrier") is None
+
+
+def _phase_of(merged: list[Instruction]) -> dict[int, int]:
+    """Phase number by instruction id: runs of one category, cut at every
+    barrier and category change, and every solo on its own."""
+    phase, prev, out = 0, None, {}
+    for ins in merged:
+        cat = category_of(ins.kind)
+        if cat != prev or cat == "solo":
+            phase += 1
+        prev = cat
+        if cat is not None:
+            out[id(ins)] = phase
+    return out
+
+
+def _is_valid(schedule: Schedule, n: int, merged: list[Instruction]) -> bool:
+    """Every ordering rule a schedule must keep, whatever the placement policy."""
+    try:
+        check_schedule(schedule, n, merged)
+    except InternalError:
+        return False
+    where = {id(m): i for i, part in enumerate(schedule.partitions) for m in part.members}
+    for part in schedule.partitions:
+        qubits = [q for m in part.members for q in m.qubits]
+        if len(qubits) != len(set(qubits)):
+            return False
+    spans: dict[int, list[int]] = {}  # phase -> partitions of its members
+    for key, phase in _phase_of(merged).items():
+        spans.setdefault(phase, []).append(where[key])
+    ordered = [spans[k] for k in sorted(spans)]
+    if any(max(a) >= min(b) for a, b in zip(ordered, ordered[1:])):
+        return False
+    measures = [ins for ins in merged if category_of(ins.kind) == "measurement"]
+    return all(where[id(a)] <= where[id(b)] for a, b in zip(measures, measures[1:]))
+
+
+def _moved_back(schedule: Schedule, i: int, member: Instruction) -> Schedule:
+    """The schedule with ``member`` moved from partition i to partition i - 1."""
+    parts = []
+    for j, part in enumerate(schedule.partitions):
+        members = [m for m in part.members if m is not member]
+        if j == i - 1:
+            members.append(member)
+        parts.append(Partition(part.category, members))
+    return Schedule(parts)
 
 
 @settings(max_examples=50, deadline=None)
@@ -268,6 +347,25 @@ def test_schedules_satisfy_invariants_on_random_circuits(seed, n):
     assert len(scheduled) == len(set(scheduled))
     want = [id(i) for i in merged if i.kind != "barrier"]
     assert sorted(scheduled) == sorted(want)
+    # as soon as possible: valid, and no member could sit one partition earlier
+    assert _is_valid(schedule, num, merged)
+    for i, part in enumerate(schedule.partitions[1:], 1):
+        for m in part.members:
+            assert not _is_valid(_moved_back(schedule, i, m), num, merged), (i, m)
+
+
+def test_schedules_of_a_fixed_corpus_keep_their_digest():
+    # Partitions set how much memory noise a circuit gets, so any change in
+    # placement or member order is a change in results.  The digest was
+    # computed with the earlier FIFO-column partitioner.
+    texts = [random_circuit_text(np.random.default_rng([7, i]), 1 + i % 6, 40) for i in range(120)]
+    texts += [gen_qft(n) for n in range(1, 9)]
+    texts += [gen_adder(a, b) for a, b in (("1", "0"), ("11", "01"), ("101", "011"))]
+    h = hashlib.sha256()
+    for text in texts:
+        n, ins = parse_circuit(text)
+        h.update(format_schedule(compile_circuit(n, ins)[1]).encode())
+    assert h.hexdigest() == "e6dae9b8be6811908edceedd31683e638f2a1460ae1cedfd871da919bbeaef72"
 
 
 def test_format_schedule_layout():
