@@ -33,7 +33,6 @@ from .errors import (
     StateFormatError,
 )
 from .gates import (
-    RotationNoise,
     apply_cnot,
     apply_single,
     apply_u1,
@@ -44,14 +43,13 @@ from .gates import (
 )
 from .generators import adder_success_pattern, gen_adder, gen_qft
 from .measurement import (
-    MeasurementNoise,
     bell_measure,
     ensemble_distribution,
     expect_pauli_string,
     measure_qubit,
     reset_qubit,
 )
-from .memory import MemoryNoise, decay, decohere, end_of_partition
+from .memory import decay, decohere, end_of_partition
 from .state import (
     DEFAULT_QUBIT_CAP,
     PauliState,
@@ -86,14 +84,11 @@ __all__ = [
     "DEFAULT_QUBIT_CAP",
     "Instruction",
     "InternalError",
-    "MeasurementNoise",
-    "MemoryNoise",
     "NoiseModel",
     "Partition",
     "PauliState",
     "QubitStack",
     "Record",
-    "RotationNoise",
     "RunReport",
     "Schedule",
     "SimulatorError",

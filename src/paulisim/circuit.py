@@ -32,9 +32,6 @@ import re
 from dataclasses import dataclass, fields
 
 from .errors import CircuitSyntaxError
-from .gates import RotationNoise
-from .measurement import MeasurementNoise
-from .memory import MemoryNoise
 
 NAMED_GATE_KINDS = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 GATE_KINDS = NAMED_GATE_KINDS + ("u1", "u2", "u3", "cx", "ccx")
@@ -200,14 +197,25 @@ def print_circuit(n: int, instructions: list[Instruction]) -> str:
 # Noise configuration
 
 
+PARTITION_CATEGORIES = ("gate", "measurement", "solo")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Every user-tunable error parameter; defaults are all noiseless.
 
-    Rotation angle errors (alpha_*, r_*), readout damping (d1, d2), memory
-    decoherence/decay (f, g, optional f_meas/g_meas for measurement steps)
-    and the thermal population p, which both seeds init_thermal and sets the
-    decay fixed point.
+    Rotation errors: ``alpha_*`` is the mean angle offset in radians and
+    ``r_*`` the damping of the rotation's transverse components, per axis,
+    with the ``cx`` pair describing the controlled-NOT's pulse error.
+    Readout damping: d1 for single-qubit readouts (and each qubit of a
+    string or ensemble readout), d2 for the correlated terms of a Bell
+    measurement.  Memory: the decoherence and decay survival factors f and
+    g per clock step; f_meas and g_meas, when set, replace them after
+    measurement and solo partitions.  p is the thermal population of |0>,
+    which both seeds init_thermal and sets the decay fixed point.
+
+    Every value must be finite, and every one but ``alpha_*`` must lie in
+    [0, 1]; f_meas and g_meas may also be None.
     """
 
     p: float = 1.0
@@ -227,24 +235,42 @@ class NoiseModel:
     g_meas: float | None = None
 
     def __post_init__(self) -> None:
-        # sub-model constructors carry the range checks
-        self.rotation()
-        self.measurement()
-        self.memory()
+        for fld in fields(self):
+            v = getattr(self, fld.name)
+            if v is None and fld.name in ("f_meas", "g_meas"):
+                continue
+            if not math.isfinite(v):
+                raise ValueError(f"{fld.name} must be finite, got {v}")
+            if not fld.name.startswith("alpha_") and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{fld.name} must lie in [0, 1], got {v}")
 
-    def _part(self, cls):
-        """The sub-model ``cls``, filled from this model's fields of the same names."""
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+    def axis(self, axis: str) -> tuple[float, float]:
+        """(alpha, r) pair for a rotation axis: x, y, z or cx."""
+        return (getattr(self, f"alpha_{axis}"), getattr(self, f"r_{axis}"))
 
-    def rotation(self) -> RotationNoise:
-        return self._part(RotationNoise)
+    def pair(self, category: str) -> tuple[float, float]:
+        """(f, g) in effect after a partition of the given category."""
+        if category not in PARTITION_CATEGORIES:
+            raise ValueError(f"unknown partition category {category!r}")
+        if category == "gate":
+            return (self.f, self.g)
+        return (
+            self.f if self.f_meas is None else self.f_meas,
+            self.g if self.g_meas is None else self.g_meas,
+        )
 
-    def measurement(self) -> MeasurementNoise:
-        return self._part(MeasurementNoise)
+    # perfbench/replay.py calls these three; every kernel takes the model itself
+    def rotation(self) -> NoiseModel:
+        return self
 
-    def memory(self) -> MemoryNoise:
-        return self._part(MemoryNoise)
+    def measurement(self) -> NoiseModel:
+        return self
 
+    def memory(self) -> NoiseModel:
+        return self
+
+
+NOISELESS = NoiseModel()
 
 NOISE_KEYS = tuple(f.name for f in fields(NoiseModel))
 

@@ -147,36 +147,33 @@ def execute_schedule(
     state: PauliState, schedule: Schedule, noise: NoiseModel
 ) -> list[Record]:
     """Run a compiled schedule in place, returning measurement records."""
-    rot = noise.rotation()
-    meas = noise.measurement()
-    mem = noise.memory()
     records: list[Record] = []
     for part in schedule.partitions:
         for ins in part.members:
             k = ins.kind
             if k == "u1":
-                gates.apply_u1(state, ins.qubits[0], ins.angles[0], rot)
+                gates.apply_u1(state, ins.qubits[0], ins.angles[0], noise)
             elif k == "u3":
-                gates.apply_u3(state, ins.qubits[0], *ins.angles, rot)
+                gates.apply_u3(state, ins.qubits[0], *ins.angles, noise)
             elif k == "cx":
-                gates.apply_cnot(state, ins.qubits[0], ins.qubits[1], rot)
+                gates.apply_cnot(state, ins.qubits[0], ins.qubits[1], noise)
             elif k == "reset":
                 measurement.reset_qubit(state, ins.qubits[0])
             elif k in _AXES:
-                probs = measurement.measure_qubit(state, ins.qubits[0], _AXES[k], meas)
+                probs = measurement.measure_qubit(state, ins.qubits[0], _AXES[k], noise)
                 records.append(Record("measure", ins.qubits, k, probs))
             elif k == "expect":
-                value = measurement.expect_pauli_string(state, ins.string, meas)
+                value = measurement.expect_pauli_string(state, ins.string, noise)
                 records.append(Record("expect", (), ins.string, (value,)))
             elif k == "ensemble":
-                dist = measurement.ensemble_distribution(state, meas)
+                dist = measurement.ensemble_distribution(state, noise)
                 records.append(Record("ensemble", (), "", (), dist))
             elif k == "bell":
-                dist = measurement.bell_measure(state, *ins.qubits, meas)
+                dist = measurement.bell_measure(state, *ins.qubits, noise)
                 records.append(Record("bell", ins.qubits, "", (), dist))
             else:  # only select-set kinds reach a schedule
                 raise ValueError(f"unexpected kind {k!r} in schedule")
-        memory.end_of_partition(state, mem, part.category)
+        memory.end_of_partition(state, noise, part.category)
     return records
 
 

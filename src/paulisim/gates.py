@@ -16,47 +16,15 @@ error turns the target flip into R_x(alpha) sigma_x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .circuit import NOISELESS, NoiseModel
 from .state import PauliState, apply_transfer
 
 # cyclic partner components (v, w) for each rotation axis: a_v' = c a_v - s a_w
 _CYCLIC = {"x": (2, 3), "y": (3, 1), "z": (1, 2)}
-
-
-@dataclass(frozen=True)
-class RotationNoise:
-    """Per-axis angle offsets and cosine damping factors.
-
-    ``alpha_*`` is the mean angle offset in radians, ``r_*`` the damping of
-    the rotation's transverse components.  The ``cx`` pair describes the
-    pulse-duration error of the controlled-NOT.  Defaults are noiseless.
-    """
-
-    alpha_x: float = 0.0
-    r_x: float = 1.0
-    alpha_y: float = 0.0
-    r_y: float = 1.0
-    alpha_z: float = 0.0
-    r_z: float = 1.0
-    alpha_cx: float = 0.0
-    r_cx: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("r_x", "r_y", "r_z", "r_cx"):
-            r = getattr(self, name)
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {r}")
-
-    def axis(self, axis: str) -> tuple[float, float]:
-        """(alpha, r) pair for a rotation axis."""
-        return (getattr(self, f"alpha_{axis}"), getattr(self, f"r_{axis}"))
-
-
-NOISELESS = RotationNoise()
 
 
 def _exact_rotation(axis: str, angle: float) -> np.ndarray:
@@ -83,7 +51,7 @@ def _rotation_cached(axis: str, theta: float, alpha: float, r: float) -> np.ndar
     return t
 
 
-def rotation_transfer(axis: str, theta: float, noise: RotationNoise = NOISELESS) -> np.ndarray:
+def rotation_transfer(axis: str, theta: float, noise: NoiseModel = NOISELESS) -> np.ndarray:
     """4x4 transfer of a (possibly noisy) rotation about x, y or z."""
     alpha, r = noise.axis(axis)
     return _rotation_cached(axis, float(theta), alpha, r)
@@ -154,7 +122,7 @@ def apply_single(state: PauliState, k: int, t: np.ndarray) -> None:
     apply_transfer(state, (k,), t)
 
 
-def apply_u1(state: PauliState, k: int, lam: float, noise: RotationNoise = NOISELESS) -> None:
+def apply_u1(state: PauliState, k: int, lam: float, noise: NoiseModel = NOISELESS) -> None:
     """Phase gate: one z-rotation transfer by lam."""
     apply_transfer(state, (k,), rotation_transfer("z", lam, noise))
 
@@ -165,7 +133,7 @@ def apply_u3(
     theta: float,
     phi: float,
     lam: float,
-    noise: RotationNoise = NOISELESS,
+    noise: NoiseModel = NOISELESS,
 ) -> None:
     """General one-qubit gate R_z(phi) R_y(theta) R_z(lam).
 
@@ -237,7 +205,7 @@ def _cnot_cached(alpha: float, r: float) -> np.ndarray:
     return t
 
 
-def cnot_transfer(noise: RotationNoise = NOISELESS) -> np.ndarray:
+def cnot_transfer(noise: NoiseModel = NOISELESS) -> np.ndarray:
     """16x16 transfer of the (possibly noisy) controlled-NOT.
 
     Index = 4 * control_digit + target_digit on both rows and columns.
@@ -246,7 +214,7 @@ def cnot_transfer(noise: RotationNoise = NOISELESS) -> np.ndarray:
 
 
 def apply_cnot(
-    state: PauliState, control: int, target: int, noise: RotationNoise = NOISELESS
+    state: PauliState, control: int, target: int, noise: NoiseModel = NOISELESS
 ) -> None:
     """Apply the controlled-NOT transfer to the (control, target) digit pair."""
     if control == target:

@@ -14,10 +14,9 @@ measurement.  Both equal 1 for ideal projective measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .circuit import NOISELESS, NoiseModel
 from .errors import InternalError
 from .state import PauliState, apply_product, apply_transfer
 
@@ -37,29 +36,13 @@ _PROB_FLOOR = -1e-9  # anything below this is a bug, not rounding
 _SUM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class MeasurementNoise:
-    """Readout damping factors; d1 = d2 = 1 is ideal."""
-
-    d1: float = 1.0
-    d2: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("d1", "d2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
-IDEAL = MeasurementNoise()
-
-
 def _finalize(labels: list[str], values: np.ndarray) -> dict[str, float]:
     """Clamp rounding negatives, renormalize, and package a distribution."""
-    if values.min() < _PROB_FLOOR:
+    # negated so that a NaN fails the check
+    if not values.min() >= _PROB_FLOOR:
         raise InternalError(f"probability {values.min()} below {_PROB_FLOOR}")
     total = values.sum()
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise InternalError(f"probabilities sum to {total}, expected 1")
     values = np.where(values < 0.0, 0.0, values)
     values = values / values.sum()
@@ -82,7 +65,7 @@ def _axis_transfer(nvec: np.ndarray, d1: float) -> np.ndarray:
 
 
 def expect_pauli_string(
-    state: PauliState, string: str, noise: MeasurementNoise = IDEAL
+    state: PauliState, string: str, noise: NoiseModel = NOISELESS
 ) -> float:
     """Expectation of a Pauli string, most significant qubit first.
 
@@ -110,7 +93,7 @@ def measure_qubit(
     state: PauliState,
     k: int,
     axis: np.ndarray | tuple[float, float, float],
-    noise: MeasurementNoise = IDEAL,
+    noise: NoiseModel = NOISELESS,
 ) -> tuple[float, float]:
     """Binary measurement of qubit k along the Bloch unit vector ``axis``.
 
@@ -121,7 +104,7 @@ def measure_qubit(
     nvec = np.asarray(axis, dtype=np.float64)
     if nvec.shape != (3,):
         raise ValueError("measurement axis must be a 3-vector")
-    if abs(np.linalg.norm(nvec) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(nvec) - 1.0) <= 1e-9:
         raise ValueError("measurement axis must have unit length")
     c = np.array([state.coeffs[j * 4**k] for j in (1, 2, 3)])
     lean = 2**state.n * noise.d1 * float(nvec @ c)
@@ -145,7 +128,7 @@ def _bitstring_probs(state: PauliState, d1: float) -> np.ndarray:
 
 
 def ensemble_distribution(
-    state: PauliState, noise: MeasurementNoise = IDEAL
+    state: PauliState, noise: NoiseModel = NOISELESS
 ) -> dict[str, float]:
     """Probabilities of all 2^n bitstring outcomes, most significant bit first.
 
@@ -160,7 +143,7 @@ def ensemble_distribution(
 
 
 def bell_measure(
-    state: PauliState, k: int, l: int, noise: MeasurementNoise = IDEAL
+    state: PauliState, k: int, l: int, noise: NoiseModel = NOISELESS
 ) -> dict[str, float]:
     """Bell-basis measurement of the qubit pair (k, l).
 

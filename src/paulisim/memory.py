@@ -13,58 +13,14 @@ and the combined channel is completely positive for all f, g, p in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .circuit import NoiseModel
 from .state import PauliState, apply_product
-
-PARTITION_CATEGORIES = ("gate", "measurement", "solo")
-
 
 def _check_unit(name: str, v: float) -> None:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
-@dataclass(frozen=True)
-class MemoryNoise:
-    """Per-clock-step memory error factors.
-
-    f and g are the decoherence and decay survival factors, p the thermal
-    population of |0>.  f_meas and g_meas, when set, replace f and g after
-    measurement and solo partitions, allowing those steps a different
-    duration; they default to the global values.
-    """
-
-    f: float = 1.0
-    g: float = 1.0
-    p: float = 1.0
-    f_meas: float | None = None
-    g_meas: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_unit("f", self.f)
-        _check_unit("g", self.g)
-        _check_unit("p", self.p)
-        if self.f_meas is not None:
-            _check_unit("f_meas", self.f_meas)
-        if self.g_meas is not None:
-            _check_unit("g_meas", self.g_meas)
-
-    def pair(self, category: str) -> tuple[float, float]:
-        """(f, g) in effect after a partition of the given category."""
-        if category not in PARTITION_CATEGORIES:
-            raise ValueError(f"unknown partition category {category!r}")
-        if category == "gate":
-            return (self.f, self.g)
-        return (
-            self.f if self.f_meas is None else self.f_meas,
-            self.g if self.g_meas is None else self.g_meas,
-        )
-
-
-NOISELESS = MemoryNoise()
 
 
 def decohere(state: PauliState, f: float) -> None:
@@ -90,7 +46,7 @@ def decay(state: PauliState, g: float, p: float) -> None:
     apply_product(state, t)
 
 
-def end_of_partition(state: PauliState, noise: MemoryNoise, category: str = "gate") -> None:
+def end_of_partition(state: PauliState, noise: NoiseModel, category: str = "gate") -> None:
     """One clock step of memory noise: decohere then decay on all qubits."""
     f, g = noise.pair(category)
     decohere(state, f)

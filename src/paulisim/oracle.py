@@ -518,51 +518,48 @@ def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     angle mixtures, measurements with d1/d2 damping, memory noise after
     every partition.  ``noise`` is a NoiseModel; ``schedule`` a Schedule.
     """
-    rot = noise.rotation()
-    meas = noise.measurement()
-    mem = noise.memory()
     records: list = []
     for part in schedule.partitions:
         for ins in part.members:
             k = ins.kind
             q = ins.qubits[0] if ins.qubits else 0
             if k == "u1":
-                az, rz = rot.axis("z")
+                az, rz = noise.axis("z")
                 _rotation_mixture(d, "z", ins.angles[0], az, rz, q)
             elif k == "u3":
                 theta, phi, lam = ins.angles
-                az, rz = rot.axis("z")
-                ay, ry = rot.axis("y")
+                az, rz = noise.axis("z")
+                ay, ry = noise.axis("y")
                 _rotation_mixture(d, "z", lam, az, rz, q)
                 _rotation_mixture(d, "y", theta, ay, ry, q)
                 _rotation_mixture(d, "z", phi, az, rz, q)
             elif k == "cx":
-                delta0 = np.arccos(rot.r_cx)
+                delta0 = np.arccos(noise.r_cx)
                 _mixture(
                     d,
                     [
-                        cnot_matrix(rot.alpha_cx + delta0),
-                        cnot_matrix(rot.alpha_cx - delta0),
+                        cnot_matrix(noise.alpha_cx + delta0),
+                        cnot_matrix(noise.alpha_cx - delta0),
                     ],
                     ins.qubits,
                 )
             elif k == "reset":
                 dense_reset(d, q)
             elif k in _MEASURE_AXES:
-                probs = dense_measure_qubit(d, q, _MEASURE_AXES[k], meas.d1)
+                probs = dense_measure_qubit(d, q, _MEASURE_AXES[k], noise.d1)
                 records.append(("measure", q, k, probs))
             elif k == "expect":
-                value = dense_expect_string(d, _string_labels(ins.string), meas.d1)
+                value = dense_expect_string(d, _string_labels(ins.string), noise.d1)
                 records.append(("expect", ins.string, value))
             elif k == "ensemble":
-                probs = dense_ensemble(d, meas.d1)
+                probs = dense_ensemble(d, noise.d1)
                 records.append(
                     ("ensemble", {_bit_label(i, d.n): float(p) for i, p in enumerate(probs)})
                 )
             elif k == "bell":
-                records.append(("bell", ins.qubits, dense_bell(d, *ins.qubits, meas.d2)))
+                records.append(("bell", ins.qubits, dense_bell(d, *ins.qubits, noise.d2)))
             else:
                 raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
-        f, g = mem.pair(part.category)
-        dense_memory_step(d, f, g, mem.p)
+        f, g = noise.pair(part.category)
+        dense_memory_step(d, f, g, noise.p)
     return records

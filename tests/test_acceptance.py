@@ -19,12 +19,11 @@ from paulisim.gates import (
     named_gate_transfer,
     cnot_transfer,
     rotation_transfer,
-    RotationNoise,
     transfer_from_unitary,
 )
 from paulisim.generators import adder_success_pattern, gen_adder, gen_qft
-from paulisim.measurement import MeasurementNoise, bell_measure, ensemble_distribution, measure_qubit
-from paulisim.memory import MemoryNoise, decohere, end_of_partition
+from paulisim.measurement import bell_measure, ensemble_distribution, measure_qubit
+from paulisim.memory import decohere, end_of_partition
 from paulisim.state import PauliState, init_thermal, init_zero, overlap
 from paulisim.sweep import pattern_mass, sweep
 from paulisim.transpile import check_schedule, compile_circuit, decompose, merge
@@ -182,7 +181,7 @@ def test_noise_channels_are_completely_positive(announce):
             for j in range(4):
                 s = PauliState(1, np.zeros(4))
                 s.coeffs[j] = 1.0
-                end_of_partition(s, MemoryNoise(f=f, g=g, p=p))
+                end_of_partition(s, NoiseModel(f=f, g=g, p=p))
                 cols.append(s.coeffs.copy())
             return np.column_stack(cols)
 
@@ -196,12 +195,12 @@ def test_noise_channels_are_completely_positive(announce):
                 for r in (0.85, 0.97, 1.0):
                     for axis in "xyz":
                         kw = {f"r_{axis}": r, f"alpha_{axis}": alpha}
-                        t = rotation_transfer(axis, theta, RotationNoise(**kw))
+                        t = rotation_transfer(axis, theta, NoiseModel(**kw))
                         worst = min(worst, oracle.choi_psd_check(t))
 
         for alpha in (-0.2, 0.0, 0.3):
             for r in (0.85, 0.97, 1.0):
-                t = cnot_transfer(RotationNoise(r_cx=r, alpha_cx=alpha))
+                t = cnot_transfer(NoiseModel(r_cx=r, alpha_cx=alpha))
                 worst = min(worst, oracle.choi_psd_check(t))
 
         assert worst >= -1e-10, worst
@@ -215,7 +214,7 @@ def test_fixed_points_and_noiseless_limits(announce):
             for f, g in ((0.7, 0.9), (0.95, 0.6), (1.0, 0.5), (0.8, 1.0)):
                 s = init_thermal(2, p)
                 before = s.coeffs.copy()
-                end_of_partition(s, MemoryNoise(f=f, g=g, p=p))
+                end_of_partition(s, NoiseModel(f=f, g=g, p=p))
                 assert np.max(np.abs(s.coeffs - before)) < 1e-12
 
         # all-noiseless parameters reproduce the raw dense run
@@ -340,7 +339,7 @@ def test_measurement_modes_match_dense_and_worked_values(announce):
             worst = max(worst, res.state_divergence, res.record_divergence)
         assert worst < 1e-10, worst
 
-        probs = measure_qubit(init_zero(1), 0, np.array([0.0, 0.0, 1.0]), MeasurementNoise(d1=0.9))
+        probs = measure_qubit(init_zero(1), 0, np.array([0.0, 0.0, 1.0]), NoiseModel(d1=0.9))
         assert abs(probs[0] - 0.95) < 1e-12 and abs(probs[1] - 0.05) < 1e-12
 
         bell = init_zero(2)
@@ -348,9 +347,9 @@ def test_measurement_modes_match_dense_and_worked_values(announce):
 
         apply_single(bell, 0, named_gate_transfer("h"))
         apply_cnot(bell, 0, 1)
-        dist = bell_measure(bell, 0, 1, MeasurementNoise(d2=0.9))
+        dist = bell_measure(bell, 0, 1, NoiseModel(d2=0.9))
         assert abs(dist["phi+"] - 0.925) < 1e-12
 
-        dist = ensemble_distribution(init_zero(1), MeasurementNoise(d1=0.8))
+        dist = ensemble_distribution(init_zero(1), NoiseModel(d1=0.8))
         assert abs(dist["0"] - 0.9) < 1e-12 and abs(dist["1"] - 0.1) < 1e-12
         note["note"] = f"max ideal-mode divergence {worst:.2e}"

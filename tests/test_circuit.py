@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_circuit_text
 from paulisim.circuit import (
+    NOISE_KEYS,
     Instruction,
     NoiseModel,
     format_instruction,
@@ -130,6 +131,22 @@ def test_noise_model_validation():
         NoiseModel(d2=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(g=1.01)
+
+
+@pytest.mark.parametrize("key", NOISE_KEYS)
+def test_every_noise_key_is_range_checked(key):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            NoiseModel(**{key: bad})
+    if key.startswith("alpha_"):
+        for ok in (-3.0, 3.0):
+            assert getattr(NoiseModel(**{key: ok}), key) == ok
+        return
+    for bad in (-0.1, 1.1):
+        with pytest.raises(ValueError, match=rf"{key} must lie in \[0, 1\], got {bad}"):
+            NoiseModel(**{key: bad})
+    for ok in (0.0, 1.0):
+        assert getattr(NoiseModel(**{key: ok}), key) == ok
 
 
 def test_parse_noise_config_full():

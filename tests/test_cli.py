@@ -78,6 +78,18 @@ def test_sweep_prints_table(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_sweep_rejects_non_finite_values(tmp_path, capsys):
+    circuit = write(tmp_path / "bell.circ", BELL)
+    code = main([
+        "sweep", "--circuit", circuit,
+        "--param", "alpha", "--values", "nan", "--metric", "success:11",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "alpha_x must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_gen_adder_emits_runnable_circuit(tmp_path, capsys):
     assert main(["gen", "adder", "110", "011"]) == 0
     text = capsys.readouterr().out

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import random_pauli_state
 from paulisim import oracle
+from paulisim.circuit import NOISELESS, NoiseModel
 from paulisim.gates import (
-    NOISELESS,
-    RotationNoise,
     apply_cnot,
     apply_single,
     apply_u1,
@@ -94,14 +93,14 @@ def test_unknown_gate_name_rejected():
 
 def test_noise_parameters_validated():
     with pytest.raises(ValueError):
-        RotationNoise(r_x=1.2)
+        NoiseModel(r_x=1.2)
     with pytest.raises(ValueError):
-        RotationNoise(r_z=-0.1)
-    RotationNoise(r_y=0.0, alpha_y=3.0)  # extremes allowed
+        NoiseModel(r_z=-0.1)
+    NoiseModel(r_y=0.0, alpha_y=3.0)  # extremes allowed
 
 
 def test_rotation_noise_damps_transverse_block():
-    noise = RotationNoise(r_z=0.95, alpha_z=0.1)
+    noise = NoiseModel(r_z=0.95, alpha_z=0.1)
     t = rotation_transfer("z", 0.3, noise)
     assert abs(t[1, 1] - 0.95 * math.cos(0.4)) < 1e-15
     assert abs(t[2, 1] - 0.95 * math.sin(0.4)) < 1e-15
@@ -111,7 +110,7 @@ def test_rotation_noise_damps_transverse_block():
 def test_noisy_rotation_is_mixture_of_two_exact_rotations():
     r, alpha, theta = 0.9, 0.05, 1.1
     delta0 = math.acos(r)
-    t = rotation_transfer("y", theta, RotationNoise(r_y=r, alpha_y=alpha))
+    t = rotation_transfer("y", theta, NoiseModel(r_y=r, alpha_y=alpha))
     want = 0.5 * (
         rotation_transfer("y", theta + alpha + delta0)
         + rotation_transfer("y", theta + alpha - delta0)
@@ -124,7 +123,7 @@ def test_noisy_rotation_matches_dense_mixture(rng):
     delta0 = math.acos(r)
     s = random_pauli_state(rng, 2)
     d = oracle.to_dense(s)
-    apply_single(s, 1, rotation_transfer("x", theta, RotationNoise(r_x=r, alpha_x=alpha)))
+    apply_single(s, 1, rotation_transfer("x", theta, NoiseModel(r_x=r, alpha_x=alpha)))
     u_plus = oracle.rotation_matrix("x", theta + alpha + delta0)
     u_minus = oracle.rotation_matrix("x", theta + alpha - delta0)
     d_plus = oracle.DenseState(2, d.rho.copy())
@@ -144,7 +143,7 @@ def test_noisy_rotation_matches_dense_mixture(rng):
 )
 def test_rotation_transfer_always_trace_preserving(theta, r, alpha, axis):
     kw = {f"r_{axis}": r, f"alpha_{axis}": alpha}
-    t = rotation_transfer(axis, theta, RotationNoise(**kw))
+    t = rotation_transfer(axis, theta, NoiseModel(**kw))
     assert np.array_equal(t[0], [1.0, 0.0, 0.0, 0.0])
 
 
@@ -186,7 +185,7 @@ def test_u3_matches_dense_unitary(rng):
 
 
 def test_u3_noise_applies_per_axis(rng):
-    noise = RotationNoise(r_y=0.9, r_z=0.95, alpha_y=0.1, alpha_z=-0.05)
+    noise = NoiseModel(r_y=0.9, r_z=0.95, alpha_y=0.1, alpha_z=-0.05)
     s1 = random_pauli_state(rng, 1)
     s2 = s1.copy()
     apply_u3(s1, 0, 0.7, 0.2, -0.4, noise)
@@ -253,7 +252,7 @@ def test_cnot_rejects_equal_operands(rng):
 def test_noisy_cnot_is_two_point_unitary_mixture(rng):
     r, alpha = 0.93, 0.08
     delta0 = math.acos(r)
-    noise = RotationNoise(r_cx=r, alpha_cx=alpha)
+    noise = NoiseModel(r_cx=r, alpha_cx=alpha)
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     apply_cnot(s, 2, 0, noise)
@@ -267,7 +266,7 @@ def test_noisy_cnot_is_two_point_unitary_mixture(rng):
 
 
 def test_noisy_cnot_still_trace_preserving():
-    t = cnot_transfer(RotationNoise(r_cx=0.9, alpha_cx=0.2))
+    t = cnot_transfer(NoiseModel(r_cx=0.9, alpha_cx=0.2))
     assert np.array_equal(t[0], np.eye(16)[0])
 
 
@@ -277,7 +276,7 @@ def test_noisy_cnot_still_trace_preserving():
 def test_maximally_mixed_state_fixed_by_all_gates(rng):
     from paulisim.state import PauliState
 
-    noise = RotationNoise(r_x=0.9, r_y=0.9, r_z=0.9, r_cx=0.9, alpha_x=0.1, alpha_cx=0.2)
+    noise = NoiseModel(r_x=0.9, r_y=0.9, r_z=0.9, r_cx=0.9, alpha_x=0.1, alpha_cx=0.2)
     n = 2
     coeffs = np.zeros(16)
     coeffs[0] = 0.25
@@ -299,7 +298,7 @@ def test_unitary_gates_preserve_purity(rng):
 
 
 def test_noisy_gates_never_increase_purity(rng):
-    noise = RotationNoise(r_x=0.9, r_y=0.9, r_z=0.9, r_cx=0.9)
+    noise = NoiseModel(r_x=0.9, r_y=0.9, r_z=0.9, r_cx=0.9)
     s = random_pauli_state(rng, 2)
     p0 = purity(s)
     apply_u3(s, 0, 0.7, 0.2, -0.4, noise)

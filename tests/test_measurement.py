@@ -3,12 +3,11 @@ import pytest
 
 from helpers import random_pauli_state
 from paulisim import oracle
+from paulisim.circuit import NOISELESS, NoiseModel
 from paulisim.errors import InternalError
 from paulisim.gates import apply_cnot, apply_single, named_gate_transfer
 from paulisim.measurement import (
     BELL_LABELS,
-    IDEAL,
-    MeasurementNoise,
     bell_measure,
     ensemble_distribution,
     expect_pauli_string,
@@ -46,7 +45,7 @@ def test_expect_string_is_most_significant_first():
 
 
 def test_expect_damping_scales_by_weight():
-    noise = MeasurementNoise(d1=0.9)
+    noise = NoiseModel(d1=0.9)
     assert abs(expect_pauli_string(bell_pair(), "ZZ", noise) - 0.81) < 1e-12
     s = init_zero(1)
     assert abs(expect_pauli_string(s, "Z", noise) - 0.9) < 1e-12
@@ -54,7 +53,7 @@ def test_expect_damping_scales_by_weight():
 
 def test_expect_updates_measured_components():
     s = bell_pair()
-    expect_pauli_string(s, "ZZ", MeasurementNoise(d1=0.8))
+    expect_pauli_string(s, "ZZ", NoiseModel(d1=0.8))
     # each measured qubit damps its axis component, so ZZ picks up d1^2
     assert abs(expect_pauli_string(s, "ZZ") - 0.64) < 1e-12
 
@@ -68,7 +67,7 @@ def test_expect_input_validation():
 
 
 def test_expect_matches_dense_trace(rng):
-    noise = MeasurementNoise(d1=0.93)
+    noise = NoiseModel(d1=0.93)
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     got = expect_pauli_string(s, "XZY", noise)
@@ -83,7 +82,7 @@ def test_expect_matches_dense_trace(rng):
 
 
 def test_ground_state_z_measurement_with_readout_damping():
-    probs = measure_qubit(init_zero(1), 0, Z, MeasurementNoise(d1=0.9))
+    probs = measure_qubit(init_zero(1), 0, Z, NoiseModel(d1=0.9))
     assert abs(probs[0] - 0.95) < 1e-12
     assert abs(probs[1] - 0.05) < 1e-12
 
@@ -113,7 +112,7 @@ def test_measurement_update_projects_remote_correlations():
 
 def test_tilted_axis_measurement_matches_dense(rng):
     axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
-    noise = MeasurementNoise(d1=0.9)
+    noise = NoiseModel(d1=0.9)
     s = random_pauli_state(rng, 2)
     d = oracle.to_dense(s)
     got = measure_qubit(s, 1, axis, noise)
@@ -135,7 +134,7 @@ def test_measurement_axis_validation(rng):
 
 
 def test_ensemble_of_ground_state_with_damping():
-    dist = ensemble_distribution(init_zero(1), MeasurementNoise(d1=0.8))
+    dist = ensemble_distribution(init_zero(1), NoiseModel(d1=0.8))
     assert abs(dist["0"] - 0.9) < 1e-12
     assert abs(dist["1"] - 0.1) < 1e-12
 
@@ -153,7 +152,7 @@ def test_ensemble_of_bell_pair():
 
 
 def test_ensemble_update_equals_per_qubit_z_measurements(rng):
-    noise = MeasurementNoise(d1=0.85)
+    noise = NoiseModel(d1=0.85)
     s1 = random_pauli_state(rng, 3)
     s2 = s1.copy()
     ensemble_distribution(s1, noise)
@@ -163,7 +162,7 @@ def test_ensemble_update_equals_per_qubit_z_measurements(rng):
 
 
 def test_ensemble_matches_dense_diagonal(rng):
-    noise = MeasurementNoise(d1=0.9)
+    noise = NoiseModel(d1=0.9)
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     dist = ensemble_distribution(s, noise)
@@ -182,7 +181,7 @@ def test_bell_measurement_identifies_phi_plus():
 
 
 def test_bell_measurement_with_damping_worked_value():
-    dist = bell_measure(bell_pair(), 0, 1, MeasurementNoise(d2=0.9))
+    dist = bell_measure(bell_pair(), 0, 1, NoiseModel(d2=0.9))
     assert abs(dist["phi+"] - 0.925) < 1e-12
     for lab in ("phi-", "psi+", "psi-"):
         assert abs(dist[lab] - 0.025) < 1e-12
@@ -205,7 +204,7 @@ def test_bell_measurement_distinguishes_all_four_states(rng):
 
 
 def test_bell_measurement_matches_dense(rng):
-    noise = MeasurementNoise(d2=0.88)
+    noise = NoiseModel(d2=0.88)
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     got = bell_measure(s, 2, 0, noise)
@@ -271,6 +270,21 @@ def test_measure_qubit_validates_its_probabilities():
         measure_qubit(s, 0, (0.0, 0.0, 1.0))
 
 
+def test_readouts_reject_nan():
+    s = init_zero(2)
+    s.coeffs[15] = np.nan  # ZZ
+    with pytest.raises(InternalError):
+        ensemble_distribution(s.copy())
+    with pytest.raises(InternalError):
+        bell_measure(s.copy(), 0, 1)
+    s = init_zero(1)
+    s.coeffs[3] = np.nan
+    with pytest.raises(InternalError):
+        measure_qubit(s, 0, (0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="unit length"):
+        measure_qubit(init_zero(1), 0, (np.nan, 0.0, 0.0))
+
+
 def test_distributions_clamp_tiny_negatives():
     s = init_zero(1)
     s.coeffs[3] = 0.5 + 4e-11  # p(1) = -4e-11, inside the floor
@@ -281,7 +295,7 @@ def test_distributions_clamp_tiny_negatives():
 
 def test_noise_parameter_ranges():
     with pytest.raises(ValueError):
-        MeasurementNoise(d1=1.3)
+        NoiseModel(d1=1.3)
     with pytest.raises(ValueError):
-        MeasurementNoise(d2=-0.2)
-    assert IDEAL.d1 == 1.0 and IDEAL.d2 == 1.0
+        NoiseModel(d2=-0.2)
+    assert NOISELESS.d1 == 1.0 and NOISELESS.d2 == 1.0

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import random_pauli_state
 from paulisim import oracle
-from paulisim.memory import NOISELESS, MemoryNoise, decay, decohere, end_of_partition
+from paulisim.circuit import NOISELESS, NoiseModel
+from paulisim.memory import decay, decohere, end_of_partition
 from paulisim.state import PauliState, init_thermal, init_uniform, init_zero
 
 UNIT = st.floats(0.0, 1.0)
@@ -77,7 +78,7 @@ def test_decay_semigroup_at_fixed_population(g1, g2, p, seed):
 
 
 def test_step_matches_dense_kraus_channel(rng):
-    noise = MemoryNoise(f=0.92, g=0.85, p=0.3)
+    noise = NoiseModel(f=0.92, g=0.85, p=0.3)
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     end_of_partition(s, noise)
@@ -87,7 +88,7 @@ def test_step_matches_dense_kraus_channel(rng):
 
 
 def test_measurement_partitions_use_their_own_pair(rng):
-    noise = MemoryNoise(f=0.9, g=0.8, p=0.7, f_meas=0.95, g_meas=0.85)
+    noise = NoiseModel(f=0.9, g=0.8, p=0.7, f_meas=0.95, g_meas=0.85)
     assert noise.pair("gate") == (0.9, 0.8)
     assert noise.pair("measurement") == (0.95, 0.85)
     assert noise.pair("solo") == (0.95, 0.85)
@@ -100,7 +101,7 @@ def test_measurement_partitions_use_their_own_pair(rng):
 
 
 def test_measurement_pair_defaults_to_gate_pair():
-    noise = MemoryNoise(f=0.9, g=0.8, p=0.7)
+    noise = NoiseModel(f=0.9, g=0.8, p=0.7)
     assert noise.pair("measurement") == (0.9, 0.8)
     with pytest.raises(ValueError):
         noise.pair("warmup")
@@ -115,7 +116,7 @@ def test_noiseless_step_is_identity(rng):
 
 def test_step_order_is_decay_then_decohere(rng):
     # the combined step must equal decay followed by decohere, per qubit
-    noise = MemoryNoise(f=0.9, g=0.7, p=0.2)
+    noise = NoiseModel(f=0.9, g=0.7, p=0.2)
     s1 = random_pauli_state(rng, 1)
     s2 = s1.copy()
     end_of_partition(s1, noise)
@@ -132,7 +133,7 @@ def test_combined_step_is_completely_positive():
         for j in range(4):
             s = PauliState(1, np.zeros(4))
             s.coeffs[j] = 1.0
-            end_of_partition(s, MemoryNoise(f=f, g=g, p=p))
+            end_of_partition(s, NoiseModel(f=f, g=g, p=p))
             cols.append(s.coeffs.copy())
         return np.column_stack(cols)
 
@@ -147,16 +148,16 @@ def test_purity_never_increases_under_memory_noise(rng):
 
     s = random_pauli_state(rng, 2)
     p0 = purity(s)
-    end_of_partition(s, MemoryNoise(f=0.9, g=0.9, p=0.5))
+    end_of_partition(s, NoiseModel(f=0.9, g=0.9, p=0.5))
     assert purity(s) <= p0 + 1e-12
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        MemoryNoise(f=1.1)
+        NoiseModel(f=1.1)
     with pytest.raises(ValueError):
-        MemoryNoise(g=-0.2)
+        NoiseModel(g=-0.2)
     with pytest.raises(ValueError):
-        MemoryNoise(p=2.0)
+        NoiseModel(p=2.0)
     with pytest.raises(ValueError):
-        MemoryNoise(f_meas=-0.5)
+        NoiseModel(f_meas=-0.5)

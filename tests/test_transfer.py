@@ -13,8 +13,6 @@ from helpers import random_circuit_text, random_pauli_state
 from paulisim import gates, measurement, memory
 from paulisim.circuit import NOISE_KEYS, NoiseModel
 from paulisim.engine import run_circuit, verify_circuit
-from paulisim.gates import RotationNoise
-from paulisim.measurement import MeasurementNoise
 from paulisim.state import PauliState, apply_product, apply_transfer, save_state
 
 
@@ -91,8 +89,8 @@ def test_apply_transfer_rejects_bad_operands():
 
 # --- memory and the trace row -------------------------------------------------
 
-_ROT = RotationNoise(alpha_x=0.01, r_y=0.99, alpha_cx=0.02, r_cx=0.97)
-_MEAS = MeasurementNoise(d1=0.97, d2=0.95)
+_ROT = NoiseModel(alpha_x=0.01, r_y=0.99, alpha_cx=0.02, r_cx=0.97)
+_MEAS = NoiseModel(d1=0.97, d2=0.95)
 
 UPDATES = {
     "u1": lambda s: gates.apply_u1(s, 3, 0.4, _ROT),
