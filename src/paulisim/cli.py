@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .circuit import NoiseModel, parse_noise_config
-from .engine import dump_schedule, run_circuit, verify_circuit
+from .engine import run_circuit, verify_circuit
 from .errors import (
     CapacityError,
     CircuitSyntaxError,
@@ -29,6 +29,7 @@ from .errors import (
 from .generators import gen_adder, gen_qft
 from .state import save_state
 from .sweep import format_table, sweep
+from .transpile import format_schedule
 
 
 def _write(text: str, out: str | None) -> None:
@@ -47,11 +48,9 @@ def _load_noise(path: str | None) -> NoiseModel:
 def _cmd_run(args: argparse.Namespace) -> int:
     circuit = Path(args.circuit).read_text()
     noise = _load_noise(args.noise)
+    report = run_circuit(circuit, noise, init=args.init, shots=args.shots, seed=args.seed)
     if args.schedule_dump is not None:
-        _write(dump_schedule(circuit), args.schedule_dump)
-    report = run_circuit(
-        circuit, noise, init=args.init, shots=args.shots, seed=args.seed
-    )
+        _write(format_schedule(report.schedule), args.schedule_dump)
     if args.save_state is not None:
         save_state(report.final_state, args.save_state)
         report.saved_state = args.save_state

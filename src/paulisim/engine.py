@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gates, measurement, memory, oracle
 from .circuit import Instruction, NoiseModel, parse_circuit
-from .errors import CapacityError, StateFormatError
+from .errors import StateFormatError
 from .state import (
     DEFAULT_QUBIT_CAP,
     PauliState,
@@ -30,7 +30,7 @@ from .state import (
     overlap,
     purity,
 )
-from .transpile import Schedule, compile_circuit, format_schedule
+from .transpile import Schedule, compile_circuit
 
 _AXES = {
     "measure": (0.0, 0.0, 1.0),
@@ -56,12 +56,16 @@ class RunReport:
     n: int
     instructions_before: int
     instructions_after: int
-    partitions: int
+    schedule: Schedule  # the compiled schedule the run executed
     records: list[Record]
     final_state: PauliState
     fidelity: float | None = None
     saved_state: str | None = None
     wall_time_s: float = 0.0
+
+    @property
+    def partitions(self) -> int:
+        return len(self.schedule)
 
     def to_text(self, timing: bool = True) -> str:
         lines = [
@@ -143,6 +147,16 @@ def make_initial_state(
     return spec.state.copy()  # execution updates the state in place
 
 
+def _compile_text(
+    circuit_text: str, init: str, cap: int = DEFAULT_QUBIT_CAP, max_qubits: int = DEFAULT_QUBIT_CAP
+) -> tuple[int, list[Instruction], list[Instruction], Schedule, InitSpec]:
+    """The entry points' front end: parse, refuse n > cap, compile, parse ``init``."""
+    n, instructions = parse_circuit(circuit_text)
+    check_capacity(n, cap)
+    merged, schedule = compile_circuit(n, instructions)
+    return n, instructions, merged, schedule, parse_init(n, init, max_qubits)
+
+
 def execute_schedule(
     state: PauliState, schedule: Schedule, noise: NoiseModel
 ) -> list[Record]:
@@ -204,10 +218,8 @@ def run_circuit(
         raise ValueError(f"shots must be >= 0, got {shots}")
     noise = noise or NoiseModel()
     start = time.perf_counter()
-    n, instructions = parse_circuit(circuit_text)
-    check_capacity(n, max_qubits)
-    merged, schedule = compile_circuit(n, instructions)
-    state = make_initial_state(n, init, noise, max_qubits)
+    n, instructions, merged, schedule, spec = _compile_text(circuit_text, init, max_qubits, max_qubits)
+    state = make_initial_state(n, spec, noise, max_qubits)
     records = execute_schedule(state, schedule, noise)
     if shots > 0:
         _sample_counts(records, shots, seed)
@@ -216,24 +228,12 @@ def run_circuit(
         n=n,
         instructions_before=len(instructions),
         instructions_after=len(merged),
-        partitions=len(schedule),
+        schedule=schedule,
         records=records,
         final_state=state,
         fidelity=fidelity,
         wall_time_s=time.perf_counter() - start,
     )
-
-
-def dump_schedule(circuit_text: str) -> str:
-    """Compile only, returning the partition-per-line schedule text.
-
-    Circuits above the default qubit cap raise ``CapacityError`` before
-    compiling, as ``run_circuit`` does.
-    """
-    n, instructions = parse_circuit(circuit_text)
-    check_capacity(n)
-    _, schedule = compile_circuit(n, instructions)
-    return format_schedule(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +294,7 @@ def verify_circuit(
     before either state is allocated.
     """
     noise = noise or NoiseModel()
-    n, instructions = parse_circuit(circuit_text)
-    if n > oracle.ORACLE_QUBIT_CAP:
-        raise CapacityError(f"n={n} exceeds the oracle's qubit cap of {oracle.ORACLE_QUBIT_CAP}")
-    _, schedule = compile_circuit(n, instructions)
-
-    spec = parse_init(n, init)
+    n, _, _, schedule, spec = _compile_text(circuit_text, init, oracle.ORACLE_QUBIT_CAP)
     state = make_initial_state(n, spec, noise)
     records = execute_schedule(state, schedule, noise)
 
@@ -307,11 +302,9 @@ def verify_circuit(
     dense_records = oracle.run_schedule_dense(dense, schedule, noise)
 
     state_div = float(np.max(np.abs(state.coeffs - oracle.from_dense(dense).coeffs)))
-    rec_div = 0.0
     if len(records) != len(dense_records):
         raise ValueError("record streams diverged in length")
-    for rec, ref in zip(records, dense_records):
-        rec_div = max(rec_div, _record_divergence(rec, ref))
+    rec_div = max(map(_record_divergence, records, dense_records), default=0.0)
     return VerifyResult(
         n=n,
         partitions=len(schedule),

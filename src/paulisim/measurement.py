@@ -3,8 +3,8 @@
 All modes are non-selective: the state is replaced by the full
 post-measurement mixture, never collapsed to a sampled branch.  Sampling,
 when wanted, happens downstream from the returned distribution.  Each mode
-reads its outcome first, then applies its update as a transfer matrix; every
-returned distribution passes ``_finalize``.
+reads its outcome through ``PauliState.tensor``, then applies its update as
+a transfer matrix; each returned distribution passes ``_finalize``.
 
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string
@@ -34,6 +34,7 @@ BELL_SIGNS = {
 
 _PROB_FLOOR = -1e-9  # anything below this is a bug, not rounding
 _SUM_TOL = 1e-6
+_EXPECT_TOL = 1e-9  # slack on |expectation| <= 1
 
 
 def _finalize(labels: list[str], values: np.ndarray) -> dict[str, float]:
@@ -80,9 +81,13 @@ def expect_pauli_string(
             digits.append(PAULI_LABELS.index(ch))
         except ValueError:
             raise ValueError(f"bad Pauli label {ch!r}, expected one of I, X, Y, Z") from None
-    index = sum(d * 4**k for k, d in enumerate(digits))
+    index = [0] * state.n
+    for k, d in enumerate(digits):
+        index[state.axis(k)] = d
     w = sum(1 for d in digits if d != 0)
-    value = noise.d1**w * 2**state.n * state.coeffs[index]
+    value = noise.d1**w * 2**state.n * state.tensor()[tuple(index)]
+    if not abs(value) <= 1.0 + _EXPECT_TOL:  # negated so that a NaN fails
+        raise InternalError(f"expectation {value} outside [-1, 1]")
     for k, d in enumerate(digits):
         if d != 0:
             apply_transfer(state, (k,), _axis_transfer(np.eye(3)[d - 1], noise.d1))
@@ -106,8 +111,9 @@ def measure_qubit(
         raise ValueError("measurement axis must be a 3-vector")
     if not abs(np.linalg.norm(nvec) - 1.0) <= 1e-9:
         raise ValueError("measurement axis must have unit length")
-    c = np.array([state.coeffs[j * 4**k] for j in (1, 2, 3)])
-    lean = 2**state.n * noise.d1 * float(nvec @ c)
+    index = [0] * state.n
+    index[state.axis(k)] = slice(1, None)  # the digit-k Bloch triple, every other digit 0
+    lean = 2**state.n * noise.d1 * float(nvec @ state.tensor()[tuple(index)])
     apply_transfer(state, (k,), _axis_transfer(nvec, noise.d1))
     dist = _finalize(["+", "-"], np.array([(1.0 + lean) / 2.0, (1.0 - lean) / 2.0]))
     return (dist["+"], dist["-"])
@@ -115,14 +121,11 @@ def measure_qubit(
 
 def _bitstring_probs(state: PauliState, d1: float) -> np.ndarray:
     """The ensemble readout, indexed by bitstring with qubit n - 1 most significant."""
-    n = state.n
-    index = np.zeros(1, dtype=np.intp)  # of the 2^n coefficients with digits in {0, 3}
-    for k in range(n):  # qubit n - 1 ends up most significant
-        index = np.add.outer([0, 3 * 4**k], index).ravel()
-    sub = state.coeffs[index].reshape((2,) * n)
+    # the 2^n coefficients with every digit in {0, 3}, qubit n - 1 on axis 0
+    sub = state.tensor()[(slice(None, None, 3),) * state.n]
     # per-axis map from (digit0, d1 * digit3) to the two outcome bits
     m = np.array([[1.0, d1], [1.0, -d1]])
-    for ax in range(n):
+    for ax in range(state.n):
         sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [ax])), 0, ax)
     return sub.reshape(-1)
 
@@ -154,7 +157,9 @@ def bell_measure(
     """
     if k == l:
         raise ValueError("Bell measurement needs two distinct qubits")
-    paired = [float(state.coeffs[j * 4**k + j * 4**l]) for j in range(4)]
+    index = [0] * state.n
+    index[state.axis(k)] = index[state.axis(l)] = np.arange(4)
+    paired = state.tensor()[tuple(index)].tolist()  # digit_k = digit_l = j, others 0
     scale = 2**state.n / 4.0
     probs = np.array(
         [

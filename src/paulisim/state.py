@@ -23,7 +23,8 @@ first three, and ``load_state`` checks positivity too, for files of at most
 * the density matrix has no eigenvalue below ``-PSD_TOL`` (positivity).
 
 Every state update is a Pauli transfer matrix (PTM) applied by
-``apply_transfer`` or ``apply_product``, the only code that knows the digit
+``apply_transfer`` or ``apply_product``, and every readout reads through
+``PauliState.tensor`` and ``.axis``, the only code that knows the digit
 layout.  A diagonal PTM is passed as its diagonal and applied as an in-place
 scaling of the coefficients; any other goes through a matmul.  Every PTM
 here has first row (1, 0, ..., 0), so ``a[0]`` comes out of each update bit

@@ -18,10 +18,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .circuit import NOISE_KEYS, NoiseModel, parse_circuit
-from .engine import Record, execute_schedule, make_initial_state, parse_init
-from .state import PauliState, check_capacity, load_state, overlap
-from .transpile import compile_circuit
+from .circuit import NOISE_KEYS, NoiseModel
+from .engine import Record, _compile_text, execute_schedule, make_initial_state
+from .state import PauliState, load_state, overlap
 
 GROUP_KEYS = {
     "r": ("r_x", "r_y", "r_z", "r_cx"),
@@ -70,10 +69,7 @@ def sweep(
     init: str = "zero",
 ) -> list[SweepRow]:
     base = base_noise or NoiseModel()
-    n, instructions = parse_circuit(circuit_text)
-    check_capacity(n)
-    _, schedule = compile_circuit(n, instructions)
-    spec = parse_init(n, init)
+    n, _, _, schedule, spec = _compile_text(circuit_text, init)
 
     pattern = None
     reference: PauliState | None = None

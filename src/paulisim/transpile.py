@@ -109,12 +109,7 @@ def decompose(instructions: list[Instruction]) -> list[Instruction]:
             kind, angles = _NAMED_SELECT[k]
             out.append(Instruction(kind, ins.qubits, angles))
         elif k == "ccx":
-            for sub in _toffoli_sequence(*ins.qubits):
-                if sub.kind in _NAMED_SELECT:
-                    kind, angles = _NAMED_SELECT[sub.kind]
-                    out.append(Instruction(kind, sub.qubits, angles))
-                else:
-                    out.append(sub)
+            out.extend(decompose(_toffoli_sequence(*ins.qubits)))
         else:
             raise CompileError(f"cannot decompose instruction: {format_instruction(ins)}")
     return out
@@ -285,27 +280,37 @@ def partition(stack: QubitStack) -> Schedule:
 def check_schedule(schedule: Schedule, n: int, instructions: list[Instruction]) -> None:
     """Assert every Schedule invariant against the source instruction list.
 
-    Raises InternalError on violation; cheap enough to run on every compile.
+    One pass: each member takes the next source rank of its object, and the
+    ranks on each qubit must grow.  Raises InternalError on violation.
     """
+    unplaced: dict[int, list[int]] = {}  # object id -> source ranks, next one last
+    for rank in reversed(range(len(instructions))):
+        if instructions[rank].kind != "barrier":
+            unplaced.setdefault(id(instructions[rank]), []).append(rank)
+    last = [-1] * n  # source rank of the latest member touching each qubit
+    bad: set[int] = set()
     for part in schedule.partitions:
         cats = {category_of(m.kind) for m in part.members}
         if cats != {part.category}:
             raise InternalError(f"partition tagged {part.category} holds {sorted(cats)}")
-        if part.category == "gate":
-            seen: set[int] = set()
-            for m in part.members:
-                for q in m.qubits:
-                    if q in seen:
-                        raise InternalError(f"qubit {q} used twice in one gate partition")
-                    seen.add(q)
         if part.category == "solo" and len(part.members) != 1:
             raise InternalError("expect/ensemble/bell must be alone in a partition")
-    flat = [m for part in schedule.partitions for m in part.members]
-    for q in range(n):
-        source = [ins for ins in instructions if ins.kind != "barrier" and q in _touched(ins, n)]
-        placed = [ins for ins in flat if q in _touched(ins, n)]
-        if len(source) != len(placed) or any(a is not b for a, b in zip(source, placed)):
-            raise InternalError(f"schedule reorders the instructions of qubit {q}")
+        gate = part.category == "gate"
+        used: set[int] = set()
+        for m in part.members:
+            rank = unplaced[id(m)].pop() if unplaced.get(id(m)) else None
+            for q in _touched(m, n):
+                if gate and q in used:
+                    raise InternalError(f"qubit {q} used twice in one gate partition")
+                used.add(q)
+                if rank is not None and rank > last[q]:
+                    last[q] = rank
+                else:
+                    bad.add(q)  # reordered, repeated or not in the source
+    for rank in (r for ranks in unplaced.values() for r in ranks):  # dropped
+        bad.update(_touched(instructions[rank], n))
+    if bad:
+        raise InternalError(f"schedule reorders the instructions of qubit {min(bad)}")
 
 
 def format_schedule(schedule: Schedule) -> str:

@@ -1,5 +1,6 @@
+from paulisim import engine
 from paulisim.cli import main
-from paulisim.state import load_state
+from paulisim.state import init_zero, load_state, save_state
 
 
 def write(path, text):
@@ -52,6 +53,22 @@ def test_run_schedule_dump_to_file(tmp_path):
     dump = tmp_path / "schedule.txt"
     assert main(["run", "--circuit", circuit, "--schedule-dump", str(dump)]) == 0
     assert dump.read_text().startswith("0 gate | ")
+
+
+def test_run_schedule_dump_compiles_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    compile_circuit = engine.compile_circuit
+
+    def counted(*args):
+        calls.append(args)
+        return compile_circuit(*args)
+
+    monkeypatch.setattr(engine, "compile_circuit", counted)
+    circuit = write(tmp_path / "bell.circ", BELL)
+    assert main(["run", "--circuit", circuit, "--schedule-dump", "-"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("0 gate | ") and "2 solo | ensemble\nqubits 2\n" in out
 
 
 def test_run_shots_with_seed(tmp_path, capsys):
@@ -154,6 +171,19 @@ def test_exit_code_state_format(tmp_path, capsys):
     state = write(tmp_path / "nonpositive.state", "\n".join(lines) + "\n")
     assert main(["run", "--circuit", pair, "--init", f"file:{state}"]) == 6
     assert main(["verify", "--circuit", pair, "--init", f"file:{state}"]) == 6
+
+
+def test_exit_code_state_file_of_another_size(tmp_path, capsys):
+    # 9 qubits is over the oracle's cap, yet verify reports the size mismatch
+    state = tmp_path / "nine.state"
+    save_state(init_zero(9), state)
+    pair = write(tmp_path / "pair.circ", "qubits 2\nensemble\n")
+    init = ["--init", f"file:{state}"]
+    assert main(["verify", "--circuit", pair, *init]) == 6
+    assert main(["run", "--circuit", pair, *init]) == 6
+    assert main(["sweep", "--circuit", pair, "--param", "f", "--values", "0.9",
+                 "--metric", "fidelity", *init]) == 6
+    assert capsys.readouterr().err.count("state file holds 9 qubits, circuit needs 2") == 3
 
 
 def test_exit_code_missing_file(tmp_path, capsys):

@@ -7,7 +7,6 @@ from helpers import random_circuit_text
 from paulisim import engine
 from paulisim.circuit import NoiseModel, parse_circuit
 from paulisim.engine import (
-    dump_schedule,
     make_initial_state,
     run_circuit,
     verify_circuit,
@@ -23,6 +22,7 @@ from paulisim.state import (
     save_state,
 )
 from paulisim.sweep import sweep
+from paulisim.transpile import format_schedule
 
 BELL = "qubits 2\nh q[0]\ncx q[0],q[1]\nensemble\n"
 
@@ -102,16 +102,18 @@ def test_qubit_capacity_enforced():
 
 
 def test_qubit_capacity_enforced_before_compiling():
-    # compiling a whole-register instruction costs O(n^2) in the schedule
-    # check, so a register this wide must be refused straight after parsing
+    # merging and checking a whole-register instruction cost O(n) each, and
+    # the state 4^n, so a register this wide must be refused right after parsing
     wide = "qubits 100000\nensemble\n"
-    for call in (lambda: run_circuit(wide), lambda: sweep(wide, "f", [0.9], "fidelity")):
+    for call in (
+        lambda: run_circuit(wide),
+        lambda: sweep(wide, "f", [0.9], "fidelity"),
+        lambda: verify_circuit(wide),
+    ):
         start = time.perf_counter()
         with pytest.raises(CapacityError):
             call()
         assert time.perf_counter() - start < 1.0
-    with pytest.raises(CapacityError):
-        dump_schedule("qubits 15\nx q[0]\n")
 
 
 def test_negative_shots_rejected():
@@ -159,8 +161,8 @@ def test_report_text_is_deterministic():
     assert "qubits 2" in text and "partitions 3" in text and "ensemble:" in text
 
 
-def test_dump_schedule_matches_compile():
-    text = dump_schedule(BELL)
+def test_schedule_dump_matches_compile():
+    text = format_schedule(run_circuit(BELL).schedule)
     lines = text.strip().split("\n")
     assert len(lines) == 3
     assert lines[2] == "2 solo | ensemble"

@@ -285,6 +285,20 @@ def test_readouts_reject_nan():
         measure_qubit(init_zero(1), 0, (np.nan, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [5.0, -0.25 - 1e-6, np.nan, np.inf])
+def test_expect_rejects_values_outside_unit_interval(bad):
+    s = init_zero(2)
+    s.coeffs[15] = bad  # ZZ: 2^n * a = 20, -1.000004, nan, inf
+    with pytest.raises(InternalError):
+        expect_pauli_string(s, "ZZ")
+
+
+def test_expect_keeps_values_at_the_rounding_edge():
+    s = init_zero(2)
+    s.coeffs[15] = 0.25 * (1.0 + 1e-12)
+    assert expect_pauli_string(s, "ZZ") == 1.0 + 1e-12
+
+
 def test_distributions_clamp_tiny_negatives():
     s = init_zero(1)
     s.coeffs[3] = 0.5 + 4e-11  # p(1) = -4e-11, inside the floor

@@ -1,0 +1,81 @@
+"""Report corpus regression: the text outputs of a fixed noisy corpus keep their digest.
+
+Covers ``run_circuit`` reports (without the timing line), ``verify_circuit``
+texts and ``sweep`` tables.  Floats are rounded to 10 significant digits
+before hashing, sign kept, so a change in the last bits of a printed number
+does not move the digest but a flipped zero sign does.  Shots stay off: a
+last-bit change in a probability can flip a sampled count.
+"""
+
+import hashlib
+import re
+
+import numpy as np
+
+from helpers import random_circuit_text
+from paulisim.circuit import NoiseModel
+from paulisim.engine import run_circuit, verify_circuit
+from paulisim.generators import adder_success_pattern, gen_adder, gen_qft
+from paulisim.sweep import format_table, sweep
+
+INITS = ("zero", "uniform", "thermal")
+
+# a float as repr prints it: always a '.' or an exponent, so labels and counts never match
+_FLOAT = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
+
+_DIVERGENCE_TOL = 1e-12
+
+
+def _rounded(text: str) -> str:
+    return _FLOAT.sub(lambda m: format(float(m.group()), ".10g"), text)
+
+
+def _noise(rng: np.random.Generator) -> NoiseModel:
+    """Every one of the 15 keys set away from its noiseless default."""
+    u = rng.uniform
+    return NoiseModel(
+        p=u(0.8, 1.0),
+        alpha_x=u(-0.1, 0.1), r_x=u(0.9, 1.0),
+        alpha_y=u(-0.1, 0.1), r_y=u(0.9, 1.0),
+        alpha_z=u(-0.1, 0.1), r_z=u(0.9, 1.0),
+        alpha_cx=u(-0.1, 0.1), r_cx=u(0.9, 1.0),
+        d1=u(0.9, 1.0), d2=u(0.9, 1.0),
+        f=u(0.95, 1.0), g=u(0.95, 1.0),
+        f_meas=u(0.9, 1.0), g_meas=u(0.9, 1.0),
+    )
+
+
+def _verify_text(text: str, noise: NoiseModel, init: str) -> str:
+    """The verify text without its divergence lines, which must be tiny."""
+    kept = []
+    for line in verify_circuit(text, noise, init=init).to_text().splitlines():
+        if line.startswith("max "):
+            assert float(line.rsplit(" ", 1)[1]) <= _DIVERGENCE_TOL, line
+        else:
+            kept.append(line)
+    return "\n".join(kept) + "\n"
+
+
+def _corpus() -> list[tuple[str, NoiseModel, str]]:
+    cases = []
+    for i in range(42):
+        rng = np.random.default_rng([29, i])
+        text = random_circuit_text(rng, 1 + i % 6, 30)
+        cases.append((text, _noise(rng), INITS[i % 3]))
+    for n in range(1, 7):
+        cases.append((gen_qft(n), _noise(np.random.default_rng([31, n])), INITS[n % 3]))
+    return cases
+
+
+def test_reports_of_a_fixed_corpus_keep_their_digest():
+    # The digest pins every printed number of the report, verify and sweep
+    # texts; it was taken before the shared compile front end went in.
+    h = hashlib.sha256()
+    for text, noise, init in _corpus():
+        h.update(_rounded(run_circuit(text, noise, init=init).to_text(timing=False)).encode())
+        h.update(_rounded(_verify_text(text, noise, init)).encode())
+    adder = gen_adder("10", "11")
+    metric = "success:" + adder_success_pattern("10", "11")
+    rows = sweep(adder, "r", [0.9, 0.95, 1.0], metric, _noise(np.random.default_rng(37)))
+    h.update(_rounded(format_table("r", metric, rows)).encode())
+    assert h.hexdigest() == "ffdce69e21d005f2d774177f025ce1f9993941b582285228a8aed2e2d4a19bda"

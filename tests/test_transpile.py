@@ -368,6 +368,59 @@ def test_schedules_of_a_fixed_corpus_keep_their_digest():
     assert h.hexdigest() == "e6dae9b8be6811908edceedd31683e638f2a1460ae1cedfd871da919bbeaef72"
 
 
+def _mixed(p):  # a measurement in a gate partition
+    p[1].members.append(p[2].members.pop())
+
+
+def _reused(p):  # h and cx share qubit 0 in one gate partition
+    p[1].members[:0] = p[0].members
+    del p[0]
+
+
+def _crowded(p):  # a second ensemble beside the first
+    p[3].members.append(Instruction("ensemble"))
+
+
+def _swapped(p):  # cx before h on qubit 0
+    p[0], p[1] = p[1], p[0]
+
+
+def _dropped(p):
+    p[2].members.pop()
+
+
+def _repeated(p):
+    p[2].members.append(p[2].members[0])
+
+
+def _foreign(p):  # an equal copy is not the source object
+    m = p[0].members[0]
+    p[0].members[0] = Instruction(m.kind, m.qubits, m.angles)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_mixed, r"partition tagged gate holds \['gate', 'measurement'\]"),
+        (_reused, "qubit 0 used twice in one gate partition"),
+        (_crowded, "expect/ensemble/bell must be alone in a partition"),
+        (_swapped, "schedule reorders the instructions of qubit 0"),
+        (_dropped, "schedule reorders the instructions of qubit 1"),
+        (_repeated, "schedule reorders the instructions of qubit 0"),
+        (_foreign, "schedule reorders the instructions of qubit 0"),
+    ],
+    ids=["mixed", "reused", "crowded", "swapped", "dropped", "repeated", "foreign"],
+)
+def test_check_schedule_rejects_each_violation(mutate, message):
+    n, ins = parse_circuit("qubits 2\nh q[0]\ncx q[0],q[1]\nmeasure q[0]\nmeasure q[1]\nensemble\n")
+    merged, schedule = compile_circuit(n, ins)
+    parts = [Partition(p.category, list(p.members)) for p in schedule.partitions]
+    assert [p.category for p in parts] == ["gate", "gate", "measurement", "solo"]
+    mutate(parts)
+    with pytest.raises(InternalError, match=message):
+        check_schedule(Schedule(parts), n, merged)
+
+
 def test_format_schedule_layout():
     src = "qubits 2\nh q[0]\ncx q[0],q[1]\nmeasure q[0]\nmeasure q[1]\n"
     n, ins = parse_circuit(src)
