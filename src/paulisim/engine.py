@@ -288,8 +288,10 @@ def verify_circuit(
     """Run the coefficient engine and the dense oracle on the same schedule.
 
     Both paths share the compiled schedule and the noise model but nothing
-    else: the oracle evolves a full density matrix through unitary mixtures
-    and Kraus sums.  Reports the largest coefficient and record divergence.
+    else: the oracle evolves a full complex density matrix, applying each
+    noisy update as one Liouville superoperator built from its own Kraus
+    operators and unitaries (pinned in tests to ``apply_kraus`` and
+    ``apply_unitary``).  Reports the largest coefficient and record divergence.
     Circuits above ``oracle.ORACLE_QUBIT_CAP`` qubits raise ``CapacityError``
     before either state is allocated.
     """

@@ -1,10 +1,15 @@
 """Dense-matrix reference simulator used to cross-check the Pauli-basis engine.
 
-Everything here works on explicit 2^n x 2^n complex density matrices,
-evolved by unitary conjugation and Kraus sums.  It is deliberately slow and
-simple: the point is an independent second route for every operation the
-coefficient engine implements, not performance.  Intended for n <=
-``ORACLE_QUBIT_CAP``.
+Everything here works on explicit 2^n x 2^n complex density matrices in the
+computational basis.  Every noisy update is one channel kernel: ``superop``
+turns the channel's own Kraus operators, or a weighted set of unitaries, into
+a complex Liouville matrix S = sum w K kron conj(K), and ``apply_superop``
+contracts S into the (row bit, column bit) axes of its qubits.  Channels in
+sequence on the same qubits are composed into one S first.  ``apply_kraus``
+and ``apply_unitary`` stay as the plain definitions that route is tested
+against.  The point is an independent second route for every operation the
+coefficient engine implements: nothing here comes from the engine's
+kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -42,9 +47,6 @@ class DenseState:
 
     n: int
     rho: np.ndarray
-
-    def copy(self) -> "DenseState":
-        return DenseState(self.n, self.rho.copy())
 
     def validate(self, eig_tol: float = 1e-9) -> None:
         if self.rho.shape != (2**self.n, 2**self.n):
@@ -153,12 +155,16 @@ def apply_unitary(d: DenseState, u: np.ndarray, qubits: tuple[int, ...]) -> None
     d.rho = t.reshape(2**n, 2**n)
 
 
-def apply_kraus(d: DenseState, kraus: list[np.ndarray], qubits: tuple[int, ...]) -> None:
-    """In-place rho <- sum_mu M_mu rho M_mu^dagger on the listed qubits."""
-    dim = 2 ** len(qubits)
-    comp = sum(m.conj().T @ m for m in kraus)
+def _check_complete(m: np.ndarray, w: np.ndarray, dim: int) -> None:
+    """Raise unless the weighted operators m[mu] satisfy sum w M^dagger M = I."""
+    comp = np.einsum("k,kji,kjl->il", w, m.conj(), m)
     if np.max(np.abs(comp - np.eye(dim))) > 1e-10:
         raise ValueError("Kraus set does not resolve the identity within 1e-10")
+
+
+def apply_kraus(d: DenseState, kraus: list[np.ndarray], qubits: tuple[int, ...]) -> None:
+    """In-place rho <- sum_mu M_mu rho M_mu^dagger on the listed qubits."""
+    _check_complete(np.asarray(kraus), np.ones(len(kraus)), 2 ** len(qubits))
     n = d.n
     row_axes = tuple(n - 1 - q for q in qubits)
     col_axes = tuple(2 * n - 1 - q for q in qubits)
@@ -170,14 +176,29 @@ def apply_kraus(d: DenseState, kraus: list[np.ndarray], qubits: tuple[int, ...])
     d.rho = acc.reshape(2**n, 2**n)
 
 
-def _mixture(d: DenseState, unitaries: list[np.ndarray], qubits: tuple[int, ...]) -> None:
-    """Equal-weight mixture of unitary conjugations."""
-    acc = np.zeros_like(d.rho)
-    for u in unitaries:
-        branch = d.copy()
-        apply_unitary(branch, u, qubits)
-        acc += branch.rho
-    d.rho = acc / len(unitaries)
+def superop(ops: list[np.ndarray], weights: list[float] | None = None) -> np.ndarray:
+    """Liouville matrix S = sum_mu w_mu M_mu kron conj(M_mu) of a channel.
+
+    ``ops`` are Kraus operators (every weight 1 by default) or unitaries
+    mixed with the given weights; the set must resolve the identity,
+    sum w M^dagger M = I, within 1e-10.  S is 4^k x 4^k for k qubits and acts
+    on the row-major vectorisation of the operand: the row bits of the
+    qubits, then their column bits, each in ``ops``' kron order.  S2 @ S1 is
+    the channel S1 followed by S2.
+    """
+    m = np.asarray(ops, dtype=np.complex128)
+    w = np.ones(len(m)) if weights is None else np.asarray(weights, dtype=np.float64)
+    dim = m.shape[1]
+    _check_complete(m, w, dim)
+    return np.einsum("k,kij,kab->iajb", w, m, m.conj()).reshape(dim * dim, dim * dim)
+
+
+def apply_superop(d: DenseState, s: np.ndarray, qubits: tuple[int, ...]) -> None:
+    """In-place rho <- S(rho) for a ``superop`` matrix on the listed qubits."""
+    n = d.n
+    axes = tuple(n - 1 - q for q in qubits) + tuple(2 * n - 1 - q for q in qubits)
+    t = _apply_on_axes(d.rho.reshape((2,) * (2 * n)), s, axes)
+    d.rho = t.reshape(2**n, 2**n)
 
 
 def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float:
@@ -260,23 +281,17 @@ def _flip_operator(axis_vec: np.ndarray) -> np.ndarray:
     return sum(perp[i] * SIGMA[i + 1] for i in range(3))
 
 
-def _axis_damped_projective(d: DenseState, k: int, axis_vec: np.ndarray, d1: float) -> None:
-    """Projective measurement along an axis with depolarisation strength d1.
+def _axis_damped_projective(axis_vec: np.ndarray, d1: float) -> np.ndarray:
+    """Superoperator of a projective measurement along an axis with damping d1.
 
     Leaves the identity component alone, keeps the parallel Bloch component
     scaled by d1, and removes the perpendicular ones; realised as projection
     followed by a probabilistic bit flip.
     """
     op = sum(axis_vec[i] * SIGMA[i + 1] for i in range(3))
-    p_plus = (SIGMA[0] + op) / 2
-    p_minus = (SIGMA[0] - op) / 2
-    apply_kraus(d, [p_plus, p_minus], (k,))
-    if d1 != 1.0:
-        flip = _flip_operator(axis_vec)
-        w_keep, w_flip = (1 + d1) / 2, (1 - d1) / 2
-        kept = d.copy()
-        apply_unitary(d, flip, (k,))
-        d.rho = w_keep * kept.rho + w_flip * d.rho
+    project = superop([(SIGMA[0] + op) / 2, (SIGMA[0] - op) / 2])
+    flip = superop([SIGMA[0], _flip_operator(axis_vec)], [(1 + d1) / 2, (1 - d1) / 2])
+    return flip @ project
 
 
 def dense_measure_qubit(
@@ -286,7 +301,7 @@ def dense_measure_qubit(
     op = sum(axis_vec[i] * SIGMA[i + 1] for i in range(3))
     mean = expectation(d, op, (k,))
     p_plus = (1 + d1 * mean) / 2
-    _axis_damped_projective(d, k, axis_vec, d1)
+    apply_superop(d, _axis_damped_projective(axis_vec, d1), (k,))
     return (p_plus, 1.0 - p_plus)
 
 
@@ -302,15 +317,15 @@ def dense_expect_string(d: DenseState, labels: list[int], d1: float) -> float:
         if labels[k] != 0:
             axis_vec = np.zeros(3)
             axis_vec[labels[k] - 1] = 1.0
-            _axis_damped_projective(d, k, axis_vec, d1)
+            apply_superop(d, _axis_damped_projective(axis_vec, d1), (k,))
     return value
 
 
 def dense_ensemble(d: DenseState, d1: float) -> np.ndarray:
     """All-qubit computational-basis outcome probabilities; updates the state."""
-    z_axis = np.array([0.0, 0.0, 1.0])
+    s = _axis_damped_projective(np.array([0.0, 0.0, 1.0]), d1)
     for k in range(d.n):
-        _axis_damped_projective(d, k, z_axis, d1)
+        apply_superop(d, s, (k,))
     return np.diag(d.rho).real.copy()
 
 
@@ -338,27 +353,10 @@ def dense_bell(d: DenseState, k: int, l: int, d2: float) -> dict[str, float]:
     # damped probabilities: non-identity contributions shrink by d2
     probs = {lab: (1 - d2) / 4 + d2 * p for lab, p in probs.items()}
     # state: project onto the Bell-diagonal algebra, then damp by pair twirl
-    projected = np.zeros_like(d.rho)
-    for signs in BELL_SIGNS.values():
-        proj = _bell_projector(signs)
-        branch = d.copy()
-        t = branch.rho.reshape((2,) * (2 * d.n))
-        row_axes = (d.n - 1 - k, d.n - 1 - l)
-        col_axes = (2 * d.n - 1 - k, 2 * d.n - 1 - l)
-        t = _apply_on_axes(t, proj, row_axes)
-        t = _apply_on_axes(t, proj.conj(), col_axes)
-        projected += t.reshape(d.rho.shape)
-    if d2 != 1.0:
-        twirled = np.zeros_like(projected)
-        base = DenseState(d.n, projected)
-        for i in range(4):
-            for j in range(4):
-                branch = base.copy()
-                apply_unitary(branch, np.kron(SIGMA[i], SIGMA[j]), (k, l))
-                twirled += branch.rho
-        d.rho = d2 * projected + (1 - d2) * twirled / 16
-    else:
-        d.rho = projected
+    project = superop([_bell_projector(signs) for signs in BELL_SIGNS.values()])
+    paulis = [np.kron(SIGMA[i], SIGMA[j]) for i in range(4) for j in range(4)]
+    twirl = superop([np.eye(4, dtype=np.complex128)] + paulis, [d2] + [(1 - d2) / 16] * 16)
+    apply_superop(d, twirl @ project, (k, l))
     return probs
 
 
@@ -366,7 +364,7 @@ def dense_reset(d: DenseState, k: int) -> None:
     """rho -> P0 rho P0 + X P1 rho P1 X on qubit k."""
     p0 = (SIGMA[0] + SIGMA[3]) / 2
     p1 = (SIGMA[0] - SIGMA[3]) / 2
-    apply_kraus(d, [p0, SIGMA[1] @ p1], (k,))
+    apply_superop(d, superop([p0, SIGMA[1] @ p1]), (k,))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +390,19 @@ def decay_kraus(g: float, p: float) -> list[np.ndarray]:
 
 
 def dense_memory_step(d: DenseState, f: float, g: float, p: float) -> None:
-    """Apply one decoherence + decay step to every qubit."""
-    dk = decohere_kraus(f)
-    gk = decay_kraus(g, p)
-    for k in range(d.n):
-        apply_kraus(d, dk, (k,))
-        apply_kraus(d, gk, (k,))
+    """Apply one decoherence + decay step to every qubit.
+
+    The composed one-qubit superoperator is applied to two qubits per
+    contraction, as its 16x16 pair form, which halves the passes over rho.
+    """
+    s = superop(decay_kraus(g, p)) @ superop(decohere_kraus(f))
+    # s is laid out (r c, r' c'); its pair form is (r0 r1 c0 c1, r0' r1' c0' c1')
+    t = s.reshape(2, 2, 2, 2)
+    pair = np.einsum("abxy,efuv->aebfxuyv", t, t).reshape(16, 16)
+    for k in range(0, d.n - 1, 2):
+        apply_superop(d, pair, (k, k + 1))
+    if d.n % 2:
+        apply_superop(d, s, (d.n - 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +506,12 @@ def run_instructions_dense(d: DenseState, instructions) -> list:
     return records
 
 
-def _rotation_mixture(d: DenseState, axis: str, theta: float, alpha: float, r: float, q: int) -> None:
+def _rotation_mixture(axis: str, theta: float, alpha: float, r: float) -> np.ndarray:
+    """Superoperator of a noisy rotation: two angles theta + alpha +- arccos(r)."""
     delta0 = np.arccos(r)
     base = theta + alpha
-    _mixture(
-        d,
-        [rotation_matrix(axis, base + delta0), rotation_matrix(axis, base - delta0)],
-        (q,),
-    )
+    rotations = [rotation_matrix(axis, base + delta0), rotation_matrix(axis, base - delta0)]
+    return superop(rotations, [0.5, 0.5])
 
 
 def run_schedule_dense(d: DenseState, schedule, noise) -> list:
@@ -516,7 +519,9 @@ def run_schedule_dense(d: DenseState, schedule, noise) -> list:
 
     Mirrors the coefficient engine step for step: noisy gates as two-point
     angle mixtures, measurements with d1/d2 damping, memory noise after
-    every partition.  ``noise`` is a NoiseModel; ``schedule`` a Schedule.
+    every partition.  Each gate is one ``apply_superop`` (a u3's
+    three mixtures composed first).  ``noise`` is a NoiseModel;
+    ``schedule`` a Schedule.
     """
     records: list = []
     for part in schedule.partitions:
@@ -524,25 +529,19 @@ def run_schedule_dense(d: DenseState, schedule, noise) -> list:
             k = ins.kind
             q = ins.qubits[0] if ins.qubits else 0
             if k == "u1":
-                az, rz = noise.axis("z")
-                _rotation_mixture(d, "z", ins.angles[0], az, rz, q)
+                apply_superop(d, _rotation_mixture("z", ins.angles[0], *noise.axis("z")), (q,))
             elif k == "u3":
                 theta, phi, lam = ins.angles
-                az, rz = noise.axis("z")
-                ay, ry = noise.axis("y")
-                _rotation_mixture(d, "z", lam, az, rz, q)
-                _rotation_mixture(d, "y", theta, ay, ry, q)
-                _rotation_mixture(d, "z", phi, az, rz, q)
+                s = (
+                    _rotation_mixture("z", phi, *noise.axis("z"))
+                    @ _rotation_mixture("y", theta, *noise.axis("y"))
+                    @ _rotation_mixture("z", lam, *noise.axis("z"))
+                )
+                apply_superop(d, s, (q,))
             elif k == "cx":
                 delta0 = np.arccos(noise.r_cx)
-                _mixture(
-                    d,
-                    [
-                        cnot_matrix(noise.alpha_cx + delta0),
-                        cnot_matrix(noise.alpha_cx - delta0),
-                    ],
-                    ins.qubits,
-                )
+                pulses = [cnot_matrix(noise.alpha_cx + delta0), cnot_matrix(noise.alpha_cx - delta0)]
+                apply_superop(d, superop(pulses, [0.5, 0.5]), ins.qubits)
             elif k == "reset":
                 dense_reset(d, q)
             elif k in _MEASURE_AXES:

@@ -19,8 +19,8 @@ import dataclasses
 from dataclasses import dataclass
 
 from .circuit import NOISE_KEYS, NoiseModel
-from .engine import Record, _compile_text, execute_schedule, make_initial_state
-from .state import PauliState, load_state, overlap
+from .engine import Record, _compile_text, execute_schedule, make_initial_state, parse_init
+from .state import PauliState, overlap
 
 GROUP_KEYS = {
     "r": ("r_x", "r_y", "r_z", "r_cx"),
@@ -80,9 +80,8 @@ def sweep(
     elif metric == "fidelity" or metric.startswith("fidelity:"):
         path = metric.partition(":")[2]
         if path:
-            reference = load_state(path)
-            if reference.n != n:
-                raise ValueError(f"reference state has {reference.n} qubits, circuit {n}")
+            # the same read and size check as --init file:PATH
+            reference = parse_init(n, f"file:{path}").state
         else:
             reference = make_initial_state(n, spec, base)
             execute_schedule(reference, schedule, NoiseModel())

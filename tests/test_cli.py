@@ -183,7 +183,9 @@ def test_exit_code_state_file_of_another_size(tmp_path, capsys):
     assert main(["run", "--circuit", pair, *init]) == 6
     assert main(["sweep", "--circuit", pair, "--param", "f", "--values", "0.9",
                  "--metric", "fidelity", *init]) == 6
-    assert capsys.readouterr().err.count("state file holds 9 qubits, circuit needs 2") == 3
+    assert main(["sweep", "--circuit", pair, "--param", "f", "--values", "0.9",
+                 "--metric", f"fidelity:{state}"]) == 6
+    assert capsys.readouterr().err.count("state file holds 9 qubits, circuit needs 2") == 4
 
 
 def test_exit_code_missing_file(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """The dense-matrix oracle must be independently correct: these checks use
 only textbook linear algebra, never the coefficient engine."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import random_pauli_state
 from paulisim import oracle
+from paulisim.circuit import Instruction, NoiseModel
 from paulisim.state import init_bitstring, init_thermal, init_uniform, init_zero
+from paulisim.transpile import Partition, Schedule
 
 
 def test_sigma_algebra():
@@ -170,14 +175,16 @@ def test_decay_kraus_moves_population_toward_thermal(rng):
 
 
 def test_dense_memory_step_matches_kraus_composition(rng):
-    s = random_pauli_state(rng, 2)
-    d1 = oracle.to_dense(s)
-    d2 = oracle.to_dense(s)
-    oracle.dense_memory_step(d1, 0.9, 0.8, 0.7)
-    for q in range(2):
-        oracle.apply_kraus(d2, oracle.decay_kraus(0.8, 0.7), (q,))
-        oracle.apply_kraus(d2, oracle.decohere_kraus(0.9), (q,))
-    assert np.max(np.abs(d1.rho - d2.rho)) < 1e-12
+    # an even n takes only the paired superoperator, an odd n one single as well
+    for n in (2, 3):
+        s = random_pauli_state(rng, n)
+        d1 = oracle.to_dense(s)
+        d2 = oracle.to_dense(s)
+        oracle.dense_memory_step(d1, 0.9, 0.8, 0.7)
+        for q in range(n):
+            oracle.apply_kraus(d2, oracle.decay_kraus(0.8, 0.7), (q,))
+            oracle.apply_kraus(d2, oracle.decohere_kraus(0.9), (q,))
+        assert np.max(np.abs(d1.rho - d2.rho)) < 1e-12
 
 
 def test_dense_measure_qubit_ideal_probabilities():
@@ -223,3 +230,135 @@ def test_run_instructions_dense_bell_records():
     kind, dist = records[-1][0], records[-1][1]
     assert kind == "ensemble"
     assert abs(dist["00"] - 0.5) < 1e-12 and abs(dist["11"] - 0.5) < 1e-12
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "paulisim"
+        ):
+            imported |= {(node.level, node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "paulisim" for alias in node.names)
+    assert imported == {(1, "state", "PauliState")}
+
+
+def test_superop_rejects_incomplete_sets():
+    with pytest.raises(ValueError, match="does not resolve the identity within 1e-10"):
+        oracle.superop([np.diag([1.0, 0.0])])
+    with pytest.raises(ValueError, match="does not resolve the identity within 1e-10"):
+        oracle.superop([oracle.SIGMA[0], oracle.SIGMA[1]], [0.5, 0.6])
+
+
+# The superoperator route against the definitions: Kraus sums through
+# apply_kraus and unitary mixtures as weighted apply_unitary branches.
+
+PIN_TOL = 1e-14
+
+
+def _branches(d, unitaries, weights, qubits):
+    acc = np.zeros_like(d.rho)
+    for u, w in zip(unitaries, weights):
+        branch = oracle.DenseState(d.n, d.rho.copy())
+        oracle.apply_unitary(branch, u, qubits)
+        acc += w * branch.rho
+    d.rho = acc
+
+
+def _rotation_branches(d, axis, theta, alpha, r, q):
+    delta0 = np.arccos(r)
+    rotations = [oracle.rotation_matrix(axis, theta + alpha + s * delta0) for s in (1, -1)]
+    _branches(d, rotations, [0.5, 0.5], (q,))
+
+
+def _pair(rng):
+    s = random_pauli_state(rng, 3)
+    return oracle.to_dense(s), oracle.to_dense(s)
+
+
+def _run_one(d, ins, noise):
+    # default memory noise (p = f = g = 1) makes the memory step exactly I
+    return oracle.run_schedule_dense(d, Schedule([Partition("gate", [ins])]), noise)
+
+
+def test_superop_memory_step_matches_kraus_route(rng):
+    for f, g, p in ((0.9, 0.8, 0.7), (0.995, 0.997, 0.92), (0.3, 0.1, 0.0), (1.0, 0.5, 1.0)):
+        got, want = _pair(rng)
+        oracle.dense_memory_step(got, f, g, p)
+        for q in range(3):
+            oracle.apply_kraus(want, oracle.decohere_kraus(f), (q,))
+            oracle.apply_kraus(want, oracle.decay_kraus(g, p), (q,))
+        assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, (f, g, p)
+
+
+def test_superop_rotation_mixtures_match_branch_route(rng):
+    noise = NoiseModel(alpha_z=0.05, r_z=0.97, alpha_y=-0.08, r_y=0.93)
+    got, want = _pair(rng)
+    _run_one(got, Instruction("u1", (1,), (0.7,)), noise)
+    _rotation_branches(want, "z", 0.7, 0.05, 0.97, 1)
+    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+
+    # the y mixture on its own, as a u3 uses it
+    got, want = _pair(rng)
+    oracle.apply_superop(got, oracle._rotation_mixture("y", 1.1, -0.08, 0.93), (2,))
+    _rotation_branches(want, "y", 1.1, -0.08, 0.93, 2)
+    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+
+    # u3(theta, phi, lam) is z(lam), then y(theta), then z(phi), composed into one 4x4
+    got, want = _pair(rng)
+    _run_one(got, Instruction("u3", (0,), (1.1, 0.4, -0.9)), noise)
+    _rotation_branches(want, "z", -0.9, 0.05, 0.97, 0)
+    _rotation_branches(want, "y", 1.1, -0.08, 0.93, 0)
+    _rotation_branches(want, "z", 0.4, 0.05, 0.97, 0)
+    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+
+
+def test_superop_cx_mixture_matches_branch_route(rng):
+    # control 2, target 0: not adjacent, and listed high qubit first
+    got, want = _pair(rng)
+    _run_one(got, Instruction("cx", (2, 0)), NoiseModel(alpha_cx=0.03, r_cx=0.95))
+    delta0 = np.arccos(0.95)
+    pulses = [oracle.cnot_matrix(0.03 + delta0), oracle.cnot_matrix(0.03 - delta0)]
+    _branches(want, pulses, [0.5, 0.5], (2, 0))
+    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+
+
+def test_superop_projective_update_matches_kraus_route(rng):
+    axis = np.array([0.48, -0.6, 0.64])  # a unit vector off every Pauli axis
+    d1 = 0.85
+    got, want = _pair(rng)
+    oracle.dense_measure_qubit(got, 1, axis, d1)
+    op = sum(axis[i] * oracle.SIGMA[i + 1] for i in range(3))
+    oracle.apply_kraus(want, [(oracle.SIGMA[0] + op) / 2, (oracle.SIGMA[0] - op) / 2], (1,))
+    # any Pauli axis perpendicular to the measured one swaps its two projectors
+    perp = np.cross(axis, [0.0, 0.0, 1.0])
+    perp /= np.linalg.norm(perp)
+    flip = sum(perp[i] * oracle.SIGMA[i + 1] for i in range(3))
+    _branches(want, [oracle.SIGMA[0], flip], [(1 + d1) / 2, (1 - d1) / 2], (1,))
+    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+
+
+def test_superop_reset_matches_kraus_route(rng):
+    got, want = _pair(rng)
+    oracle.dense_reset(got, 1)
+    p0 = (oracle.SIGMA[0] + oracle.SIGMA[3]) / 2
+    p1 = (oracle.SIGMA[0] - oracle.SIGMA[3]) / 2
+    oracle.apply_kraus(want, [p0, oracle.SIGMA[1] @ p1], (1,))
+    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+
+
+def test_superop_bell_update_matches_kraus_route(rng):
+    d2 = 0.8
+    got, want = _pair(rng)
+    oracle.dense_bell(got, 2, 0, d2)
+    s = oracle.SIGMA
+    projectors = [
+        sum(c * np.kron(s[j], s[j]) for j, c in enumerate((1.0, *signs))) / 4
+        for signs in oracle.BELL_SIGNS.values()
+    ]
+    oracle.apply_kraus(want, projectors, (2, 0))
+    paulis = [np.kron(s[i], s[j]) for i in range(4) for j in range(4)]
+    _branches(want, [np.eye(4)] + paulis, [d2] + [(1 - d2) / 16] * 16, (2, 0))
+    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from paulisim.circuit import NoiseModel
+from paulisim.errors import StateFormatError
 from paulisim.generators import adder_success_pattern, gen_adder
 from paulisim.state import init_bitstring, save_state
 from paulisim.sweep import build_noise, format_table, pattern_mass, sweep
@@ -76,7 +77,7 @@ def test_sweep_requires_ensemble_for_success_metric():
 def test_sweep_reference_qubit_mismatch(tmp_path):
     path = tmp_path / "target.txt"
     save_state(init_bitstring("101"), path)
-    with pytest.raises(ValueError):
+    with pytest.raises(StateFormatError, match="state file holds 3 qubits, circuit needs 2"):
         sweep(BELL, "r", [1.0], f"fidelity:{path}")
 
 

@@ -192,7 +192,7 @@ NOISE = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 5),
     n_instr=st.integers(1, 30),
