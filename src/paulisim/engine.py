@@ -27,7 +27,6 @@ from .state import (
     init_uniform,
     init_zero,
     load_state,
-    overlap,
     purity,
 )
 from .transpile import Schedule, compile_circuit
@@ -59,7 +58,6 @@ class RunReport:
     schedule: Schedule  # the compiled schedule the run executed
     records: list[Record]
     final_state: PauliState
-    fidelity: float | None = None
     saved_state: str | None = None
     wall_time_s: float = 0.0
 
@@ -92,8 +90,6 @@ class RunReport:
                 body = " ".join(f"{lab} {c}" for lab, c in rec.counts.items() if c > 0)
                 lines.append(f"  counts: {body}")
         lines.append(f"purity {purity(self.final_state)!r}")
-        if self.fidelity is not None:
-            lines.append(f"fidelity {self.fidelity!r}")
         if self.saved_state is not None:
             lines.append(f"state saved to {self.saved_state}")
         if timing:
@@ -210,7 +206,6 @@ def run_circuit(
     init: str = "zero",
     shots: int = 0,
     seed: int | None = None,
-    reference: PauliState | None = None,
     max_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> RunReport:
     """Full pipeline on circuit text; returns the report with final state."""
@@ -223,7 +218,6 @@ def run_circuit(
     records = execute_schedule(state, schedule, noise)
     if shots > 0:
         _sample_counts(records, shots, seed)
-    fidelity = None if reference is None else overlap(state, reference)
     return RunReport(
         n=n,
         instructions_before=len(instructions),
@@ -231,7 +225,6 @@ def run_circuit(
         schedule=schedule,
         records=records,
         final_state=state,
-        fidelity=fidelity,
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -1,15 +1,18 @@
 """Dense-matrix reference simulator used to cross-check the Pauli-basis engine.
 
 Everything here works on explicit 2^n x 2^n complex density matrices in the
-computational basis.  Every noisy update is one channel kernel: ``superop``
-turns the channel's own Kraus operators, or a weighted set of unitaries, into
-a complex Liouville matrix S = sum w K kron conj(K), and ``apply_superop``
-contracts S into the (row bit, column bit) axes of its qubits.  Channels in
-sequence on the same qubits are composed into one S first.  ``apply_kraus``
-and ``apply_unitary`` stay as the plain definitions that route is tested
-against.  The point is an independent second route for every operation the
-coefficient engine implements: nothing here comes from the engine's
-kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
+computational basis.  One step interprets every instruction kind, for raw
+circuits run ideally (``run_instructions_dense``) and for compiled schedules
+under a noise model (``run_schedule_dense``), and every update it makes goes
+through one channel kernel: ``superop`` turns the channel's own Kraus
+operators, or a weighted set of unitaries, into a complex Liouville matrix
+S = sum w K kron conj(K), and ``apply_superop`` contracts S into the
+(row bit, column bit) axes of its qubits.  An ideal gate is the channel of
+its one unitary; channels in sequence on the same qubits are composed into
+one S first.  ``apply_kraus`` and ``apply_unitary`` stay as the plain
+definitions that route is pinned to in tests.  The point is an independent
+second route for every operation the coefficient engine implements: nothing
+here comes from the engine's kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -48,16 +51,6 @@ class DenseState:
     n: int
     rho: np.ndarray
 
-    def validate(self, eig_tol: float = 1e-9) -> None:
-        if self.rho.shape != (2**self.n, 2**self.n):
-            raise ValueError(f"expected a {2 ** self.n} x {2 ** self.n} matrix")
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(self.rho) - 1.0) > 1e-10:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-        if np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2).min() < -eig_tol:
-            raise ValueError("density matrix has an eigenvalue below the PSD tolerance")
-
 
 # ---------------------------------------------------------------------------
 # Basis conversion
@@ -93,31 +86,34 @@ def from_dense(d: DenseState, herm_tol: float = 1e-10) -> PauliState:
 # Dense initialisations (built directly, not via PauliState)
 
 
+_BASIS = {
+    "0": np.diag([1.0, 0.0]).astype(np.complex128),
+    "1": np.diag([0.0, 1.0]).astype(np.complex128),
+}
+
+
+def _kron_qubits(singles: list[np.ndarray]) -> np.ndarray:
+    """kron of one 2x2 matrix per qubit, most significant qubit first."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for single in singles:
+        out = np.kron(out, single)
+    return out
+
+
 def dense_zero(n: int) -> DenseState:
-    rho = np.zeros((2**n, 2**n), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    return DenseState(n, rho)
+    return DenseState(n, _kron_qubits([_BASIS["0"]] * n))
 
 
 def dense_uniform(n: int) -> DenseState:
-    dim = 2**n
-    return DenseState(n, np.full((dim, dim), 1.0 / dim, dtype=np.complex128))
+    return DenseState(n, _kron_qubits([np.full((2, 2), 0.5, dtype=np.complex128)] * n))
 
 
 def dense_bitstring(bits: str) -> DenseState:
-    n = len(bits)
-    idx = int(bits, 2)  # most significant qubit first matches bit k = qubit k
-    rho = np.zeros((2**n, 2**n), dtype=np.complex128)
-    rho[idx, idx] = 1.0
-    return DenseState(n, rho)
+    return DenseState(len(bits), _kron_qubits([_BASIS[b] for b in bits]))
 
 
 def dense_thermal(n: int, p: float) -> DenseState:
-    rho = np.array([[1.0]], dtype=np.complex128)
-    single = np.diag([p, 1.0 - p]).astype(np.complex128)
-    for _ in range(n):
-        rho = np.kron(rho, single)
-    return DenseState(n, rho)
+    return DenseState(n, _kron_qubits([np.diag([p, 1.0 - p]).astype(np.complex128)] * n))
 
 
 def random_state(n: int, rng: np.random.Generator) -> PauliState:
@@ -266,6 +262,17 @@ def toffoli_matrix() -> np.ndarray:
     return u
 
 
+#: The oracle's own unitary for each gate kind, as a function of its angles.
+_GATE_UNITARY = {
+    **{kind: (lambda angles, u=u: u) for kind, u in NAMED_1Q.items()},
+    "u1": lambda angles: u1_matrix(*angles),
+    "u2": lambda angles: u3_matrix(np.pi / 2, *angles),
+    "u3": lambda angles: u3_matrix(*angles),
+    "cx": lambda angles: cnot_matrix(),
+    "ccx": lambda angles: toffoli_matrix(),
+}
+
+
 # ---------------------------------------------------------------------------
 # Measurement and reset channels (dense forms of the noisy updates)
 
@@ -307,13 +314,10 @@ def dense_measure_qubit(
 
 def dense_expect_string(d: DenseState, labels: list[int], d1: float) -> float:
     """Expectation of a Pauli string with readout damping; updates the state."""
-    n = d.n
-    full = np.array([[1.0]], dtype=np.complex128)
-    for k in reversed(range(n)):
-        full = np.kron(full, SIGMA[labels[k]])
+    full = _kron_qubits([SIGMA[v] for v in reversed(labels)])
     w = sum(1 for v in labels if v != 0)
     value = float(np.trace(d.rho @ full).real) * d1**w
-    for k in range(n):
+    for k in range(d.n):
         if labels[k] != 0:
             axis_vec = np.zeros(3)
             axis_vec[labels[k] - 1] = 1.0
@@ -453,59 +457,6 @@ _MEASURE_AXES = {
 }
 
 
-def _string_labels(string: str) -> list[int]:
-    """Pauli digits per qubit (qubit 0 from the rightmost character)."""
-    return ["IXYZ".index(ch) for ch in reversed(string)]
-
-
-def _bit_label(i: int, n: int) -> str:
-    return format(i, f"0{n}b")
-
-
-def run_instructions_dense(d: DenseState, instructions) -> list:
-    """Execute raw instructions in source order with zero noise.
-
-    Gates act as exact unitaries, measurements as ideal projective channels
-    (with their non-selective updates).  Returns the measurement records as
-    plain tuples; mutates ``d``.
-    """
-    records: list = []
-    for ins in instructions:
-        k = ins.kind
-        if k == "barrier":
-            continue
-        if k in NAMED_1Q:
-            apply_unitary(d, NAMED_1Q[k], ins.qubits)
-        elif k == "u1":
-            apply_unitary(d, u1_matrix(ins.angles[0]), ins.qubits)
-        elif k == "u2":
-            apply_unitary(d, u3_matrix(np.pi / 2, ins.angles[0], ins.angles[1]), ins.qubits)
-        elif k == "u3":
-            apply_unitary(d, u3_matrix(*ins.angles), ins.qubits)
-        elif k == "cx":
-            apply_unitary(d, cnot_matrix(), ins.qubits)
-        elif k == "ccx":
-            apply_unitary(d, toffoli_matrix(), ins.qubits)
-        elif k == "reset":
-            dense_reset(d, ins.qubits[0])
-        elif k in _MEASURE_AXES:
-            probs = dense_measure_qubit(d, ins.qubits[0], _MEASURE_AXES[k], 1.0)
-            records.append(("measure", ins.qubits[0], k, probs))
-        elif k == "expect":
-            value = dense_expect_string(d, _string_labels(ins.string), 1.0)
-            records.append(("expect", ins.string, value))
-        elif k == "ensemble":
-            probs = dense_ensemble(d, 1.0)
-            records.append(
-                ("ensemble", {_bit_label(i, d.n): float(p) for i, p in enumerate(probs)})
-            )
-        elif k == "bell":
-            records.append(("bell", ins.qubits, dense_bell(d, *ins.qubits, 1.0)))
-        else:
-            raise ValueError(f"unknown instruction kind {k!r}")
-    return records
-
-
 def _rotation_mixture(axis: str, theta: float, alpha: float, r: float) -> np.ndarray:
     """Superoperator of a noisy rotation: two angles theta + alpha +- arccos(r)."""
     delta0 = np.arccos(r)
@@ -514,51 +465,76 @@ def _rotation_mixture(axis: str, theta: float, alpha: float, r: float) -> np.nda
     return superop(rotations, [0.5, 0.5])
 
 
+def _step(d: DenseState, ins, noise, records: list) -> None:
+    """Apply one instruction to ``d``, appending a record for each readout.
+
+    ``noise`` None is the ideal run: any gate kind as its exact unitary,
+    d1 = d2 = 1, barriers skipped.  Under a NoiseModel only the schedule's
+    u1, u3 and cx gates are allowed, as two-point angle mixtures (a u3's three
+    mixtures composed into one 4x4).
+    """
+    k = ins.kind
+    d1, d2 = (1.0, 1.0) if noise is None else (noise.d1, noise.d2)
+    if k == "reset":
+        dense_reset(d, ins.qubits[0])
+    elif k in _MEASURE_AXES:
+        probs = dense_measure_qubit(d, ins.qubits[0], _MEASURE_AXES[k], d1)
+        records.append(("measure", ins.qubits[0], k, probs))
+    elif k == "expect":
+        labels = ["IXYZ".index(ch) for ch in reversed(ins.string)]  # qubit 0 rightmost
+        records.append(("expect", ins.string, dense_expect_string(d, labels, d1)))
+    elif k == "ensemble":
+        probs = dense_ensemble(d, d1)
+        records.append(("ensemble", {format(i, f"0{d.n}b"): float(p) for i, p in enumerate(probs)}))
+    elif k == "bell":
+        records.append(("bell", ins.qubits, dense_bell(d, *ins.qubits, d2)))
+    elif noise is None:
+        if k in _GATE_UNITARY:
+            apply_superop(d, superop([_GATE_UNITARY[k](ins.angles)]), ins.qubits)
+        elif k != "barrier":
+            raise ValueError(f"unknown instruction kind {k!r}")
+    elif k == "u1":
+        apply_superop(d, _rotation_mixture("z", ins.angles[0], *noise.axis("z")), ins.qubits)
+    elif k == "u3":
+        theta, phi, lam = ins.angles
+        s = (
+            _rotation_mixture("z", phi, *noise.axis("z"))
+            @ _rotation_mixture("y", theta, *noise.axis("y"))
+            @ _rotation_mixture("z", lam, *noise.axis("z"))
+        )
+        apply_superop(d, s, ins.qubits)
+    elif k == "cx":
+        delta0 = np.arccos(noise.r_cx)
+        pulses = [cnot_matrix(noise.alpha_cx + delta0), cnot_matrix(noise.alpha_cx - delta0)]
+        apply_superop(d, superop(pulses, [0.5, 0.5]), ins.qubits)
+    else:
+        raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
+
+
+def run_instructions_dense(d: DenseState, instructions) -> list:
+    """Execute raw instructions in source order with zero noise.
+
+    The same step as ``run_schedule_dense`` with no noise model: each gate is
+    the ``apply_superop`` channel of its exact unitary, measurements are ideal
+    projective channels (with their non-selective updates), barriers do
+    nothing.  Returns the measurement records as plain tuples; mutates ``d``.
+    """
+    records: list = []
+    for ins in instructions:
+        _step(d, ins, None, records)
+    return records
+
+
 def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     """Execute a compiled schedule with the full noise model, densely.
 
-    Mirrors the coefficient engine step for step: noisy gates as two-point
-    angle mixtures, measurements with d1/d2 damping, memory noise after
-    every partition.  Each gate is one ``apply_superop`` (a u3's
-    three mixtures composed first).  ``noise`` is a NoiseModel;
-    ``schedule`` a Schedule.
+    Mirrors the coefficient engine step for step: each member through the
+    same step as ``run_instructions_dense`` under ``noise`` (a NoiseModel),
+    then one memory-noise step after every partition of ``schedule``.
     """
     records: list = []
     for part in schedule.partitions:
         for ins in part.members:
-            k = ins.kind
-            q = ins.qubits[0] if ins.qubits else 0
-            if k == "u1":
-                apply_superop(d, _rotation_mixture("z", ins.angles[0], *noise.axis("z")), (q,))
-            elif k == "u3":
-                theta, phi, lam = ins.angles
-                s = (
-                    _rotation_mixture("z", phi, *noise.axis("z"))
-                    @ _rotation_mixture("y", theta, *noise.axis("y"))
-                    @ _rotation_mixture("z", lam, *noise.axis("z"))
-                )
-                apply_superop(d, s, (q,))
-            elif k == "cx":
-                delta0 = np.arccos(noise.r_cx)
-                pulses = [cnot_matrix(noise.alpha_cx + delta0), cnot_matrix(noise.alpha_cx - delta0)]
-                apply_superop(d, superop(pulses, [0.5, 0.5]), ins.qubits)
-            elif k == "reset":
-                dense_reset(d, q)
-            elif k in _MEASURE_AXES:
-                probs = dense_measure_qubit(d, q, _MEASURE_AXES[k], noise.d1)
-                records.append(("measure", q, k, probs))
-            elif k == "expect":
-                value = dense_expect_string(d, _string_labels(ins.string), noise.d1)
-                records.append(("expect", ins.string, value))
-            elif k == "ensemble":
-                probs = dense_ensemble(d, noise.d1)
-                records.append(
-                    ("ensemble", {_bit_label(i, d.n): float(p) for i, p in enumerate(probs)})
-                )
-            elif k == "bell":
-                records.append(("bell", ins.qubits, dense_bell(d, *ins.qubits, noise.d2)))
-            else:
-                raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
-        f, g = noise.pair(part.category)
-        dense_memory_step(d, f, g, noise.p)
+            _step(d, ins, noise, records)
+        dense_memory_step(d, *noise.pair(part.category), noise.p)
     return records

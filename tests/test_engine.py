@@ -127,16 +127,6 @@ def test_verify_enforces_oracle_cap():
         verify_circuit("qubits 9\nx q[0]\nensemble\n")
 
 
-def test_fidelity_against_reference():
-    # pure output: the ensemble readout would dephase the state, so skip it
-    pure = "qubits 2\nh q[0]\ncx q[0],q[1]\n"
-    ref = run_circuit(pure).final_state
-    report = run_circuit(pure, reference=ref)
-    assert abs(report.fidelity - 1.0) < 1e-12
-    noisy = run_circuit(pure, NoiseModel(r_x=0.9, r_y=0.9, r_z=0.9, r_cx=0.9), reference=ref)
-    assert noisy.fidelity < 1.0 - 1e-4
-
-
 def test_shot_sampling_is_seeded():
     r1 = run_circuit(BELL, shots=1000, seed=7)
     r2 = run_circuit(BELL, shots=1000, seed=7)

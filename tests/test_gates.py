@@ -71,6 +71,10 @@ def test_named_transfers_match_dense_conjugation():
         assert np.max(np.abs(got - want)) < 1e-14, name
 
 
+def test_pauli_transfer_of_identity_channel():
+    assert np.allclose(transfer_from_unitary(np.eye(2)), np.eye(4))
+
+
 def test_dagger_pairs_compose_to_identity():
     for a, b in (("s", "sdg"), ("t", "tdg")):
         prod = named_gate_transfer(a) @ named_gate_transfer(b)

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_pauli_state
+from helpers import random_circuit_text, random_pauli_state
 from paulisim import oracle
-from paulisim.circuit import Instruction, NoiseModel
+from paulisim.circuit import GATE_KINDS, Instruction, NoiseModel, parse_circuit
 from paulisim.state import init_bitstring, init_thermal, init_uniform, init_zero
-from paulisim.transpile import Partition, Schedule
+from paulisim.transpile import Partition, Schedule, compile_circuit
 
 
 def test_sigma_algebra():
@@ -137,12 +137,6 @@ def test_toffoli_matrix_is_controlled_controlled_x():
     assert np.array_equal(t, want)
 
 
-def test_pauli_transfer_of_identity_channel():
-    from paulisim.gates import transfer_from_unitary
-
-    assert np.allclose(transfer_from_unitary(np.eye(2)), np.eye(4))
-
-
 def test_choi_identity_channel_is_psd():
     assert oracle.choi_psd_check(np.eye(4)) >= -1e-12
 
@@ -204,12 +198,8 @@ def test_dense_ensemble_is_diagonal():
 
 
 def test_dense_bell_on_maximally_entangled_pair():
-    from paulisim.gates import apply_cnot, named_gate_transfer, apply_single
-
-    s = init_zero(2)
-    apply_single(s, 0, named_gate_transfer("h"))
-    apply_cnot(s, 0, 1)
-    d = oracle.to_dense(s)
+    d = oracle.dense_zero(2)
+    oracle.run_instructions_dense(d, [Instruction("h", (0,)), Instruction("cx", (0, 1))])
     probs = oracle.dense_bell(d, 0, 1, 1.0)
     assert abs(probs["phi+"] - 1.0) < 1e-12
     assert all(abs(probs[k]) < 1e-12 for k in ("phi-", "psi+", "psi-"))
@@ -222,8 +212,6 @@ def test_dense_reset_forces_ground_state(rng):
 
 
 def test_run_instructions_dense_bell_records():
-    from paulisim.circuit import parse_circuit
-
     n, ins = parse_circuit("qubits 2\nh q[0]\ncx q[0],q[1]\nensemble\n")
     d = oracle.dense_zero(n)
     records = oracle.run_instructions_dense(d, ins)
@@ -273,8 +261,8 @@ def _rotation_branches(d, axis, theta, alpha, r, q):
     _branches(d, rotations, [0.5, 0.5], (q,))
 
 
-def _pair(rng):
-    s = random_pauli_state(rng, 3)
+def _pair(rng, n=3):
+    s = random_pauli_state(rng, n)
     return oracle.to_dense(s), oracle.to_dense(s)
 
 
@@ -362,3 +350,59 @@ def test_superop_bell_update_matches_kraus_route(rng):
     paulis = [np.kron(s[i], s[j]) for i in range(4) for j in range(4)]
     _branches(want, [np.eye(4)] + paulis, [d2] + [(1 - d2) / 16] * 16, (2, 0))
     assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+
+
+# One step behind both entry points, and the ideal gate route against
+# apply_unitary.
+
+
+def _assert_records_match(got, want, tol):
+    assert [r[0] for r in got] == [r[0] for r in want]
+    for a, b in zip(got, want):
+        # every record is (kind, labels..., values): labels equal, values within tol
+        assert a[:-1] == b[:-1]
+        va, vb = a[-1], b[-1]
+        if isinstance(va, dict):
+            assert va.keys() == vb.keys()
+            va, vb = list(va.values()), [vb[lab] for lab in va]
+        assert np.max(np.abs(np.subtract(va, vb))) <= tol, a
+
+
+def test_one_step_behind_both_entry_points(rng):
+    # a raw circuit run ideally and its compiled schedule under the noiseless
+    # model must agree in state and records
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        n, instructions = parse_circuit(random_circuit_text(rng, n, 25))
+        _, schedule = compile_circuit(n, instructions)
+        raw, compiled = _pair(rng, n)
+        want = oracle.run_instructions_dense(raw, instructions)
+        got = oracle.run_schedule_dense(compiled, schedule, NoiseModel())
+        assert np.max(np.abs(compiled.rho - raw.rho)) <= 1e-12
+        _assert_records_match(got, want, 1e-12)
+
+    d = oracle.dense_zero(1)
+    with pytest.raises(ValueError, match="unexpected instruction kind 'h' in a schedule"):
+        _run_one(d, Instruction("h", (0,)), NoiseModel())
+    with pytest.raises(ValueError, match="unknown instruction kind 'swap'"):
+        oracle.run_instructions_dense(d, [Instruction("swap", (0,))])
+
+
+def test_ideal_gates_match_apply_unitary(rng):
+    # each gate kind as its one-unitary superoperator against apply_unitary
+    cases = [(Instruction(k, (i % 3,)), u) for i, (k, u) in enumerate(oracle.NAMED_1Q.items())]
+    cases += [
+        (Instruction("u1", (2,), (0.7,)), oracle.u1_matrix(0.7)),
+        (Instruction("u2", (0,), (0.4, -1.3)), oracle.u3_matrix(np.pi / 2, 0.4, -1.3)),
+        (Instruction("u3", (1,), (1.1, 0.4, -0.9)), oracle.u3_matrix(1.1, 0.4, -0.9)),
+        (Instruction("cx", (0, 1)), oracle.cnot_matrix()),
+        (Instruction("cx", (2, 0)), oracle.cnot_matrix()),  # reversed, not adjacent
+        (Instruction("ccx", (0, 1, 2)), oracle.toffoli_matrix()),
+        (Instruction("ccx", (2, 0, 1)), oracle.toffoli_matrix()),
+    ]
+    assert {ins.kind for ins, _ in cases} == set(GATE_KINDS)
+    for ins, u in cases:
+        got, want = _pair(rng)
+        assert oracle.run_instructions_dense(got, [ins]) == []
+        oracle.apply_unitary(want, u, ins.qubits)
+        assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, ins
