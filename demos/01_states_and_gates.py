@@ -7,8 +7,8 @@ a Bell pair shows up as four nonzero entries rather than a complex matrix.
 
 import numpy as np
 
-from paulisim.gates import apply_cnot, apply_single, named_gate_transfer
-from paulisim.state import init_thermal, init_zero, purity
+from paulisim.gates import apply_cnot, named_gate_transfer
+from paulisim.state import apply_transfer, init_thermal, init_zero, purity
 
 s = init_zero(2)
 print("|00> purity:", purity(s))
@@ -17,7 +17,7 @@ for idx in np.flatnonzero(s.coeffs):
     print(f"  {idx:2d}: {s.coeffs[idx]:+.4f}")
 
 # h on qubit 0, then cx 0 -> 1: the standard Bell pair
-apply_single(s, 0, named_gate_transfer("h"))
+apply_transfer(s, (0,), named_gate_transfer("h"))
 apply_cnot(s, 0, 1)
 print("\nBell pair purity:", purity(s))
 print("Bell pair coefficients as a 4x4 grid (rows: qubit 1, cols: qubit 0):")

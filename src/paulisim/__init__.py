@@ -34,7 +34,6 @@ from .errors import (
 )
 from .gates import (
     apply_cnot,
-    apply_single,
     apply_u1,
     apply_u3,
     cnot_transfer,
@@ -97,7 +96,6 @@ __all__ = [
     "VerifyResult",
     "adder_success_pattern",
     "apply_cnot",
-    "apply_single",
     "apply_u1",
     "apply_u3",
     "bell_measure",

@@ -92,51 +92,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Noisy quantum-circuit simulator over Pauli-basis density matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="execute a circuit and report results")
-    run_p.add_argument("--circuit", required=True, help="circuit file")
-    run_p.add_argument("--noise", help="noise configuration file")
-    run_p.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default stdout)")
+    circuit = argparse.ArgumentParser(add_help=False)
+    circuit.add_argument("--circuit", required=True, help="circuit file")
+    circuit.add_argument("--noise", help="noise configuration file")
+    circuit.add_argument(
         "--init",
         default="zero",
         help="initial state: zero | uniform | thermal | bitstring:S | file:PATH",
     )
+
+    common = [circuit, out]
+    run_p = sub.add_parser("run", parents=common, help="execute a circuit and report results")
     run_p.add_argument("--save-state", help="write the final state to this file")
     run_p.add_argument("--schedule-dump", help="write the partition schedule ('-' = stdout)")
     run_p.add_argument("--shots", type=int, default=0, help="sample counts from distributions")
     run_p.add_argument("--seed", type=int, help="random seed for --shots")
-    run_p.add_argument("--out", help="report file (default stdout)")
     run_p.set_defaults(func=_cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="vary one noise parameter")
-    sweep_p.add_argument("--circuit", required=True)
-    sweep_p.add_argument("--noise", help="baseline noise configuration")
-    sweep_p.add_argument("--init", default="zero")
+    sweep_p = sub.add_parser("sweep", parents=common, help="vary one noise parameter")
     sweep_p.add_argument("--param", required=True, help="noise key, or grouped 'r'/'alpha'")
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument(
         "--metric", required=True, help="success:PATTERN | fidelity | fidelity:STATEFILE"
     )
-    sweep_p.add_argument("--out", help="table file (default stdout)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     gen_p = sub.add_parser("gen", help="emit a built-in circuit")
     gen_sub = gen_p.add_subparsers(dest="kind", required=True)
-    adder_p = gen_sub.add_parser("adder", help="ripple-carry adder with ensemble readout")
+    adder_p = gen_sub.add_parser(
+        "adder", parents=[out], help="ripple-carry adder with ensemble readout"
+    )
     adder_p.add_argument("a", help="first addend, binary")
     adder_p.add_argument("b", help="second addend, binary")
-    adder_p.add_argument("--out")
     adder_p.set_defaults(func=_cmd_gen)
-    qft_p = gen_sub.add_parser("qft", help="quantum Fourier transform")
+    qft_p = gen_sub.add_parser("qft", parents=[out], help="quantum Fourier transform")
     qft_p.add_argument("n", type=int, help="qubit count")
-    qft_p.add_argument("--out")
     qft_p.set_defaults(func=_cmd_gen)
 
-    verify_p = sub.add_parser("verify", help="dual-run against the dense oracle")
-    verify_p.add_argument("--circuit", required=True)
-    verify_p.add_argument("--noise")
-    verify_p.add_argument("--init", default="zero")
-    verify_p.add_argument("--out")
+    verify_p = sub.add_parser("verify", parents=common, help="dual-run against the dense oracle")
     verify_p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -11,7 +11,7 @@ distributions; the evolution itself is deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class InitSpec:
     state: PauliState | None = None
 
 
-def parse_init(n: int, init: str, max_qubits: int = DEFAULT_QUBIT_CAP) -> InitSpec:
+def parse_init(n: int, init: str) -> InitSpec:
     """Parse an option string for an n-qubit circuit, reading a state file once.
 
     Options: ``zero``, ``uniform``, ``thermal`` (population = noise p),
@@ -120,7 +120,7 @@ def parse_init(n: int, init: str, max_qubits: int = DEFAULT_QUBIT_CAP) -> InitSp
             raise ValueError(f"bitstring length {len(bits)} does not match {n} qubits")
         return InitSpec("bitstring", bits=bits)
     if init.startswith("file:"):
-        state = load_state(init.partition(":")[2], max_qubits)
+        state = load_state(init.partition(":")[2])
         if state.n != n:
             raise StateFormatError(f"state file holds {state.n} qubits, circuit needs {n}")
         return InitSpec("file", state=state)
@@ -130,27 +130,33 @@ def parse_init(n: int, init: str, max_qubits: int = DEFAULT_QUBIT_CAP) -> InitSp
 def make_initial_state(
     n: int, init: str | InitSpec, noise: NoiseModel, max_qubits: int = DEFAULT_QUBIT_CAP
 ) -> PauliState:
-    """Build the starting state from an option string (see ``parse_init``) or its ``InitSpec``."""
-    spec = parse_init(n, init, max_qubits) if isinstance(init, str) else init
+    """Build the starting state from an option string (see ``parse_init``) or its ``InitSpec``.
+
+    ``max_qubits`` stays only because ``perfbench/replay.py`` passes
+    ``DEFAULT_QUBIT_CAP`` by keyword.  The cap itself is fixed: a value
+    above it raises ``CapacityError``, and the builders check n themselves.
+    """
+    check_capacity(max_qubits)
+    spec = parse_init(n, init) if isinstance(init, str) else init
     if spec.kind == "zero":
-        return init_zero(n, max_qubits)
+        return init_zero(n)
     if spec.kind == "uniform":
-        return init_uniform(n, max_qubits)
+        return init_uniform(n)
     if spec.kind == "thermal":
-        return init_thermal(n, noise.p, max_qubits)
+        return init_thermal(n, noise.p)
     if spec.kind == "bitstring":
-        return init_bitstring(spec.bits, max_qubits)
+        return init_bitstring(spec.bits)
     return spec.state.copy()  # execution updates the state in place
 
 
 def _compile_text(
-    circuit_text: str, init: str, cap: int = DEFAULT_QUBIT_CAP, max_qubits: int = DEFAULT_QUBIT_CAP
+    circuit_text: str, init: str, cap: int
 ) -> tuple[int, list[Instruction], list[Instruction], Schedule, InitSpec]:
     """The entry points' front end: parse, refuse n > cap, compile, parse ``init``."""
     n, instructions = parse_circuit(circuit_text)
     check_capacity(n, cap)
     merged, schedule = compile_circuit(n, instructions)
-    return n, instructions, merged, schedule, parse_init(n, init, max_qubits)
+    return n, instructions, merged, schedule, parse_init(n, init)
 
 
 def execute_schedule(
@@ -206,15 +212,14 @@ def run_circuit(
     init: str = "zero",
     shots: int = 0,
     seed: int | None = None,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> RunReport:
     """Full pipeline on circuit text; returns the report with final state."""
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     noise = noise or NoiseModel()
     start = time.perf_counter()
-    n, instructions, merged, schedule, spec = _compile_text(circuit_text, init, max_qubits, max_qubits)
-    state = make_initial_state(n, spec, noise, max_qubits)
+    n, instructions, merged, schedule, spec = _compile_text(circuit_text, init, DEFAULT_QUBIT_CAP)
+    state = make_initial_state(n, spec, noise)
     records = execute_schedule(state, schedule, noise)
     if shots > 0:
         _sample_counts(records, shots, seed)
@@ -240,7 +245,6 @@ class VerifyResult:
     state_divergence: float
     record_divergence: float
     records_checked: int = 0
-    details: list[str] = field(default_factory=list)
 
     def to_text(self) -> str:
         lines = [
@@ -250,7 +254,6 @@ class VerifyResult:
             f"max state divergence {self.state_divergence:.3e}",
             f"max record divergence {self.record_divergence:.3e}",
         ]
-        lines.extend(self.details)
         return "\n".join(lines) + "\n"
 
 

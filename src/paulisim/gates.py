@@ -117,11 +117,6 @@ def named_gate_transfer(name: str) -> np.ndarray:
         raise ValueError(f"unknown gate name {name!r}") from None
 
 
-def apply_single(state: PauliState, k: int, t: np.ndarray) -> None:
-    """Replace every digit-k 4-tuple of coefficients by T times the tuple."""
-    apply_transfer(state, (k,), t)
-
-
 def apply_u1(state: PauliState, k: int, lam: float, noise: NoiseModel = NOISELESS) -> None:
     """Phase gate: one z-rotation transfer by lam."""
     apply_transfer(state, (k,), rotation_transfer("z", lam, noise))

@@ -39,6 +39,9 @@ _AXIS_INDEX = {"x": 1, "y": 2, "z": 3}
 #: complex matrix is 1 MiB, and each added qubit quadruples it.
 ORACLE_QUBIT_CAP = 8
 
+#: Largest |rho - rho^dagger| entry ``from_dense`` accepts.
+_HERM_TOL = 1e-10
+
 
 @dataclass
 class DenseState:
@@ -68,9 +71,9 @@ def to_dense(s: PauliState) -> DenseState:
     return DenseState(s.n, rho)
 
 
-def from_dense(d: DenseState, herm_tol: float = 1e-10) -> PauliState:
+def from_dense(d: DenseState) -> PauliState:
     """Project a density matrix onto the Pauli basis: a_i = 2^-n Tr(rho P_i)."""
-    if np.max(np.abs(d.rho - d.rho.conj().T)) > herm_tol:
+    if np.max(np.abs(d.rho - d.rho.conj().T)) > _HERM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     t = d.rho.reshape((2,) * (2 * d.n))
     m = d.n

@@ -34,6 +34,7 @@ for bit.
 from __future__ import annotations
 
 import io
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -41,8 +42,8 @@ import numpy as np
 
 from .errors import CapacityError, StateFormatError
 
-#: Refuse to allocate states above this many qubits unless the caller raises
-#: the cap explicitly.  Coefficient storage quadruples per added qubit.
+#: Refuse to allocate states above this many qubits; no call can raise it.
+#: Coefficient storage quadruples per added qubit.
 DEFAULT_QUBIT_CAP = 14
 
 #: Relative slack allowed on the purity bound 2^n * sum(a^2) <= 1 and on the
@@ -202,21 +203,21 @@ def _product_state(factors: list[np.ndarray]) -> PauliState:
     return PauliState(len(factors), coeffs)
 
 
-def init_zero(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState:
+def init_zero(n: int) -> PauliState:
     """All qubits in |0>: the product of (I + sigma_z)/2 factors."""
-    check_capacity(n, max_qubits)
+    check_capacity(n)
     q = np.array([0.5, 0.0, 0.0, 0.5])
     return _product_state([q] * n)
 
 
-def init_uniform(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState:
+def init_uniform(n: int) -> PauliState:
     """All qubits in |+>: the product of (I + sigma_x)/2 factors."""
-    check_capacity(n, max_qubits)
+    check_capacity(n)
     q = np.array([0.5, 0.5, 0.0, 0.0])
     return _product_state([q] * n)
 
 
-def init_bitstring(bits: str, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState:
+def init_bitstring(bits: str) -> PauliState:
     """Computational basis state given as a binary string.
 
     The string is written most-significant-qubit first: ``bits[-1]`` is
@@ -224,7 +225,7 @@ def init_bitstring(bits: str, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState
     """
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"bitstring must be non-empty over {{0,1}}, got {bits!r}")
-    check_capacity(len(bits), max_qubits)
+    check_capacity(len(bits))
     factors = []
     for c in reversed(bits):  # qubit 0 first
         sign = 1.0 if c == "0" else -1.0
@@ -232,7 +233,7 @@ def init_bitstring(bits: str, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState
     return _product_state(factors)
 
 
-def init_thermal(n: int, p: float, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState:
+def init_thermal(n: int, p: float) -> PauliState:
     """Factorised equilibrium state diag(p, 1-p) on every qubit.
 
     ``p`` is the ground-level population; p = 1 reproduces ``init_zero``
@@ -240,7 +241,7 @@ def init_thermal(n: int, p: float, max_qubits: int = DEFAULT_QUBIT_CAP) -> Pauli
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"thermal population p must be in [0, 1], got {p}")
-    check_capacity(n, max_qubits)
+    check_capacity(n)
     q = np.array([0.5, 0.0, 0.0, p - 0.5])
     return _product_state([q] * n)
 
@@ -285,7 +286,7 @@ def save_state(s: PauliState, sink: str | Path | io.TextIOBase) -> None:
         sink.write(text)
 
 
-def load_state(source: str | Path | io.TextIOBase, max_qubits: int = DEFAULT_QUBIT_CAP) -> PauliState:
+def load_state(source: str | Path | io.TextIOBase) -> PauliState:
     """Read a coefficient file and check the state invariants.
 
     Up to ``oracle.ORACLE_QUBIT_CAP`` qubits the density matrix must also be
@@ -298,15 +299,14 @@ def load_state(source: str | Path | io.TextIOBase, max_qubits: int = DEFAULT_QUB
     lines = text.splitlines()
     if not lines or not lines[0].startswith(_FILE_HEADER):
         raise StateFormatError(f"missing header line {_FILE_HEADER!r} n=<n>")
-    header = lines[0]
-    try:
-        n = int(header.split("n=", 1)[1])
-    except (IndexError, ValueError):
-        raise StateFormatError(f"malformed header {header!r}") from None
+    m = re.fullmatch(_FILE_HEADER + r" n=(-?[0-9]+)", lines[0])  # only what save_state writes
+    if m is None:
+        raise StateFormatError(f"malformed header {lines[0]!r}")
+    n = int(m[1])
     if n < 1:
         raise StateFormatError(f"header declares invalid qubit count {n}")
-    if n > max_qubits:
-        raise CapacityError(f"file declares n={n}, above the qubit cap of {max_qubits}")
+    if n > DEFAULT_QUBIT_CAP:
+        raise CapacityError(f"file declares n={n}, above the qubit cap of {DEFAULT_QUBIT_CAP}")
 
     values = []
     for i, line in enumerate(lines[1:], start=1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .circuit import NOISE_KEYS, NoiseModel
 from .engine import Record, _compile_text, execute_schedule, make_initial_state, parse_init
-from .state import PauliState, overlap
+from .state import DEFAULT_QUBIT_CAP, PauliState, overlap
 
 GROUP_KEYS = {
     "r": ("r_x", "r_y", "r_z", "r_cx"),
@@ -69,7 +69,7 @@ def sweep(
     init: str = "zero",
 ) -> list[SweepRow]:
     base = base_noise or NoiseModel()
-    n, _, _, schedule, spec = _compile_text(circuit_text, init)
+    n, _, _, schedule, spec = _compile_text(circuit_text, init, DEFAULT_QUBIT_CAP)
 
     pattern = None
     reference: PauliState | None = None

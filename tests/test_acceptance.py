@@ -24,7 +24,7 @@ from paulisim.gates import (
 from paulisim.generators import adder_success_pattern, gen_adder, gen_qft
 from paulisim.measurement import bell_measure, ensemble_distribution, measure_qubit
 from paulisim.memory import decohere, end_of_partition
-from paulisim.state import PauliState, init_thermal, init_zero, overlap
+from paulisim.state import PauliState, apply_transfer, init_thermal, init_zero, overlap
 from paulisim.sweep import pattern_mass, sweep
 from paulisim.transpile import check_schedule, compile_circuit, decompose, merge
 
@@ -343,9 +343,9 @@ def test_measurement_modes_match_dense_and_worked_values(announce):
         assert abs(probs[0] - 0.95) < 1e-12 and abs(probs[1] - 0.05) < 1e-12
 
         bell = init_zero(2)
-        from paulisim.gates import apply_cnot, apply_single
+        from paulisim.gates import apply_cnot
 
-        apply_single(bell, 0, named_gate_transfer("h"))
+        apply_transfer(bell, (0,), named_gate_transfer("h"))
         apply_cnot(bell, 0, 1)
         dist = bell_measure(bell, 0, 1, NoiseModel(d2=0.9))
         assert abs(dist["phi+"] - 0.925) < 1e-12

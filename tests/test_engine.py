@@ -96,9 +96,6 @@ def test_qubit_capacity_enforced():
     text = "qubits 15\n" + "x q[0]\n"
     with pytest.raises(CapacityError):
         run_circuit(text)
-    with pytest.raises(CapacityError):
-        run_circuit("qubits 4\nx q[0]\n", max_qubits=3)
-    run_circuit("qubits 3\nx q[0]\n", max_qubits=3)
 
 
 def test_qubit_capacity_enforced_before_compiling():

@@ -10,7 +10,6 @@ from paulisim import oracle
 from paulisim.circuit import NOISELESS, NoiseModel
 from paulisim.gates import (
     apply_cnot,
-    apply_single,
     apply_u1,
     apply_u3,
     cnot_transfer,
@@ -18,7 +17,7 @@ from paulisim.gates import (
     rotation_transfer,
     transfer_from_unitary,
 )
-from paulisim.state import init_zero, purity
+from paulisim.state import apply_transfer, init_zero, purity
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -39,7 +38,7 @@ def test_z_quarter_rotation_equals_s_gate():
 
 def test_x_half_rotation_on_ground_state():
     s = init_zero(1)
-    apply_single(s, 0, rotation_transfer("x", math.pi / 2))
+    apply_transfer(s, (0,), rotation_transfer("x", math.pi / 2))
     assert np.allclose(s.coeffs, [0.5, 0.0, -0.5, 0.0], atol=1e-15)
 
 
@@ -83,7 +82,7 @@ def test_dagger_pairs_compose_to_identity():
 
 def test_hadamard_on_ground_state():
     s = init_zero(1)
-    apply_single(s, 0, named_gate_transfer("h"))
+    apply_transfer(s, (0,), named_gate_transfer("h"))
     assert np.allclose(s.coeffs, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
 
 
@@ -127,7 +126,7 @@ def test_noisy_rotation_matches_dense_mixture(rng):
     delta0 = math.acos(r)
     s = random_pauli_state(rng, 2)
     d = oracle.to_dense(s)
-    apply_single(s, 1, rotation_transfer("x", theta, NoiseModel(r_x=r, alpha_x=alpha)))
+    apply_transfer(s, (1,), rotation_transfer("x", theta, NoiseModel(r_x=r, alpha_x=alpha)))
     u_plus = oracle.rotation_matrix("x", theta + alpha + delta0)
     u_minus = oracle.rotation_matrix("x", theta + alpha - delta0)
     d_plus = oracle.DenseState(2, d.rho.copy())
@@ -165,7 +164,7 @@ def test_u1_is_z_rotation(rng):
     s1 = random_pauli_state(rng, 1)
     s2 = s1.copy()
     apply_u1(s1, 0, 0.9)
-    apply_single(s2, 0, rotation_transfer("z", 0.9))
+    apply_transfer(s2, (0,), rotation_transfer("z", 0.9))
     assert np.max(np.abs(s1.coeffs - s2.coeffs)) < 1e-15
 
 
@@ -173,9 +172,9 @@ def test_u3_is_zyz_composition(rng):
     s1 = random_pauli_state(rng, 1)
     s2 = s1.copy()
     apply_u3(s1, 0, 0.7, 0.2, -0.4)
-    apply_single(s2, 0, rotation_transfer("z", -0.4))
-    apply_single(s2, 0, rotation_transfer("y", 0.7))
-    apply_single(s2, 0, rotation_transfer("z", 0.2))
+    apply_transfer(s2, (0,), rotation_transfer("z", -0.4))
+    apply_transfer(s2, (0,), rotation_transfer("y", 0.7))
+    apply_transfer(s2, (0,), rotation_transfer("z", 0.2))
     assert np.max(np.abs(s1.coeffs - s2.coeffs)) < 1e-15
 
 
@@ -193,9 +192,9 @@ def test_u3_noise_applies_per_axis(rng):
     s1 = random_pauli_state(rng, 1)
     s2 = s1.copy()
     apply_u3(s1, 0, 0.7, 0.2, -0.4, noise)
-    apply_single(s2, 0, rotation_transfer("z", -0.4, noise))
-    apply_single(s2, 0, rotation_transfer("y", 0.7, noise))
-    apply_single(s2, 0, rotation_transfer("z", 0.2, noise))
+    apply_transfer(s2, (0,), rotation_transfer("z", -0.4, noise))
+    apply_transfer(s2, (0,), rotation_transfer("y", 0.7, noise))
+    apply_transfer(s2, (0,), rotation_transfer("z", 0.2, noise))
     assert np.max(np.abs(s1.coeffs - s2.coeffs)) < 1e-15
 
 
@@ -203,7 +202,7 @@ def test_u3_noise_applies_per_axis(rng):
 @given(a=ANGLES, b=ANGLES)
 def test_u1_angles_add(a, b):
     s1 = init_zero(1)
-    apply_single(s1, 0, named_gate_transfer("h"))
+    apply_transfer(s1, (0,), named_gate_transfer("h"))
     s2 = s1.copy()
     apply_u1(s1, 0, a)
     apply_u1(s1, 0, b)
@@ -229,7 +228,7 @@ def test_noiseless_cnot_matches_dense():
 
 def test_cnot_produces_bell_pair():
     s = init_zero(2)
-    apply_single(s, 0, named_gate_transfer("h"))
+    apply_transfer(s, (0,), named_gate_transfer("h"))
     apply_cnot(s, 0, 1)
     want = np.zeros(16)
     want[0] = 0.25  # II
@@ -288,7 +287,7 @@ def test_maximally_mixed_state_fixed_by_all_gates(rng):
     apply_u3(s, 0, 0.7, 0.2, -0.4, noise)
     apply_u1(s, 1, 0.5, noise)
     apply_cnot(s, 0, 1, noise)
-    apply_single(s, 1, named_gate_transfer("h"))
+    apply_transfer(s, (1,), named_gate_transfer("h"))
     assert np.max(np.abs(s.coeffs - coeffs)) < 1e-15
 
 
@@ -297,7 +296,7 @@ def test_unitary_gates_preserve_purity(rng):
     p0 = purity(s)
     apply_u3(s, 0, 0.7, 0.2, -0.4)
     apply_cnot(s, 1, 0)
-    apply_single(s, 0, named_gate_transfer("t"))
+    apply_transfer(s, (0,), named_gate_transfer("t"))
     assert abs(purity(s) - p0) < 1e-12
 
 

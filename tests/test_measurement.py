@@ -5,7 +5,7 @@ from helpers import random_pauli_state
 from paulisim import oracle
 from paulisim.circuit import NOISELESS, NoiseModel
 from paulisim.errors import InternalError
-from paulisim.gates import apply_cnot, apply_single, named_gate_transfer
+from paulisim.gates import apply_cnot, named_gate_transfer
 from paulisim.measurement import (
     BELL_LABELS,
     bell_measure,
@@ -14,7 +14,7 @@ from paulisim.measurement import (
     measure_qubit,
     reset_qubit,
 )
-from paulisim.state import PauliState, init_bitstring, init_uniform, init_zero
+from paulisim.state import PauliState, apply_transfer, init_bitstring, init_uniform, init_zero
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -22,7 +22,7 @@ X = np.array([1.0, 0.0, 0.0])
 
 def bell_pair() -> PauliState:
     s = init_zero(2)
-    apply_single(s, 0, named_gate_transfer("h"))
+    apply_transfer(s, (0,), named_gate_transfer("h"))
     apply_cnot(s, 0, 1)
     return s
 
@@ -198,7 +198,7 @@ def test_bell_measurement_distinguishes_all_four_states(rng):
     for label, flips in preps.items():
         s = bell_pair()
         for name, q in flips:
-            apply_single(s, q, named_gate_transfer(name))
+            apply_transfer(s, (q,), named_gate_transfer(name))
         dist = bell_measure(s, 0, 1)
         assert abs(dist[label] - 1.0) < 1e-12, label
 

@@ -12,6 +12,7 @@ from paulisim.errors import CapacityError, StateFormatError
 from paulisim.state import (
     DEFAULT_QUBIT_CAP,
     PauliState,
+    check_capacity,
     init_bitstring,
     init_thermal,
     init_uniform,
@@ -148,9 +149,9 @@ def test_validate_rejects_wrong_trace_and_purity():
 def test_capacity_cap_enforced():
     with pytest.raises(CapacityError):
         init_zero(DEFAULT_QUBIT_CAP + 1)
-    init_zero(3, max_qubits=3)
+    check_capacity(DEFAULT_QUBIT_CAP)  # the cap is inclusive
     with pytest.raises(CapacityError):
-        init_zero(4, max_qubits=3)
+        check_capacity(DEFAULT_QUBIT_CAP + 1)
 
 
 def test_save_load_round_trip_file(tmp_path, rng):
@@ -177,13 +178,18 @@ def test_load_rejects_bad_header_and_sizes(tmp_path):
     bad.write_text("not-a-state\n0.5\n")
     with pytest.raises(StateFormatError):
         load_state(bad)
-    # 3 coefficients is not a power of 4
-    bad.write_text("pauli-dm v1\n0.5\n0.1\n0.2\n")
-    with pytest.raises(StateFormatError):
+    # n=1 needs 4 coefficients
+    bad.write_text("pauli-dm v1 n=1\n0.5\n0.1\n0.2\n")
+    with pytest.raises(StateFormatError, match="expected 4 coefficients for n=1, got 3"):
         load_state(bad)
-    bad.write_text("pauli-dm v1\n0.5\nbogus\n0.0\n0.5\n")
-    with pytest.raises(StateFormatError):
+    bad.write_text("pauli-dm v1 n=1\n0.5\nbogus\n0.0\n0.5\n")
+    with pytest.raises(StateFormatError, match="coefficient 1 is not a number"):
         load_state(bad)
+    # only the header save_state writes: another version, or text around n=
+    for header in ("pauli-dm v12 n=1", "pauli-dm v1n=1", "pauli-dm v1 x n=1"):
+        bad.write_text(header + "\n0.5\n0.0\n0.0\n0.5\n")
+        with pytest.raises(StateFormatError, match="malformed header"):
+            load_state(bad)
 
 
 def test_load_rejects_coefficient_above_bound(tmp_path):
@@ -204,12 +210,12 @@ def test_load_rejects_state_that_is_not_positive(tmp_path):
         load_state(bad)
 
 
-def test_load_enforces_capacity(tmp_path, rng):
-    s = init_zero(3)
+def test_load_enforces_capacity(tmp_path):
+    # the header alone decides: no coefficient follows it to be read
     path = tmp_path / "state.txt"
-    save_state(s, path)
-    with pytest.raises(CapacityError):
-        load_state(path, max_qubits=2)
+    path.write_text(f"pauli-dm v1 n={DEFAULT_QUBIT_CAP + 1}\n")
+    with pytest.raises(CapacityError, match=f"file declares n={DEFAULT_QUBIT_CAP + 1}"):
+        load_state(path)
 
 
 @settings(max_examples=30, deadline=None)
