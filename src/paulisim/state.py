@@ -24,17 +24,29 @@ first three, and ``load_state`` checks positivity too, for files of at most
 
 Every state update is a Pauli transfer matrix (PTM) applied by
 ``apply_transfer`` or ``apply_product``, and every readout reads through
-``PauliState.tensor`` and ``.axis``, the only code that knows the digit
-layout.  A diagonal PTM is passed as its diagonal and applied as an in-place
-scaling of the coefficients; any other goes through a matmul.  Every PTM
-here has first row (1, 0, ..., 0), so ``a[0]`` comes out of each update bit
-for bit.
+``PauliState.tensor`` and ``.axis``.  A diagonal PTM is passed as its
+diagonal and applied as an in-place scaling of the coefficients; any other
+goes through a matmul.  Every PTM here has first row (1, 0, ..., 0), so
+``a[0]`` comes out of each update bit for bit.
+
+Qubit layout.  The buffer a ``PauliState`` holds need not be in the order
+above: it carries a private digit order, which qubit sits in each physical
+base-4 digit.  A matrix PTM on two qubits whose digits are apart moves the
+lower digit up to sit just below the higher one, in the one transposed copy
+the matmul needs anyway, and the buffer keeps that layout; a later update on
+the same pair runs on adjacent digits with no copy (the qubit remapping of
+Häner & Steiger, arXiv:1704.01127).  Diagonal and one-qubit PTMs, and
+``apply_product``, never move a digit.  The layout is invisible outside this
+module: ``coeffs`` is always in the logical order above, and reading it on a
+moved layout makes one transposed copy and resets the layout; ``tensor`` is
+a logical view of the buffer, with no copy.
 """
 
 from __future__ import annotations
 
 import io
 import re
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -55,18 +67,32 @@ PSD_TOL = 1e-9
 
 _FILE_HEADER = "pauli-dm v1"
 
+# where str.splitlines ends a line: the header is the file's first line
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+# two numbers on one line: numpy reads both, float() neither.  Searched only
+# when the body holds a space or tab: the scan alone takes 0.16 s at n = 9.
+_TWO_ON_A_LINE = re.compile(r"\S[ \t]+\S")
+
 
 class PauliState:
     """Mutable n-qubit state: qubit count plus the 4^n Pauli coefficients.
 
     Gate, measurement and noise operations update the state in place through
-    ``apply_transfer`` and ``apply_product``: a diagonal PTM scales
-    ``coeffs`` in place, any other replaces it by a new array.  Each keeps
-    the trace coefficient ``coeffs[0]`` bit-exact.  The constructor keeps
-    a float64 array as given, without a copy.
+    ``apply_transfer`` and ``apply_product``: a diagonal PTM scales the
+    buffer in place, any other replaces it by a new array.  Each keeps the
+    trace coefficient ``coeffs[0]`` bit-exact.
+
+    ``coeffs`` is always in logical order (qubit k on the k-th least
+    significant digit), but reading it may copy: after a matrix PTM on a
+    pair of qubits whose digits were apart, the buffer holds a moved layout,
+    and the read transposes it back into a new array.  The constructor keeps
+    a float64 array as given, without a copy, and ``coeffs`` returns that
+    same array until a far pair moves a digit; after that it does not.
     """
 
-    __slots__ = ("n", "coeffs")
+    # _layout[d] is the qubit in physical digit d; None is the identity
+    __slots__ = ("n", "_buf", "_layout")
 
     def __init__(self, n: int, coeffs: np.ndarray):
         if n < 1:
@@ -75,18 +101,35 @@ class PauliState:
         if coeffs.shape != (4**n,):
             raise ValueError(f"expected {4**n} coefficients for n={n}, got shape {coeffs.shape}")
         self.n = n
-        self.coeffs = coeffs
+        self._buf = coeffs
+        self._layout = None
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The 4^n coefficients in logical order; on a moved layout, a copy."""
+        if self._layout is not None:
+            self._buf = np.ascontiguousarray(self.tensor()).reshape(-1)
+            self._layout = None
+        return self._buf
 
     def copy(self) -> "PauliState":
-        return PauliState(self.n, self.coeffs.copy())
+        c = PauliState(self.n, self._buf.copy())
+        c._layout = self._layout
+        return c
 
     def tensor(self) -> np.ndarray:
         """View of the coefficients as an n-dimensional (4, 4, ..., 4) array.
 
         Axis ``n - 1 - k`` of the view indexes the Pauli digit of qubit ``k``
         (C-order flattening puts qubit 0 in the least significant digit).
+        On a moved layout the view is transposed; it never copies.
         """
-        return self.coeffs.reshape((4,) * self.n)
+        n, layout = self.n, self._layout
+        t = self._buf.reshape((4,) * n)
+        if layout is None:
+            return t
+        # qubit k sits in digit layout.index(k), buffer axis n - 1 - digit
+        return t.transpose([n - 1 - layout.index(k) for k in reversed(range(n))])
 
     def axis(self, k: int) -> int:
         """Tensor-view axis belonging to qubit ``k``."""
@@ -119,7 +162,9 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
 
     For m = 2 the matrix index is 4 * digit(qubits[0]) + digit(qubits[1]),
     the first listed qubit kron-major.  A 1-D ``t`` of length 4^m is the
-    diagonal of a diagonal transfer matrix; it scales ``coeffs`` in place.
+    diagonal of a diagonal transfer matrix; it scales the buffer in place.
+    A matrix on two qubits whose digits are apart leaves the state in a
+    moved layout (see the module docstring).
     """
     n, m = state.n, len(qubits)
     size = 4**m
@@ -129,9 +174,13 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
         )
     for k in qubits:
         state.axis(k)  # range check
+    layout = state._layout
+    if layout is not None:  # from here on, qubits names physical digits
+        q = qubits  # spelled out, not tuple(map(...)): this runs on every update
+        qubits = (layout.index(q[0]),) if m == 1 else (layout.index(q[0]), layout.index(q[1]))
     hi, lo = max(qubits), min(qubits)
     rows, mid, cols = 4 ** (n - 1 - hi), 4 ** max(hi - lo - 1, 0), 4**lo
-    x = state.coeffs
+    x = state._buf
     if t.ndim == 1:  # a diagonal: one broadcast multiply, no copy
         if m == 1:
             view, w = x.reshape(rows, 4, cols), t[:, None]
@@ -142,49 +191,52 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
         if not t.all():  # 0 * a negative is -0.0, where the matmul gives +0.0
             np.add(x, 0.0, out=x)
         return
-    if m == 2 and qubits[0] < qubits[1]:  # put the more significant qubit's digit first
+    if m == 2 and qubits[0] < qubits[1]:  # put the more significant digit first
         t = t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
     if mid > 1:
         # Digits apart: a matmul cannot contract two axes with a gap between
-        # them, so the lo digit moves up next to hi for the product (one
-        # copy) and back down after it (a second, into the first's buffer).
+        # them, so the lo digit moves up to sit just below hi (one copy) and
+        # stays there.  The old buffer goes before the matmul allocates.
         x = np.ascontiguousarray(x.reshape(rows, 4, mid, 4, cols).transpose(0, 1, 3, 2, 4))
+        state._buf = x
+        old = layout or tuple(range(n))
+        layout = old[:lo] + old[lo + 1 : hi] + (old[lo],) + old[hi:]
+        state._layout = None if layout == tuple(range(n)) else layout
     x = x.reshape(rows, len(t), mid * cols)
     if mid * cols == 1:  # digits last; t @ x would run `rows` tiny products
         out = x[:, :, 0] @ t.T
     else:
         out = np.matmul(t, x)
-    if mid > 1:
-        back = out.reshape(rows, 4, 4, mid, cols).transpose(0, 1, 3, 2, 4)
-        out = x.reshape(rows, 4, mid, 4, cols)
-        out[...] = back
-    state.coeffs = out.reshape(-1)
+    state._buf = out.reshape(-1)
 
 
 def apply_product(state: PauliState, t: np.ndarray) -> None:
     """Apply the same 4x4 transfer, or 4-entry diagonal, to every qubit.
 
-    A matrix goes in ceil(n / 2) kron(t, t) passes.  A diagonal scales
-    ``coeffs`` in place twice: by its n-fold product over the high half of
-    the digits, then over the low half.
+    A matrix goes in ceil(n / 2) kron(t, t) passes over adjacent physical
+    digits, so it moves no digit whatever the layout.  A diagonal scales the
+    buffer in place twice: by its n-fold product over the high half of the
+    digits, then over the low half.
     """
     if t.shape not in ((4,), (4, 4)):
         raise ValueError(f"need a 4x4 transfer or its diagonal, got {t.shape}")
+    n = state.n
     if t.ndim == 1:
-        low = state.n // 2
-        w_hi = reduce(np.kron, [t] * (state.n - low), np.ones(1))
+        low = n // 2
+        w_hi = reduce(np.kron, [t] * (n - low), np.ones(1))
         w_lo = reduce(np.kron, [t] * low, np.ones(1))
-        x = state.coeffs.reshape(len(w_hi), len(w_lo))
+        x = state._buf.reshape(len(w_hi), len(w_lo))
         np.multiply(x, w_hi[:, None], out=x)
         np.multiply(x, w_lo, out=x)
         if not t.all():
             np.add(x, 0.0, out=x)
         return
     pair = np.kron(t, t)
-    for lo in range(0, state.n - 1, 2):
-        apply_transfer(state, (lo + 1, lo), pair)
-    if state.n % 2:
-        apply_transfer(state, (state.n - 1,), t)
+    at = state._layout or range(n)  # the qubit in each physical digit
+    for lo in range(0, n - 1, 2):
+        apply_transfer(state, (at[lo + 1], at[lo]), pair)
+    if n % 2:
+        apply_transfer(state, (at[n - 1],), t)
 
 
 def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
@@ -286,6 +338,45 @@ def save_state(s: PauliState, sink: str | Path | io.TextIOBase) -> None:
         sink.write(text)
 
 
+def _read_coefficients(body: str, n: int) -> np.ndarray:
+    """The 4^n coefficients of a state file body, one per line, blank lines skipped.
+
+    numpy parses the body in one call into the array.  Only when that parse
+    fails, or reads text ``float`` would refuse (two numbers on one line),
+    are the lines walked one by one, for the first bad one and its error.
+    """
+    try:
+        with warnings.catch_warnings():  # numpy < 2 warns on unread text, then returns a prefix
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(body, sep="\n")
+    except (ValueError, DeprecationWarning):
+        values = None
+    if (
+        values is not None
+        and len(values) == 4**n
+        and np.isfinite(values).all()
+        and not ((" " in body or "\t" in body) and _TWO_ON_A_LINE.search(body))
+    ):
+        return values
+    found = []
+    for line in body.splitlines():
+        if not line.strip():
+            continue
+        try:
+            v = float(line)
+        except ValueError:
+            raise StateFormatError(f"coefficient {len(found)} is not a number: {line!r}") from None
+        if not np.isfinite(v):
+            raise StateFormatError(f"coefficient {len(found)} is not finite: {line!r}")
+        found.append(v)
+    if len(found) != 4**n:
+        raise StateFormatError(
+            f"expected {4 ** n} coefficients for n={n}, got {len(found)}"
+            f" (first missing index {min(len(found), 4 ** n)})"
+        )
+    return np.array(found)
+
+
 def load_state(source: str | Path | io.TextIOBase) -> PauliState:
     """Read a coefficient file and check the state invariants.
 
@@ -296,35 +387,22 @@ def load_state(source: str | Path | io.TextIOBase) -> PauliState:
         text = Path(source).read_text()
     else:
         text = source.read()
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_FILE_HEADER):
+    brk = _LINE_BREAK.search(text)
+    start, end = brk.span() if brk else (len(text), len(text))
+    header, body = text[:start], text[end:]
+    del text, brk  # the match holds the text too: keep one copy of the file, not two
+    if not header.startswith(_FILE_HEADER):
         raise StateFormatError(f"missing header line {_FILE_HEADER!r} n=<n>")
-    m = re.fullmatch(_FILE_HEADER + r" n=(-?[0-9]+)", lines[0])  # only what save_state writes
+    m = re.fullmatch(_FILE_HEADER + r" n=(-?[0-9]+)", header)  # only what save_state writes
     if m is None:
-        raise StateFormatError(f"malformed header {lines[0]!r}")
+        raise StateFormatError(f"malformed header {header!r}")
     n = int(m[1])
     if n < 1:
         raise StateFormatError(f"header declares invalid qubit count {n}")
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"file declares n={n}, above the qubit cap of {DEFAULT_QUBIT_CAP}")
 
-    values = []
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        try:
-            v = float(line)
-        except ValueError:
-            raise StateFormatError(f"coefficient {len(values)} is not a number: {line!r}") from None
-        if not np.isfinite(v):
-            raise StateFormatError(f"coefficient {len(values)} is not finite: {line!r}")
-        values.append(v)
-    if len(values) != 4**n:
-        raise StateFormatError(
-            f"expected {4 ** n} coefficients for n={n}, got {len(values)}"
-            f" (first missing index {min(len(values), 4 ** n)})"
-        )
-    state = PauliState(n, np.array(values))
+    state = PauliState(n, _read_coefficients(body, n))
     state.validate()
     from . import oracle  # here, not at the top: oracle imports this module
 

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,42 @@ def test_load_rejects_bad_header_and_sizes(tmp_path):
         bad.write_text(header + "\n0.5\n0.0\n0.0\n0.5\n")
         with pytest.raises(StateFormatError, match="malformed header"):
             load_state(bad)
+
+
+def test_load_names_the_first_bad_coefficient(tmp_path):
+    bad = tmp_path / "bad.txt"
+    for body, match in [
+        ("0.5\n0.0\ninf\n0.5\n", "coefficient 2 is not finite: 'inf'"),
+        ("0.5\n0.0 0.0\n0.5\n", "coefficient 1 is not a number: '0.0 0.0'"),  # numpy reads two
+        ("0.5\n0.0\n", r"expected 4 coefficients for n=1, got 2 \(first missing index 2\)"),
+        ("0.5\n0.0\n0.0\n0.5\n0.0\n", r"got 5 \(first missing index 4\)"),
+    ]:
+        bad.write_text("pauli-dm v1 n=1\n" + body)
+        with pytest.raises(StateFormatError, match=match):
+            load_state(bad)
+    bad.write_text("pauli-dm v1 n=1\n\n0.5\n\n0.0\n0.0\n  \n0.5\n")  # blank lines are skipped
+    assert np.array_equal(load_state(bad).coeffs, [0.5, 0.0, 0.0, 0.5])
+
+
+def test_load_peak_memory_is_the_file_text_plus_the_state(tmp_path):
+    # 9 qubits: above the oracle cap, so no dense positivity check allocates
+    n = 9
+    coeffs = np.zeros(4**n)
+    coeffs[0] = 2.0**-n
+    coeffs[1:] = np.random.default_rng(1).uniform(-1e-3, 1e-3, 4**n - 1) * 2.0**-n
+    path = tmp_path / "nine.state"
+    save_state(PauliState(n, coeffs), path)
+    file_bytes = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.coeffs, coeffs)
+    # reading holds the file's bytes and its text at once; then the array and
+    # one temporary of the invariant check
+    assert peak <= 2 * file_bytes + 2 * coeffs.nbytes + 65536, f"{peak / coeffs.nbytes:.1f}x the state"
 
 
 def test_load_rejects_coefficient_above_bound(tmp_path):

@@ -1,5 +1,6 @@
 """The transfer kernel: layout, memory, trace row, and engine vs oracle."""
 
+import io
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,10 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit_text, random_pauli_state
-from paulisim import gates, measurement, memory
+from paulisim import gates, measurement, memory, oracle
 from paulisim.circuit import NOISE_KEYS, NoiseModel
 from paulisim.engine import run_circuit, verify_circuit
-from paulisim.state import PauliState, apply_product, apply_transfer, save_state
+from paulisim.state import (
+    PauliState,
+    apply_product,
+    apply_transfer,
+    load_state,
+    overlap,
+    partial_trace,
+    purity,
+    save_state,
+)
 
 
 def reference_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> np.ndarray:
@@ -87,6 +97,76 @@ def test_apply_transfer_rejects_bad_operands():
         apply_transfer(s, (3,), np.eye(4))
 
 
+# --- a moved qubit layout -------------------------------------------------------
+
+
+def moved(s: PauliState) -> PauliState:
+    """``s`` after a cx on its outermost pair, which leaves its digits moved."""
+    gates.apply_cnot(s, 0, s.n - 1)
+    assert s._layout is not None  # private, but every test below is void without it
+    return s
+
+
+def canonical(s: PauliState) -> PauliState:
+    """A copy of ``s`` in the identity layout; ``s`` itself stays moved."""
+    return PauliState(s.n, s.copy().coeffs)
+
+
+def test_apply_transfer_matches_reference_on_a_moved_layout(rng):
+    for n in (3, 5):
+        placements = [(k,) for k in range(n)]
+        placements += [(a, b) for a in range(n) for b in range(n) if a != b]
+        for qubits in placements:
+            for ndim in (2, 1):
+                s = moved(PauliState(n, rng.standard_normal(4**n)))
+                t = rng.standard_normal((4 ** len(qubits),) * ndim)
+                want = reference_transfer(canonical(s), qubits, t)
+                apply_transfer(s, qubits, t)
+                assert np.max(np.abs(s.coeffs - want)) < 1e-12, (n, qubits, ndim)
+        for shape in ((4, 4), (4,)):
+            s = moved(PauliState(n, rng.standard_normal(4**n)))
+            t = rng.standard_normal(shape)
+            want = canonical(s)
+            for k in range(n):
+                apply_transfer(want, (k,), t)
+            apply_product(s, t)
+            assert s._layout is not None  # a product moves no digit
+            assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, (n, shape)
+
+
+def test_readers_see_logical_order_on_a_moved_layout():
+    n = 4
+
+    def start(seed=3):
+        return random_pauli_state(np.random.default_rng(seed), n)
+
+    want = reference_transfer(start(), (0, n - 1), gates.cnot_transfer())
+    assert np.max(np.abs(moved(start()).coeffs - want)) < 1e-12
+
+    s = moved(start())
+    c = canonical(s)
+    assert np.array_equal(s.tensor(), c.tensor())
+    assert s._layout is not None  # the view copies nothing and keeps the layout
+    assert np.array_equal(oracle.to_dense(s).rho, oracle.to_dense(c).rho)
+    for k in range(n):
+        assert np.array_equal(partial_trace(s, k).coeffs, partial_trace(c, k).coeffs), k
+    d = s.copy()
+    assert np.array_equal(d.coeffs, c.coeffs)
+    d.coeffs[1] += 1.0
+    assert np.array_equal(s.coeffs, c.coeffs)  # the copy owns its buffer
+    assert purity(moved(start())) == purity(c)
+    other = moved(start(seed=4))
+    assert overlap(moved(start()), other) == overlap(c, canonical(other))
+
+    texts = []
+    for state in (moved(start()), c):
+        sink = io.StringIO()
+        save_state(state, sink)
+        texts.append(sink.getvalue())
+    assert texts[0] == texts[1]
+    assert np.array_equal(load_state(io.StringIO(texts[0])).coeffs, c.coeffs)
+
+
 # --- memory and the trace row -------------------------------------------------
 
 _ROT = NoiseModel(alpha_x=0.01, r_y=0.99, alpha_cx=0.02, r_cx=0.97)
@@ -128,6 +208,45 @@ def test_update_peak_memory_and_trace_row(kind):
         tracemalloc.stop()
     assert peak <= 2 * state_bytes + _OBJECT_SLACK, f"{kind}: {peak / state_bytes:.2f}x the state"
     assert s.coeffs[0].tobytes() == trace.tobytes()
+
+
+def _values(out) -> np.ndarray:
+    """An update's readout as a flat array: probabilities, expectation, or none."""
+    return np.array(list(out.values()) if isinstance(out, dict) else [] if out is None else out)
+
+
+@pytest.mark.parametrize("kind", sorted(UPDATES))
+def test_update_on_a_moved_layout_matches_the_identity_layout(kind):
+    s = moved(random_pauli_state(np.random.default_rng(8), 8))
+    c = canonical(s)
+    trace = s.tensor()[(0,) * 8]
+    state_bytes = s.tensor().nbytes
+    tracemalloc.start()
+    try:
+        got = UPDATES[kind](s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = UPDATES[kind](c)
+    assert peak <= 2 * state_bytes + _OBJECT_SLACK, f"{kind}: {peak / state_bytes:.2f}x the state"
+    assert np.max(np.abs(_values(got) - _values(want)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(s.coeffs - c.coeffs)) <= 1e-12
+    assert s.coeffs[0].tobytes() == trace.tobytes()
+
+
+def test_a_second_far_cx_on_the_same_pair_allocates_only_its_output():
+    # the first cx moves qubit 1's digit up next to qubit 6's; the second
+    # finds the pair adjacent, so it needs no transposed copy
+    s = random_pauli_state(np.random.default_rng(8), 8)
+    UPDATES["cx apart"](s)
+    state_bytes = s.tensor().nbytes
+    tracemalloc.start()
+    try:
+        UPDATES["cx apart"](s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state_bytes + _OBJECT_SLACK, f"{peak / state_bytes:.2f}x the state"
 
 
 IN_PLACE = ("bell", "decohere", "ensemble", "expect", "measure", "measure_x", "measure -y")
