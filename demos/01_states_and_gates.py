@@ -21,7 +21,8 @@ apply_transfer(s, (0,), named_gate_transfer("h"))
 apply_cnot(s, 0, 1)
 print("\nBell pair purity:", purity(s))
 print("Bell pair coefficients as a 4x4 grid (rows: qubit 1, cols: qubit 0):")
-print(s.tensor())
+with np.printoptions(suppress=True):  # h as u3(pi/2, 0, pi) leaves ~1e-17 entries
+    print(s.tensor())
 
 # the same four Pauli strings II, XX, YY, ZZ carry all the weight
 labels = {0: "II", 5: "XX", 10: "YY", 15: "ZZ"}

@@ -17,9 +17,9 @@ line, header ``qubits N`` first:
     reset q[i]
     barrier
 
-Angles are decimal literals or ``pi``/``pi/INT``, optionally signed.  In
-``expect`` strings and in all printed bitstrings the RIGHTMOST character is
-qubit 0; reports print the most significant bit first.
+Angles are decimal literals or ``pi``/``pi/INT`` (INT >= 1), with at most
+one sign.  In ``expect`` strings and in all printed bitstrings the RIGHTMOST
+character is qubit 0; reports print the most significant bit first.
 
 Noise configuration files hold ``key = value`` lines (same comment rule,
 repeated keys: last one wins).  Omitted keys default to the noiseless value.
@@ -33,7 +33,20 @@ from dataclasses import dataclass, fields
 
 from .errors import CircuitSyntaxError
 
-NAMED_GATE_KINDS = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
+# Each named gate's select-set form, ("u1", (lam,)) or ("u3", (theta, phi,
+# lam)): the one definition outside the oracle.  transpile.decompose lowers
+# the gate to it, and gates.named_gate_transfer builds its PTM from it.
+_NAMED_SELECT: dict[str, tuple[str, tuple[float, ...]]] = {
+    "x": ("u3", (math.pi, 0.0, math.pi)),
+    "y": ("u3", (math.pi, math.pi / 2, math.pi / 2)),
+    "z": ("u1", (math.pi,)),
+    "h": ("u3", (math.pi / 2, 0.0, math.pi)),
+    "s": ("u1", (math.pi / 2,)),
+    "sdg": ("u1", (-math.pi / 2,)),
+    "t": ("u1", (math.pi / 4,)),
+    "tdg": ("u1", (-math.pi / 4,)),
+}
+NAMED_GATE_KINDS = tuple(_NAMED_SELECT)
 GATE_KINDS = NAMED_GATE_KINDS + ("u1", "u2", "u3", "cx", "ccx")
 MEASURE_KINDS = ("measure", "measure_x", "measure_y", "reset")
 SOLO_KINDS = ("expect", "ensemble", "bell")
@@ -64,29 +77,27 @@ class Instruction:
     string: str = ""
 
 
+# one optional sign, then pi, pi/INT with INT >= 1, or a decimal literal;
+# re.A: \d is ASCII only, where int() and float() take any script's digits
+_ANGLE = re.compile(r"[+-]?(?:pi(?:/(0*[1-9]\d*))?|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", re.A)
+_OPERAND = re.compile(r"q\[(\d+)\]", re.A)
+_INSTRUCTION = re.compile(r"([a-z_][a-z_0-9]*)(?:\s*\(([^)]*)\))?(?:\s+(.*))?")
+_HEADER = re.compile(r"qubits\s+(\d+)", re.A)
+
+
 def _parse_angle(token: str, lineno: int) -> float:
     t = token.strip()
     if not t:
         raise CircuitSyntaxError("empty angle", lineno)
-    sign = 1.0
-    if t[:1] in "+-":
-        sign = -1.0 if t[0] == "-" else 1.0
-        t = t[1:]
-    if t == "pi":
-        return sign * math.pi
-    m = re.fullmatch(r"pi/(\d+)", t)
-    if m:
-        div = int(m.group(1))
-        if div == 0:
-            raise CircuitSyntaxError(f"malformed angle {token.strip()!r}", lineno)
-        return sign * math.pi / div
-    try:
-        v = float(t)
-    except ValueError:
-        raise CircuitSyntaxError(f"malformed angle {token.strip()!r}", lineno) from None
+    m = _ANGLE.fullmatch(t)
+    if not m:
+        raise CircuitSyntaxError(f"malformed angle {t!r}", lineno)
+    if "pi" in t:
+        return (-math.pi if t[0] == "-" else math.pi) / int(m.group(1) or 1)
+    v = float(t)
     if not math.isfinite(v):
-        raise CircuitSyntaxError(f"angle {token.strip()!r} is not finite", lineno)
-    return sign * v
+        raise CircuitSyntaxError(f"angle {t!r} is not finite", lineno)
+    return v
 
 
 def _parse_operands(rest: str, count: int, n: int, lineno: int) -> tuple[int, ...]:
@@ -95,7 +106,7 @@ def _parse_operands(rest: str, count: int, n: int, lineno: int) -> tuple[int, ..
         raise CircuitSyntaxError(f"expected {count} qubit operand(s), got {len(parts)}", lineno)
     qubits = []
     for p in parts:
-        m = re.fullmatch(r"q\[(\d+)\]", p)
+        m = _OPERAND.fullmatch(p)
         if not m:
             raise CircuitSyntaxError(f"malformed operand {p!r}, expected q[INDEX]", lineno)
         q = int(m.group(1))
@@ -108,7 +119,7 @@ def _parse_operands(rest: str, count: int, n: int, lineno: int) -> tuple[int, ..
 
 
 def _parse_instruction(line: str, n: int, lineno: int) -> Instruction:
-    m = re.fullmatch(r"([a-z_][a-z_0-9]*)(?:\s*\(([^)]*)\))?(?:\s+(.*))?", line)
+    m = _INSTRUCTION.fullmatch(line)
     if not m:
         raise CircuitSyntaxError(f"cannot parse {line!r}", lineno)
     name, angle_src, rest = m.group(1), m.group(2), (m.group(3) or "").strip()
@@ -161,7 +172,7 @@ def parse_circuit(text: str) -> tuple[int, list[Instruction]]:
         if not line:
             continue
         if n is None:
-            m = re.fullmatch(r"qubits\s+(\d+)", line)
+            m = _HEADER.fullmatch(line)
             if not m:
                 raise CircuitSyntaxError("expected 'qubits N' header before instructions", lineno)
             n = int(m.group(1))

@@ -12,6 +12,13 @@ automatically completely positive, and averaging the two angles reproduces
 the substitution identically (cos(t + d) + cos(t - d) = 2 cos(t) cos(d)).
 The same two-point mixture drives the noisy controlled-NOT, whose pulse
 error turns the target flip into R_x(alpha) sigma_x.
+
+One builder, ``rotation_transfer``, makes every one-qubit PTM: it writes the
+mixture from cos/sin scalars into a copy of the identity in a few
+microseconds, so nothing is cached; u3 multiplies three.  A named gate's PTM
+is that of its select-set form in ``circuit._NAMED_SELECT``, which is what
+the engine runs.  Only the cx PTM is cached: a noisy one takes two 16x16
+Pauli conjugations of 256 traces each, about 6 ms.
 """
 
 from __future__ import annotations
@@ -20,101 +27,52 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import NOISELESS, NoiseModel
+from .circuit import _NAMED_SELECT, NOISELESS, NoiseModel
 from .state import PauliState, apply_transfer
 
 # cyclic partner components (v, w) for each rotation axis: a_v' = c a_v - s a_w
 _CYCLIC = {"x": (2, 3), "y": (3, 1), "z": (1, 2)}
 
-
-def _exact_rotation(axis: str, angle: float) -> np.ndarray:
-    if axis not in _CYCLIC:
-        raise ValueError(f"unknown rotation axis {axis!r}")
-    v, w = _CYCLIC[axis]
-    c, s = np.cos(angle), np.sin(angle)
-    t = np.eye(4)
-    t[v, v] = c
-    t[v, w] = -s
-    t[w, v] = s
-    t[w, w] = c
-    return t
-
-
-@lru_cache(maxsize=4096)
-def _rotation_cached(axis: str, theta: float, alpha: float, r: float) -> np.ndarray:
-    delta0 = np.arccos(r)
-    t = 0.5 * (
-        _exact_rotation(axis, theta + alpha + delta0)
-        + _exact_rotation(axis, theta + alpha - delta0)
-    )
-    t.setflags(write=False)
-    return t
+_IDENTITY = np.eye(4)
+_IDENTITY.setflags(write=False)
 
 
 def rotation_transfer(axis: str, theta: float, noise: NoiseModel = NOISELESS) -> np.ndarray:
-    """4x4 transfer of a (possibly noisy) rotation about x, y or z."""
+    """4x4 transfer of a (possibly noisy) rotation about x, y or z.
+
+    The mean of the exact rotations R1, R2 by theta + alpha +- arccos(r),
+    rounded as 0.5 * (R1 + R2): the (v, w) entry is 0.5 * (-s1 + -s2), which
+    is +0.0 where -(0.5 * (s1 + s2)) would be -0.0.
+    """
+    if axis not in _CYCLIC:
+        raise ValueError(f"unknown rotation axis {axis!r}")
+    v, w = _CYCLIC[axis]
     alpha, r = noise.axis(axis)
-    return _rotation_cached(axis, float(theta), alpha, r)
+    delta0 = np.arccos(r)
+    a1, a2 = float(theta) + alpha + delta0, float(theta) + alpha - delta0
+    s1, s2 = np.sin(a1), np.sin(a2)
+    t = _IDENTITY.copy()
+    t[v, v] = t[w, w] = 0.5 * (np.cos(a1) + np.cos(a2))
+    t[v, w] = 0.5 * (-s1 + -s2)
+    t[w, v] = 0.5 * (s1 + s2)
+    return t
 
 
-_SQ = 1.0 / np.sqrt(2.0)
-
-_NAMED: dict[str, np.ndarray] = {
-    "x": np.diag([1.0, 1.0, -1.0, -1.0]),
-    "y": np.diag([1.0, -1.0, 1.0, -1.0]),
-    "z": np.diag([1.0, -1.0, -1.0, 1.0]),
-    # a1 <-> a3 and a2 -> -a2 (conjugation by H negates sigma_y)
-    "h": np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-        ]
-    ),
-    "s": np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    ),
-    "sdg": np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    ),
-    "t": np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, _SQ, -_SQ, 0.0],
-            [0.0, _SQ, _SQ, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    ),
-    "tdg": np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, _SQ, _SQ, 0.0],
-            [0.0, -_SQ, _SQ, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    ),
-}
-for _t in _NAMED.values():
-    _t.setflags(write=False)
+def _u3_transfer(theta: float, phi: float, lam: float, noise: NoiseModel) -> np.ndarray:
+    """R_z(phi) R_y(theta) R_z(lam), each factor with its own axis's noise."""
+    t = rotation_transfer("z", phi, noise) @ rotation_transfer("y", theta, noise)
+    return t @ rotation_transfer("z", lam, noise)
 
 
 def named_gate_transfer(name: str) -> np.ndarray:
-    """Exact 4x4 transfer of one of x, y, z, h, s, sdg, t, tdg."""
+    """Noiseless 4x4 transfer of x, y, z, h, s, sdg, t or tdg, from its select-set form."""
     try:
-        return _NAMED[name]
+        kind, angles = _NAMED_SELECT[name]
     except KeyError:
         raise ValueError(f"unknown gate name {name!r}") from None
+    if kind == "u1":
+        return rotation_transfer("z", *angles)
+    return _u3_transfer(*angles, NOISELESS)
 
 
 def apply_u1(state: PauliState, k: int, lam: float, noise: NoiseModel = NOISELESS) -> None:
@@ -135,8 +93,7 @@ def apply_u3(
     Each Euler factor carries its own axis's noise parameters; the three
     transfers are multiplied into one, so the state sees a single pass.
     """
-    t = rotation_transfer("z", phi, noise) @ rotation_transfer("y", theta, noise)
-    apply_transfer(state, (k,), t @ rotation_transfer("z", lam, noise))
+    apply_transfer(state, (k,), _u3_transfer(theta, phi, lam, noise))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ import numpy as np
 from .circuit import (
     GATE_KINDS,
     MEASURE_KINDS,
-    NAMED_GATE_KINDS,
     SOLO_KINDS,
+    _NAMED_SELECT,
     Instruction,
     format_instruction,
 )
@@ -59,17 +59,6 @@ def _touched(ins: Instruction, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Decomposition to the select set
 
-_NAMED_SELECT: dict[str, tuple[str, tuple[float, ...]]] = {
-    "z": ("u1", (_PI,)),
-    "s": ("u1", (_PI / 2,)),
-    "sdg": ("u1", (-_PI / 2,)),
-    "t": ("u1", (_PI / 4,)),
-    "tdg": ("u1", (-_PI / 4,)),
-    "x": ("u3", (_PI, 0.0, _PI)),
-    "y": ("u3", (_PI, _PI / 2, _PI / 2)),
-    "h": ("u3", (_PI / 2, 0.0, _PI)),
-}
-
 
 def _toffoli_sequence(a: int, b: int, t: int) -> list[Instruction]:
     """Toffoli as 6 controlled-NOTs plus one-qubit gates (exact, phase-free)."""
@@ -96,7 +85,8 @@ def _toffoli_sequence(a: int, b: int, t: int) -> list[Instruction]:
 def decompose(instructions: list[Instruction]) -> list[Instruction]:
     """Rewrite every gate into the select set {u1, u3, cx}.
 
-    Measurements, reset and barriers pass through untouched.
+    Named gates take their forms in ``circuit._NAMED_SELECT``; u2 and ccx
+    expand; measurements, reset, solo readouts and barriers pass untouched.
     """
     out: list[Instruction] = []
     for ins in instructions:

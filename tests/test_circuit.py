@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit_text
@@ -64,8 +65,14 @@ def test_syntax_errors_carry_line_numbers():
         ("qubits 1\nu1(2*pi) q[0]\n", 2),  # unsupported expression
         ("qubits 1\nu1(pi/0) q[0]\n", 2),
         ("qubits 1\nu1(inf) q[0]\n", 2),
+        ("qubits 1\nu1(--1) q[0]\n", 2),  # one sign at most
+        ("qubits 1\nu1(+-1) q[0]\n", 2),
+        ("qubits 1\nu1(- 1) q[0]\n", 2),  # no space after the sign
+        ("qubits 1\nu1(1_0) q[0]\n", 2),  # no digit separators
         ("qubits 1\nx q[1]\n", 2),  # out of range
         ("qubits 1\nx q0\n", 2),  # malformed operand
+        ("qubits 2\nx q[\u0661]\n", 2),  # Arabic-Indic digit one: ASCII digits only
+        ("qubits \u0662\n", 1),  # Arabic-Indic digit two
         ("qubits 2\ncx q[0],q[0]\n", 2),  # duplicate operand
         ("qubits 2\ncx q[0]\n", 2),  # arity
         ("qubits 2\nexpect Z\n", 2),  # wrong string length
@@ -102,6 +109,17 @@ def test_print_parse_round_trip_random(seed, n):
     num, ins = parse_circuit(text)
     again_n, again = parse_circuit(print_circuit(num, ins))
     assert again_n == num and again == ins
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=1e-05)
+@example(x=-0.0)
+@example(x=5e-324)
+def test_printed_angle_parses_back_to_the_same_bits(x):
+    text = print_circuit(1, [Instruction("u1", (0,), (x,))])
+    _, (ins,) = parse_circuit(text)
+    assert struct.pack("<d", ins.angles[0]) == struct.pack("<d", x)
 
 
 def test_format_instruction_examples():
@@ -186,6 +204,8 @@ def test_parse_noise_config_errors():
     assert "line 1" in str(err.value)
     with pytest.raises(ValueError):
         parse_noise_config("r_x = 1.5\n")
+    with pytest.raises(ValueError, match="line 2: malformed value for 'f'"):
+        parse_noise_config("g = 1\nf = --0.5\n")
 
 
 def test_parse_noise_config_empty_is_default():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_pauli_state
 from paulisim import oracle
-from paulisim.circuit import NOISELESS, NoiseModel
+from paulisim.circuit import NAMED_GATE_KINDS, NOISELESS, Instruction, NoiseModel
 from paulisim.gates import (
     apply_cnot,
     apply_u1,
@@ -18,6 +18,7 @@ from paulisim.gates import (
     transfer_from_unitary,
 )
 from paulisim.state import apply_transfer, init_zero, purity
+from paulisim.transpile import decompose
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -155,6 +156,53 @@ def test_rotation_transfer_always_trace_preserving(theta, r, alpha, axis):
 def test_exact_rotation_is_orthogonal(theta, axis):
     t = rotation_transfer(axis, theta)
     assert np.max(np.abs(t @ t.T - np.eye(4))) < 1e-12
+
+
+def _mean_of_two_rotations(axis: str, theta: float, alpha: float, r: float) -> np.ndarray:
+    """0.5 * (R(theta + alpha + d0) + R(theta + alpha - d0)) as whole matrices."""
+    v, w = {"x": (2, 3), "y": (3, 1), "z": (1, 2)}[axis]
+    delta0 = np.arccos(r)
+
+    def exact(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        t = np.eye(4)
+        t[v, v], t[v, w], t[w, v], t[w, w] = c, -s, s, c
+        return t
+
+    return 0.5 * (exact(theta + alpha + delta0) + exact(theta + alpha - delta0))
+
+
+def test_rotation_transfer_is_the_mean_of_two_rotations_to_the_bit():
+    # bytes, not array_equal, which treats -0.0 and +0.0 as equal
+    thetas = [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]
+    thetas += list(np.random.default_rng(3).uniform(-7.0, 7.0, 8))
+    for axis, (v, w) in (("x", (2, 3)), ("y", (3, 1)), ("z", (1, 2))):
+        for theta in thetas:
+            for alpha in (0.0, 0.05, -theta):
+                for r in (1.0, 0.99, 0.5, 0.0):
+                    noise = NoiseModel(**{f"alpha_{axis}": alpha, f"r_{axis}": r})
+                    t = rotation_transfer(axis, theta, noise)
+                    want = _mean_of_two_rotations(axis, theta, alpha, r)
+                    assert t.tobytes() == want.tobytes(), (axis, theta, alpha, r)
+                    if alpha == -theta and r < 1.0:
+                        # 0.5 * ((-s) + s) is +0.0; -(0.5 * (s - s)) would be -0.0
+                        assert t[v, w] == 0.0 and not np.signbit(t[v, w])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_named_gate_transfer_is_what_the_engine_runs(n):
+    rng = np.random.default_rng(n)
+    for name in NAMED_GATE_KINDS:
+        for k in range(n):
+            s = random_pauli_state(rng, n)
+            ran = s.copy()
+            apply_transfer(s, (k,), named_gate_transfer(name))
+            for ins in decompose([Instruction(name, (k,))]):
+                if ins.kind == "u1":
+                    apply_u1(ran, k, *ins.angles)
+                else:
+                    apply_u3(ran, k, *ins.angles)
+            assert s.coeffs.tobytes() == ran.coeffs.tobytes(), (name, k)
 
 
 # --- u1 / u3 ----------------------------------------------------------------
