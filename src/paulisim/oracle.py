@@ -9,10 +9,15 @@ operators, or a weighted set of unitaries, into a complex Liouville matrix
 S = sum w K kron conj(K), and ``apply_superop`` contracts S into the
 (row bit, column bit) axes of its qubits.  An ideal gate is the channel of
 its one unitary; channels in sequence on the same qubits are composed into
-one S first.  ``apply_kraus`` and ``apply_unitary`` stay as the plain
-definitions that route is pinned to in tests.  The point is an independent
-second route for every operation the coefficient engine implements: nothing
-here comes from the engine's kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
+one S first.  Every readout has one channel, built by ``_readout_channel``:
+the projective measurement with weight d and full depolarisation of its
+qubits with weight 1 - d.  Each readout applies that channel and then reads
+its record from the state it leaves, as Tr(P rho'), so no record repeats the
+engine's damping formulas.  ``apply_kraus`` and ``apply_unitary`` stay as the
+plain definitions that route is pinned to in tests.  The point is an
+independent second route for every operation the coefficient engine
+implements: nothing here comes from the engine's kernels.  Intended for
+n <= ``ORACLE_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -280,57 +285,47 @@ _GATE_UNITARY = {
 # Measurement and reset channels (dense forms of the noisy updates)
 
 
-def _flip_operator(axis_vec: np.ndarray) -> np.ndarray:
-    """A Pauli rotation perpendicular to the measurement axis (bit flip)."""
-    # any unit vector orthogonal to the axis works; pick deterministically
-    trial = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(trial, axis_vec)) > 0.9:
-        trial = np.array([0.0, 1.0, 0.0])
-    perp = trial - np.dot(trial, axis_vec) * axis_vec
-    perp /= np.linalg.norm(perp)
-    return sum(perp[i] * SIGMA[i + 1] for i in range(3))
+def _axis_projectors(op: np.ndarray) -> list[np.ndarray]:
+    """The two projectors (I + op)/2 and (I - op)/2 of a one-qubit axis observable."""
+    return [(SIGMA[0] + op) / 2, (SIGMA[0] - op) / 2]
 
 
-def _axis_damped_projective(axis_vec: np.ndarray, d1: float) -> np.ndarray:
-    """Superoperator of a projective measurement along an axis with damping d1.
+def _readout_channel(projectors: list[np.ndarray], d: float) -> np.ndarray:
+    """Superoperator of a readout on k qubits with damping d.
 
-    Leaves the identity component alone, keeps the parallel Bloch component
-    scaled by d1, and removes the perpendicular ones; realised as projection
-    followed by a probabilistic bit flip.
+    With weight d the projective measurement onto ``projectors``, with weight
+    1 - d full depolarisation of the same k qubits: the identity component
+    stays, the measured components are scaled by d and every other one goes.
     """
-    op = sum(axis_vec[i] * SIGMA[i + 1] for i in range(3))
-    project = superop([(SIGMA[0] + op) / 2, (SIGMA[0] - op) / 2])
-    flip = superop([SIGMA[0], _flip_operator(axis_vec)], [(1 + d1) / 2, (1 - d1) / 2])
-    return flip @ project
+    k = projectors[0].shape[0].bit_length() - 1
+    return superop(
+        [*projectors, *_pauli_products(k)], [d] * len(projectors) + [(1 - d) / 4**k] * 4**k
+    )
 
 
 def dense_measure_qubit(
     d: DenseState, k: int, axis_vec: np.ndarray, d1: float
 ) -> tuple[float, float]:
     """Single-qubit measurement along an axis: (p_plus, p_minus) with damping d1."""
-    op = sum(axis_vec[i] * SIGMA[i + 1] for i in range(3))
-    mean = expectation(d, op, (k,))
-    p_plus = (1 + d1 * mean) / 2
-    apply_superop(d, _axis_damped_projective(axis_vec, d1), (k,))
+    plus, minus = _axis_projectors(sum(axis_vec[i] * SIGMA[i + 1] for i in range(3)))
+    apply_superop(d, _readout_channel([plus, minus], d1), (k,))
+    p_plus = expectation(d, plus, (k,))
     return (p_plus, 1.0 - p_plus)
 
 
 def dense_expect_string(d: DenseState, labels: list[int], d1: float) -> float:
     """Expectation of a Pauli string with readout damping; updates the state."""
+    channels = {v: _readout_channel(_axis_projectors(SIGMA[v]), d1) for v in set(labels) - {0}}
+    for k, v in enumerate(labels):
+        if v:
+            apply_superop(d, channels[v], (k,))
     full = _kron_qubits([SIGMA[v] for v in reversed(labels)])
-    w = sum(1 for v in labels if v != 0)
-    value = float(np.trace(d.rho @ full).real) * d1**w
-    for k in range(d.n):
-        if labels[k] != 0:
-            axis_vec = np.zeros(3)
-            axis_vec[labels[k] - 1] = 1.0
-            apply_superop(d, _axis_damped_projective(axis_vec, d1), (k,))
-    return value
+    return float(np.einsum("ij,ji->", full, d.rho).real)  # Tr(P rho), no matrix product
 
 
 def dense_ensemble(d: DenseState, d1: float) -> np.ndarray:
     """All-qubit computational-basis outcome probabilities; updates the state."""
-    s = _axis_damped_projective(np.array([0.0, 0.0, 1.0]), d1)
+    s = _readout_channel(_axis_projectors(SIGMA[3]), d1)
     for k in range(d.n):
         apply_superop(d, s, (k,))
     return np.diag(d.rho).real.copy()
@@ -353,24 +348,14 @@ def _bell_projector(signs: tuple[float, float, float]) -> np.ndarray:
 
 def dense_bell(d: DenseState, k: int, l: int, d2: float) -> dict[str, float]:
     """Bell-basis measurement of qubits (k, l) with damping d2; updates state."""
-    probs = {}
-    for label, signs in BELL_SIGNS.items():
-        # projector is idempotent, so Tr(P rho P) = Tr(P rho)
-        probs[label] = expectation(d, _bell_projector(signs), (k, l))
-    # damped probabilities: non-identity contributions shrink by d2
-    probs = {lab: (1 - d2) / 4 + d2 * p for lab, p in probs.items()}
-    # state: project onto the Bell-diagonal algebra, then damp by pair twirl
-    project = superop([_bell_projector(signs) for signs in BELL_SIGNS.values()])
-    paulis = [np.kron(SIGMA[i], SIGMA[j]) for i in range(4) for j in range(4)]
-    twirl = superop([np.eye(4, dtype=np.complex128)] + paulis, [d2] + [(1 - d2) / 16] * 16)
-    apply_superop(d, twirl @ project, (k, l))
-    return probs
+    projectors = [_bell_projector(signs) for signs in BELL_SIGNS.values()]
+    apply_superop(d, _readout_channel(projectors, d2), (k, l))
+    return {lab: expectation(d, b, (k, l)) for lab, b in zip(BELL_SIGNS, projectors)}
 
 
 def dense_reset(d: DenseState, k: int) -> None:
     """rho -> P0 rho P0 + X P1 rho P1 X on qubit k."""
-    p0 = (SIGMA[0] + SIGMA[3]) / 2
-    p1 = (SIGMA[0] - SIGMA[3]) / 2
+    p0, p1 = _axis_projectors(SIGMA[3])
     apply_superop(d, superop([p0, SIGMA[1] @ p1]), (k,))
 
 
@@ -416,11 +401,12 @@ def dense_memory_step(d: DenseState, f: float, g: float, p: float) -> None:
 # Complete-positivity certification
 
 
-def _pauli_products(m: int) -> list[np.ndarray]:
-    """The 4^m Pauli-product basis, first operand kron-major."""
-    ops = [np.array([[1.0]], dtype=np.complex128)]
+def _pauli_products(m: int) -> np.ndarray:
+    """The 4^m Pauli-product basis as a (4^m, 2^m, 2^m) stack, first operand kron-major."""
+    ops = np.ones((1, 1, 1), dtype=np.complex128)
     for _ in range(m):
-        ops = [np.kron(a, SIGMA[i]) for a in ops for i in range(4)]
+        dim = 2 * ops.shape[1]  # one kron per pair: (a, c) rows, (b, d) columns
+        ops = np.einsum("kab,icd->kiacbd", ops, SIGMA).reshape(-1, dim, dim)
     return ops
 
 

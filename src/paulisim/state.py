@@ -393,12 +393,10 @@ def load_state(source: str | Path | io.TextIOBase) -> PauliState:
     del text, brk  # the match holds the text too: keep one copy of the file, not two
     if not header.startswith(_FILE_HEADER):
         raise StateFormatError(f"missing header line {_FILE_HEADER!r} n=<n>")
-    m = re.fullmatch(_FILE_HEADER + r" n=(-?[0-9]+)", header)  # only what save_state writes
+    m = re.fullmatch(_FILE_HEADER + r" n=([1-9][0-9]*)", header)  # only what save_state writes
     if m is None:
         raise StateFormatError(f"malformed header {header!r}")
     n = int(m[1])
-    if n < 1:
-        raise StateFormatError(f"header declares invalid qubit count {n}")
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"file declares n={n}, above the qubit cap of {DEFAULT_QUBIT_CAP}")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_circuit_text
-from paulisim import engine
+from paulisim import engine, oracle
 from paulisim.circuit import NoiseModel, parse_circuit
 from paulisim.engine import (
     make_initial_state,
@@ -210,3 +210,12 @@ def test_verify_random_noisy_circuits(rng):
         res = verify_circuit(text, noise)
         assert res.state_divergence < 1e-12, text
         assert res.record_divergence < 1e-12, text
+
+
+def test_a_fault_in_the_oracle_readout_channel_shows_in_the_record(monkeypatch):
+    # the oracle reads each record from the state its readout channel leaves,
+    # so a wrong readout weight shows in the record, not only in the state
+    build = oracle._readout_channel
+    monkeypatch.setattr(oracle, "_readout_channel", lambda proj, d: build(proj, d - 0.05))
+    res = verify_circuit("qubits 2\nh q[0]\nmeasure_x q[0]\ncx q[0],q[1]\n", NoiseModel(d1=0.9))
+    assert res.record_divergence >= 1e-3

@@ -266,6 +266,20 @@ def _pair(rng, n=3):
     return oracle.to_dense(s), oracle.to_dense(s)
 
 
+def _copy(d):
+    return oracle.DenseState(d.n, d.rho.copy())
+
+
+def _readout_kraus(projectors, d):
+    """{sqrt(d) Pi} and {sqrt((1 - d)/4^k) P}: the projective measurement with
+    weight d, full depolarisation of its k qubits with weight 1 - d."""
+    k = int(np.log2(len(projectors[0])))
+    paulis = [np.ones((1, 1))]
+    for _ in range(k):
+        paulis = [np.kron(a, s) for a in paulis for s in oracle.SIGMA]
+    return [np.sqrt(d) * b for b in projectors] + [np.sqrt((1 - d) / 4**k) * p for p in paulis]
+
+
 def _run_one(d, ins, noise):
     # default memory noise (p = f = g = 1) makes the memory step exactly I
     return oracle.run_schedule_dense(d, Schedule([Partition("gate", [ins])]), noise)
@@ -314,18 +328,25 @@ def test_superop_cx_mixture_matches_branch_route(rng):
 
 
 def test_superop_projective_update_matches_kraus_route(rng):
-    axis = np.array([0.48, -0.6, 0.64])  # a unit vector off every Pauli axis
-    d1 = 0.85
-    got, want = _pair(rng)
-    oracle.dense_measure_qubit(got, 1, axis, d1)
-    op = sum(axis[i] * oracle.SIGMA[i + 1] for i in range(3))
-    oracle.apply_kraus(want, [(oracle.SIGMA[0] + op) / 2, (oracle.SIGMA[0] - op) / 2], (1,))
-    # any Pauli axis perpendicular to the measured one swaps its two projectors
-    perp = np.cross(axis, [0.0, 0.0, 1.0])
-    perp /= np.linalg.norm(perp)
-    flip = sum(perp[i] * oracle.SIGMA[i + 1] for i in range(3))
-    _branches(want, [oracle.SIGMA[0], flip], [(1 + d1) / 2, (1 - d1) / 2], (1,))
-    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+    # a unit vector off every Pauli axis, and the three basis axes
+    for axis in ([0.48, -0.6, 0.64], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
+        axis = np.array(axis)
+        op = sum(axis[i] * oracle.SIGMA[i + 1] for i in range(3))
+        projectors = [(oracle.SIGMA[0] + op) / 2, (oracle.SIGMA[0] - op) / 2]
+        # any Pauli axis perpendicular to the measured one swaps its two projectors
+        perp = np.cross(axis, [0.6, 0.0, 0.8])
+        perp /= np.linalg.norm(perp)
+        flip = sum(perp[i] * oracle.SIGMA[i + 1] for i in range(3))
+        for d1 in (0.0, 0.85, 1.0):
+            got, want = _pair(rng)
+            flipped = _copy(want)
+            oracle.dense_measure_qubit(got, 1, axis, d1)
+            oracle.apply_kraus(want, _readout_kraus(projectors, d1), (1,))
+            assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, (axis, d1)
+            # second reference: projection, then a flip with weight (1 - d1)/2
+            oracle.apply_kraus(flipped, projectors, (1,))
+            _branches(flipped, [oracle.SIGMA[0], flip], [(1 + d1) / 2, (1 - d1) / 2], (1,))
+            assert np.max(np.abs(got.rho - flipped.rho)) <= PIN_TOL, (axis, d1)
 
 
 def test_superop_reset_matches_kraus_route(rng):
@@ -338,18 +359,70 @@ def test_superop_reset_matches_kraus_route(rng):
 
 
 def test_superop_bell_update_matches_kraus_route(rng):
-    d2 = 0.8
-    got, want = _pair(rng)
-    oracle.dense_bell(got, 2, 0, d2)
     s = oracle.SIGMA
     projectors = [
         sum(c * np.kron(s[j], s[j]) for j, c in enumerate((1.0, *signs))) / 4
         for signs in oracle.BELL_SIGNS.values()
     ]
-    oracle.apply_kraus(want, projectors, (2, 0))
     paulis = [np.kron(s[i], s[j]) for i in range(4) for j in range(4)]
-    _branches(want, [np.eye(4)] + paulis, [d2] + [(1 - d2) / 16] * 16, (2, 0))
-    assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
+    for d2 in (0.0, 0.85, 1.0):
+        got, want = _pair(rng)
+        twirled = _copy(want)
+        oracle.dense_bell(got, 2, 0, d2)
+        oracle.apply_kraus(want, _readout_kraus(projectors, d2), (2, 0))
+        assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, d2
+        # second reference: projection, then the pair twirl that keeps weight d2
+        oracle.apply_kraus(twirled, projectors, (2, 0))
+        _branches(twirled, [np.eye(4)] + paulis, [d2] + [(1 - d2) / 16] * 16, (2, 0))
+        assert np.max(np.abs(got.rho - twirled.rho)) <= PIN_TOL, d2
+
+
+def _pauli_mean(rho, labels):
+    """Tr(P rho) for the Pauli string with SIGMA[labels[q]] on qubit q, by np.kron."""
+    full = np.ones((1, 1))
+    for v in reversed(labels):
+        full = np.kron(full, oracle.SIGMA[v])
+    return float(np.trace(full @ rho).real)
+
+
+def test_readout_records_are_the_textbook_values(rng):
+    # the damping formulas of every readout, here only as the reference: each
+    # record is the formula on the state before the readout
+    tol = 1e-14
+    for n in (1, 2, 3):
+        for d in (0.0, 0.85, 1.0, float(rng.uniform())):
+            s = random_pauli_state(rng, n)
+            rho = oracle.to_dense(s).rho
+            k = int(rng.integers(n))
+            for axis in ([0.48, -0.6, 0.64], [0.0, 1.0, 0.0]):
+                strings = [[i + 1 if q == k else 0 for q in range(n)] for i in range(3)]
+                mean = sum(a * _pauli_mean(rho, lab) for a, lab in zip(axis, strings))
+                p_plus, p_minus = oracle.dense_measure_qubit(
+                    oracle.to_dense(s), k, np.array(axis), d
+                )
+                assert abs(p_plus - (1 + d * mean) / 2) <= tol
+                assert abs(p_minus - (1 - d * mean) / 2) <= tol
+
+            labels = [int(v) for v in rng.integers(0, 4, n)]
+            w = sum(1 for v in labels if v)
+            got = oracle.dense_expect_string(oracle.to_dense(s), labels, d)
+            assert abs(got - d**w * _pauli_mean(rho, labels)) <= tol, labels
+
+            # each bit flips with probability (1 - d)/2: the readout confusion matrix
+            confusion = np.ones((1, 1))
+            for _ in range(n):
+                confusion = np.kron(confusion, np.array([[1 + d, 1 - d], [1 - d, 1 + d]]) / 2)
+            got = oracle.dense_ensemble(oracle.to_dense(s), d)
+            assert np.max(np.abs(got - confusion @ np.diag(rho).real)) <= tol
+
+            if n >= 2:
+                kl = tuple(int(q) for q in rng.permutation(n)[:2])
+                got = oracle.dense_bell(oracle.to_dense(s), *kl, d)
+                # <XX>, <YY>, <ZZ> on the pair
+                corr = [_pauli_mean(rho, [j * (q in kl) for q in range(n)]) for j in (1, 2, 3)]
+                for label, signs in oracle.BELL_SIGNS.items():
+                    p = (1 + sum(c * m for c, m in zip(signs, corr))) / 4
+                    assert abs(got[label] - ((1 - d) / 4 + d * p)) <= tol, label
 
 
 # One step behind both entry points, and the ideal gate route against

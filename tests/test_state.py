@@ -186,8 +186,12 @@ def test_load_rejects_bad_header_and_sizes(tmp_path):
     bad.write_text("pauli-dm v1 n=1\n0.5\nbogus\n0.0\n0.5\n")
     with pytest.raises(StateFormatError, match="coefficient 1 is not a number"):
         load_state(bad)
-    # only the header save_state writes: another version, or text around n=
-    for header in ("pauli-dm v12 n=1", "pauli-dm v1n=1", "pauli-dm v1 x n=1"):
+    # only the header save_state writes: another version, text around n=, or
+    # a count that is zero-padded, zero or negative
+    for header in (
+        "pauli-dm v12 n=1", "pauli-dm v1n=1", "pauli-dm v1 x n=1",
+        "pauli-dm v1 n=01", "pauli-dm v1 n=0", "pauli-dm v1 n=-1",
+    ):
         bad.write_text(header + "\n0.5\n0.0\n0.0\n0.5\n")
         with pytest.raises(StateFormatError, match="malformed header"):
             load_state(bad)
