@@ -91,7 +91,8 @@ def apply_u3(
     """General one-qubit gate R_z(phi) R_y(theta) R_z(lam).
 
     Each Euler factor carries its own axis's noise parameters; the three
-    transfers are multiplied into one, so the state sees a single pass.
+    transfers are multiplied into one, which composes into the qubit's
+    pending factor in one product.
     """
     apply_transfer(state, (k,), _u3_transfer(theta, phi, lam, noise))
 

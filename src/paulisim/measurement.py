@@ -3,8 +3,11 @@
 All modes are non-selective: the state is replaced by the full
 post-measurement mixture, never collapsed to a sampled branch.  Sampling,
 when wanted, happens downstream from the returned distribution.  Each mode
-reads its outcome through ``PauliState.tensor``, then applies its update as
-a transfer matrix; each returned distribution passes ``_finalize``.
+reads its outcome, then applies its update as a transfer matrix; each
+returned distribution passes ``_finalize``.  ``measure``, ``expect`` and
+``bell`` read only the coefficients whose digits off their qubits are 0,
+through ``PauliState.marginal``, which makes no pass over the state; the
+ensemble reads the whole state through ``PauliState.tensor``.
 
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string
@@ -81,11 +84,9 @@ def expect_pauli_string(
             digits.append(PAULI_LABELS.index(ch))
         except ValueError:
             raise ValueError(f"bad Pauli label {ch!r}, expected one of I, X, Y, Z") from None
-    index = [0] * state.n
-    for k, d in enumerate(digits):
-        index[state.axis(k)] = d
-    w = sum(1 for d in digits if d != 0)
-    value = noise.d1**w * 2**state.n * state.tensor()[tuple(index)]
+    read = tuple(k for k, d in enumerate(digits) if d != 0)
+    block = state.marginal(read)
+    value = noise.d1 ** len(read) * 2**state.n * block[tuple(digits[k] for k in read)]
     if not abs(value) <= 1.0 + _EXPECT_TOL:  # negated so that a NaN fails
         raise InternalError(f"expectation {value} outside [-1, 1]")
     for k, d in enumerate(digits):
@@ -111,9 +112,8 @@ def measure_qubit(
         raise ValueError("measurement axis must be a 3-vector")
     if not abs(np.linalg.norm(nvec) - 1.0) <= 1e-9:
         raise ValueError("measurement axis must have unit length")
-    index = [0] * state.n
-    index[state.axis(k)] = slice(1, None)  # the digit-k Bloch triple, every other digit 0
-    lean = 2**state.n * noise.d1 * float(nvec @ state.tensor()[tuple(index)])
+    bloch = state.marginal((k,))[1:]  # the digit-k Bloch triple, every other digit 0
+    lean = 2**state.n * noise.d1 * float(nvec @ bloch)
     apply_transfer(state, (k,), _axis_transfer(nvec, noise.d1))
     dist = _finalize(["+", "-"], np.array([(1.0 + lean) / 2.0, (1.0 - lean) / 2.0]))
     return (dist["+"], dist["-"])
@@ -157,9 +157,7 @@ def bell_measure(
     """
     if k == l:
         raise ValueError("Bell measurement needs two distinct qubits")
-    index = [0] * state.n
-    index[state.axis(k)] = index[state.axis(l)] = np.arange(4)
-    paired = state.tensor()[tuple(index)].tolist()  # digit_k = digit_l = j, others 0
+    paired = np.diagonal(state.marginal((k, l))).tolist()  # digit_k = digit_l = j, others 0
     scale = 2**state.n / 4.0
     probs = np.array(
         [

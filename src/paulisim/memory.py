@@ -1,9 +1,12 @@
 """Idle-time decoherence and decay applied after every clock step.
 
 Both channels act independently on each qubit, as one 4x4 transfer matrix
-applied to every qubit by ``state.apply_product``: decoherence is diagonal
-and passed as its diagonal, so it scales the coefficients in place, while
-decay's a3 <- a0 entry makes it a matmul.  Decoherence multiplies
+given to every qubit by ``state.apply_product``: decoherence is diagonal
+and passed as its diagonal, while decay's a3 <- a0 entry makes it a full
+4x4.  Neither makes a pass over the coefficients: each composes into every
+qubit's pending factor, which reaches the coefficients at the qubit's next
+two-qubit gate or at the next full read (see ``state``), so a clock step
+costs 2n 4x4 products whatever the state size.  Decoherence multiplies
 transverse (digit 1 or 2) occurrences by f = exp(-dt/T2); decay scales them
 by sqrt(g) with g = exp(-dt/T1) and relaxes the longitudinal component
 toward the thermal point: a3 <- g a3 + (2p - 1)(1 - g) a0.  The thermal

@@ -13,11 +13,13 @@ one S first.  Every readout has one channel, built by ``_readout_channel``:
 the projective measurement with weight d and full depolarisation of its
 qubits with weight 1 - d.  Each readout applies that channel and then reads
 its record from the state it leaves, as Tr(P rho'), so no record repeats the
-engine's damping formulas.  ``apply_kraus`` and ``apply_unitary`` stay as the
-plain definitions that route is pinned to in tests.  The point is an
-independent second route for every operation the coefficient engine
-implements: nothing here comes from the engine's kernels.  Intended for
-n <= ``ORACLE_QUBIT_CAP``.
+engine's damping formulas; ``measure`` and ``bell`` take that trace on one
+partial trace of rho' to their qubits.  ``apply_kraus`` and ``apply_unitary``
+stay as the plain definitions that route is pinned to in tests, and
+``expectation`` as the whole-matrix route those two records are pinned to.
+The point is an independent second route for every operation the
+coefficient engine implements: nothing here comes from the engine's
+kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -213,6 +215,21 @@ def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float
     return float(np.trace(t.reshape(2**d.n, 2**d.n)).real)
 
 
+def _reduced(d: DenseState, qubits: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of rho over every qubit not listed; the first listed is kron-major."""
+    n = d.n
+    rows = [n - 1 - i for i in range(n)]  # row axis i belongs to qubit n - 1 - i
+    cols = [q + n if q in qubits else q for q in rows]  # a shared label is traced out
+    out = [*qubits, *(q + n for q in qubits)]
+    dim = 2 ** len(qubits)
+    return np.einsum(d.rho.reshape((2,) * (2 * n)), rows + cols, out).reshape(dim, dim)
+
+
+def _trace_product(op: np.ndarray, rho: np.ndarray) -> float:
+    """Tr(op rho) with no matrix product."""
+    return float(np.einsum("ij,ji->", op, rho).real)
+
+
 # ---------------------------------------------------------------------------
 # Gate unitaries (phase conventions irrelevant under conjugation)
 
@@ -309,7 +326,7 @@ def dense_measure_qubit(
     """Single-qubit measurement along an axis: (p_plus, p_minus) with damping d1."""
     plus, minus = _axis_projectors(sum(axis_vec[i] * SIGMA[i + 1] for i in range(3)))
     apply_superop(d, _readout_channel([plus, minus], d1), (k,))
-    p_plus = expectation(d, plus, (k,))
+    p_plus = _trace_product(plus, _reduced(d, (k,)))
     return (p_plus, 1.0 - p_plus)
 
 
@@ -319,8 +336,7 @@ def dense_expect_string(d: DenseState, labels: list[int], d1: float) -> float:
     for k, v in enumerate(labels):
         if v:
             apply_superop(d, channels[v], (k,))
-    full = _kron_qubits([SIGMA[v] for v in reversed(labels)])
-    return float(np.einsum("ij,ji->", full, d.rho).real)  # Tr(P rho), no matrix product
+    return _trace_product(_kron_qubits([SIGMA[v] for v in reversed(labels)]), d.rho)
 
 
 def dense_ensemble(d: DenseState, d1: float) -> np.ndarray:
@@ -350,7 +366,8 @@ def dense_bell(d: DenseState, k: int, l: int, d2: float) -> dict[str, float]:
     """Bell-basis measurement of qubits (k, l) with damping d2; updates state."""
     projectors = [_bell_projector(signs) for signs in BELL_SIGNS.values()]
     apply_superop(d, _readout_channel(projectors, d2), (k, l))
-    return {lab: expectation(d, b, (k, l)) for lab, b in zip(BELL_SIGNS, projectors)}
+    pair = _reduced(d, (k, l))
+    return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, projectors)}
 
 
 def dense_reset(d: DenseState, k: int) -> None:

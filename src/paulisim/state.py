@@ -24,10 +24,11 @@ first three, and ``load_state`` checks positivity too, for files of at most
 
 Every state update is a Pauli transfer matrix (PTM) applied by
 ``apply_transfer`` or ``apply_product``, and every readout reads through
-``PauliState.tensor`` and ``.axis``.  A diagonal PTM is passed as its
-diagonal and applied as an in-place scaling of the coefficients; any other
-goes through a matmul.  Every PTM here has first row (1, 0, ..., 0), so
-``a[0]`` comes out of each update bit for bit.
+``PauliState.coeffs``, ``.tensor`` or ``.marginal``.  A diagonal PTM is
+passed as its diagonal and applied as an in-place scaling of the
+coefficients; any other goes through a matmul.  Every PTM must have first
+row (1, 0, ..., 0), and the kernel refuses one that does not, so ``a[0]``
+comes out of each update bit for bit.
 
 Qubit layout.  The buffer a ``PauliState`` holds need not be in the order
 above: it carries a private digit order, which qubit sits in each physical
@@ -40,6 +41,24 @@ Häner & Steiger, arXiv:1704.01127).  Diagonal and one-qubit PTMs, and
 module: ``coeffs`` is always in the logical order above, and reading it on a
 moved layout makes one transposed copy and resets the layout; ``tensor`` is
 a logical view of the buffer, with no copy.
+
+Pending factors.  A one-qubit PTM does not touch the buffer: it composes
+into a 4x4 factor the state keeps for that qubit (T @ P; two diagonals stay
+a diagonal), and ``apply_product`` composes its PTM into every qubit's
+factor.  Operations on different qubits commute, so this only changes the
+order of rounding (PTM composition, Greenbaum arXiv:1509.02921, used as gate
+fusion).  A factor leaves the qubit in one of three ways:
+
+* a two-qubit PTM T on qubits (a, b) applies T (P_a kron P_b) in the one
+  pass it makes anyway, and both factors are gone;
+* a full read (``coeffs``, ``tensor``, and everything built on them) first
+  applies every factor, in ceil(n/2) passes over adjacent physical digit
+  pairs, so no digit moves; when every factor is diagonal, in two in-place
+  multiplies by half-size weight vectors instead;
+* ``marginal(qubits)`` contracts the listed qubits' factors into the small
+  block of coefficients whose other digits are 0, and leaves the state as
+  it is.  A factor on any other qubit has first row e0, so it cannot change
+  that block: a readout of a few qubits makes no pass at all.
 """
 
 from __future__ import annotations
@@ -79,20 +98,26 @@ class PauliState:
     """Mutable n-qubit state: qubit count plus the 4^n Pauli coefficients.
 
     Gate, measurement and noise operations update the state in place through
-    ``apply_transfer`` and ``apply_product``: a diagonal PTM scales the
-    buffer in place, any other replaces it by a new array.  Each keeps the
-    trace coefficient ``coeffs[0]`` bit-exact.
+    ``apply_transfer`` and ``apply_product``.  A one-qubit PTM, and each
+    qubit's factor of a product, composes into that qubit's pending factor
+    and leaves the buffer alone; a two-qubit PTM takes its pair's pending
+    factors into the one pass it makes.  Each keeps the trace coefficient
+    ``coeffs[0]`` bit-exact.
 
-    ``coeffs`` is always in logical order (qubit k on the k-th least
-    significant digit), but reading it may copy: after a matrix PTM on a
-    pair of qubits whose digits were apart, the buffer holds a moved layout,
-    and the read transposes it back into a new array.  The constructor keeps
-    a float64 array as given, without a copy, and ``coeffs`` returns that
-    same array until a far pair moves a digit; after that it does not.
+    ``coeffs`` and ``tensor`` are full reads: they apply every pending
+    factor first (see the module docstring).  ``marginal`` reads the block
+    of coefficients a readout needs without a pass over the state.  The
+    constructor keeps a float64 array as given, without a copy, and
+    ``coeffs`` returns that same array until a matrix pass replaces it: a
+    two-qubit matrix update, a full read that applies a pending factor that
+    is not diagonal, or a read on a moved layout.
     """
 
-    # _layout[d] is the qubit in physical digit d; None is the identity
-    __slots__ = ("n", "_buf", "_layout")
+    # _layout[d] is the qubit in physical digit d; None is the identity.
+    # _pending maps a qubit to its pending factor, a 4-entry diagonal or a
+    # 4x4 matrix; a qubit not in it has none.  Factors are never written in
+    # place, so copies share them.
+    __slots__ = ("n", "_buf", "_layout", "_pending")
 
     def __init__(self, n: int, coeffs: np.ndarray):
         if n < 1:
@@ -103,18 +128,22 @@ class PauliState:
         self.n = n
         self._buf = coeffs
         self._layout = None
+        self._pending = {}
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The 4^n coefficients in logical order; on a moved layout, a copy."""
+        """The 4^n coefficients in logical order, every pending factor applied."""
+        self._flush()
         if self._layout is not None:
-            self._buf = np.ascontiguousarray(self.tensor()).reshape(-1)
+            self._buf = np.ascontiguousarray(self._view()).reshape(-1)
             self._layout = None
         return self._buf
 
     def copy(self) -> "PauliState":
+        """An independent state with its own buffer; pending factors stay pending."""
         c = PauliState(self.n, self._buf.copy())
         c._layout = self._layout
+        c._pending = dict(self._pending)
         return c
 
     def tensor(self) -> np.ndarray:
@@ -122,14 +151,46 @@ class PauliState:
 
         Axis ``n - 1 - k`` of the view indexes the Pauli digit of qubit ``k``
         (C-order flattening puts qubit 0 in the least significant digit).
-        On a moved layout the view is transposed; it never copies.
+        Every pending factor is applied first; on a moved layout the view is
+        transposed, and it never copies.
         """
-        n, layout = self.n, self._layout
-        t = self._buf.reshape((4,) * n)
-        if layout is None:
-            return t
-        # qubit k sits in digit layout.index(k), buffer axis n - 1 - digit
-        return t.transpose([n - 1 - layout.index(k) for k in reversed(range(n))])
+        self._flush()
+        return self._view()
+
+    def marginal(self, qubits: tuple[int, ...]) -> np.ndarray:
+        """The coefficients whose digits off ``qubits`` are all 0, as a new (4,) * m array.
+
+        Axis i indexes the digit of ``qubits[i]``.  The listed qubits'
+        pending factors are applied to this block only: a factor on any other
+        qubit has first row e0, so it leaves these coefficients as they are.
+        No pass over the state, and the state does not change.
+        """
+        n, m = self.n, len(qubits)
+        for k in qubits:
+            self.axis(k)  # range check
+        if len(set(qubits)) != m:
+            raise ValueError(f"need distinct qubits, got {qubits}")
+        layout = self._layout
+        digits = list(qubits) if layout is None else [layout.index(k) for k in qubits]
+        index = [0] * n
+        for d in digits:
+            index[n - 1 - d] = slice(None)
+        block = self._buf.reshape((4,) * n)[tuple(index)]
+        top_down = sorted(digits, reverse=True)  # the block's axes, most significant digit first
+        block = block.transpose([top_down.index(d) for d in digits])
+        block = np.array(block, order="C")  # a copy: axis 1 of (4^i, 4, rest) is qubits[i]
+        for i, k in enumerate(qubits):
+            p = self._pending.get(k)
+            if p is None:
+                continue
+            x = block.reshape(4**i, 4, -1)
+            if p.ndim == 1:
+                np.multiply(x, p[:, None], out=x)
+                if not p.all():  # as the flush does: no -0.0 from a zero factor
+                    np.add(x, 0.0, out=x)
+            else:
+                block = np.matmul(p, x).reshape(block.shape)
+        return block
 
     def axis(self, k: int) -> int:
         """Tensor-view axis belonging to qubit ``k``."""
@@ -153,8 +214,95 @@ class PauliState:
                 f"coefficient {big} is {self.coeffs[big]!r}, above the bound 2^-n = {2.0**-self.n}"
             )
 
+    def _view(self) -> np.ndarray:
+        """The buffer as the logical (4,) * n tensor, pending factors not applied."""
+        n, layout = self.n, self._layout
+        t = self._buf.reshape((4,) * n)
+        if layout is None:
+            return t
+        # qubit k sits in digit layout.index(k), buffer axis n - 1 - digit
+        return t.transpose([n - 1 - layout.index(k) for k in reversed(range(n))])
+
+    def _flush(self) -> None:
+        """Apply every pending factor to the buffer; no digit moves.
+
+        All diagonal: two in-place multiplies, by the kron of the factors on
+        the high half of the physical digits, then on the low half.
+        Otherwise one pass per adjacent physical digit pair that holds a
+        factor.
+        """
+        pending, n = self._pending, self.n
+        if not pending:
+            return
+        self._pending = {}
+        at = self._layout or range(n)  # the qubit in each physical digit
+        by_digit = [pending.get(at[d]) for d in range(n)]
+        if all(p is None or p.ndim == 1 for p in by_digit):
+            low = n // 2
+            x = self._buf.reshape(4 ** (n - low), 4**low)
+            for half, axis in ((by_digit[low:], 0), (by_digit[:low], 1)):
+                if all(p is None for p in half):
+                    continue
+                w = reduce(np.kron, [_ONES if p is None else p for p in reversed(half)], np.ones(1))
+                np.multiply(x, w[:, None] if axis == 0 else w, out=x)
+                if not w.all():  # 0 * a negative is -0.0, where the matmul gives +0.0
+                    np.add(x, 0.0, out=x)
+            return
+        for lo in range(0, n - 1, 2):
+            hi_p, lo_p = by_digit[lo + 1], by_digit[lo]
+            if hi_p is not None or lo_p is not None:
+                _apply(self, (lo + 1, lo), _kron(hi_p, lo_p))
+        if n % 2 and by_digit[n - 1] is not None:
+            _apply(self, (n - 1,), by_digit[n - 1])
+
     def __repr__(self) -> str:
         return f"PauliState(n={self.n})"
+
+
+_ONES = np.ones(4)
+_ONES.setflags(write=False)
+_EYE = np.eye(4)
+_EYE.setflags(write=False)
+
+
+def _as_matrix(p: np.ndarray | None) -> np.ndarray:
+    return _EYE if p is None else np.diag(p) if p.ndim == 1 else p
+
+
+def _kron(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
+    """kron(a, b) of two pending factors, None as the identity, by broadcasting.
+
+    Two diagonals (or identities) give the 16-entry diagonal.
+    """
+    if (a is None or a.ndim == 1) and (b is None or b.ndim == 1):
+        a, b = (_ONES if p is None else p for p in (a, b))
+        return (a[:, None] * b).reshape(16)
+    a, b = _as_matrix(a), _as_matrix(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
+
+def _compose(t: np.ndarray, p: np.ndarray | None) -> np.ndarray:
+    """The transfer ``t`` after ``p`` (t @ p), each a matrix or a diagonal."""
+    if p is None:
+        return t
+    if t.ndim == 1:
+        return t * p if p.ndim == 1 else t[:, None] * p
+    return t * p if p.ndim == 1 else t.dot(p)
+
+
+def _checked(t: np.ndarray, size: int) -> np.ndarray:
+    """A private float64 copy of a size x size transfer, or its diagonal, with first row e0.
+
+    Every deferral rests on that first row: a pending factor must leave each
+    coefficient whose digit on its qubit is 0 unchanged.
+    """
+    t = np.array(t, dtype=np.float64)
+    if t.shape not in ((size, size), (size,)):
+        raise ValueError(f"need a {size}x{size} transfer or its diagonal, got {t.shape}")
+    row = t[:1].tolist() if t.ndim == 1 else t[0].tolist()
+    if row[0] != 1.0 or any(row[1:]):  # a NaN fails either test
+        raise ValueError("a transfer needs first row (1, 0, ..., 0); a diagonal, entry 0 = 1")
+    return t
 
 
 def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> None:
@@ -162,36 +310,51 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
 
     For m = 2 the matrix index is 4 * digit(qubits[0]) + digit(qubits[1]),
     the first listed qubit kron-major.  A 1-D ``t`` of length 4^m is the
-    diagonal of a diagonal transfer matrix; it scales the buffer in place.
-    A matrix on two qubits whose digits are apart leaves the state in a
-    moved layout (see the module docstring).
+    diagonal of a diagonal transfer matrix.  The first row must be e0
+    (``ValueError`` otherwise); a private copy of ``t`` is kept, never the
+    caller's array.  On one qubit, ``t`` composes into the qubit's pending
+    factor and the buffer is left alone.  On two, it takes both qubits'
+    pending factors, t (P_a kron P_b), into one pass: a diagonal scales the
+    buffer in place, a matrix replaces it, and a matrix on two qubits whose
+    digits are apart leaves the state in a moved layout (see the module
+    docstring).
     """
-    n, m = state.n, len(qubits)
-    size = 4**m
-    if m not in (1, 2) or len(set(qubits)) != m or t.shape not in ((size, size), (size,)):
-        raise ValueError(
-            f"need a {size}x{size} transfer or its diagonal on {m} distinct qubits, got {t.shape}"
-        )
+    m = len(qubits)
+    if m not in (1, 2) or len(set(qubits)) != m:
+        raise ValueError(f"need a transfer on 1 or 2 distinct qubits, got {qubits}")
+    t = _checked(t, 4**m)
     for k in qubits:
         state.axis(k)  # range check
+    pending = state._pending
+    if m == 1:
+        pending[qubits[0]] = _compose(t, pending.get(qubits[0]))
+        return
+    a, b = pending.pop(qubits[0], None), pending.pop(qubits[1], None)
+    if a is not None or b is not None:
+        t = _compose(t, _kron(a, b))
     layout = state._layout
     if layout is not None:  # from here on, qubits names physical digits
-        q = qubits  # spelled out, not tuple(map(...)): this runs on every update
-        qubits = (layout.index(q[0]),) if m == 1 else (layout.index(q[0]), layout.index(q[1]))
-    hi, lo = max(qubits), min(qubits)
+        qubits = (layout.index(qubits[0]), layout.index(qubits[1]))
+    _apply(state, qubits, t)
+
+
+def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
+    """One pass of ``t`` over the buffer, on one or two physical digits."""
+    n, m = state.n, len(digits)
+    hi, lo = max(digits), min(digits)
     rows, mid, cols = 4 ** (n - 1 - hi), 4 ** max(hi - lo - 1, 0), 4**lo
     x = state._buf
     if t.ndim == 1:  # a diagonal: one broadcast multiply, no copy
         if m == 1:
             view, w = x.reshape(rows, 4, cols), t[:, None]
         else:
-            d = t.reshape(4, 4) if qubits[0] > qubits[1] else t.reshape(4, 4).T
+            d = t.reshape(4, 4) if digits[0] > digits[1] else t.reshape(4, 4).T
             view, w = x.reshape(rows, 4, mid, 4, cols), d[:, None, :, None]
         np.multiply(view, w, out=view)
         if not t.all():  # 0 * a negative is -0.0, where the matmul gives +0.0
             np.add(x, 0.0, out=x)
         return
-    if m == 2 and qubits[0] < qubits[1]:  # put the more significant digit first
+    if m == 2 and digits[0] < digits[1]:  # put the more significant digit first
         t = t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
     if mid > 1:
         # Digits apart: a matmul cannot contract two axes with a gap between
@@ -199,7 +362,7 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
         # stays there.  The old buffer goes before the matmul allocates.
         x = np.ascontiguousarray(x.reshape(rows, 4, mid, 4, cols).transpose(0, 1, 3, 2, 4))
         state._buf = x
-        old = layout or tuple(range(n))
+        old = state._layout or tuple(range(n))
         layout = old[:lo] + old[lo + 1 : hi] + (old[lo],) + old[hi:]
         state._layout = None if layout == tuple(range(n)) else layout
     x = x.reshape(rows, len(t), mid * cols)
@@ -213,30 +376,14 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
 def apply_product(state: PauliState, t: np.ndarray) -> None:
     """Apply the same 4x4 transfer, or 4-entry diagonal, to every qubit.
 
-    A matrix goes in ceil(n / 2) kron(t, t) passes over adjacent physical
-    digits, so it moves no digit whatever the layout.  A diagonal scales the
-    buffer in place twice: by its n-fold product over the high half of the
-    digits, then over the low half.
+    ``t`` composes into every qubit's pending factor, as ``apply_transfer``
+    on each qubit would; the buffer sees it at the qubit's next two-qubit
+    update or at the next full read.
     """
-    if t.shape not in ((4,), (4, 4)):
-        raise ValueError(f"need a 4x4 transfer or its diagonal, got {t.shape}")
-    n = state.n
-    if t.ndim == 1:
-        low = n // 2
-        w_hi = reduce(np.kron, [t] * (n - low), np.ones(1))
-        w_lo = reduce(np.kron, [t] * low, np.ones(1))
-        x = state._buf.reshape(len(w_hi), len(w_lo))
-        np.multiply(x, w_hi[:, None], out=x)
-        np.multiply(x, w_lo, out=x)
-        if not t.all():
-            np.add(x, 0.0, out=x)
-        return
-    pair = np.kron(t, t)
-    at = state._layout or range(n)  # the qubit in each physical digit
-    for lo in range(0, n - 1, 2):
-        apply_transfer(state, (at[lo + 1], at[lo]), pair)
-    if n % 2:
-        apply_transfer(state, (at[n - 1],), t)
+    t = _checked(t, 4)
+    pending = state._pending
+    for k in range(state.n):
+        pending[k] = _compose(t, pending.get(k))
 
 
 def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:

@@ -425,6 +425,28 @@ def test_readout_records_are_the_textbook_values(rng):
                     assert abs(got[label] - ((1 - d) / 4 + d * p)) <= tol, label
 
 
+def test_measure_and_bell_records_match_the_whole_matrix_expectation(rng):
+    # the records come from one partial trace to the read qubits; the
+    # whole-matrix route through oracle.expectation must give the same numbers
+    for n in (2, 3, 5):
+        for d in (0.0, 0.85, 1.0):
+            s = random_pauli_state(rng, n)
+            k = int(rng.integers(n))
+            axis = np.array([0.48, -0.6, 0.64])
+            got = oracle.to_dense(s)
+            p_plus, p_minus = oracle.dense_measure_qubit(got, k, axis, d)
+            plus = (oracle.SIGMA[0] + sum(axis[i] * oracle.SIGMA[i + 1] for i in range(3))) / 2
+            assert abs(p_plus - oracle.expectation(got, plus, (k,))) <= PIN_TOL
+            assert p_minus == 1.0 - p_plus
+
+            kl = tuple(int(q) for q in rng.permutation(n)[:2])
+            got = oracle.to_dense(s)
+            probs = oracle.dense_bell(got, *kl, d)
+            for label, signs in oracle.BELL_SIGNS.items():
+                b = oracle._bell_projector(signs)
+                assert abs(probs[label] - oracle.expectation(got, b, kl)) <= PIN_TOL, (kl, label)
+
+
 # One step behind both entry points, and the ideal gate route against
 # apply_unitary.
 

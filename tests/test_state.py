@@ -1,6 +1,8 @@
+import ast
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +296,20 @@ def test_thermal_errors_on_bad_population():
         init_thermal(1, 1.5)
     with pytest.raises(ValueError):
         init_thermal(1, -0.1)
+
+
+_STATE_PRIVATE = {"_buf", "_layout", "_pending"}
+
+
+def test_only_the_state_module_touches_the_buffer():
+    # the buffer may hold pending factors and a moved layout: every other
+    # module reads through coeffs, tensor or marginal, which account for both
+    package = Path(oracle.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name == "state.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "value", None)
+            assert name not in _STATE_PRIVATE, f"{path.name}:{node.lineno} touches {name}"

@@ -40,6 +40,14 @@ def reference_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray
     return np.einsum(spec, t.reshape((4,) * (2 * m)), state.tensor()).reshape(-1)
 
 
+def random_transfer(rng, shape: tuple[int, ...]) -> np.ndarray:
+    """A random transfer matrix, or diagonal, with the first row e0 every kernel requires."""
+    t = rng.standard_normal(shape)
+    t[0] = 0.0
+    t[(0,) * len(shape)] = 1.0
+    return t
+
+
 def test_apply_transfer_matches_reference_on_every_placement(rng):
     for n in (1, 2, 3, 5):
         placements = [(k,) for k in range(n)]
@@ -47,7 +55,7 @@ def test_apply_transfer_matches_reference_on_every_placement(rng):
         for qubits in placements:
             for ndim in (2, 1):  # a matrix, and a diagonal given as a vector
                 s = PauliState(n, rng.standard_normal(4**n))
-                t = rng.standard_normal((4 ** len(qubits),) * ndim)
+                t = random_transfer(rng, (4 ** len(qubits),) * ndim)
                 want = reference_transfer(s, qubits, t)
                 apply_transfer(s, qubits, t)
                 assert np.max(np.abs(s.coeffs - want)) < 1e-12, (qubits, ndim)
@@ -57,7 +65,7 @@ def test_apply_product_is_the_same_transfer_on_every_qubit(rng):
     for n in (1, 2, 3, 4, 5):
         for shape in ((4, 4), (4,)):
             s = PauliState(n, rng.standard_normal(2 * 4**n)[::2])  # a view, scaled in place
-            t = rng.standard_normal(shape)
+            t = random_transfer(rng, shape)
             want = s.copy()
             for k in range(n):
                 apply_transfer(want, (k,), t)
@@ -72,7 +80,7 @@ def test_diagonal_and_matrix_forms_give_the_same_bytes(rng):
         placements = [(k,) for k in range(n)] + [(a, b) for a in range(n) for b in range(n) if a != b]
         for qubits in placements:
             d = rng.choice([0.0, 0.97, 1.0], size=4 ** len(qubits))
-            d[0] = 0.0
+            d[0] = 1.0
             s = PauliState(n, rng.standard_normal(4**n))
             want = s.copy()
             apply_transfer(want, qubits, np.diag(d))
@@ -119,13 +127,13 @@ def test_apply_transfer_matches_reference_on_a_moved_layout(rng):
         for qubits in placements:
             for ndim in (2, 1):
                 s = moved(PauliState(n, rng.standard_normal(4**n)))
-                t = rng.standard_normal((4 ** len(qubits),) * ndim)
+                t = random_transfer(rng, (4 ** len(qubits),) * ndim)
                 want = reference_transfer(canonical(s), qubits, t)
                 apply_transfer(s, qubits, t)
                 assert np.max(np.abs(s.coeffs - want)) < 1e-12, (n, qubits, ndim)
         for shape in ((4, 4), (4,)):
             s = moved(PauliState(n, rng.standard_normal(4**n)))
-            t = rng.standard_normal(shape)
+            t = random_transfer(rng, shape)
             want = canonical(s)
             for k in range(n):
                 apply_transfer(want, (k,), t)
@@ -203,6 +211,7 @@ def test_update_peak_memory_and_trace_row(kind):
     tracemalloc.start()
     try:
         UPDATES[kind](s)
+        s.coeffs  # the full read applies what the update left pending
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -264,10 +273,11 @@ def test_diagonal_updates_scale_the_state_in_place(kind):
     tracemalloc.start()
     try:
         UPDATES[kind](s)
+        got = s.coeffs  # the full read applies what the update left pending
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert s.coeffs is coeffs
+    assert got is coeffs
     assert peak < _OBJECT_SLACK + _UFUNC_BUFFER, f"{kind}: {peak} bytes"
     assert s.coeffs[0].tobytes() == trace.tobytes()
 
@@ -301,6 +311,174 @@ def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
             assert t[0] == 1.0
         else:
             assert t[0, 0] == 1.0 and not t[0, 1:].any()
+
+
+# --- pending one-qubit factors ---------------------------------------------------
+
+
+def test_a_transfer_without_the_trace_row_is_refused():
+    s = PauliState(3, np.zeros(64))
+    bad = np.eye(4)
+    bad[0, 2] = 0.1
+    for call in (
+        lambda: apply_transfer(s, (1,), bad),
+        lambda: apply_transfer(s, (1,), np.array([0.9, 1.0, 1.0, 1.0])),
+        lambda: apply_transfer(s, (0, 2), np.kron(bad, np.eye(4))),
+        lambda: apply_transfer(s, (0, 2), np.full(16, 0.5)),
+        lambda: apply_product(s, bad),
+        lambda: apply_product(s, np.array([np.nan, 1.0, 1.0, 1.0])),
+    ):
+        with pytest.raises(ValueError, match="first row"):
+            call()
+    assert np.array_equal(s.coeffs, np.zeros(64))
+
+
+def test_the_kernel_keeps_its_own_copy_of_a_transfer(rng):
+    for qubits in ((1,), (2, 0)):
+        for ndim in (2, 1):
+            t = random_transfer(rng, (4 ** len(qubits),) * ndim)
+            s = PauliState(3, rng.standard_normal(64))
+            want = reference_transfer(s, qubits, t)
+            apply_transfer(s, qubits, t)
+            t *= 2.0  # the caller reuses its array
+            assert np.max(np.abs(s.coeffs - want)) < 1e-12, (qubits, ndim)
+        t = random_transfer(rng, (4, 4)[:ndim])
+        s = PauliState(3, rng.standard_normal(64))
+        want = s.copy()
+        for k in range(3):
+            want.coeffs[:] = reference_transfer(want, (k,), t)
+        apply_product(s, t)
+        t *= 2.0
+        assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, ndim
+
+
+_NOISY = NoiseModel(
+    alpha_x=0.01, r_y=0.99, r_z=0.98, alpha_z=0.02, d1=0.97, f=0.99, g=0.98, p=0.9
+)
+
+# one-qubit updates and what they leave pending: matrices (memory, u3,
+# reset), and diagonals (measure, expect, decohere) on qubits that hold none
+DEFERRED = {
+    "mixed": [
+        lambda s: memory.end_of_partition(s, _NOISY),
+        lambda s: gates.apply_u1(s, 3, 0.4, _NOISY),
+        lambda s: gates.apply_u3(s, 0, 0.3, 0.2, 0.1, _NOISY),
+        lambda s: measurement.reset_qubit(s, 2),
+        lambda s: measurement.measure_qubit(s, 0, (0.6, 0.0, 0.8), _NOISY),
+        lambda s: measurement.measure_qubit(s, 4, (0.0, 0.0, 1.0), _NOISY),
+        lambda s: measurement.expect_pauli_string(s, "XZIIY", _NOISY),
+        lambda s: gates.apply_u3(s, 4, 1.3, -0.2, 0.6, _NOISY),
+    ],
+    "diagonal": [
+        lambda s: memory.decohere(s, 0.97),
+        lambda s: measurement.measure_qubit(s, 1, (0.0, 0.0, 1.0), _NOISY),
+        lambda s: measurement.expect_pauli_string(s, "YIIZX", _NOISY),
+    ],
+}
+
+
+def _eager(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> None:
+    state.coeffs[:] = reference_transfer(state, qubits, t)
+
+
+def _eager_product(state: PauliState, t: np.ndarray) -> None:
+    for k in range(state.n):
+        _eager(state, (k,), t)
+
+
+def _deferred_and_reference(monkeypatch, kind: str, move: bool):
+    """The DEFERRED updates on one state, and on a copy that applies each PTM at once."""
+    n = 5
+    s = random_pauli_state(np.random.default_rng(12), n)
+    ref = s.copy()
+    if move:
+        moved(s)
+        ref.coeffs[:] = reference_transfer(ref, (0, n - 1), gates.cnot_transfer())
+    buf, before = s._buf, s._buf.tobytes()
+    got = [update(s) for update in DEFERRED[kind]]
+    assert s._buf is buf and s._buf.tobytes() == before, "an update made a pass"
+    with monkeypatch.context() as m:
+        for module in (gates, measurement, memory):
+            m.setattr(module, "apply_transfer", _eager, raising=False)
+            m.setattr(module, "apply_product", _eager_product, raising=False)
+        want = [update(ref) for update in DEFERRED[kind]]
+    got, want = (np.concatenate([np.ravel(_values(out)) for out in outs]) for outs in (got, want))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    return s, ref
+
+
+READERS = {
+    "coeffs": lambda s: s.coeffs,
+    "tensor": lambda s: s.tensor().reshape(-1),
+    "marginal": lambda s: np.concatenate(
+        [s.marginal(q).reshape(-1) for q in ((), (2,), (4, 0), (1, 3, 2))]
+    ),
+    "copy": lambda s: s.copy().coeffs,
+    "partial_trace": lambda s: np.concatenate(
+        [partial_trace(s.copy(), k).coeffs for k in range(s.n)]
+    ),
+    "purity": lambda s: np.array([purity(s)]),
+    "overlap": lambda s: np.array([overlap(s, random_pauli_state(np.random.default_rng(5), s.n))]),
+    "save_state": lambda s: _saved(s),
+    "to_dense": lambda s: oracle.to_dense(s).rho.reshape(-1),
+}
+
+
+def _saved(s: PauliState) -> np.ndarray:
+    sink = io.StringIO()
+    save_state(s, sink)
+    return np.array([float(v) for v in sink.getvalue().splitlines()[1:]])
+
+
+@pytest.mark.parametrize("move", [False, True], ids=["identity", "moved"])
+@pytest.mark.parametrize("kind", sorted(DEFERRED))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_sees_the_pending_factors(monkeypatch, reader, kind, move):
+    s, ref = _deferred_and_reference(monkeypatch, kind, move)
+    buf = s._buf
+    got = READERS[reader](s)
+    assert np.max(np.abs(got - READERS[reader](ref))) <= 1e-12
+    if reader in ("marginal", "copy"):  # neither applies anything to the state itself
+        assert s._buf is buf and s._pending
+    assert np.max(np.abs(s.coeffs - ref.coeffs)) <= 1e-12
+
+
+def test_marginal_leaves_out_factors_on_other_qubits():
+    s = random_pauli_state(np.random.default_rng(13), 4)
+    want = s.tensor()[0, :, 0, :].T.copy()  # qubits (0, 2), qubit 0 first
+    gates.apply_u3(s, 1, 0.7, 0.1, -0.3)
+    memory.decay(s, 0.9, 0.8)
+    got = s.marginal((0, 2))
+    t = np.diag([1.0, np.sqrt(0.9), np.sqrt(0.9), 0.9])
+    t[3, 0] = (2 * 0.8 - 1) * (1 - 0.9)
+    assert np.max(np.abs(got - t @ want @ t.T)) <= 1e-15
+    with pytest.raises(ValueError):
+        s.marginal((1, 1))
+    with pytest.raises(IndexError):
+        s.marginal((4,))
+
+
+def test_a_gate_and_a_readout_on_one_qubit_compose_in_order():
+    # u3 then measure_x is not measure_x then u3; each order must match the oracle
+    noise = NoiseModel(d1=0.9)
+    start = random_pauli_state(np.random.default_rng(14), 2)
+    u = oracle.superop([oracle.u3_matrix(0.9, 0.4, -0.7)])
+    x = np.array([1.0, 0.0, 0.0])
+    finals = []
+    for gate_first in (True, False):
+        s, d = start.copy(), oracle.to_dense(start)
+        if gate_first:
+            gates.apply_u3(s, 1, 0.9, 0.4, -0.7)
+            oracle.apply_superop(d, u, (1,))
+        got = measurement.measure_qubit(s, 1, x, noise)
+        want = oracle.dense_measure_qubit(d, 1, x, noise.d1)
+        if not gate_first:
+            gates.apply_u3(s, 1, 0.9, 0.4, -0.7)
+            oracle.apply_superop(d, u, (1,))
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+        assert np.max(np.abs(s.coeffs - oracle.from_dense(d).coeffs)) <= 1e-12
+        finals.append(s.coeffs)
+    assert np.max(np.abs(finals[0] - finals[1])) > 1e-3
 
 
 # --- engine vs oracle under noise ------------------------------------------------
