@@ -6,20 +6,25 @@ circuits run ideally (``run_instructions_dense``) and for compiled schedules
 under a noise model (``run_schedule_dense``), and every update it makes goes
 through one channel kernel: ``superop`` turns the channel's own Kraus
 operators, or a weighted set of unitaries, into a complex Liouville matrix
-S = sum w K kron conj(K), and ``apply_superop`` contracts S into the
-(row bit, column bit) axes of its qubits.  An ideal gate is the channel of
-its one unitary; channels in sequence on the same qubits are composed into
-one S first.  Every readout has one channel, built by ``_readout_channel``:
-the projective measurement with weight d and full depolarisation of its
-qubits with weight 1 - d.  Each readout applies that channel and then reads
-its record from the state it leaves, as Tr(P rho'), so no record repeats the
-engine's damping formulas; ``measure`` and ``bell`` take that trace on one
-partial trace of rho' to their qubits.  ``apply_kraus`` and ``apply_unitary``
-stay as the plain definitions that route is pinned to in tests, and
-``expectation`` as the whole-matrix route those two records are pinned to.
-The point is an independent second route for every operation the
-coefficient engine implements: nothing here comes from the engine's
-kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
+S = sum w K kron conj(K), and ``apply_superop`` applies S to the vectorised
+rho as one gemm.  It views rho, with no copy, as blocks split at its
+qubits' row and column bits, makes one transposed copy that brings those
+bits to the front as a (4^k, 4^n / 4^k) matrix, multiplies it by S into
+rho's own buffer and copies the result back into (row, column) order.  An
+ideal gate is the channel of its one unitary; channels in sequence on the
+same qubits are composed into one S first.  Every readout has one channel,
+built by ``_readout_channel``: the projective measurement with weight d and
+full depolarisation of its qubits with weight 1 - d.  Each readout applies
+that channel and then reads its record from the state it leaves, as
+Tr(P rho'); ``measure``, ``expect`` and ``bell`` take that trace on one
+partial trace of rho' to their qubits.  ``apply_kraus`` and
+``apply_unitary`` stay as the plain definitions that route is pinned to in
+tests, and ``expectation`` as the whole-matrix route those three records are
+pinned to; these three contract through ``_apply_on_axes``' tensordot, a
+route the kernel does not share.  Every contraction refuses a qubit
+outside the state or listed twice.  The point is an independent second
+route for every operation the coefficient engine implements: nothing here
+comes from the engine's kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -139,6 +144,19 @@ def random_state(n: int, rng: np.random.Generator) -> PauliState:
 # Operator application
 
 
+def _check_qubits(n: int, qubits: tuple[int, ...], op=None, base: int = 2) -> None:
+    """Raise unless ``qubits`` are distinct qubits of an n-qubit state and the
+    last two axes of ``op``, if given, are base^k x base^k for k = len(qubits)."""
+    for q in qubits:
+        if not 0 <= q < n:
+            raise IndexError(f"qubit index {q} out of range for n={n}")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"qubits {tuple(qubits)} repeat a qubit")
+    want = (base ** len(qubits),) * 2
+    if op is not None and np.shape(op)[-2:] != want:
+        raise ValueError(f"operator of shape {np.shape(op)} on qubits {tuple(qubits)}, want {want}")
+
+
 def _apply_on_axes(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Contract operator ``m`` (2^k x 2^k) into tensor ``t`` on the given axes."""
     k = len(axes)
@@ -153,6 +171,7 @@ def apply_unitary(d: DenseState, u: np.ndarray, qubits: tuple[int, ...]) -> None
     ``u`` is laid out with the first listed qubit as the kron-major slot.
     """
     n = d.n
+    _check_qubits(n, qubits, u)
     t = d.rho.reshape((2,) * (2 * n))
     row_axes = tuple(n - 1 - q for q in qubits)
     col_axes = tuple(2 * n - 1 - q for q in qubits)
@@ -170,7 +189,9 @@ def _check_complete(m: np.ndarray, w: np.ndarray, dim: int) -> None:
 
 def apply_kraus(d: DenseState, kraus: list[np.ndarray], qubits: tuple[int, ...]) -> None:
     """In-place rho <- sum_mu M_mu rho M_mu^dagger on the listed qubits."""
-    _check_complete(np.asarray(kraus), np.ones(len(kraus)), 2 ** len(qubits))
+    ops = np.asarray(kraus)
+    _check_qubits(d.n, qubits, ops)
+    _check_complete(ops, np.ones(len(ops)), 2 ** len(qubits))
     n = d.n
     row_axes = tuple(n - 1 - q for q in qubits)
     col_axes = tuple(2 * n - 1 - q for q in qubits)
@@ -200,15 +221,41 @@ def superop(ops: list[np.ndarray], weights: list[float] | None = None) -> np.nda
 
 
 def apply_superop(d: DenseState, s: np.ndarray, qubits: tuple[int, ...]) -> None:
-    """In-place rho <- S(rho) for a ``superop`` matrix on the listed qubits."""
-    n = d.n
-    axes = tuple(n - 1 - q for q in qubits) + tuple(2 * n - 1 - q for q in qubits)
-    t = _apply_on_axes(d.rho.reshape((2,) * (2 * n)), s, axes)
-    d.rho = t.reshape(2**n, 2**n)
+    """In-place rho <- S(rho) for a ``superop`` matrix on the listed qubits.
+
+    rho is viewed, with no copy, as blocks: its row index split at the
+    listed qubits' bits into (2^(n-1-q_hi), 2, ..., 2, 2^q_lo), its column
+    index split the same way.  One transposed copy x brings the listed
+    qubits' row bits, then their column bits, each in the listed order, to
+    the front: a (4^k, 4^n / 4^k) matrix.  One gemm S @ x writes into rho's
+    own buffer, which x no longer needs; one transposed copy puts that back
+    in (row, column) order in x's buffer, and one plain copy returns it to
+    rho.  x is the only array the kernel allocates.
+    """
+    n, k = d.n, len(qubits)
+    _check_qubits(n, qubits, s, base=4)
+    rho = d.rho = np.require(d.rho, np.complex128, "CW")
+    # each index as (bits above q_1, q_1, bits between q_1 and q_2, q_2, ..., bits below q_k)
+    order = sorted(qubits, reverse=True)
+    shape = []
+    for top, q in zip([n, *order], order):
+        shape += [2 ** (top - 1 - q), 2]
+    shape.append(2 ** min(qubits, default=n))
+    m = len(shape)  # 2k + 1 axes: the listed bits at the odd ones
+    listed = [2 * order.index(q) + 1 for q in qubits]
+    rest = list(range(0, m, 2))
+    perm = listed + [m + a for a in listed] + rest + [m + a for a in rest]
+    blocks = shape + shape
+    x = rho.reshape(blocks).transpose(perm).copy().reshape(4**k, -1)
+    y = rho.reshape(4**k, -1)
+    np.matmul(s, x, out=y)
+    x.reshape(blocks).transpose(perm)[...] = y.reshape([blocks[a] for a in perm])
+    rho[...] = x.reshape(2**n, 2**n)
 
 
 def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float:
     """Tr(rho * op) for an operator embedded on the listed qubits."""
+    _check_qubits(d.n, qubits, op)
     t = d.rho.reshape((2,) * (2 * d.n))
     row_axes = tuple(d.n - 1 - q for q in qubits)
     t = _apply_on_axes(t, op, row_axes)
@@ -218,6 +265,7 @@ def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float
 def _reduced(d: DenseState, qubits: tuple[int, ...]) -> np.ndarray:
     """Partial trace of rho over every qubit not listed; the first listed is kron-major."""
     n = d.n
+    _check_qubits(n, qubits)
     rows = [n - 1 - i for i in range(n)]  # row axis i belongs to qubit n - 1 - i
     cols = [q + n if q in qubits else q for q in rows]  # a shared label is traced out
     out = [*qubits, *(q + n for q in qubits)]
@@ -336,7 +384,8 @@ def dense_expect_string(d: DenseState, labels: list[int], d1: float) -> float:
     for k, v in enumerate(labels):
         if v:
             apply_superop(d, channels[v], (k,))
-    return _trace_product(_kron_qubits([SIGMA[v] for v in reversed(labels)]), d.rho)
+    support = tuple(k for k in reversed(range(d.n)) if labels[k])
+    return _trace_product(_kron_qubits([SIGMA[labels[k]] for k in support]), _reduced(d, support))
 
 
 def dense_ensemble(d: DenseState, d1: float) -> np.ndarray:

@@ -2,6 +2,8 @@
 only textbook linear algebra, never the coefficient engine."""
 
 import ast
+import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +379,88 @@ def test_superop_bell_update_matches_kraus_route(rng):
         assert np.max(np.abs(got.rho - twirled.rho)) <= PIN_TOL, d2
 
 
+# The apply_superop kernel: one transposed copy and one gemm, checked on every
+# qubit placement against the Kraus definition, for memory, for the route it
+# must not share with the pins, and for the qubits it must refuse.
+
+
+def _random_kraus(rng, k, count=3):
+    """A random complex Kraus set on k qubits, in general not unital."""
+    dim = 2**k
+    a = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", a.conj(), a))
+    return list(a @ (v / np.sqrt(w)) @ v.conj().T)  # a_mu M^-1/2, M = sum a^dagger a
+
+
+def test_apply_superop_matches_apply_kraus_on_every_placement(rng):
+    for k in (1, 2, 3):
+        kraus = _random_kraus(rng, k)
+        assert not np.allclose(sum(m @ m.conj().T for m in kraus), np.eye(2**k))
+        s = oracle.superop(kraus)
+        for n in range(k, 6):
+            for qubits in itertools.permutations(range(n), k):
+                got, want = _pair(rng, n)
+                oracle.apply_superop(got, s, qubits)
+                oracle.apply_kraus(want, kraus, qubits)
+                assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, (n, qubits)
+
+
+def test_apply_superop_allocates_one_copy_of_rho(rng):
+    kraus = {k: _random_kraus(rng, k) for k in (1, 2, 3)}
+    d = oracle.to_dense(random_pauli_state(rng, 8))
+    for qubits in ((0,), (7, 6), (1, 6), (5, 0, 3)):
+        s = oracle.superop(kraus[len(qubits)])
+        tracemalloc.start()
+        try:
+            oracle.apply_superop(d, s, qubits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= d.rho.nbytes + 64 * 1024, (qubits, peak / d.rho.nbytes)
+
+
+def test_apply_superop_shares_no_route_with_the_pinned_definitions():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    (fn,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "apply_superop"]
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+    assert called.isdisjoint({"_apply_on_axes", "tensordot", "moveaxis"}), called
+
+
+def test_contractions_refuse_qubits_outside_the_state_or_repeated(rng):
+    d = oracle.to_dense(random_pauli_state(rng, 3))
+    s1 = oracle.superop(_random_kraus(rng, 1))
+    s2 = oracle.superop(_random_kraus(rng, 2))
+    calls = {
+        "apply_superop": lambda qs: oracle.apply_superop(d, s1 if len(qs) == 1 else s2, qs),
+        "apply_unitary": lambda qs: oracle.apply_unitary(d, np.eye(2 ** len(qs)), qs),
+        "apply_kraus": lambda qs: oracle.apply_kraus(d, [np.eye(2 ** len(qs))], qs),
+        "expectation": lambda qs: oracle.expectation(d, np.eye(2 ** len(qs)), qs),
+        "_reduced": lambda qs: oracle._reduced(d, qs),
+    }
+    rho = d.rho.copy()
+    for name, call in calls.items():
+        for qubits in ((3,), (-1,), (5, 1), (0, -3)):
+            with pytest.raises(IndexError, match="out of range"):
+                call(qubits)
+        for qubits in ((1, 1), (2, 0, 2)):
+            with pytest.raises(ValueError, match="repeat"):
+                call(qubits)
+        assert np.array_equal(d.rho, rho), name
+
+    # an operator of the wrong size for its qubits is refused before rho is touched
+    before = d.rho
+    for s, qubits in ((s2, (1,)), (s1, (0, 2)), (np.eye(2), (0,)), (np.eye(4)[:, :3], (1,))):
+        with pytest.raises(ValueError, match="shape"):
+            oracle.apply_superop(d, s, qubits)
+    assert d.rho is before and np.array_equal(d.rho, rho)
+    with pytest.raises(ValueError, match="shape"):
+        oracle.apply_unitary(d, np.eye(4), (0,))
+
+
 def _pauli_mean(rho, labels):
     """Tr(P rho) for the Pauli string with SIGMA[labels[q]] on qubit q, by np.kron."""
     full = np.ones((1, 1))
@@ -431,6 +515,15 @@ def test_measure_and_bell_records_match_the_whole_matrix_expectation(rng):
     for n in (2, 3, 5):
         for d in (0.0, 0.85, 1.0):
             s = random_pauli_state(rng, n)
+            for labels in ([0] * n, [int(v) for v in rng.integers(0, 4, n)], [3] * n):
+                got = oracle.to_dense(s)
+                value = oracle.dense_expect_string(got, labels, d)
+                full = np.ones((1, 1))
+                for v in reversed(labels):
+                    full = np.kron(full, oracle.SIGMA[v])
+                want = oracle.expectation(got, full, tuple(reversed(range(n))))
+                assert abs(value - want) <= PIN_TOL, labels
+
             k = int(rng.integers(n))
             axis = np.array([0.48, -0.6, 0.64])
             got = oracle.to_dense(s)
