@@ -54,17 +54,10 @@ def _finalize(labels: list[str], values: np.ndarray) -> dict[str, float]:
 
 
 def _axis_transfer(nvec: np.ndarray, d1: float) -> np.ndarray:
-    """Non-selective measurement along nvec: the Bloch block becomes d1 n n^T.
-
-    Along a basis axis that block is diagonal, and only the diagonal is
-    returned, which the kernel applies in place.
-    """
-    block = d1 * np.outer(nvec, nvec)
-    if np.count_nonzero(nvec) == 1:
-        return np.concatenate(([1.0], np.diag(block)))
+    """Non-selective measurement along nvec: the Bloch block becomes d1 n n^T."""
     t = np.zeros((4, 4))
     t[0, 0] = 1.0
-    t[1:, 1:] = block
+    t[1:, 1:] = d1 * np.outer(nvec, nvec)
     return t
 
 
@@ -141,7 +134,7 @@ def ensemble_distribution(
     digit-3 occurrence by d1.
     """
     probs = _bitstring_probs(state, noise.d1)
-    apply_product(state, np.array([1.0, 0.0, 0.0, noise.d1]))
+    apply_product(state, np.diag([1.0, 0.0, 0.0, noise.d1]))
     return _finalize([format(i, f"0{state.n}b") for i in range(2**state.n)], probs)
 
 
@@ -167,7 +160,7 @@ def bell_measure(
     )
     kept = noise.d2 * np.eye(4)  # (digit_k, digit_l) -> factor
     kept[0, 0] = 1.0
-    apply_transfer(state, (k, l), kept.reshape(-1))
+    apply_transfer(state, (k, l), np.diag(kept.reshape(-1)))
     return _finalize(list(BELL_LABELS), probs)
 
 

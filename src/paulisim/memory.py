@@ -1,10 +1,10 @@
 """Idle-time decoherence and decay applied after every clock step.
 
 Both channels act independently on each qubit, as one 4x4 transfer matrix
-given to every qubit by ``state.apply_product``: decoherence is diagonal
-and passed as its diagonal, while decay's a3 <- a0 entry makes it a full
-4x4.  Neither makes a pass over the coefficients: each composes into every
-qubit's pending factor, which reaches the coefficients at the qubit's next
+given to every qubit by ``state.apply_product``: decoherence is diagonal,
+while decay's a3 <- a0 entry puts one entry below the diagonal.  Neither
+makes a pass over the coefficients: each composes into every qubit's
+pending factor, which reaches the coefficients at the qubit's next
 two-qubit gate or at the next full read (see ``state``), so a clock step
 costs 2n 4x4 products whatever the state size.  Decoherence multiplies
 transverse (digit 1 or 2) occurrences by f = exp(-dt/T2); decay scales them
@@ -31,7 +31,7 @@ def decohere(state: PauliState, f: float) -> None:
     _check_unit("f", f)
     if f == 1.0:
         return
-    apply_product(state, np.array([1.0, f, f, 1.0]))
+    apply_product(state, np.diag([1.0, f, f, 1.0]))
 
 
 def decay(state: PauliState, g: float, p: float) -> None:

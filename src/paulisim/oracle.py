@@ -411,12 +411,15 @@ def _bell_projector(signs: tuple[float, float, float]) -> np.ndarray:
     return acc / 4
 
 
+# the four Bell projectors, in BELL_SIGNS order
+_BELL_PROJECTORS = tuple(_bell_projector(signs) for signs in BELL_SIGNS.values())
+
+
 def dense_bell(d: DenseState, k: int, l: int, d2: float) -> dict[str, float]:
     """Bell-basis measurement of qubits (k, l) with damping d2; updates state."""
-    projectors = [_bell_projector(signs) for signs in BELL_SIGNS.values()]
-    apply_superop(d, _readout_channel(projectors, d2), (k, l))
+    apply_superop(d, _readout_channel(list(_BELL_PROJECTORS), d2), (k, l))
     pair = _reduced(d, (k, l))
-    return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, projectors)}
+    return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, _BELL_PROJECTORS)}
 
 
 def dense_reset(d: DenseState, k: int) -> None:
@@ -447,20 +450,29 @@ def decay_kraus(g: float, p: float) -> list[np.ndarray]:
     ]
 
 
+def _memory_channel(f: float, g: float, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one-qubit decoherence + decay superoperator, and its 16x16 pair form."""
+    s = superop(decay_kraus(g, p)) @ superop(decohere_kraus(f))
+    # s is laid out (r c, r' c'); its pair form is (r0 r1 c0 c1, r0' r1' c0' c1')
+    t = s.reshape(2, 2, 2, 2)
+    return s, np.einsum("abxy,efuv->aebfxuyv", t, t).reshape(16, 16)
+
+
+def _apply_memory(d: DenseState, s: np.ndarray, pair: np.ndarray) -> None:
+    """The memory step of ``_memory_channel``: ``pair`` on qubits (0, 1), (2, 3), ..."""
+    for k in range(0, d.n - 1, 2):
+        apply_superop(d, pair, (k, k + 1))
+    if d.n % 2:
+        apply_superop(d, s, (d.n - 1,))
+
+
 def dense_memory_step(d: DenseState, f: float, g: float, p: float) -> None:
     """Apply one decoherence + decay step to every qubit.
 
     The composed one-qubit superoperator is applied to two qubits per
     contraction, as its 16x16 pair form, which halves the passes over rho.
     """
-    s = superop(decay_kraus(g, p)) @ superop(decohere_kraus(f))
-    # s is laid out (r c, r' c'); its pair form is (r0 r1 c0 c1, r0' r1' c0' c1')
-    t = s.reshape(2, 2, 2, 2)
-    pair = np.einsum("abxy,efuv->aebfxuyv", t, t).reshape(16, 16)
-    for k in range(0, d.n - 1, 2):
-        apply_superop(d, pair, (k, k + 1))
-    if d.n % 2:
-        apply_superop(d, s, (d.n - 1,))
+    _apply_memory(d, *_memory_channel(f, g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +597,17 @@ def run_schedule_dense(d: DenseState, schedule, noise) -> list:
 
     Mirrors the coefficient engine step for step: each member through the
     same step as ``run_instructions_dense`` under ``noise`` (a NoiseModel),
-    then one memory-noise step after every partition of ``schedule``.
+    then one memory-noise step after every partition of ``schedule``.  The
+    memory channel is built once per distinct (f, g) pair of the schedule's
+    partition categories, not once per partition.
     """
     records: list = []
+    channels: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
     for part in schedule.partitions:
         for ins in part.members:
             _step(d, ins, noise, records)
-        dense_memory_step(d, *noise.pair(part.category), noise.p)
+        fg = noise.pair(part.category)
+        if fg not in channels:
+            channels[fg] = _memory_channel(*fg, noise.p)
+        _apply_memory(d, *channels[fg])
     return records

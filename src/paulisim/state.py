@@ -22,39 +22,38 @@ first three, and ``load_state`` checks positivity too, for files of at most
 * ``|a[idx]| <= 2**-n`` for every index, up to rounding slack,
 * the density matrix has no eigenvalue below ``-PSD_TOL`` (positivity).
 
-Every state update is a Pauli transfer matrix (PTM) applied by
-``apply_transfer`` or ``apply_product``, and every readout reads through
-``PauliState.coeffs``, ``.tensor`` or ``.marginal``.  A diagonal PTM is
-passed as its diagonal and applied as an in-place scaling of the
-coefficients; any other goes through a matmul.  Every PTM must have first
-row (1, 0, ..., 0), and the kernel refuses one that does not, so ``a[0]``
-comes out of each update bit for bit.
+Every state update is a Pauli transfer matrix (PTM), a real 4^m x 4^m
+matrix on m = 1 or 2 qubits, applied by ``apply_transfer`` or
+``apply_product``, and every readout reads through ``PauliState.coeffs``,
+``.tensor`` or ``.marginal``.  A diagonal PTM is a matrix like any other,
+and every pass is a matmul.  Every PTM must have first row (1, 0, ..., 0),
+and the kernel refuses one that does not, so ``a[0]`` comes out of each
+update bit for bit.
 
 Qubit layout.  The buffer a ``PauliState`` holds need not be in the order
 above: it carries a private digit order, which qubit sits in each physical
-base-4 digit.  A matrix PTM on two qubits whose digits are apart moves the
-lower digit up to sit just below the higher one, in the one transposed copy
-the matmul needs anyway, and the buffer keeps that layout; a later update on
-the same pair runs on adjacent digits with no copy (the qubit remapping of
-Häner & Steiger, arXiv:1704.01127).  Diagonal and one-qubit PTMs, and
-``apply_product``, never move a digit.  The layout is invisible outside this
-module: ``coeffs`` is always in the logical order above, and reading it on a
-moved layout makes one transposed copy and resets the layout; ``tensor`` is
-a logical view of the buffer, with no copy.
+base-4 digit.  A PTM on two qubits whose digits are apart moves the lower
+digit up to sit just below the higher one, in the one transposed copy the
+matmul needs anyway, and the buffer keeps that layout; a later update on the
+same pair runs on adjacent digits with no copy (the qubit remapping of
+Häner & Steiger, arXiv:1704.01127).  One-qubit PTMs and ``apply_product``
+never move a digit.  The layout is invisible outside this module:
+``coeffs`` is always in the logical order above, and reading it on a moved
+layout makes one transposed copy and resets the layout; ``tensor`` is a
+logical view of the buffer, with no copy.
 
 Pending factors.  A one-qubit PTM does not touch the buffer: it composes
-into a 4x4 factor the state keeps for that qubit (T @ P; two diagonals stay
-a diagonal), and ``apply_product`` composes its PTM into every qubit's
-factor.  Operations on different qubits commute, so this only changes the
-order of rounding (PTM composition, Greenbaum arXiv:1509.02921, used as gate
-fusion).  A factor leaves the qubit in one of three ways:
+into a 4x4 factor the state keeps for that qubit (T @ P), and
+``apply_product`` composes its PTM into every qubit's factor.  Operations
+on different qubits commute, so this only changes the order of rounding
+(PTM composition, Greenbaum arXiv:1509.02921, used as gate fusion).  A
+factor leaves the qubit in one of three ways:
 
 * a two-qubit PTM T on qubits (a, b) applies T (P_a kron P_b) in the one
   pass it makes anyway, and both factors are gone;
 * a full read (``coeffs``, ``tensor``, and everything built on them) first
   applies every factor, in ceil(n/2) passes over adjacent physical digit
-  pairs, so no digit moves; when every factor is diagonal, in two in-place
-  multiplies by half-size weight vectors instead;
+  pairs, so no digit moves;
 * ``marginal(qubits)`` contracts the listed qubits' factors into the small
   block of coefficients whose other digits are 0, and leaves the state as
   it is.  A factor on any other qubit has first row e0, so it cannot change
@@ -66,7 +65,6 @@ from __future__ import annotations
 import io
 import re
 import warnings
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -108,15 +106,14 @@ class PauliState:
     factor first (see the module docstring).  ``marginal`` reads the block
     of coefficients a readout needs without a pass over the state.  The
     constructor keeps a float64 array as given, without a copy, and
-    ``coeffs`` returns that same array until a matrix pass replaces it: a
-    two-qubit matrix update, a full read that applies a pending factor that
-    is not diagonal, or a read on a moved layout.
+    ``coeffs`` returns that same array until a pass replaces it: a
+    two-qubit update, a full read that applies a pending factor, or a read
+    on a moved layout.
     """
 
     # _layout[d] is the qubit in physical digit d; None is the identity.
-    # _pending maps a qubit to its pending factor, a 4-entry diagonal or a
-    # 4x4 matrix; a qubit not in it has none.  Factors are never written in
-    # place, so copies share them.
+    # _pending maps a qubit to its pending 4x4 factor; a qubit not in it has
+    # none.  Factors are never written in place, so copies share them.
     __slots__ = ("n", "_buf", "_layout", "_pending")
 
     def __init__(self, n: int, coeffs: np.ndarray):
@@ -181,15 +178,8 @@ class PauliState:
         block = np.array(block, order="C")  # a copy: axis 1 of (4^i, 4, rest) is qubits[i]
         for i, k in enumerate(qubits):
             p = self._pending.get(k)
-            if p is None:
-                continue
-            x = block.reshape(4**i, 4, -1)
-            if p.ndim == 1:
-                np.multiply(x, p[:, None], out=x)
-                if not p.all():  # as the flush does: no -0.0 from a zero factor
-                    np.add(x, 0.0, out=x)
-            else:
-                block = np.matmul(p, x).reshape(block.shape)
+            if p is not None:
+                block = np.matmul(p, block.reshape(4**i, 4, -1)).reshape(block.shape)
         return block
 
     def axis(self, k: int) -> int:
@@ -226,10 +216,8 @@ class PauliState:
     def _flush(self) -> None:
         """Apply every pending factor to the buffer; no digit moves.
 
-        All diagonal: two in-place multiplies, by the kron of the factors on
-        the high half of the physical digits, then on the low half.
-        Otherwise one pass per adjacent physical digit pair that holds a
-        factor.
+        One pass per adjacent physical digit pair that holds a factor, of the
+        kron of the pair's two factors.
         """
         pending, n = self._pending, self.n
         if not pending:
@@ -237,17 +225,6 @@ class PauliState:
         self._pending = {}
         at = self._layout or range(n)  # the qubit in each physical digit
         by_digit = [pending.get(at[d]) for d in range(n)]
-        if all(p is None or p.ndim == 1 for p in by_digit):
-            low = n // 2
-            x = self._buf.reshape(4 ** (n - low), 4**low)
-            for half, axis in ((by_digit[low:], 0), (by_digit[:low], 1)):
-                if all(p is None for p in half):
-                    continue
-                w = reduce(np.kron, [_ONES if p is None else p for p in reversed(half)], np.ones(1))
-                np.multiply(x, w[:, None] if axis == 0 else w, out=x)
-                if not w.all():  # 0 * a negative is -0.0, where the matmul gives +0.0
-                    np.add(x, 0.0, out=x)
-            return
         for lo in range(0, n - 1, 2):
             hi_p, lo_p = by_digit[lo + 1], by_digit[lo]
             if hi_p is not None or lo_p is not None:
@@ -259,49 +236,33 @@ class PauliState:
         return f"PauliState(n={self.n})"
 
 
-_ONES = np.ones(4)
-_ONES.setflags(write=False)
 _EYE = np.eye(4)
 _EYE.setflags(write=False)
 
 
-def _as_matrix(p: np.ndarray | None) -> np.ndarray:
-    return _EYE if p is None else np.diag(p) if p.ndim == 1 else p
-
-
 def _kron(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
-    """kron(a, b) of two pending factors, None as the identity, by broadcasting.
-
-    Two diagonals (or identities) give the 16-entry diagonal.
-    """
-    if (a is None or a.ndim == 1) and (b is None or b.ndim == 1):
-        a, b = (_ONES if p is None else p for p in (a, b))
-        return (a[:, None] * b).reshape(16)
-    a, b = _as_matrix(a), _as_matrix(b)
+    """kron(a, b) of two pending factors, None as the identity, by broadcasting."""
+    a, b = (_EYE if p is None else p for p in (a, b))
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
 
 
 def _compose(t: np.ndarray, p: np.ndarray | None) -> np.ndarray:
-    """The transfer ``t`` after ``p`` (t @ p), each a matrix or a diagonal."""
-    if p is None:
-        return t
-    if t.ndim == 1:
-        return t * p if p.ndim == 1 else t[:, None] * p
-    return t * p if p.ndim == 1 else t.dot(p)
+    """The transfer ``t`` after ``p`` (t @ p)."""
+    return t if p is None else t.dot(p)
 
 
 def _checked(t: np.ndarray, size: int) -> np.ndarray:
-    """A private float64 copy of a size x size transfer, or its diagonal, with first row e0.
+    """A private float64 copy of a size x size transfer, with first row e0.
 
     Every deferral rests on that first row: a pending factor must leave each
     coefficient whose digit on its qubit is 0 unchanged.
     """
     t = np.array(t, dtype=np.float64)
-    if t.shape not in ((size, size), (size,)):
-        raise ValueError(f"need a {size}x{size} transfer or its diagonal, got {t.shape}")
-    row = t[:1].tolist() if t.ndim == 1 else t[0].tolist()
+    if t.shape != (size, size):
+        raise ValueError(f"need a {size}x{size} transfer matrix, got shape {t.shape}")
+    row = t[0].tolist()
     if row[0] != 1.0 or any(row[1:]):  # a NaN fails either test
-        raise ValueError("a transfer needs first row (1, 0, ..., 0); a diagonal, entry 0 = 1")
+        raise ValueError("a transfer needs first row (1, 0, ..., 0)")
     return t
 
 
@@ -309,15 +270,14 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
     """Apply a 4^m x 4^m transfer matrix to the m = 1 or 2 listed qubits.
 
     For m = 2 the matrix index is 4 * digit(qubits[0]) + digit(qubits[1]),
-    the first listed qubit kron-major.  A 1-D ``t`` of length 4^m is the
-    diagonal of a diagonal transfer matrix.  The first row must be e0
-    (``ValueError`` otherwise); a private copy of ``t`` is kept, never the
-    caller's array.  On one qubit, ``t`` composes into the qubit's pending
-    factor and the buffer is left alone.  On two, it takes both qubits'
-    pending factors, t (P_a kron P_b), into one pass: a diagonal scales the
-    buffer in place, a matrix replaces it, and a matrix on two qubits whose
-    digits are apart leaves the state in a moved layout (see the module
-    docstring).
+    the first listed qubit kron-major.  ``t`` must be that square matrix,
+    diagonal or not, with first row e0 (``ValueError`` otherwise, a 1-D
+    array included); a private copy of ``t`` is kept, never the caller's
+    array.  On one qubit, ``t`` composes into the qubit's pending factor
+    and the buffer is left alone.  On two, it takes both qubits' pending
+    factors, t (P_a kron P_b), into one pass that replaces the buffer; on
+    two qubits whose digits are apart it leaves the state in a moved layout
+    (see the module docstring).
     """
     m = len(qubits)
     if m not in (1, 2) or len(set(qubits)) != m:
@@ -344,16 +304,6 @@ def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
     hi, lo = max(digits), min(digits)
     rows, mid, cols = 4 ** (n - 1 - hi), 4 ** max(hi - lo - 1, 0), 4**lo
     x = state._buf
-    if t.ndim == 1:  # a diagonal: one broadcast multiply, no copy
-        if m == 1:
-            view, w = x.reshape(rows, 4, cols), t[:, None]
-        else:
-            d = t.reshape(4, 4) if digits[0] > digits[1] else t.reshape(4, 4).T
-            view, w = x.reshape(rows, 4, mid, 4, cols), d[:, None, :, None]
-        np.multiply(view, w, out=view)
-        if not t.all():  # 0 * a negative is -0.0, where the matmul gives +0.0
-            np.add(x, 0.0, out=x)
-        return
     if m == 2 and digits[0] < digits[1]:  # put the more significant digit first
         t = t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
     if mid > 1:
@@ -374,7 +324,7 @@ def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
 
 
 def apply_product(state: PauliState, t: np.ndarray) -> None:
-    """Apply the same 4x4 transfer, or 4-entry diagonal, to every qubit.
+    """Apply the same 4x4 transfer to every qubit; a 1-D ``t`` is refused.
 
     ``t`` composes into every qubit's pending factor, as ``apply_transfer``
     on each qubit would; the buffer sees it at the qubit's next two-qubit

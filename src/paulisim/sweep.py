@@ -77,14 +77,15 @@ def sweep(
         pattern = metric.partition(":")[2]
         if len(pattern) != n or set(pattern) - {"0", "1", "x"}:
             raise ValueError(f"success pattern must be {n} characters over 0/1/x")
-    elif metric == "fidelity" or metric.startswith("fidelity:"):
+    elif metric == "fidelity":
+        reference = make_initial_state(n, spec, base)
+        execute_schedule(reference, schedule, NoiseModel())
+    elif metric.startswith("fidelity:"):
         path = metric.partition(":")[2]
-        if path:
-            # the same read and size check as --init file:PATH
-            reference = parse_init(n, f"file:{path}").state
-        else:
-            reference = make_initial_state(n, spec, base)
-            execute_schedule(reference, schedule, NoiseModel())
+        if not path:
+            raise ValueError("metric 'fidelity:' is missing its state-file path (fidelity:FILE)")
+        # the same read and size check as --init file:PATH
+        reference = parse_init(n, f"file:{path}").state
     else:
         raise ValueError(f"unknown metric {metric!r}")
 

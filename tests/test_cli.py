@@ -188,6 +188,16 @@ def test_exit_code_state_file_of_another_size(tmp_path, capsys):
     assert capsys.readouterr().err.count("state file holds 9 qubits, circuit needs 2") == 4
 
 
+def test_exit_code_fidelity_metric_without_a_path(tmp_path, capsys):
+    # what --metric fidelity:$REF gives with REF unset
+    pair = write(tmp_path / "pair.circ", "qubits 2\nh q[0]\ncx q[0],q[1]\n")
+    assert main(["sweep", "--circuit", pair, "--param", "r", "--values", "0.9",
+                 "--metric", "fidelity:"]) == 2
+    captured = capsys.readouterr()
+    assert "missing its state-file path" in captured.err
+    assert captured.out == ""
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["run", "--circuit", str(tmp_path / "nope.circ")]) == 2
 

@@ -183,6 +183,32 @@ def test_dense_memory_step_matches_kraus_composition(rng):
         assert np.max(np.abs(d1.rho - d2.rho)) < 1e-12
 
 
+def test_a_schedule_builds_each_memory_channel_once(monkeypatch):
+    # one build per distinct (f, g) of the partition categories, however
+    # many partitions, and the same bytes as a fresh step per partition
+    n, instructions = parse_circuit(random_circuit_text(np.random.default_rng(3), 3, 40))
+    _, schedule = compile_circuit(n, instructions)
+    noise = NoiseModel(f=0.99, g=0.98, f_meas=0.97, g_meas=0.96, p=0.9)
+    categories = {part.category for part in schedule.partitions}
+    assert len(schedule.partitions) >= 10 and categories == {"gate", "measurement", "solo"}
+
+    want, records = oracle.dense_zero(n), []
+    for part in schedule.partitions:
+        for ins in part.members:
+            oracle._step(want, ins, noise, records)
+        oracle.dense_memory_step(want, *noise.pair(part.category), noise.p)
+
+    builds = []
+    decay_kraus = oracle.decay_kraus
+    monkeypatch.setattr(
+        oracle, "decay_kraus", lambda g, p: builds.append(g) or decay_kraus(g, p)
+    )
+    got = oracle.dense_zero(n)
+    assert oracle.run_schedule_dense(got, schedule, noise) == records
+    assert sorted(builds) == [0.96, 0.98]
+    assert np.array_equal(got.rho, want.rho)
+
+
 def test_dense_measure_qubit_ideal_probabilities():
     d = oracle.to_dense(init_uniform(1))
     p = oracle.dense_measure_qubit(d, 0, np.array([0.0, 0.0, 1.0]), 1.0)

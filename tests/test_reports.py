@@ -7,6 +7,7 @@ does not move the digest but a flipped zero sign does.  Shots stay off: a
 last-bit change in a probability can flip a sampled count.
 """
 
+import dataclasses
 import hashlib
 import re
 
@@ -79,3 +80,45 @@ def test_reports_of_a_fixed_corpus_keep_their_digest():
     rows = sweep(adder, "r", [0.9, 0.95, 1.0], metric, _noise(np.random.default_rng(37)))
     h.update(_rounded(format_table("r", metric, rows)).encode())
     assert h.hexdigest() == "ffdce69e21d005f2d774177f025ce1f9993941b582285228a8aed2e2d4a19bda"
+
+
+def _decay_free_noise(rng: np.random.Generator) -> NoiseModel:
+    """``_noise`` with g = g_meas = 1, so no decay runs, and f, f_meas down to 0.9."""
+    u = rng.uniform
+    return dataclasses.replace(_noise(rng), f=u(0.9, 1.0), g=1.0, f_meas=u(0.9, 1.0), g_meas=1.0)
+
+
+def _decay_free_corpus() -> list[tuple[str, NoiseModel, str]]:
+    """Random circuits that end in Bell readouts on far pairs, then diagonal readouts.
+
+    The Bells take every qubit's pending factor into a pass, and with no decay
+    every later factor (decoherence, z and x readouts along an axis) is
+    diagonal, so the closing ensemble and the final state read a state whose
+    pending factors are all diagonal.
+    """
+    cases = []
+    for i in range(21):
+        rng = np.random.default_rng([43, i])
+        n = 2 + i % 7
+        lines = [random_circuit_text(rng, n, 16)]
+        lines += [f"bell q[{j}],q[{n - 1 - j}]\n" for j in range(n // 2)]
+        if n % 2:
+            lines.append(f"bell q[{n // 2}],q[0]\n")
+        lines.append(f"measure q[{rng.integers(n)}]\n")
+        lines.append(f"measure_x q[{rng.integers(n)}]\n")
+        lines.append("expect " + "".join(rng.choice(list("IXZ"), size=n)) + "\n")
+        lines.append("ensemble\n")
+        cases.append(("".join(lines), _decay_free_noise(rng), INITS[i % 3]))
+    return cases
+
+
+def test_reports_of_a_decay_free_corpus_keep_their_digest():
+    # With g = g_meas = 1 the pending factors at the closing readouts are all
+    # diagonal, a case the corpus above (g < 1 throughout) never reaches.
+    # The digest was taken while diagonal factors still had their own
+    # in-place flush, so it also holds the matrix flush to those numbers.
+    h = hashlib.sha256()
+    for text, noise, init in _decay_free_corpus():
+        h.update(_rounded(run_circuit(text, noise, init=init).to_text(timing=False)).encode())
+        h.update(_rounded(_verify_text(text, noise, init)).encode())
+    assert h.hexdigest() == "221a19875640dcb69b93c04559c9a4e3be4503159e9e3507f07ae2eb8bdceb62"

@@ -69,6 +69,12 @@ def test_sweep_rejects_bad_metrics():
         sweep(BELL, "r", [1.0], "purity")
 
 
+def test_sweep_refuses_fidelity_with_an_empty_path():
+    # "fidelity:" is a reference file with no name, not the noiseless reference
+    with pytest.raises(ValueError, match="missing its state-file path"):
+        sweep(BELL, "r", [1.0], "fidelity:")
+
+
 def test_sweep_requires_ensemble_for_success_metric():
     with pytest.raises(ValueError):
         sweep("qubits 2\nh q[0]\n", "r", [1.0], "success:xx")

@@ -28,8 +28,6 @@ from paulisim.state import (
 
 def reference_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> np.ndarray:
     """The contraction apply_transfer must match, spelled out on the tensor view."""
-    if t.ndim == 1:
-        t = np.diag(t)
     n, m = state.n, len(qubits)
     src, outs, ins = "abcdefghij"[:n], "pq"[:m], ""
     dst = list(src)
@@ -40,11 +38,11 @@ def reference_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray
     return np.einsum(spec, t.reshape((4,) * (2 * m)), state.tensor()).reshape(-1)
 
 
-def random_transfer(rng, shape: tuple[int, ...]) -> np.ndarray:
-    """A random transfer matrix, or diagonal, with the first row e0 every kernel requires."""
-    t = rng.standard_normal(shape)
+def random_transfer(rng, size: int) -> np.ndarray:
+    """A random size x size transfer matrix with the first row e0 every kernel requires."""
+    t = rng.standard_normal((size, size))
     t[0] = 0.0
-    t[(0,) * len(shape)] = 1.0
+    t[0, 0] = 1.0
     return t
 
 
@@ -53,41 +51,49 @@ def test_apply_transfer_matches_reference_on_every_placement(rng):
         placements = [(k,) for k in range(n)]
         placements += [(a, b) for a in range(n) for b in range(n) if a != b]
         for qubits in placements:
-            for ndim in (2, 1):  # a matrix, and a diagonal given as a vector
-                s = PauliState(n, rng.standard_normal(4**n))
-                t = random_transfer(rng, (4 ** len(qubits),) * ndim)
-                want = reference_transfer(s, qubits, t)
-                apply_transfer(s, qubits, t)
-                assert np.max(np.abs(s.coeffs - want)) < 1e-12, (qubits, ndim)
+            s = PauliState(n, rng.standard_normal(4**n))
+            t = random_transfer(rng, 4 ** len(qubits))
+            want = reference_transfer(s, qubits, t)
+            apply_transfer(s, qubits, t)
+            assert np.max(np.abs(s.coeffs - want)) < 1e-12, qubits
 
 
 def test_apply_product_is_the_same_transfer_on_every_qubit(rng):
     for n in (1, 2, 3, 4, 5):
-        for shape in ((4, 4), (4,)):
-            s = PauliState(n, rng.standard_normal(2 * 4**n)[::2])  # a view, scaled in place
-            t = random_transfer(rng, shape)
-            want = s.copy()
-            for k in range(n):
-                apply_transfer(want, (k,), t)
-            apply_product(s, t)
-            assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, (n, shape)
+        s = PauliState(n, rng.standard_normal(2 * 4**n)[::2])  # a strided view
+        t = random_transfer(rng, 4)
+        want = s.copy()
+        for k in range(n):
+            apply_transfer(want, (k,), t)
+        apply_product(s, t)
+        assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, n
+
+
+def _scaled(s: PauliState, qubits: tuple[int, ...], d: np.ndarray) -> np.ndarray:
+    """diag(d) on ``qubits`` as a plain multiply of the tensor view, with every zero +0.0."""
+    m = len(qubits)
+    w = d.reshape((4,) * m + (1,) * (s.n - m))
+    w = np.moveaxis(w, list(range(m)), [s.n - 1 - k for k in qubits])
+    return (s.tensor() * w + 0.0).reshape(-1)
 
 
 def test_diagonal_and_matrix_forms_give_the_same_bytes(rng):
-    # zero entries included: 0 * a negative coefficient is -0.0 in a plain
-    # multiply, while the matmul sums to +0.0
+    # A diagonal transfer matrix gives the bytes of a plain multiply by its
+    # diagonal, zero entries included: 0 * a negative coefficient is -0.0
+    # in a plain multiply, while the matmul sums to +0.0, and no -0.0 may
+    # reach a printed number.
     for n in (1, 3):
         placements = [(k,) for k in range(n)] + [(a, b) for a in range(n) for b in range(n) if a != b]
         for qubits in placements:
             d = rng.choice([0.0, 0.97, 1.0], size=4 ** len(qubits))
             d[0] = 1.0
             s = PauliState(n, rng.standard_normal(4**n))
-            want = s.copy()
-            apply_transfer(want, qubits, np.diag(d))
-            apply_transfer(s, qubits, d)
-            assert s.coeffs.tobytes() == want.coeffs.tobytes(), qubits
+            want = _scaled(s, qubits, d)
+            apply_transfer(s, qubits, np.diag(d))
+            assert s.coeffs.tobytes() == want.tobytes(), qubits
+            assert not np.signbit(s.coeffs[s.coeffs == 0.0]).any(), qubits
     s = PauliState(4, rng.standard_normal(4**4))
-    apply_product(s, np.array([1.0, 0.0, 0.0, 0.97]))
+    apply_product(s, np.diag([1.0, 0.0, 0.0, 0.97]))
     assert not np.signbit(s.coeffs[s.coeffs == 0.0]).any()
 
 
@@ -125,21 +131,19 @@ def test_apply_transfer_matches_reference_on_a_moved_layout(rng):
         placements = [(k,) for k in range(n)]
         placements += [(a, b) for a in range(n) for b in range(n) if a != b]
         for qubits in placements:
-            for ndim in (2, 1):
-                s = moved(PauliState(n, rng.standard_normal(4**n)))
-                t = random_transfer(rng, (4 ** len(qubits),) * ndim)
-                want = reference_transfer(canonical(s), qubits, t)
-                apply_transfer(s, qubits, t)
-                assert np.max(np.abs(s.coeffs - want)) < 1e-12, (n, qubits, ndim)
-        for shape in ((4, 4), (4,)):
             s = moved(PauliState(n, rng.standard_normal(4**n)))
-            t = random_transfer(rng, shape)
-            want = canonical(s)
-            for k in range(n):
-                apply_transfer(want, (k,), t)
-            apply_product(s, t)
-            assert s._layout is not None  # a product moves no digit
-            assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, (n, shape)
+            t = random_transfer(rng, 4 ** len(qubits))
+            want = reference_transfer(canonical(s), qubits, t)
+            apply_transfer(s, qubits, t)
+            assert np.max(np.abs(s.coeffs - want)) < 1e-12, (n, qubits)
+        s = moved(PauliState(n, rng.standard_normal(4**n)))
+        t = random_transfer(rng, 4)
+        want = canonical(s)
+        for k in range(n):
+            apply_transfer(want, (k,), t)
+        apply_product(s, t)
+        assert s._layout is not None  # a product moves no digit
+        assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, n
 
 
 def test_readers_see_logical_order_on_a_moved_layout():
@@ -258,30 +262,6 @@ def test_a_second_far_cx_on_the_same_pair_allocates_only_its_output():
     assert peak <= state_bytes + _OBJECT_SLACK, f"{peak / state_bytes:.2f}x the state"
 
 
-IN_PLACE = ("bell", "decohere", "ensemble", "expect", "measure", "measure_x", "measure -y")
-
-# a broadcast multiply runs through numpy's buffered ufunc iterator, which
-# allocates one getbufsize()-element buffer, whatever the state size
-_UFUNC_BUFFER = 8 * np.getbufsize()
-
-
-@pytest.mark.parametrize("kind", IN_PLACE)
-def test_diagonal_updates_scale_the_state_in_place(kind):
-    s = random_pauli_state(np.random.default_rng(9), 8)
-    coeffs = s.coeffs
-    trace = s.coeffs[0]
-    tracemalloc.start()
-    try:
-        UPDATES[kind](s)
-        got = s.coeffs  # the full read applies what the update left pending
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got is coeffs
-    assert peak < _OBJECT_SLACK + _UFUNC_BUFFER, f"{kind}: {peak} bytes"
-    assert s.coeffs[0].tobytes() == trace.tobytes()
-
-
 def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
     seen = []
 
@@ -304,13 +284,10 @@ def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
     )
     noise = NoiseModel(**{k: 0.9 for k in NOISE_KEYS if not k.startswith("alpha")}, alpha_cx=0.1)
     run_circuit(text, noise)
-    assert {t.shape for t in seen} == {(4,), (16,), (4, 4), (16, 16)}
+    assert {t.shape for t in seen} == {(4, 4), (16, 16)}
     assert len(seen) >= 12
     for t in seen:
-        if t.ndim == 1:  # a diagonal: its first row is e0 when d[0] == 1
-            assert t[0] == 1.0
-        else:
-            assert t[0, 0] == 1.0 and not t[0, 1:].any()
+        assert t[0, 0] == 1.0 and not t[0, 1:].any()
 
 
 # --- pending one-qubit factors ---------------------------------------------------
@@ -322,34 +299,47 @@ def test_a_transfer_without_the_trace_row_is_refused():
     bad[0, 2] = 0.1
     for call in (
         lambda: apply_transfer(s, (1,), bad),
-        lambda: apply_transfer(s, (1,), np.array([0.9, 1.0, 1.0, 1.0])),
+        lambda: apply_transfer(s, (1,), np.diag([0.9, 1.0, 1.0, 1.0])),
         lambda: apply_transfer(s, (0, 2), np.kron(bad, np.eye(4))),
-        lambda: apply_transfer(s, (0, 2), np.full(16, 0.5)),
+        lambda: apply_transfer(s, (0, 2), np.diag(np.full(16, 0.5))),
         lambda: apply_product(s, bad),
-        lambda: apply_product(s, np.array([np.nan, 1.0, 1.0, 1.0])),
+        lambda: apply_product(s, np.diag([np.nan, 1.0, 1.0, 1.0])),
     ):
         with pytest.raises(ValueError, match="first row"):
             call()
     assert np.array_equal(s.coeffs, np.zeros(64))
 
 
+def test_a_diagonal_given_as_a_vector_is_refused():
+    # every transfer is a square matrix, a diagonal one too
+    s = PauliState(3, np.full(64, 1 / 64))
+    for call in (
+        lambda: apply_transfer(s, (1,), np.ones(4)),
+        lambda: apply_transfer(s, (0, 2), np.ones(16)),
+        lambda: apply_product(s, np.ones(4)),
+    ):
+        with pytest.raises(ValueError, match="transfer matrix"):
+            call()
+    assert not s._pending
+    assert np.array_equal(s.coeffs, np.full(64, 1 / 64))
+
+
 def test_the_kernel_keeps_its_own_copy_of_a_transfer(rng):
     for qubits in ((1,), (2, 0)):
-        for ndim in (2, 1):
-            t = random_transfer(rng, (4 ** len(qubits),) * ndim)
-            s = PauliState(3, rng.standard_normal(64))
-            want = reference_transfer(s, qubits, t)
-            apply_transfer(s, qubits, t)
-            t *= 2.0  # the caller reuses its array
-            assert np.max(np.abs(s.coeffs - want)) < 1e-12, (qubits, ndim)
-        t = random_transfer(rng, (4, 4)[:ndim])
+        t = random_transfer(rng, 4 ** len(qubits))
         s = PauliState(3, rng.standard_normal(64))
-        want = s.copy()
-        for k in range(3):
-            want.coeffs[:] = reference_transfer(want, (k,), t)
-        apply_product(s, t)
-        t *= 2.0
-        assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12, ndim
+        want = reference_transfer(s, qubits, t)
+        apply_transfer(s, qubits, t)
+        t *= 2.0  # the caller reuses its array
+        assert np.max(np.abs(s.coeffs - want)) < 1e-12, qubits
+    t = random_transfer(rng, 4)
+    s = PauliState(3, rng.standard_normal(64))
+    want = s.copy()
+    for k in range(3):
+        want.coeffs[:] = reference_transfer(want, (k,), t)
+    apply_product(s, t)
+    t *= 2.0
+    assert np.max(np.abs(s.coeffs - want.coeffs)) < 1e-12
 
 
 _NOISY = NoiseModel(
