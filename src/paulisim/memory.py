@@ -3,15 +3,17 @@
 Both channels act independently on each qubit, as one 4x4 transfer matrix
 given to every qubit by ``state.apply_product``: decoherence is diagonal,
 while decay's a3 <- a0 entry puts one entry below the diagonal.  Neither
-makes a pass over the coefficients: each composes into every qubit's
-pending factor, which reaches the coefficients at the qubit's next
-two-qubit gate or at the next full read (see ``state``), so a clock step
-costs 2n 4x4 products whatever the state size.  Decoherence multiplies
-transverse (digit 1 or 2) occurrences by f = exp(-dt/T2); decay scales them
-by sqrt(g) with g = exp(-dt/T1) and relaxes the longitudinal component
-toward the thermal point: a3 <- g a3 + (2p - 1)(1 - g) a0.  The thermal
-product state with population p is the exact fixed point of the combination,
-and the combined channel is completely positive for all f, g, p in [0, 1].
+makes a pass over the coefficients: each composes into the pending factor
+of every qubit's group (as kron(T, T) or kron(T, T, T) on a group of two or
+three), which reaches the coefficients when a two-qubit gate takes or
+flushes the group or at the next full read (see ``state``), so a clock
+step costs at most 2n small products whatever the state size.  Decoherence
+multiplies transverse (digit 1 or 2) occurrences by f = exp(-dt/T2); decay
+scales them by sqrt(g) with g = exp(-dt/T1) and relaxes the longitudinal
+component toward the thermal point: a3 <- g a3 + (2p - 1)(1 - g) a0.  The
+thermal product state with population p is the exact fixed point of the
+combination, and the combined channel is completely positive for all f, g,
+p in [0, 1].
 """
 
 from __future__ import annotations

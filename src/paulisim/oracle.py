@@ -532,15 +532,26 @@ def _rotation_mixture(axis: str, theta: float, alpha: float, r: float) -> np.nda
     return superop(rotations, [0.5, 0.5])
 
 
-def _step(d: DenseState, ins, noise, records: list) -> None:
+def _mixture(mixtures: dict, axis: str, theta: float, noise) -> np.ndarray:
+    """``_rotation_mixture`` under ``noise``, built once per key of ``mixtures``."""
+    key = (axis, theta, *noise.axis(axis))
+    s = mixtures.get(key)
+    if s is None:
+        s = mixtures[key] = _rotation_mixture(*key)
+    return s
+
+
+def _step(d: DenseState, ins, noise, records: list, mixtures: dict | None = None) -> None:
     """Apply one instruction to ``d``, appending a record for each readout.
 
     ``noise`` None is the ideal run: any gate kind as its exact unitary,
     d1 = d2 = 1, barriers skipped.  Under a NoiseModel only the schedule's
     u1, u3 and cx gates are allowed, as two-point angle mixtures (a u3's three
-    mixtures composed into one 4x4).
+    mixtures composed into one 4x4).  ``mixtures`` keeps each mixture built,
+    keyed by (axis, angle, alpha, r), for the steps that share it.
     """
     k = ins.kind
+    mixtures = {} if mixtures is None else mixtures
     d1, d2 = (1.0, 1.0) if noise is None else (noise.d1, noise.d2)
     if k == "reset":
         dense_reset(d, ins.qubits[0])
@@ -561,13 +572,13 @@ def _step(d: DenseState, ins, noise, records: list) -> None:
         elif k != "barrier":
             raise ValueError(f"unknown instruction kind {k!r}")
     elif k == "u1":
-        apply_superop(d, _rotation_mixture("z", ins.angles[0], *noise.axis("z")), ins.qubits)
+        apply_superop(d, _mixture(mixtures, "z", ins.angles[0], noise), ins.qubits)
     elif k == "u3":
         theta, phi, lam = ins.angles
         s = (
-            _rotation_mixture("z", phi, *noise.axis("z"))
-            @ _rotation_mixture("y", theta, *noise.axis("y"))
-            @ _rotation_mixture("z", lam, *noise.axis("z"))
+            _mixture(mixtures, "z", phi, noise)
+            @ _mixture(mixtures, "y", theta, noise)
+            @ _mixture(mixtures, "z", lam, noise)
         )
         apply_superop(d, s, ins.qubits)
     elif k == "cx":
@@ -599,13 +610,15 @@ def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     same step as ``run_instructions_dense`` under ``noise`` (a NoiseModel),
     then one memory-noise step after every partition of ``schedule``.  The
     memory channel is built once per distinct (f, g) pair of the schedule's
-    partition categories, not once per partition.
+    partition categories, not once per partition, and each rotation
+    mixture once per distinct (axis, angle, alpha, r), not once per gate.
     """
     records: list = []
     channels: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+    mixtures: dict[tuple[str, float, float, float], np.ndarray] = {}
     for part in schedule.partitions:
         for ins in part.members:
-            _step(d, ins, noise, records)
+            _step(d, ins, noise, records, mixtures)
         fg = noise.pair(part.category)
         if fg not in channels:
             channels[fg] = _memory_channel(*fg, noise.p)

@@ -209,6 +209,38 @@ def test_a_schedule_builds_each_memory_channel_once(monkeypatch):
     assert np.array_equal(got.rho, want.rho)
 
 
+def test_a_schedule_builds_each_rotation_mixture_once(monkeypatch):
+    # two u1 angles and one u3 repeat between cx gates, so no merge joins
+    # them: one build per distinct (axis, angle, alpha, r), and the same
+    # bytes as a fresh build at every gate
+    lines = ["qubits 3"]
+    for i in range(8):
+        lines += [f"u1({0.25 * (1 + i % 2)}) q[{i % 3}]", "u3(0.5,0.25,-0.75) q[1]"]
+        lines += ["cx q[0],q[1]", "cx q[1],q[2]"]
+    n, instructions = parse_circuit("\n".join(lines) + "\n")
+    _, schedule = compile_circuit(n, instructions)
+    noise = NoiseModel(alpha_z=0.01, r_z=0.99, alpha_y=-0.02, r_y=0.98, f=0.99, g=0.98, p=0.9)
+
+    want, records = oracle.dense_zero(n), []
+    for part in schedule.partitions:
+        for ins in part.members:
+            oracle._step(want, ins, noise, records)
+        oracle.dense_memory_step(want, *noise.pair(part.category), noise.p)
+
+    builds = []
+    mixture = oracle._rotation_mixture
+    monkeypatch.setattr(
+        oracle, "_rotation_mixture", lambda *key: builds.append(key) or mixture(*key)
+    )
+    got = oracle.dense_zero(n)
+    assert oracle.run_schedule_dense(got, schedule, noise) == records
+    uses = sum(
+        {"u1": 1, "u3": 3}.get(ins.kind, 0) for part in schedule.partitions for ins in part.members
+    )
+    assert len(builds) == len(set(builds)) < uses / 4
+    assert np.array_equal(got.rho, want.rho)
+
+
 def test_dense_measure_qubit_ideal_probabilities():
     d = oracle.to_dense(init_uniform(1))
     p = oracle.dense_measure_qubit(d, 0, np.array([0.0, 0.0, 1.0]), 1.0)

@@ -2,9 +2,15 @@
 
 Covers ``run_circuit`` reports (without the timing line), ``verify_circuit``
 texts and ``sweep`` tables.  Floats are rounded to 10 significant digits
-before hashing, sign kept, so a change in the last bits of a printed number
-does not move the digest but a flipped zero sign does.  Shots stay off: a
-last-bit change in a probability can flip a sampled count.
+before hashing, sign kept, so the digest pins every printed number to 10
+significant digits and every zero's sign.  That is not blind to the last
+bits: a number that comes out of cancellation, such as an ensemble
+probability near 1e-11, moves in its 10th significant digit when its terms
+move by 4e-17.  So a change that only reorders rounding (PTMs composed in
+another order) can move the digest, and a digest that holds does not show
+that no last bit moved.  Both corpora stay below 10 qubits, where every
+pending group holds one qubit (``state._GROUPS_FROM_N``).  Shots stay off:
+a last-bit change in a probability can flip a sampled count.
 """
 
 import dataclasses

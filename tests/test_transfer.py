@@ -1,5 +1,6 @@
 """The transfer kernel: layout, memory, trace row, and engine vs oracle."""
 
+import importlib.util
 import io
 import tempfile
 import tracemalloc
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 
 from helpers import random_circuit_text, random_pauli_state
 from paulisim import gates, measurement, memory, oracle
-from paulisim.circuit import NOISE_KEYS, NoiseModel
+from paulisim import state as kernel
+from paulisim.circuit import NOISE_KEYS, NoiseModel, parse_noise_config
 from paulisim.engine import run_circuit, verify_circuit
+from paulisim.generators import adder_success_pattern, gen_adder
+from paulisim.sweep import pattern_mass
 from paulisim.state import (
     PauliState,
     apply_product,
@@ -501,3 +505,243 @@ def test_engine_matches_oracle_on_noisy_random_circuits(n, n_instr, seed, values
         res = verify_circuit(text, noise, init=init)
     assert res.state_divergence <= 1e-12, text
     assert res.record_divergence <= 1e-12, text
+
+
+# --- pending groups of up to three qubits -------------------------------------------
+#
+# Below kernel._GROUPS_FROM_N qubits every group holds one qubit, so the
+# tests above run the one-qubit path.  Each test here but the last three lowers
+# the constant to 1, so groups of two and three qubits form at every n.
+
+
+def _group_at_every_n(monkeypatch) -> None:
+    monkeypatch.setattr(kernel, "_GROUPS_FROM_N", 1)
+
+
+def _passes(monkeypatch) -> list[int]:
+    """The size of every transfer the kernel's pass applies from now on."""
+    sizes = []
+    one_pass = kernel._apply
+    monkeypatch.setattr(
+        kernel, "_apply", lambda s, digits, t: sizes.append(len(t)) or one_pass(s, digits, t)
+    )
+    return sizes
+
+
+def bounded_transfer(rng, size: int) -> np.ndarray:
+    """A random transfer with first row e0 whose norm stays near 1 over many products."""
+    t = np.zeros((size, size))
+    t[0, 0] = 1.0
+    t[1:, 0] = rng.uniform(-0.1, 0.1, size - 1)
+    q = np.linalg.qr(rng.standard_normal((size - 1, size - 1)))[0]
+    t[1:, 1:] = q * rng.uniform(0.5, 1.0, size - 1)
+    return t
+
+
+@pytest.mark.parametrize("move", [False, True], ids=["identity", "moved"])
+def test_grouped_transfers_match_the_reference_on_every_placement(monkeypatch, move):
+    rng = np.random.default_rng(21)
+    for n in (4, 5, 6):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        s = PauliState(n, rng.uniform(-1.0, 1.0, 4**n))
+        if move:
+            moved(s)
+        ref = canonical(s)
+        with monkeypatch.context() as m:
+            _group_at_every_n(m)
+            sizes = _passes(m)
+            for i in range(60):
+                kind = i % 5
+                if kind == 0:
+                    t = bounded_transfer(rng, 4)
+                    apply_product(s, t)
+                    for k in range(n):
+                        ref.coeffs[:] = reference_transfer(ref, (k,), t)
+                    continue
+                qubits = (int(rng.integers(n)),) if kind == 1 else pairs[rng.integers(len(pairs))]
+                t = bounded_transfer(rng, 4 ** len(qubits))
+                apply_transfer(s, qubits, t)
+                ref.coeffs[:] = reference_transfer(ref, qubits, t)
+                if i % 7 == 0:
+                    for read in ((qubits[0],), qubits, tuple(range(n - 1, -1, -2))):
+                        index = [0] * n
+                        for k in read:
+                            index[n - 1 - k] = slice(None)
+                        want = ref.tensor()[tuple(index)]  # axes by qubit, highest first
+                        want = want.transpose([sorted(read)[::-1].index(k) for k in read])
+                        assert np.max(np.abs(s.marginal(read) - want), initial=0.0) <= 1e-12
+            assert 64 in sizes, "no group of three formed"
+            assert np.max(np.abs(s.coeffs - ref.coeffs)) <= 1e-12, n
+
+
+# two cx make the group {0, 2, 4}, a memory step and readouts land in it and
+# in {1, 3}, and the last cx on (2, 3) flushes {0, 2, 4} to form {2, 1, 3}
+GROUPED = [
+    lambda s: gates.apply_cnot(s, 0, 2, _NOISY),
+    lambda s: gates.apply_u3(s, 2, 0.3, 0.2, 0.1, _NOISY),
+    lambda s: gates.apply_cnot(s, 4, 0, _NOISY),
+    lambda s: memory.end_of_partition(s, _NOISY),
+    lambda s: gates.apply_cnot(s, 1, 3, _NOISY),
+    lambda s: measurement.measure_qubit(s, 2, (0.6, 0.0, 0.8), _NOISY),
+    lambda s: measurement.bell_measure(s, 3, 1, _NOISY),
+    lambda s: measurement.expect_pauli_string(s, "XZIIY", _NOISY),
+    lambda s: measurement.reset_qubit(s, 0),
+    lambda s: gates.apply_cnot(s, 2, 3, _NOISY),
+    lambda s: gates.apply_u1(s, 4, 0.4, _NOISY),
+    lambda s: memory.end_of_partition(s, _NOISY),
+]
+
+
+@pytest.mark.parametrize("move", [False, True], ids=["identity", "moved"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_sees_the_pending_groups(monkeypatch, reader, move):
+    n = 5
+    s = random_pauli_state(np.random.default_rng(12), n)
+    ref = s.copy()
+    if move:
+        moved(s)
+        ref.coeffs[:] = reference_transfer(ref, (0, n - 1), gates.cnot_transfer())
+    with monkeypatch.context() as m:
+        _group_at_every_n(m)
+        sizes = _passes(m)
+        got = [update(s) for update in GROUPED]
+        assert sizes == [64], "the updates make one pass, the flush of {0, 2, 4}"
+        assert {len(s._pending[k][0]) for k in (1, 2, 3)} == {3}
+    with monkeypatch.context() as m:
+        for module in (gates, measurement, memory):
+            m.setattr(module, "apply_transfer", _eager, raising=False)
+            m.setattr(module, "apply_product", _eager_product, raising=False)
+        want = [update(ref) for update in GROUPED]
+    got, want = (np.concatenate([np.ravel(_values(out)) for out in outs]) for outs in (got, want))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    buf, pending = s._buf, dict(s._pending)
+    assert np.max(np.abs(READERS[reader](s) - READERS[reader](ref))) <= 1e-12
+    if reader in ("marginal", "copy"):  # neither applies anything to the state itself
+        assert s._buf is buf and s._pending == pending
+    assert np.max(np.abs(s.coeffs - ref.coeffs)) <= 1e-12
+
+
+def test_a_grouped_copy_is_independent(monkeypatch):
+    _group_at_every_n(monkeypatch)
+    s = random_pauli_state(np.random.default_rng(15), 5)
+    for update in GROUPED[:5]:
+        update(s)
+    c = s.copy()
+    want_s, want_c = canonical(s), canonical(s)
+    gates.apply_u3(c, 2, 1.1, 0.2, -0.4, _NOISY)  # composes into the copy's group {0, 2, 4}
+    gates.apply_cnot(c, 2, 1, _NOISY)  # flushes it
+    gates.apply_u3(want_c, 2, 1.1, 0.2, -0.4, _NOISY)
+    gates.apply_cnot(want_c, 2, 1, _NOISY)
+    gates.apply_cnot(s, 3, 4, _NOISY)  # the original's own flush of {0, 2, 4}
+    gates.apply_cnot(want_s, 3, 4, _NOISY)
+    c.coeffs[1] += 1.0
+    want_c.coeffs[1] += 1.0
+    assert np.max(np.abs(s.coeffs - want_s.coeffs)) <= 1e-12
+    assert np.max(np.abs(c.coeffs - want_c.coeffs)) <= 1e-12
+    assert np.max(np.abs(s.coeffs - c.coeffs)) > 1e-3
+
+
+def test_a_group_flush_that_moves_digits_keeps_peak_memory(monkeypatch):
+    _group_at_every_n(monkeypatch)
+    s = random_pauli_state(np.random.default_rng(8), 8)
+    gates.apply_cnot(s, 0, 3, _ROT)
+    gates.apply_cnot(s, 6, 3, _ROT)  # the group {0, 3, 6}, on digits apart
+    want = canonical(s)
+    state_bytes = 8 * 4**s.n  # a full read would apply the group
+    sizes = _passes(monkeypatch)
+    tracemalloc.start()
+    try:
+        gates.apply_cnot(s, 0, 7, _ROT)  # four qubits: {0, 3, 6} goes to the buffer
+        s.tensor()  # and so does {0, 7}, on digits apart again
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [64, 16] and s._layout is not None
+    # the slack holds one more 64x64 factor: the flush's copy of it in digit order
+    assert peak <= 2 * state_bytes + _OBJECT_SLACK + 8 * 64**2, f"{peak / state_bytes:.2f}x the state"
+    gates.apply_cnot(want, 0, 7, _ROT)
+    assert np.max(np.abs(s.coeffs - want.coeffs)) <= 1e-12
+
+
+def _toffoli_rich(rng: np.random.Generator, n: int) -> str:
+    """Toffolis on overlapping triples between one-qubit gates and readouts."""
+    lines = [f"qubits {n}"]
+    triple = rng.choice(n, size=3, replace=False)
+    for i in range(8):
+        if i % 3 == 2:  # share two qubits with the last Toffoli, or none
+            triple = rng.choice(n, size=3, replace=False)
+        else:
+            triple = rng.permutation(np.append(triple[:2], rng.choice(np.setdiff1d(range(n), triple[:2]))))
+        lines.append("ccx " + ",".join(f"q[{q}]" for q in triple))
+        t, p, l = rng.uniform(-3, 3, size=3)
+        lines.append(f"u3({t:.6f},{p:.6f},{l:.6f}) q[{rng.integers(n)}]")
+        if i % 4 == 1:
+            lines.append(f"measure_x q[{triple[0]}]")
+        if i % 4 == 3:
+            lines.append(f"bell q[{triple[1]}],q[{triple[2]}]")
+    lines.append("expect " + "".join(rng.choice(list("IXYZ"), size=n)))
+    lines.append("ensemble")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("init", ["zero", "uniform", "thermal"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_grouped_engine_matches_oracle_on_toffoli_circuits(monkeypatch, n, init):
+    _group_at_every_n(monkeypatch)
+    rng = np.random.default_rng([53, n, len(init)])
+    noise = NoiseModel(
+        **{k: rng.uniform(-0.1, 0.1) if k.startswith("alpha") else rng.uniform(0.9, 1.0) for k in NOISE_KEYS}
+    )
+    text = _toffoli_rich(rng, n)
+    sizes = _passes(monkeypatch)
+    res = verify_circuit(text, noise, init=init)
+    assert 64 in sizes, "no group of three reached the buffer"
+    assert res.state_divergence <= 1e-12, text
+    assert res.record_divergence <= 1e-12, text
+
+
+_ADDER_NOISE = NoiseModel(r_x=0.995, r_y=0.995, r_z=0.995, r_cx=0.995, f=0.999, g=0.999, p=0.95)
+
+
+def test_a_grouped_adder_row_matches_the_ungrouped_one(monkeypatch):
+    # the constant as shipped: n = 10 groups, and 11 does not
+    text = gen_adder("011", "010")
+    grouped = run_circuit(text, _ADDER_NOISE)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "_GROUPS_FROM_N", 11)
+        plain = run_circuit(text, _ADDER_NOISE)
+    assert grouped.n == 10
+    assert np.max(np.abs(grouped.final_state.coeffs - plain.final_state.coeffs)) <= 1e-12
+    assert len(grouped.records) == len(plain.records) > 0
+    for a, b in zip(grouped.records, plain.records):
+        got, want = (np.array(r.values + tuple((r.dist or {}).values())) for r in (a, b))
+        assert a.kind == b.kind and np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    ideal = run_circuit(text, NoiseModel())
+    success = pattern_mass(ideal.records[-1].dist, adder_success_pattern("011", "010"))
+    assert abs(success - 1.0) <= 1e-12
+
+
+def test_an_adder_row_at_ten_qubits_makes_few_passes(monkeypatch):
+    # a pass per cx would be 77; groups of three bring it to 19
+    sizes = _passes(monkeypatch)
+    run_circuit(gen_adder("011", "010"), _ADDER_NOISE)
+    assert len(sizes) <= 24, sizes
+
+
+def _deep_small_workload():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_deep_small_circuit_makes_the_passes_it_made_before_groups(monkeypatch):
+    # at n = 6 no group holds two qubits: every cx, Bell and full read makes
+    # the passes it made when each pending factor held one qubit
+    workloads = _deep_small_workload()
+    text = workloads.mixed_circuit(np.random.default_rng(61), 6, workloads.DEEP_SMALL_MIX)
+    noise = parse_noise_config(workloads.noise_text(workloads.NOISE["deep_small"]))
+    sizes = _passes(monkeypatch)
+    run_circuit(text, noise)
+    assert len(sizes) == 112 and set(sizes) == {16}
