@@ -81,6 +81,10 @@ class Instruction:
 # re.A: \d is ASCII only, where int() and float() take any script's digits
 _ANGLE = re.compile(r"[+-]?(?:pi(?:/(0*[1-9]\d*))?|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", re.A)
 _OPERAND = re.compile(r"q\[(\d+)\]", re.A)
+# the whole operand list of 1, 2 or 3 well-formed operands in one match; a
+# list it does not take goes to the per-operand code, which names the fault.
+# Without re.A, \s is the whitespace str.strip takes; the digits stay ASCII.
+_OPERAND_LISTS = {c: re.compile(r"\s*,\s*".join([r"q\[([0-9]+)\]"] * c)) for c in (1, 2, 3)}
 _INSTRUCTION = re.compile(r"([a-z_][a-z_0-9]*)(?:\s*\(([^)]*)\))?(?:\s+(.*))?")
 _HEADER = re.compile(r"qubits\s+(\d+)", re.A)
 
@@ -101,6 +105,11 @@ def _parse_angle(token: str, lineno: int) -> float:
 
 
 def _parse_operands(rest: str, count: int, n: int, lineno: int) -> tuple[int, ...]:
+    m = _OPERAND_LISTS[count].fullmatch(rest)
+    if m:
+        qubits = tuple(map(int, m.groups()))
+        if max(qubits) < n and len(set(qubits)) == count:
+            return qubits
     parts = [p.strip() for p in rest.split(",")] if rest else []
     if len(parts) != count:
         raise CircuitSyntaxError(f"expected {count} qubit operand(s), got {len(parts)}", lineno)
@@ -122,7 +131,8 @@ def _parse_instruction(line: str, n: int, lineno: int) -> Instruction:
     m = _INSTRUCTION.fullmatch(line)
     if not m:
         raise CircuitSyntaxError(f"cannot parse {line!r}", lineno)
-    name, angle_src, rest = m.group(1), m.group(2), (m.group(3) or "").strip()
+    name, angle_src, rest = m.groups()
+    rest = rest.strip() if rest else ""
 
     if name == "barrier" or name == "ensemble":
         if angle_src is not None or rest:
@@ -158,9 +168,8 @@ def _parse_instruction(line: str, n: int, lineno: int) -> Instruction:
             raise CircuitSyntaxError(
                 f"{name} needs {n_angles} angle(s), got {len(tokens)}", lineno
             )
-        angles = tuple(_parse_angle(t, lineno) for t in tokens)
-    qubits = _parse_operands(rest, n_qubits, n, lineno)
-    return Instruction(name, qubits=qubits, angles=angles)
+        angles = tuple([_parse_angle(t, lineno) for t in tokens])
+    return Instruction(name, _parse_operands(rest, n_qubits, n, lineno), angles)
 
 
 def parse_circuit(text: str) -> tuple[int, list[Instruction]]:

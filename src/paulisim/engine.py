@@ -203,7 +203,7 @@ def _sample_counts(records: list[Record], shots: int, seed: int | None) -> None:
         else:
             continue
         draws = rng.multinomial(shots, np.array(probs))
-        rec.counts = dict(zip(labels, (int(c) for c in draws)))
+        rec.counts = dict(zip(labels, draws.tolist()))
 
 
 def run_circuit(

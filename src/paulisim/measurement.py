@@ -9,6 +9,18 @@ returned distribution passes ``_finalize``.  ``measure``, ``expect`` and
 through ``PauliState.marginal``, which makes no pass over the state; the
 ensemble reads the whole state through ``PauliState.tensor``.
 
+The ensemble contraction.  prob(b) needs only the 2^n coefficients whose
+digits all lie in {0, 3}, a strided (2,) * n view of the tensor.  Each
+qubit's two outcome bits come from its (digit 0, digit 3) pair through the
+2x2 map [[1, d1], [1, -d1]], so the distribution is that map on every axis
+of the view.  ``_bitstring_probs`` applies it one axis at a time as one
+(2, 2) @ (2, 2^(n-1)) product on a copy with that axis first and the
+others in order, the operands ``numpy.tensordot`` would build, so the bits
+are the same; a step costs a few microseconds, where the generic
+tensordot and moveaxis calls cost tens.  The outcome labels are built once
+per qubit count, and the transfers of a Pauli-string readout once per
+(label, d1).
+
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string
 or ensemble readout), d2 scales the correlated contributions of a Bell-basis
@@ -16,6 +28,9 @@ measurement.  Both equal 1 for ideal projective measurement.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,17 +55,33 @@ _SUM_TOL = 1e-6
 _EXPECT_TOL = 1e-9  # slack on |expectation| <= 1
 
 
-def _finalize(labels: list[str], values: np.ndarray) -> dict[str, float]:
-    """Clamp rounding negatives, renormalize, and package a distribution."""
-    # negated so that a NaN fails the check
-    if not values.min() >= _PROB_FLOOR:
+# the measured axis of each non-identity Pauli label X, Y, Z
+_UNIT_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+# reset's transfer: digit-k components 1 and 2 vanish, component 3 takes component 0
+_RESET = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
+_RESET.setflags(write=False)
+
+
+def _finalize(labels: tuple[str, ...], values: np.ndarray) -> dict[str, float]:
+    """Clamp rounding negatives, renormalize, and package a distribution.
+
+    The floats are those of numpy's ``np.where(v < 0, 0, v) / sum``: both
+    sums are numpy's, and the clamp and division are the same IEEE
+    operations on Python floats.  Nothing is clamped in almost every call,
+    and then the clamped sum is the first one.
+    """
+    vals = values.tolist()
+    low = min(vals)  # may step over a NaN; the sum cannot
+    total = float(values.sum()) if low >= _PROB_FLOOR else math.nan
+    if total != total:  # a NaN, or an entry below the floor
         raise InternalError(f"probability {values.min()} below {_PROB_FLOOR}")
-    total = values.sum()
     if not abs(total - 1.0) <= _SUM_TOL:
         raise InternalError(f"probabilities sum to {total}, expected 1")
-    values = np.where(values < 0.0, 0.0, values)
-    values = values / values.sum()
-    return {lab: float(v) for lab, v in zip(labels, values)}
+    if low < 0.0:
+        vals = [0.0 if v < 0.0 else v for v in vals]
+        total = float(np.sum(vals))
+    return dict(zip(labels, [v / total for v in vals]))
 
 
 def _axis_transfer(nvec: np.ndarray, d1: float) -> np.ndarray:
@@ -59,6 +90,24 @@ def _axis_transfer(nvec: np.ndarray, d1: float) -> np.ndarray:
     t[0, 0] = 1.0
     t[1:, 1:] = d1 * np.outer(nvec, nvec)
     return t
+
+
+@lru_cache(maxsize=16)
+def _label_transfer(digit: int, d1: float, d1_sign: float) -> np.ndarray:
+    """``_axis_transfer`` along the axis of Pauli digit 1, 2 or 3, built once and read-only.
+
+    ``d1_sign`` is copysign(1, d1): -0.0 and 0.0 are one key to the cache
+    but give zeros of opposite sign.
+    """
+    t = _axis_transfer(np.array(_UNIT_AXES[digit - 1]), d1)
+    t.setflags(write=False)
+    return t
+
+
+@lru_cache(maxsize=16)
+def _bitstring_labels(n: int) -> tuple[str, ...]:
+    """The 2^n ensemble labels, most significant bit first."""
+    return tuple(format(i, f"0{n}b") for i in range(2**n))
 
 
 def expect_pauli_string(
@@ -82,9 +131,8 @@ def expect_pauli_string(
     value = noise.d1 ** len(read) * 2**state.n * block[tuple(digits[k] for k in read)]
     if not abs(value) <= 1.0 + _EXPECT_TOL:  # negated so that a NaN fails
         raise InternalError(f"expectation {value} outside [-1, 1]")
-    for k, d in enumerate(digits):
-        if d != 0:
-            apply_transfer(state, (k,), _axis_transfer(np.eye(3)[d - 1], noise.d1))
+    for k in read:
+        apply_transfer(state, (k,), _label_transfer(digits[k], noise.d1, math.copysign(1.0, noise.d1)))
     return float(value)
 
 
@@ -108,19 +156,23 @@ def measure_qubit(
     bloch = state.marginal((k,))[1:]  # the digit-k Bloch triple, every other digit 0
     lean = 2**state.n * noise.d1 * float(nvec @ bloch)
     apply_transfer(state, (k,), _axis_transfer(nvec, noise.d1))
-    dist = _finalize(["+", "-"], np.array([(1.0 + lean) / 2.0, (1.0 - lean) / 2.0]))
-    return (dist["+"], dist["-"])
+    p = np.array([(1.0 + lean) / 2.0, (1.0 - lean) / 2.0])
+    return tuple(_finalize(("+", "-"), p).values())
 
 
 def _bitstring_probs(state: PauliState, d1: float) -> np.ndarray:
-    """The ensemble readout, indexed by bitstring with qubit n - 1 most significant."""
-    # the 2^n coefficients with every digit in {0, 3}, qubit n - 1 on axis 0
-    sub = state.tensor()[(slice(None, None, 3),) * state.n]
-    # per-axis map from (digit0, d1 * digit3) to the two outcome bits
-    m = np.array([[1.0, d1], [1.0, -d1]])
-    for ax in range(state.n):
-        sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [ax])), 0, ax)
-    return sub.reshape(-1)
+    """The ensemble readout, indexed by bitstring with qubit n - 1 most significant.
+
+    The map [[1, d1], [1, -d1]] on every axis of the {0, 3} view, one axis
+    at a time (see the module docstring).
+    """
+    n = state.n
+    m = np.array([[1.0, d1], [1.0, -d1]])  # (digit 0, d1 * digit 3) -> the two outcome bits
+    x = m.dot(state.tensor()[(slice(None, None, 3),) * n].reshape(2, -1))
+    for ax in range(1, n):  # x holds axis ax - 1 first, then the others in order
+        x = x.reshape((2,) * n).transpose((ax, *range(1, ax), 0, *range(ax + 1, n)))
+        x = m.dot(x.reshape(2, -1))
+    return x.reshape((2,) * n).transpose((*range(1, n), 0)).reshape(-1)
 
 
 def ensemble_distribution(
@@ -135,7 +187,7 @@ def ensemble_distribution(
     """
     probs = _bitstring_probs(state, noise.d1)
     apply_product(state, np.diag([1.0, 0.0, 0.0, noise.d1]))
-    return _finalize([format(i, f"0{state.n}b") for i in range(2**state.n)], probs)
+    return _finalize(_bitstring_labels(state.n), probs)
 
 
 def bell_measure(
@@ -158,10 +210,10 @@ def bell_measure(
             for lab in BELL_LABELS
         ]
     )
-    kept = noise.d2 * np.eye(4)  # (digit_k, digit_l) -> factor
-    kept[0, 0] = 1.0
-    apply_transfer(state, (k, l), np.diag(kept.reshape(-1)))
-    return _finalize(list(BELL_LABELS), probs)
+    d2 = noise.d2  # (digit_k, digit_l) = (j, j) keeps d2 for j != 0, 1 for j = 0
+    kept = [1.0, 0.0, 0.0, 0.0, 0.0, d2, 0.0, 0.0, 0.0, 0.0, d2, 0.0, 0.0, 0.0, 0.0, d2]
+    apply_transfer(state, (k, l), np.diag(kept))
+    return _finalize(BELL_LABELS, probs)
 
 
 def reset_qubit(state: PauliState, k: int) -> None:
@@ -170,4 +222,4 @@ def reset_qubit(state: PauliState, k: int) -> None:
     Digit-k components 1 and 2 vanish and component 3 is set equal to
     component 0, the Kraus action of {P0, sigma_x P1}.
     """
-    apply_transfer(state, (k,), np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]))
+    apply_transfer(state, (k,), _RESET)

@@ -52,7 +52,13 @@ def decay(state: PauliState, g: float, p: float) -> None:
 
 
 def end_of_partition(state: PauliState, noise: NoiseModel, category: str = "gate") -> None:
-    """One clock step of memory noise: decohere then decay on all qubits."""
+    """One clock step of memory noise: decohere then decay on all qubits.
+
+    With f = g = 1 the step is the identity and returns at once; the model
+    has already checked f, g and p.
+    """
     f, g = noise.pair(category)
+    if f == 1.0 and g == 1.0:
+        return
     decohere(state, f)
     decay(state, g, noise.p)

@@ -120,7 +120,8 @@ class PauliState:
     ``coeffs`` and ``tensor`` are full reads: they apply every pending
     factor first (see the module docstring).  ``marginal`` reads the block
     of coefficients a readout needs without a pass over the state.  The
-    constructor keeps a float64 array as given, without a copy, and
+    constructor keeps a C-contiguous float64 array as given, without a
+    copy (any other array it copies into one), and
     ``coeffs`` returns that same array until a pass replaces it: a
     two-qubit update that makes one, a full read that applies a pending
     factor, or a read on a moved layout.
@@ -136,7 +137,7 @@ class PauliState:
     def __init__(self, n: int, coeffs: np.ndarray):
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
         if coeffs.shape != (4**n,):
             raise ValueError(f"expected {4**n} coefficients for n={n}, got shape {coeffs.shape}")
         self.n = n
@@ -181,7 +182,7 @@ class PauliState:
         leaves these coefficients as they are.  No pass over the state, and
         the state does not change.
         """
-        n, m = self.n, len(qubits)
+        m = len(qubits)
         for k in qubits:
             self.axis(k)  # range check
         if len(set(qubits)) != m:
@@ -196,14 +197,10 @@ class PauliState:
             else:
                 factors.append((len(order), g[1]))
                 order.extend(g[0])
-        digits = self._digits(order)
-        index = [0] * n
-        for d in digits:
-            index[n - 1 - d] = slice(None)
-        block = self._buf.reshape((4,) * n)[tuple(index)]
-        top_down = sorted(digits, reverse=True)  # the block's axes, most significant digit first
-        block = block.transpose([top_down.index(d) for d in digits])
-        block = np.array(block, order="C")  # a copy: axes i .. i + m - 1 of a group at i are its qubits
+        # a copy of the strided view whose axis i steps the digit of order[i],
+        # every other digit at 0: axes i .. i + m - 1 of a group at i are its qubits
+        strides = [self._buf.itemsize * 4**d for d in self._digits(order)]
+        block = np.ndarray((4,) * len(order), np.float64, self._buf, 0, strides).copy()
         for i, f in factors:
             block = np.matmul(f, block.reshape(4**i, len(f), -1)).reshape(block.shape)
         if order != list(qubits):  # digit 0 on the mates, the listed qubits' axes in their order
@@ -360,8 +357,9 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
     into the one pass it makes.  A pass on digits that are apart leaves the
     state in a moved layout (see the module docstring).
     """
-    qubits, m = tuple(qubits), len(qubits)
-    if m not in (1, 2) or len(set(qubits)) != m:
+    qubits = tuple(qubits)
+    m = len(qubits)
+    if m != 1 and (m != 2 or qubits[0] == qubits[1]):
         raise ValueError(f"need a transfer on 1 or 2 distinct qubits, got {qubits}")
     t = _checked(t, 4**m)
     for k in qubits:
@@ -377,14 +375,14 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
             _regroup(pending, _compose(t, a, qubits))
         return
     b = pending.get(qubits[1])
+    if state.n < _GROUPS_FROM_N:  # every group holds one qubit: t makes its own pass
+        if a is not None or b is not None:
+            pending.pop(qubits[0], None)
+            pending.pop(qubits[1], None)
+            t = t.dot(_kron(a and a[1], b and b[1]))
+        _apply(state, state._digits(qubits), t)
+        return
     if a is None or a is not b:  # not yet one group
-        if state.n < _GROUPS_FROM_N:  # every group holds one qubit: t makes its own pass
-            if a is not None or b is not None:
-                pending.pop(qubits[0], None)
-                pending.pop(qubits[1], None)
-                t = t.dot(_kron(a and a[1], b and b[1]))
-            _apply(state, state._digits(qubits), t)
-            return
         while True:  # flush the larger group until both fit
             sa, sb = 1 if a is None else len(a[0]), 1 if b is None else len(b[0])
             if sa + sb <= 3:
@@ -471,10 +469,14 @@ def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
 
 
 def _product_state(factors: list[np.ndarray]) -> PauliState:
-    """Tensor product of per-qubit coefficient 4-vectors; factors[k] is qubit k."""
-    coeffs = np.array([1.0])
-    for f in factors:  # qubit 0 first: later factors become more significant
-        coeffs = np.kron(f, coeffs)
+    """Tensor product of per-qubit coefficient 4-vectors; factors[k] is qubit k.
+
+    Each step is one outer product, the same single multiplications
+    ``np.kron`` makes, without its generic reshaping.
+    """
+    coeffs = factors[0]
+    for f in factors[1:]:  # qubit 0 first: later factors become more significant
+        coeffs = np.multiply.outer(f, coeffs).reshape(-1)
     return PauliState(len(factors), coeffs)
 
 

@@ -37,21 +37,28 @@ _PI = math.pi
 _ZERO_TOL = 1e-12
 
 
+# the partition category of every instruction kind; None for barriers
+_CATEGORY = {
+    **dict.fromkeys(GATE_KINDS, "gate"),
+    **dict.fromkeys(MEASURE_KINDS, "measurement"),
+    **dict.fromkeys(SOLO_KINDS, "solo"),
+    "barrier": None,
+}
+
+# kinds that touch every qubit
+_WHOLE_REGISTER = ("expect", "ensemble", "barrier")
+
+
 def category_of(kind: str) -> str | None:
     """Partition category of an instruction kind; None for barriers."""
-    if kind in GATE_KINDS:
-        return "gate"
-    if kind in MEASURE_KINDS:
-        return "measurement"
-    if kind in SOLO_KINDS:
-        return "solo"
-    if kind == "barrier":
-        return None
-    raise CompileError(f"unsupported instruction kind {kind!r}")
+    try:
+        return _CATEGORY[kind]
+    except KeyError:
+        raise CompileError(f"unsupported instruction kind {kind!r}") from None
 
 
 def _touched(ins: Instruction, n: int) -> tuple[int, ...]:
-    if ins.kind in ("expect", "ensemble", "barrier"):
+    if ins.kind in _WHOLE_REGISTER:
         return tuple(range(n))
     return ins.qubits
 
@@ -61,7 +68,10 @@ def _touched(ins: Instruction, n: int) -> tuple[int, ...]:
 
 
 def _toffoli_sequence(a: int, b: int, t: int) -> list[Instruction]:
-    """Toffoli as 6 controlled-NOTs plus one-qubit gates (exact, phase-free)."""
+    """Toffoli as 6 controlled-NOTs plus one-qubit gates (exact, phase-free).
+
+    The one-qubit gates come out in their select-set forms already.
+    """
     seq = [
         ("h", (t,)),
         ("cx", (b, t)),
@@ -79,7 +89,15 @@ def _toffoli_sequence(a: int, b: int, t: int) -> list[Instruction]:
         ("tdg", (b,)),
         ("cx", (a, b)),
     ]
-    return [Instruction(kind, qubits) for kind, qubits in seq]
+    out = []
+    for name, qubits in seq:
+        kind, angles = _NAMED_SELECT.get(name, (name, ()))
+        out.append(Instruction(kind, qubits, angles))
+    return out
+
+
+# kinds that are already in the select set or are not gates
+_KEPT = frozenset(("u1", "u3", "cx", *MEASURE_KINDS, *SOLO_KINDS, "barrier"))
 
 
 def decompose(instructions: list[Instruction]) -> list[Instruction]:
@@ -91,15 +109,15 @@ def decompose(instructions: list[Instruction]) -> list[Instruction]:
     out: list[Instruction] = []
     for ins in instructions:
         k = ins.kind
-        if k in ("u1", "u3", "cx") or k in MEASURE_KINDS or k in SOLO_KINDS or k == "barrier":
+        if k in _KEPT:
             out.append(ins)
-        elif k == "u2":
-            out.append(Instruction("u3", ins.qubits, (_PI / 2, ins.angles[0], ins.angles[1])))
         elif k in _NAMED_SELECT:
             kind, angles = _NAMED_SELECT[k]
             out.append(Instruction(kind, ins.qubits, angles))
+        elif k == "u2":
+            out.append(Instruction("u3", ins.qubits, (_PI / 2, ins.angles[0], ins.angles[1])))
         elif k == "ccx":
-            out.extend(decompose(_toffoli_sequence(*ins.qubits)))
+            out.extend(_toffoli_sequence(*ins.qubits))
         else:
             raise CompileError(f"cannot decompose instruction: {format_instruction(ins)}")
     return out
@@ -139,41 +157,30 @@ def _zyz(theta2: float, lam: float, theta1: float) -> tuple[float, float, float]
     return (ssum + sdiff) / 2.0, beta, (ssum - sdiff) / 2.0
 
 
-@dataclass
-class _Run:
-    """Accumulated fusion of consecutive one-qubit gates on one qubit."""
+def _fuse(kind: str, angles: tuple[float, ...], ins: Instruction) -> tuple[str, tuple[float, ...]]:
+    """A run's (kind, angles), "u1" or "u3", after one more gate ``ins`` on its qubit."""
+    if kind == "u1" and ins.kind == "u1":
+        return "u1", (angles[0] + ins.angles[0],)
+    if kind == "u1":
+        t, f, l = ins.angles
+        return "u3", (t, f, l + angles[0])
+    if ins.kind == "u1":
+        t, f, l = angles
+        return "u3", (t, f + ins.angles[0], l)
+    t1, f1, l1 = angles
+    t2, f2, l2 = ins.angles
+    alpha, beta, gamma = _zyz(t2, l2 + f1, t1)
+    return "u3", (beta, f2 + alpha, gamma + l1)
 
-    first: Instruction
-    count: int
-    kind: str  # "u1" or "u3"
-    angles: tuple[float, ...]
 
-    def absorb(self, ins: Instruction) -> None:
-        self.count += 1
-        if self.kind == "u1" and ins.kind == "u1":
-            self.angles = (self.angles[0] + ins.angles[0],)
-        elif self.kind == "u1" and ins.kind == "u3":
-            t, f, l = ins.angles
-            self.kind, self.angles = "u3", (t, f, l + self.angles[0])
-        elif self.kind == "u3" and ins.kind == "u1":
-            t, f, l = self.angles
-            self.angles = (t, f + ins.angles[0], l)
-        else:
-            t1, f1, l1 = self.angles
-            t2, f2, l2 = ins.angles
-            alpha, beta, gamma = _zyz(t2, l2 + f1, t1)
-            self.angles = (beta, f2 + alpha, gamma + l1)
-
-    def emit(self) -> Instruction:
-        if self.count == 1:
-            return self.first  # untouched gates keep their source form
-        q = self.first.qubits
-        if self.kind == "u1":
-            return Instruction("u1", q, (_wrap_angle(self.angles[0]),))
-        t, f, l = self.angles
-        if abs(_wrap_angle(t)) < _ZERO_TOL:
-            return Instruction("u1", q, (_wrap_angle(f + l),))
-        return Instruction("u3", q, (_wrap_angle(t), _wrap_angle(f), _wrap_angle(l)))
+def _fused(q: tuple[int, ...], kind: str, angles: tuple[float, ...]) -> Instruction:
+    """The one gate of a run of two or more, angles on the canonical branch."""
+    if kind == "u1":
+        return Instruction("u1", q, (_wrap_angle(angles[0]),))
+    t, f, l = angles
+    if abs(_wrap_angle(t)) < _ZERO_TOL:
+        return Instruction("u1", q, (_wrap_angle(f + l),))
+    return Instruction("u3", q, (_wrap_angle(t), _wrap_angle(f), _wrap_angle(l)))
 
 
 def merge(n: int, instructions: list[Instruction]) -> list[Instruction]:
@@ -181,24 +188,33 @@ def merge(n: int, instructions: list[Instruction]) -> list[Instruction]:
 
     The fused gate takes the flat position of the run's first member, so the
     output's gate/measurement phase structure matches the source circuit's.
-    A fused identity still emits (as u1(0)); gate count never increases.
+    A gate that runs alone keeps its source form.  A fused identity still
+    emits (as u1(0)); gate count never increases.
     """
-    out: list[Instruction | _Run] = []
-    open_runs: dict[int, _Run] = {}
+    out: list[Instruction] = []
+    open_runs: dict[int, int] = {}  # qubit -> place in out of its open run's first gate
+    fused: dict[int, tuple] = {}  # place in out -> (kind, angles) of a run of two or more
     for ins in instructions:
-        if ins.kind in ("u1", "u3"):
+        kind = ins.kind
+        if kind == "u1" or kind == "u3":
             q = ins.qubits[0]
-            if q in open_runs:
-                open_runs[q].absorb(ins)
+            i = open_runs.get(q)
+            if i is None:
+                open_runs[q] = len(out)
+                out.append(ins)
             else:
-                run = _Run(ins, 1, ins.kind, ins.angles)
-                open_runs[q] = run
-                out.append(run)
+                first = out[i]
+                fused[i] = _fuse(*fused.get(i, (first.kind, first.angles)), ins)
             continue
-        for q in _touched(ins, n):
-            open_runs.pop(q, None)  # run stays in out at its start position
+        if kind in _WHOLE_REGISTER:  # the runs stay in out at their start positions
+            open_runs.clear()
+        else:
+            for q in ins.qubits:
+                open_runs.pop(q, None)
         out.append(ins)
-    return [x.emit() if isinstance(x, _Run) else x for x in out]
+    for i, (kind, angles) in fused.items():
+        out[i] = _fused(out[i].qubits, kind, angles)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +248,10 @@ class Schedule:
         return len(self.partitions)
 
 
+def _lowest_qubit(ins: Instruction) -> int:
+    return min(ins.qubits)
+
+
 def partition(stack: QubitStack) -> Schedule:
     """Place each instruction in the first partition its phase and qubits allow."""
     parts: list[Partition] = []
@@ -249,9 +269,14 @@ def partition(stack: QubitStack) -> Schedule:
         if cat == "solo":
             parts.append(Partition("solo", [ins]))
             continue
-        slot = max(start, *(free[q] for q in ins.qubits))
+        slot = start
+        for q in ins.qubits:
+            if free[q] > slot:
+                slot = free[q]
         if cat == "measurement":
-            slot = last_measure = max(slot, last_measure)
+            if last_measure > slot:
+                slot = last_measure
+            last_measure = slot
         if slot == len(parts):
             parts.append(Partition(cat, []))
         parts[slot].members.append(ins)
@@ -259,7 +284,7 @@ def partition(stack: QubitStack) -> Schedule:
             free[q] = slot + 1
     for part in parts:
         if part.category == "gate":
-            part.members.sort(key=lambda m: min(m.qubits))
+            part.members.sort(key=_lowest_qubit)
     return Schedule(parts)
 
 
@@ -288,7 +313,8 @@ def check_schedule(schedule: Schedule, n: int, instructions: list[Instruction]) 
         gate = part.category == "gate"
         used: set[int] = set()
         for m in part.members:
-            rank = unplaced[id(m)].pop() if unplaced.get(id(m)) else None
+            ranks = unplaced.get(id(m))
+            rank = ranks.pop() if ranks else None
             for q in _touched(m, n):
                 if gate and q in used:
                     raise InternalError(f"qubit {q} used twice in one gate partition")

@@ -3,11 +3,14 @@ import pytest
 
 from helpers import random_pauli_state
 from paulisim import oracle
-from paulisim.circuit import NOISELESS, NoiseModel
+from paulisim import state as kernel
+from paulisim.circuit import NOISE_KEYS, NOISELESS, NoiseModel
+from paulisim.engine import verify_circuit
 from paulisim.errors import InternalError
 from paulisim.gates import apply_cnot, named_gate_transfer
 from paulisim.measurement import (
     BELL_LABELS,
+    _finalize,
     bell_measure,
     ensemble_distribution,
     expect_pauli_string,
@@ -120,6 +123,24 @@ def test_tilted_axis_measurement_matches_dense(rng):
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
     back = oracle.from_dense(d)
     assert np.max(np.abs(s.coeffs - back.coeffs)) < 1e-12
+
+
+def test_readout_transfers_keep_the_zero_signs_of_their_inputs():
+    # -0.0 == 0.0 and both hash alike: whatever an earlier call built for one
+    # must not be what a later call with the other applies
+    def factor_after(read, arg):
+        s = init_zero(2)
+        read(s, arg)
+        return s._pending[0][1].tobytes()
+
+    reads = [
+        (lambda s, axis: measure_qubit(s, 0, axis), (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0)),
+        (lambda s, d1: expect_pauli_string(s, "IZ", NoiseModel(d1=d1)), 0.0, -0.0),
+    ]
+    for read, plus, minus in reads:
+        fresh = factor_after(read, minus)
+        assert factor_after(read, plus) != fresh
+        assert factor_after(read, minus) == fresh
 
 
 def test_measurement_axis_validation(rng):
@@ -313,3 +334,107 @@ def test_noise_parameter_ranges():
     with pytest.raises(ValueError):
         NoiseModel(d2=-0.2)
     assert NOISELESS.d1 == 1.0 and NOISELESS.d2 == 1.0
+
+
+# --- _finalize on Python floats ---------------------------------------------------
+
+
+def _finalize_on_arrays(labels, values: np.ndarray) -> dict[str, float]:
+    """``_finalize``'s arithmetic as whole-array numpy operations, checks left out."""
+    values = np.where(values < 0.0, 0.0, values)
+    values = values / values.sum()
+    return {lab: float(v) for lab, v in zip(labels, values)}
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 64, 1024])
+def test_finalize_returns_the_floats_of_the_array_formula(size):
+    # numpy sums fewer than 8 entries in order and more by pairwise blocks;
+    # both sums stay numpy's, so every size gives the same bits.
+    rng = np.random.default_rng([71, size])
+    labels = tuple(format(i, "b") for i in range(size))
+    for trial in range(300):
+        v = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.integers(-17, 1, size)
+        v[0] = 1.0  # some mass survives the negatives below
+        if trial % 3 == 1:  # rounding negatives inside the floor, and negative zeros
+            v[1 + rng.permutation(size - 1)[:2]] = (-rng.uniform(0.0, 1e-9), -0.0)[: size - 1]
+        v[v > 0] /= v[v > 0].sum()
+        got = _finalize(labels, v.copy())
+        want = _finalize_on_arrays(labels, v)
+        assert list(got) == list(want)
+        assert [repr(x) for x in got.values()] == [repr(x) for x in want.values()]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [np.nan, 1.0],
+        [1.0, np.nan],  # min() over Python floats steps over a NaN in second place
+        [0.25, 0.25, np.nan, 0.5],
+        [-2e-9, 1.0 + 2e-9],  # below the floor
+        [0.5, 0.6],  # sums to 1.1
+        [0.25, 0.25, 0.25, 0.2],  # sums to 0.95
+        [np.inf, 0.0],
+        [0.5, -np.inf, np.inf, 0.5],
+    ],
+)
+def test_finalize_still_refuses_nan_negatives_and_bad_sums(values):
+    with pytest.raises(InternalError):
+        _finalize(tuple(map(str, range(len(values)))), np.array(values))
+    many = np.full(64, 1.0 / 64)
+    many[17] = values[0] if not 0.0 <= values[0] <= 1.0 else np.nan
+    with pytest.raises(InternalError):
+        _finalize(tuple(map(str, range(64))), many)
+
+
+# --- every readout against the oracle at six qubits ------------------------------
+
+READOUTS = ("measure", "measure_x", "measure_y", "reset", "expect", "ensemble", "bell")
+
+
+def _readout_rich(rng: np.random.Generator, n: int) -> str:
+    """Rotations and cx on far pairs, with each readout kind in turn in between."""
+    lines = [f"qubits {n}"]
+    for i in range(3 * len(READOUTS)):
+        a, b, c = rng.choice(n, size=3, replace=False)
+        t, p, l = rng.uniform(-3, 3, size=3)
+        lines += [f"u3({t:.6f},{p:.6f},{l:.6f}) q[{a}]", f"cx q[{a}],q[{b}]", f"cx q[{b}],q[{c}]"]
+        kind = READOUTS[i % len(READOUTS)]
+        if kind == "expect":
+            lines.append("expect " + "".join(rng.choice(list("IXYZ"), size=n)))
+        elif kind == "ensemble":
+            lines.append("ensemble")
+        elif kind == "bell":
+            lines.append(f"bell q[{a}],q[{c}]")
+        else:
+            lines.append(f"{kind} q[{b}]")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("init", ["zero", "uniform", "thermal"])
+@pytest.mark.parametrize("grouped", [False, True])
+def test_every_readout_matches_the_oracle_at_six_qubits(monkeypatch, grouped, init):
+    # Grouped, pending factors span two or three qubits, and readouts meet
+    # them in marginal on moved layouts; ungrouped, every cx on a far pair
+    # moves the layout instead.
+    if grouped:
+        monkeypatch.setattr(kernel, "_GROUPS_FROM_N", 1)
+    seen = set()
+    read = kernel.PauliState.marginal
+
+    def spy(state, qubits):
+        groups = {len(state._pending[k][0]) for k in qubits if k in state._pending}
+        seen.add((max(groups, default=0) > 1, state._layout is not None))
+        return read(state, qubits)
+
+    monkeypatch.setattr(kernel.PauliState, "marginal", spy)
+    for seed in range(2):
+        rng = np.random.default_rng([73, seed, len(init)])
+        noise = NoiseModel(
+            **{k: rng.uniform(-0.1, 0.1) if k.startswith("alpha") else rng.uniform(0.9, 1.0) for k in NOISE_KEYS}
+        )
+        text = _readout_rich(rng, 6)
+        res = verify_circuit(text, noise, init=init)
+        assert res.records_checked == 3 * (len(READOUTS) - 1), text
+        assert res.state_divergence <= 1e-12, text
+        assert res.record_divergence <= 1e-12, text
+    assert (grouped, True) in seen

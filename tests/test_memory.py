@@ -114,6 +114,17 @@ def test_noiseless_step_is_identity(rng):
     assert np.array_equal(s.coeffs, before)
 
 
+def test_a_step_with_f_and_g_one_leaves_the_state_as_it_is(rng):
+    # f_meas applies after measurement partitions only: the gate step is the identity
+    noise = NoiseModel(f_meas=0.9)
+    s = random_pauli_state(rng, 3)
+    buf, pending = s._buf, dict(s._pending)
+    end_of_partition(s, noise, "gate")
+    assert s._buf is buf and s._pending == pending
+    end_of_partition(s, noise, "measurement")
+    assert len(s._pending) == 3
+
+
 def test_step_order_is_decay_then_decohere(rng):
     # the combined step must equal decay followed by decohere, per qubit
     noise = NoiseModel(f=0.9, g=0.7, p=0.2)

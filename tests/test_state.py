@@ -57,6 +57,29 @@ def test_bitstring_most_significant_qubit_first():
     assert s.coeffs[15] == -0.25
 
 
+def _kron_product(factors) -> np.ndarray:
+    """The product state as ``np.kron`` builds it, qubit 0 least significant."""
+    coeffs = np.array([1.0])
+    for f in factors:
+        coeffs = np.kron(f, coeffs)
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_product_states_are_the_kron_products_bit_for_bit(n):
+    bits = "".join(np.random.default_rng([79, n]).choice(list("01"), size=n))
+    sign = {"0": 0.5, "1": -0.5}
+    cases = [
+        (init_zero(n), [[0.5, 0.0, 0.0, 0.5]] * n),
+        (init_uniform(n), [[0.5, 0.5, 0.0, 0.0]] * n),
+        (init_thermal(n, 0.3), [[0.5, 0.0, 0.0, 0.3 - 0.5]] * n),
+        (init_bitstring(bits), [[0.5, 0.0, 0.0, sign[c]] for c in reversed(bits)]),
+    ]
+    for state, factors in cases:
+        want = _kron_product(np.array(factors))
+        assert state.coeffs.tobytes() == want.tobytes()  # zero signs included
+
+
 def test_bitstring_rejects_non_binary():
     with pytest.raises(ValueError):
         init_bitstring("102")

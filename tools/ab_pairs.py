@@ -1,0 +1,79 @@
+"""Alternating parent/change benchmark pairs for one workload, written to BENCH_<tag>.json.
+
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W --pairs N [--tag T]
+
+DIR is the root of a checkout.  Pair i runs ``perfbench/run.py --trace 0``
+once in each tree on seed ``--seed`` + i for the ``run_seconds`` that
+BENCHMARK.json sets, parent first in even pairs and change first in odd
+ones, so a drift in host speed hits both sides alike.  Then the change
+runs once traced (``--trace 1``) on every workload that BENCHMARK.json
+declares.  The record, at the root of the repository that
+holds this script, has every run's end-to-end metrics, each side's
+medians and quartiles, the share of pairs in which the change had the
+lower value (every end-to-end metric is better lower), and the traced
+per-layer metrics.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COUNTS = ("correct", "attempted", "failed")
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` run: its correctness counts and metric values."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = json.loads(subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                                    check=True).stdout.strip().splitlines()[-1])
+    return {"seed": seed, **{k: out[k] for k in COUNTS},
+            **{name: m["value"] for name, m in out["metrics"].items()}}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--tag", default=None, help="file tag; default: the workload")
+    args = ap.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, declared = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(bench(getattr(args, side), args.workload, args.seed + i, seconds, 0))
+        p, c = runs["parent"][-1], runs["change"][-1]
+        print(f"pair {i + 1}/{args.pairs} seed {args.seed + i}: wall_s {p['wall_s']:.3f} -> {c['wall_s']:.3f}",
+              flush=True)
+    names = [k for k in runs["parent"][0] if k != "seed" and k not in COUNTS]
+    record = {
+        "workload": args.workload, "pairs": args.pairs, "seconds": seconds,
+        "seeds": [args.seed + i for i in range(args.pairs)], "runs": runs,
+        "median": {s: {m: statistics.median(r[m] for r in runs[s]) for m in names} for s in runs},
+        "quartiles": {s: {m: statistics.quantiles([r[m] for r in runs[s]], n=4) for m in names} for s in runs},
+        "change_won": {m: sum(c[m] < p[m] for p, c in zip(runs["parent"], runs["change"])) / args.pairs
+                       for m in names},
+        "traced_change": {w: bench(args.change, w, args.seed, seconds, 1) for w in declared},
+    }
+    path = ROOT / f"BENCH_{args.tag or args.workload}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    for m in names:
+        print(f"{m}: median {record['median']['parent'][m]:.4f} -> {record['median']['change'][m]:.4f}, "
+              f"change lower in {record['change_won'][m]:.0%} of pairs")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
