@@ -12,12 +12,19 @@ qubits' row and column bits, makes one transposed copy that brings those
 bits to the front as a (4^k, 4^n / 4^k) matrix, multiplies it by S into
 rho's own buffer and copies the result back into (row, column) order.  An
 ideal gate is the channel of its one unitary; channels in sequence on the
-same qubits are composed into one S first.  Every readout has one channel,
-built by ``_readout_channel``: the projective measurement with weight d and
-full depolarisation of its qubits with weight 1 - d.  Each readout applies
+same qubits are composed into one S first, and channels on different qubits
+commute.  So within one run a one-qubit channel (a gate, a noisy rotation
+mixture, reset, the memory step) makes no pass: it composes into its
+qubit's pending 4x4 factor.  A cx or ccx takes its qubits' pending factors
+into its own S, a readout applies its qubits' factors first, and the run
+applies what is left, two qubits per pass, before it returns.  Every
+readout has one channel, built by ``_readout_channel``: the projective
+measurement with weight d and full depolarisation of its qubits with
+weight 1 - d.  Each readout applies
 that channel and then reads its record from the state it leaves, as
 Tr(P rho'); ``measure``, ``expect`` and ``bell`` take that trace on one
-partial trace of rho' to their qubits.  ``apply_kraus`` and
+partial trace of rho' to their qubits, which a trace-preserving factor
+pending on any other qubit cannot change.  ``apply_kraus`` and
 ``apply_unitary`` stay as the plain definitions that route is pinned to in
 tests, and ``expectation`` as the whole-matrix route those three records are
 pinned to; these three contract through ``_apply_on_axes``' tensordot, a
@@ -253,6 +260,43 @@ def apply_superop(d: DenseState, s: np.ndarray, qubits: tuple[int, ...]) -> None
     rho[...] = x.reshape(2**n, 2**n)
 
 
+def _kron_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Liouville matrix of channel a on the first listed qubits and b on the rest.
+
+    Each is laid out as ``superop`` lays it out, (rows, columns) by (rows',
+    columns'); the result takes a's row bits, then b's, then a's column bits,
+    then b's, on both sides.
+    """
+    da, db = (int(np.sqrt(x.shape[0])) for x in (a, b))
+    ta, tb = a.reshape(da, da, da, da), b.reshape(db, db, db, db)
+    return np.einsum("abxy,efuv->aebfxuyv", ta, tb).reshape(da * da * db * db, -1)
+
+
+_IDENTITY_1Q = np.eye(4, dtype=np.complex128)
+
+
+def _defer(pending: dict, q: int, s: np.ndarray) -> None:
+    """Compose the one-qubit channel ``s`` after qubit q's pending factor."""
+    pending[q] = s @ pending[q] if q in pending else s
+
+
+def _take(pending: dict, qubits) -> np.ndarray:
+    """Remove the listed qubits' pending factors and return them as one
+    Liouville matrix, the first listed kron-major; a qubit with none takes I."""
+    s = pending.pop(qubits[0], _IDENTITY_1Q)
+    for q in qubits[1:]:
+        s = _kron_superop(s, pending.pop(q, _IDENTITY_1Q))
+    return s
+
+
+def _apply_pending(d: DenseState, pending: dict, qubits) -> None:
+    """Apply, and remove, the pending factors of ``qubits``: two qubits per pass."""
+    held = [q for q in qubits if q in pending]
+    for i in range(0, len(held), 2):
+        pair = tuple(held[i : i + 2])
+        apply_superop(d, _take(pending, pair), pair)
+
+
 def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float:
     """Tr(rho * op) for an operator embedded on the listed qubits."""
     _check_qubits(d.n, qubits, op)
@@ -422,10 +466,13 @@ def dense_bell(d: DenseState, k: int, l: int, d2: float) -> dict[str, float]:
     return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, _BELL_PROJECTORS)}
 
 
+# the superoperator of reset: rho -> P0 rho P0 + X P1 rho P1 X
+_RESET = superop([m @ p for m, p in zip(SIGMA[:2], _axis_projectors(SIGMA[3]))])
+
+
 def dense_reset(d: DenseState, k: int) -> None:
     """rho -> P0 rho P0 + X P1 rho P1 X on qubit k."""
-    p0, p1 = _axis_projectors(SIGMA[3])
-    apply_superop(d, superop([p0, SIGMA[1] @ p1]), (k,))
+    apply_superop(d, _RESET, (k,))
 
 
 # ---------------------------------------------------------------------------
@@ -450,20 +497,9 @@ def decay_kraus(g: float, p: float) -> list[np.ndarray]:
     ]
 
 
-def _memory_channel(f: float, g: float, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one-qubit decoherence + decay superoperator, and its 16x16 pair form."""
-    s = superop(decay_kraus(g, p)) @ superop(decohere_kraus(f))
-    # s is laid out (r c, r' c'); its pair form is (r0 r1 c0 c1, r0' r1' c0' c1')
-    t = s.reshape(2, 2, 2, 2)
-    return s, np.einsum("abxy,efuv->aebfxuyv", t, t).reshape(16, 16)
-
-
-def _apply_memory(d: DenseState, s: np.ndarray, pair: np.ndarray) -> None:
-    """The memory step of ``_memory_channel``: ``pair`` on qubits (0, 1), (2, 3), ..."""
-    for k in range(0, d.n - 1, 2):
-        apply_superop(d, pair, (k, k + 1))
-    if d.n % 2:
-        apply_superop(d, s, (d.n - 1,))
+def _memory_channel(f: float, g: float, p: float) -> np.ndarray:
+    """The one-qubit decoherence + decay superoperator."""
+    return superop(decay_kraus(g, p)) @ superop(decohere_kraus(f))
 
 
 def dense_memory_step(d: DenseState, f: float, g: float, p: float) -> None:
@@ -472,7 +508,8 @@ def dense_memory_step(d: DenseState, f: float, g: float, p: float) -> None:
     The composed one-qubit superoperator is applied to two qubits per
     contraction, as its 16x16 pair form, which halves the passes over rho.
     """
-    _apply_memory(d, *_memory_channel(f, g, p))
+    s = _memory_channel(f, g, p)
+    _apply_pending(d, dict.fromkeys(range(d.n), s), range(d.n))
 
 
 # ---------------------------------------------------------------------------
@@ -532,95 +569,120 @@ def _rotation_mixture(axis: str, theta: float, alpha: float, r: float) -> np.nda
     return superop(rotations, [0.5, 0.5])
 
 
-def _mixture(mixtures: dict, axis: str, theta: float, noise) -> np.ndarray:
-    """``_rotation_mixture`` under ``noise``, built once per key of ``mixtures``."""
-    key = (axis, theta, *noise.axis(axis))
-    s = mixtures.get(key)
+def _cx_mixture(alpha: float, r: float) -> np.ndarray:
+    """Superoperator of a noisy cx: two pulses with error angles alpha +- arccos(r)."""
+    delta0 = np.arccos(r)
+    return superop([cnot_matrix(alpha + delta0), cnot_matrix(alpha - delta0)], [0.5, 0.5])
+
+
+def _built(cache: dict, build, *args) -> np.ndarray:
+    """``build(*args)``, built once per run: ``cache`` keeps it under (build, *args)."""
+    key = (build, *args)
+    s = cache.get(key)
     if s is None:
-        s = mixtures[key] = _rotation_mixture(*key)
+        s = cache[key] = build(*args)
     return s
 
 
-def _step(d: DenseState, ins, noise, records: list, mixtures: dict | None = None) -> None:
+def _step(d: DenseState, ins, noise, records: list, pending: dict, cache: dict) -> None:
     """Apply one instruction to ``d``, appending a record for each readout.
 
-    ``noise`` None is the ideal run: any gate kind as its exact unitary,
-    d1 = d2 = 1, barriers skipped.  Under a NoiseModel only the schedule's
-    u1, u3 and cx gates are allowed, as two-point angle mixtures (a u3's three
-    mixtures composed into one 4x4).  ``mixtures`` keeps each mixture built,
-    keyed by (axis, angle, alpha, r), for the steps that share it.
+    A one-qubit channel makes no pass: it composes into ``pending``, which
+    maps a qubit to the 4x4 factor still to be applied to it.  A cx or ccx
+    takes its qubits' factors into its own S and makes one pass.  A readout
+    applies its qubits' factors, then makes its pass and reads its record;
+    a factor still pending on another qubit is trace-preserving, so it
+    cannot change the partial trace the record is read from.  ``noise``
+    None is the ideal run: any gate kind as its exact unitary, d1 = d2 = 1,
+    barriers skipped.  Under a NoiseModel only the schedule's u1, u3 and cx
+    gates are allowed, as two-point angle mixtures (a u3's three mixtures
+    composed into one 4x4), each built once per ``cache``.
     """
     k = ins.kind
-    mixtures = {} if mixtures is None else mixtures
     d1, d2 = (1.0, 1.0) if noise is None else (noise.d1, noise.d2)
-    if k == "reset":
-        dense_reset(d, ins.qubits[0])
-    elif k in _MEASURE_AXES:
+    if k in _MEASURE_AXES:
+        _apply_pending(d, pending, ins.qubits)
         probs = dense_measure_qubit(d, ins.qubits[0], _MEASURE_AXES[k], d1)
         records.append(("measure", ins.qubits[0], k, probs))
-    elif k == "expect":
+        return
+    if k == "expect":
         labels = ["IXYZ".index(ch) for ch in reversed(ins.string)]  # qubit 0 rightmost
+        _apply_pending(d, pending, [q for q, v in enumerate(labels) if v])
         records.append(("expect", ins.string, dense_expect_string(d, labels, d1)))
-    elif k == "ensemble":
+        return
+    if k == "ensemble":
+        _apply_pending(d, pending, range(d.n))
         probs = dense_ensemble(d, d1)
         records.append(("ensemble", {format(i, f"0{d.n}b"): float(p) for i, p in enumerate(probs)}))
-    elif k == "bell":
+        return
+    if k == "bell":
+        _apply_pending(d, pending, ins.qubits)
         records.append(("bell", ins.qubits, dense_bell(d, *ins.qubits, d2)))
+        return
+    if k == "reset":
+        s = _RESET
     elif noise is None:
-        if k in _GATE_UNITARY:
-            apply_superop(d, superop([_GATE_UNITARY[k](ins.angles)]), ins.qubits)
-        elif k != "barrier":
+        if k == "barrier":
+            return
+        if k not in _GATE_UNITARY:
             raise ValueError(f"unknown instruction kind {k!r}")
+        s = superop([_GATE_UNITARY[k](ins.angles)])
     elif k == "u1":
-        apply_superop(d, _mixture(mixtures, "z", ins.angles[0], noise), ins.qubits)
+        s = _built(cache, _rotation_mixture, "z", ins.angles[0], *noise.axis("z"))
     elif k == "u3":
         theta, phi, lam = ins.angles
         s = (
-            _mixture(mixtures, "z", phi, noise)
-            @ _mixture(mixtures, "y", theta, noise)
-            @ _mixture(mixtures, "z", lam, noise)
+            _built(cache, _rotation_mixture, "z", phi, *noise.axis("z"))
+            @ _built(cache, _rotation_mixture, "y", theta, *noise.axis("y"))
+            @ _built(cache, _rotation_mixture, "z", lam, *noise.axis("z"))
         )
-        apply_superop(d, s, ins.qubits)
     elif k == "cx":
-        delta0 = np.arccos(noise.r_cx)
-        pulses = [cnot_matrix(noise.alpha_cx + delta0), cnot_matrix(noise.alpha_cx - delta0)]
-        apply_superop(d, superop(pulses, [0.5, 0.5]), ins.qubits)
+        s = _built(cache, _cx_mixture, noise.alpha_cx, noise.r_cx)
     else:
         raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
+    if len(ins.qubits) == 1:
+        _defer(pending, ins.qubits[0], s)
+    else:
+        apply_superop(d, s @ _take(pending, ins.qubits), ins.qubits)
 
 
 def run_instructions_dense(d: DenseState, instructions) -> list:
     """Execute raw instructions in source order with zero noise.
 
     The same step as ``run_schedule_dense`` with no noise model: each gate is
-    the ``apply_superop`` channel of its exact unitary, measurements are ideal
-    projective channels (with their non-selective updates), barriers do
-    nothing.  Returns the measurement records as plain tuples; mutates ``d``.
+    the channel of its exact unitary, measurements are ideal projective
+    channels (with their non-selective updates), barriers do nothing.  The
+    one-qubit channels left pending are applied before it returns.  Returns
+    the measurement records as plain tuples; mutates ``d``.
     """
     records: list = []
+    pending: dict = {}
     for ins in instructions:
-        _step(d, ins, None, records)
+        _step(d, ins, None, records, pending, {})
+    _apply_pending(d, pending, range(d.n))
     return records
 
 
 def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     """Execute a compiled schedule with the full noise model, densely.
 
-    Mirrors the coefficient engine step for step: each member through the
-    same step as ``run_instructions_dense`` under ``noise`` (a NoiseModel),
-    then one memory-noise step after every partition of ``schedule``.  The
-    memory channel is built once per distinct (f, g) pair of the schedule's
-    partition categories, not once per partition, and each rotation
-    mixture once per distinct (axis, angle, alpha, r), not once per gate.
+    Each member goes through the same step as ``run_instructions_dense``
+    under ``noise`` (a NoiseModel); after every partition of ``schedule``
+    the memory channel of its category composes into every qubit's pending
+    factor, so a memory step makes no pass of its own.  What is still
+    pending is applied, two qubits per pass, before it returns.  The memory
+    channel is built once per distinct (f, g) pair of the schedule's
+    partition categories, each rotation mixture once per distinct (axis,
+    angle, alpha, r) and the cx mixture once, not once per use.
     """
     records: list = []
-    channels: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-    mixtures: dict[tuple[str, float, float, float], np.ndarray] = {}
+    pending: dict[int, np.ndarray] = {}
+    cache: dict = {}
     for part in schedule.partitions:
         for ins in part.members:
-            _step(d, ins, noise, records, mixtures)
-        fg = noise.pair(part.category)
-        if fg not in channels:
-            channels[fg] = _memory_channel(*fg, noise.p)
-        _apply_memory(d, *channels[fg])
+            _step(d, ins, noise, records, pending, cache)
+        s = _built(cache, _memory_channel, *noise.pair(part.category), noise.p)
+        for q in range(d.n):
+            _defer(pending, q, s)
+    _apply_pending(d, pending, range(d.n))
     return records

@@ -524,15 +524,23 @@ def init_thermal(n: int, p: float) -> PauliState:
 
 
 def overlap(s1: PauliState, s2: PauliState) -> float:
-    """Tr(rho1 rho2) = 2^n sum_i a_i b_i; the closeness measure for states."""
+    """Tr(rho1 rho2) = 2^n sum_i a_i b_i; the closeness measure for states.
+
+    The sum is ``np.einsum``'s, whose order does not depend on the BLAS
+    thread count, as ``np.dot``'s does.
+    """
     if s1.n != s2.n:
         raise ValueError(f"qubit counts differ: {s1.n} vs {s2.n}")
-    return float(2.0**s1.n * np.dot(s1.coeffs, s2.coeffs))
+    return float(2.0**s1.n * np.einsum("i,i->", s1.coeffs, s2.coeffs))
 
 
 def purity(s: PauliState) -> float:
-    """Tr(rho^2) = 2^n sum_i a_i^2; equals 1 exactly for pure states."""
-    return float(2.0**s.n * np.dot(s.coeffs, s.coeffs))
+    """Tr(rho^2) = 2^n sum_i a_i^2; equals 1 exactly for pure states.
+
+    Summed as ``overlap`` sums, the same bits under any BLAS thread count.
+    """
+    c = s.coeffs
+    return float(2.0**s.n * np.einsum("i,i->", c, c))
 
 
 def partial_trace(s: PauliState, k: int) -> PauliState:

@@ -307,7 +307,7 @@ def check_schedule(schedule: Schedule, n: int, instructions: list[Instruction]) 
     for part in schedule.partitions:
         cats = {category_of(m.kind) for m in part.members}
         if cats != {part.category}:
-            raise InternalError(f"partition tagged {part.category} holds {sorted(cats)}")
+            raise InternalError(f"partition tagged {part.category} holds {sorted(cats, key=str)}")
         if part.category == "solo" and len(part.members) != 1:
             raise InternalError("expect/ensemble/bell must be alone in a partition")
         gate = part.category == "gate"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from paulisim import oracle
+from paulisim.circuit import NoiseModel
 from paulisim.state import PauliState
 
 NAMED = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
@@ -62,6 +63,21 @@ def random_circuit_text(
         else:
             lines.append(kind)
     return "\n".join(lines) + "\n"
+
+
+def random_noise(rng: np.random.Generator) -> NoiseModel:
+    """Every one of the 15 keys set away from its noiseless default."""
+    u = rng.uniform
+    return NoiseModel(
+        p=u(0.8, 1.0),
+        alpha_x=u(-0.1, 0.1), r_x=u(0.9, 1.0),
+        alpha_y=u(-0.1, 0.1), r_y=u(0.9, 1.0),
+        alpha_z=u(-0.1, 0.1), r_z=u(0.9, 1.0),
+        alpha_cx=u(-0.1, 0.1), r_cx=u(0.9, 1.0),
+        d1=u(0.9, 1.0), d2=u(0.9, 1.0),
+        f=u(0.95, 1.0), g=u(0.95, 1.0),
+        f_meas=u(0.9, 1.0), g_meas=u(0.9, 1.0),
+    )
 
 
 def random_pauli_state(rng: np.random.Generator, n: int) -> PauliState:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_circuit_text, random_pauli_state
+from helpers import random_circuit_text, random_noise, random_pauli_state
 from paulisim import oracle
 from paulisim.circuit import GATE_KINDS, Instruction, NoiseModel, parse_circuit
 from paulisim.state import init_bitstring, init_thermal, init_uniform, init_zero
@@ -183,20 +183,24 @@ def test_dense_memory_step_matches_kraus_composition(rng):
         assert np.max(np.abs(d1.rho - d2.rho)) < 1e-12
 
 
+def _fresh_builds(monkeypatch):
+    """Make every run build each channel afresh at every use, bypassing its cache."""
+    monkeypatch.setattr(oracle, "_built", lambda cache, build, *args: build(*args))
+
+
 def test_a_schedule_builds_each_memory_channel_once(monkeypatch):
     # one build per distinct (f, g) of the partition categories, however
-    # many partitions, and the same bytes as a fresh step per partition
+    # many partitions, and the same bytes as a build at every partition
     n, instructions = parse_circuit(random_circuit_text(np.random.default_rng(3), 3, 40))
     _, schedule = compile_circuit(n, instructions)
     noise = NoiseModel(f=0.99, g=0.98, f_meas=0.97, g_meas=0.96, p=0.9)
     categories = {part.category for part in schedule.partitions}
     assert len(schedule.partitions) >= 10 and categories == {"gate", "measurement", "solo"}
 
-    want, records = oracle.dense_zero(n), []
-    for part in schedule.partitions:
-        for ins in part.members:
-            oracle._step(want, ins, noise, records)
-        oracle.dense_memory_step(want, *noise.pair(part.category), noise.p)
+    want = oracle.dense_zero(n)
+    with monkeypatch.context() as m:
+        _fresh_builds(m)
+        records = oracle.run_schedule_dense(want, schedule, noise)
 
     builds = []
     decay_kraus = oracle.decay_kraus
@@ -204,28 +208,27 @@ def test_a_schedule_builds_each_memory_channel_once(monkeypatch):
         oracle, "decay_kraus", lambda g, p: builds.append(g) or decay_kraus(g, p)
     )
     got = oracle.dense_zero(n)
-    assert oracle.run_schedule_dense(got, schedule, noise) == records
+    assert repr(oracle.run_schedule_dense(got, schedule, noise)) == repr(records)
     assert sorted(builds) == [0.96, 0.98]
-    assert np.array_equal(got.rho, want.rho)
+    assert got.rho.tobytes() == want.rho.tobytes()
 
 
 def test_a_schedule_builds_each_rotation_mixture_once(monkeypatch):
-    # two u1 angles and one u3 repeat between cx gates, so no merge joins
-    # them: one build per distinct (axis, angle, alpha, r), and the same
-    # bytes as a fresh build at every gate
+    # two u1 angles (one of them 0.0 and -0.0 in turn) and one u3 repeat
+    # between cx gates, so no merge joins them: one build per distinct
+    # (axis, angle, alpha, r), and the same bytes as a build at every gate
     lines = ["qubits 3"]
     for i in range(8):
         lines += [f"u1({0.25 * (1 + i % 2)}) q[{i % 3}]", "u3(0.5,0.25,-0.75) q[1]"]
-        lines += ["cx q[0],q[1]", "cx q[1],q[2]"]
+        lines += ["cx q[0],q[1]", f"u1({'-' * (i % 2)}0.0) q[2]", "cx q[1],q[2]"]
     n, instructions = parse_circuit("\n".join(lines) + "\n")
     _, schedule = compile_circuit(n, instructions)
-    noise = NoiseModel(alpha_z=0.01, r_z=0.99, alpha_y=-0.02, r_y=0.98, f=0.99, g=0.98, p=0.9)
+    noise = NoiseModel(alpha_z=-0.0, r_z=1.0, alpha_y=-0.02, r_y=0.98, f=0.99, g=0.98, p=0.9)
 
-    want, records = oracle.dense_zero(n), []
-    for part in schedule.partitions:
-        for ins in part.members:
-            oracle._step(want, ins, noise, records)
-        oracle.dense_memory_step(want, *noise.pair(part.category), noise.p)
+    want = oracle.dense_zero(n)
+    with monkeypatch.context() as m:
+        _fresh_builds(m)
+        records = oracle.run_schedule_dense(want, schedule, noise)
 
     builds = []
     mixture = oracle._rotation_mixture
@@ -233,12 +236,12 @@ def test_a_schedule_builds_each_rotation_mixture_once(monkeypatch):
         oracle, "_rotation_mixture", lambda *key: builds.append(key) or mixture(*key)
     )
     got = oracle.dense_zero(n)
-    assert oracle.run_schedule_dense(got, schedule, noise) == records
+    assert repr(oracle.run_schedule_dense(got, schedule, noise)) == repr(records)
     uses = sum(
         {"u1": 1, "u3": 3}.get(ins.kind, 0) for part in schedule.partitions for ins in part.members
     )
     assert len(builds) == len(set(builds)) < uses / 4
-    assert np.array_equal(got.rho, want.rho)
+    assert got.rho.tobytes() == want.rho.tobytes()
 
 
 def test_dense_measure_qubit_ideal_probabilities():
@@ -632,6 +635,89 @@ def test_one_step_behind_both_entry_points(rng):
         _run_one(d, Instruction("h", (0,)), NoiseModel())
     with pytest.raises(ValueError, match="unknown instruction kind 'swap'"):
         oracle.run_instructions_dense(d, [Instruction("swap", (0,))])
+
+
+# Deferral: one-qubit channels wait as pending factors, and the result is
+# the immediate route's, where every channel makes its own pass at once.
+
+_DENSE_INITS = {
+    "zero": lambda n, p: oracle.dense_zero(n),
+    "uniform": lambda n, p: oracle.dense_uniform(n),
+    "thermal": oracle.dense_thermal,
+}
+
+
+def _immediate_step(d, ins, noise, records, cache):
+    """``_step`` with whatever it leaves pending applied at once."""
+    pending = {}
+    oracle._step(d, ins, noise, records, pending, cache)
+    oracle._apply_pending(d, pending, range(d.n))
+
+
+def _immediate_schedule(d, schedule, noise):
+    records, cache = [], {}
+    for part in schedule.partitions:
+        for ins in part.members:
+            _immediate_step(d, ins, noise, records, cache)
+        oracle.dense_memory_step(d, *noise.pair(part.category), noise.p)
+    return records
+
+
+def _immediate_instructions(d, instructions):
+    records = []
+    for ins in instructions:
+        _immediate_step(d, ins, None, records, {})
+    return records
+
+
+def test_deferred_schedule_matches_the_immediate_step_route(rng):
+    for i in range(25):
+        init, noise = list(_DENSE_INITS)[i % 3], random_noise(rng)
+        n, instructions = parse_circuit(random_circuit_text(rng, 1 + i % 5, 40))
+        _, schedule = compile_circuit(n, instructions)
+        got, want = (_DENSE_INITS[init](n, noise.p) for _ in range(2))
+        records = oracle.run_schedule_dense(got, schedule, noise)
+        want_records = _immediate_schedule(want, schedule, noise)
+        assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, (i, init)
+        _assert_records_match(records, want_records, PIN_TOL)
+
+
+def test_deferred_instructions_match_the_immediate_step_route(rng):
+    for i in range(25):
+        init, p = list(_DENSE_INITS)[i % 3], float(rng.uniform(0.6, 1.0))
+        n, instructions = parse_circuit(random_circuit_text(rng, 1 + i % 5, 40))
+        got, want = (_DENSE_INITS[init](n, p) for _ in range(2))
+        records = oracle.run_instructions_dense(got, instructions)
+        want_records = _immediate_instructions(want, instructions)
+        assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, (i, init)
+        _assert_records_match(records, want_records, PIN_TOL)
+
+
+def test_one_qubit_channels_wait_and_a_two_qubit_gate_makes_one_pass(monkeypatch):
+    passes = []
+    apply_superop = oracle.apply_superop
+    monkeypatch.setattr(
+        oracle, "apply_superop", lambda d, s, qubits: passes.append(qubits) or apply_superop(d, s, qubits)
+    )
+    noise = random_noise(np.random.default_rng(11))
+    for n in range(1, 7):
+        ones = [f"{kind} q[{q}]" for q in range(n) for kind in ("h", "t", "reset", "u3(0.1,0.2,0.3)")]
+        for twos in ([], ["cx q[0],q[1]", f"cx q[{n - 1}],q[0]"], ["ccx q[0],q[1],q[2]"]):
+            if any(f"q[{q}]" in line for line in twos for q in range(n, 3)):
+                continue
+            text = "\n".join([f"qubits {n}", *ones, *twos, *ones, "barrier"]) + "\n"
+            _, instructions = parse_circuit(text)
+            passes.clear()
+            oracle.run_instructions_dense(oracle.dense_zero(n), instructions)
+            gates = [ins.qubits for ins in instructions if len(ins.qubits) > 1]
+            assert passes[: len(gates)] == gates and len(passes) == len(gates) + (n + 1) // 2, text
+            if "ccx" in text:
+                continue
+            # compiled: every memory step composes into the pending factors too
+            _, schedule = compile_circuit(*parse_circuit(text))
+            passes.clear()
+            oracle.run_schedule_dense(oracle.dense_zero(n), schedule, noise)
+            assert len(passes) == len(twos) + (n + 1) // 2, text
 
 
 def test_ideal_gates_match_apply_unitary(rng):

@@ -19,7 +19,7 @@ import re
 
 import numpy as np
 
-from helpers import random_circuit_text
+from helpers import random_circuit_text, random_noise
 from paulisim.circuit import NoiseModel
 from paulisim.engine import run_circuit, verify_circuit
 from paulisim.generators import adder_success_pattern, gen_adder, gen_qft
@@ -35,21 +35,6 @@ _DIVERGENCE_TOL = 1e-12
 
 def _rounded(text: str) -> str:
     return _FLOAT.sub(lambda m: format(float(m.group()), ".10g"), text)
-
-
-def _noise(rng: np.random.Generator) -> NoiseModel:
-    """Every one of the 15 keys set away from its noiseless default."""
-    u = rng.uniform
-    return NoiseModel(
-        p=u(0.8, 1.0),
-        alpha_x=u(-0.1, 0.1), r_x=u(0.9, 1.0),
-        alpha_y=u(-0.1, 0.1), r_y=u(0.9, 1.0),
-        alpha_z=u(-0.1, 0.1), r_z=u(0.9, 1.0),
-        alpha_cx=u(-0.1, 0.1), r_cx=u(0.9, 1.0),
-        d1=u(0.9, 1.0), d2=u(0.9, 1.0),
-        f=u(0.95, 1.0), g=u(0.95, 1.0),
-        f_meas=u(0.9, 1.0), g_meas=u(0.9, 1.0),
-    )
 
 
 def _verify_text(text: str, noise: NoiseModel, init: str) -> str:
@@ -68,9 +53,9 @@ def _corpus() -> list[tuple[str, NoiseModel, str]]:
     for i in range(42):
         rng = np.random.default_rng([29, i])
         text = random_circuit_text(rng, 1 + i % 6, 30)
-        cases.append((text, _noise(rng), INITS[i % 3]))
+        cases.append((text, random_noise(rng), INITS[i % 3]))
     for n in range(1, 7):
-        cases.append((gen_qft(n), _noise(np.random.default_rng([31, n])), INITS[n % 3]))
+        cases.append((gen_qft(n), random_noise(np.random.default_rng([31, n])), INITS[n % 3]))
     return cases
 
 
@@ -83,15 +68,15 @@ def test_reports_of_a_fixed_corpus_keep_their_digest():
         h.update(_rounded(_verify_text(text, noise, init)).encode())
     adder = gen_adder("10", "11")
     metric = "success:" + adder_success_pattern("10", "11")
-    rows = sweep(adder, "r", [0.9, 0.95, 1.0], metric, _noise(np.random.default_rng(37)))
+    rows = sweep(adder, "r", [0.9, 0.95, 1.0], metric, random_noise(np.random.default_rng(37)))
     h.update(_rounded(format_table("r", metric, rows)).encode())
     assert h.hexdigest() == "ffdce69e21d005f2d774177f025ce1f9993941b582285228a8aed2e2d4a19bda"
 
 
 def _decay_free_noise(rng: np.random.Generator) -> NoiseModel:
-    """``_noise`` with g = g_meas = 1, so no decay runs, and f, f_meas down to 0.9."""
+    """``random_noise`` with g = g_meas = 1, so no decay runs, and f, f_meas down to 0.9."""
     u = rng.uniform
-    return dataclasses.replace(_noise(rng), f=u(0.9, 1.0), g=1.0, f_meas=u(0.9, 1.0), g_meas=1.0)
+    return dataclasses.replace(random_noise(rng), f=u(0.9, 1.0), g=1.0, f_meas=u(0.9, 1.0), g_meas=1.0)
 
 
 def _decay_free_corpus() -> list[tuple[str, NoiseModel, str]]:

@@ -1,6 +1,9 @@
 import ast
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_states_close, random_pauli_state
+import paulisim
 from paulisim import oracle
 from paulisim.errors import CapacityError, StateFormatError
 from paulisim.state import (
@@ -112,6 +116,33 @@ def test_purity_of_pure_states_is_one():
 def test_overlap_of_orthogonal_basis_states():
     assert abs(overlap(init_bitstring("0"), init_bitstring("1"))) < 1e-15
     assert abs(overlap(init_zero(2), init_zero(2)) - 1.0) < 1e-15
+
+
+_SUMS_SCRIPT = """
+import numpy as np
+from paulisim.state import PauliState, overlap, purity
+out = []
+for n in (6, 7, 8):
+    rng = np.random.default_rng([7, n])
+    a, b = (PauliState(n, rng.standard_normal(4**n) / 2**n) for _ in range(2))
+    out.append((purity(a), overlap(a, b)))
+print(repr(out))
+"""
+
+
+def test_purity_and_overlap_do_not_depend_on_the_blas_thread_count():
+    # np.dot splits a long sum across OpenBLAS threads, so its last bits
+    # followed the thread count from 4^7 coefficients up
+    src = str(Path(paulisim.__file__).parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _SUMS_SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        printed.append(run.stdout)
+    assert printed[0] == printed[1]
 
 
 def test_overlap_matches_dense_trace_product(rng):

@@ -421,6 +421,13 @@ def test_check_schedule_rejects_each_violation(mutate, message):
         check_schedule(Schedule(parts), n, merged)
 
 
+def test_check_schedule_names_a_barrier_in_a_partition():
+    # a barrier has no category (None), which the message sorts beside "gate"
+    n, ins = parse_circuit("qubits 1\nu1(0.5) q[0]\nbarrier\n")
+    with pytest.raises(InternalError, match=r"partition tagged gate holds \[None, 'gate'\]"):
+        check_schedule(Schedule([Partition("gate", list(ins))]), n, ins)
+
+
 def test_format_schedule_layout():
     src = "qubits 2\nh q[0]\ncx q[0],q[1]\nmeasure q[0]\nmeasure q[1]\n"
     n, ins = parse_circuit(src)

@@ -10,8 +10,13 @@ runs once traced (``--trace 1``) on every workload that BENCHMARK.json
 declares.  The record, at the root of the repository that
 holds this script, has every run's end-to-end metrics, each side's
 medians and quartiles, the share of pairs in which the change had the
-lower value (every end-to-end metric is better lower), and the traced
-per-layer metrics.  Standard library only.
+lower value (every end-to-end metric is better lower), the gain rule for
+each metric, and the traced per-layer metrics.  The gain rule holds when
+the change is lower in at least 9 of 10 pairs (a tie counts for neither
+side) and the parent's median exceeds the change's by more than the
+parent's quartile range.  A run that fails, is not correct or has a failed
+operation stops the tool with a non-zero exit, naming the run and printing
+its stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,13 +33,29 @@ COUNTS = ("correct", "attempted", "failed")
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run: its correctness counts and metric values."""
+    """One ``perfbench/run.py`` run: its correctness counts and metric values.
+
+    Exits with the run's stderr unless it finished, correct, with no failed operation.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = json.loads(subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                                    check=True).stdout.strip().splitlines()[-1])
+    run = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    out = json.loads(run.stdout.strip().splitlines()[-1]) if run.returncode == 0 else {}
+    if not out.get("correct") or out.get("failed") != 0:
+        sys.exit(f"refused: {workload} seed {seed} trace {trace} in {tree} exited {run.returncode}, "
+                 f"correct {out.get('correct')}, failed {out.get('failed')}\n{run.stderr}")
     return {"seed": seed, **{k: out[k] for k in COUNTS},
             **{name: m["value"] for name, m in out["metrics"].items()}}
+
+
+def gain_rule(record: dict, metric: str) -> dict:
+    """Whether the change's gain on ``metric`` counts: lower in at least 9 of
+    10 pairs, and a gap between the medians larger than the parent's IQR."""
+    q1, _, q3 = record["quartiles"]["parent"][metric]
+    gap = record["median"]["parent"][metric] - record["median"]["change"][metric]
+    won = record["change_won"][metric]
+    return {"change_won": won, "median_gap": gap, "parent_iqr": q3 - q1,
+            "holds": won >= 0.9 and gap > q3 - q1}
 
 
 def main() -> int:
@@ -46,6 +67,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--tag", default=None, help="file tag; default: the workload")
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: the record holds each side's quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, declared = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
 
@@ -64,13 +87,15 @@ def main() -> int:
         "quartiles": {s: {m: statistics.quantiles([r[m] for r in runs[s]], n=4) for m in names} for s in runs},
         "change_won": {m: sum(c[m] < p[m] for p, c in zip(runs["parent"], runs["change"])) / args.pairs
                        for m in names},
-        "traced_change": {w: bench(args.change, w, args.seed, seconds, 1) for w in declared},
     }
+    record["gain_rule"] = {m: gain_rule(record, m) for m in names}
+    record["traced_change"] = {w: bench(args.change, w, args.seed, seconds, 1) for w in declared}
     path = ROOT / f"BENCH_{args.tag or args.workload}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     for m in names:
         print(f"{m}: median {record['median']['parent'][m]:.4f} -> {record['median']['change'][m]:.4f}, "
-              f"change lower in {record['change_won'][m]:.0%} of pairs")
+              f"change lower in {record['change_won'][m]:.0%} of pairs, gain rule "
+              f"{'holds' if record['gain_rule'][m]['holds'] else 'fails'}")
     print(f"wrote {path}")
     return 0
 
