@@ -6,32 +6,38 @@ circuits run ideally (``run_instructions_dense``) and for compiled schedules
 under a noise model (``run_schedule_dense``), and every update it makes goes
 through one channel kernel: ``superop`` turns the channel's own Kraus
 operators, or a weighted set of unitaries, into a complex Liouville matrix
-S = sum w K kron conj(K), and ``apply_superop`` applies S to the vectorised
-rho as one gemm.  It views rho, with no copy, as blocks split at its
-qubits' row and column bits, makes one transposed copy that brings those
-bits to the front as a (4^k, 4^n / 4^k) matrix, multiplies it by S into
-rho's own buffer and copies the result back into (row, column) order.  An
-ideal gate is the channel of its one unitary; channels in sequence on the
-same qubits are composed into one S first, and channels on different qubits
-commute.  So within one run a one-qubit channel (a gate, a noisy rotation
-mixture, reset, the memory step) makes no pass: it composes into its
-qubit's pending 4x4 factor.  A cx or ccx takes its qubits' pending factors
-into its own S, a readout applies its qubits' factors first, and the run
-applies what is left, two qubits per pass, before it returns.  Every
-readout has one channel, built by ``_readout_channel``: the projective
-measurement with weight d and full depolarisation of its qubits with
-weight 1 - d.  Each readout applies
-that channel and then reads its record from the state it leaves, as
-Tr(P rho'); ``measure``, ``expect`` and ``bell`` take that trace on one
-partial trace of rho' to their qubits, which a trace-preserving factor
-pending on any other qubit cannot change.  ``apply_kraus`` and
-``apply_unitary`` stay as the plain definitions that route is pinned to in
-tests, and ``expectation`` as the whole-matrix route those three records are
-pinned to; these three contract through ``_apply_on_axes``' tensordot, a
-route the kernel does not share.  Every contraction refuses a qubit
-outside the state or listed twice.  The point is an independent second
-route for every operation the coefficient engine implements: nothing here
-comes from the engine's kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
+S = sum w K kron conj(K), and ``_Vec`` applies S to the vectorised rho as
+one gemm.  Within one run ``_Vec`` keeps vec(rho) in a moved bit order with
+one spare buffer: a pass makes one transposed copy into the spare buffer
+that brings its qubits' row and column bits to the front, and only when
+they are not there already, then one gemm into the other buffer, and the
+two swap; nothing is copied back.  The run puts rho back in (row, column) order,
+in its own buffer, once at its end; ``apply_superop`` is that kernel run
+for one pass.  An ideal gate is the channel of its one unitary; channels in
+sequence on the same qubits are composed into one S first, and channels on
+different qubits commute.  So within one run a one-qubit channel (a gate, a
+noisy rotation mixture, reset, the memory step, and each one-qubit readout
+channel) makes no pass: it composes into its qubit's pending 4x4 factor.  A
+cx, ccx or ``bell`` takes its qubits' pending factors into its own S and
+makes one pass, ``ensemble`` applies every factor in ceil(n/2) pair passes,
+and the run applies what is left, two qubits per pass, before it returns.
+Every readout has one channel, built by ``_readout_channel``: the
+projective measurement with weight d and full depolarisation of its qubits
+with weight 1 - d.  Each readout reads its record from the state that
+channel leaves, as Tr(P rho'): ``measure`` and ``expect`` from the partial
+trace of rho to their qubits with those qubits' factors, their readout
+channels included, applied to that small matrix, which a trace-preserving
+factor pending on any other qubit cannot change; ``bell`` from the partial
+trace after its pass; ``ensemble`` from the diagonal.  The public
+``dense_*`` readouts are the same steps, each run on its own.
+``apply_kraus`` and ``apply_unitary`` stay as the plain definitions that
+route is pinned to in tests, and ``expectation`` as the whole-matrix route
+the records are pinned to; these three contract through
+``_apply_on_axes``' tensordot, a route the kernel does not share.  Every
+contraction refuses a qubit outside the state or listed twice.  The point
+is an independent second route for every operation the coefficient engine
+implements: nothing here comes from the engine's kernels.  Intended for
+n <= ``ORACLE_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -227,37 +233,85 @@ def superop(ops: list[np.ndarray], weights: list[float] | None = None) -> np.nda
     return np.einsum("k,kij,kab->iajb", w, m, m.conj()).reshape(dim * dim, dim * dim)
 
 
+def _transposed_copy(src: np.ndarray, src_axes: list, dst: np.ndarray, dst_axes: list) -> None:
+    """Copy the (2,) * m tensor ``src``, whose axis i holds bit src_axes[i],
+    into ``dst`` laid out as ``dst_axes``.  Bits adjacent and in order in
+    both layouts move as one block, so the copy has as few axes as it can."""
+    at = {a: i for i, a in enumerate(dst_axes)}
+    runs: list[list[int]] = []
+    for a in src_axes:
+        if runs and at[a] == at[runs[-1][-1]] + 1:
+            runs[-1].append(a)
+        else:
+            runs.append([a])
+    order = sorted(range(len(runs)), key=lambda i: at[runs[i][0]])
+    sizes = [2 ** len(run) for run in runs]
+    dst.reshape([sizes[i] for i in order])[...] = src.reshape(sizes).transpose(order)
+
+
+class _Vec:
+    """vec(rho) of one DenseState in a moved bit order, with one spare buffer.
+
+    The current buffer ``cur`` holds the 4^n entries of the row-major
+    vec(rho) as a (2,) * 2n tensor whose axis i holds bit ``axes[i]``: bit
+    n + q is qubit q's row bit and bit q its column bit, so (2n - 1, ..., 0)
+    is (row, column) order.  A pass on k qubits needs their row bits, then
+    their column bits, each in the listed order, as the leading 2k axes.
+    Unless they are there already, one transposed copy into the spare
+    buffer brings them to the front, every other bit keeping its order, and
+    the two buffers swap.  Then one gemm S @ cur, as a (4^k, 4^n / 4^k)
+    matrix, writes into the spare buffer and the buffers swap again: no
+    copy goes back.
+    ``restore`` puts rho in (row, column) order in d.rho's own buffer.
+    The spare buffer is allocated here, or borrowed from ``spare``, an array
+    of at least 4^n entries whose contents nothing else needs until this
+    run is restored.
+    """
+
+    def __init__(self, d: DenseState, spare: np.ndarray | None = None):
+        d.rho = np.require(d.rho, np.complex128, "CW")
+        self.n = d.n
+        self.home = self.cur = d.rho.reshape(-1)
+        self.spare = np.empty_like(self.cur) if spare is None else spare[: self.cur.size]
+        self.axes = list(range(2 * d.n - 1, -1, -1))
+
+    def _move(self, axes: list) -> None:
+        _transposed_copy(self.cur, self.axes, self.spare, axes)
+        self.axes = axes
+        self.cur, self.spare = self.spare, self.cur
+
+    def apply(self, s: np.ndarray, qubits: tuple[int, ...]) -> None:
+        """rho <- S(rho) for a ``superop`` matrix on the listed qubits."""
+        n, k = self.n, len(qubits)
+        _check_qubits(n, qubits, s, base=4)
+        front = [n + q for q in qubits] + list(qubits)
+        if self.axes[: 2 * k] != front:
+            self._move(front + [a for a in self.axes if a not in front])
+        np.matmul(s, self.cur.reshape(4**k, -1), out=self.spare.reshape(4**k, -1))
+        self.cur, self.spare = self.spare, self.cur
+
+    def restore(self) -> None:
+        """Put rho in (row, column) order in d.rho's own buffer."""
+        rows_then_columns = list(range(2 * self.n - 1, -1, -1))
+        if self.cur is self.home and self.axes != rows_then_columns:
+            self._move(rows_then_columns)
+        if self.cur is not self.home:
+            _transposed_copy(self.cur, self.axes, self.home, rows_then_columns)
+            self.cur, self.spare = self.spare, self.cur
+        self.axes = rows_then_columns
+
+
 def apply_superop(d: DenseState, s: np.ndarray, qubits: tuple[int, ...]) -> None:
     """In-place rho <- S(rho) for a ``superop`` matrix on the listed qubits.
 
-    rho is viewed, with no copy, as blocks: its row index split at the
-    listed qubits' bits into (2^(n-1-q_hi), 2, ..., 2, 2^q_lo), its column
-    index split the same way.  One transposed copy x brings the listed
-    qubits' row bits, then their column bits, each in the listed order, to
-    the front: a (4^k, 4^n / 4^k) matrix.  One gemm S @ x writes into rho's
-    own buffer, which x no longer needs; one transposed copy puts that back
-    in (row, column) order in x's buffer, and one plain copy returns it to
-    rho.  x is the only array the kernel allocates.
+    One pass of the run kernel ``_Vec``, then rho back in order: a
+    transposed copy into the spare buffer, the gemm into rho's own buffer, a
+    transposed copy back into the spare buffer and a plain copy into rho.
+    The spare buffer is the only array it allocates.
     """
-    n, k = d.n, len(qubits)
-    _check_qubits(n, qubits, s, base=4)
-    rho = d.rho = np.require(d.rho, np.complex128, "CW")
-    # each index as (bits above q_1, q_1, bits between q_1 and q_2, q_2, ..., bits below q_k)
-    order = sorted(qubits, reverse=True)
-    shape = []
-    for top, q in zip([n, *order], order):
-        shape += [2 ** (top - 1 - q), 2]
-    shape.append(2 ** min(qubits, default=n))
-    m = len(shape)  # 2k + 1 axes: the listed bits at the odd ones
-    listed = [2 * order.index(q) + 1 for q in qubits]
-    rest = list(range(0, m, 2))
-    perm = listed + [m + a for a in listed] + rest + [m + a for a in rest]
-    blocks = shape + shape
-    x = rho.reshape(blocks).transpose(perm).copy().reshape(4**k, -1)
-    y = rho.reshape(4**k, -1)
-    np.matmul(s, x, out=y)
-    x.reshape(blocks).transpose(perm)[...] = y.reshape([blocks[a] for a in perm])
-    rho[...] = x.reshape(2**n, 2**n)
+    v = _Vec(d)
+    v.apply(s, qubits)
+    v.restore()
 
 
 def _kron_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,12 +343,18 @@ def _take(pending: dict, qubits) -> np.ndarray:
     return s
 
 
-def _apply_pending(d: DenseState, pending: dict, qubits) -> None:
+def _apply_pending(v: _Vec, pending: dict, qubits) -> None:
     """Apply, and remove, the pending factors of ``qubits``: two qubits per pass."""
     held = [q for q in qubits if q in pending]
     for i in range(0, len(held), 2):
         pair = tuple(held[i : i + 2])
-        apply_superop(d, _take(pending, pair), pair)
+        v.apply(_take(pending, pair), pair)
+
+
+def _finish(v: _Vec, pending: dict) -> None:
+    """Apply every factor still pending, two qubits per pass, and put rho back in order."""
+    _apply_pending(v, pending, range(v.n))
+    v.restore()
 
 
 def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float:
@@ -306,20 +366,55 @@ def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float
     return float(np.trace(t.reshape(2**d.n, 2**d.n)).real)
 
 
-def _reduced(d: DenseState, qubits: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of rho over every qubit not listed; the first listed is kron-major."""
-    n = d.n
+def _reduced(v: _Vec, qubits: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of v's rho over every qubit not listed, in an array of its
+    own; the first listed is kron-major."""
+    n, m = v.n, len(qubits)
     _check_qubits(n, qubits)
-    rows = [n - 1 - i for i in range(n)]  # row axis i belongs to qubit n - 1 - i
-    cols = [q + n if q in qubits else q for q in rows]  # a shared label is traced out
-    out = [*qubits, *(q + n for q in qubits)]
-    dim = 2 ** len(qubits)
-    return np.einsum(d.rho.reshape((2,) * (2 * n)), rows + cols, out).reshape(dim, dim)
+    # a row bit n + q of a qubit traced out shares its column bit's label q
+    labels = [a - n if a >= n and a - n not in qubits else a for a in v.axes]
+    # with nothing traced out einsum returns a view of rho, so copy
+    out = np.einsum(v.cur.reshape((2,) * (2 * n)), labels, [n + q for q in qubits] + list(qubits))
+    return out.copy().reshape(2**m, 2**m)
+
+
+def _read(v: _Vec, pending: dict, qubits: tuple[int, ...]) -> np.ndarray:
+    """The partial trace of v's rho to ``qubits`` (the first listed kron-major)
+    with their pending factors applied to it; the factors stay pending on rho.
+
+    A factor pending on any other qubit is trace-preserving, so it cannot
+    change this partial trace.  The small run borrows v's spare buffer,
+    which holds nothing between v's passes, so a read holds at most one
+    array as large as rho besides the two buffers: its partial trace.
+    """
+    m = len(qubits)
+    small = DenseState(m, _reduced(v, qubits))
+    factors = {m - 1 - i: pending[q] for i, q in enumerate(qubits) if q in pending}
+    _finish(_Vec(small, v.spare), factors)
+    return small.rho
+
+
+def _diagonal(v: _Vec) -> np.ndarray:
+    """The diagonal of v's rho, as real numbers in an array of its own."""
+    n = v.n
+    labels = [a - n if a >= n else a for a in v.axes]  # row bit n + q shares column bit q's label
+    diagonal = np.einsum(v.cur.reshape((2,) * (2 * n)), labels, list(range(n - 1, -1, -1)))
+    return np.array(diagonal.real).reshape(-1)
 
 
 def _trace_product(op: np.ndarray, rho: np.ndarray) -> float:
     """Tr(op rho) with no matrix product."""
     return float(np.einsum("ij,ji->", op, rho).real)
+
+
+def _string_trace(singles: list[np.ndarray], rho: np.ndarray) -> float:
+    """Tr((singles[0] kron singles[1] kron ...) rho) with no kron product,
+    which at full support would be as large as rho: each step contracts the
+    kron-major qubit of rho with its 2x2 operator."""
+    for op in singles:
+        h = len(rho) // 2
+        rho = np.einsum("aibj,ba->ij", rho.reshape(2, h, 2, h), op)
+    return float(rho[0, 0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -412,32 +507,83 @@ def _readout_channel(projectors: list[np.ndarray], d: float) -> np.ndarray:
     )
 
 
+def _built(cache: dict, build, *args) -> np.ndarray:
+    """``build(*args)``, built once per run: ``cache`` keeps it under (build, *args)."""
+    key = (build, *args)
+    s = cache.get(key)
+    if s is None:
+        s = cache[key] = build(*args)
+    return s
+
+
+#: The unit x, y and z axes.
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _axis_observable(axis: tuple[float, float, float]) -> np.ndarray:
+    return sum(a * SIGMA[i + 1] for i, a in enumerate(axis))
+
+
+def _axis_readout(axis: tuple[float, float, float], d: float) -> np.ndarray:
+    """The readout channel of a one-qubit measurement along ``axis``."""
+    return _readout_channel(_axis_projectors(_axis_observable(axis)), d)
+
+
+# Each readout composes its channel into its qubits' pending factors and then
+# reads its record.  Each takes the run's kernel ``v``, its pending factors
+# and its channel cache; ``_alone`` runs one on a DenseState by itself.
+
+
+def _measure(v: _Vec, pending: dict, cache: dict, k: int, axis: tuple, d1: float) -> tuple:
+    """(p_plus, p_minus) of qubit k measured along ``axis``: no pass over rho."""
+    _defer(pending, k, _built(cache, _axis_readout, axis, d1))
+    plus = _axis_projectors(_axis_observable(axis))[0]
+    p_plus = _trace_product(plus, _read(v, pending, (k,)))
+    return (p_plus, 1.0 - p_plus)
+
+
+def _expect(v: _Vec, pending: dict, cache: dict, labels: list[int], d1: float) -> float:
+    """The Pauli string with SIGMA[labels[q]] on qubit q: no pass over rho."""
+    for q, label in enumerate(labels):
+        if label:
+            _defer(pending, q, _built(cache, _axis_readout, _AXES[label - 1], d1))
+    support = tuple(q for q in reversed(range(v.n)) if labels[q])
+    return _string_trace([SIGMA[labels[q]] for q in support], _read(v, pending, support))
+
+
+def _ensemble(v: _Vec, pending: dict, cache: dict, d1: float) -> np.ndarray:
+    """Every computational-basis outcome's probability: ceil(n/2) passes."""
+    s = _built(cache, _axis_readout, _AXES[2], d1)
+    for q in range(v.n):
+        _defer(pending, q, s)
+    _apply_pending(v, pending, range(v.n))
+    return _diagonal(v)
+
+
+def _alone(d: DenseState, readout, *args):
+    """``readout`` on d as a run of its own: a fresh pending dict and channel
+    cache, and what is left pending applied before it returns."""
+    v, pending = _Vec(d), {}
+    value = readout(v, pending, {}, *args)
+    _finish(v, pending)
+    return value
+
+
 def dense_measure_qubit(
     d: DenseState, k: int, axis_vec: np.ndarray, d1: float
 ) -> tuple[float, float]:
     """Single-qubit measurement along an axis: (p_plus, p_minus) with damping d1."""
-    plus, minus = _axis_projectors(sum(axis_vec[i] * SIGMA[i + 1] for i in range(3)))
-    apply_superop(d, _readout_channel([plus, minus], d1), (k,))
-    p_plus = _trace_product(plus, _reduced(d, (k,)))
-    return (p_plus, 1.0 - p_plus)
+    return _alone(d, _measure, k, tuple(float(a) for a in axis_vec), d1)
 
 
 def dense_expect_string(d: DenseState, labels: list[int], d1: float) -> float:
     """Expectation of a Pauli string with readout damping; updates the state."""
-    channels = {v: _readout_channel(_axis_projectors(SIGMA[v]), d1) for v in set(labels) - {0}}
-    for k, v in enumerate(labels):
-        if v:
-            apply_superop(d, channels[v], (k,))
-    support = tuple(k for k in reversed(range(d.n)) if labels[k])
-    return _trace_product(_kron_qubits([SIGMA[labels[k]] for k in support]), _reduced(d, support))
+    return _alone(d, _expect, labels, d1)
 
 
 def dense_ensemble(d: DenseState, d1: float) -> np.ndarray:
     """All-qubit computational-basis outcome probabilities; updates the state."""
-    s = _readout_channel(_axis_projectors(SIGMA[3]), d1)
-    for k in range(d.n):
-        apply_superop(d, s, (k,))
-    return np.diag(d.rho).real.copy()
+    return _alone(d, _ensemble, d1)
 
 
 BELL_SIGNS = {
@@ -459,11 +605,20 @@ def _bell_projector(signs: tuple[float, float, float]) -> np.ndarray:
 _BELL_PROJECTORS = tuple(_bell_projector(signs) for signs in BELL_SIGNS.values())
 
 
+def _bell_readout(d2: float) -> np.ndarray:
+    return _readout_channel(list(_BELL_PROJECTORS), d2)
+
+
+def _bell(v: _Vec, pending: dict, cache: dict, k: int, l: int, d2: float) -> dict[str, float]:
+    """Bell-basis probabilities of qubits (k, l): one pass, which takes their factors."""
+    v.apply(_built(cache, _bell_readout, d2) @ _take(pending, (k, l)), (k, l))
+    pair = _reduced(v, (k, l))
+    return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, _BELL_PROJECTORS)}
+
+
 def dense_bell(d: DenseState, k: int, l: int, d2: float) -> dict[str, float]:
     """Bell-basis measurement of qubits (k, l) with damping d2; updates state."""
-    apply_superop(d, _readout_channel(list(_BELL_PROJECTORS), d2), (k, l))
-    pair = _reduced(d, (k, l))
-    return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, _BELL_PROJECTORS)}
+    return _alone(d, _bell, k, l, d2)
 
 
 # the superoperator of reset: rho -> P0 rho P0 + X P1 rho P1 X
@@ -508,8 +663,7 @@ def dense_memory_step(d: DenseState, f: float, g: float, p: float) -> None:
     The composed one-qubit superoperator is applied to two qubits per
     contraction, as its 16x16 pair form, which halves the passes over rho.
     """
-    s = _memory_channel(f, g, p)
-    _apply_pending(d, dict.fromkeys(range(d.n), s), range(d.n))
+    _finish(_Vec(d), dict.fromkeys(range(d.n), _memory_channel(f, g, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +708,7 @@ def choi_psd_check(ptm: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Circuit execution (dual path for the coefficient engine)
 
-_MEASURE_AXES = {
-    "measure": np.array([0.0, 0.0, 1.0]),
-    "measure_x": np.array([1.0, 0.0, 0.0]),
-    "measure_y": np.array([0.0, 1.0, 0.0]),
-}
+_MEASURE_AXES = {"measure": _AXES[2], "measure_x": _AXES[0], "measure_y": _AXES[1]}
 
 
 def _rotation_mixture(axis: str, theta: float, alpha: float, r: float) -> np.ndarray:
@@ -575,49 +725,38 @@ def _cx_mixture(alpha: float, r: float) -> np.ndarray:
     return superop([cnot_matrix(alpha + delta0), cnot_matrix(alpha - delta0)], [0.5, 0.5])
 
 
-def _built(cache: dict, build, *args) -> np.ndarray:
-    """``build(*args)``, built once per run: ``cache`` keeps it under (build, *args)."""
-    key = (build, *args)
-    s = cache.get(key)
-    if s is None:
-        s = cache[key] = build(*args)
-    return s
-
-
-def _step(d: DenseState, ins, noise, records: list, pending: dict, cache: dict) -> None:
-    """Apply one instruction to ``d``, appending a record for each readout.
+def _step(v: _Vec, ins, noise, records: list, pending: dict, cache: dict) -> None:
+    """Apply one instruction to the run's rho ``v``, appending a record for each readout.
 
     A one-qubit channel makes no pass: it composes into ``pending``, which
-    maps a qubit to the 4x4 factor still to be applied to it.  A cx or ccx
-    takes its qubits' factors into its own S and makes one pass.  A readout
-    applies its qubits' factors, then makes its pass and reads its record;
-    a factor still pending on another qubit is trace-preserving, so it
-    cannot change the partial trace the record is read from.  ``noise``
-    None is the ideal run: any gate kind as its exact unitary, d1 = d2 = 1,
-    barriers skipped.  Under a NoiseModel only the schedule's u1, u3 and cx
-    gates are allowed, as two-point angle mixtures (a u3's three mixtures
-    composed into one 4x4), each built once per ``cache``.
+    maps a qubit to the 4x4 factor still to be applied to it.  So does each
+    one-qubit readout channel, and ``measure`` and ``expect`` read their
+    record from the partial trace to their qubits with those qubits'
+    factors applied to it.  A cx, ccx or ``bell`` takes its qubits' factors
+    into its own S and makes one pass; ``ensemble`` applies every factor in
+    ceil(n/2) pair passes and reads the diagonal.  ``noise`` None is the
+    ideal run: any gate kind as its exact unitary, d1 = d2 = 1, barriers
+    skipped.  Under a NoiseModel only the schedule's u1, u3 and cx gates are
+    allowed, as two-point angle mixtures (a u3's three mixtures composed
+    into one 4x4).  Every channel but an ideal gate's is built once per
+    ``cache``.
     """
     k = ins.kind
     d1, d2 = (1.0, 1.0) if noise is None else (noise.d1, noise.d2)
     if k in _MEASURE_AXES:
-        _apply_pending(d, pending, ins.qubits)
-        probs = dense_measure_qubit(d, ins.qubits[0], _MEASURE_AXES[k], d1)
-        records.append(("measure", ins.qubits[0], k, probs))
+        q = ins.qubits[0]
+        records.append(("measure", q, k, _measure(v, pending, cache, q, _MEASURE_AXES[k], d1)))
         return
     if k == "expect":
         labels = ["IXYZ".index(ch) for ch in reversed(ins.string)]  # qubit 0 rightmost
-        _apply_pending(d, pending, [q for q, v in enumerate(labels) if v])
-        records.append(("expect", ins.string, dense_expect_string(d, labels, d1)))
+        records.append(("expect", ins.string, _expect(v, pending, cache, labels, d1)))
         return
     if k == "ensemble":
-        _apply_pending(d, pending, range(d.n))
-        probs = dense_ensemble(d, d1)
-        records.append(("ensemble", {format(i, f"0{d.n}b"): float(p) for i, p in enumerate(probs)}))
+        probs = _ensemble(v, pending, cache, d1)
+        records.append(("ensemble", {format(i, f"0{v.n}b"): float(p) for i, p in enumerate(probs)}))
         return
     if k == "bell":
-        _apply_pending(d, pending, ins.qubits)
-        records.append(("bell", ins.qubits, dense_bell(d, *ins.qubits, d2)))
+        records.append(("bell", ins.qubits, _bell(v, pending, cache, *ins.qubits, d2)))
         return
     if k == "reset":
         s = _RESET
@@ -643,7 +782,7 @@ def _step(d: DenseState, ins, noise, records: list, pending: dict, cache: dict) 
     if len(ins.qubits) == 1:
         _defer(pending, ins.qubits[0], s)
     else:
-        apply_superop(d, s @ _take(pending, ins.qubits), ins.qubits)
+        v.apply(s @ _take(pending, ins.qubits), ins.qubits)
 
 
 def run_instructions_dense(d: DenseState, instructions) -> list:
@@ -652,14 +791,17 @@ def run_instructions_dense(d: DenseState, instructions) -> list:
     The same step as ``run_schedule_dense`` with no noise model: each gate is
     the channel of its exact unitary, measurements are ideal projective
     channels (with their non-selective updates), barriers do nothing.  The
-    one-qubit channels left pending are applied before it returns.  Returns
-    the measurement records as plain tuples; mutates ``d``.
+    one-qubit channels left pending are applied, and rho put back in (row,
+    column) order in d.rho's own buffer, before it returns, or raises with
+    every instruction before the failing one applied.  Returns the
+    measurement records as plain tuples; mutates ``d``.
     """
-    records: list = []
-    pending: dict = {}
-    for ins in instructions:
-        _step(d, ins, None, records, pending, {})
-    _apply_pending(d, pending, range(d.n))
+    v, pending, records, cache = _Vec(d), {}, [], {}
+    try:
+        for ins in instructions:
+            _step(v, ins, None, records, pending, cache)
+    finally:
+        _finish(v, pending)
     return records
 
 
@@ -670,19 +812,20 @@ def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     under ``noise`` (a NoiseModel); after every partition of ``schedule``
     the memory channel of its category composes into every qubit's pending
     factor, so a memory step makes no pass of its own.  What is still
-    pending is applied, two qubits per pass, before it returns.  The memory
+    pending is applied, two qubits per pass, and rho put back in order, as
+    ``run_instructions_dense`` does.  The memory
     channel is built once per distinct (f, g) pair of the schedule's
     partition categories, each rotation mixture once per distinct (axis,
     angle, alpha, r) and the cx mixture once, not once per use.
     """
-    records: list = []
-    pending: dict[int, np.ndarray] = {}
-    cache: dict = {}
-    for part in schedule.partitions:
-        for ins in part.members:
-            _step(d, ins, noise, records, pending, cache)
-        s = _built(cache, _memory_channel, *noise.pair(part.category), noise.p)
-        for q in range(d.n):
-            _defer(pending, q, s)
-    _apply_pending(d, pending, range(d.n))
+    v, pending, records, cache = _Vec(d), {}, [], {}
+    try:
+        for part in schedule.partitions:
+            for ins in part.members:
+                _step(v, ins, noise, records, pending, cache)
+            s = _built(cache, _memory_channel, *noise.pair(part.category), noise.p)
+            for q in range(d.n):
+                _defer(pending, q, s)
+    finally:
+        _finish(v, pending)
     return records

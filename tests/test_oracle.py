@@ -491,6 +491,89 @@ def test_apply_superop_shares_no_route_with_the_pinned_definitions():
     assert called.isdisjoint({"_apply_on_axes", "tensordot", "moveaxis"}), called
 
 
+def test_the_run_kernel_shares_no_route_with_the_pinned_definitions():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    kernel = [
+        node
+        for node in tree.body
+        if getattr(node, "name", None) in ("_Vec", "_transposed_copy")
+    ]
+    assert len(kernel) == 2
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for fn in kernel
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+    assert called.isdisjoint({"_apply_on_axes", "tensordot", "moveaxis", "einsum"}), called
+
+
+def test_passes_in_one_run_match_apply_kraus_pass_by_pass(rng, monkeypatch):
+    # one kernel run, restored once, on every placement: a pass whose bits
+    # are at the front in its order makes no gather, any other pass one
+    moves = []
+    move = oracle._Vec._move
+    monkeypatch.setattr(oracle._Vec, "_move", lambda v, axes: moves.append(axes) or move(v, axes))
+    kraus = {k: _random_kraus(rng, k) for k in (1, 2, 3)}
+    supers = {k: oracle.superop(ops) for k, ops in kraus.items()}
+    for n in range(1, 6):
+        got, want = _pair(rng, n)
+        home = got.rho
+        v = oracle._Vec(got)
+        for _ in range(12):
+            k = int(rng.integers(1, min(n, 3) + 1))
+            qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+            for i, listed in enumerate([qubits, qubits[::-1], qubits[::-1]]):
+                front = [n + q for q in listed] + list(listed)
+                at_front = v.axes[: 2 * k] == front
+                moves.clear()
+                v.apply(supers[k], listed)
+                oracle.apply_kraus(want, kraus[k], listed)
+                assert len(moves) == (not at_front), (n, listed)
+                assert v.axes[: 2 * k] == front
+                if i == 1 and k > 1:
+                    assert not at_front  # the same bits in another order
+                if i == 2:
+                    assert at_front  # a repeat
+        v.restore()
+        assert got.rho is home
+        assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, n
+
+
+def test_reads_in_a_moved_layout_are_arrays_of_their_own(rng):
+    # every partial trace and the diagonal, read from a kernel run whose bits
+    # have moved, against the Pauli expansion of the same state by
+    # oracle.expectation; writing into a read leaves rho as it was
+    for n in (1, 2, 3, 4):
+        d, want = _pair(rng, n)
+        v = oracle._Vec(d)
+        for qubits in [(0,)] + [(n - 1, 1)] * (n >= 3):
+            kraus = _random_kraus(rng, len(qubits))
+            v.apply(oracle.superop(kraus), qubits)
+            oracle.apply_kraus(want, kraus, qubits)
+        assert n == 1 or v.axes != sorted(v.axes, reverse=True)
+        cur, axes = v.cur.copy(), list(v.axes)
+        for m in range(n + 1):
+            basis = oracle._pauli_products(m)
+            for qubits in itertools.permutations(range(n), m):
+                r = oracle._reduced(v, qubits)
+                expanded = sum(oracle.expectation(want, p, qubits) * p for p in basis) / 2**m
+                assert np.max(np.abs(r - expanded)) <= PIN_TOL, (n, qubits)
+                r[...] = 7.0
+                assert np.array_equal(v.cur, cur) and v.axes == axes, (n, qubits)
+        diagonal = oracle._diagonal(v)
+        assert np.max(np.abs(diagonal - np.diag(want.rho).real)) <= PIN_TOL, n
+        diagonal[...] = 7.0
+        assert np.array_equal(v.cur, cur), n
+
+        # in (row, column) order, every qubit in descending order is rho itself
+        before = want.rho.copy()
+        r = oracle._reduced(oracle._Vec(want), tuple(reversed(range(n))))
+        assert not np.shares_memory(r, want.rho)
+        r[...] = 7.0
+        assert np.array_equal(want.rho, before), n
+
+
 def test_contractions_refuse_qubits_outside_the_state_or_repeated(rng):
     d = oracle.to_dense(random_pauli_state(rng, 3))
     s1 = oracle.superop(_random_kraus(rng, 1))
@@ -500,7 +583,7 @@ def test_contractions_refuse_qubits_outside_the_state_or_repeated(rng):
         "apply_unitary": lambda qs: oracle.apply_unitary(d, np.eye(2 ** len(qs)), qs),
         "apply_kraus": lambda qs: oracle.apply_kraus(d, [np.eye(2 ** len(qs))], qs),
         "expectation": lambda qs: oracle.expectation(d, np.eye(2 ** len(qs)), qs),
-        "_reduced": lambda qs: oracle._reduced(d, qs),
+        "_reduced": lambda qs: oracle._reduced(oracle._Vec(d), qs),
     }
     rho = d.rho.copy()
     for name, call in calls.items():
@@ -633,8 +716,14 @@ def test_one_step_behind_both_entry_points(rng):
     d = oracle.dense_zero(1)
     with pytest.raises(ValueError, match="unexpected instruction kind 'h' in a schedule"):
         _run_one(d, Instruction("h", (0,)), NoiseModel())
+    # a run that raises leaves rho in order, with every instruction before the failing one
+    d = oracle.dense_zero(2)
+    bell = [Instruction("h", (0,)), Instruction("cx", (0, 1))]
     with pytest.raises(ValueError, match="unknown instruction kind 'swap'"):
-        oracle.run_instructions_dense(d, [Instruction("swap", (0,))])
+        oracle.run_instructions_dense(d, [*bell, Instruction("swap", (0,))])
+    want = oracle.dense_zero(2)
+    oracle.run_instructions_dense(want, bell)
+    assert np.max(np.abs(d.rho - want.rho)) == 0.0 and abs(want.rho[3, 0] - 0.5) <= PIN_TOL
 
 
 # Deferral: one-qubit channels wait as pending factors, and the result is
@@ -648,10 +737,10 @@ _DENSE_INITS = {
 
 
 def _immediate_step(d, ins, noise, records, cache):
-    """``_step`` with whatever it leaves pending applied at once."""
-    pending = {}
-    oracle._step(d, ins, noise, records, pending, cache)
-    oracle._apply_pending(d, pending, range(d.n))
+    """``_step`` as a run of its own, with whatever it leaves pending applied at once."""
+    v, pending = oracle._Vec(d), {}
+    oracle._step(v, ins, noise, records, pending, cache)
+    oracle._finish(v, pending)
 
 
 def _immediate_schedule(d, schedule, noise):
@@ -695,9 +784,9 @@ def test_deferred_instructions_match_the_immediate_step_route(rng):
 
 def test_one_qubit_channels_wait_and_a_two_qubit_gate_makes_one_pass(monkeypatch):
     passes = []
-    apply_superop = oracle.apply_superop
+    apply = oracle._Vec.apply
     monkeypatch.setattr(
-        oracle, "apply_superop", lambda d, s, qubits: passes.append(qubits) or apply_superop(d, s, qubits)
+        oracle._Vec, "apply", lambda v, s, qubits: passes.append(qubits) or apply(v, s, qubits)
     )
     noise = random_noise(np.random.default_rng(11))
     for n in range(1, 7):
@@ -738,3 +827,43 @@ def test_ideal_gates_match_apply_unitary(rng):
         assert oracle.run_instructions_dense(got, [ins]) == []
         oracle.apply_unitary(want, u, ins.qubits)
         assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, ins
+
+
+def test_readouts_make_their_passes_over_rho_and_no_more(monkeypatch):
+    # measure and expect compose into pending factors and make no pass over
+    # rho; bell makes one, as a cx does; ensemble makes ceil(n/2).  Passes
+    # on a read's small partial trace are not passes over rho.
+    homes = []
+    apply = oracle._Vec.apply
+    monkeypatch.setattr(
+        oracle._Vec, "apply", lambda v, s, qubits: homes.append(v.home) or apply(v, s, qubits)
+    )
+
+    def over_rho(n, run, *args):
+        d = oracle.dense_zero(n)
+        homes.clear()
+        run(d, *args)
+        return sum(np.shares_memory(home, d.rho) for home in homes)
+
+    for n in range(2, 7):
+        half = (n + 1) // 2
+        ones = [f"u3(0.1,0.2,0.3) q[{q}]" for q in range(n)]
+        readouts = {
+            "measure_y q[1]": 0,
+            "expect " + "XYZ"[:n] + "I" * (n - min(n, 3)): 0,
+            "expect " + "Z" * n: 0,
+            f"bell q[{n - 1}],q[0]": 1,
+            "ensemble": half,
+        }
+        for readout, extra in readouts.items():
+            text = "\n".join([f"qubits {n}", *ones, readout, *ones]) + "\n"
+            _, instructions = parse_circuit(text)
+            # each run ends with the factors of the second layer: ceil(n/2) passes
+            assert over_rho(n, oracle.run_instructions_dense, instructions) == half + extra, text
+
+        # each public readout is a run of its own: what it leaves pending goes before it returns
+        assert over_rho(n, oracle.dense_measure_qubit, 1, np.array([0.0, 1.0, 0.0]), 0.9) == 1
+        assert over_rho(n, oracle.dense_expect_string, [3] * n, 0.9) == half
+        assert over_rho(n, oracle.dense_expect_string, [0] * n, 0.9) == 0
+        assert over_rho(n, oracle.dense_bell, 0, n - 1, 0.9) == 1
+        assert over_rho(n, oracle.dense_ensemble, 0.9) == half

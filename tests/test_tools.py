@@ -11,13 +11,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_pairs.py"
 
-# a stand-in for perfbench/run.py: a clean run, or one of three ways to fail
+# a stand-in for perfbench/run.py: a clean run, or one of six ways to fail
 _STUB = """
 import json, sys
 mode = {mode!r}
 sys.stderr.write("stub says " + mode + "\\n")
 if mode == "crash":
     sys.exit(1)
+if mode in ("silent", "garbled", "not_an_object"):
+    print({{"silent": "", "garbled": "wall_s 1.0", "not_an_object": "[1, 2]"}}[mode])
+    sys.exit(0)
 print(json.dumps({{"correct": mode != "wrong", "attempted": 2, "failed": int(mode == "failed"),
                   "metrics": {{"wall_s": {{"value": 1.0}}}}}}))
 """
@@ -35,7 +38,7 @@ def _ab(parent: Path, change: Path, pairs: int) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("mode", ["crash", "wrong", "failed"])
+@pytest.mark.parametrize("mode", ["crash", "wrong", "failed", "silent", "garbled", "not_an_object"])
 def test_a_run_that_is_not_clean_is_refused(tmp_path, mode):
     parent, change = _tree(tmp_path / "parent", "clean"), _tree(tmp_path / "change", mode)
     run = _ab(parent, change, 2)

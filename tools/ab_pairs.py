@@ -14,9 +14,9 @@ lower value (every end-to-end metric is better lower), the gain rule for
 each metric, and the traced per-layer metrics.  The gain rule holds when
 the change is lower in at least 9 of 10 pairs (a tie counts for neither
 side) and the parent's median exceeds the change's by more than the
-parent's quartile range.  A run that fails, is not correct or has a failed
-operation stops the tool with a non-zero exit, naming the run and printing
-its stderr.  Standard library only.
+parent's quartile range.  A run that fails, ends without a JSON line on
+stdout, is not correct or has a failed operation stops the tool with a
+non-zero exit, naming the run and printing its stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -32,15 +32,26 @@ ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("correct", "attempted", "failed")
 
 
+def _last_json(stdout: str) -> dict:
+    """The last line of a run's stdout as a JSON object; {} if it is missing or not one."""
+    lines = stdout.strip().splitlines()
+    try:
+        out = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {}
+    return out if isinstance(out, dict) else {}
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` run: its correctness counts and metric values.
 
-    Exits with the run's stderr unless it finished, correct, with no failed operation.
+    Exits with the run's stderr unless it finished with a JSON line, correct,
+    with no failed operation.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     run = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    out = json.loads(run.stdout.strip().splitlines()[-1]) if run.returncode == 0 else {}
+    out = _last_json(run.stdout) if run.returncode == 0 else {}
     if not out.get("correct") or out.get("failed") != 0:
         sys.exit(f"refused: {workload} seed {seed} trace {trace} in {tree} exited {run.returncode}, "
                  f"correct {out.get('correct')}, failed {out.get('failed')}\n{run.stderr}")
