@@ -81,10 +81,6 @@ class Instruction:
 # re.A: \d is ASCII only, where int() and float() take any script's digits
 _ANGLE = re.compile(r"[+-]?(?:pi(?:/(0*[1-9]\d*))?|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", re.A)
 _OPERAND = re.compile(r"q\[(\d+)\]", re.A)
-# the whole operand list of 1, 2 or 3 well-formed operands in one match; a
-# list it does not take goes to the per-operand code, which names the fault.
-# Without re.A, \s is the whitespace str.strip takes; the digits stay ASCII.
-_OPERAND_LISTS = {c: re.compile(r"\s*,\s*".join([r"q\[([0-9]+)\]"] * c)) for c in (1, 2, 3)}
 _INSTRUCTION = re.compile(r"([a-z_][a-z_0-9]*)(?:\s*\(([^)]*)\))?(?:\s+(.*))?")
 _HEADER = re.compile(r"qubits\s+(\d+)", re.A)
 
@@ -105,11 +101,6 @@ def _parse_angle(token: str, lineno: int) -> float:
 
 
 def _parse_operands(rest: str, count: int, n: int, lineno: int) -> tuple[int, ...]:
-    m = _OPERAND_LISTS[count].fullmatch(rest)
-    if m:
-        qubits = tuple(map(int, m.groups()))
-        if max(qubits) < n and len(set(qubits)) == count:
-            return qubits
     parts = [p.strip() for p in rest.split(",")] if rest else []
     if len(parts) != count:
         raise CircuitSyntaxError(f"expected {count} qubit operand(s), got {len(parts)}", lineno)

@@ -18,8 +18,7 @@ of the view.  ``_bitstring_probs`` applies it one axis at a time as one
 others in order, the operands ``numpy.tensordot`` would build, so the bits
 are the same; a step costs a few microseconds, where the generic
 tensordot and moveaxis calls cost tens.  The outcome labels are built once
-per qubit count, and the transfers of a Pauli-string readout once per
-(label, d1).
+per qubit count.
 
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string
@@ -93,18 +92,6 @@ def _axis_transfer(nvec: np.ndarray, d1: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _label_transfer(digit: int, d1: float, d1_sign: float) -> np.ndarray:
-    """``_axis_transfer`` along the axis of Pauli digit 1, 2 or 3, built once and read-only.
-
-    ``d1_sign`` is copysign(1, d1): -0.0 and 0.0 are one key to the cache
-    but give zeros of opposite sign.
-    """
-    t = _axis_transfer(np.array(_UNIT_AXES[digit - 1]), d1)
-    t.setflags(write=False)
-    return t
-
-
-@lru_cache(maxsize=16)
 def _bitstring_labels(n: int) -> tuple[str, ...]:
     """The 2^n ensemble labels, most significant bit first."""
     return tuple(format(i, f"0{n}b") for i in range(2**n))
@@ -132,7 +119,7 @@ def expect_pauli_string(
     if not abs(value) <= 1.0 + _EXPECT_TOL:  # negated so that a NaN fails
         raise InternalError(f"expectation {value} outside [-1, 1]")
     for k in read:
-        apply_transfer(state, (k,), _label_transfer(digits[k], noise.d1, math.copysign(1.0, noise.d1)))
+        apply_transfer(state, (k,), _axis_transfer(np.array(_UNIT_AXES[digits[k] - 1]), noise.d1))
     return float(value)
 
 

@@ -11,11 +11,12 @@ one gemm.  Within one run ``_Vec`` keeps vec(rho) in a moved bit order with
 one spare buffer: a pass makes one transposed copy into the spare buffer
 that brings its qubits' row and column bits to the front, and only when
 they are not there already, then one gemm into the other buffer, and the
-two swap; nothing is copied back.  The run puts rho back in (row, column) order,
-in its own buffer, once at its end; ``apply_superop`` is that kernel run
-for one pass.  An ideal gate is the channel of its one unitary; channels in
-sequence on the same qubits are composed into one S first, and channels on
-different qubits commute.  So within one run a one-qubit channel (a gate, a
+two swap; nothing is copied back.  The copy is one numpy transpose
+assignment, whose loop merges the axes that stay adjacent.  The run puts
+rho back in (row, column) order, in its own buffer, once at its end;
+``apply_superop`` is that kernel run for one pass.  An ideal gate is the
+channel of its one unitary; channels in sequence on the same qubits are
+composed into one S first, and channels on different qubits commute.  So within one run a one-qubit channel (a gate, a
 noisy rotation mixture, reset, the memory step, and each one-qubit readout
 channel) makes no pass: it composes into its qubit's pending 4x4 factor.  A
 cx, ccx or ``bell`` takes its qubits' pending factors into its own S and
@@ -24,12 +25,13 @@ and the run applies what is left, two qubits per pass, before it returns.
 Every readout has one channel, built by ``_readout_channel``: the
 projective measurement with weight d and full depolarisation of its qubits
 with weight 1 - d.  Each readout reads its record from the state that
-channel leaves, as Tr(P rho'): ``measure`` and ``expect`` from the partial
-trace of rho to their qubits with those qubits' factors, their readout
-channels included, applied to that small matrix, which a trace-preserving
-factor pending on any other qubit cannot change; ``bell`` from the partial
-trace after its pass; ``ensemble`` from the diagonal.  The public
-``dense_*`` readouts are the same steps, each run on its own.
+channel leaves, as Tr(P rho'): ``measure`` and ``expect`` pull each
+qubit's effect back through that qubit's pending factor, its readout
+channel included, and contract the results with the partial trace of rho
+to their qubits, which a trace-preserving factor pending on any other
+qubit cannot change; ``bell`` from the partial trace after its pass;
+``ensemble`` from the diagonal.  The public ``dense_*`` readouts are the
+same steps, each run on its own.
 ``apply_kraus`` and ``apply_unitary`` stay as the plain definitions that
 route is pinned to in tests, and ``expectation`` as the whole-matrix route
 the records are pinned to; these three contract through
@@ -235,18 +237,11 @@ def superop(ops: list[np.ndarray], weights: list[float] | None = None) -> np.nda
 
 def _transposed_copy(src: np.ndarray, src_axes: list, dst: np.ndarray, dst_axes: list) -> None:
     """Copy the (2,) * m tensor ``src``, whose axis i holds bit src_axes[i],
-    into ``dst`` laid out as ``dst_axes``.  Bits adjacent and in order in
-    both layouts move as one block, so the copy has as few axes as it can."""
-    at = {a: i for i, a in enumerate(dst_axes)}
-    runs: list[list[int]] = []
-    for a in src_axes:
-        if runs and at[a] == at[runs[-1][-1]] + 1:
-            runs[-1].append(a)
-        else:
-            runs.append([a])
-    order = sorted(range(len(runs)), key=lambda i: at[runs[i][0]])
-    sizes = [2 ** len(run) for run in runs]
-    dst.reshape([sizes[i] for i in order])[...] = src.reshape(sizes).transpose(order)
+    into ``dst`` laid out as ``dst_axes``.  numpy's copy loop merges the axes
+    that stay adjacent and in order into one."""
+    at = {a: i for i, a in enumerate(src_axes)}
+    m = len(src_axes)
+    dst.reshape((2,) * m)[...] = src.reshape((2,) * m).transpose([at[a] for a in dst_axes])
 
 
 class _Vec:
@@ -263,16 +258,13 @@ class _Vec:
     matrix, writes into the spare buffer and the buffers swap again: no
     copy goes back.
     ``restore`` puts rho in (row, column) order in d.rho's own buffer.
-    The spare buffer is allocated here, or borrowed from ``spare``, an array
-    of at least 4^n entries whose contents nothing else needs until this
-    run is restored.
     """
 
-    def __init__(self, d: DenseState, spare: np.ndarray | None = None):
+    def __init__(self, d: DenseState):
         d.rho = np.require(d.rho, np.complex128, "CW")
         self.n = d.n
         self.home = self.cur = d.rho.reshape(-1)
-        self.spare = np.empty_like(self.cur) if spare is None else spare[: self.cur.size]
+        self.spare = np.empty_like(self.cur)
         self.axes = list(range(2 * d.n - 1, -1, -1))
 
     def _move(self, axes: list) -> None:
@@ -378,20 +370,24 @@ def _reduced(v: _Vec, qubits: tuple[int, ...]) -> np.ndarray:
     return out.copy().reshape(2**m, 2**m)
 
 
-def _read(v: _Vec, pending: dict, qubits: tuple[int, ...]) -> np.ndarray:
-    """The partial trace of v's rho to ``qubits`` (the first listed kron-major)
-    with their pending factors applied to it; the factors stay pending on rho.
+def _read(v: _Vec, pending: dict, qubits: tuple[int, ...], effects: list[np.ndarray]) -> float:
+    """Tr(E rho') for E = effects[0] kron effects[1] kron ..., one 2x2
+    effect per listed qubit, and rho' v's rho with their pending factors
+    applied; the factors stay pending on rho.
 
-    A factor pending on any other qubit is trace-preserving, so it cannot
-    change this partial trace.  The small run borrows v's spare buffer,
-    which holds nothing between v's passes, so a read holds at most one
-    array as large as rho besides the two buffers: its partial trace.
+    Each effect is pulled back through its qubit's factor S instead:
+    Tr(E S(rho)) = Tr(F rho) with vec(F^T) = S^T vec(E^T).  A factor pending
+    on any other qubit is trace-preserving, so it cannot change the result.
+    The pulled-back effects are contracted with the partial trace of rho to
+    ``qubits`` one qubit at a time, the first listed (kron-major) first.
     """
-    m = len(qubits)
-    small = DenseState(m, _reduced(v, qubits))
-    factors = {m - 1 - i: pending[q] for i, q in enumerate(qubits) if q in pending}
-    _finish(_Vec(small, v.spare), factors)
-    return small.rho
+    rho = _reduced(v, qubits)
+    for q, e in zip(qubits, effects):
+        if q in pending:
+            e = (pending[q].T @ e.T.reshape(-1)).reshape(2, 2).T
+        h = len(rho) // 2
+        rho = np.einsum("aibj,ba->ij", rho.reshape(2, h, 2, h), e)
+    return float(rho[0, 0].real)
 
 
 def _diagonal(v: _Vec) -> np.ndarray:
@@ -405,16 +401,6 @@ def _diagonal(v: _Vec) -> np.ndarray:
 def _trace_product(op: np.ndarray, rho: np.ndarray) -> float:
     """Tr(op rho) with no matrix product."""
     return float(np.einsum("ij,ji->", op, rho).real)
-
-
-def _string_trace(singles: list[np.ndarray], rho: np.ndarray) -> float:
-    """Tr((singles[0] kron singles[1] kron ...) rho) with no kron product,
-    which at full support would be as large as rho: each step contracts the
-    kron-major qubit of rho with its 2x2 operator."""
-    for op in singles:
-        h = len(rho) // 2
-        rho = np.einsum("aibj,ba->ij", rho.reshape(2, h, 2, h), op)
-    return float(rho[0, 0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +523,7 @@ def _axis_readout(axis: tuple[float, float, float], d: float) -> np.ndarray:
 def _measure(v: _Vec, pending: dict, cache: dict, k: int, axis: tuple, d1: float) -> tuple:
     """(p_plus, p_minus) of qubit k measured along ``axis``: no pass over rho."""
     _defer(pending, k, _built(cache, _axis_readout, axis, d1))
-    plus = _axis_projectors(_axis_observable(axis))[0]
-    p_plus = _trace_product(plus, _read(v, pending, (k,)))
+    p_plus = _read(v, pending, (k,), _axis_projectors(_axis_observable(axis))[:1])
     return (p_plus, 1.0 - p_plus)
 
 
@@ -548,7 +533,7 @@ def _expect(v: _Vec, pending: dict, cache: dict, labels: list[int], d1: float) -
         if label:
             _defer(pending, q, _built(cache, _axis_readout, _AXES[label - 1], d1))
     support = tuple(q for q in reversed(range(v.n)) if labels[q])
-    return _string_trace([SIGMA[labels[q]] for q in support], _read(v, pending, support))
+    return _read(v, pending, support, [SIGMA[labels[q]] for q in support])
 
 
 def _ensemble(v: _Vec, pending: dict, cache: dict, d1: float) -> np.ndarray:
@@ -731,10 +716,10 @@ def _step(v: _Vec, ins, noise, records: list, pending: dict, cache: dict) -> Non
     A one-qubit channel makes no pass: it composes into ``pending``, which
     maps a qubit to the 4x4 factor still to be applied to it.  So does each
     one-qubit readout channel, and ``measure`` and ``expect`` read their
-    record from the partial trace to their qubits with those qubits'
-    factors applied to it.  A cx, ccx or ``bell`` takes its qubits' factors
-    into its own S and makes one pass; ``ensemble`` applies every factor in
-    ceil(n/2) pair passes and reads the diagonal.  ``noise`` None is the
+    record from the partial trace to their qubits with each effect pulled
+    back through its qubit's factor.  A cx, ccx or ``bell`` takes its
+    qubits' factors into its own S and makes one pass; ``ensemble`` applies
+    every factor in ceil(n/2) pair passes and reads the diagonal.  ``noise`` None is the
     ideal run: any gate kind as its exact unitary, d1 = d2 = 1, barriers
     skipped.  Under a NoiseModel only the schedule's u1, u3 and cx gates are
     allowed, as two-point angle mixtures (a u3's three mixtures composed

@@ -445,14 +445,12 @@ def apply_product(state: PauliState, t: np.ndarray) -> None:
     next full read.
     """
     t = _checked(t, 4)
-    pending, dot = state._pending, t.dot
+    pending = state._pending
     krons = [None, t]  # krons[m] = kron of m copies of t
     for k in range(state.n):
         g = pending.get(k)
         if g is None:
             pending[k] = (k,), t
-        elif len(g[0]) == 1:
-            pending[k] = g[0], dot(g[1])
         elif g[0][0] == k:  # each group once, at its first qubit
             m = len(g[0])
             while len(krons) <= m:

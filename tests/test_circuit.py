@@ -1,5 +1,4 @@
 import math
-import re
 import struct
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit_text
-from paulisim import circuit
 from paulisim.circuit import (
     NOISE_KEYS,
     Instruction,
@@ -222,29 +220,7 @@ def test_noise_model_splits_into_channel_views():
     assert m.memory().p == 0.7
 
 
-# --- the one-match operand path and the per-operand code behind it ---------------
-
-
-def _per_operand_only(monkeypatch) -> None:
-    """Send every operand list to the per-operand code a failed fast match falls to."""
-    never = re.compile(r"(?!)")
-    monkeypatch.setattr(circuit, "_OPERAND_LISTS", {c: never for c in (1, 2, 3)})
-
-
-def test_the_fast_operand_match_gives_the_same_instructions(monkeypatch):
-    texts = [random_circuit_text(np.random.default_rng([61, i]), 1 + i % 6, 40) for i in range(30)]
-    texts.append("qubits 3\ncx q[0] , q[2]\nccx q[2],\tq[0] ,q[1]\nh q[002]\nbell q[1],  q[0]\n")
-    texts.append("qubits 2\ncx q[0],\u2003q[1]\n")  # an em space: str.strip() takes it
-    fast = [parse_circuit(t) for t in texts]
-    _per_operand_only(monkeypatch)
-    assert [parse_circuit(t) for t in texts] == fast
-
-
-def test_the_fast_operand_match_takes_what_the_per_operand_code_takes():
-    # that code strips each part (str.isspace) and reads ASCII digits only
-    for c in map(chr, range(0x3100)):
-        assert bool(circuit._OPERAND_LISTS[2].fullmatch(f"q[0]{c},{c}q[1]")) == c.isspace()
-        assert bool(circuit._OPERAND_LISTS[1].fullmatch(f"q[{c}]")) == (c in "0123456789")
+# --- operand errors ---------------------------------------------------------------
 
 
 MALFORMED_OPERANDS = [
@@ -262,12 +238,7 @@ MALFORMED_OPERANDS = [
 
 
 @pytest.mark.parametrize("line, message", MALFORMED_OPERANDS)
-def test_malformed_operands_keep_their_messages(monkeypatch, line, message):
-    text = f"qubits 3\nh q[0]\n{line}\n"
-    with pytest.raises(CircuitSyntaxError) as fast:
-        parse_circuit(text)
-    assert str(fast.value) == f"line 3: {message}"
-    _per_operand_only(monkeypatch)
-    with pytest.raises(CircuitSyntaxError) as slow:
-        parse_circuit(text)
-    assert str(slow.value) == str(fast.value)
+def test_malformed_operands_keep_their_messages(line, message):
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(f"qubits 3\nh q[0]\n{line}\n")
+    assert str(err.value) == f"line 3: {message}"

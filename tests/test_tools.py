@@ -1,4 +1,5 @@
-"""tools/ab_pairs.py: it refuses a run that is not clean, and it writes the gain rule."""
+"""tools/ab_pairs.py: it refuses a run that is not clean or checkouts at paths of
+different lengths, and it writes the gain rule and the no-regression check."""
 
 import importlib.util
 import json
@@ -54,11 +55,18 @@ def test_fewer_than_two_pairs_are_refused(tmp_path):
     assert run.returncode == 2 and "--pairs must be at least 2" in run.stderr
 
 
-def _gain_rule():
+def test_checkouts_at_paths_of_different_lengths_are_refused(tmp_path):
+    parent, change = _tree(tmp_path / "parent", "clean"), _tree(tmp_path / "chg", "clean")
+    run = _ab(parent, change, 2)
+    assert run.returncode == 2 and "paths of equal length" in run.stderr
+    assert not (ROOT / "BENCH_refusal_probe.json").exists()
+
+
+def _tool():
     spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.gain_rule
+    return module
 
 
 @pytest.mark.parametrize(
@@ -72,6 +80,32 @@ def test_the_gain_rule(won, change_median, holds):
         "quartiles": {"parent": {"wall_s": [0.9, 1.0, 1.1]}},
         "change_won": {"wall_s": won},
     }
-    rule = _gain_rule()(record, "wall_s")
+    rule = _tool().gain_rule(record, "wall_s")
     assert rule["holds"] is holds
     assert json.loads(json.dumps(rule)) == rule
+
+
+@pytest.mark.parametrize(
+    "parent_runs, change_runs, holds, unresolved",
+    [
+        # three runs a side, read as (first quartile, median, third quartile)
+        # parent median 1.0, quartile range 0.1: resolved at a 0.25 bound
+        ([0.95, 1.0, 1.05], [1.2, 1.25, 1.3], True, False),
+        ([0.95, 1.0, 1.05], [1.2, 1.3, 1.4], False, False),
+        # quartile range 0.4, wider than the bound
+        ([0.8, 1.0, 1.2], [0.9, 1.0, 1.1], True, True),
+        # unless every change run is lower than every parent run
+        ([0.8, 1.0, 1.2], [0.5, 0.6, 0.7], True, False),
+    ],
+)
+def test_the_no_regression_check(parent_runs, change_runs, holds, unresolved):
+    record = {
+        "runs": {"parent": [{"wall_s": v} for v in parent_runs],
+                 "change": [{"wall_s": v} for v in change_runs]},
+        "median": {"parent": {"wall_s": parent_runs[1]}, "change": {"wall_s": change_runs[1]}},
+        "quartiles": {"parent": {"wall_s": parent_runs}},
+    }
+    check = _tool().no_regression(record, "wall_s", 0.25)
+    assert (check["holds"], check["unresolved"]) == (holds, unresolved)
+    assert check["limit"] == 1.25
+    assert json.loads(json.dumps(check)) == check

@@ -216,6 +216,9 @@ def test_update_peak_memory_and_trace_row(kind):
     s = random_pauli_state(np.random.default_rng(8), 8)
     trace = s.coeffs[0]
     state_bytes = s.coeffs.nbytes
+    # once on a copy first, so that one-time caches (the ensemble's outcome
+    # labels) are built outside the window, whichever test ran before
+    UPDATES[kind](s.copy())
     tracemalloc.start()
     try:
         UPDATES[kind](s)

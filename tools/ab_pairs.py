@@ -14,9 +14,15 @@ lower value (every end-to-end metric is better lower), the gain rule for
 each metric, and the traced per-layer metrics.  The gain rule holds when
 the change is lower in at least 9 of 10 pairs (a tie counts for neither
 side) and the parent's median exceeds the change's by more than the
-parent's quartile range.  A run that fails, ends without a JSON line on
-stdout, is not correct or has a failed operation stops the tool with a
-non-zero exit, naming the run and printing its stderr.  Standard library only.
+parent's quartile range.  Each end-to-end metric also gets a no-regression
+entry: it holds when the change's median is at most the parent's times
+(1 + the metric's ``bound`` in BENCHMARK.json), and the metric is unresolved
+when the parent's quartile range over its median is wider than that bound,
+unless every change run reads lower than every parent run.  The two
+checkouts must sit at paths of equal length, because the path alone moves
+peak RSS.  A run that fails, ends without a JSON line on stdout, is not
+correct or has a failed operation stops the tool with a non-zero exit,
+naming the run and printing its stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -69,6 +75,18 @@ def gain_rule(record: dict, metric: str) -> dict:
             "holds": won >= 0.9 and gap > q3 - q1}
 
 
+def no_regression(record: dict, metric: str, bound: float) -> dict:
+    """Whether the change's median on ``metric`` is at most the parent's times
+    (1 + bound), and whether the parent's spread leaves that unresolved."""
+    parent, change = record["median"]["parent"][metric], record["median"]["change"][metric]
+    q1, _, q3 = record["quartiles"]["parent"][metric]
+    runs = record["runs"]
+    every_run_lower = max(r[metric] for r in runs["change"]) < min(r[metric] for r in runs["parent"])
+    return {"bound": bound, "limit": parent * (1 + bound), "parent_spread": (q3 - q1) / parent,
+            "holds": change <= parent * (1 + bound),
+            "unresolved": (q3 - q1) / parent > bound and not every_run_lower}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True)
@@ -80,6 +98,9 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2: the record holds each side's quartiles")
+    if len(str(args.parent.resolve())) != len(str(args.change.resolve())):
+        ap.error("--parent and --change must resolve to paths of equal length: "
+                 "the checkout's path alone moves peak RSS")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, declared = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
 
@@ -100,13 +121,20 @@ def main() -> int:
                        for m in names},
     }
     record["gain_rule"] = {m: gain_rule(record, m) for m in names}
+    record["no_regression"] = {m["name"]: no_regression(record, m["name"], m["bound"])
+                               for m in spec["end_to_end"] if m["name"] in names}
     record["traced_change"] = {w: bench(args.change, w, args.seed, seconds, 1) for w in declared}
     path = ROOT / f"BENCH_{args.tag or args.workload}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     for m in names:
+        verdict = ""
+        if m in record["no_regression"]:
+            nr = record["no_regression"][m]
+            verdict = ", no regression " + ("unresolved" if nr["unresolved"] else
+                                            "holds" if nr["holds"] else "fails")
         print(f"{m}: median {record['median']['parent'][m]:.4f} -> {record['median']['change'][m]:.4f}, "
               f"change lower in {record['change_won'][m]:.0%} of pairs, gain rule "
-              f"{'holds' if record['gain_rule'][m]['holds'] else 'fails'}")
+              f"{'holds' if record['gain_rule'][m]['holds'] else 'fails'}{verdict}")
     print(f"wrote {path}")
     return 0
 
