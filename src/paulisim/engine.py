@@ -1,9 +1,11 @@
 """End-to-end pipeline: parse, compile, execute with noise, report.
 
-Execution walks the compiled schedule partition by partition, applying gate
-members in the order the partitioner emitted them (ascending qubit index;
-members of one partition commute, so the order is a convention, not a
-semantic choice) and one memory-noise step after every partition.  All
+Execution first checks the whole schedule and builds each PTM the run
+needs once, as stacks (see ``execute_schedule``).  Then it walks the
+schedule partition by partition, applying gate members in the order the
+partitioner emitted them (ascending qubit index; members of one partition
+commute, so the order is a convention, not a semantic choice) and one
+memory-noise step after every partition.  All
 randomness is confined to optional shot sampling of the recorded
 distributions; the evolution itself is deterministic.
 """
@@ -21,6 +23,8 @@ from .errors import StateFormatError
 from .state import (
     DEFAULT_QUBIT_CAP,
     PauliState,
+    _checked,
+    _transfer,
     check_capacity,
     init_bitstring,
     init_thermal,
@@ -31,11 +35,11 @@ from .state import (
 )
 from .transpile import Schedule, compile_circuit
 
-_AXES = {
-    "measure": (0.0, 0.0, 1.0),
-    "measure_x": (1.0, 0.0, 0.0),
-    "measure_y": (0.0, 1.0, 0.0),
-}
+# each measure mnemonic's row in measurement._readouts
+_AXES = {"measure_x": 0, "measure_y": 1, "measure": 2}
+
+# the kinds a compiled schedule holds
+_KINDS = frozenset(("u1", "u3", "cx", "reset", "expect", "ensemble", "bell", *_AXES))
 
 
 @dataclass
@@ -162,33 +166,65 @@ def _compile_text(
 def execute_schedule(
     state: PauliState, schedule: Schedule, noise: NoiseModel
 ) -> list[Record]:
-    """Run a compiled schedule in place, returning measurement records."""
+    """Run a compiled schedule in place, returning measurement records.
+
+    One walk over the schedule first checks every member's kind and qubits
+    and gathers the u1 and u3 angles and the expect strings' digits, so bad
+    input raises before the state changes.  Then each PTM the run needs is
+    built and checked once: the u1 and u3 stacks, the cx PTM and the three
+    readout transfers.  The loop applies them in schedule order.
+    """
+    n = state.n
+    u1, u3, strings, has_cx = [], [], [], False
+    for part in schedule.partitions:
+        for ins in part.members:
+            k = ins.kind
+            if k not in _KINDS:  # only select-set kinds reach a schedule
+                raise ValueError(f"unexpected kind {k!r} in schedule")
+            for q in ins.qubits:
+                state.axis(q)  # range check
+            if len(ins.qubits) == 2 and ins.qubits[0] == ins.qubits[1]:  # cx, bell
+                raise ValueError(f"{k} needs two distinct qubits, got {ins.qubits}")
+            if k == "u1":
+                u1.append(ins.angles[0])
+            elif k == "u3":
+                u3.append(ins.angles)
+            elif k == "cx":
+                has_cx = True
+            elif k == "expect":
+                strings.append(measurement._pauli_digits(ins.string, n))
+    u1_ptms = iter(_checked(gates.rotation_transfers("z", u1, noise), (len(u1), 4, 4)))
+    thetas, phis, lams = np.array(u3, dtype=np.float64).reshape(-1, 3).T
+    u3_ptms = iter(_checked(gates.u3_transfers(thetas, phis, lams, noise), (len(u3), 4, 4)))
+    cx = _checked(gates.cnot_transfer(noise), (16, 16)) if has_cx else None  # a noisy one takes ms
+    digits = iter(strings)
+    axes, readouts = measurement._readouts(noise.d1)
+
     records: list[Record] = []
     for part in schedule.partitions:
         for ins in part.members:
             k = ins.kind
             if k == "u1":
-                gates.apply_u1(state, ins.qubits[0], ins.angles[0], noise)
+                _transfer(state, (ins.qubits[0],), next(u1_ptms))
             elif k == "u3":
-                gates.apply_u3(state, ins.qubits[0], *ins.angles, noise)
+                _transfer(state, (ins.qubits[0],), next(u3_ptms))
             elif k == "cx":
-                gates.apply_cnot(state, ins.qubits[0], ins.qubits[1], noise)
+                _transfer(state, (ins.qubits[0], ins.qubits[1]), cx)
             elif k == "reset":
                 measurement.reset_qubit(state, ins.qubits[0])
             elif k in _AXES:
-                probs = measurement.measure_qubit(state, ins.qubits[0], _AXES[k], noise)
+                i = _AXES[k]
+                probs = measurement._measure(state, ins.qubits[0], axes[i], readouts[i], noise.d1)
                 records.append(Record("measure", ins.qubits, k, probs))
             elif k == "expect":
-                value = measurement.expect_pauli_string(state, ins.string, noise)
+                value = measurement._expect(state, next(digits), noise.d1, readouts)
                 records.append(Record("expect", (), ins.string, (value,)))
             elif k == "ensemble":
                 dist = measurement.ensemble_distribution(state, noise)
                 records.append(Record("ensemble", (), "", (), dist))
-            elif k == "bell":
+            else:  # bell
                 dist = measurement.bell_measure(state, *ins.qubits, noise)
                 records.append(Record("bell", ins.qubits, "", (), dist))
-            else:  # only select-set kinds reach a schedule
-                raise ValueError(f"unexpected kind {k!r} in schedule")
         memory.end_of_partition(state, noise, part.category)
     return records
 

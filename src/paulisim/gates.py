@@ -13,12 +13,17 @@ the substitution identically (cos(t + d) + cos(t - d) = 2 cos(t) cos(d)).
 The same two-point mixture drives the noisy controlled-NOT, whose pulse
 error turns the target flip into R_x(alpha) sigma_x.
 
-One builder, ``rotation_transfer``, makes every one-qubit PTM: it writes the
-mixture from cos/sin scalars into a copy of the identity in a few
-microseconds, so nothing is cached; u3 multiplies three.  A named gate's PTM
-is that of its select-set form in ``circuit._NAMED_SELECT``, which is what
-the engine runs.  Only the cx PTM is cached: a noisy one takes two 16x16
-Pauli conjugations of 256 traces each, about 6 ms.
+One builder, ``rotation_transfers``, makes every one-qubit PTM: given an
+array of N angles it builds the 2N exact rotations from one cos and one
+sin call and averages them in pairs into an (N, 4, 4) stack, and the u3
+stack (``u3_transfers``) is two stacked matmuls of three such stacks.  ``engine.execute_schedule`` builds
+each run's u1 and u3 PTMs as one stack of each.  ``rotation_transfer``,
+``_u3_transfer``, ``named_gate_transfer``, ``apply_u1`` and ``apply_u3``
+build a stack of one, so each PTM has one definition, and a matrix in a
+stack has the same bits as the same matrix built alone.  A named gate's
+PTM is that of its select-set form in ``circuit._NAMED_SELECT``, which is
+what the engine runs.  Only the cx PTM is cached: a noisy one takes two
+16x16 Pauli conjugations of 256 traces each, about 6 ms.
 """
 
 from __future__ import annotations
@@ -33,35 +38,50 @@ from .state import PauliState, apply_transfer
 # cyclic partner components (v, w) for each rotation axis: a_v' = c a_v - s a_w
 _CYCLIC = {"x": (2, 3), "y": (3, 1), "z": (1, 2)}
 
-_IDENTITY = np.eye(4)
+_IDENTITY = np.eye(4)[None]
 _IDENTITY.setflags(write=False)
 
 
-def rotation_transfer(axis: str, theta: float, noise: NoiseModel = NOISELESS) -> np.ndarray:
-    """4x4 transfer of a (possibly noisy) rotation about x, y or z.
+def rotation_transfers(axis: str, thetas, noise: NoiseModel = NOISELESS) -> np.ndarray:
+    """(N, 4, 4) stack of the (possibly noisy) rotation transfers about x, y or z by N angles.
 
-    The mean of the exact rotations R1, R2 by theta + alpha +- arccos(r),
-    rounded as 0.5 * (R1 + R2): the (v, w) entry is 0.5 * (-s1 + -s2), which
-    is +0.0 where -(0.5 * (s1 + s2)) would be -0.0.
+    Each is the mean of the exact rotations R1, R2 by theta + alpha +-
+    arccos(r), rounded as 0.5 * (R1 + R2): the (v, w) entry is
+    0.5 * (-s1 + -s2), which is +0.0 where -(0.5 * (s1 + s2)) would be -0.0.
     """
     if axis not in _CYCLIC:
         raise ValueError(f"unknown rotation axis {axis!r}")
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 1:
+        raise ValueError(f"need a 1-D array of angles, got shape {thetas.shape}")
     v, w = _CYCLIC[axis]
     alpha, r = noise.axis(axis)
     delta0 = np.arccos(r)
-    a1, a2 = float(theta) + alpha + delta0, float(theta) + alpha - delta0
-    s1, s2 = np.sin(a1), np.sin(a2)
-    t = _IDENTITY.copy()
-    t[v, v] = t[w, w] = 0.5 * (np.cos(a1) + np.cos(a2))
-    t[v, w] = 0.5 * (-s1 + -s2)
-    t[w, v] = 0.5 * (s1 + s2)
-    return t
+    angles = np.add.outer((delta0, -delta0), thetas + alpha).reshape(-1)  # every R1, then every R2
+    c, s = np.cos(angles), np.sin(angles)
+    exact = np.repeat(_IDENTITY, len(angles), axis=0)
+    exact[:, v, v] = exact[:, w, w] = c
+    exact[:, v, w] = -s
+    exact[:, w, v] = s
+    return 0.5 * (exact[: len(thetas)] + exact[len(thetas) :])
+
+
+def u3_transfers(thetas, phis, lams, noise: NoiseModel = NOISELESS) -> np.ndarray:
+    """(N, 4, 4) stack of R_z(phi) R_y(theta) R_z(lam), each factor with its own axis's noise."""
+    if not len(thetas) == len(phis) == len(lams):  # matmul would broadcast a length of 1
+        raise ValueError(f"need equal angle counts, got {len(thetas)}, {len(phis)}, {len(lams)}")
+    t = np.matmul(rotation_transfers("z", phis, noise), rotation_transfers("y", thetas, noise))
+    return np.matmul(t, rotation_transfers("z", lams, noise))
+
+
+def rotation_transfer(axis: str, theta: float, noise: NoiseModel = NOISELESS) -> np.ndarray:
+    """4x4 transfer of a (possibly noisy) rotation about x, y or z: a stack of one."""
+    return rotation_transfers(axis, (theta,), noise)[0]
 
 
 def _u3_transfer(theta: float, phi: float, lam: float, noise: NoiseModel) -> np.ndarray:
-    """R_z(phi) R_y(theta) R_z(lam), each factor with its own axis's noise."""
-    t = rotation_transfer("z", phi, noise) @ rotation_transfer("y", theta, noise)
-    return t @ rotation_transfer("z", lam, noise)
+    """R_z(phi) R_y(theta) R_z(lam), each factor with its own axis's noise: a stack of one."""
+    return u3_transfers((theta,), (phi,), (lam,), noise)[0]
 
 
 def named_gate_transfer(name: str) -> np.ndarray:

@@ -9,6 +9,14 @@ returned distribution passes ``_finalize``.  ``measure``, ``expect`` and
 through ``PauliState.marginal``, which makes no pass over the state; the
 ensemble reads the whole state through ``PauliState.tensor``.
 
+``measure_qubit`` and ``expect_pauli_string`` each check their input and
+build their readout transfers, then run a private step, ``_measure`` or
+``_expect``, that reads the record and applies them through
+``state._transfer``.  The engine calls those steps directly with the x, y
+and z readout transfers of ``_readouts``, built and checked once per run
+as one (3, 4, 4) stack; a public call builds its own.  Either way a
+readout transfer is a row of ``_axis_transfers``, so it has the same bits.
+
 The ensemble contraction.  prob(b) needs only the 2^n coefficients whose
 digits all lie in {0, 3}, a strided (2,) * n view of the tensor.  Each
 qubit's two outcome bits come from its (digit 0, digit 3) pair through the
@@ -35,7 +43,7 @@ import numpy as np
 
 from .circuit import NOISELESS, NoiseModel
 from .errors import InternalError
-from .state import PauliState, apply_product, apply_transfer
+from .state import PauliState, _checked, _transfer, apply_product, apply_transfer
 
 PAULI_LABELS = "IXYZ"
 
@@ -83,18 +91,51 @@ def _finalize(labels: tuple[str, ...], values: np.ndarray) -> dict[str, float]:
     return dict(zip(labels, [v / total for v in vals]))
 
 
-def _axis_transfer(nvec: np.ndarray, d1: float) -> np.ndarray:
-    """Non-selective measurement along nvec: the Bloch block becomes d1 n n^T."""
-    t = np.zeros((4, 4))
-    t[0, 0] = 1.0
-    t[1:, 1:] = d1 * np.outer(nvec, nvec)
+def _axis_transfers(nvecs: np.ndarray, d1: float) -> np.ndarray:
+    """(N, 4, 4) stack: non-selective measurement along each of N axes, the Bloch block d1 n n^T."""
+    t = np.zeros((len(nvecs), 4, 4))
+    t[:, 0, 0] = 1.0
+    t[:, 1:, 1:] = d1 * (nvecs[:, :, None] * nvecs[:, None, :])
     return t
+
+
+def _unit_axes(axes) -> np.ndarray:
+    """The measurement axes as an (N, 3) float64 array, each checked to be a unit 3-vector."""
+    nvecs = np.array(axes, dtype=np.float64)
+    if nvecs.ndim != 2 or nvecs.shape[1] != 3:
+        raise ValueError("measurement axis must be a 3-vector")
+    if not (np.abs(np.linalg.norm(nvecs, axis=1) - 1.0) <= 1e-9).all():  # a NaN fails
+        raise ValueError("measurement axis must have unit length")
+    return nvecs
+
+
+def _readouts(d1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The x, y and z unit axes and their readout transfers as a checked (3, 4, 4) stack.
+
+    Row i serves ``measure_x``, ``measure_y`` and ``measure`` (i = 0, 1, 2)
+    and each qubit of an ``expect`` string with Pauli digit i + 1.
+    """
+    axes = _unit_axes(_UNIT_AXES)
+    return axes, _checked(_axis_transfers(axes, d1), (3, 4, 4))
 
 
 @lru_cache(maxsize=16)
 def _bitstring_labels(n: int) -> tuple[str, ...]:
     """The 2^n ensemble labels, most significant bit first."""
     return tuple(format(i, f"0{n}b") for i in range(2**n))
+
+
+def _pauli_digits(string: str, n: int) -> list[int]:
+    """Each qubit's Pauli digit in an n-label string, qubit 0 (the rightmost label) first."""
+    if len(string) != n:
+        raise ValueError(f"expected {n} labels, got {len(string)}")
+    digits = []
+    for ch in reversed(string):  # rightmost label is qubit 0
+        try:
+            digits.append(PAULI_LABELS.index(ch))
+        except ValueError:
+            raise ValueError(f"bad Pauli label {ch!r}, expected one of I, X, Y, Z") from None
+    return digits
 
 
 def expect_pauli_string(
@@ -105,21 +146,19 @@ def expect_pauli_string(
     Returns d1^w * 2^n * a_index with w = number of non-identity labels, and
     applies the per-qubit readout damping to every measured qubit.
     """
-    if len(string) != state.n:
-        raise ValueError(f"expected {state.n} labels, got {len(string)}")
-    digits = []
-    for ch in reversed(string):  # rightmost label is qubit 0
-        try:
-            digits.append(PAULI_LABELS.index(ch))
-        except ValueError:
-            raise ValueError(f"bad Pauli label {ch!r}, expected one of I, X, Y, Z") from None
+    digits = _pauli_digits(string, state.n)
+    return _expect(state, digits, noise.d1, _readouts(noise.d1)[1])
+
+
+def _expect(state: PauliState, digits: list[int], d1: float, readouts: np.ndarray) -> float:
+    """``expect_pauli_string`` on checked input: the digits and ``_readouts(d1)``'s stack."""
     read = tuple(k for k, d in enumerate(digits) if d != 0)
     block = state.marginal(read)
-    value = noise.d1 ** len(read) * 2**state.n * block[tuple(digits[k] for k in read)]
+    value = d1 ** len(read) * 2**state.n * block[tuple(digits[k] for k in read)]
     if not abs(value) <= 1.0 + _EXPECT_TOL:  # negated so that a NaN fails
         raise InternalError(f"expectation {value} outside [-1, 1]")
     for k in read:
-        apply_transfer(state, (k,), _axis_transfer(np.array(_UNIT_AXES[digits[k] - 1]), noise.d1))
+        _transfer(state, (k,), readouts[digits[k] - 1])
     return float(value)
 
 
@@ -135,14 +174,21 @@ def measure_qubit(
     three digit-k coefficients with every other digit 0.  The update projects
     each digit-k Bloch triple onto the axis and scales it by d1.
     """
-    nvec = np.asarray(axis, dtype=np.float64)
-    if nvec.shape != (3,):
-        raise ValueError("measurement axis must be a 3-vector")
-    if not abs(np.linalg.norm(nvec) - 1.0) <= 1e-9:
-        raise ValueError("measurement axis must have unit length")
+    nvecs = _unit_axes([axis])
+    t = _checked(_axis_transfers(nvecs, noise.d1), (1, 4, 4))[0]
+    return _measure(state, k, nvecs[0], t, noise.d1)
+
+
+def _measure(
+    state: PauliState, k: int, nvec: np.ndarray, t: np.ndarray, d1: float
+) -> tuple[float, float]:
+    """``measure_qubit`` on a checked unit axis ``nvec`` and its checked transfer ``t``.
+
+    The qubit's range is checked by the read, before the state changes.
+    """
     bloch = state.marginal((k,))[1:]  # the digit-k Bloch triple, every other digit 0
-    lean = 2**state.n * noise.d1 * float(nvec @ bloch)
-    apply_transfer(state, (k,), _axis_transfer(nvec, noise.d1))
+    lean = 2**state.n * d1 * float(nvec @ bloch)
+    _transfer(state, (k,), t)
     p = np.array([(1.0 + lean) / 2.0, (1.0 - lean) / 2.0])
     return tuple(_finalize(("+", "-"), p).values())
 

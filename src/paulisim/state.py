@@ -28,7 +28,13 @@ matrix on m = 1 or 2 qubits, applied by ``apply_transfer`` or
 ``.tensor`` or ``.marginal``.  A diagonal PTM is a matrix like any other,
 and every pass is a matmul.  Every PTM must have first row (1, 0, ..., 0),
 and the kernel refuses one that does not, so ``a[0]`` comes out of each
-update bit for bit.
+update bit for bit.  ``apply_transfer`` and ``apply_product`` check the
+matrix they are given (``_checked``: its shape and first row, on a private
+copy), and ``apply_transfer`` range-checks its qubits, before the private
+step ``_transfer`` applies it.  A caller that applies many PTMs builds them
+as one (N, 4, 4) stack, has ``_checked`` test every matrix's shape and
+first row at once, checks the qubits itself, and hands the stack's rows to
+``_transfer``; ``engine.execute_schedule`` does this once per run.
 
 Qubit layout.  The buffer a ``PauliState`` holds need not be in the order
 above: it carries a private digit order, which qubit sits in each physical
@@ -325,17 +331,22 @@ def _compose(t: np.ndarray, g: tuple | None, ks: tuple[int, ...]) -> tuple:
     return qs, np.matmul(t, f.reshape(4**i, len(t), -1)).reshape(f.shape)
 
 
-def _checked(t: np.ndarray, size: int) -> np.ndarray:
-    """A private float64 copy of a size x size transfer, with first row e0.
+def _checked(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A private float64 copy of a transfer of the given shape, every matrix with first row e0.
 
-    Every deferral rests on that first row: a pending factor must leave each
-    coefficient whose digit on its qubit is 0 unchanged.
+    ``shape`` is (size, size) for one matrix or (N, size, size) for a stack
+    of N, whose matrices are all checked at once.  Every deferral rests on
+    that first row: a pending factor must leave each coefficient whose
+    digit on its qubit is 0 unchanged.
     """
     t = np.array(t, dtype=np.float64)
-    if t.shape != (size, size):
-        raise ValueError(f"need a {size}x{size} transfer matrix, got shape {t.shape}")
-    row = t[0].tolist()
-    if row[0] != 1.0 or any(row[1:]):  # a NaN fails either test
+    if t.shape != shape:
+        one = f"{shape[-1]}x{shape[-1]} transfer"
+        want = f"a {one} matrix" if len(shape) == 2 else f"{shape[0]} stacked {one} matrices"
+        raise ValueError(f"need {want}, got shape {t.shape}")
+    size = shape[-1]
+    rows = t.reshape(-1, size)[::size].tolist()  # the first row of each matrix
+    if rows != [[1.0] + [0.0] * (size - 1)] * len(rows):  # a NaN fails; -0.0 == 0.0 passes
         raise ValueError("a transfer needs first row (1, 0, ..., 0)")
     return t
 
@@ -346,27 +357,39 @@ def apply_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) ->
     For m = 2 the matrix index is 4 * digit(qubits[0]) + digit(qubits[1]),
     the first listed qubit kron-major.  ``t`` must be that square matrix,
     diagonal or not, with first row e0 (``ValueError`` otherwise, a 1-D
-    array included); a private copy of ``t`` is kept, never the caller's
-    array.  On one qubit, ``t`` composes into the factor of the qubit's
-    group and the buffer is left alone.  On two qubits (a, b), ``t``
-    composes into the union of a's and b's groups when that union holds at
-    most three qubits (one qubit below ``_GROUPS_FROM_N`` qubits); otherwise
-    it first flushes the larger of those groups that holds two or more
-    qubits, one pass, and tries again.  Below ``_GROUPS_FROM_N`` no group
-    ever holds two, and ``t`` takes both lone factors, t (P_a kron P_b),
-    into the one pass it makes.  A pass on digits that are apart leaves the
-    state in a moved layout (see the module docstring).
+    array included), and each qubit must be in range (``IndexError``); a
+    private copy of ``t`` is kept, never the caller's array.  The update
+    itself is ``_transfer``.
     """
     qubits = tuple(qubits)
     m = len(qubits)
     if m != 1 and (m != 2 or qubits[0] == qubits[1]):
         raise ValueError(f"need a transfer on 1 or 2 distinct qubits, got {qubits}")
-    t = _checked(t, 4**m)
+    t = _checked(t, (4**m, 4**m))
     for k in qubits:
         state.axis(k)  # range check
+    _transfer(state, qubits, t)
+
+
+def _transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> None:
+    """``apply_transfer`` on input its caller has checked.
+
+    ``qubits`` is a tuple of 1 or 2 distinct qubits in range, and ``t`` a
+    float64 4^m x 4^m matrix with first row e0 that nothing writes to
+    later (a row of a checked stack, say).  On one qubit, ``t`` composes
+    into the factor of the qubit's group and the buffer is left alone.  On
+    two qubits (a, b), ``t`` composes into the union of a's and b's groups
+    when that union holds at most three qubits (one qubit below
+    ``_GROUPS_FROM_N`` qubits); otherwise it first flushes the larger of
+    those groups that holds two or more qubits, one pass, and tries again.
+    Below ``_GROUPS_FROM_N`` no group ever holds two, and ``t`` takes both
+    lone factors, t (P_a kron P_b), into the one pass it makes.  A pass on
+    digits that are apart leaves the state in a moved layout (see the
+    module docstring).
+    """
     pending = state._pending
     a = pending.get(qubits[0])
-    if m == 1:
+    if len(qubits) == 1:
         if a is None:
             pending[qubits[0]] = qubits, t
         elif len(a[0]) == 1:  # a lone qubit: t @ P
@@ -444,7 +467,7 @@ def apply_product(state: PauliState, t: np.ndarray) -> None:
     each group size.  The buffer sees it when the group is flushed or at the
     next full read.
     """
-    t = _checked(t, 4)
+    t = _checked(t, (4, 4))
     pending = state._pending
     krons = [None, t]  # krons[m] = kron of m copies of t
     for k in range(state.n):

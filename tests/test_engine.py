@@ -5,8 +5,9 @@ import pytest
 
 from helpers import random_circuit_text
 from paulisim import engine, oracle
-from paulisim.circuit import NoiseModel, parse_circuit
+from paulisim.circuit import Instruction, NoiseModel, parse_circuit
 from paulisim.engine import (
+    execute_schedule,
     make_initial_state,
     run_circuit,
     verify_circuit,
@@ -22,7 +23,7 @@ from paulisim.state import (
     save_state,
 )
 from paulisim.sweep import sweep
-from paulisim.transpile import format_schedule
+from paulisim.transpile import Partition, Schedule, format_schedule
 
 BELL = "qubits 2\nh q[0]\ncx q[0],q[1]\nensemble\n"
 
@@ -219,3 +220,33 @@ def test_a_fault_in_the_oracle_readout_channel_shows_in_the_record(monkeypatch):
     monkeypatch.setattr(oracle, "_readout_channel", lambda proj, d: build(proj, d - 0.05))
     res = verify_circuit("qubits 2\nh q[0]\nmeasure_x q[0]\ncx q[0],q[1]\n", NoiseModel(d1=0.9))
     assert res.record_divergence >= 1e-3
+
+
+def test_a_bad_member_is_refused_before_the_state_changes():
+    # execute_schedule checks every member in one walk before it applies any
+    noise = NoiseModel(r_z=0.99, d1=0.9, f=0.99, g=0.98)
+    good = [
+        Partition("gate", [Instruction("u1", (0,), (0.3,)), Instruction("u3", (1,), (0.1, 0.2, 0.3))]),
+        Partition("gate", [Instruction("cx", (0, 2))]),
+        Partition("measurement", [Instruction("measure", (1,))]),
+    ]
+    state = init_zero(3)
+    execute_schedule(state, Schedule(good), noise)
+    assert state.coeffs.tobytes() != init_zero(3).coeffs.tobytes()
+    for bad, error, match in (
+        (Instruction("u3", (3,), (0.1, 0.2, 0.3)), IndexError, "out of range"),
+        (Instruction("cx", (0, 5)), IndexError, "out of range"),
+        (Instruction("measure_y", (-1,)), IndexError, "out of range"),
+        (Instruction("reset", (3,)), IndexError, "out of range"),
+        (Instruction("bell", (1, 7)), IndexError, "out of range"),
+        (Instruction("cx", (1, 1)), ValueError, "distinct"),
+        (Instruction("bell", (2, 2)), ValueError, "distinct"),
+        (Instruction("expect", (), (), "XYZW"), ValueError, "labels"),
+        (Instruction("expect", (), (), "XQZ"), ValueError, "label"),
+        (Instruction("h", (0,)), ValueError, "unexpected kind"),
+    ):
+        state = init_zero(3)
+        with pytest.raises(error, match=match):
+            execute_schedule(state, Schedule(good + [Partition("gate", [bad])]), noise)
+        assert not state._pending, bad
+        assert state.coeffs.tobytes() == init_zero(3).coeffs.tobytes(), bad

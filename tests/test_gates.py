@@ -13,9 +13,12 @@ from paulisim.gates import (
     apply_u1,
     apply_u3,
     cnot_transfer,
+    _u3_transfer,
     named_gate_transfer,
     rotation_transfer,
+    rotation_transfers,
     transfer_from_unitary,
+    u3_transfers,
 )
 from paulisim.state import apply_transfer, init_zero, purity
 from paulisim.transpile import decompose
@@ -187,6 +190,45 @@ def test_rotation_transfer_is_the_mean_of_two_rotations_to_the_bit():
                     if alpha == -theta and r < 1.0:
                         # 0.5 * ((-s) + s) is +0.0; -(0.5 * (s - s)) would be -0.0
                         assert t[v, w] == 0.0 and not np.signbit(t[v, w])
+
+
+# three angle lists of one length: 1, 2, or 65 (the u3 count of a deep_small circuit)
+ANGLE_LISTS = st.sampled_from((1, 2, 65)).flatmap(
+    lambda size: st.lists(st.lists(ANGLES, min_size=size, max_size=size), min_size=3, max_size=3)
+)
+AXIS_NOISE = st.builds(
+    NoiseModel,
+    **{f"r_{a}": st.floats(0.0, 1.0) for a in "xyz"},
+    **{f"alpha_{a}": st.floats(-1.0, 1.0) for a in "xyz"},
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=ANGLE_LISTS, noise=AXIS_NOISE)
+def test_stacks_equal_the_one_matrix_builders_to_the_bit(angles, noise):
+    # bytes, not array_equal, so zero signs count; a SIMD loop that rounds
+    # its body and its tail apart would show at length 65
+    thetas, phis, lams = map(np.array, angles)
+    for axis in "xyz":
+        stack = rotation_transfers(axis, thetas, noise)
+        assert stack.shape == (len(thetas), 4, 4)
+        for t, theta in zip(stack, thetas):
+            assert t.tobytes() == rotation_transfer(axis, theta, noise).tobytes(), (axis, theta)
+    stack = u3_transfers(thetas, phis, lams, noise)
+    assert stack.shape == (len(thetas), 4, 4)
+    for t, theta, phi, lam in zip(stack, thetas, phis, lams):
+        z, y = rotation_transfer("z", phi, noise), rotation_transfer("y", theta, noise)
+        three = z @ y @ rotation_transfer("z", lam, noise)
+        assert t.tobytes() == three.tobytes() == _u3_transfer(theta, phi, lam, noise).tobytes()
+
+
+def test_stack_builders_take_no_angles_and_refuse_bad_arrays():
+    assert rotation_transfers("x", []).shape == (0, 4, 4)
+    assert u3_transfers([], [], []).shape == (0, 4, 4)
+    with pytest.raises(ValueError, match="1-D"):
+        rotation_transfers("z", [[0.1, 0.2]])
+    with pytest.raises(ValueError, match="equal angle counts"):
+        u3_transfers([0.1, 0.2], [0.3], [0.4, 0.5])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -13,6 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paulisim import (
@@ -24,7 +25,7 @@ from paulisim import (
     verify_circuit,
 )
 
-REPLAY_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # every one of the 15 noise keys away from its noiseless value
 FULL_NOISE = (
@@ -70,10 +71,9 @@ OPS = {
 }
 
 
-@pytest.fixture(scope="module")
-def replay():
-    # import the file in place without leaving a __pycache__ in perfbench/
-    spec = importlib.util.spec_from_file_location("perfbench_replay", REPLAY_PATH)
+def _load(name: str):
+    """A perfbench/ file as a module, imported in place without leaving a __pycache__ there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -81,6 +81,11 @@ def replay():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def replay():
+    return _load("replay")
 
 
 def _entry_point_digest(replay, op: dict) -> str:
@@ -104,3 +109,15 @@ def test_run_op_executes_every_kind():
 def test_replay_matches_entry_point(replay, kind):
     op = OPS[kind]
     assert replay.REPLAY[kind](replay.Tracer(), op) == _entry_point_digest(replay, op)
+
+
+def test_replay_matches_a_deep_small_circuit(replay):
+    # a 6-qubit circuit of the deep_small mix, every noise key on and shots
+    # drawn: the route on which the engine builds each run's PTMs as stacks
+    workloads = _load("workloads")
+    circuit = workloads.mixed_circuit(np.random.default_rng(21), 6, workloads.DEEP_SMALL_MIX)
+    op = {
+        "kind": "run", "circuit": circuit, "noise": FULL_NOISE,
+        "init": "zero", "shots": 1000, "seed": 5,
+    }
+    assert replay.REPLAY["run"](replay.Tracer(), op) == _entry_point_digest(replay, op)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit_text, random_pauli_state
-from paulisim import gates, measurement, memory, oracle
+from paulisim import engine, gates, measurement, memory, oracle
 from paulisim import state as kernel
 from paulisim.circuit import NOISE_KEYS, NoiseModel, parse_noise_config
 from paulisim.engine import run_circuit, verify_circuit
@@ -279,8 +279,10 @@ def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
 
         return wrapped
 
-    for module in (gates, measurement, memory):
-        for name in ("apply_transfer", "apply_product"):
+    # the public kernels, and the private step the engine and the readouts
+    # call with a row of a stack they checked once
+    for module in (engine, gates, measurement, memory):
+        for name in ("apply_transfer", "apply_product", "_transfer"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(getattr(module, name)))
     text = (
@@ -315,6 +317,24 @@ def test_a_transfer_without_the_trace_row_is_refused():
         with pytest.raises(ValueError, match="first row"):
             call()
     assert np.array_equal(s.coeffs, np.zeros(64))
+
+
+def test_a_stack_with_one_bad_matrix_is_refused(rng):
+    stack = np.stack([random_transfer(rng, 4) for _ in range(65)])
+    assert kernel._checked(stack, (65, 4, 4)).tobytes() == stack.tobytes()
+    for i in (0, 31, 64):
+        for entry, value in (((0, 2), 0.1), ((0, 0), 0.5), ((0, 0), np.nan), ((0, 3), np.nan)):
+            bad = stack.copy()
+            bad[(i, *entry)] = value
+            with pytest.raises(ValueError, match="first row"):
+                kernel._checked(bad, (65, 4, 4))
+        ragged = list(stack)
+        ragged[i] = np.eye(3)
+        with pytest.raises(ValueError, match="shape"):
+            kernel._checked(ragged, (65, 4, 4))
+    for shape in ((64, 4, 4), (65, 16, 16), (4, 4)):
+        with pytest.raises(ValueError, match="transfer matri"):
+            kernel._checked(stack, shape)
 
 
 def test_a_diagonal_given_as_a_vector_is_refused():
