@@ -1,11 +1,15 @@
 """End-to-end pipeline: parse, compile, execute with noise, report.
 
-Execution first checks the whole schedule and builds each PTM the run
-needs once, as stacks (see ``execute_schedule``).  Then it walks the
+Execution first checks the whole schedule and builds and checks each PTM
+the run needs once, as stacks: gates, readouts, reset, and each partition
+category's memory PTMs (see ``execute_schedule``).  Then it walks the
 schedule partition by partition, applying gate members in the order the
 partitioner emitted them (ascending qubit index; members of one partition
 commute, so the order is a convention, not a semantic choice) and one
-memory-noise step after every partition.  All
+memory-noise step after every partition, all through private steps that
+take those checked matrices.  ``verify_circuit`` runs the dense oracle on
+the same schedule, which builds its own channels once per run the same
+way.  All
 randomness is confined to optional shot sampling of the recorded
 distributions; the evolution itself is deterministic.
 """
@@ -24,6 +28,8 @@ from .state import (
     DEFAULT_QUBIT_CAP,
     PauliState,
     _checked,
+    _powers,
+    _product,
     _transfer,
     check_capacity,
     init_bitstring,
@@ -171,8 +177,13 @@ def execute_schedule(
     One walk over the schedule first checks every member's kind and qubits
     and gathers the u1 and u3 angles and the expect strings' digits, so bad
     input raises before the state changes.  Then each PTM the run needs is
-    built and checked once: the u1 and u3 stacks, the cx PTM and the three
-    readout transfers.  The loop applies them in schedule order.
+    built and checked once: the u1 and u3 stacks, the cx PTM, the readout
+    stack (the x, y and z readouts, the ensemble's and reset's transfers),
+    the Bell transfer, and each partition category's decoherence and decay
+    PTMs with their kron powers (``memory._clock_step``).  The loop applies
+    them in schedule order through the private steps, and after each
+    partition ``state._product`` composes its category's memory PTMs into
+    every group's factor.
     """
     n = state.n
     u1, u3, strings, has_cx = [], [], [], False
@@ -199,6 +210,10 @@ def execute_schedule(
     cx = _checked(gates.cnot_transfer(noise), (16, 16)) if has_cx else None  # a noisy one takes ms
     digits = iter(strings)
     axes, readouts = measurement._readouts(noise.d1)
+    ensemble, reset = _powers(readouts[3], n), readouts[4]
+    bell = _checked(measurement._bell_transfer(noise.d2), (16, 16))
+    categories = {part.category for part in schedule.partitions}
+    clock = {c: memory._clock_step(*noise.pair(c), noise.p, n) for c in categories}
 
     records: list[Record] = []
     for part in schedule.partitions:
@@ -211,7 +226,7 @@ def execute_schedule(
             elif k == "cx":
                 _transfer(state, (ins.qubits[0], ins.qubits[1]), cx)
             elif k == "reset":
-                measurement.reset_qubit(state, ins.qubits[0])
+                _transfer(state, ins.qubits, reset)
             elif k in _AXES:
                 i = _AXES[k]
                 probs = measurement._measure(state, ins.qubits[0], axes[i], readouts[i], noise.d1)
@@ -220,12 +235,12 @@ def execute_schedule(
                 value = measurement._expect(state, next(digits), noise.d1, readouts)
                 records.append(Record("expect", (), ins.string, (value,)))
             elif k == "ensemble":
-                dist = measurement.ensemble_distribution(state, noise)
+                dist = measurement._ensemble(state, noise.d1, ensemble)
                 records.append(Record("ensemble", (), "", (), dist))
             else:  # bell
-                dist = measurement.bell_measure(state, *ins.qubits, noise)
+                dist = measurement._bell(state, *ins.qubits, noise.d2, bell)
                 records.append(Record("bell", ins.qubits, "", (), dist))
-        memory.end_of_partition(state, noise, part.category)
+        _product(state, clock[part.category])
     return records
 
 

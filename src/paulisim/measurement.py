@@ -43,7 +43,7 @@ import numpy as np
 
 from .circuit import NOISELESS, NoiseModel
 from .errors import InternalError
-from .state import PauliState, _checked, _transfer, apply_product, apply_transfer
+from .state import PauliState, _checked, _powers, _product, _transfer, apply_transfer
 
 PAULI_LABELS = "IXYZ"
 
@@ -109,14 +109,21 @@ def _unit_axes(axes) -> np.ndarray:
     return nvecs
 
 
+def _ensemble_transfer(d1: float) -> np.ndarray:
+    """The ensemble's update on each qubit: digits 1 and 2 vanish, digit 3 scales by d1."""
+    return np.diag([1.0, 0.0, 0.0, d1])
+
+
 def _readouts(d1: float) -> tuple[np.ndarray, np.ndarray]:
-    """The x, y and z unit axes and their readout transfers as a checked (3, 4, 4) stack.
+    """The x, y and z unit axes, and the one-qubit readout transfers as a checked (5, 4, 4) stack.
 
     Row i serves ``measure_x``, ``measure_y`` and ``measure`` (i = 0, 1, 2)
-    and each qubit of an ``expect`` string with Pauli digit i + 1.
+    and each qubit of an ``expect`` string with Pauli digit i + 1; row 3 is
+    the ensemble's transfer and row 4 reset's.
     """
     axes = _unit_axes(_UNIT_AXES)
-    return axes, _checked(_axis_transfers(axes, d1), (3, 4, 4))
+    stack = [*_axis_transfers(axes, d1), _ensemble_transfer(d1), _RESET]
+    return axes, _checked(stack, (5, 4, 4))
 
 
 @lru_cache(maxsize=16)
@@ -218,8 +225,14 @@ def ensemble_distribution(
     update zeroes every coefficient with a digit in {1, 2} and scales each
     digit-3 occurrence by d1.
     """
-    probs = _bitstring_probs(state, noise.d1)
-    apply_product(state, np.diag([1.0, 0.0, 0.0, noise.d1]))
+    t = _checked(_ensemble_transfer(noise.d1), (4, 4))
+    return _ensemble(state, noise.d1, _powers(t, state.n))
+
+
+def _ensemble(state: PauliState, d1: float, powers: tuple) -> dict[str, float]:
+    """``ensemble_distribution`` with its checked transfer as ``state._powers``."""
+    probs = _bitstring_probs(state, d1)
+    _product(state, [powers])
     return _finalize(_bitstring_labels(state.n), probs)
 
 
@@ -235,17 +248,28 @@ def bell_measure(
     """
     if k == l:
         raise ValueError("Bell measurement needs two distinct qubits")
+    return _bell(state, k, l, noise.d2, _checked(_bell_transfer(noise.d2), (16, 16)))
+
+
+def _bell_transfer(d2: float) -> np.ndarray:
+    """The Bell update: (digit_k, digit_l) = (j, j) keeps d2 for j != 0, 1 for j = 0."""
+    return np.diag([1.0, 0.0, 0.0, 0.0, 0.0, d2, 0.0, 0.0, 0.0, 0.0, d2, 0.0, 0.0, 0.0, 0.0, d2])
+
+
+def _bell(state: PauliState, k: int, l: int, d2: float, t: np.ndarray) -> dict[str, float]:
+    """``bell_measure`` on distinct qubits with its checked transfer ``t``.
+
+    The qubits' range is checked by the read, before the state changes.
+    """
     paired = np.diagonal(state.marginal((k, l))).tolist()  # digit_k = digit_l = j, others 0
     scale = 2**state.n / 4.0
     probs = np.array(
         [
-            scale * (paired[0] + noise.d2 * sum(s * a for s, a in zip(BELL_SIGNS[lab], paired[1:])))
+            scale * (paired[0] + d2 * sum(s * a for s, a in zip(BELL_SIGNS[lab], paired[1:])))
             for lab in BELL_LABELS
         ]
     )
-    d2 = noise.d2  # (digit_k, digit_l) = (j, j) keeps d2 for j != 0, 1 for j = 0
-    kept = [1.0, 0.0, 0.0, 0.0, 0.0, d2, 0.0, 0.0, 0.0, 0.0, d2, 0.0, 0.0, 0.0, 0.0, d2]
-    apply_transfer(state, (k, l), np.diag(kept))
+    _transfer(state, (k, l), t)
     return _finalize(BELL_LABELS, probs)
 
 

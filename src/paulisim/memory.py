@@ -1,13 +1,18 @@
 """Idle-time decoherence and decay applied after every clock step.
 
 Both channels act independently on each qubit, as one 4x4 transfer matrix
-given to every qubit by ``state.apply_product``: decoherence is diagonal,
-while decay's a3 <- a0 entry puts one entry below the diagonal.  Neither
-makes a pass over the coefficients: each composes into the pending factor
-of every qubit's group (as kron(T, T) or kron(T, T, T) on a group of two or
-three), which reaches the coefficients when a two-qubit gate takes or
-flushes the group or at the next full read (see ``state``), so a clock
-step costs at most 2n small products whatever the state size.  Decoherence
+given to every qubit: decoherence is diagonal, while decay's a3 <- a0
+entry puts one entry below the diagonal.  Neither makes a pass over the
+coefficients: each composes into the pending factor of every qubit's group
+(as kron(T, T) or kron(T, T, T) on a group of two or three), which reaches
+the coefficients when a two-qubit gate takes or flushes the group or at the
+next full read (see ``state``).  ``decohere`` and ``decay`` each check and
+build their transfer and hand it to ``state.apply_product``.  A clock step
+takes both transfers, checked as one stack, with their kron powers
+(``_clock_step``: ``end_of_partition`` builds it per call, the engine once
+per run and partition category), and ``state._product`` composes them,
+decoherence then decay, in one visit per group: at most 2n small products
+per step whatever the state size.  Decoherence
 multiplies transverse (digit 1 or 2) occurrences by f = exp(-dt/T2); decay
 scales them by sqrt(g) with g = exp(-dt/T1) and relaxes the longitudinal
 component toward the thermal point: a3 <- g a3 + (2p - 1)(1 - g) a0.  The
@@ -21,11 +26,22 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import NoiseModel
-from .state import PauliState, apply_product
+from .state import PauliState, _checked, _powers, _product, apply_product
+
 
 def _check_unit(name: str, v: float) -> None:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {v}")
+
+
+def _decohere_transfer(f: float) -> np.ndarray:
+    return np.diag([1.0, f, f, 1.0])
+
+
+def _decay_transfer(g: float, p: float) -> np.ndarray:
+    t = np.diag([1.0, np.sqrt(g), np.sqrt(g), g])
+    t[3, 0] = (2.0 * p - 1.0) * (1.0 - g)
+    return t
 
 
 def decohere(state: PauliState, f: float) -> None:
@@ -33,7 +49,7 @@ def decohere(state: PauliState, f: float) -> None:
     _check_unit("f", f)
     if f == 1.0:
         return
-    apply_product(state, np.diag([1.0, f, f, 1.0]))
+    apply_product(state, _decohere_transfer(f))
 
 
 def decay(state: PauliState, g: float, p: float) -> None:
@@ -46,9 +62,17 @@ def decay(state: PauliState, g: float, p: float) -> None:
     _check_unit("p", p)
     if g == 1.0:
         return
-    t = np.diag([1.0, np.sqrt(g), np.sqrt(g), g])
-    t[3, 0] = (2.0 * p - 1.0) * (1.0 - g)
-    apply_product(state, t)
+    apply_product(state, _decay_transfer(g, p))
+
+
+def _clock_step(f: float, g: float, p: float, n: int) -> list:
+    """One clock step's transfers for an n-qubit state, checked as one stack.
+
+    Decoherence, then decay, each as ``state._powers`` for ``state._product``;
+    neither where its factor is 1, so the f = g = 1 step is an empty list.
+    """
+    ts = ([_decohere_transfer(f)] if f != 1.0 else []) + ([_decay_transfer(g, p)] if g != 1.0 else [])
+    return [_powers(t, n) for t in _checked(np.reshape(ts, (-1, 4, 4)), (len(ts), 4, 4))]
 
 
 def end_of_partition(state: PauliState, noise: NoiseModel, category: str = "gate") -> None:
@@ -60,5 +84,4 @@ def end_of_partition(state: PauliState, noise: NoiseModel, category: str = "gate
     f, g = noise.pair(category)
     if f == 1.0 and g == 1.0:
         return
-    decohere(state, f)
-    decay(state, g, noise.p)
+    _product(state, _clock_step(f, g, noise.p, state.n))

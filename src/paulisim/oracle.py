@@ -15,13 +15,21 @@ two swap; nothing is copied back.  The copy is one numpy transpose
 assignment, whose loop merges the axes that stay adjacent.  The run puts
 rho back in (row, column) order, in its own buffer, once at its end;
 ``apply_superop`` is that kernel run for one pass.  An ideal gate is the
-channel of its one unitary; channels in sequence on the same qubits are
-composed into one S first, and channels on different qubits commute.  So within one run a one-qubit channel (a gate, a
-noisy rotation mixture, reset, the memory step, and each one-qubit readout
-channel) makes no pass: it composes into its qubit's pending 4x4 factor.  A
-cx, ccx or ``bell`` takes its qubits' pending factors into its own S and
-makes one pass, ``ensemble`` applies every factor in ceil(n/2) pair passes,
-and the run applies what is left, two qubits per pass, before it returns.
+channel of its one unitary, built at its step; channels in sequence on the
+same qubits are composed into one S first, and channels on different qubits
+commute.  So within one run a one-qubit channel (a gate, a noisy rotation
+mixture, reset, the memory step, and each one-qubit readout channel) makes
+no pass: it composes into its qubit's pending 4x4 factor.  A cx, ccx or
+``bell`` takes its qubits' pending factors into its own S and makes one
+pass, ``ensemble`` applies every factor in ceil(n/2) pair passes, and the
+run applies what is left, two qubits per pass, before it returns.
+A run builds every other channel once, before its loop, and hands it to
+the one step ``_step``: the readout channels, and in a noisy run the u1
+and u3 rotation mixtures as one (N, 4, 4) stack per axis from this
+module's own rotation unitaries, one per use and with one completeness
+check per stack, each u3 as two stacked matmuls, the cx mixture, and one
+memory channel per (f, g) pair, which after each partition composes into
+every qubit's factor in one stacked matmul.
 Every readout has one channel, built by ``_readout_channel``: the
 projective measurement with weight d and full depolarisation of its qubits
 with weight 1 - d.  Each readout reads its record from the state that
@@ -44,6 +52,7 @@ n <= ``ORACLE_QUBIT_CAP``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +109,7 @@ def to_dense(s: PauliState) -> DenseState:
 
 def from_dense(d: DenseState) -> PauliState:
     """Project a density matrix onto the Pauli basis: a_i = 2^-n Tr(rho P_i)."""
-    if np.max(np.abs(d.rho - d.rho.conj().T)) > _HERM_TOL:
+    if not np.max(np.abs(d.rho - d.rho.conj().T)) <= _HERM_TOL:  # negated, so that a NaN fails
         raise ValueError("matrix is not Hermitian within tolerance")
     t = d.rho.reshape((2,) * (2 * d.n))
     m = d.n
@@ -196,9 +205,13 @@ def apply_unitary(d: DenseState, u: np.ndarray, qubits: tuple[int, ...]) -> None
 
 
 def _check_complete(m: np.ndarray, w: np.ndarray, dim: int) -> None:
-    """Raise unless the weighted operators m[mu] satisfy sum w M^dagger M = I."""
-    comp = np.einsum("k,kji,kjl->il", w, m.conj(), m)
-    if np.max(np.abs(comp - np.eye(dim))) > 1e-10:
+    """Raise unless the weighted operators m[..., mu, :, :] satisfy sum w M^dagger M = I.
+
+    ``m`` is one set (K, dim, dim) or a stack (..., K, dim, dim) of sets,
+    all checked in one comparison, which a NaN fails.
+    """
+    comp = np.einsum("k,...kji,...kjl->...il", w, m.conj(), m)
+    if not np.max(np.abs(comp - np.eye(dim)), initial=0.0) <= 1e-10:
         raise ValueError("Kraus set does not resolve the identity within 1e-10")
 
 
@@ -229,10 +242,17 @@ def superop(ops: list[np.ndarray], weights: list[float] | None = None) -> np.nda
     the channel S1 followed by S2.
     """
     m = np.asarray(ops, dtype=np.complex128)
-    w = np.ones(len(m)) if weights is None else np.asarray(weights, dtype=np.float64)
-    dim = m.shape[1]
+    return _superops(m, np.ones(len(m)) if weights is None else np.asarray(weights, dtype=np.float64))
+
+
+def _superops(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``superop`` of every set of a stack (..., K, dim, dim) of weighted
+    operator sets, as a (..., dim^2, dim^2) stack, with one completeness
+    check for the whole stack."""
+    dim = m.shape[-1]
     _check_complete(m, w, dim)
-    return np.einsum("k,kij,kab->iajb", w, m, m.conj()).reshape(dim * dim, dim * dim)
+    s = np.einsum("k,...kij,...kab->...iajb", w, m, m.conj())
+    return s.reshape(*m.shape[:-3], dim * dim, dim * dim)
 
 
 def _transposed_copy(src: np.ndarray, src_axes: list, dst: np.ndarray, dst_axes: list) -> None:
@@ -407,10 +427,15 @@ def _trace_product(op: np.ndarray, rho: np.ndarray) -> float:
 # Gate unitaries (phase conventions irrelevant under conjugation)
 
 
+def _rotations(axis: str, thetas: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) stack of exp(-i theta sigma_axis / 2) for a 1-D array of N angles."""
+    half = (thetas / 2)[:, None, None]
+    return np.cos(half) * SIGMA[0] - 1j * np.sin(half) * SIGMA[_AXIS_INDEX[axis]]
+
+
 def rotation_matrix(axis: str, theta: float) -> np.ndarray:
-    """exp(-i theta sigma_axis / 2)."""
-    s = SIGMA[_AXIS_INDEX[axis]]
-    return np.cos(theta / 2) * SIGMA[0] - 1j * np.sin(theta / 2) * s
+    """exp(-i theta sigma_axis / 2): a stack of one."""
+    return _rotations(axis, np.array([theta], dtype=np.float64))[0]
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -493,15 +518,6 @@ def _readout_channel(projectors: list[np.ndarray], d: float) -> np.ndarray:
     )
 
 
-def _built(cache: dict, build, *args) -> np.ndarray:
-    """``build(*args)``, built once per run: ``cache`` keeps it under (build, *args)."""
-    key = (build, *args)
-    s = cache.get(key)
-    if s is None:
-        s = cache[key] = build(*args)
-    return s
-
-
 #: The unit x, y and z axes.
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -515,30 +531,32 @@ def _axis_readout(axis: tuple[float, float, float], d: float) -> np.ndarray:
     return _readout_channel(_axis_projectors(_axis_observable(axis)), d)
 
 
-# Each readout composes its channel into its qubits' pending factors and then
-# reads its record.  Each takes the run's kernel ``v``, its pending factors
-# and its channel cache; ``_alone`` runs one on a DenseState by itself.
+# Each readout composes its channel, built by its caller, into its qubits'
+# pending factors and then reads its record.  Each takes the run's kernel
+# ``v`` and its pending factors; ``_alone`` runs one on a DenseState by itself.
 
 
-def _measure(v: _Vec, pending: dict, cache: dict, k: int, axis: tuple, d1: float) -> tuple:
-    """(p_plus, p_minus) of qubit k measured along ``axis``: no pass over rho."""
-    _defer(pending, k, _built(cache, _axis_readout, axis, d1))
+def _measure(v: _Vec, pending: dict, k: int, axis: tuple, s: np.ndarray) -> tuple:
+    """(p_plus, p_minus) of qubit k measured along ``axis``, whose readout
+    channel is ``s``: no pass over rho."""
+    _defer(pending, k, s)
     p_plus = _read(v, pending, (k,), _axis_projectors(_axis_observable(axis))[:1])
     return (p_plus, 1.0 - p_plus)
 
 
-def _expect(v: _Vec, pending: dict, cache: dict, labels: list[int], d1: float) -> float:
-    """The Pauli string with SIGMA[labels[q]] on qubit q: no pass over rho."""
+def _expect(v: _Vec, pending: dict, labels: list[int], axes: tuple) -> float:
+    """The Pauli string with SIGMA[labels[q]] on qubit q, ``axes`` the x, y
+    and z readout channels: no pass over rho."""
     for q, label in enumerate(labels):
         if label:
-            _defer(pending, q, _built(cache, _axis_readout, _AXES[label - 1], d1))
+            _defer(pending, q, axes[label - 1])
     support = tuple(q for q in reversed(range(v.n)) if labels[q])
     return _read(v, pending, support, [SIGMA[labels[q]] for q in support])
 
 
-def _ensemble(v: _Vec, pending: dict, cache: dict, d1: float) -> np.ndarray:
-    """Every computational-basis outcome's probability: ceil(n/2) passes."""
-    s = _built(cache, _axis_readout, _AXES[2], d1)
+def _ensemble(v: _Vec, pending: dict, s: np.ndarray) -> np.ndarray:
+    """Every computational-basis outcome's probability, ``s`` the z readout
+    channel: ceil(n/2) passes."""
     for q in range(v.n):
         _defer(pending, q, s)
     _apply_pending(v, pending, range(v.n))
@@ -546,10 +564,10 @@ def _ensemble(v: _Vec, pending: dict, cache: dict, d1: float) -> np.ndarray:
 
 
 def _alone(d: DenseState, readout, *args):
-    """``readout`` on d as a run of its own: a fresh pending dict and channel
-    cache, and what is left pending applied before it returns."""
+    """``readout`` on d as a run of its own: a fresh pending dict, and what
+    is left pending applied before it returns."""
     v, pending = _Vec(d), {}
-    value = readout(v, pending, {}, *args)
+    value = readout(v, pending, *args)
     _finish(v, pending)
     return value
 
@@ -558,17 +576,18 @@ def dense_measure_qubit(
     d: DenseState, k: int, axis_vec: np.ndarray, d1: float
 ) -> tuple[float, float]:
     """Single-qubit measurement along an axis: (p_plus, p_minus) with damping d1."""
-    return _alone(d, _measure, k, tuple(float(a) for a in axis_vec), d1)
+    axis = tuple(float(a) for a in axis_vec)
+    return _alone(d, _measure, k, axis, _axis_readout(axis, d1))
 
 
 def dense_expect_string(d: DenseState, labels: list[int], d1: float) -> float:
     """Expectation of a Pauli string with readout damping; updates the state."""
-    return _alone(d, _expect, labels, d1)
+    return _alone(d, _expect, labels, _readouts(d1, 1.0)[0])
 
 
 def dense_ensemble(d: DenseState, d1: float) -> np.ndarray:
     """All-qubit computational-basis outcome probabilities; updates the state."""
-    return _alone(d, _ensemble, d1)
+    return _alone(d, _ensemble, _axis_readout(_AXES[2], d1))
 
 
 BELL_SIGNS = {
@@ -594,16 +613,23 @@ def _bell_readout(d2: float) -> np.ndarray:
     return _readout_channel(list(_BELL_PROJECTORS), d2)
 
 
-def _bell(v: _Vec, pending: dict, cache: dict, k: int, l: int, d2: float) -> dict[str, float]:
-    """Bell-basis probabilities of qubits (k, l): one pass, which takes their factors."""
-    v.apply(_built(cache, _bell_readout, d2) @ _take(pending, (k, l)), (k, l))
+def _readouts(d1: float, d2: float) -> tuple:
+    """A run's readout channels: the x, y and z readouts with damping d1,
+    and the Bell readout with damping d2."""
+    return tuple(_axis_readout(axis, d1) for axis in _AXES), _bell_readout(d2)
+
+
+def _bell(v: _Vec, pending: dict, k: int, l: int, s: np.ndarray) -> dict[str, float]:
+    """Bell-basis probabilities of qubits (k, l), whose readout channel is
+    ``s``: one pass, which takes their factors."""
+    v.apply(s @ _take(pending, (k, l)), (k, l))
     pair = _reduced(v, (k, l))
     return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, _BELL_PROJECTORS)}
 
 
 def dense_bell(d: DenseState, k: int, l: int, d2: float) -> dict[str, float]:
     """Bell-basis measurement of qubits (k, l) with damping d2; updates state."""
-    return _alone(d, _bell, k, l, d2)
+    return _alone(d, _bell, k, l, _bell_readout(d2))
 
 
 # the superoperator of reset: rho -> P0 rho P0 + X P1 rho P1 X
@@ -693,15 +719,26 @@ def choi_psd_check(ptm: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Circuit execution (dual path for the coefficient engine)
 
-_MEASURE_AXES = {"measure": _AXES[2], "measure_x": _AXES[0], "measure_y": _AXES[1]}
+# each measure mnemonic's row in a run's x, y, z readout channels
+_MEASURE_AXES = {"measure_x": 0, "measure_y": 1, "measure": 2}
+
+# the kinds a compiled schedule holds
+_SCHEDULE_KINDS = frozenset(("u1", "u3", "cx", "reset", "expect", "ensemble", "bell", *_MEASURE_AXES))
+
+
+def _rotation_mixtures(axis: str, thetas: np.ndarray, alpha: float, r: float) -> np.ndarray:
+    """(N, 4, 4) stack of noisy rotation superoperators, one per angle of the
+    1-D array ``thetas``: each the equal mixture of the rotations by theta +
+    alpha +- arccos(r), with one completeness check for the whole stack."""
+    delta0 = np.arccos(r)
+    base = thetas + alpha
+    rotations = _rotations(axis, np.stack([base + delta0, base - delta0], axis=1).reshape(-1))
+    return _superops(rotations.reshape(len(thetas), 2, 2, 2), np.array([0.5, 0.5]))
 
 
 def _rotation_mixture(axis: str, theta: float, alpha: float, r: float) -> np.ndarray:
-    """Superoperator of a noisy rotation: two angles theta + alpha +- arccos(r)."""
-    delta0 = np.arccos(r)
-    base = theta + alpha
-    rotations = [rotation_matrix(axis, base + delta0), rotation_matrix(axis, base - delta0)]
-    return superop(rotations, [0.5, 0.5])
+    """Superoperator of a noisy rotation: a stack of one."""
+    return _rotation_mixtures(axis, np.array([theta], dtype=np.float64), alpha, r)[0]
 
 
 def _cx_mixture(alpha: float, r: float) -> np.ndarray:
@@ -710,60 +747,87 @@ def _cx_mixture(alpha: float, r: float) -> np.ndarray:
     return superop([cnot_matrix(alpha + delta0), cnot_matrix(alpha - delta0)], [0.5, 0.5])
 
 
-def _step(v: _Vec, ins, noise, records: list, pending: dict, cache: dict) -> None:
+def _schedule_channels(schedule, noise) -> tuple:
+    """Every noisy gate and memory channel a run of ``schedule`` needs, each built once.
+
+    One walk refuses a kind no schedule holds, before rho changes, and
+    gathers the angles.  The u1 angles and the u3 phis and lambdas make one
+    z stack and the u3 thetas one y stack (``_rotation_mixtures``), and
+    each u3's Rz(phi) Ry(theta) Rz(lam) is two stacked matmuls, associated
+    as (Rz Ry) Rz.  Returns an iterator over every member's gate channel
+    in schedule order (None for a member that is not a gate) and the memory
+    channel of each (f, g) pair of the schedule's partition categories.
+    """
+    kinds, u1, u3 = [], [], []
+    for part in schedule.partitions:
+        for ins in part.members:
+            k = ins.kind
+            if k not in _SCHEDULE_KINDS:
+                raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
+            kinds.append(k)
+            if k == "u1":
+                u1.append(ins.angles[0])
+            elif k == "u3":
+                u3.append(ins.angles)
+    thetas, phis, lams = np.array(u3, dtype=np.float64).reshape(-1, 3).T
+    z = _rotation_mixtures("z", np.concatenate([u1, phis, lams]), *noise.axis("z"))
+    y = _rotation_mixtures("y", thetas, *noise.axis("y"))
+    n1, n3 = len(u1), len(u3)
+    stacks = {"u1": iter(z[:n1]), "u3": iter(np.matmul(np.matmul(z[n1 : n1 + n3], y), z[n1 + n3 :]))}
+    if "cx" in kinds:
+        stacks["cx"] = itertools.repeat(_cx_mixture(noise.alpha_cx, noise.r_cx))
+    gates = [next(stacks[k]) if k in stacks else None for k in kinds]
+    pairs = {noise.pair(part.category) for part in schedule.partitions}
+    return iter(gates), {fg: _memory_channel(*fg, noise.p) for fg in pairs}
+
+
+def _defer_all(pending: dict, n: int, s: np.ndarray) -> None:
+    """``_defer`` of ``s`` on each of the n qubits: one stacked matmul
+    composes it after every pending factor, and a qubit with none takes s."""
+    held = list(pending)
+    if held:
+        pending.update(zip(held, np.matmul(s, np.array([pending[q] for q in held]))))
+    for q in range(n):
+        pending.setdefault(q, s)
+
+
+def _step(v: _Vec, ins, s, readouts: tuple, records: list, pending: dict) -> None:
     """Apply one instruction to the run's rho ``v``, appending a record for each readout.
 
-    A one-qubit channel makes no pass: it composes into ``pending``, which
+    ``s`` is the channel of a gate, built by the caller (None for any other
+    kind), and ``readouts`` the run's readout channels (``_readouts``).  A
+    one-qubit channel makes no pass: it composes into ``pending``, which
     maps a qubit to the 4x4 factor still to be applied to it.  So does each
     one-qubit readout channel, and ``measure`` and ``expect`` read their
     record from the partial trace to their qubits with each effect pulled
     back through its qubit's factor.  A cx, ccx or ``bell`` takes its
     qubits' factors into its own S and makes one pass; ``ensemble`` applies
-    every factor in ceil(n/2) pair passes and reads the diagonal.  ``noise`` None is the
-    ideal run: any gate kind as its exact unitary, d1 = d2 = 1, barriers
-    skipped.  Under a NoiseModel only the schedule's u1, u3 and cx gates are
-    allowed, as two-point angle mixtures (a u3's three mixtures composed
-    into one 4x4).  Every channel but an ideal gate's is built once per
-    ``cache``.
+    every factor in ceil(n/2) pair passes and reads the diagonal.  A
+    barrier does nothing.
     """
     k = ins.kind
-    d1, d2 = (1.0, 1.0) if noise is None else (noise.d1, noise.d2)
+    axes, bell = readouts
     if k in _MEASURE_AXES:
-        q = ins.qubits[0]
-        records.append(("measure", q, k, _measure(v, pending, cache, q, _MEASURE_AXES[k], d1)))
+        q, i = ins.qubits[0], _MEASURE_AXES[k]
+        records.append(("measure", q, k, _measure(v, pending, q, _AXES[i], axes[i])))
         return
     if k == "expect":
         labels = ["IXYZ".index(ch) for ch in reversed(ins.string)]  # qubit 0 rightmost
-        records.append(("expect", ins.string, _expect(v, pending, cache, labels, d1)))
+        records.append(("expect", ins.string, _expect(v, pending, labels, axes)))
         return
     if k == "ensemble":
-        probs = _ensemble(v, pending, cache, d1)
+        probs = _ensemble(v, pending, axes[2])
         records.append(("ensemble", {format(i, f"0{v.n}b"): float(p) for i, p in enumerate(probs)}))
         return
     if k == "bell":
-        records.append(("bell", ins.qubits, _bell(v, pending, cache, *ins.qubits, d2)))
+        records.append(("bell", ins.qubits, _bell(v, pending, *ins.qubits, bell)))
         return
     if k == "reset":
         s = _RESET
-    elif noise is None:
+    elif s is None:
         if k == "barrier":
             return
-        if k not in _GATE_UNITARY:
-            raise ValueError(f"unknown instruction kind {k!r}")
-        s = superop([_GATE_UNITARY[k](ins.angles)])
-    elif k == "u1":
-        s = _built(cache, _rotation_mixture, "z", ins.angles[0], *noise.axis("z"))
-    elif k == "u3":
-        theta, phi, lam = ins.angles
-        s = (
-            _built(cache, _rotation_mixture, "z", phi, *noise.axis("z"))
-            @ _built(cache, _rotation_mixture, "y", theta, *noise.axis("y"))
-            @ _built(cache, _rotation_mixture, "z", lam, *noise.axis("z"))
-        )
-    elif k == "cx":
-        s = _built(cache, _cx_mixture, noise.alpha_cx, noise.r_cx)
-    else:
-        raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
+        raise ValueError(f"unknown instruction kind {k!r}")
     if len(ins.qubits) == 1:
         _defer(pending, ins.qubits[0], s)
     else:
@@ -773,18 +837,20 @@ def _step(v: _Vec, ins, noise, records: list, pending: dict, cache: dict) -> Non
 def run_instructions_dense(d: DenseState, instructions) -> list:
     """Execute raw instructions in source order with zero noise.
 
-    The same step as ``run_schedule_dense`` with no noise model: each gate is
-    the channel of its exact unitary, measurements are ideal projective
-    channels (with their non-selective updates), barriers do nothing.  The
-    one-qubit channels left pending are applied, and rho put back in (row,
-    column) order in d.rho's own buffer, before it returns, or raises with
-    every instruction before the failing one applied.  Returns the
-    measurement records as plain tuples; mutates ``d``.
+    The same step as ``run_schedule_dense`` with no noise: each gate is the
+    channel of its exact unitary, built at its step, measurements are ideal
+    projective channels (with their non-selective updates), barriers do
+    nothing.  The one-qubit channels left pending are applied, and rho put
+    back in (row, column) order in d.rho's own buffer, before it returns, or
+    raises with every instruction before the failing one applied.  Returns
+    the measurement records as plain tuples; mutates ``d``.
     """
-    v, pending, records, cache = _Vec(d), {}, [], {}
+    readouts = _readouts(1.0, 1.0)
+    v, pending, records = _Vec(d), {}, []
     try:
         for ins in instructions:
-            _step(v, ins, None, records, pending, cache)
+            u = _GATE_UNITARY.get(ins.kind)
+            _step(v, ins, None if u is None else superop([u(ins.angles)]), readouts, records, pending)
     finally:
         _finish(v, pending)
     return records
@@ -793,24 +859,25 @@ def run_instructions_dense(d: DenseState, instructions) -> list:
 def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     """Execute a compiled schedule with the full noise model, densely.
 
-    Each member goes through the same step as ``run_instructions_dense``
-    under ``noise`` (a NoiseModel); after every partition of ``schedule``
-    the memory channel of its category composes into every qubit's pending
-    factor, so a memory step makes no pass of its own.  What is still
-    pending is applied, two qubits per pass, and rho put back in order, as
-    ``run_instructions_dense`` does.  The memory
-    channel is built once per distinct (f, g) pair of the schedule's
-    partition categories, each rotation mixture once per distinct (axis,
-    angle, alpha, r) and the cx mixture once, not once per use.
+    Before its loop the run builds every noisy channel it needs once
+    (``_schedule_channels``): the u1 and u3 rotation mixtures as one stack
+    per axis, one per use, the cx mixture, the readout channels, and one
+    memory channel per distinct (f, g) pair of the partition categories.
+    Each member then goes through the same step as
+    ``run_instructions_dense``, and after every partition its category's
+    memory channel composes into every qubit's pending factor in one
+    stacked matmul, so a memory step makes no pass of its own.  What is
+    still pending is applied, two qubits per pass, and rho put back in
+    order, as ``run_instructions_dense`` does.
     """
-    v, pending, records, cache = _Vec(d), {}, [], {}
+    gates, memory = _schedule_channels(schedule, noise)
+    readouts = _readouts(noise.d1, noise.d2)
+    v, pending, records = _Vec(d), {}, []
     try:
         for part in schedule.partitions:
             for ins in part.members:
-                _step(v, ins, noise, records, pending, cache)
-            s = _built(cache, _memory_channel, *noise.pair(part.category), noise.p)
-            for q in range(d.n):
-                _defer(pending, q, s)
+                _step(v, ins, next(gates), readouts, records, pending)
+            _defer_all(pending, d.n, memory[noise.pair(part.category)])
     finally:
         _finish(v, pending)
     return records

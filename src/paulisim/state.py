@@ -31,10 +31,11 @@ and the kernel refuses one that does not, so ``a[0]`` comes out of each
 update bit for bit.  ``apply_transfer`` and ``apply_product`` check the
 matrix they are given (``_checked``: its shape and first row, on a private
 copy), and ``apply_transfer`` range-checks its qubits, before the private
-step ``_transfer`` applies it.  A caller that applies many PTMs builds them
-as one (N, 4, 4) stack, has ``_checked`` test every matrix's shape and
-first row at once, checks the qubits itself, and hands the stack's rows to
-``_transfer``; ``engine.execute_schedule`` does this once per run.
+step ``_transfer`` or ``_product`` applies it.  A caller that applies many
+PTMs builds them as one (N, 4, 4) stack, has ``_checked`` test every
+matrix's shape and first row at once, checks the qubits itself, and hands
+the stack's rows to ``_transfer``, or their kron powers (``_powers``) to
+``_product``; ``engine.execute_schedule`` does this once per run.
 
 Qubit layout.  The buffer a ``PauliState`` holds need not be in the order
 above: it carries a private digit order, which qubit sits in each physical
@@ -224,15 +225,15 @@ class PauliState:
     def validate(self) -> None:
         """Raise ``StateFormatError`` if a state invariant is broken."""
         trace = self.coeffs[0]
-        if abs(trace - 2.0**-self.n) > 1e-12:
+        if not abs(trace - 2.0**-self.n) <= 1e-12:  # each check negated, so that a NaN fails
             raise StateFormatError(
                 f"trace coefficient is {trace!r}, expected {2.0 ** -self.n!r} (index 0)"
             )
         pur = purity(self)
-        if pur > 1.0 + PURITY_TOL:
+        if not pur <= 1.0 + PURITY_TOL:
             raise StateFormatError(f"purity bound violated: 2^n * sum(a^2) = {pur!r} > 1")
         big = int(np.argmax(np.abs(self.coeffs)))
-        if abs(self.coeffs[big]) > 2.0**-self.n * (1.0 + PURITY_TOL):
+        if not abs(self.coeffs[big]) <= 2.0**-self.n * (1.0 + PURITY_TOL):
             raise StateFormatError(
                 f"coefficient {big} is {self.coeffs[big]!r}, above the bound 2^-n = {2.0**-self.n}"
             )
@@ -463,22 +464,51 @@ def apply_product(state: PauliState, t: np.ndarray) -> None:
     """Apply the same 4x4 transfer to every qubit; a 1-D ``t`` is refused.
 
     ``t`` composes into every group's pending factor, as ``apply_transfer``
-    on each qubit would: kron(t, ..., t) on a group, built once per call for
-    each group size.  The buffer sees it when the group is flushed or at the
-    next full read.
+    on each qubit would: kron(t, ..., t) on a group.  The buffer sees it
+    when the group is flushed or at the next full read.  The update itself
+    is ``_product``.
     """
-    t = _checked(t, (4, 4))
+    _product(state, [_powers(_checked(t, (4, 4)), state.n)])
+
+
+def _powers(t: np.ndarray, n: int) -> tuple:
+    """The factor a checked 4x4 transfer ``t`` gives each group size of an n-qubit state.
+
+    Entry m - 1 is the kron of m copies of t, built as kron(kron(t, t), t):
+    (t,) below ``_GROUPS_FROM_N`` qubits, where every group holds one
+    qubit, and (t, kron(t, t), kron(t, t, t)) from there up.
+    """
+    if n < _GROUPS_FROM_N:
+        return (t,)
+    t2 = _kron(t, t)
+    return t, t2, _kron(t2, t)
+
+
+def _product(state: PauliState, transfers: list) -> None:
+    """``apply_product`` of each transfer of ``transfers`` in turn, on input its caller has checked.
+
+    Each entry is one checked transfer's ``_powers`` for this state.  Each
+    group is visited once, at its first qubit, and its factor P becomes
+    T_last ... T_1 P, one product per transfer with the group size's kron
+    power, the same products one ``apply_product`` call per transfer
+    makes; a qubit with no factor takes T_1 itself.  With no transfers it
+    returns at once.
+    """
+    if not transfers:
+        return
     pending = state._pending
-    krons = [None, t]  # krons[m] = kron of m copies of t
     for k in range(state.n):
         g = pending.get(k)
         if g is None:
-            pending[k] = (k,), t
+            qs, f = (k,), None
         elif g[0][0] == k:  # each group once, at its first qubit
-            m = len(g[0])
-            while len(krons) <= m:
-                krons.append(_kron(krons[-1], t))
-            _regroup(pending, (g[0], krons[m].dot(g[1])))
+            qs, f = g
+        else:
+            continue
+        m = len(qs)
+        for powers in transfers:
+            f = powers[0] if f is None else powers[m - 1].dot(f)
+        _regroup(pending, (qs, f))
 
 
 def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:

@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_pauli_state
-from paulisim import oracle
-from paulisim.circuit import NOISELESS, NoiseModel
+from paulisim import memory, oracle
+from paulisim.circuit import NOISELESS, PARTITION_CATEGORIES, NoiseModel
 from paulisim.memory import decay, decohere, end_of_partition
-from paulisim.state import PauliState, init_thermal, init_uniform, init_zero
+from paulisim.state import (
+    PauliState,
+    _product,
+    apply_transfer,
+    init_thermal,
+    init_uniform,
+    init_zero,
+)
 
 UNIT = st.floats(0.0, 1.0)
 
@@ -172,3 +179,49 @@ def test_parameter_validation():
         NoiseModel(p=2.0)
     with pytest.raises(ValueError):
         NoiseModel(f_meas=-0.5)
+
+
+def _random_transfer(rng, size):
+    t = rng.standard_normal((size, size))
+    t[0] = 0.0
+    t[0, 0] = 1.0
+    return t
+
+
+def _pending_bytes(s):
+    return {k: (qs, f.tobytes()) for k, (qs, f) in s._pending.items()}
+
+
+@pytest.mark.parametrize("n", [7, 10])
+def test_the_engine_memory_step_equals_decohere_then_decay(n):
+    # the engine builds each category's PTMs and their kron powers once per
+    # run and composes them in one visit per group: the same bytes as
+    # decohere then decay, on lone factors (n = 7) and groups of 2 and 3
+    rng = np.random.default_rng(n)
+    base = init_uniform(n)
+    for k in range(n - 1):  # the last qubit keeps no factor
+        apply_transfer(base, (k,), _random_transfer(rng, 4))
+    for pair in ((0, 1), (1, 2), (4, 5)):
+        apply_transfer(base, pair, _random_transfer(rng, 16))
+    sizes = {len(qs) for qs, _ in base._pending.values()}
+    assert sizes == ({1} if n < 10 else {1, 2, 3})
+    models = (
+        NoiseModel(f=0.99, g=0.98, f_meas=0.97, g_meas=0.96, p=0.9),
+        NoiseModel(f=1.0, g=0.98, f_meas=0.97, g_meas=1.0, p=0.3),  # one of the two, per category
+        NoiseModel(f=0.99, g=1.0, p=0.0),
+        NoiseModel(p=0.9),  # f = g = 1: no step at all
+    )
+    for noise in models:
+        for category in PARTITION_CATEGORIES:
+            f, g = noise.pair(category)
+            want = base.copy()
+            decohere(want, f)
+            decay(want, g, noise.p)
+            step = memory._clock_step(f, g, noise.p, n)
+            assert len(step) == (f != 1.0) + (g != 1.0)
+            assert all(len(powers) == (1 if n < 10 else 3) for powers in step)
+            got, routed = base.copy(), base.copy()
+            _product(got, step)
+            end_of_partition(routed, noise, category)
+            assert _pending_bytes(got) == _pending_bytes(routed) == _pending_bytes(want), (noise, category)
+            assert got.coeffs.tobytes() == routed.coeffs.tobytes() == want.coeffs.tobytes()

@@ -3,11 +3,14 @@ only textbook linear algebra, never the coefficient engine."""
 
 import ast
 import itertools
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_circuit_text, random_noise, random_pauli_state
 from paulisim import oracle
@@ -183,14 +186,44 @@ def test_dense_memory_step_matches_kraus_composition(rng):
         assert np.max(np.abs(d1.rho - d2.rho)) < 1e-12
 
 
-def _fresh_builds(monkeypatch):
-    """Make every run build each channel afresh at every use, bypassing its cache."""
-    monkeypatch.setattr(oracle, "_built", lambda cache, build, *args: build(*args))
+def _gate_channel(ins, noise):
+    """A schedule member's noisy gate channel built at its use, one mixture
+    at a time: u3 as Rz(phi) @ Ry(theta) @ Rz(lam); None for a non-gate."""
+    if ins.kind == "u1":
+        return oracle._rotation_mixture("z", ins.angles[0], *noise.axis("z"))
+    if ins.kind == "u3":
+        theta, phi, lam = ins.angles
+        z, y = noise.axis("z"), noise.axis("y")
+        return (
+            oracle._rotation_mixture("z", phi, *z)
+            @ oracle._rotation_mixture("y", theta, *y)
+            @ oracle._rotation_mixture("z", lam, *z)
+        )
+    if ins.kind == "cx":
+        return oracle._cx_mixture(noise.alpha_cx, noise.r_cx)
+    return None
+
+
+def _per_use_run(d, schedule, noise):
+    """``run_schedule_dense`` with every channel built at its use: each gate
+    by ``_gate_channel``, and each memory channel at every partition,
+    composed into one qubit's factor at a time with ``_defer``."""
+    v, pending, records = oracle._Vec(d), {}, []
+    readouts = oracle._readouts(noise.d1, noise.d2)
+    for part in schedule.partitions:
+        for ins in part.members:
+            oracle._step(v, ins, _gate_channel(ins, noise), readouts, records, pending)
+        s = oracle._memory_channel(*noise.pair(part.category), noise.p)
+        for q in range(d.n):
+            oracle._defer(pending, q, s)
+    oracle._finish(v, pending)
+    return records
 
 
 def test_a_schedule_builds_each_memory_channel_once(monkeypatch):
     # one build per distinct (f, g) of the partition categories, however
     # many partitions, and the same bytes as a build at every partition
+    # composed one qubit at a time
     n, instructions = parse_circuit(random_circuit_text(np.random.default_rng(3), 3, 40))
     _, schedule = compile_circuit(n, instructions)
     noise = NoiseModel(f=0.99, g=0.98, f_meas=0.97, g_meas=0.96, p=0.9)
@@ -198,9 +231,7 @@ def test_a_schedule_builds_each_memory_channel_once(monkeypatch):
     assert len(schedule.partitions) >= 10 and categories == {"gate", "measurement", "solo"}
 
     want = oracle.dense_zero(n)
-    with monkeypatch.context() as m:
-        _fresh_builds(m)
-        records = oracle.run_schedule_dense(want, schedule, noise)
+    records = _per_use_run(want, schedule, noise)
 
     builds = []
     decay_kraus = oracle.decay_kraus
@@ -213,10 +244,10 @@ def test_a_schedule_builds_each_memory_channel_once(monkeypatch):
     assert got.rho.tobytes() == want.rho.tobytes()
 
 
-def test_a_schedule_builds_each_rotation_mixture_once(monkeypatch):
+def test_a_schedule_builds_its_rotation_mixtures_as_one_stack_per_axis(monkeypatch):
     # two u1 angles (one of them 0.0 and -0.0 in turn) and one u3 repeat
-    # between cx gates, so no merge joins them: one build per distinct
-    # (axis, angle, alpha, r), and the same bytes as a build at every gate
+    # between cx gates, so no merge joins them: one z stack and one y stack
+    # per run, one mixture per use, and the same bytes as a build at every gate
     lines = ["qubits 3"]
     for i in range(8):
         lines += [f"u1({0.25 * (1 + i % 2)}) q[{i % 3}]", "u3(0.5,0.25,-0.75) q[1]"]
@@ -226,22 +257,84 @@ def test_a_schedule_builds_each_rotation_mixture_once(monkeypatch):
     noise = NoiseModel(alpha_z=-0.0, r_z=1.0, alpha_y=-0.02, r_y=0.98, f=0.99, g=0.98, p=0.9)
 
     want = oracle.dense_zero(n)
-    with monkeypatch.context() as m:
-        _fresh_builds(m)
-        records = oracle.run_schedule_dense(want, schedule, noise)
+    records = _per_use_run(want, schedule, noise)
 
     builds = []
-    mixture = oracle._rotation_mixture
+    mixtures = oracle._rotation_mixtures
     monkeypatch.setattr(
-        oracle, "_rotation_mixture", lambda *key: builds.append(key) or mixture(*key)
+        oracle,
+        "_rotation_mixtures",
+        lambda axis, thetas, *noise: builds.append((axis, len(thetas))) or mixtures(axis, thetas, *noise),
     )
     got = oracle.dense_zero(n)
     assert repr(oracle.run_schedule_dense(got, schedule, noise)) == repr(records)
-    uses = sum(
-        {"u1": 1, "u3": 3}.get(ins.kind, 0) for part in schedule.partitions for ins in part.members
-    )
-    assert len(builds) == len(set(builds)) < uses / 4
+    kinds = [ins.kind for part in schedule.partitions for ins in part.members]
+    n1, n3 = kinds.count("u1"), kinds.count("u3")
+    assert n1 >= 8 and n3 == 8
+    assert builds == [("z", n1 + 2 * n3), ("y", n3)]
     assert got.rho.tobytes() == want.rho.tobytes()
+
+
+def _one_mixture(axis, theta, alpha, r):
+    """A noisy rotation's superoperator built alone: ``superop`` of its two
+    rotations, each written out as cos(t/2) I - i sin(t/2) sigma_axis."""
+    delta0 = np.arccos(r)
+    base = theta + alpha
+    sigma = oracle.SIGMA[" xyz".index(axis)]
+    rotations = [np.cos(t / 2) * oracle.SIGMA[0] - 1j * np.sin(t / 2) * sigma for t in (base + delta0, base - delta0)]
+    return oracle.superop(rotations, [0.5, 0.5])
+
+
+# three angle lists of one length: 1, 2, or 65
+ANGLE_LISTS = st.sampled_from((1, 2, 65)).flatmap(
+    lambda size: st.lists(
+        st.lists(st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False), min_size=size, max_size=size),
+        min_size=3,
+        max_size=3,
+    )
+)
+AXIS_NOISE = st.builds(
+    NoiseModel,
+    **{f"r_{a}": st.floats(0.0, 1.0) for a in "yz"},
+    **{f"alpha_{a}": st.floats(-1.0, 1.0) for a in "yz"},
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=ANGLE_LISTS, noise=AXIS_NOISE)
+def test_the_oracle_stacks_equal_its_one_at_a_time_builds(angles, noise):
+    # bytes, not array_equal, so zero signs count; a SIMD loop that rounds
+    # its body and its tail apart would show at length 65
+    thetas, phis, lams = map(np.array, angles)
+    for axis in "yz":
+        stack = oracle._rotation_mixtures(axis, thetas, *noise.axis(axis))
+        assert stack.shape == (len(thetas), 4, 4)
+        for s, theta in zip(stack, thetas.tolist()):
+            one = _one_mixture(axis, theta, *noise.axis(axis))
+            alone = oracle._rotation_mixture(axis, theta, *noise.axis(axis))
+            assert s.tobytes() == one.tobytes() == alone.tobytes(), (axis, theta)
+    # the channels of a run: each u3 against Rz @ Ry @ Rz of single builds
+    members = [Instruction("u3", (0,), angles) for angles in zip(*map(np.ndarray.tolist, (thetas, phis, lams)))]
+    members += [Instruction("u1", (1,), (lam,)) for lam in lams.tolist()]
+    members += [Instruction("cx", (0, 1)), Instruction("measure", (1,))]
+    gates, _ = oracle._schedule_channels(Schedule([Partition("gate", members)]), noise)
+    for ins in members[:-1]:
+        assert next(gates).tobytes() == _gate_channel(ins, noise).tobytes(), ins
+    assert next(gates) is None and next(gates, "done") == "done"
+
+
+def test_the_batched_memory_step_equals_one_defer_per_qubit(rng):
+    s = oracle._memory_channel(0.995, 0.997, 0.92)
+    for n in (1, 2, 7):
+        for held in ([], [0], [q for q in range(n) if q % 2], list(range(n))):
+            pending = {q: rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for q in held}
+            want = dict(pending)
+            for q in range(n):
+                oracle._defer(want, q, s)
+            oracle._defer_all(pending, n, s)
+            assert sorted(pending) == list(range(n))
+            for q in range(n):
+                assert pending[q].tobytes() == want[q].tobytes(), (n, held, q)
 
 
 def test_dense_measure_qubit_ideal_probabilities():
@@ -301,6 +394,24 @@ def test_superop_rejects_incomplete_sets():
         oracle.superop([np.diag([1.0, 0.0])])
     with pytest.raises(ValueError, match="does not resolve the identity within 1e-10"):
         oracle.superop([oracle.SIGMA[0], oracle.SIGMA[1]], [0.5, 0.6])
+
+
+def test_a_nan_fails_the_completeness_and_hermiticity_checks():
+    with pytest.raises(ValueError, match="does not resolve the identity within 1e-10"):
+        oracle.superop([np.full((2, 2), np.nan, dtype=complex)])
+    # one check covers a whole stack: one NaN angle anywhere in it is refused
+    thetas = np.linspace(-3.0, 3.0, 65)
+    assert oracle._rotation_mixtures("y", thetas, 0.01, 0.99).shape == (65, 4, 4)
+    for i in (0, 31, 64):
+        bad = thetas.copy()
+        bad[i] = np.nan
+        with pytest.raises(ValueError, match="does not resolve the identity within 1e-10"):
+            oracle._rotation_mixtures("y", bad, 0.01, 0.99)
+    assert oracle._rotation_mixtures("z", np.array([]), 0.01, 0.99).shape == (0, 4, 4)
+    d = oracle.dense_zero(2)
+    d.rho[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        oracle.from_dense(d)
 
 
 # The superoperator route against the definitions: Kraus sums through
@@ -736,26 +847,27 @@ _DENSE_INITS = {
 }
 
 
-def _immediate_step(d, ins, noise, records, cache):
+def _immediate_step(d, ins, s, readouts, records):
     """``_step`` as a run of its own, with whatever it leaves pending applied at once."""
     v, pending = oracle._Vec(d), {}
-    oracle._step(v, ins, noise, records, pending, cache)
+    oracle._step(v, ins, s, readouts, records, pending)
     oracle._finish(v, pending)
 
 
 def _immediate_schedule(d, schedule, noise):
-    records, cache = [], {}
+    records, readouts = [], oracle._readouts(noise.d1, noise.d2)
     for part in schedule.partitions:
         for ins in part.members:
-            _immediate_step(d, ins, noise, records, cache)
+            _immediate_step(d, ins, _gate_channel(ins, noise), readouts, records)
         oracle.dense_memory_step(d, *noise.pair(part.category), noise.p)
     return records
 
 
 def _immediate_instructions(d, instructions):
-    records = []
+    records, readouts = [], oracle._readouts(1.0, 1.0)
     for ins in instructions:
-        _immediate_step(d, ins, None, records, {})
+        u = oracle._GATE_UNITARY.get(ins.kind)
+        _immediate_step(d, ins, None if u is None else oracle.superop([u(ins.angles)]), readouts, records)
     return records
 
 

@@ -121,3 +121,15 @@ def test_replay_matches_a_deep_small_circuit(replay):
         "init": "zero", "shots": 1000, "seed": 5,
     }
     assert replay.REPLAY["run"](replay.Tracer(), op) == _entry_point_digest(replay, op)
+
+
+def test_replay_matches_a_verify7_circuit(replay):
+    # a 7-qubit verify of the verify7 mix under its noise, memory noise on in
+    # every category: the replay's per-call decohere and decay against the
+    # engine's run-built memory PTMs, and the oracle's run-built channels
+    workloads = _load("workloads")
+    circuit = workloads.mixed_circuit(np.random.default_rng(22), 7, workloads.VERIFY7_MIX)
+    noise = workloads.NOISE["verify7"]
+    assert all(noise[k] < 1.0 for k in ("f", "g", "f_meas", "g_meas"))
+    op = {"kind": "verify", "circuit": circuit, "noise": workloads.noise_text(noise), "init": "thermal"}
+    assert replay.REPLAY["verify"](replay.Tracer(), op) == _entry_point_digest(replay, op)

@@ -203,6 +203,15 @@ def test_validate_rejects_wrong_trace_and_purity():
         s.validate()
 
 
+def test_validate_refuses_a_nan():
+    # in the trace coefficient, and in any other one, where purity is NaN first
+    for i, message in ((0, "trace coefficient"), (5, "purity bound")):
+        s = init_zero(2)
+        s.coeffs[i] = np.nan
+        with pytest.raises(StateFormatError, match=message):
+            s.validate()
+
+
 def test_capacity_cap_enforced():
     with pytest.raises(CapacityError):
         init_zero(DEFAULT_QUBIT_CAP + 1)

@@ -1,5 +1,6 @@
 """tools/ab_pairs.py: it refuses a run that is not clean or checkouts at paths of
-different lengths, and it writes the gain rule and the no-regression check."""
+different lengths, and it writes the gain rule, the no-regression check and a
+traced run of each side on every declared workload."""
 
 import importlib.util
 import json
@@ -12,10 +13,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_pairs.py"
 
-# a stand-in for perfbench/run.py: a clean run, or one of six ways to fail
+# a stand-in for perfbench/run.py: a clean run, or one of six ways to fail;
+# it reports its --trace flag as a metric
 _STUB = """
 import json, sys
 mode = {mode!r}
+trace = int(sys.argv[sys.argv.index("--trace") + 1])
 sys.stderr.write("stub says " + mode + "\\n")
 if mode == "crash":
     sys.exit(1)
@@ -23,19 +26,19 @@ if mode in ("silent", "garbled", "not_an_object"):
     print({{"silent": "", "garbled": "wall_s 1.0", "not_an_object": "[1, 2]"}}[mode])
     sys.exit(0)
 print(json.dumps({{"correct": mode != "wrong", "attempted": 2, "failed": int(mode == "failed"),
-                  "metrics": {{"wall_s": {{"value": 1.0}}}}}}))
+                  "metrics": {{"wall_s": {{"value": {wall!r}}}, "trace.on": {{"value": trace}}}}}}))
 """
 
 
-def _tree(root: Path, mode: str) -> Path:
+def _tree(root: Path, mode: str, wall: float = 1.0) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(_STUB.format(mode=mode))
+    (root / "perfbench" / "run.py").write_text(_STUB.format(mode=mode, wall=wall))
     return root
 
 
-def _ab(parent: Path, change: Path, pairs: int) -> subprocess.CompletedProcess:
+def _ab(parent: Path, change: Path, pairs: int, tag: str = "refusal_probe") -> subprocess.CompletedProcess:
     cmd = [sys.executable, str(TOOL), "--parent", str(parent), "--change", str(change),
-           "--workload", "verify7", "--pairs", str(pairs), "--tag", "refusal_probe"]
+           "--workload", "verify7", "--pairs", str(pairs), "--tag", tag]
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
@@ -60,6 +63,23 @@ def test_checkouts_at_paths_of_different_lengths_are_refused(tmp_path):
     run = _ab(parent, change, 2)
     assert run.returncode == 2 and "paths of equal length" in run.stderr
     assert not (ROOT / "BENCH_refusal_probe.json").exists()
+
+
+def test_the_record_holds_a_traced_run_of_each_side_on_every_workload(tmp_path):
+    parent, change = _tree(tmp_path / "parent", "clean", 2.0), _tree(tmp_path / "change", "clean")
+    path = ROOT / "BENCH_traced_probe.json"
+    try:
+        run = _ab(parent, change, 2, tag="traced_probe")
+        assert run.returncode == 0, run.stderr
+        record = json.loads(path.read_text())
+    finally:
+        path.unlink(missing_ok=True)
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    for side, wall in (("parent", 2.0), ("change", 1.0)):
+        traced = record[f"traced_{side}"]
+        assert list(traced) == declared
+        assert all(r["wall_s"] == wall and r["trace.on"] == 1 and r["seed"] == 1 for r in traced.values())
+        assert [r["trace.on"] for r in record["runs"][side]] == [0, 0]
 
 
 def _tool():

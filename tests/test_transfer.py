@@ -272,19 +272,22 @@ def test_a_second_far_cx_on_the_same_pair_allocates_only_its_output():
 def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
     seen = []
 
-    def spy(kernel):
+    def spy(kernel, name):
         def wrapped(state, *args):
-            seen.append(np.array(args[-1]))
+            if name == "_product":  # each transfer's kron powers
+                seen.extend(np.array(t) for powers in args[-1] for t in powers)
+            else:
+                seen.append(np.array(args[-1]))
             kernel(state, *args)
 
         return wrapped
 
-    # the public kernels, and the private step the engine and the readouts
-    # call with a row of a stack they checked once
+    # the public kernels, and the private steps the engine and the readouts
+    # call with matrices they checked once per run
     for module in (engine, gates, measurement, memory):
-        for name in ("apply_transfer", "apply_product", "_transfer"):
+        for name in ("apply_transfer", "apply_product", "_transfer", "_product"):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy(getattr(module, name)))
+                monkeypatch.setattr(module, name, spy(getattr(module, name), name))
     text = (
         "qubits 3\n"
         "h q[0]\nu1(0.3) q[1]\nu3(0.7,0.2,-0.4) q[2]\ncx q[0],q[1]\ncx q[2],q[0]\n"
@@ -295,6 +298,9 @@ def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
     run_circuit(text, noise)
     assert {t.shape for t in seen} == {(4, 4), (16, 16)}
     assert len(seen) >= 12
+    # the memory PTMs, which the engine composes through the product step
+    for t in (memory._decohere_transfer(0.9), memory._decay_transfer(0.9, 0.9)):
+        assert any(s.tobytes() == t.tobytes() for s in seen)
     for t in seen:
         assert t[0, 0] == 1.0 and not t[0, 1:].any()
 

@@ -5,13 +5,15 @@
 DIR is the root of a checkout.  Pair i runs ``perfbench/run.py --trace 0``
 once in each tree on seed ``--seed`` + i for the ``run_seconds`` that
 BENCHMARK.json sets, parent first in even pairs and change first in odd
-ones, so a drift in host speed hits both sides alike.  Then the change
-runs once traced (``--trace 1``) on every workload that BENCHMARK.json
-declares.  The record, at the root of the repository that
-holds this script, has every run's end-to-end metrics, each side's
+ones, so a drift in host speed hits both sides alike.  Then each tree,
+parent first, runs once traced (``--trace 1``) on every workload that
+BENCHMARK.json declares, so the record holds each layer's before and
+after from the same harness.  The record, at the root of the repository
+that holds this script, has every run's end-to-end metrics, each side's
 medians and quartiles, the share of pairs in which the change had the
 lower value (every end-to-end metric is better lower), the gain rule for
-each metric, and the traced per-layer metrics.  The gain rule holds when
+each metric, and the traced per-layer metrics of both sides
+(``traced_parent`` and ``traced_change``).  The gain rule holds when
 the change is lower in at least 9 of 10 pairs (a tie counts for neither
 side) and the parent's median exceeds the change's by more than the
 parent's quartile range.  Each end-to-end metric also gets a no-regression
@@ -123,7 +125,8 @@ def main() -> int:
     record["gain_rule"] = {m: gain_rule(record, m) for m in names}
     record["no_regression"] = {m["name"]: no_regression(record, m["name"], m["bound"])
                                for m in spec["end_to_end"] if m["name"] in names}
-    record["traced_change"] = {w: bench(args.change, w, args.seed, seconds, 1) for w in declared}
+    for side in ("parent", "change"):
+        record[f"traced_{side}"] = {w: bench(getattr(args, side), w, args.seed, seconds, 1) for w in declared}
     path = ROOT / f"BENCH_{args.tag or args.workload}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     for m in names:
