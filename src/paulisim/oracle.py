@@ -1,53 +1,43 @@
 """Dense-matrix reference simulator used to cross-check the Pauli-basis engine.
 
 Everything here works on explicit 2^n x 2^n complex density matrices in the
-computational basis.  One step interprets every instruction kind, for raw
-circuits run ideally (``run_instructions_dense``) and for compiled schedules
-under a noise model (``run_schedule_dense``), and every update it makes goes
-through one channel kernel: ``superop`` turns the channel's own Kraus
-operators, or a weighted set of unitaries, into a complex Liouville matrix
-S = sum w K kron conj(K), and ``_Vec`` applies S to the vectorised rho as
-one gemm.  Within one run ``_Vec`` keeps vec(rho) in a moved bit order with
-one spare buffer: a pass makes one transposed copy into the spare buffer
-that brings its qubits' row and column bits to the front, and only when
-they are not there already, then one gemm into the other buffer, and the
-two swap; nothing is copied back.  The copy is one numpy transpose
-assignment, whose loop merges the axes that stay adjacent.  The run puts
-rho back in (row, column) order, in its own buffer, once at its end;
-``apply_superop`` is that kernel run for one pass.  An ideal gate is the
-channel of its one unitary, built at its step; channels in sequence on the
-same qubits are composed into one S first, and channels on different qubits
-commute.  So within one run a one-qubit channel (a gate, a noisy rotation
-mixture, reset, the memory step, and each one-qubit readout channel) makes
-no pass: it composes into its qubit's pending 4x4 factor.  A cx, ccx or
-``bell`` takes its qubits' pending factors into its own S and makes one
-pass, ``ensemble`` applies every factor in ceil(n/2) pair passes, and the
-run applies what is left, two qubits per pass, before it returns.
-A run builds every other channel once, before its loop, and hands it to
-the one step ``_step``: the readout channels, and in a noisy run the u1
-and u3 rotation mixtures as one (N, 4, 4) stack per axis from this
-module's own rotation unitaries, one per use and with one completeness
-check per stack, each u3 as two stacked matmuls, the cx mixture, and one
-memory channel per (f, g) pair, which after each partition composes into
-every qubit's factor in one stacked matmul.
-Every readout has one channel, built by ``_readout_channel``: the
-projective measurement with weight d and full depolarisation of its qubits
-with weight 1 - d.  Each readout reads its record from the state that
-channel leaves, as Tr(P rho'): ``measure`` and ``expect`` pull each
-qubit's effect back through that qubit's pending factor, its readout
-channel included, and contract the results with the partial trace of rho
-to their qubits, which a trace-preserving factor pending on any other
-qubit cannot change; ``bell`` from the partial trace after its pass;
-``ensemble`` from the diagonal.  The public ``dense_*`` readouts are the
-same steps, each run on its own.
-``apply_kraus`` and ``apply_unitary`` stay as the plain definitions that
-route is pinned to in tests, and ``expectation`` as the whole-matrix route
-the records are pinned to; these three contract through
-``_apply_on_axes``' tensordot, a route the kernel does not share.  Every
-contraction refuses a qubit outside the state or listed twice.  The point
-is an independent second route for every operation the coefficient engine
-implements: nothing here comes from the engine's kernels.  Intended for
-n <= ``ORACLE_QUBIT_CAP``.
+computational basis.  The point is an independent second route for every
+operation the coefficient engine implements: nothing here comes from the
+engine's kernels.  Intended for n <= ``ORACLE_QUBIT_CAP``.
+
+Every channel is a complex Liouville matrix S = sum w K kron conj(K)
+(``superop``) of its own Kraus operators or of a weighted set of unitaries,
+and S2 @ S1 is S1 followed by S2.  A run is one ``_Run`` over one
+DenseState: vec(rho) in a moved bit order with one spare buffer, one
+pending 4x4 factor per qubit, the run's readout channels and its records.
+Both entry points loop over its ``step``: ``run_instructions_dense`` runs
+raw instructions ideally, each gate the channel of its unitary, and
+``run_schedule_dense`` runs a compiled schedule under a noise model, with
+every channel built once before its loop (the rotation mixtures as one
+stack per axis) and each partition's memory channel composed into every
+qubit's factor by ``end_partition``.
+
+A one-qubit channel makes no pass: ``defer`` composes it after its qubit's
+factor.  That covers gates, rotation mixtures, reset, the memory step and
+the readout channels of ``measure`` and ``expect``, which read their record
+by pulling each qubit's effect back through its factor and contracting it
+with the partial trace of rho to their qubits.  Every other update is one
+pass, ``_Run.apply``: it takes the listed qubits' factors, composes its S
+after them, and makes at most one transposed copy into the spare buffer
+and one gemm; nothing is copied back.  A cx, ccx or ``bell`` is one pass,
+``ensemble`` applies every factor in ceil(n/2) pair passes and reads the
+diagonal, and ``finish`` applies what is left in pairs and puts rho back in
+(row, column) order in its own buffer.  Every readout has one channel,
+built by ``_readout_channel``: the projective measurement with weight d and
+full depolarisation of its qubits with weight 1 - d; its record is read
+from the state that channel leaves.
+
+``apply_kraus`` and ``apply_unitary`` stay as the plain definitions the
+passes are pinned to in tests, and ``expectation`` as the whole-matrix
+route the records are pinned to; these three contract through
+``_apply_on_axes``' tensordot, a route the run does not share.  Every
+contraction and every run refuses a qubit outside the state or listed
+twice.
 """
 
 from __future__ import annotations
@@ -264,68 +254,6 @@ def _transposed_copy(src: np.ndarray, src_axes: list, dst: np.ndarray, dst_axes:
     dst.reshape((2,) * m)[...] = src.reshape((2,) * m).transpose([at[a] for a in dst_axes])
 
 
-class _Vec:
-    """vec(rho) of one DenseState in a moved bit order, with one spare buffer.
-
-    The current buffer ``cur`` holds the 4^n entries of the row-major
-    vec(rho) as a (2,) * 2n tensor whose axis i holds bit ``axes[i]``: bit
-    n + q is qubit q's row bit and bit q its column bit, so (2n - 1, ..., 0)
-    is (row, column) order.  A pass on k qubits needs their row bits, then
-    their column bits, each in the listed order, as the leading 2k axes.
-    Unless they are there already, one transposed copy into the spare
-    buffer brings them to the front, every other bit keeping its order, and
-    the two buffers swap.  Then one gemm S @ cur, as a (4^k, 4^n / 4^k)
-    matrix, writes into the spare buffer and the buffers swap again: no
-    copy goes back.
-    ``restore`` puts rho in (row, column) order in d.rho's own buffer.
-    """
-
-    def __init__(self, d: DenseState):
-        d.rho = np.require(d.rho, np.complex128, "CW")
-        self.n = d.n
-        self.home = self.cur = d.rho.reshape(-1)
-        self.spare = np.empty_like(self.cur)
-        self.axes = list(range(2 * d.n - 1, -1, -1))
-
-    def _move(self, axes: list) -> None:
-        _transposed_copy(self.cur, self.axes, self.spare, axes)
-        self.axes = axes
-        self.cur, self.spare = self.spare, self.cur
-
-    def apply(self, s: np.ndarray, qubits: tuple[int, ...]) -> None:
-        """rho <- S(rho) for a ``superop`` matrix on the listed qubits."""
-        n, k = self.n, len(qubits)
-        _check_qubits(n, qubits, s, base=4)
-        front = [n + q for q in qubits] + list(qubits)
-        if self.axes[: 2 * k] != front:
-            self._move(front + [a for a in self.axes if a not in front])
-        np.matmul(s, self.cur.reshape(4**k, -1), out=self.spare.reshape(4**k, -1))
-        self.cur, self.spare = self.spare, self.cur
-
-    def restore(self) -> None:
-        """Put rho in (row, column) order in d.rho's own buffer."""
-        rows_then_columns = list(range(2 * self.n - 1, -1, -1))
-        if self.cur is self.home and self.axes != rows_then_columns:
-            self._move(rows_then_columns)
-        if self.cur is not self.home:
-            _transposed_copy(self.cur, self.axes, self.home, rows_then_columns)
-            self.cur, self.spare = self.spare, self.cur
-        self.axes = rows_then_columns
-
-
-def apply_superop(d: DenseState, s: np.ndarray, qubits: tuple[int, ...]) -> None:
-    """In-place rho <- S(rho) for a ``superop`` matrix on the listed qubits.
-
-    One pass of the run kernel ``_Vec``, then rho back in order: a
-    transposed copy into the spare buffer, the gemm into rho's own buffer, a
-    transposed copy back into the spare buffer and a plain copy into rho.
-    The spare buffer is the only array it allocates.
-    """
-    v = _Vec(d)
-    v.apply(s, qubits)
-    v.restore()
-
-
 def _kron_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Liouville matrix of channel a on the first listed qubits and b on the rest.
 
@@ -341,34 +269,6 @@ def _kron_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _IDENTITY_1Q = np.eye(4, dtype=np.complex128)
 
 
-def _defer(pending: dict, q: int, s: np.ndarray) -> None:
-    """Compose the one-qubit channel ``s`` after qubit q's pending factor."""
-    pending[q] = s @ pending[q] if q in pending else s
-
-
-def _take(pending: dict, qubits) -> np.ndarray:
-    """Remove the listed qubits' pending factors and return them as one
-    Liouville matrix, the first listed kron-major; a qubit with none takes I."""
-    s = pending.pop(qubits[0], _IDENTITY_1Q)
-    for q in qubits[1:]:
-        s = _kron_superop(s, pending.pop(q, _IDENTITY_1Q))
-    return s
-
-
-def _apply_pending(v: _Vec, pending: dict, qubits) -> None:
-    """Apply, and remove, the pending factors of ``qubits``: two qubits per pass."""
-    held = [q for q in qubits if q in pending]
-    for i in range(0, len(held), 2):
-        pair = tuple(held[i : i + 2])
-        v.apply(_take(pending, pair), pair)
-
-
-def _finish(v: _Vec, pending: dict) -> None:
-    """Apply every factor still pending, two qubits per pass, and put rho back in order."""
-    _apply_pending(v, pending, range(v.n))
-    v.restore()
-
-
 def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float:
     """Tr(rho * op) for an operator embedded on the listed qubits."""
     _check_qubits(d.n, qubits, op)
@@ -376,46 +276,6 @@ def expectation(d: DenseState, op: np.ndarray, qubits: tuple[int, ...]) -> float
     row_axes = tuple(d.n - 1 - q for q in qubits)
     t = _apply_on_axes(t, op, row_axes)
     return float(np.trace(t.reshape(2**d.n, 2**d.n)).real)
-
-
-def _reduced(v: _Vec, qubits: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of v's rho over every qubit not listed, in an array of its
-    own; the first listed is kron-major."""
-    n, m = v.n, len(qubits)
-    _check_qubits(n, qubits)
-    # a row bit n + q of a qubit traced out shares its column bit's label q
-    labels = [a - n if a >= n and a - n not in qubits else a for a in v.axes]
-    # with nothing traced out einsum returns a view of rho, so copy
-    out = np.einsum(v.cur.reshape((2,) * (2 * n)), labels, [n + q for q in qubits] + list(qubits))
-    return out.copy().reshape(2**m, 2**m)
-
-
-def _read(v: _Vec, pending: dict, qubits: tuple[int, ...], effects: list[np.ndarray]) -> float:
-    """Tr(E rho') for E = effects[0] kron effects[1] kron ..., one 2x2
-    effect per listed qubit, and rho' v's rho with their pending factors
-    applied; the factors stay pending on rho.
-
-    Each effect is pulled back through its qubit's factor S instead:
-    Tr(E S(rho)) = Tr(F rho) with vec(F^T) = S^T vec(E^T).  A factor pending
-    on any other qubit is trace-preserving, so it cannot change the result.
-    The pulled-back effects are contracted with the partial trace of rho to
-    ``qubits`` one qubit at a time, the first listed (kron-major) first.
-    """
-    rho = _reduced(v, qubits)
-    for q, e in zip(qubits, effects):
-        if q in pending:
-            e = (pending[q].T @ e.T.reshape(-1)).reshape(2, 2).T
-        h = len(rho) // 2
-        rho = np.einsum("aibj,ba->ij", rho.reshape(2, h, 2, h), e)
-    return float(rho[0, 0].real)
-
-
-def _diagonal(v: _Vec) -> np.ndarray:
-    """The diagonal of v's rho, as real numbers in an array of its own."""
-    n = v.n
-    labels = [a - n if a >= n else a for a in v.axes]  # row bit n + q shares column bit q's label
-    diagonal = np.einsum(v.cur.reshape((2,) * (2 * n)), labels, list(range(n - 1, -1, -1)))
-    return np.array(diagonal.real).reshape(-1)
 
 
 def _trace_product(op: np.ndarray, rho: np.ndarray) -> float:
@@ -531,65 +391,6 @@ def _axis_readout(axis: tuple[float, float, float], d: float) -> np.ndarray:
     return _readout_channel(_axis_projectors(_axis_observable(axis)), d)
 
 
-# Each readout composes its channel, built by its caller, into its qubits'
-# pending factors and then reads its record.  Each takes the run's kernel
-# ``v`` and its pending factors; ``_alone`` runs one on a DenseState by itself.
-
-
-def _measure(v: _Vec, pending: dict, k: int, axis: tuple, s: np.ndarray) -> tuple:
-    """(p_plus, p_minus) of qubit k measured along ``axis``, whose readout
-    channel is ``s``: no pass over rho."""
-    _defer(pending, k, s)
-    p_plus = _read(v, pending, (k,), _axis_projectors(_axis_observable(axis))[:1])
-    return (p_plus, 1.0 - p_plus)
-
-
-def _expect(v: _Vec, pending: dict, labels: list[int], axes: tuple) -> float:
-    """The Pauli string with SIGMA[labels[q]] on qubit q, ``axes`` the x, y
-    and z readout channels: no pass over rho."""
-    for q, label in enumerate(labels):
-        if label:
-            _defer(pending, q, axes[label - 1])
-    support = tuple(q for q in reversed(range(v.n)) if labels[q])
-    return _read(v, pending, support, [SIGMA[labels[q]] for q in support])
-
-
-def _ensemble(v: _Vec, pending: dict, s: np.ndarray) -> np.ndarray:
-    """Every computational-basis outcome's probability, ``s`` the z readout
-    channel: ceil(n/2) passes."""
-    for q in range(v.n):
-        _defer(pending, q, s)
-    _apply_pending(v, pending, range(v.n))
-    return _diagonal(v)
-
-
-def _alone(d: DenseState, readout, *args):
-    """``readout`` on d as a run of its own: a fresh pending dict, and what
-    is left pending applied before it returns."""
-    v, pending = _Vec(d), {}
-    value = readout(v, pending, *args)
-    _finish(v, pending)
-    return value
-
-
-def dense_measure_qubit(
-    d: DenseState, k: int, axis_vec: np.ndarray, d1: float
-) -> tuple[float, float]:
-    """Single-qubit measurement along an axis: (p_plus, p_minus) with damping d1."""
-    axis = tuple(float(a) for a in axis_vec)
-    return _alone(d, _measure, k, axis, _axis_readout(axis, d1))
-
-
-def dense_expect_string(d: DenseState, labels: list[int], d1: float) -> float:
-    """Expectation of a Pauli string with readout damping; updates the state."""
-    return _alone(d, _expect, labels, _readouts(d1, 1.0)[0])
-
-
-def dense_ensemble(d: DenseState, d1: float) -> np.ndarray:
-    """All-qubit computational-basis outcome probabilities; updates the state."""
-    return _alone(d, _ensemble, _axis_readout(_AXES[2], d1))
-
-
 BELL_SIGNS = {
     "phi+": (1.0, -1.0, 1.0),
     "phi-": (-1.0, 1.0, 1.0),
@@ -609,36 +410,14 @@ def _bell_projector(signs: tuple[float, float, float]) -> np.ndarray:
 _BELL_PROJECTORS = tuple(_bell_projector(signs) for signs in BELL_SIGNS.values())
 
 
-def _bell_readout(d2: float) -> np.ndarray:
-    return _readout_channel(list(_BELL_PROJECTORS), d2)
-
-
 def _readouts(d1: float, d2: float) -> tuple:
     """A run's readout channels: the x, y and z readouts with damping d1,
     and the Bell readout with damping d2."""
-    return tuple(_axis_readout(axis, d1) for axis in _AXES), _bell_readout(d2)
-
-
-def _bell(v: _Vec, pending: dict, k: int, l: int, s: np.ndarray) -> dict[str, float]:
-    """Bell-basis probabilities of qubits (k, l), whose readout channel is
-    ``s``: one pass, which takes their factors."""
-    v.apply(s @ _take(pending, (k, l)), (k, l))
-    pair = _reduced(v, (k, l))
-    return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, _BELL_PROJECTORS)}
-
-
-def dense_bell(d: DenseState, k: int, l: int, d2: float) -> dict[str, float]:
-    """Bell-basis measurement of qubits (k, l) with damping d2; updates state."""
-    return _alone(d, _bell, k, l, _bell_readout(d2))
+    return tuple(_axis_readout(axis, d1) for axis in _AXES), _readout_channel(list(_BELL_PROJECTORS), d2)
 
 
 # the superoperator of reset: rho -> P0 rho P0 + X P1 rho P1 X
 _RESET = superop([m @ p for m, p in zip(SIGMA[:2], _axis_projectors(SIGMA[3]))])
-
-
-def dense_reset(d: DenseState, k: int) -> None:
-    """rho -> P0 rho P0 + X P1 rho P1 X on qubit k."""
-    apply_superop(d, _RESET, (k,))
 
 
 # ---------------------------------------------------------------------------
@@ -666,15 +445,6 @@ def decay_kraus(g: float, p: float) -> list[np.ndarray]:
 def _memory_channel(f: float, g: float, p: float) -> np.ndarray:
     """The one-qubit decoherence + decay superoperator."""
     return superop(decay_kraus(g, p)) @ superop(decohere_kraus(f))
-
-
-def dense_memory_step(d: DenseState, f: float, g: float, p: float) -> None:
-    """Apply one decoherence + decay step to every qubit.
-
-    The composed one-qubit superoperator is applied to two qubits per
-    contraction, as its 16x16 pair form, which halves the passes over rho.
-    """
-    _finish(_Vec(d), dict.fromkeys(range(d.n), _memory_channel(f, g, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -747,16 +517,19 @@ def _cx_mixture(alpha: float, r: float) -> np.ndarray:
     return superop([cnot_matrix(alpha + delta0), cnot_matrix(alpha - delta0)], [0.5, 0.5])
 
 
-def _schedule_channels(schedule, noise) -> tuple:
-    """Every noisy gate and memory channel a run of ``schedule`` needs, each built once.
+def _schedule_channels(n: int, schedule, noise) -> tuple:
+    """Every noisy gate and memory channel a run of ``schedule`` on n qubits
+    needs, each built once.
 
-    One walk refuses a kind no schedule holds, before rho changes, and
-    gathers the angles.  The u1 angles and the u3 phis and lambdas make one
-    z stack and the u3 thetas one y stack (``_rotation_mixtures``), and
-    each u3's Rz(phi) Ry(theta) Rz(lam) is two stacked matmuls, associated
-    as (Rz Ry) Rz.  Returns an iterator over every member's gate channel
-    in schedule order (None for a member that is not a gate) and the memory
-    channel of each (f, g) pair of the schedule's partition categories.
+    One walk refuses, before rho changes, a kind no schedule holds and a
+    member on a qubit outside the state or on one qubit twice, and gathers
+    the angles.  The u1 angles and the u3 phis and lambdas make one z stack
+    and the u3 thetas one y stack (``_rotation_mixtures``), and each u3's
+    Rz(phi) Ry(theta) Rz(lam) is two stacked matmuls, associated as
+    (Rz Ry) Rz.  Returns an iterator over every member's gate channel in
+    schedule order (None for a member that is not a gate) and the memory
+    channel of each (f, g) pair of the schedule's partition categories:
+    None for f = g = 1, whose step is the identity.
     """
     kinds, u1, u3 = [], [], []
     for part in schedule.partitions:
@@ -764,6 +537,7 @@ def _schedule_channels(schedule, noise) -> tuple:
             k = ins.kind
             if k not in _SCHEDULE_KINDS:
                 raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
+            _check_qubits(n, ins.qubits)
             kinds.append(k)
             if k == "u1":
                 u1.append(ins.angles[0])
@@ -778,106 +552,234 @@ def _schedule_channels(schedule, noise) -> tuple:
         stacks["cx"] = itertools.repeat(_cx_mixture(noise.alpha_cx, noise.r_cx))
     gates = [next(stacks[k]) if k in stacks else None for k in kinds]
     pairs = {noise.pair(part.category) for part in schedule.partitions}
-    return iter(gates), {fg: _memory_channel(*fg, noise.p) for fg in pairs}
+    return iter(gates), {fg: None if fg == (1.0, 1.0) else _memory_channel(*fg, noise.p) for fg in pairs}
 
 
-def _defer_all(pending: dict, n: int, s: np.ndarray) -> None:
-    """``_defer`` of ``s`` on each of the n qubits: one stacked matmul
-    composes it after every pending factor, and a qubit with none takes s."""
-    held = list(pending)
-    if held:
-        pending.update(zip(held, np.matmul(s, np.array([pending[q] for q in held]))))
-    for q in range(n):
-        pending.setdefault(q, s)
+class _Run:
+    """One oracle run over a DenseState: vec(rho), the pending factors, the
+    readout channels and the records.
 
-
-def _step(v: _Vec, ins, s, readouts: tuple, records: list, pending: dict) -> None:
-    """Apply one instruction to the run's rho ``v``, appending a record for each readout.
-
-    ``s`` is the channel of a gate, built by the caller (None for any other
-    kind), and ``readouts`` the run's readout channels (``_readouts``).  A
-    one-qubit channel makes no pass: it composes into ``pending``, which
-    maps a qubit to the 4x4 factor still to be applied to it.  So does each
-    one-qubit readout channel, and ``measure`` and ``expect`` read their
-    record from the partial trace to their qubits with each effect pulled
-    back through its qubit's factor.  A cx, ccx or ``bell`` takes its
-    qubits' factors into its own S and makes one pass; ``ensemble`` applies
-    every factor in ceil(n/2) pair passes and reads the diagonal.  A
-    barrier does nothing.
+    ``cur`` holds the 4^n entries of the row-major vec(rho) as a (2,) * 2n
+    tensor whose axis i holds bit ``axes[i]``: bit n + q is qubit q's row
+    bit and bit q its column bit, so (2n - 1, ..., 0) is (row, column)
+    order.  ``spare`` is the one other buffer, and ``home`` d.rho's own.
+    ``pending`` maps a qubit to the 4x4 factor still to be applied to it,
+    ``axis_readouts`` and ``bell_readout`` are ``_readouts``' pair, and
+    ``records`` gets one record per readout.  ``finish`` leaves rho in
+    order in d.rho's own buffer.
     """
-    k = ins.kind
-    axes, bell = readouts
-    if k in _MEASURE_AXES:
-        q, i = ins.qubits[0], _MEASURE_AXES[k]
-        records.append(("measure", q, k, _measure(v, pending, q, _AXES[i], axes[i])))
-        return
-    if k == "expect":
-        labels = ["IXYZ".index(ch) for ch in reversed(ins.string)]  # qubit 0 rightmost
-        records.append(("expect", ins.string, _expect(v, pending, labels, axes)))
-        return
-    if k == "ensemble":
-        probs = _ensemble(v, pending, axes[2])
-        records.append(("ensemble", {format(i, f"0{v.n}b"): float(p) for i, p in enumerate(probs)}))
-        return
-    if k == "bell":
-        records.append(("bell", ins.qubits, _bell(v, pending, *ins.qubits, bell)))
-        return
-    if k == "reset":
-        s = _RESET
-    elif s is None:
-        if k == "barrier":
+
+    def __init__(self, d: DenseState, readouts: tuple):
+        d.rho = np.require(d.rho, np.complex128, "CW")
+        self.n = d.n
+        self.home = self.cur = d.rho.reshape(-1)
+        self.spare = np.empty_like(self.cur)
+        self.axes = list(range(2 * d.n - 1, -1, -1))
+        self.pending: dict[int, np.ndarray] = {}
+        self.axis_readouts, self.bell_readout = readouts
+        self.records: list = []
+
+    def _move(self, axes: list) -> None:
+        _transposed_copy(self.cur, self.axes, self.spare, axes)
+        self.axes = axes
+        self.cur, self.spare = self.spare, self.cur
+
+    def apply(self, qubits: tuple[int, ...], s: np.ndarray | None = None) -> None:
+        """One pass: the listed qubits' pending factors, taken, then ``s``.
+
+        The factors make one Liouville matrix, the first listed qubit
+        kron-major and a qubit with none taking I, and ``s``, a ``superop``
+        matrix on the listed qubits, composes after it; with no factor
+        pending on any of them the pass is ``s`` alone.  Unless the qubits'
+        row bits, then their column bits, each in the listed order, lead the
+        axes already, one transposed copy into the spare buffer brings them
+        to the front, every other bit keeping its order, and the buffers
+        swap.  Then one gemm, as a (4^k, 4^n / 4^k) matrix, writes into the
+        spare buffer and they swap again: no copy goes back.
+        """
+        n, k = self.n, len(qubits)
+        _check_qubits(n, qubits, s, base=4)
+        t = s
+        if any(q in self.pending for q in qubits):
+            t = self.pending.pop(qubits[0], _IDENTITY_1Q)
+            for q in qubits[1:]:
+                t = _kron_superop(t, self.pending.pop(q, _IDENTITY_1Q))
+            if s is not None:
+                t = s @ t
+        front = [n + q for q in qubits] + list(qubits)
+        if self.axes[: 2 * k] != front:
+            self._move(front + [a for a in self.axes if a not in front])
+        np.matmul(t, self.cur.reshape(4**k, -1), out=self.spare.reshape(4**k, -1))
+        self.cur, self.spare = self.spare, self.cur
+
+    def defer(self, q: int, s: np.ndarray) -> None:
+        """Compose the one-qubit channel ``s`` after qubit q's pending factor: no pass."""
+        _check_qubits(self.n, (q,))
+        self.pending[q] = s @ self.pending[q] if q in self.pending else s
+
+    def end_partition(self, s: np.ndarray | None) -> None:
+        """``defer`` of the memory channel ``s`` on every qubit: one stacked
+        matmul composes it after every pending factor, and a qubit with none
+        takes s.  None is the f = g = 1 step, which composes nothing."""
+        if s is None:
             return
-        raise ValueError(f"unknown instruction kind {k!r}")
-    if len(ins.qubits) == 1:
-        _defer(pending, ins.qubits[0], s)
-    else:
-        v.apply(s @ _take(pending, ins.qubits), ins.qubits)
+        held = list(self.pending)
+        if held:
+            self.pending.update(zip(held, np.matmul(s, np.array([self.pending[q] for q in held]))))
+        for q in range(self.n):
+            self.pending.setdefault(q, s)
+
+    def _apply_pending(self) -> None:
+        """Apply every pending factor, two qubits per pass, in qubit order."""
+        held = sorted(self.pending)
+        for i in range(0, len(held), 2):
+            self.apply(tuple(held[i : i + 2]))
+
+    def finish(self) -> None:
+        """Apply every factor still pending, two qubits per pass, and put rho
+        back in (row, column) order in d.rho's own buffer."""
+        self._apply_pending()
+        order = list(range(2 * self.n - 1, -1, -1))
+        if self.cur is self.home and self.axes != order:
+            self._move(order)
+        if self.cur is not self.home:
+            _transposed_copy(self.cur, self.axes, self.home, order)
+            self.cur, self.spare = self.spare, self.cur
+        self.axes = order
+
+    def _reduced(self, qubits: tuple[int, ...]) -> np.ndarray:
+        """Partial trace of rho over every qubit not listed, in an array of
+        its own; the first listed is kron-major."""
+        n, m = self.n, len(qubits)
+        _check_qubits(n, qubits)
+        # a row bit n + q of a qubit traced out shares its column bit's label q
+        labels = [a - n if a >= n and a - n not in qubits else a for a in self.axes]
+        # with nothing traced out einsum returns a view of rho, so copy
+        out = np.einsum(self.cur.reshape((2,) * (2 * n)), labels, [n + q for q in qubits] + list(qubits))
+        return out.copy().reshape(2**m, 2**m)
+
+    def _diagonal(self) -> np.ndarray:
+        """The diagonal of rho, as real numbers in an array of its own."""
+        n = self.n
+        labels = [a - n if a >= n else a for a in self.axes]  # row bit n + q shares column bit q's label
+        diagonal = np.einsum(self.cur.reshape((2,) * (2 * n)), labels, list(range(n - 1, -1, -1)))
+        return np.array(diagonal.real).reshape(-1)
+
+    def _read(self, qubits: tuple[int, ...], effects: list[np.ndarray]) -> float:
+        """Tr(E rho') for E = effects[0] kron effects[1] kron ..., one 2x2
+        effect per listed qubit, and rho' rho with their pending factors
+        applied; the factors stay pending.
+
+        Each effect is pulled back through its qubit's factor S instead:
+        Tr(E S(rho)) = Tr(F rho) with vec(F^T) = S^T vec(E^T).  A factor
+        pending on any other qubit is trace-preserving, so it cannot change
+        the result.  The pulled-back effects are contracted with the partial
+        trace of rho to ``qubits`` one qubit at a time, the first listed
+        (kron-major) first.
+        """
+        rho = self._reduced(qubits)
+        for q, e in zip(qubits, effects):
+            if q in self.pending:
+                e = (self.pending[q].T @ e.T.reshape(-1)).reshape(2, 2).T
+            h = len(rho) // 2
+            rho = np.einsum("aibj,ba->ij", rho.reshape(2, h, 2, h), e)
+        return float(rho[0, 0].real)
+
+    def measure(self, q: int, axis: tuple, s: np.ndarray) -> tuple:
+        """(p_plus, p_minus) of qubit q measured along ``axis``, whose readout
+        channel is ``s``: no pass over rho."""
+        self.defer(q, s)
+        p_plus = self._read((q,), _axis_projectors(_axis_observable(axis))[:1])
+        return (p_plus, 1.0 - p_plus)
+
+    def expect(self, labels: list[int]) -> float:
+        """The Pauli string with SIGMA[labels[q]] on qubit q: no pass over rho."""
+        for q, label in enumerate(labels):
+            if label:
+                self.defer(q, self.axis_readouts[label - 1])
+        support = tuple(q for q in reversed(range(self.n)) if labels[q])
+        return self._read(support, [SIGMA[labels[q]] for q in support])
+
+    def ensemble(self) -> np.ndarray:
+        """Every computational-basis outcome's probability: ceil(n/2) passes."""
+        for q in range(self.n):
+            self.defer(q, self.axis_readouts[2])
+        self._apply_pending()
+        return self._diagonal()
+
+    def bell(self, k: int, l: int) -> dict[str, float]:
+        """Bell-basis probabilities of qubits (k, l): one pass, which takes their factors."""
+        self.apply((k, l), self.bell_readout)
+        pair = self._reduced((k, l))
+        return {lab: _trace_product(b, pair) for lab, b in zip(BELL_SIGNS, _BELL_PROJECTORS)}
+
+    def step(self, ins, s: np.ndarray | None) -> None:
+        """Apply one instruction, appending a record for each readout.
+
+        ``s`` is the channel of a gate, built by the caller (None for any
+        other kind).  A one-qubit channel is deferred; a cx or ccx is one
+        pass; a barrier does nothing.
+        """
+        k = ins.kind
+        if k in _MEASURE_AXES:
+            q, i = ins.qubits[0], _MEASURE_AXES[k]
+            self.records.append(("measure", q, k, self.measure(q, _AXES[i], self.axis_readouts[i])))
+        elif k == "expect":
+            labels = ["IXYZ".index(ch) for ch in reversed(ins.string)]  # qubit 0 rightmost
+            self.records.append(("expect", ins.string, self.expect(labels)))
+        elif k == "ensemble":
+            probs = self.ensemble()
+            self.records.append(("ensemble", {format(i, f"0{self.n}b"): float(p) for i, p in enumerate(probs)}))
+        elif k == "bell":
+            self.records.append(("bell", ins.qubits, self.bell(*ins.qubits)))
+        elif k == "reset":
+            self.defer(ins.qubits[0], _RESET)
+        elif s is None:
+            if k != "barrier":
+                raise ValueError(f"unknown instruction kind {k!r}")
+        elif len(ins.qubits) == 1:
+            self.defer(ins.qubits[0], s)
+        else:
+            self.apply(ins.qubits, s)
 
 
 def run_instructions_dense(d: DenseState, instructions) -> list:
     """Execute raw instructions in source order with zero noise.
 
-    The same step as ``run_schedule_dense`` with no noise: each gate is the
-    channel of its exact unitary, built at its step, measurements are ideal
-    projective channels (with their non-selective updates), barriers do
-    nothing.  The one-qubit channels left pending are applied, and rho put
-    back in (row, column) order in d.rho's own buffer, before it returns, or
-    raises with every instruction before the failing one applied.  Returns
-    the measurement records as plain tuples; mutates ``d``.
+    One ``_Run`` steps through them: each gate is the channel of its exact
+    unitary, built at its step, measurements are ideal projective channels
+    (with their non-selective updates), barriers do nothing, and a qubit
+    outside the state raises ``IndexError`` at its step.  The run finishes
+    before it returns, or raises with every instruction before the failing
+    one applied.  Returns the measurement records as plain tuples; mutates
+    ``d``.
     """
-    readouts = _readouts(1.0, 1.0)
-    v, pending, records = _Vec(d), {}, []
+    run = _Run(d, _readouts(1.0, 1.0))
     try:
         for ins in instructions:
             u = _GATE_UNITARY.get(ins.kind)
-            _step(v, ins, None if u is None else superop([u(ins.angles)]), readouts, records, pending)
+            run.step(ins, None if u is None else superop([u(ins.angles)]))
     finally:
-        _finish(v, pending)
-    return records
+        run.finish()
+    return run.records
 
 
 def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     """Execute a compiled schedule with the full noise model, densely.
 
-    Before its loop the run builds every noisy channel it needs once
-    (``_schedule_channels``): the u1 and u3 rotation mixtures as one stack
-    per axis, one per use, the cx mixture, the readout channels, and one
-    memory channel per distinct (f, g) pair of the partition categories.
-    Each member then goes through the same step as
-    ``run_instructions_dense``, and after every partition its category's
-    memory channel composes into every qubit's pending factor in one
-    stacked matmul, so a memory step makes no pass of its own.  What is
-    still pending is applied, two qubits per pass, and rho put back in
-    order, as ``run_instructions_dense`` does.
+    Before rho changes the run walks the schedule and builds every noisy
+    channel it needs once (``_schedule_channels``).  One ``_Run`` then steps
+    through the members as ``run_instructions_dense`` does, and after every
+    partition ``end_partition`` composes its category's memory channel into
+    every qubit's pending factor, so a memory step makes no pass of its own.
     """
-    gates, memory = _schedule_channels(schedule, noise)
-    readouts = _readouts(noise.d1, noise.d2)
-    v, pending, records = _Vec(d), {}, []
+    gates, memory = _schedule_channels(d.n, schedule, noise)
+    run = _Run(d, _readouts(noise.d1, noise.d2))
     try:
         for part in schedule.partitions:
             for ins in part.members:
-                _step(v, ins, next(gates), readouts, records, pending)
-            _defer_all(pending, d.n, memory[noise.pair(part.category)])
+                run.step(ins, next(gates))
+            run.end_partition(memory[noise.pair(part.category)])
     finally:
-        _finish(v, pending)
-    return records
+        run.finish()
+    return run.records

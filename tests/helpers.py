@@ -85,6 +85,18 @@ def random_pauli_state(rng: np.random.Generator, n: int) -> PauliState:
     return oracle.random_state(n, rng)
 
 
+def run_alone(d: oracle.DenseState, call):
+    """``call(run)`` on a dense-oracle run of its own over ``d``, for the steps
+    no instruction can write: a raw Liouville pass (``run.apply``) or a
+    measurement along a tilted axis (``run.measure``).  What the call leaves
+    pending is applied, and rho put back in order, before it returns."""
+    run = oracle._Run(d, oracle._readouts(1.0, 1.0))
+    try:
+        return call(run)
+    finally:
+        run.finish()
+
+
 def assert_states_close(a: PauliState, b: PauliState, tol: float = 1e-12) -> None:
     assert a.n == b.n
     div = float(np.max(np.abs(a.coeffs - b.coeffs)))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_pauli_state
+from helpers import random_pauli_state, run_alone
 from paulisim import oracle
 from paulisim import state as kernel
-from paulisim.circuit import NOISE_KEYS, NOISELESS, NoiseModel
+from paulisim.circuit import NOISE_KEYS, NOISELESS, Instruction, NoiseModel
 from paulisim.engine import verify_circuit
 from paulisim.errors import InternalError
 from paulisim.gates import apply_cnot, named_gate_transfer
@@ -18,6 +18,7 @@ from paulisim.measurement import (
     reset_qubit,
 )
 from paulisim.state import PauliState, apply_transfer, init_bitstring, init_uniform, init_zero
+from paulisim.transpile import Partition, Schedule
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -69,13 +70,18 @@ def test_expect_input_validation():
         expect_pauli_string(s, "ZQ")
 
 
+def _dense_record(d, ins, noise):
+    """The oracle's record value of ``ins`` run alone under ``noise``."""
+    [record] = oracle.run_schedule_dense(d, Schedule([Partition("gate", [ins])]), noise)
+    return record[-1]
+
+
 def test_expect_matches_dense_trace(rng):
     noise = NoiseModel(d1=0.93)
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     got = expect_pauli_string(s, "XZY", noise)
-    labels = ["IXYZ".index(ch) for ch in reversed("XZY")]  # qubit 0 first
-    want = oracle.dense_expect_string(d, labels, noise.d1)
+    want = _dense_record(d, Instruction("expect", string="XZY"), noise)
     assert abs(got - want) < 1e-12
     back = oracle.from_dense(d)
     assert np.max(np.abs(s.coeffs - back.coeffs)) < 1e-12
@@ -119,7 +125,7 @@ def test_tilted_axis_measurement_matches_dense(rng):
     s = random_pauli_state(rng, 2)
     d = oracle.to_dense(s)
     got = measure_qubit(s, 1, axis, noise)
-    want = oracle.dense_measure_qubit(d, 1, axis, noise.d1)
+    want = run_alone(d, lambda run: run.measure(1, tuple(axis), oracle._axis_readout(tuple(axis), noise.d1)))
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
     back = oracle.from_dense(d)
     assert np.max(np.abs(s.coeffs - back.coeffs)) < 1e-12
@@ -187,9 +193,9 @@ def test_ensemble_matches_dense_diagonal(rng):
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     dist = ensemble_distribution(s, noise)
-    probs = oracle.dense_ensemble(d, noise.d1)
-    for i, p in enumerate(probs):
-        assert abs(dist[format(i, "03b")] - p) < 1e-12
+    probs = _dense_record(d, Instruction("ensemble"), noise)
+    for bits, p in probs.items():
+        assert abs(dist[bits] - p) < 1e-12
 
 
 # --- Bell measurement -----------------------------------------------------------
@@ -229,7 +235,7 @@ def test_bell_measurement_matches_dense(rng):
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     got = bell_measure(s, 2, 0, noise)
-    want = oracle.dense_bell(d, 2, 0, noise.d2)
+    want = _dense_record(d, Instruction("bell", (2, 0)), noise)
     for lab in BELL_LABELS:
         assert abs(got[lab] - want[lab]) < 1e-12
     back = oracle.from_dense(d)
@@ -254,7 +260,7 @@ def test_reset_matches_dense(rng):
     s = random_pauli_state(rng, 2)
     d = oracle.to_dense(s)
     reset_qubit(s, 1)
-    oracle.dense_reset(d, 1)
+    oracle.run_instructions_dense(d, [Instruction("reset", (1,))])
     back = oracle.from_dense(d)
     assert np.max(np.abs(s.coeffs - back.coeffs)) < 1e-12
 

@@ -9,6 +9,7 @@ from helpers import random_pauli_state
 from paulisim import memory, oracle
 from paulisim.circuit import NOISELESS, PARTITION_CATEGORIES, NoiseModel
 from paulisim.memory import decay, decohere, end_of_partition
+from paulisim.transpile import Partition, Schedule
 from paulisim.state import (
     PauliState,
     _product,
@@ -89,7 +90,7 @@ def test_step_matches_dense_kraus_channel(rng):
     s = random_pauli_state(rng, 3)
     d = oracle.to_dense(s)
     end_of_partition(s, noise)
-    oracle.dense_memory_step(d, noise.f, noise.g, noise.p)
+    oracle.run_schedule_dense(d, Schedule([Partition("gate", [])]), noise)  # one memory step
     back = oracle.from_dense(d)
     assert np.max(np.abs(s.coeffs - back.coeffs)) < 1e-12
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit_text, random_noise, random_pauli_state
+from helpers import random_circuit_text, random_noise, random_pauli_state, run_alone
 from paulisim import oracle
 from paulisim.circuit import GATE_KINDS, Instruction, NoiseModel, parse_circuit
 from paulisim.state import init_bitstring, init_thermal, init_uniform, init_zero
@@ -173,13 +173,18 @@ def test_decay_kraus_moves_population_toward_thermal(rng):
     assert np.allclose(np.diag(d.rho).real, [0.25, 0.75])
 
 
+def _memory_step(d, f, g, p):
+    """One memory step on every qubit: a schedule of one empty partition."""
+    oracle.run_schedule_dense(d, Schedule([Partition("gate", [])]), NoiseModel(f=f, g=g, p=p))
+
+
 def test_dense_memory_step_matches_kraus_composition(rng):
     # an even n takes only the paired superoperator, an odd n one single as well
     for n in (2, 3):
         s = random_pauli_state(rng, n)
         d1 = oracle.to_dense(s)
         d2 = oracle.to_dense(s)
-        oracle.dense_memory_step(d1, 0.9, 0.8, 0.7)
+        _memory_step(d1, 0.9, 0.8, 0.7)
         for q in range(n):
             oracle.apply_kraus(d2, oracle.decay_kraus(0.8, 0.7), (q,))
             oracle.apply_kraus(d2, oracle.decohere_kraus(0.9), (q,))
@@ -207,17 +212,16 @@ def _gate_channel(ins, noise):
 def _per_use_run(d, schedule, noise):
     """``run_schedule_dense`` with every channel built at its use: each gate
     by ``_gate_channel``, and each memory channel at every partition,
-    composed into one qubit's factor at a time with ``_defer``."""
-    v, pending, records = oracle._Vec(d), {}, []
-    readouts = oracle._readouts(noise.d1, noise.d2)
+    composed into one qubit's factor at a time with ``defer``."""
+    run = oracle._Run(d, oracle._readouts(noise.d1, noise.d2))
     for part in schedule.partitions:
         for ins in part.members:
-            oracle._step(v, ins, _gate_channel(ins, noise), readouts, records, pending)
+            run.step(ins, _gate_channel(ins, noise))
         s = oracle._memory_channel(*noise.pair(part.category), noise.p)
         for q in range(d.n):
-            oracle._defer(pending, q, s)
-    oracle._finish(v, pending)
-    return records
+            run.defer(q, s)
+    run.finish()
+    return run.records
 
 
 def test_a_schedule_builds_each_memory_channel_once(monkeypatch):
@@ -317,7 +321,7 @@ def test_the_oracle_stacks_equal_its_one_at_a_time_builds(angles, noise):
     members = [Instruction("u3", (0,), angles) for angles in zip(*map(np.ndarray.tolist, (thetas, phis, lams)))]
     members += [Instruction("u1", (1,), (lam,)) for lam in lams.tolist()]
     members += [Instruction("cx", (0, 1)), Instruction("measure", (1,))]
-    gates, _ = oracle._schedule_channels(Schedule([Partition("gate", members)]), noise)
+    gates, _ = oracle._schedule_channels(2, Schedule([Partition("gate", members)]), noise)
     for ins in members[:-1]:
         assert next(gates).tobytes() == _gate_channel(ins, noise).tobytes(), ins
     assert next(gates) is None and next(gates, "done") == "done"
@@ -325,21 +329,23 @@ def test_the_oracle_stacks_equal_its_one_at_a_time_builds(angles, noise):
 
 def test_the_batched_memory_step_equals_one_defer_per_qubit(rng):
     s = oracle._memory_channel(0.995, 0.997, 0.92)
+    readouts = oracle._readouts(1.0, 1.0)
     for n in (1, 2, 7):
         for held in ([], [0], [q for q in range(n) if q % 2], list(range(n))):
-            pending = {q: rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for q in held}
-            want = dict(pending)
+            got, want = (oracle._Run(oracle.dense_zero(n), readouts) for _ in range(2))
+            got.pending = {q: rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for q in held}
+            want.pending = dict(got.pending)
             for q in range(n):
-                oracle._defer(want, q, s)
-            oracle._defer_all(pending, n, s)
-            assert sorted(pending) == list(range(n))
+                want.defer(q, s)
+            got.end_partition(s)
+            assert sorted(got.pending) == list(range(n))
             for q in range(n):
-                assert pending[q].tobytes() == want[q].tobytes(), (n, held, q)
+                assert got.pending[q].tobytes() == want.pending[q].tobytes(), (n, held, q)
 
 
 def test_dense_measure_qubit_ideal_probabilities():
     d = oracle.to_dense(init_uniform(1))
-    p = oracle.dense_measure_qubit(d, 0, np.array([0.0, 0.0, 1.0]), 1.0)
+    [(_, _, _, p)] = oracle.run_instructions_dense(d, [Instruction("measure", (0,))])
     assert np.allclose(p, (0.5, 0.5))
     # ideal z measurement of |+> leaves the maximally mixed state
     assert np.allclose(d.rho, np.eye(2) / 2)
@@ -347,7 +353,8 @@ def test_dense_measure_qubit_ideal_probabilities():
 
 def test_dense_ensemble_is_diagonal():
     d = oracle.to_dense(init_bitstring("01"))
-    probs = oracle.dense_ensemble(d, 1.0)
+    [(_, dist)] = oracle.run_instructions_dense(d, [Instruction("ensemble")])
+    probs = list(dist.values())
     want = np.zeros(4)
     want[1] = 1.0
     assert np.allclose(probs, want)
@@ -355,15 +362,15 @@ def test_dense_ensemble_is_diagonal():
 
 def test_dense_bell_on_maximally_entangled_pair():
     d = oracle.dense_zero(2)
-    oracle.run_instructions_dense(d, [Instruction("h", (0,)), Instruction("cx", (0, 1))])
-    probs = oracle.dense_bell(d, 0, 1, 1.0)
+    bell = [Instruction("h", (0,)), Instruction("cx", (0, 1)), Instruction("bell", (0, 1))]
+    [(_, _, probs)] = oracle.run_instructions_dense(d, bell)
     assert abs(probs["phi+"] - 1.0) < 1e-12
     assert all(abs(probs[k]) < 1e-12 for k in ("phi-", "psi+", "psi-"))
 
 
 def test_dense_reset_forces_ground_state(rng):
     d = oracle.to_dense(random_pauli_state(rng, 1))
-    oracle.dense_reset(d, 0)
+    oracle.run_instructions_dense(d, [Instruction("reset", (0,))])
     assert np.allclose(d.rho, [[1, 0], [0, 0]])
 
 
@@ -455,14 +462,31 @@ def _readout_kraus(projectors, d):
 
 
 def _run_one(d, ins, noise):
-    # default memory noise (p = f = g = 1) makes the memory step exactly I
+    # default memory noise (f = g = 1) composes no memory step
     return oracle.run_schedule_dense(d, Schedule([Partition("gate", [ins])]), noise)
+
+
+def _record(d, ins, noise):
+    """The one record of ``ins`` run alone under ``noise``: its value."""
+    [record] = _run_one(d, ins, noise)
+    return record[-1]
+
+
+def _expect(labels):
+    """The expect instruction of the Pauli string with SIGMA[labels[q]] on qubit q."""
+    return Instruction("expect", string="".join("IXYZ"[v] for v in reversed(labels)))
+
+
+def _measure_along(d, k, axis, d1):
+    """(p_plus, p_minus) of qubit k measured along any unit ``axis``, damping d1."""
+    axis = tuple(float(a) for a in axis)
+    return run_alone(d, lambda run: run.measure(k, axis, oracle._axis_readout(axis, d1)))
 
 
 def test_superop_memory_step_matches_kraus_route(rng):
     for f, g, p in ((0.9, 0.8, 0.7), (0.995, 0.997, 0.92), (0.3, 0.1, 0.0), (1.0, 0.5, 1.0)):
         got, want = _pair(rng)
-        oracle.dense_memory_step(got, f, g, p)
+        _memory_step(got, f, g, p)
         for q in range(3):
             oracle.apply_kraus(want, oracle.decohere_kraus(f), (q,))
             oracle.apply_kraus(want, oracle.decay_kraus(g, p), (q,))
@@ -478,7 +502,7 @@ def test_superop_rotation_mixtures_match_branch_route(rng):
 
     # the y mixture on its own, as a u3 uses it
     got, want = _pair(rng)
-    oracle.apply_superop(got, oracle._rotation_mixture("y", 1.1, -0.08, 0.93), (2,))
+    run_alone(got, lambda run: run.apply((2,), oracle._rotation_mixture("y", 1.1, -0.08, 0.93)))
     _rotation_branches(want, "y", 1.1, -0.08, 0.93, 2)
     assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
 
@@ -514,7 +538,7 @@ def test_superop_projective_update_matches_kraus_route(rng):
         for d1 in (0.0, 0.85, 1.0):
             got, want = _pair(rng)
             flipped = _copy(want)
-            oracle.dense_measure_qubit(got, 1, axis, d1)
+            _measure_along(got, 1, axis, d1)
             oracle.apply_kraus(want, _readout_kraus(projectors, d1), (1,))
             assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, (axis, d1)
             # second reference: projection, then a flip with weight (1 - d1)/2
@@ -525,7 +549,7 @@ def test_superop_projective_update_matches_kraus_route(rng):
 
 def test_superop_reset_matches_kraus_route(rng):
     got, want = _pair(rng)
-    oracle.dense_reset(got, 1)
+    oracle.run_instructions_dense(got, [Instruction("reset", (1,))])
     p0 = (oracle.SIGMA[0] + oracle.SIGMA[3]) / 2
     p1 = (oracle.SIGMA[0] - oracle.SIGMA[3]) / 2
     oracle.apply_kraus(want, [p0, oracle.SIGMA[1] @ p1], (1,))
@@ -542,7 +566,7 @@ def test_superop_bell_update_matches_kraus_route(rng):
     for d2 in (0.0, 0.85, 1.0):
         got, want = _pair(rng)
         twirled = _copy(want)
-        oracle.dense_bell(got, 2, 0, d2)
+        _run_one(got, Instruction("bell", (2, 0)), NoiseModel(d2=d2))
         oracle.apply_kraus(want, _readout_kraus(projectors, d2), (2, 0))
         assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, d2
         # second reference: projection, then the pair twirl that keeps weight d2
@@ -551,9 +575,15 @@ def test_superop_bell_update_matches_kraus_route(rng):
         assert np.max(np.abs(got.rho - twirled.rho)) <= PIN_TOL, d2
 
 
-# The apply_superop kernel: one transposed copy and one gemm, checked on every
-# qubit placement against the Kraus definition, for memory, for the route it
-# must not share with the pins, and for the qubits it must refuse.
+# The one pass, ``_Run.apply``, which the test names call apply_superop: one
+# transposed copy and one gemm, checked on every qubit placement against the
+# Kraus definition, for memory, for the route it must not share with the
+# pins, and for the qubits it must refuse.
+
+
+def _pass(d, s, qubits):
+    """One raw pass of ``s`` on the listed qubits, as a run of its own."""
+    run_alone(d, lambda run: run.apply(qubits, s))
 
 
 def _random_kraus(rng, k, count=3):
@@ -572,7 +602,7 @@ def test_apply_superop_matches_apply_kraus_on_every_placement(rng):
         for n in range(k, 6):
             for qubits in itertools.permutations(range(n), k):
                 got, want = _pair(rng, n)
-                oracle.apply_superop(got, s, qubits)
+                _pass(got, s, qubits)
                 oracle.apply_kraus(want, kraus, qubits)
                 assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, (n, qubits)
 
@@ -584,16 +614,24 @@ def test_apply_superop_allocates_one_copy_of_rho(rng):
         s = oracle.superop(kraus[len(qubits)])
         tracemalloc.start()
         try:
-            oracle.apply_superop(d, s, qubits)
+            _pass(d, s, qubits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= d.rho.nbytes + 64 * 1024, (qubits, peak / d.rho.nbytes)
 
 
-def test_apply_superop_shares_no_route_with_the_pinned_definitions():
+def _run_methods(*names):
+    """The named methods of ``oracle._Run``, as parsed from the source."""
     tree = ast.parse(Path(oracle.__file__).read_text())
-    (fn,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "apply_superop"]
+    (cls,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Run"]
+    methods = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name in names]
+    assert len(methods) == len(names)
+    return methods
+
+
+def test_apply_superop_shares_no_route_with_the_pinned_definitions():
+    (fn,) = _run_methods("apply")
     called = {
         node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
         for node in ast.walk(fn)
@@ -603,13 +641,10 @@ def test_apply_superop_shares_no_route_with_the_pinned_definitions():
 
 
 def test_the_run_kernel_shares_no_route_with_the_pinned_definitions():
+    # the pass, the bit moves and the restore; the reads contract by einsum
     tree = ast.parse(Path(oracle.__file__).read_text())
-    kernel = [
-        node
-        for node in tree.body
-        if getattr(node, "name", None) in ("_Vec", "_transposed_copy")
-    ]
-    assert len(kernel) == 2
+    kernel = [node for node in tree.body if getattr(node, "name", None) == "_transposed_copy"]
+    kernel += _run_methods("apply", "_move", "_apply_pending", "finish")
     called = {
         node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
         for fn in kernel
@@ -623,14 +658,14 @@ def test_passes_in_one_run_match_apply_kraus_pass_by_pass(rng, monkeypatch):
     # one kernel run, restored once, on every placement: a pass whose bits
     # are at the front in its order makes no gather, any other pass one
     moves = []
-    move = oracle._Vec._move
-    monkeypatch.setattr(oracle._Vec, "_move", lambda v, axes: moves.append(axes) or move(v, axes))
+    move = oracle._Run._move
+    monkeypatch.setattr(oracle._Run, "_move", lambda v, axes: moves.append(axes) or move(v, axes))
     kraus = {k: _random_kraus(rng, k) for k in (1, 2, 3)}
     supers = {k: oracle.superop(ops) for k, ops in kraus.items()}
     for n in range(1, 6):
         got, want = _pair(rng, n)
         home = got.rho
-        v = oracle._Vec(got)
+        v = oracle._Run(got, oracle._readouts(1.0, 1.0))
         for _ in range(12):
             k = int(rng.integers(1, min(n, 3) + 1))
             qubits = tuple(int(q) for q in rng.permutation(n)[:k])
@@ -638,7 +673,7 @@ def test_passes_in_one_run_match_apply_kraus_pass_by_pass(rng, monkeypatch):
                 front = [n + q for q in listed] + list(listed)
                 at_front = v.axes[: 2 * k] == front
                 moves.clear()
-                v.apply(supers[k], listed)
+                v.apply(listed, supers[k])
                 oracle.apply_kraus(want, kraus[k], listed)
                 assert len(moves) == (not at_front), (n, listed)
                 assert v.axes[: 2 * k] == front
@@ -646,7 +681,7 @@ def test_passes_in_one_run_match_apply_kraus_pass_by_pass(rng, monkeypatch):
                     assert not at_front  # the same bits in another order
                 if i == 2:
                     assert at_front  # a repeat
-        v.restore()
+        v.finish()
         assert got.rho is home
         assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL, n
 
@@ -657,29 +692,29 @@ def test_reads_in_a_moved_layout_are_arrays_of_their_own(rng):
     # oracle.expectation; writing into a read leaves rho as it was
     for n in (1, 2, 3, 4):
         d, want = _pair(rng, n)
-        v = oracle._Vec(d)
+        v = oracle._Run(d, oracle._readouts(1.0, 1.0))
         for qubits in [(0,)] + [(n - 1, 1)] * (n >= 3):
             kraus = _random_kraus(rng, len(qubits))
-            v.apply(oracle.superop(kraus), qubits)
+            v.apply(qubits, oracle.superop(kraus))
             oracle.apply_kraus(want, kraus, qubits)
         assert n == 1 or v.axes != sorted(v.axes, reverse=True)
         cur, axes = v.cur.copy(), list(v.axes)
         for m in range(n + 1):
             basis = oracle._pauli_products(m)
             for qubits in itertools.permutations(range(n), m):
-                r = oracle._reduced(v, qubits)
+                r = v._reduced(qubits)
                 expanded = sum(oracle.expectation(want, p, qubits) * p for p in basis) / 2**m
                 assert np.max(np.abs(r - expanded)) <= PIN_TOL, (n, qubits)
                 r[...] = 7.0
                 assert np.array_equal(v.cur, cur) and v.axes == axes, (n, qubits)
-        diagonal = oracle._diagonal(v)
+        diagonal = v._diagonal()
         assert np.max(np.abs(diagonal - np.diag(want.rho).real)) <= PIN_TOL, n
         diagonal[...] = 7.0
         assert np.array_equal(v.cur, cur), n
 
         # in (row, column) order, every qubit in descending order is rho itself
         before = want.rho.copy()
-        r = oracle._reduced(oracle._Vec(want), tuple(reversed(range(n))))
+        r = oracle._Run(want, oracle._readouts(1.0, 1.0))._reduced(tuple(reversed(range(n))))
         assert not np.shares_memory(r, want.rho)
         r[...] = 7.0
         assert np.array_equal(want.rho, before), n
@@ -690,11 +725,11 @@ def test_contractions_refuse_qubits_outside_the_state_or_repeated(rng):
     s1 = oracle.superop(_random_kraus(rng, 1))
     s2 = oracle.superop(_random_kraus(rng, 2))
     calls = {
-        "apply_superop": lambda qs: oracle.apply_superop(d, s1 if len(qs) == 1 else s2, qs),
+        "apply_superop": lambda qs: _pass(d, s1 if len(qs) == 1 else s2, qs),
         "apply_unitary": lambda qs: oracle.apply_unitary(d, np.eye(2 ** len(qs)), qs),
         "apply_kraus": lambda qs: oracle.apply_kraus(d, [np.eye(2 ** len(qs))], qs),
         "expectation": lambda qs: oracle.expectation(d, np.eye(2 ** len(qs)), qs),
-        "_reduced": lambda qs: oracle._reduced(oracle._Vec(d), qs),
+        "_reduced": lambda qs: oracle._Run(d, oracle._readouts(1.0, 1.0))._reduced(qs),
     }
     rho = d.rho.copy()
     for name, call in calls.items():
@@ -710,7 +745,7 @@ def test_contractions_refuse_qubits_outside_the_state_or_repeated(rng):
     before = d.rho
     for s, qubits in ((s2, (1,)), (s1, (0, 2)), (np.eye(2), (0,)), (np.eye(4)[:, :3], (1,))):
         with pytest.raises(ValueError, match="shape"):
-            oracle.apply_superop(d, s, qubits)
+            _pass(d, s, qubits)
     assert d.rho is before and np.array_equal(d.rho, rho)
     with pytest.raises(ValueError, match="shape"):
         oracle.apply_unitary(d, np.eye(4), (0,))
@@ -736,27 +771,25 @@ def test_readout_records_are_the_textbook_values(rng):
             for axis in ([0.48, -0.6, 0.64], [0.0, 1.0, 0.0]):
                 strings = [[i + 1 if q == k else 0 for q in range(n)] for i in range(3)]
                 mean = sum(a * _pauli_mean(rho, lab) for a, lab in zip(axis, strings))
-                p_plus, p_minus = oracle.dense_measure_qubit(
-                    oracle.to_dense(s), k, np.array(axis), d
-                )
+                p_plus, p_minus = _measure_along(oracle.to_dense(s), k, axis, d)
                 assert abs(p_plus - (1 + d * mean) / 2) <= tol
                 assert abs(p_minus - (1 - d * mean) / 2) <= tol
 
             labels = [int(v) for v in rng.integers(0, 4, n)]
             w = sum(1 for v in labels if v)
-            got = oracle.dense_expect_string(oracle.to_dense(s), labels, d)
+            got = _record(oracle.to_dense(s), _expect(labels), NoiseModel(d1=d))
             assert abs(got - d**w * _pauli_mean(rho, labels)) <= tol, labels
 
             # each bit flips with probability (1 - d)/2: the readout confusion matrix
             confusion = np.ones((1, 1))
             for _ in range(n):
                 confusion = np.kron(confusion, np.array([[1 + d, 1 - d], [1 - d, 1 + d]]) / 2)
-            got = oracle.dense_ensemble(oracle.to_dense(s), d)
+            got = list(_record(oracle.to_dense(s), Instruction("ensemble"), NoiseModel(d1=d)).values())
             assert np.max(np.abs(got - confusion @ np.diag(rho).real)) <= tol
 
             if n >= 2:
                 kl = tuple(int(q) for q in rng.permutation(n)[:2])
-                got = oracle.dense_bell(oracle.to_dense(s), *kl, d)
+                got = _record(oracle.to_dense(s), Instruction("bell", kl), NoiseModel(d2=d))
                 # <XX>, <YY>, <ZZ> on the pair
                 corr = [_pauli_mean(rho, [j * (q in kl) for q in range(n)]) for j in (1, 2, 3)]
                 for label, signs in oracle.BELL_SIGNS.items():
@@ -772,7 +805,7 @@ def test_measure_and_bell_records_match_the_whole_matrix_expectation(rng):
             s = random_pauli_state(rng, n)
             for labels in ([0] * n, [int(v) for v in rng.integers(0, 4, n)], [3] * n):
                 got = oracle.to_dense(s)
-                value = oracle.dense_expect_string(got, labels, d)
+                value = _record(got, _expect(labels), NoiseModel(d1=d))
                 full = np.ones((1, 1))
                 for v in reversed(labels):
                     full = np.kron(full, oracle.SIGMA[v])
@@ -782,14 +815,14 @@ def test_measure_and_bell_records_match_the_whole_matrix_expectation(rng):
             k = int(rng.integers(n))
             axis = np.array([0.48, -0.6, 0.64])
             got = oracle.to_dense(s)
-            p_plus, p_minus = oracle.dense_measure_qubit(got, k, axis, d)
+            p_plus, p_minus = _measure_along(got, k, axis, d)
             plus = (oracle.SIGMA[0] + sum(axis[i] * oracle.SIGMA[i + 1] for i in range(3))) / 2
             assert abs(p_plus - oracle.expectation(got, plus, (k,))) <= PIN_TOL
             assert p_minus == 1.0 - p_plus
 
             kl = tuple(int(q) for q in rng.permutation(n)[:2])
             got = oracle.to_dense(s)
-            probs = oracle.dense_bell(got, *kl, d)
+            probs = _record(got, Instruction("bell", kl), NoiseModel(d2=d))
             for label, signs in oracle.BELL_SIGNS.items():
                 b = oracle._bell_projector(signs)
                 assert abs(probs[label] - oracle.expectation(got, b, kl)) <= PIN_TOL, (kl, label)
@@ -837,6 +870,51 @@ def test_one_step_behind_both_entry_points(rng):
     assert np.max(np.abs(d.rho - want.rho)) == 0.0 and abs(want.rho[3, 0] - 0.5) <= PIN_TOL
 
 
+def test_the_compiled_schedule_keeps_the_raw_channel_at_scale(rng):
+    # translation validation: the noiseless channel of each compiled schedule
+    # against its raw program's, on long circuits with every mnemonic
+    kinds = set()
+    for n in (5, 6, 7, 5, 6, 7):
+        n, instructions = parse_circuit(random_circuit_text(rng, n, 120))
+        _, schedule = compile_circuit(n, instructions)
+        raw, compiled = _pair(rng, n)
+        want = oracle.run_instructions_dense(raw, instructions)
+        got = oracle.run_schedule_dense(compiled, schedule, NoiseModel())
+        assert np.max(np.abs(compiled.rho - raw.rho)) <= 1e-12, n
+        _assert_records_match(got, want, 1e-12)
+        kinds |= {ins.kind for ins in instructions}
+    assert kinds >= {"ccx", "barrier", "reset", "measure", "measure_x", "measure_y", "expect", "ensemble", "bell"}
+
+
+def test_a_qubit_outside_the_state_is_refused_before_rho_changes(rng):
+    # a schedule's walk refuses the member before rho changes, as the engine does
+    noise = random_noise(rng)
+    first = Partition("gate", [Instruction("u3", (0,), (0.1, 0.2, 0.3)), Instruction("cx", (0, 1))])
+    bad = {
+        Instruction("u3", (5,), (0.4, 0.5, 0.6)): IndexError,
+        Instruction("reset", (-1,)): IndexError,
+        Instruction("u1", (2,), (0.7,)): IndexError,
+        Instruction("measure_x", (-3,)): IndexError,
+        Instruction("cx", (0, 2)): IndexError,
+        Instruction("bell", (1, 1)): ValueError,
+    }
+    for ins, error in bad.items():
+        d = oracle.to_dense(random_pauli_state(rng, 2))
+        before = d.rho.copy()
+        with pytest.raises(error, match="out of range|repeat"):
+            oracle.run_schedule_dense(d, Schedule([first, Partition("gate", [ins])]), noise)
+        assert d.rho.tobytes() == before.tobytes(), ins
+
+    # a raw run refuses it at its step, with every instruction before it applied
+    h = Instruction("h", (0,))
+    for ins in (Instruction("h", (7,)), Instruction("x", (-1,)), Instruction("reset", (2,)), Instruction("u1", (-2,), (0.3,))):
+        d, want = _pair(rng, 2)
+        with pytest.raises(IndexError, match="out of range"):
+            oracle.run_instructions_dense(d, [h, ins, h])
+        oracle.run_instructions_dense(want, [h])
+        assert d.rho.tobytes() == want.rho.tobytes(), ins
+
+
 # Deferral: one-qubit channels wait as pending factors, and the result is
 # the immediate route's, where every channel makes its own pass at once.
 
@@ -848,10 +926,11 @@ _DENSE_INITS = {
 
 
 def _immediate_step(d, ins, s, readouts, records):
-    """``_step`` as a run of its own, with whatever it leaves pending applied at once."""
-    v, pending = oracle._Vec(d), {}
-    oracle._step(v, ins, s, readouts, records, pending)
-    oracle._finish(v, pending)
+    """``_Run.step`` as a run of its own, with whatever it leaves pending applied at once."""
+    run = oracle._Run(d, readouts)
+    run.step(ins, s)
+    run.finish()
+    records += run.records
 
 
 def _immediate_schedule(d, schedule, noise):
@@ -859,7 +938,7 @@ def _immediate_schedule(d, schedule, noise):
     for part in schedule.partitions:
         for ins in part.members:
             _immediate_step(d, ins, _gate_channel(ins, noise), readouts, records)
-        oracle.dense_memory_step(d, *noise.pair(part.category), noise.p)
+        _memory_step(d, *noise.pair(part.category), noise.p)
     return records
 
 
@@ -896,9 +975,9 @@ def test_deferred_instructions_match_the_immediate_step_route(rng):
 
 def test_one_qubit_channels_wait_and_a_two_qubit_gate_makes_one_pass(monkeypatch):
     passes = []
-    apply = oracle._Vec.apply
+    apply = oracle._Run.apply
     monkeypatch.setattr(
-        oracle._Vec, "apply", lambda v, s, qubits: passes.append(qubits) or apply(v, s, qubits)
+        oracle._Run, "apply", lambda run, qubits, s=None: passes.append(qubits) or apply(run, qubits, s)
     )
     noise = random_noise(np.random.default_rng(11))
     for n in range(1, 7):
@@ -946,9 +1025,9 @@ def test_readouts_make_their_passes_over_rho_and_no_more(monkeypatch):
     # rho; bell makes one, as a cx does; ensemble makes ceil(n/2).  Passes
     # on a read's small partial trace are not passes over rho.
     homes = []
-    apply = oracle._Vec.apply
+    apply = oracle._Run.apply
     monkeypatch.setattr(
-        oracle._Vec, "apply", lambda v, s, qubits: homes.append(v.home) or apply(v, s, qubits)
+        oracle._Run, "apply", lambda run, qubits, s=None: homes.append(run.home) or apply(run, qubits, s)
     )
 
     def over_rho(n, run, *args):
@@ -973,9 +1052,56 @@ def test_readouts_make_their_passes_over_rho_and_no_more(monkeypatch):
             # each run ends with the factors of the second layer: ceil(n/2) passes
             assert over_rho(n, oracle.run_instructions_dense, instructions) == half + extra, text
 
-        # each public readout is a run of its own: what it leaves pending goes before it returns
-        assert over_rho(n, oracle.dense_measure_qubit, 1, np.array([0.0, 1.0, 0.0]), 0.9) == 1
-        assert over_rho(n, oracle.dense_expect_string, [3] * n, 0.9) == half
-        assert over_rho(n, oracle.dense_expect_string, [0] * n, 0.9) == 0
-        assert over_rho(n, oracle.dense_bell, 0, n - 1, 0.9) == 1
-        assert over_rho(n, oracle.dense_ensemble, 0.9) == half
+        # each readout alone is a run of its own: what it leaves pending goes before it returns
+        noise = NoiseModel(d1=0.9, d2=0.9)
+        assert over_rho(n, _run_one, Instruction("measure_y", (1,)), noise) == 1
+        assert over_rho(n, _run_one, _expect([3] * n), noise) == half
+        assert over_rho(n, _run_one, _expect([0] * n), noise) == 0
+        assert over_rho(n, _run_one, Instruction("bell", (0, n - 1)), noise) == 1
+        assert over_rho(n, _run_one, Instruction("ensemble"), noise) == half
+
+
+def test_a_memory_step_at_f_and_g_one_composes_nothing(monkeypatch):
+    # as in the engine, f = g = 1 is no memory step: the cx is the run's one
+    # pass, and rho is the raw run's to the byte; f < 1 composes into every qubit
+    passes = []
+    apply = oracle._Run.apply
+    monkeypatch.setattr(
+        oracle._Run, "apply", lambda run, qubits, s=None: passes.append(qubits) or apply(run, qubits, s)
+    )
+    cx = Instruction("cx", (0, 1))
+    schedule = Schedule([Partition("gate", [cx]), Partition("measurement", [])])
+    start = oracle.to_dense(random_pauli_state(np.random.default_rng(4), 5))
+    want = _copy(start)
+    oracle.run_instructions_dense(want, [cx])
+    for noise, count in ((NoiseModel(p=0.7), 1), (NoiseModel(p=0.7, f=0.9, f_meas=1.0, g_meas=1.0), 4)):
+        got = _copy(start)
+        passes.clear()
+        oracle.run_schedule_dense(got, schedule, noise)
+        assert len(passes) == count, noise
+        assert (got.rho.tobytes() == want.rho.tobytes()) == (count == 1), noise
+    _, memory = oracle._schedule_channels(5, schedule, NoiseModel(p=0.7, f=0.9, f_meas=1.0, g_meas=1.0))
+    assert memory[(1.0, 1.0)] is None and memory[(0.9, 1.0)].shape == (4, 4)
+
+
+def test_a_whole_run_holds_at_most_three_copies_of_rho_besides_rho():
+    # rho, one spare buffer, and small reads: a whole run of either entry
+    # point at n = 8 under every noise key
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        noise = random_noise(rng)
+        n, instructions = parse_circuit(random_circuit_text(rng, 8, 120))
+        _, schedule = compile_circuit(n, instructions)
+        runs = {
+            "schedule": lambda d: oracle.run_schedule_dense(d, schedule, noise),
+            "instructions": lambda d: oracle.run_instructions_dense(d, instructions),
+        }
+        for name, run in runs.items():
+            d = oracle.dense_thermal(n, noise.p)
+            tracemalloc.start()
+            try:
+                run(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * d.rho.nbytes, (seed, name, peak / d.rho.nbytes)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import random_circuit_text, random_pauli_state
 from paulisim import engine, gates, measurement, memory, oracle
 from paulisim import state as kernel
-from paulisim.circuit import NOISE_KEYS, NoiseModel, parse_noise_config
+from paulisim.circuit import NOISE_KEYS, Instruction, NoiseModel, parse_noise_config
 from paulisim.engine import run_circuit, verify_circuit
 from paulisim.generators import adder_success_pattern, gen_adder
 from paulisim.sweep import pattern_mass
@@ -28,6 +28,7 @@ from paulisim.state import (
     purity,
     save_state,
 )
+from paulisim.transpile import Partition, Schedule
 
 
 def reference_transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> np.ndarray:
@@ -485,19 +486,20 @@ def test_a_gate_and_a_readout_on_one_qubit_compose_in_order():
     # u3 then measure_x is not measure_x then u3; each order must match the oracle
     noise = NoiseModel(d1=0.9)
     start = random_pauli_state(np.random.default_rng(14), 2)
-    u = oracle.superop([oracle.u3_matrix(0.9, 0.4, -0.7)])
+    u3 = [Instruction("u3", (1,), (0.9, 0.4, -0.7))]
+    measure_x = Schedule([Partition("gate", [Instruction("measure_x", (1,))])])
     x = np.array([1.0, 0.0, 0.0])
     finals = []
     for gate_first in (True, False):
         s, d = start.copy(), oracle.to_dense(start)
         if gate_first:
             gates.apply_u3(s, 1, 0.9, 0.4, -0.7)
-            oracle.apply_superop(d, u, (1,))
+            oracle.run_instructions_dense(d, u3)
         got = measurement.measure_qubit(s, 1, x, noise)
-        want = oracle.dense_measure_qubit(d, 1, x, noise.d1)
+        [(*_, want)] = oracle.run_schedule_dense(d, measure_x, noise)
         if not gate_first:
             gates.apply_u3(s, 1, 0.9, 0.4, -0.7)
-            oracle.apply_superop(d, u, (1,))
+            oracle.run_instructions_dense(d, u3)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
         assert np.max(np.abs(s.coeffs - oracle.from_dense(d).coeffs)) <= 1e-12
         finals.append(s.coeffs)
