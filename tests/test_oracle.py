@@ -720,6 +720,29 @@ def test_reads_in_a_moved_layout_are_arrays_of_their_own(rng):
         assert np.array_equal(want.rho, before), n
 
 
+def test_a_full_support_expect_makes_no_copy_of_rho(rng):
+    # Pauli X, Y or Z on every qubit at n = 8, read from a moved layout with
+    # a factor pending: besides the run's two buffers, at most half of rho
+    # (a quarter for the first contraction), and the record of the
+    # whole-matrix route on the state the readout leaves
+    n = 8
+    d = oracle.to_dense(random_pauli_state(rng, n))
+    run = oracle._Run(d, oracle._readouts(0.97, 1.0))
+    run.apply((2, 5), oracle.superop([oracle.cnot_matrix()]))
+    run.defer(4, oracle.superop(_random_kraus(rng, 1)))
+    labels = [1 + q % 3 for q in range(n)]
+    tracemalloc.start()
+    try:
+        value = run.expect(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * d.rho.nbytes, peak / d.rho.nbytes
+    run.finish()
+    op = oracle._kron_qubits([oracle.SIGMA[labels[q]] for q in reversed(range(n))])
+    assert abs(value - oracle.expectation(d, op, tuple(reversed(range(n))))) <= PIN_TOL
+
+
 def test_contractions_refuse_qubits_outside_the_state_or_repeated(rng):
     d = oracle.to_dense(random_pauli_state(rng, 3))
     s1 = oracle.superop(_random_kraus(rng, 1))

@@ -14,19 +14,29 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_pairs.py"
 
 # a stand-in for perfbench/run.py: a clean run, or one of six ways to fail;
-# it reports its --trace flag as a metric
+# it reports its --trace flag as a metric, logs each traced run's tree and
+# workload to the file ../runs.log, and adds 0.5 to wall_s on every third
+# traced run of its tree
 _STUB = """
 import json, sys
+from pathlib import Path
 mode = {mode!r}
-trace = int(sys.argv[sys.argv.index("--trace") + 1])
+arg = lambda name: sys.argv[sys.argv.index(name) + 1]
+trace = int(arg("--trace"))
 sys.stderr.write("stub says " + mode + "\\n")
+wall = {wall!r}
+if trace:
+    log = Path("..", "runs.log")
+    with log.open("a") as f:
+        f.write(Path.cwd().name + " " + arg("--workload") + "\\n")
+    wall += 0.5 * (sum(line.startswith(Path.cwd().name + " ") for line in log.read_text().splitlines()) % 3 == 0)
 if mode == "crash":
     sys.exit(1)
 if mode in ("silent", "garbled", "not_an_object"):
     print({{"silent": "", "garbled": "wall_s 1.0", "not_an_object": "[1, 2]"}}[mode])
     sys.exit(0)
 print(json.dumps({{"correct": mode != "wrong", "attempted": 2, "failed": int(mode == "failed"),
-                  "metrics": {{"wall_s": {{"value": {wall!r}}}, "trace.on": {{"value": trace}}}}}}))
+                  "metrics": {{"wall_s": {{"value": wall}}, "trace.on": {{"value": trace}}}}}}))
 """
 
 
@@ -75,10 +85,21 @@ def test_the_record_holds_a_traced_run_of_each_side_on_every_workload(tmp_path):
     finally:
         path.unlink(missing_ok=True)
     declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    # verify7, the claimed workload, gets three rounds; each round flips which tree goes first
+    rounds = [w for w in declared for _ in range(3 if w == "verify7" else 1)]
+    order = [[side, w] for i, w in enumerate(rounds)
+             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
+    assert record["traced_order"] == order
+    logged = (tmp_path / "runs.log").read_text().split()
+    assert [logged[i : i + 2] for i in range(0, len(logged), 2)] == order
     for side, wall in (("parent", 2.0), ("change", 1.0)):
-        traced = record[f"traced_{side}"]
-        assert list(traced) == declared
-        assert all(r["wall_s"] == wall and r["trace.on"] == 1 and r["seed"] == 1 for r in traced.values())
+        traced, spread = record[f"traced_{side}"], record["traced_spread"][side]
+        assert list(traced) == list(spread) == declared
+        assert all(r["trace.on"] == 1 and r["seed"] == 1 and r["correct"] is True for r in traced.values())
+        # the third traced run of each tree, verify7's first, reads 0.5 more
+        assert all(r["wall_s"] == wall for r in traced.values())
+        assert spread["verify7"]["wall_s"] == {"median": wall, "min": wall, "max": wall + 0.5}
+        assert all(spread[w]["wall_s"] == {"median": wall, "min": wall, "max": wall} for w in declared[:2])
         assert [r["trace.on"] for r in record["runs"][side]] == [0, 0]
 
 

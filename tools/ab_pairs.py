@@ -5,15 +5,22 @@
 DIR is the root of a checkout.  Pair i runs ``perfbench/run.py --trace 0``
 once in each tree on seed ``--seed`` + i for the ``run_seconds`` that
 BENCHMARK.json sets, parent first in even pairs and change first in odd
-ones, so a drift in host speed hits both sides alike.  Then each tree,
-parent first, runs once traced (``--trace 1``) on every workload that
-BENCHMARK.json declares, so the record holds each layer's before and
-after from the same harness.  The record, at the root of the repository
-that holds this script, has every run's end-to-end metrics, each side's
-medians and quartiles, the share of pairs in which the change had the
-lower value (every end-to-end metric is better lower), the gain rule for
-each metric, and the traced per-layer metrics of both sides
-(``traced_parent`` and ``traced_change``).  The gain rule holds when
+ones, so a drift in host speed hits both sides alike.  Then the traced
+pass (``--trace 1``, seed ``--seed``) runs every workload that
+BENCHMARK.json declares, and ``--workload`` if it is not one of them, in
+rounds that alternate which tree goes first in the same way:
+``TRACED_REPEATS`` rounds for ``--workload`` and one for each other
+workload.  So the record holds each layer's before and after from the
+same harness, with a spread for the layers the change claims to move.
+The record, at the root of the repository that holds this script, has
+every run's end-to-end metrics, each side's medians and quartiles, the
+share of pairs in which the change had the lower value (every end-to-end
+metric is better lower), the gain rule for each metric, and the traced
+per-layer metrics of both sides: ``traced_parent`` and ``traced_change``
+hold each workload's per-metric median over its traced runs,
+``traced_spread`` the median, min and max of each side, workload and
+metric, and ``traced_order`` the [side, workload] of every traced run in
+the order it ran.  The gain rule holds when
 the change is lower in at least 9 of 10 pairs (a tie counts for neither
 side) and the parent's median exceeds the change's by more than the
 parent's quartile range.  Each end-to-end metric also gets a no-regression
@@ -38,6 +45,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("correct", "attempted", "failed")
+# traced rounds per side for the claimed workload: a single traced run of
+# one layer spreads by up to a third between runs of one tree
+TRACED_REPEATS = 3
 
 
 def _last_json(stdout: str) -> dict:
@@ -65,6 +75,13 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
                  f"correct {out.get('correct')}, failed {out.get('failed')}\n{run.stderr}")
     return {"seed": seed, **{k: out[k] for k in COUNTS},
             **{name: m["value"] for name, m in out["metrics"].items()}}
+
+
+def _spread(runs: list[dict]) -> dict:
+    """Each metric's median, min and max over the runs of one side and workload."""
+    names = [k for k in runs[0] if k != "seed" and k not in COUNTS]
+    return {m: {"median": statistics.median(r[m] for r in runs), "min": min(r[m] for r in runs),
+                "max": max(r[m] for r in runs)} for m in names}
 
 
 def gain_rule(record: dict, metric: str) -> dict:
@@ -125,8 +142,21 @@ def main() -> int:
     record["gain_rule"] = {m: gain_rule(record, m) for m in names}
     record["no_regression"] = {m["name"]: no_regression(record, m["name"], m["bound"])
                                for m in spec["end_to_end"] if m["name"] in names}
-    for side in ("parent", "change"):
-        record[f"traced_{side}"] = {w: bench(getattr(args, side), w, args.seed, seconds, 1) for w in declared}
+    traced: dict[str, dict[str, list[dict]]] = {"parent": {}, "change": {}}
+    record["traced_order"] = []
+    rounds = [w for w in declared + [args.workload] * (args.workload not in declared)
+              for _ in range(TRACED_REPEATS if w == args.workload else 1)]
+    for i, w in enumerate(rounds):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            traced[side].setdefault(w, []).append(bench(getattr(args, side), w, args.seed, seconds, 1))
+            record["traced_order"].append([side, w])
+    record["traced_spread"] = {s: {w: _spread(r) for w, r in traced[s].items()} for s in traced}
+    for s in traced:
+        record[f"traced_{s}"] = {
+            w: {**{k: r[0][k] for k in ("seed", *COUNTS)},
+                **{m: v["median"] for m, v in record["traced_spread"][s][w].items()}}
+            for w, r in traced[s].items()
+        }
     path = ROOT / f"BENCH_{args.tag or args.workload}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     for m in names:
