@@ -176,17 +176,19 @@ def execute_schedule(
 
     One walk over the schedule first checks every member's kind and qubits
     and gathers the u1 and u3 angles and the expect strings' digits, so bad
-    input raises before the state changes.  Then each PTM the run needs is
-    built and checked once: the u1 and u3 stacks, the cx PTM, the readout
-    stack (the x, y and z readouts, the ensemble's and reset's transfers),
-    the Bell transfer, and each partition category's decoherence and decay
-    PTMs with their kron powers (``memory._clock_step``).  The loop applies
-    them in schedule order through the private steps, and after each
-    partition ``state._product`` composes its category's memory PTMs into
-    every group's factor.
+    input raises before the state changes.  Then each PTM a run can need is
+    built and checked once, whether the schedule uses it or not: the u1 and
+    u3 stacks, the cx PTM (``gates.cnot_transfer``, cached per noise pair),
+    the readout stack (the x, y and z readouts, the ensemble's and reset's
+    transfers), the Bell transfer, and each partition category's
+    decoherence and decay PTMs with their kron powers
+    (``memory._clock_step``, which leaves out a factor of 1).  The loop
+    applies them in schedule order through the private steps, and after
+    each partition ``state._product`` composes its category's memory PTMs
+    into every group's factor.
     """
     n = state.n
-    u1, u3, strings, has_cx = [], [], [], False
+    u1, u3, strings = [], [], []
     for part in schedule.partitions:
         for ins in part.members:
             k = ins.kind
@@ -200,20 +202,18 @@ def execute_schedule(
                 u1.append(ins.angles[0])
             elif k == "u3":
                 u3.append(ins.angles)
-            elif k == "cx":
-                has_cx = True
             elif k == "expect":
                 strings.append(measurement._pauli_digits(ins.string, n))
     u1_ptms = iter(_checked(gates.rotation_transfers("z", u1, noise), (len(u1), 4, 4)))
     thetas, phis, lams = np.array(u3, dtype=np.float64).reshape(-1, 3).T
     u3_ptms = iter(_checked(gates.u3_transfers(thetas, phis, lams, noise), (len(u3), 4, 4)))
-    cx = _checked(gates.cnot_transfer(noise), (16, 16)) if has_cx else None  # a noisy one takes ms
+    cx = _checked(gates.cnot_transfer(noise), (16, 16))
     digits = iter(strings)
     axes, readouts = measurement._readouts(noise.d1)
-    ensemble, reset = _powers(readouts[3], n), readouts[4]
+    ensemble, reset = _powers(readouts[3]), readouts[4]
     bell = _checked(measurement._bell_transfer(noise.d2), (16, 16))
     categories = {part.category for part in schedule.partitions}
-    clock = {c: memory._clock_step(*noise.pair(c), noise.p, n) for c in categories}
+    clock = {c: memory._clock_step(*noise.pair(c), noise.p) for c in categories}
 
     records: list[Record] = []
     for part in schedule.partitions:

@@ -189,7 +189,9 @@ def cnot_transfer(noise: NoiseModel = NOISELESS) -> np.ndarray:
 def apply_cnot(
     state: PauliState, control: int, target: int, noise: NoiseModel = NOISELESS
 ) -> None:
-    """Apply the controlled-NOT transfer to the (control, target) digit pair."""
-    if control == target:
-        raise ValueError("control and target must be distinct qubits")
+    """Apply the controlled-NOT transfer to the (control, target) digit pair.
+
+    ``apply_transfer`` refuses control == target (``ValueError``) and a qubit
+    out of range (``IndexError``) before the state changes.
+    """
     apply_transfer(state, (control, target), cnot_transfer(noise))

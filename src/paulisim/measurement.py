@@ -226,7 +226,7 @@ def ensemble_distribution(
     digit-3 occurrence by d1.
     """
     t = _checked(_ensemble_transfer(noise.d1), (4, 4))
-    return _ensemble(state, noise.d1, _powers(t, state.n))
+    return _ensemble(state, noise.d1, _powers(t))
 
 
 def _ensemble(state: PauliState, d1: float, powers: tuple) -> dict[str, float]:
@@ -244,10 +244,10 @@ def bell_measure(
     Probabilities combine the four coefficients with digit_k = digit_l and
     all other digits 0; the three correlated terms are scaled by d2 with the
     projector sign patterns.  The update zeroes digit_k != digit_l
-    coefficients and scales the matched non-identity ones by d2.
+    coefficients and scales the matched non-identity ones by d2.  The read
+    (``PauliState.marginal``) refuses k == l (``ValueError``) and a qubit
+    out of range (``IndexError``) before the state changes.
     """
-    if k == l:
-        raise ValueError("Bell measurement needs two distinct qubits")
     return _bell(state, k, l, noise.d2, _checked(_bell_transfer(noise.d2), (16, 16)))
 
 

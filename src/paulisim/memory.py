@@ -6,13 +6,13 @@ entry puts one entry below the diagonal.  Neither makes a pass over the
 coefficients: each composes into the pending factor of every qubit's group
 (as kron(T, T) or kron(T, T, T) on a group of two or three), which reaches
 the coefficients when a two-qubit gate takes or flushes the group or at the
-next full read (see ``state``).  ``decohere`` and ``decay`` each check and
-build their transfer and hand it to ``state.apply_product``.  A clock step
-takes both transfers, checked as one stack, with their kron powers
-(``_clock_step``: ``end_of_partition`` builds it per call, the engine once
-per run and partition category), and ``state._product`` composes them,
-decoherence then decay, in one visit per group: at most 2n small products
-per step whatever the state size.  Decoherence
+next full read (see ``state``).  Every route builds its transfers through
+``_clock_step``, which checks them as one stack with their kron powers and
+leaves out a factor of 1, and ``state._product`` composes them, decoherence
+then decay, in one visit per group: at most 2n small products per step
+whatever the state size.  ``decohere`` and ``decay`` take one of the two,
+``end_of_partition`` both per call, and the engine both once per run and
+partition category.  Decoherence
 multiplies transverse (digit 1 or 2) occurrences by f = exp(-dt/T2); decay
 scales them by sqrt(g) with g = exp(-dt/T1) and relaxes the longitudinal
 component toward the thermal point: a3 <- g a3 + (2p - 1)(1 - g) a0.  The
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import NoiseModel
-from .state import PauliState, _checked, _powers, _product, apply_product
+from .state import PauliState, _checked, _powers, _product
 
 
 def _check_unit(name: str, v: float) -> None:
@@ -47,9 +47,7 @@ def _decay_transfer(g: float, p: float) -> np.ndarray:
 def decohere(state: PauliState, f: float) -> None:
     """Scale every coefficient by f^m, m = number of digits in {1, 2}."""
     _check_unit("f", f)
-    if f == 1.0:
-        return
-    apply_product(state, _decohere_transfer(f))
+    _product(state, _clock_step(f, 1.0, 0.0))
 
 
 def decay(state: PauliState, g: float, p: float) -> None:
@@ -60,28 +58,24 @@ def decay(state: PauliState, g: float, p: float) -> None:
     """
     _check_unit("g", g)
     _check_unit("p", p)
-    if g == 1.0:
-        return
-    apply_product(state, _decay_transfer(g, p))
+    _product(state, _clock_step(1.0, g, p))
 
 
-def _clock_step(f: float, g: float, p: float, n: int) -> list:
-    """One clock step's transfers for an n-qubit state, checked as one stack.
+def _clock_step(f: float, g: float, p: float) -> list:
+    """One clock step's transfers, checked as one stack.
 
     Decoherence, then decay, each as ``state._powers`` for ``state._product``;
-    neither where its factor is 1, so the f = g = 1 step is an empty list.
+    neither where its factor is 1, so the f = g = 1 step is an empty list,
+    built with no numpy call, on which ``_product`` returns at once.  This
+    is the one place a factor of 1 is skipped.
     """
     ts = ([_decohere_transfer(f)] if f != 1.0 else []) + ([_decay_transfer(g, p)] if g != 1.0 else [])
-    return [_powers(t, n) for t in _checked(np.reshape(ts, (-1, 4, 4)), (len(ts), 4, 4))]
+    return [_powers(t) for t in _checked(np.reshape(ts, (-1, 4, 4)), (len(ts), 4, 4))] if ts else []
 
 
 def end_of_partition(state: PauliState, noise: NoiseModel, category: str = "gate") -> None:
     """One clock step of memory noise: decohere then decay on all qubits.
 
-    With f = g = 1 the step is the identity and returns at once; the model
-    has already checked f, g and p.
+    The model has already checked f, g and p.
     """
-    f, g = noise.pair(category)
-    if f == 1.0 and g == 1.0:
-        return
-    _product(state, _clock_step(f, g, noise.p, state.n))
+    _product(state, _clock_step(*noise.pair(category), noise.p))

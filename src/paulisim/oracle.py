@@ -527,10 +527,11 @@ def _schedule_channels(n: int, schedule, noise) -> tuple:
     the angles.  The u1 angles and the u3 phis and lambdas make one z stack
     and the u3 thetas one y stack (``_rotation_mixtures``), and each u3's
     Rz(phi) Ry(theta) Rz(lam) is two stacked matmuls, associated as
-    (Rz Ry) Rz.  Returns an iterator over every member's gate channel in
-    schedule order (None for a member that is not a gate) and the memory
-    channel of each (f, g) pair of the schedule's partition categories:
-    None for f = g = 1, whose step is the identity.
+    (Rz Ry) Rz.  The cx channel is built once per call, whether the
+    schedule holds a cx or not.  Returns an iterator over every member's
+    gate channel in schedule order (None for a member that is not a gate)
+    and the memory channel of each (f, g) pair of the schedule's partition
+    categories: None for f = g = 1, whose step is the identity.
     """
     kinds, u1, u3 = [], [], []
     for part in schedule.partitions:
@@ -549,8 +550,7 @@ def _schedule_channels(n: int, schedule, noise) -> tuple:
     y = _rotation_mixtures("y", thetas, *noise.axis("y"))
     n1, n3 = len(u1), len(u3)
     stacks = {"u1": iter(z[:n1]), "u3": iter(np.matmul(np.matmul(z[n1 : n1 + n3], y), z[n1 + n3 :]))}
-    if "cx" in kinds:
-        stacks["cx"] = itertools.repeat(_cx_mixture(noise.alpha_cx, noise.r_cx))
+    stacks["cx"] = itertools.repeat(_cx_mixture(noise.alpha_cx, noise.r_cx))
     gates = [next(stacks[k]) if k in stacks else None for k in kinds]
     pairs = {noise.pair(part.category) for part in schedule.partitions}
     return iter(gates), {fg: None if fg == (1.0, 1.0) else _memory_channel(*fg, noise.p) for fg in pairs}

@@ -468,18 +468,16 @@ def apply_product(state: PauliState, t: np.ndarray) -> None:
     when the group is flushed or at the next full read.  The update itself
     is ``_product``.
     """
-    _product(state, [_powers(_checked(t, (4, 4)), state.n)])
+    _product(state, [_powers(_checked(t, (4, 4)))])
 
 
-def _powers(t: np.ndarray, n: int) -> tuple:
-    """The factor a checked 4x4 transfer ``t`` gives each group size of an n-qubit state.
+def _powers(t: np.ndarray) -> tuple:
+    """The factor a checked 4x4 transfer ``t`` gives each group size.
 
     Entry m - 1 is the kron of m copies of t, built as kron(kron(t, t), t):
-    (t,) below ``_GROUPS_FROM_N`` qubits, where every group holds one
-    qubit, and (t, kron(t, t), kron(t, t, t)) from there up.
+    (t, kron(t, t), kron(t, t, t)) at every n.  Below ``_GROUPS_FROM_N``
+    qubits every group holds one qubit, so ``_product`` reads entry 0 only.
     """
-    if n < _GROUPS_FROM_N:
-        return (t,)
     t2 = _kron(t, t)
     return t, t2, _kron(t2, t)
 
@@ -487,12 +485,11 @@ def _powers(t: np.ndarray, n: int) -> tuple:
 def _product(state: PauliState, transfers: list) -> None:
     """``apply_product`` of each transfer of ``transfers`` in turn, on input its caller has checked.
 
-    Each entry is one checked transfer's ``_powers`` for this state.  Each
-    group is visited once, at its first qubit, and its factor P becomes
-    T_last ... T_1 P, one product per transfer with the group size's kron
-    power, the same products one ``apply_product`` call per transfer
-    makes; a qubit with no factor takes T_1 itself.  With no transfers it
-    returns at once.
+    Each entry is one checked transfer's ``_powers``.  Each group is
+    visited once, at its first qubit, and its factor P becomes T_last ...
+    T_1 P, one product per transfer with the group size's kron power, the
+    same products one ``apply_product`` call per transfer makes; a qubit
+    with no factor takes T_1 itself.  With no transfers it returns at once.
     """
     if not transfers:
         return

@@ -253,9 +253,15 @@ def _lowest_qubit(ins: Instruction) -> int:
 
 
 def partition(stack: QubitStack) -> Schedule:
-    """Place each instruction in the first partition its phase and qubits allow."""
+    """Place each instruction in the first partition its phase and qubits allow.
+
+    Raises ``CompileError`` for an instruction on a qubit outside the
+    register or on one qubit twice, which only a caller that builds
+    instructions itself can hand in: the parser refuses both.
+    """
     parts: list[Partition] = []
     free = [0] * stack.n  # first partition each qubit may join next
+    register = frozenset(range(stack.n))
     start = 0  # first partition of the current phase
     last_measure = 0  # partition of the latest measurement
     prev: str | None = None
@@ -266,6 +272,9 @@ def partition(stack: QubitStack) -> Schedule:
         prev = cat
         if cat is None:  # a barrier only ends the phase
             continue
+        qs = ins.qubits
+        if not register.issuperset(qs) or len(qs) > 1 and len(set(qs)) < len(qs):
+            raise CompileError(f"need distinct qubits in 0..{stack.n - 1}: {format_instruction(ins)}")
         if cat == "solo":
             parts.append(Partition("solo", [ins]))
             continue

@@ -257,13 +257,31 @@ def test_a_repeated_line_yields_equal_but_distinct_records():
     assert type(a) is Instruction and repr(a) == "Instruction(kind='cx', qubits=(0, 1), angles=(), string='')"
 
 
-@pytest.mark.parametrize("line, message", MALFORMED_OPERANDS + [("u1(1.0.0) q[0]", "malformed angle '1.0.0'")])
+# lines refused before their operands are read, on 3 qubits
+MALFORMED_LINES = [
+    ("u1(1.0.0) q[0]", "malformed angle '1.0.0'"),
+    ("u1(1e999) q[0]", "angle '1e999' is not finite"),  # overflows to inf
+    ("9x q[0]", "cannot parse '9x q[0]'"),
+    ("expect(0.1) ZZ", "expect takes no angle list"),
+    ("u1 q[0]", "u1 needs 1 angle(s)"),
+    ("u3(0.1,0.2) q[0]", "u3 needs 3 angle(s), got 2"),
+]
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_OPERANDS + MALFORMED_LINES)
 def test_a_refused_line_names_its_own_line_each_time(line, message):
     # the same text refused again, at another line, after a valid line cached
     for lineno in (2, 4):
         with pytest.raises(CircuitSyntaxError) as err:
             parse_circuit("qubits 3\n" + "h q[0]\n" * (lineno - 2) + f"{line}\n")
         assert str(err.value) == f"line {lineno}: {message}" and err.value.line == lineno
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  # two\n\n"])
+def test_a_text_with_no_header_is_refused_at_line_1(text):
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(text)
+    assert str(err.value) == "line 1: missing 'qubits N' header" and err.value.line == 1
 
 
 def test_a_line_valid_on_more_qubits_is_refused_on_fewer():

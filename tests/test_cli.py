@@ -1,5 +1,8 @@
-from paulisim import engine
+import pytest
+
+from paulisim import cli, engine
 from paulisim.cli import main
+from paulisim.errors import CompileError, InternalError
 from paulisim.state import init_zero, load_state, save_state
 
 
@@ -107,6 +110,13 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_sweep_refuses_an_empty_value_list(tmp_path, capsys):
+    circuit = write(tmp_path / "bell.circ", BELL)
+    code = main(["sweep", "--circuit", circuit, "--param", "d1", "--values", ", ,", "--metric", "success:11"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: empty --values list\n"
+
+
 def test_gen_adder_emits_runnable_circuit(tmp_path, capsys):
     assert main(["gen", "adder", "110", "011"]) == 0
     text = capsys.readouterr().out
@@ -134,6 +144,20 @@ def test_exit_code_syntax_error(tmp_path, capsys):
     circuit = write(tmp_path / "bad.circ", "qubits 2\nfrobnicate q[0]\n")
     assert main(["run", "--circuit", circuit]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix", [(CompileError, 4, "compile error"), (InternalError, 7, "internal error")]
+)
+def test_exit_codes_of_compile_and_internal_errors(tmp_path, capsys, monkeypatch, error, code, prefix):
+    # parsed text never reaches either: the parser refuses first
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_circuit", fail)
+    circuit = write(tmp_path / "bell.circ", BELL)
+    assert main(["run", "--circuit", circuit]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 def test_exit_code_capacity(tmp_path, capsys):

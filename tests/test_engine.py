@@ -62,6 +62,13 @@ def test_initial_state_options():
         make_initial_state(2, "warm", noise)
 
 
+def test_a_bitstring_of_another_length_is_refused():
+    for bits in ("1", "101"):
+        with pytest.raises(ValueError) as err:
+            engine.parse_init(2, f"bitstring:{bits}")
+        assert str(err.value) == f"bitstring length {len(bits)} does not match 2 qubits"
+
+
 def test_initial_state_from_file(tmp_path):
     path = tmp_path / "ref.txt"
     save_state(init_bitstring("11"), path)

@@ -342,6 +342,23 @@ def test_cnot_rejects_equal_operands(rng):
         apply_cnot(s, 1, 1)
 
 
+def test_a_cnot_on_one_qubit_is_refused_before_the_state_changes(rng):
+    s = random_pauli_state(rng, 3)
+    apply_transfer(s, (1,), named_gate_transfer("h"))  # a pending factor on the qubit
+    want = s.copy()
+    with pytest.raises(ValueError) as err:
+        apply_cnot(s, 1, 1)
+    assert str(err.value) == "need a transfer on 1 or 2 distinct qubits, got (1, 1)"
+    assert list(s._pending) == [1]  # not flushed
+    assert s.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_an_unknown_rotation_axis_is_refused():
+    with pytest.raises(ValueError) as err:
+        rotation_transfers("w", [0.1])
+    assert str(err.value) == "unknown rotation axis 'w'"
+
+
 def test_noisy_cnot_is_two_point_unitary_mixture(rng):
     r, alpha = 0.93, 0.08
     delta0 = math.acos(r)

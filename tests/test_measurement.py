@@ -247,6 +247,17 @@ def test_bell_measurement_needs_distinct_qubits():
         bell_measure(bell_pair(), 1, 1)
 
 
+def test_a_bell_measurement_on_one_qubit_is_refused_before_the_state_changes(rng):
+    s = random_pauli_state(rng, 3)
+    apply_transfer(s, (1,), named_gate_transfer("h"))  # a pending factor on the qubit
+    want = s.copy()
+    with pytest.raises(ValueError) as err:
+        bell_measure(s, 1, 1, NoiseModel(d2=0.9))
+    assert str(err.value) == "need distinct qubits, got (1, 1)"
+    assert list(s._pending) == [1]  # not flushed
+    assert s.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 # --- reset ----------------------------------------------------------------------
 
 

@@ -182,6 +182,32 @@ def test_parameter_validation():
         NoiseModel(f_meas=-0.5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda s: decohere(s, 1.5), "f must lie in [0, 1], got 1.5", id="decohere f"),
+        pytest.param(lambda s: decay(s, -0.1, 0.5), "g must lie in [0, 1], got -0.1", id="decay g"),
+        pytest.param(lambda s: decay(s, 0.5, 2.0), "p must lie in [0, 1], got 2.0", id="decay p"),
+    ],
+)
+def test_a_factor_outside_the_unit_interval_is_refused_before_the_state_changes(call, message):
+    s = init_uniform(2)
+    with pytest.raises(ValueError) as err:
+        call(s)
+    assert str(err.value) == message
+    assert not s._pending and s.coeffs.tobytes() == init_uniform(2).coeffs.tobytes()
+
+
+def test_a_factor_of_one_composes_nothing_on_any_route():
+    # decohere, decay and a clock step all skip it through _clock_step
+    s = init_uniform(2)
+    decohere(s, 1.0)
+    decay(s, 1.0, 0.3)
+    end_of_partition(s, NoiseModel(p=0.3, f_meas=0.9), "gate")
+    assert memory._clock_step(1.0, 1.0, 0.3) == []
+    assert not s._pending and s.coeffs.tobytes() == init_uniform(2).coeffs.tobytes()
+
+
 def _random_transfer(rng, size):
     t = rng.standard_normal((size, size))
     t[0] = 0.0
@@ -218,9 +244,9 @@ def test_the_engine_memory_step_equals_decohere_then_decay(n):
             want = base.copy()
             decohere(want, f)
             decay(want, g, noise.p)
-            step = memory._clock_step(f, g, noise.p, n)
+            step = memory._clock_step(f, g, noise.p)
             assert len(step) == (f != 1.0) + (g != 1.0)
-            assert all(len(powers) == (1 if n < 10 else 3) for powers in step)
+            assert all(len(powers) == 3 for powers in step)
             got, routed = base.copy(), base.copy()
             _product(got, step)
             end_of_partition(routed, noise, category)

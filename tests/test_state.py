@@ -220,6 +220,24 @@ def test_capacity_cap_enforced():
         check_capacity(DEFAULT_QUBIT_CAP + 1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: PauliState(0, np.ones(1)), "qubit count must be >= 1, got 0", id="no qubits"),
+        pytest.param(
+            lambda: PauliState(1, np.ones(3)), "expected 4 coefficients for n=1, got shape (3,)", id="shape"
+        ),
+        pytest.param(lambda: check_capacity(0), "qubit count must be >= 1, got 0", id="capacity 0"),
+        pytest.param(lambda: overlap(init_zero(1), init_zero(2)), "qubit counts differ: 1 vs 2", id="overlap"),
+        pytest.param(lambda: partial_trace(init_zero(1), 0), "partial_trace needs at least 2 qubits", id="trace"),
+    ],
+)
+def test_a_bad_argument_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_save_load_round_trip_file(tmp_path, rng):
     s = random_pauli_state(rng, 3)
     path = tmp_path / "state.txt"
@@ -275,6 +293,17 @@ def test_load_names_the_first_bad_coefficient(tmp_path):
             load_state(bad)
     bad.write_text("pauli-dm v1 n=1\n\n0.5\n\n0.0\n0.0\n  \n0.5\n")  # blank lines are skipped
     assert np.array_equal(load_state(bad).coeffs, [0.5, 0.0, 0.0, 0.5])
+
+
+def test_a_file_whose_lines_break_on_a_separator_loads_through_the_line_walk(tmp_path, rng):
+    # numpy reads no coefficient past a \x1c, str.splitlines breaks on it
+    s = random_pauli_state(rng, 2)
+    buf = io.StringIO()
+    save_state(s, buf)
+    path = tmp_path / "sep.txt"
+    path.write_text(buf.getvalue().replace("\n", "\x1c"), newline="")
+    loaded = load_state(path)
+    assert loaded.n == 2 and loaded.coeffs.tobytes() == s.coeffs.tobytes()
 
 
 def test_load_peak_memory_is_the_file_text_plus_the_state(tmp_path):

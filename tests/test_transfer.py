@@ -297,7 +297,7 @@ def test_every_transfer_the_package_builds_has_trace_row(monkeypatch):
     )
     noise = NoiseModel(**{k: 0.9 for k in NOISE_KEYS if not k.startswith("alpha")}, alpha_cx=0.1)
     run_circuit(text, noise)
-    assert {t.shape for t in seen} == {(4, 4), (16, 16)}
+    assert {t.shape for t in seen} == {(4, 4), (16, 16), (64, 64)}
     assert len(seen) >= 12
     # the memory PTMs, which the engine composes through the product step
     for t in (memory._decohere_transfer(0.9), memory._decay_transfer(0.9, 0.9)):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import random_circuit_text
 from paulisim import oracle
 from paulisim.circuit import Instruction, parse_circuit
-from paulisim.errors import InternalError
+from paulisim.errors import CompileError, InternalError
 from paulisim.generators import gen_adder, gen_qft
 from paulisim.transpile import (
     Partition,
@@ -287,6 +287,33 @@ def test_category_of_kinds():
     assert category_of("reset") == "measurement"
     assert category_of("ensemble") == "solo"
     assert category_of("barrier") is None
+
+
+def test_an_unknown_kind_is_refused_by_name():
+    with pytest.raises(CompileError) as err:
+        category_of("foo")
+    assert str(err.value) == "unsupported instruction kind 'foo'"
+    with pytest.raises(CompileError) as err:
+        decompose([Instruction("h", (0,)), Instruction("foo", (0,))])
+    assert str(err.value) == "cannot decompose instruction: foo q[0]"
+
+
+@pytest.mark.parametrize(
+    "instructions, named",
+    [
+        # a negative index would wrap in the partitioner's per-qubit list
+        ([Instruction("cx", (0, -1)), Instruction("u1", (2,), (0.3,))], "cx q[0],q[-1]"),
+        ([Instruction("measure", (-3,))], "measure q[-3]"),
+        ([Instruction("h", (5,))], "u3(1.5707963267948966,0.0,3.141592653589793) q[5]"),
+        ([Instruction("cx", (1, 1))], "cx q[1],q[1]"),
+        ([Instruction("bell", (1, 1))], "bell q[1],q[1]"),
+    ],
+)
+def test_compile_refuses_a_qubit_outside_the_register_or_repeated(instructions, named):
+    # built in code: the parser refuses both before a compile
+    with pytest.raises(CompileError) as err:
+        compile_circuit(3, instructions)
+    assert str(err.value) == f"need distinct qubits in 0..2: {named}"
 
 
 def _phase_of(merged: list[Instruction]) -> dict[int, int]:
