@@ -21,6 +21,14 @@ Angles are decimal literals or ``pi``/``pi/INT`` (INT >= 1), with at most
 one sign.  In ``expect`` strings and in all printed bitstrings the RIGHTMOST
 character is qubit 0; reports print the most significant bit first.
 
+One table, ``KINDS``, gives every mnemonic its angle count, its qubit
+count (None for the whole-register expect, ensemble and barrier, which list
+no qubits) and its partition category, and ``SCHEDULE_KINDS``, derived from
+it, holds the kinds a compiled schedule may hold.  The parser, the compiler,
+the engine and the dense oracle read only this table, and ``check_shape``
+is the one test of an ``Instruction`` against it that every boundary taking
+hand-built instructions makes.
+
 Each parsed line becomes an ``Instruction``, a named tuple equal by value
 to any record with the same fields.  The parser reads each distinct
 (stripped line, qubit count) once per process: a bounded LRU cache
@@ -55,25 +63,37 @@ _NAMED_SELECT: dict[str, tuple[str, tuple[float, ...]]] = {
     "t": ("u1", (math.pi / 4,)),
     "tdg": ("u1", (-math.pi / 4,)),
 }
-NAMED_GATE_KINDS = tuple(_NAMED_SELECT)
-GATE_KINDS = NAMED_GATE_KINDS + ("u1", "u2", "u3", "cx", "ccx")
-MEASURE_KINDS = ("measure", "measure_x", "measure_y", "reset")
-SOLO_KINDS = ("expect", "ensemble", "bell")
 
-# mnemonic -> (angle count, qubit count)
-_ARITY = {
-    **{k: (0, 1) for k in NAMED_GATE_KINDS},
-    "u1": (1, 1),
-    "u2": (2, 1),
-    "u3": (3, 1),
-    "cx": (0, 2),
-    "ccx": (0, 3),
-    "measure": (0, 1),
-    "measure_x": (0, 1),
-    "measure_y": (0, 1),
-    "reset": (0, 1),
-    "bell": (0, 2),
+
+class Kind(NamedTuple):
+    """The shape and partition category of one instruction kind."""
+
+    angles: int  # angle count
+    qubits: int | None  # qubit count; None for the whole register, listed as no qubits
+    category: str | None  # partition category; None for barrier, which only ends a phase
+
+
+# Every instruction kind: the text format's mnemonics, the shape each boundary
+# that takes an Instruction checks, and the partitioner's categories.
+KINDS: dict[str, Kind] = {
+    **dict.fromkeys(_NAMED_SELECT, Kind(0, 1, "gate")),
+    "u1": Kind(1, 1, "gate"),
+    "u2": Kind(2, 1, "gate"),
+    "u3": Kind(3, 1, "gate"),
+    "cx": Kind(0, 2, "gate"),
+    "ccx": Kind(0, 3, "gate"),
+    **dict.fromkeys(("measure", "measure_x", "measure_y", "reset"), Kind(0, 1, "measurement")),
+    "expect": Kind(0, None, "solo"),
+    "ensemble": Kind(0, None, "solo"),
+    "bell": Kind(0, 2, "solo"),
+    "barrier": Kind(0, None, None),
 }
+
+# the kinds a compiled schedule may hold: every kind but barrier and the gates
+# transpile.decompose rewrites (the named gates, u2 and ccx) into {u1, u3, cx}
+SCHEDULE_KINDS = frozenset(KINDS) - {*_NAMED_SELECT, "u2", "ccx", "barrier"}
+
+_PAULI_LABELS = frozenset("IXYZ")
 
 
 class Instruction(NamedTuple):
@@ -89,6 +109,23 @@ class Instruction(NamedTuple):
     qubits: tuple[int, ...] = ()
     angles: tuple[float, ...] = ()
     string: str = ""
+
+
+def check_shape(ins: Instruction, n: int | None = None, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``ins`` unless it has the shape ``KINDS`` gives its kind.
+
+    The angle and qubit counts must match, a kind of the whole register
+    listing no qubits; the kind must be a key of ``KINDS``.  Given the
+    register size n, an expect string must also hold one label in IXYZ per
+    qubit.
+    """
+    n_angles, n_qubits, _ = KINDS[ins.kind]
+    if len(ins.angles) != n_angles or len(ins.qubits) != (n_qubits or 0):
+        want = "no qubits" if n_qubits is None else f"{n_qubits} qubit(s)"
+        raise error(f"{ins.kind} needs {n_angles} angle(s) and {want}: {format_instruction(ins)}")
+    if n is not None and ins.kind == "expect":
+        if len(ins.string) != n or not _PAULI_LABELS.issuperset(ins.string):
+            raise error(f"expect needs {n} Pauli labels in IXYZ: {format_instruction(ins)}")
 
 
 # one optional sign, then pi, pi/INT with INT >= 1, or a decimal literal;
@@ -139,24 +176,25 @@ def _parse_instruction(line: str, n: int) -> Instruction:
     name, angle_src, rest = m.groups()
     rest = rest.strip() if rest else ""
 
-    if name == "barrier" or name == "ensemble":
-        if angle_src is not None or rest:
-            raise CircuitSyntaxError(f"{name} takes no operands")
-        return Instruction(name)
+    if name not in KINDS:
+        raise CircuitSyntaxError(f"unknown mnemonic {name!r}")
+    n_angles, n_qubits, _ = KINDS[name]
 
     if name == "expect":
         if angle_src is not None:
             raise CircuitSyntaxError("expect takes no angle list")
         if len(rest) != n:
             raise CircuitSyntaxError(f"expect string must have one label per qubit ({n}), got {len(rest)}")
-        bad = set(rest) - set("IXYZ")
+        bad = set(rest) - _PAULI_LABELS
         if bad:
             raise CircuitSyntaxError(f"bad Pauli label {sorted(bad)[0]!r} in expect string")
         return Instruction("expect", string=rest)
 
-    if name not in _ARITY:
-        raise CircuitSyntaxError(f"unknown mnemonic {name!r}")
-    n_angles, n_qubits = _ARITY[name]
+    if n_qubits is None:  # barrier, ensemble
+        if angle_src is not None or rest:
+            raise CircuitSyntaxError(f"{name} takes no operands")
+        return Instruction(name)
+
     if n_angles == 0:
         if angle_src is not None:
             raise CircuitSyntaxError(f"{name} takes no angle list")

@@ -21,11 +21,6 @@ def _check_bits(name: str, bits: str) -> None:
         raise ValueError(f"{name} must be a nonempty binary string, got {bits!r}")
 
 
-def adder_qubit_count(a: str, b: str) -> int:
-    n = max(len(a), len(b))
-    return 3 * n + 1
-
-
 def adder_success_pattern(a: str, b: str) -> str:
     """Expected sum-register bits, most significant first, 'x' elsewhere.
 

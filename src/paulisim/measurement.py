@@ -26,7 +26,9 @@ of the view.  ``_bitstring_probs`` applies it one axis at a time as one
 others in order, the operands ``numpy.tensordot`` would build, so the bits
 are the same; a step costs a few microseconds, where the generic
 tensordot and moveaxis calls cost tens.  The outcome labels are built once
-per qubit count.
+per qubit count.  The ensemble's update, digits 1 and 2 gone and digit 3
+scaled by d1 on every qubit, is one checked 4x4 transfer that
+``state._product`` composes into every group's pending factor.
 
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string
@@ -43,7 +45,7 @@ import numpy as np
 
 from .circuit import NOISELESS, NoiseModel
 from .errors import InternalError
-from .state import PauliState, _checked, _powers, _product, _transfer, apply_transfer
+from .state import PauliState, _checked, _product, _transfer, apply_transfer
 
 PAULI_LABELS = "IXYZ"
 
@@ -226,13 +228,13 @@ def ensemble_distribution(
     digit-3 occurrence by d1.
     """
     t = _checked(_ensemble_transfer(noise.d1), (4, 4))
-    return _ensemble(state, noise.d1, _powers(t))
+    return _ensemble(state, noise.d1, t)
 
 
-def _ensemble(state: PauliState, d1: float, powers: tuple) -> dict[str, float]:
-    """``ensemble_distribution`` with its checked transfer as ``state._powers``."""
+def _ensemble(state: PauliState, d1: float, t: np.ndarray) -> dict[str, float]:
+    """``ensemble_distribution`` with its checked transfer ``t``."""
     probs = _bitstring_probs(state, d1)
-    _product(state, [powers])
+    _product(state, [t])
     return _finalize(_bitstring_labels(state.n), probs)
 
 

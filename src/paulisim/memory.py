@@ -3,11 +3,12 @@
 Both channels act independently on each qubit, as one 4x4 transfer matrix
 given to every qubit: decoherence is diagonal, while decay's a3 <- a0
 entry puts one entry below the diagonal.  Neither makes a pass over the
-coefficients: each composes into the pending factor of every qubit's group
-(as kron(T, T) or kron(T, T, T) on a group of two or three), which reaches
-the coefficients when a two-qubit gate takes or flushes the group or at the
-next full read (see ``state``).  Every route builds its transfers through
-``_clock_step``, which checks them as one stack with their kron powers and
+coefficients: each composes into the pending factor of every qubit's group,
+as kron(T, T) or kron(T, T, T) on a group of two or three qubits, built by
+``state._product`` only when such a group is there.  The factor reaches the
+coefficients when a two-qubit gate takes or flushes the group or at the
+next full read (see ``state``).  Every route builds its
+transfers through ``_clock_step``, which checks them as one stack and
 leaves out a factor of 1, and ``state._product`` composes them, decoherence
 then decay, in one visit per group: at most 2n small products per step
 whatever the state size.  ``decohere`` and ``decay`` take one of the two,
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import NoiseModel
-from .state import PauliState, _checked, _powers, _product
+from .state import PauliState, _checked, _product
 
 
 def _check_unit(name: str, v: float) -> None:
@@ -62,15 +63,15 @@ def decay(state: PauliState, g: float, p: float) -> None:
 
 
 def _clock_step(f: float, g: float, p: float) -> list:
-    """One clock step's transfers, checked as one stack.
+    """One clock step's transfers for ``state._product``, checked as one stack.
 
-    Decoherence, then decay, each as ``state._powers`` for ``state._product``;
-    neither where its factor is 1, so the f = g = 1 step is an empty list,
-    built with no numpy call, on which ``_product`` returns at once.  This
-    is the one place a factor of 1 is skipped.
+    Decoherence, then decay, each a 4x4 row of the stack; neither where its
+    factor is 1, so the f = g = 1 step is an empty list, built with no
+    numpy call, on which ``_product`` returns at once.  This is the one
+    place a factor of 1 is skipped.
     """
     ts = ([_decohere_transfer(f)] if f != 1.0 else []) + ([_decay_transfer(g, p)] if g != 1.0 else [])
-    return [_powers(t) for t in _checked(np.reshape(ts, (-1, 4, 4)), (len(ts), 4, 4))] if ts else []
+    return list(_checked(np.reshape(ts, (-1, 4, 4)), (len(ts), 4, 4))) if ts else []
 
 
 def end_of_partition(state: PauliState, noise: NoiseModel, category: str = "gate") -> None:

@@ -33,6 +33,11 @@ built by ``_readout_channel``: the projective measurement with weight d and
 full depolarisation of its qubits with weight 1 - d; its record is read
 from the state that channel leaves.
 
+Before rho changes, ``run_schedule_dense`` checks every member's kind and
+shape against ``circuit.KINDS``, the one table of instruction kinds, which
+defines the text format and holds no linear algebra; every channel here is
+the oracle's own.
+
 ``apply_kraus`` and ``apply_unitary`` stay as the plain definitions the
 passes are pinned to in tests, and ``expectation`` as the whole-matrix
 route the records are pinned to; these three contract through
@@ -48,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import SCHEDULE_KINDS, check_shape
 from .state import PauliState
 
 SIGMA = np.array(
@@ -144,15 +150,6 @@ def dense_bitstring(bits: str) -> DenseState:
 
 def dense_thermal(n: int, p: float) -> DenseState:
     return DenseState(n, _kron_qubits([np.diag([p, 1.0 - p]).astype(np.complex128)] * n))
-
-
-def random_state(n: int, rng: np.random.Generator) -> PauliState:
-    """Random full-rank valid state, via a random positive matrix."""
-    dim = 2**n
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    return from_dense(DenseState(n, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +490,6 @@ def choi_psd_check(ptm: np.ndarray) -> float:
 # each measure mnemonic's row in a run's x, y, z readout channels
 _MEASURE_AXES = {"measure_x": 0, "measure_y": 1, "measure": 2}
 
-# the kinds a compiled schedule holds
-_SCHEDULE_KINDS = frozenset(("u1", "u3", "cx", "reset", "expect", "ensemble", "bell", *_MEASURE_AXES))
-
 
 def _rotation_mixtures(axis: str, thetas: np.ndarray, alpha: float, r: float) -> np.ndarray:
     """(N, 4, 4) stack of noisy rotation superoperators, one per angle of the
@@ -505,11 +499,6 @@ def _rotation_mixtures(axis: str, thetas: np.ndarray, alpha: float, r: float) ->
     base = thetas + alpha
     rotations = _rotations(axis, np.stack([base + delta0, base - delta0], axis=1).reshape(-1))
     return _superops(rotations.reshape(len(thetas), 2, 2, 2), np.array([0.5, 0.5]))
-
-
-def _rotation_mixture(axis: str, theta: float, alpha: float, r: float) -> np.ndarray:
-    """Superoperator of a noisy rotation: a stack of one."""
-    return _rotation_mixtures(axis, np.array([theta], dtype=np.float64), alpha, r)[0]
 
 
 def _cx_mixture(alpha: float, r: float) -> np.ndarray:
@@ -522,9 +511,12 @@ def _schedule_channels(n: int, schedule, noise) -> tuple:
     """Every noisy gate and memory channel a run of ``schedule`` on n qubits
     needs, each built once.
 
-    One walk refuses, before rho changes, a kind no schedule holds and a
-    member on a qubit outside the state or on one qubit twice, and gathers
-    the angles.  The u1 angles and the u3 phis and lambdas make one z stack
+    One walk refuses, before rho changes, a kind no schedule holds
+    (``circuit.SCHEDULE_KINDS``), a member whose angle or qubit count or
+    expect string is wrong for its kind (``circuit.check_shape``: the kind
+    table defines the text format and holds no linear algebra) and a member
+    on a qubit outside the state or on one qubit twice, and gathers the
+    angles.  The u1 angles and the u3 phis and lambdas make one z stack
     and the u3 thetas one y stack (``_rotation_mixtures``), and each u3's
     Rz(phi) Ry(theta) Rz(lam) is two stacked matmuls, associated as
     (Rz Ry) Rz.  The cx channel is built once per call, whether the
@@ -537,8 +529,9 @@ def _schedule_channels(n: int, schedule, noise) -> tuple:
     for part in schedule.partitions:
         for ins in part.members:
             k = ins.kind
-            if k not in _SCHEDULE_KINDS:
+            if k not in SCHEDULE_KINDS:
                 raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
+            check_shape(ins, n)
             _check_qubits(n, ins.qubits)
             kinds.append(k)
             if k == "u1":

@@ -34,8 +34,10 @@ copy), and ``apply_transfer`` range-checks its qubits, before the private
 step ``_transfer`` or ``_product`` applies it.  A caller that applies many
 PTMs builds them as one (N, 4, 4) stack, has ``_checked`` test every
 matrix's shape and first row at once, checks the qubits itself, and hands
-the stack's rows to ``_transfer``, or their kron powers (``_powers``) to
-``_product``; ``engine.execute_schedule`` does this once per run.
+the stack's rows to ``_transfer`` or ``_product``; ``engine.execute_schedule``
+does this once per run.  Only ``_product`` builds the kron power of a 4x4
+transfer that a group of two or three qubits needs, and only when such a
+group is there (``_kron_power``).
 
 Qubit layout.  The buffer a ``PauliState`` holds need not be in the order
 above: it carries a private digit order, which qubit sits in each physical
@@ -86,6 +88,7 @@ from __future__ import annotations
 import io
 import re
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -468,28 +471,29 @@ def apply_product(state: PauliState, t: np.ndarray) -> None:
     when the group is flushed or at the next full read.  The update itself
     is ``_product``.
     """
-    _product(state, [_powers(_checked(t, (4, 4)))])
+    _product(state, [_checked(t, (4, 4))])
 
 
-def _powers(t: np.ndarray) -> tuple:
-    """The factor a checked 4x4 transfer ``t`` gives each group size.
-
-    Entry m - 1 is the kron of m copies of t, built as kron(kron(t, t), t):
-    (t, kron(t, t), kron(t, t, t)) at every n.  Below ``_GROUPS_FROM_N``
-    qubits every group holds one qubit, so ``_product`` reads entry 0 only.
-    """
-    t2 = _kron(t, t)
-    return t, t2, _kron(t2, t)
+@lru_cache(maxsize=32)
+def _kron_power(t: bytes, m: int) -> np.ndarray:
+    """kron of m = 2 or 3 copies of the 4x4 float64 transfer whose bytes are
+    ``t``, built as kron(kron(t, t), t).  Like every factor, it is never
+    written in place, so the cache may share it."""
+    t1 = np.frombuffer(t).reshape(4, 4)
+    t2 = _kron(t1, t1)
+    return _kron(t2, t1) if m == 3 else t2
 
 
 def _product(state: PauliState, transfers: list) -> None:
     """``apply_product`` of each transfer of ``transfers`` in turn, on input its caller has checked.
 
-    Each entry is one checked transfer's ``_powers``.  Each group is
-    visited once, at its first qubit, and its factor P becomes T_last ...
-    T_1 P, one product per transfer with the group size's kron power, the
-    same products one ``apply_product`` call per transfer makes; a qubit
-    with no factor takes T_1 itself.  With no transfers it returns at once.
+    Each entry is one checked 4x4 transfer.  Each group is visited once, at
+    its first qubit, and its factor P becomes T_last ... T_1 P, one product
+    per transfer with the kron power of T for the group's size
+    (``_kron_power``, built only for a group of two or three and cached by
+    the transfer's bytes), the same products one ``apply_product`` call per
+    transfer makes; a qubit with no factor takes T_1 itself.  With no
+    transfers it returns at once.
     """
     if not transfers:
         return
@@ -503,8 +507,8 @@ def _product(state: PauliState, transfers: list) -> None:
         else:
             continue
         m = len(qs)
-        for powers in transfers:
-            f = powers[0] if f is None else powers[m - 1].dot(f)
+        for t in transfers:
+            f = t if f is None else (t if m == 1 else _kron_power(t.tobytes(), m)).dot(f)
         _regroup(pending, (qs, f))
 
 

@@ -14,6 +14,12 @@ members in source order.
 
 Idle time between partitions is where memory noise elapses, so partition
 count is the circuit's effective clock depth.
+
+Every kind's shape and category come from the one table ``circuit.KINDS``:
+``category_of`` reads its category, ``merge`` and ``_touched`` which kinds
+take the whole register, and ``decompose`` refuses, by name, an
+instruction whose kind is not in it or whose angle or qubit count is wrong
+for its kind, so hand-built input fails here and not inside a rewrite.
 """
 
 from __future__ import annotations
@@ -23,42 +29,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (
-    GATE_KINDS,
-    MEASURE_KINDS,
-    SOLO_KINDS,
-    _NAMED_SELECT,
-    Instruction,
-    format_instruction,
-)
+from .circuit import KINDS, _NAMED_SELECT, Instruction, check_shape, format_instruction
 from .errors import CompileError, InternalError
 
 _PI = math.pi
 _ZERO_TOL = 1e-12
 
 
-# the partition category of every instruction kind; None for barriers
-_CATEGORY = {
-    **dict.fromkeys(GATE_KINDS, "gate"),
-    **dict.fromkeys(MEASURE_KINDS, "measurement"),
-    **dict.fromkeys(SOLO_KINDS, "solo"),
-    "barrier": None,
-}
-
-# kinds that touch every qubit
-_WHOLE_REGISTER = ("expect", "ensemble", "barrier")
-
-
 def category_of(kind: str) -> str | None:
-    """Partition category of an instruction kind; None for barriers."""
+    """Partition category of an instruction kind (``circuit.KINDS``); None for barriers."""
     try:
-        return _CATEGORY[kind]
+        return KINDS[kind].category
     except KeyError:
         raise CompileError(f"unsupported instruction kind {kind!r}") from None
 
 
 def _touched(ins: Instruction, n: int) -> tuple[int, ...]:
-    if ins.kind in _WHOLE_REGISTER:
+    if KINDS[ins.kind].qubits is None:  # expect, ensemble, barrier
         return tuple(range(n))
     return ins.qubits
 
@@ -96,22 +83,22 @@ def _toffoli_sequence(a: int, b: int, t: int) -> list[Instruction]:
     return out
 
 
-# kinds that are already in the select set or are not gates
-_KEPT = frozenset(("u1", "u3", "cx", *MEASURE_KINDS, *SOLO_KINDS, "barrier"))
-
-
 def decompose(instructions: list[Instruction]) -> list[Instruction]:
     """Rewrite every gate into the select set {u1, u3, cx}.
 
-    Named gates take their forms in ``circuit._NAMED_SELECT``; u2 and ccx
-    expand; measurements, reset, solo readouts and barriers pass untouched.
+    Each instruction must have a kind of ``circuit.KINDS`` and the angle and
+    qubit counts it gives that kind, or ``CompileError`` names it.  Named
+    gates take their forms in ``circuit._NAMED_SELECT``; u2 and ccx expand;
+    u1, u3, cx, measurements, reset, solo readouts and barriers pass
+    untouched.
     """
     out: list[Instruction] = []
     for ins in instructions:
         k = ins.kind
-        if k in _KEPT:
-            out.append(ins)
-        elif k in _NAMED_SELECT:
+        if k not in KINDS:
+            raise CompileError(f"cannot decompose instruction: {format_instruction(ins)}")
+        check_shape(ins, error=CompileError)
+        if k in _NAMED_SELECT:
             kind, angles = _NAMED_SELECT[k]
             out.append(Instruction(kind, ins.qubits, angles))
         elif k == "u2":
@@ -119,7 +106,7 @@ def decompose(instructions: list[Instruction]) -> list[Instruction]:
         elif k == "ccx":
             out.extend(_toffoli_sequence(*ins.qubits))
         else:
-            raise CompileError(f"cannot decompose instruction: {format_instruction(ins)}")
+            out.append(ins)
     return out
 
 
@@ -206,7 +193,7 @@ def merge(n: int, instructions: list[Instruction]) -> list[Instruction]:
                 first = out[i]
                 fused[i] = _fuse(*fused.get(i, (first.kind, first.angles)), ins)
             continue
-        if kind in _WHOLE_REGISTER:  # the runs stay in out at their start positions
+        if KINDS[kind].qubits is None:  # the runs stay in out at their start positions
             open_runs.clear()
         else:
             for q in ins.qubits:
@@ -256,8 +243,10 @@ def partition(stack: QubitStack) -> Schedule:
     """Place each instruction in the first partition its phase and qubits allow.
 
     Raises ``CompileError`` for an instruction on a qubit outside the
-    register or on one qubit twice, which only a caller that builds
-    instructions itself can hand in: the parser refuses both.
+    register or on one qubit twice, and for a solo readout whose shape is
+    wrong for its kind, an expect string that is not one label in IXYZ per
+    qubit among them (``circuit.check_shape``).  Only a caller that builds
+    instructions itself can hand these in: the parser refuses them all.
     """
     parts: list[Partition] = []
     free = [0] * stack.n  # first partition each qubit may join next
@@ -276,6 +265,7 @@ def partition(stack: QubitStack) -> Schedule:
         if not register.issuperset(qs) or len(qs) > 1 and len(set(qs)) < len(qs):
             raise CompileError(f"need distinct qubits in 0..{stack.n - 1}: {format_instruction(ins)}")
         if cat == "solo":
+            check_shape(ins, stack.n, CompileError)
             parts.append(Partition("solo", [ins]))
             continue
         slot = start

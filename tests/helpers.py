@@ -81,8 +81,13 @@ def random_noise(rng: np.random.Generator) -> NoiseModel:
 
 
 def random_pauli_state(rng: np.random.Generator, n: int) -> PauliState:
-    """A valid random mixed state, built densely and converted."""
-    return oracle.random_state(n, rng)
+    """A valid full-rank random mixed state, built densely as a random
+    positive matrix of unit trace and converted."""
+    dim = 2**n
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    return oracle.from_dense(oracle.DenseState(n, rho))
 
 
 def run_alone(d: oracle.DenseState, call):

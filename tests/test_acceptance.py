@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import random_circuit_text
+from helpers import random_circuit_text, random_pauli_state
 from paulisim import oracle
 from paulisim.circuit import NoiseModel, parse_circuit
 from paulisim.engine import run_circuit, verify_circuit
@@ -107,7 +107,7 @@ def test_single_qubit_transforms_and_fusion_identities(announce):
             reduced += len(fused) < len(low)
             before += len(low)
             after += len(fused)
-            s = oracle.random_state(n, gen)
+            s = random_pauli_state(gen, n)
             d1 = oracle.to_dense(s)
             d2 = oracle.DenseState(n, d1.rho.copy())
             oracle.run_instructions_dense(d1, low)
@@ -233,7 +233,7 @@ def test_fixed_points_and_noiseless_limits(announce):
         # decohere composes multiplicatively
         for _ in range(25):
             f1, f2 = rng.uniform(0.0, 1.0, size=2)
-            s1 = oracle.random_state(2, rng)
+            s1 = random_pauli_state(rng, 2)
             s2 = s1.copy()
             decohere(s1, f1)
             decohere(s1, f2)

@@ -5,15 +5,16 @@ import pytest
 
 from helpers import random_circuit_text
 from paulisim import engine, oracle
-from paulisim.circuit import Instruction, NoiseModel, parse_circuit
+from paulisim.circuit import Instruction, NoiseModel, format_instruction, parse_circuit
 from paulisim.engine import (
     execute_schedule,
     make_initial_state,
     run_circuit,
     verify_circuit,
 )
-from paulisim.errors import CapacityError, StateFormatError
+from paulisim.errors import CapacityError, CompileError, StateFormatError
 from paulisim.state import (
+    apply_transfer,
     init_bitstring,
     init_thermal,
     init_uniform,
@@ -23,7 +24,7 @@ from paulisim.state import (
     save_state,
 )
 from paulisim.sweep import sweep
-from paulisim.transpile import Partition, Schedule, format_schedule
+from paulisim.transpile import Partition, Schedule, category_of, compile_circuit, format_schedule
 
 BELL = "qubits 2\nh q[0]\ncx q[0],q[1]\nensemble\n"
 
@@ -257,3 +258,49 @@ def test_a_bad_member_is_refused_before_the_state_changes():
             execute_schedule(state, Schedule(good + [Partition("gate", [bad])]), noise)
         assert not state._pending, bad
         assert state.coeffs.tobytes() == init_zero(3).coeffs.tobytes(), bad
+
+
+# hand-built members whose angle count, qubit count or expect string is
+# wrong for their kind in circuit.KINDS, at n = 3; the parser refuses each
+MISSHAPEN = [
+    Instruction("ccx", (0, 1)),
+    Instruction("u2", (0,), (0.1,)),
+    Instruction("u3", (0,), (0.1,)),
+    Instruction("u1", (0,)),
+    Instruction("cx", (1,)),
+    Instruction("bell", (1,)),
+    Instruction("measure", (0, 1)),
+    Instruction("h", (0, 1)),
+    Instruction("ensemble", (0,)),
+    Instruction("expect", string="Z"),
+]
+
+
+def _pending_bytes(s):
+    return {k: (qs, f.tobytes()) for k, (qs, f) in s._pending.items()}
+
+
+@pytest.mark.parametrize("bad", MISSHAPEN, ids=format_instruction)
+def test_a_member_of_the_wrong_shape_is_refused_at_every_boundary(bad):
+    # the compiler names the source form; the engine and the oracle each
+    # refuse it in their first walk, after a u3 they have not yet applied
+    first = Instruction("u3", (2,), (0.1, 0.2, 0.3))
+    with pytest.raises(CompileError) as err:
+        compile_circuit(3, [first, bad])
+    assert str(err.value).endswith(f": {format_instruction(bad)}")
+
+    schedule = Schedule([Partition("gate", [first]), Partition(category_of(bad.kind), [bad])])
+    noise = NoiseModel(r_z=0.99, d1=0.9, f=0.99, g=0.98)
+    state = init_zero(3)
+    apply_transfer(state, (2,), np.diag([1.0, 0.5, 0.5, 1.0]))  # a pending factor
+    want = state.copy()
+    with pytest.raises(ValueError):
+        execute_schedule(state, schedule, noise)
+    assert _pending_bytes(state) == _pending_bytes(want)  # nothing applied or flushed
+    assert state.coeffs.tobytes() == want.coeffs.tobytes()
+
+    dense = oracle.dense_zero(3)
+    rho = dense.rho.copy()
+    with pytest.raises(ValueError):
+        oracle.run_schedule_dense(dense, schedule, noise)
+    assert dense.rho.tobytes() == rho.tobytes()

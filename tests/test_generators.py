@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+from helpers import random_pauli_state
 from paulisim import oracle
 from paulisim.circuit import parse_circuit
 from paulisim.engine import run_circuit
 from paulisim.errors import CapacityError
-from paulisim.generators import adder_qubit_count, adder_success_pattern, gen_adder, gen_qft
+from paulisim.generators import adder_success_pattern, gen_adder, gen_qft
 from paulisim.sweep import pattern_mass
 from paulisim.state import init_uniform, overlap
 from paulisim.transpile import decompose
+
+
+def adder_qubit_count(a: str, b: str) -> int:
+    """Qubits of gen_adder(a, b): registers a and c of the wider operand's
+    width, and register b one bit wider for the final carry."""
+    return 3 * max(len(a), len(b)) + 1
 
 
 def test_adder_register_layout():
@@ -78,7 +85,7 @@ def test_qft_equals_fourier_matrix():
         omega = np.exp(2j * np.pi / dim)
         f = np.array([[omega ** (r * c) for c in range(dim)] for r in range(dim)]) / np.sqrt(dim)
         rng = np.random.default_rng(5)
-        s = oracle.random_state(nq, rng)
+        s = random_pauli_state(rng, nq)
         d = oracle.to_dense(s)
         rho0 = d.rho.copy()
         oracle.run_instructions_dense(d, low)

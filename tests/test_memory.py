@@ -66,7 +66,7 @@ def test_thermal_state_is_decay_fixed_point():
 @settings(max_examples=30, deadline=None)
 @given(f1=UNIT, f2=UNIT, seed=st.integers(0, 2**31 - 1))
 def test_decohere_semigroup(f1, f2, seed):
-    s1 = oracle.random_state(2, np.random.default_rng(seed))
+    s1 = random_pauli_state(np.random.default_rng(seed), 2)
     s2 = s1.copy()
     decohere(s1, f1)
     decohere(s1, f2)
@@ -77,7 +77,7 @@ def test_decohere_semigroup(f1, f2, seed):
 @settings(max_examples=30, deadline=None)
 @given(g1=UNIT, g2=UNIT, p=UNIT, seed=st.integers(0, 2**31 - 1))
 def test_decay_semigroup_at_fixed_population(g1, g2, p, seed):
-    s1 = oracle.random_state(1, np.random.default_rng(seed))
+    s1 = random_pauli_state(np.random.default_rng(seed), 1)
     s2 = s1.copy()
     decay(s1, g1, p)
     decay(s1, g2, p)
@@ -221,9 +221,9 @@ def _pending_bytes(s):
 
 @pytest.mark.parametrize("n", [7, 10])
 def test_the_engine_memory_step_equals_decohere_then_decay(n):
-    # the engine builds each category's PTMs and their kron powers once per
-    # run and composes them in one visit per group: the same bytes as
-    # decohere then decay, on lone factors (n = 7) and groups of 2 and 3
+    # the engine builds each category's PTMs once per run and composes them
+    # in one visit per group: the same bytes as decohere then decay, on lone
+    # factors (n = 7) and groups of 2 and 3
     rng = np.random.default_rng(n)
     base = init_uniform(n)
     for k in range(n - 1):  # the last qubit keeps no factor
@@ -246,7 +246,7 @@ def test_the_engine_memory_step_equals_decohere_then_decay(n):
             decay(want, g, noise.p)
             step = memory._clock_step(f, g, noise.p)
             assert len(step) == (f != 1.0) + (g != 1.0)
-            assert all(len(powers) == 3 for powers in step)
+            assert all(t.shape == (4, 4) for t in step)
             got, routed = base.copy(), base.copy()
             _product(got, step)
             end_of_partition(routed, noise, category)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import random_circuit_text, random_noise, random_pauli_state, run_alone
 from paulisim import oracle
-from paulisim.circuit import GATE_KINDS, Instruction, NoiseModel, parse_circuit
+from paulisim.circuit import KINDS, Instruction, NoiseModel, parse_circuit
 from paulisim.state import init_bitstring, init_thermal, init_uniform, init_zero
 from paulisim.transpile import Partition, Schedule, compile_circuit
 
@@ -191,18 +191,23 @@ def test_dense_memory_step_matches_kraus_composition(rng):
         assert np.max(np.abs(d1.rho - d2.rho)) < 1e-12
 
 
+def _rotation_mixture(axis, theta, alpha, r):
+    """Superoperator of one noisy rotation: a stack of one."""
+    return oracle._rotation_mixtures(axis, np.array([theta], dtype=np.float64), alpha, r)[0]
+
+
 def _gate_channel(ins, noise):
     """A schedule member's noisy gate channel built at its use, one mixture
     at a time: u3 as Rz(phi) @ Ry(theta) @ Rz(lam); None for a non-gate."""
     if ins.kind == "u1":
-        return oracle._rotation_mixture("z", ins.angles[0], *noise.axis("z"))
+        return _rotation_mixture("z", ins.angles[0], *noise.axis("z"))
     if ins.kind == "u3":
         theta, phi, lam = ins.angles
         z, y = noise.axis("z"), noise.axis("y")
         return (
-            oracle._rotation_mixture("z", phi, *z)
-            @ oracle._rotation_mixture("y", theta, *y)
-            @ oracle._rotation_mixture("z", lam, *z)
+            _rotation_mixture("z", phi, *z)
+            @ _rotation_mixture("y", theta, *y)
+            @ _rotation_mixture("z", lam, *z)
         )
     if ins.kind == "cx":
         return oracle._cx_mixture(noise.alpha_cx, noise.r_cx)
@@ -315,7 +320,7 @@ def test_the_oracle_stacks_equal_its_one_at_a_time_builds(angles, noise):
         assert stack.shape == (len(thetas), 4, 4)
         for s, theta in zip(stack, thetas.tolist()):
             one = _one_mixture(axis, theta, *noise.axis(axis))
-            alone = oracle._rotation_mixture(axis, theta, *noise.axis(axis))
+            alone = _rotation_mixture(axis, theta, *noise.axis(axis))
             assert s.tobytes() == one.tobytes() == alone.tobytes(), (axis, theta)
     # the channels of a run: each u3 against Rz @ Ry @ Rz of single builds
     members = [Instruction("u3", (0,), angles) for angles in zip(*map(np.ndarray.tolist, (thetas, phis, lams)))]
@@ -393,7 +398,10 @@ def test_oracle_imports_nothing_from_the_engine():
             imported |= {(node.level, node.module, alias.name) for alias in node.names}
         elif isinstance(node, ast.Import):
             assert all(alias.name.split(".")[0] != "paulisim" for alias in node.names)
-    assert imported == {(1, "state", "PauliState")}
+    # from circuit only the instruction-kind table, which holds no linear
+    # algebra: the kinds a schedule holds and each kind's shape check
+    circuit = {(1, "circuit", "SCHEDULE_KINDS"), (1, "circuit", "check_shape")}
+    assert imported == {(1, "state", "PauliState"), *circuit}
 
 
 def test_superop_rejects_incomplete_sets():
@@ -502,7 +510,7 @@ def test_superop_rotation_mixtures_match_branch_route(rng):
 
     # the y mixture on its own, as a u3 uses it
     got, want = _pair(rng)
-    run_alone(got, lambda run: run.apply((2,), oracle._rotation_mixture("y", 1.1, -0.08, 0.93)))
+    run_alone(got, lambda run: run.apply((2,), _rotation_mixture("y", 1.1, -0.08, 0.93)))
     _rotation_branches(want, "y", 1.1, -0.08, 0.93, 2)
     assert np.max(np.abs(got.rho - want.rho)) <= PIN_TOL
 
@@ -1035,7 +1043,7 @@ def test_ideal_gates_match_apply_unitary(rng):
         (Instruction("ccx", (0, 1, 2)), oracle.toffoli_matrix()),
         (Instruction("ccx", (2, 0, 1)), oracle.toffoli_matrix()),
     ]
-    assert {ins.kind for ins, _ in cases} == set(GATE_KINDS)
+    assert {ins.kind for ins, _ in cases} == {k for k, kind in KINDS.items() if kind.category == "gate"}
     for ins, u in cases:
         got, want = _pair(rng)
         assert oracle.run_instructions_dense(got, [ins]) == []

@@ -356,7 +356,7 @@ def test_load_enforces_capacity(tmp_path):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
 def test_purity_never_exceeds_one_for_valid_states(n, seed):
-    s = oracle.random_state(n, np.random.default_rng(seed))
+    s = random_pauli_state(np.random.default_rng(seed), n)
     assert purity(s) <= 1.0 + 1e-9
     assert abs(s.coeffs[0] - 2.0**-n) < 1e-12
 

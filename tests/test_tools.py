@@ -1,6 +1,7 @@
 """tools/ab_pairs.py: it refuses a run that is not clean or checkouts at paths of
 different lengths, and it writes the gain rule, the no-regression check and a
-traced run of each side on every declared workload."""
+traced run of each side on every declared workload.  tools/code_lines.py: it
+counts a package's code lines, leaving out blanks, comments and docstrings."""
 
 import importlib.util
 import json
@@ -155,3 +156,55 @@ def test_the_no_regression_check(parent_runs, change_runs, holds, unresolved):
     assert (check["holds"], check["unresolved"]) == (holds, unresolved)
     assert check["limit"] == 1.25
     assert json.loads(json.dumps(check)) == check
+
+
+CODE_LINES = ROOT / "tools" / "code_lines.py"
+
+# each module of a small package, and its code-line count
+_PACKAGE = {
+    "__init__.py": ('"""A package docstring\n\non three lines."""\n\nfrom .a import f  # a comment\n', 1),
+    "a.py": (
+        "# a leading comment\n"
+        "import math\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """One line."""\n'
+        "    # an indented comment\n"
+        "    return math.sqrt(\n"
+        "        x\n"
+        "    )\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Two\n'
+        '    lines."""\n'
+        "\n"
+        '    s = """not a docstring,\n'
+        '    so both its lines count"""\n'
+        "\n"
+        "    def g(self):\n"
+        '        "still a docstring"\n'
+        "        return 1\n",
+        10,
+    ),
+    "sub/b.py": ("x = 1\ny = 2  # a comment after code\n", 2),
+}
+
+
+def test_code_lines_counts_code_and_leaves_out_blanks_comments_and_docstrings(tmp_path):
+    for name, (source, _) in _PACKAGE.items():
+        path = tmp_path / "pkg" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    out = subprocess.run(
+        [sys.executable, str(CODE_LINES), str(tmp_path / "pkg")], capture_output=True, text=True, check=True
+    ).stdout
+    rows = [line.split() for line in out.splitlines()]
+    assert rows == [[str(count), name] for name, (_, count) in sorted(_PACKAGE.items())] + [["13", "total"]]
+
+
+def test_code_lines_refuses_a_missing_directory(tmp_path):
+    run = subprocess.run([sys.executable, str(CODE_LINES), str(tmp_path / "absent")], capture_output=True, text=True)
+    assert run.returncode == 2
+    assert "is not a directory" in run.stderr

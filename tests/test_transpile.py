@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit_text
+from helpers import random_circuit_text, random_pauli_state
 from paulisim import oracle
 from paulisim.circuit import Instruction, parse_circuit
 from paulisim.errors import CompileError, InternalError
@@ -29,7 +29,7 @@ ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
 def dense_equivalent(n: int, a: list[Instruction], b: list[Instruction], tol: float = 1e-10):
     rng = np.random.default_rng(99)
-    s = oracle.random_state(n, rng)
+    s = random_pauli_state(rng, n)
     d1 = oracle.to_dense(s)
     d2 = oracle.DenseState(n, d1.rho.copy())
     oracle.run_instructions_dense(d1, a)
@@ -76,7 +76,7 @@ def test_decompose_toffoli_is_fifteen_select_gates():
     # action equals the dense doubly controlled flip
     d1 = oracle.dense_zero(3)
     rng = np.random.default_rng(4)
-    s = oracle.random_state(3, rng)
+    s = random_pauli_state(rng, 3)
     d1 = oracle.to_dense(s)
     d2 = oracle.DenseState(3, d1.rho.copy())
     oracle.run_instructions_dense(d1, low)
