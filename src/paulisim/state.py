@@ -42,11 +42,15 @@ group is there (``_kron_power``).
 Qubit layout.  The buffer a ``PauliState`` holds need not be in the order
 above: it carries a private digit order, which qubit sits in each physical
 base-4 digit.  A pass on two or three qubits whose digits are apart moves
-the lower digits up to sit just below the highest one, in their order, in
-the one transposed copy the matmul needs anyway, and the buffer keeps that
-layout; a later pass on the same qubits runs on adjacent digits with no
-copy (the qubit remapping of Häner & Steiger, arXiv:1704.01127).  A pass on
-one qubit, and the passes of a full read over lone factors, never move a
+them together in the one transposed copy the matmul needs anyway, and the
+buffer keeps that layout; a later pass on the same qubits runs on adjacent
+digits with no copy (the qubit remapping of Häner & Steiger,
+arXiv:1704.01127).  A pair's lower digit moves up to sit just below the
+higher one.  A group of three lands on digits ``_LANDING_DIGIT`` + 2 down
+to ``_LANDING_DIGIT`` (4, 3, 2; the lowest three on fewer than five
+qubits), where its 64x64 products run on cache-sized panels.  The moved
+digits keep their order, and so does every other digit.  A pass on one
+qubit, and the passes of a full read over lone factors, never move a
 digit.  The layout is invisible outside this module: ``coeffs`` is always in
 the logical order above, and reading it on a moved layout makes one
 transposed copy and resets the layout; ``tensor`` is a logical view of the
@@ -301,6 +305,15 @@ _EYE.setflags(write=False)
 #: adder took 101 against 208 ms and the QFT 164 against 271 ms.
 _GROUPS_FROM_N = 10
 
+#: Lowest physical digit of the three a moved three-qubit group lands on (on
+#: fewer than five qubits, digit 0).  The pass is then ``4^(n-5)`` batched
+#: 64x64 @ 64x16 products, each panel 8 KiB.  The same 64x64 pass at n=10,
+#: one BLAS thread on a 2-vCPU x86-64 VM, best of 20, took 1.93-1.95 ms with
+#: the group's lowest digit at 2 and 1.97-2.07 ms at 3, against 2.47-3.40 ms
+#: at every other position (a degenerate panel at 0 and 1, one far larger
+#: than L1 from 4 up).
+_LANDING_DIGIT = 2
+
 
 def _kron(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
     """kron(a, b) of two pending factors, None as the 4x4 identity, by broadcasting."""
@@ -431,8 +444,11 @@ def _apply(state: PauliState, digits: list[int], t: np.ndarray) -> None:
     """One pass of ``t`` over the buffer, on the listed physical digits.
 
     ``t`` is kron-major in the order of ``digits``.  When the digits are not
-    adjacent, the lower ones move up to sit just below the highest, in
-    their order, in one transposed copy, and the buffer keeps that layout.
+    adjacent they move together in one transposed copy, and the buffer
+    keeps that layout: a pair's lower digit moves up to sit just below the
+    higher one, and a group of three lands on the three digits from
+    ``_LANDING_DIGIT`` up (from 0 on fewer than five qubits).  The moved
+    digits keep their order, and so does every other digit.
     """
     n, m = state.n, len(digits)
     hi, lo, x = max(digits), min(digits), state._buf
@@ -441,18 +457,20 @@ def _apply(state: PauliState, digits: list[int], t: np.ndarray) -> None:
         t = _permuted(t, sorted(range(m), key=digits.__getitem__, reverse=True))
     if hi - lo >= m:
         # Digits apart: a matmul cannot contract axes with gaps between them,
-        # so the lower digits move up next to hi (one copy) and stay there.
-        # The old buffer goes before the matmul allocates.
+        # so the digits move together (one copy) and stay there.  The old
+        # buffer goes before the matmul allocates.
         old = state._layout or tuple(range(n))
-        if m == 2:
+        if m == 2:  # the lower digit moves up next to hi
             shape, axes = (rows, 4, 4 ** (hi - lo - 1), 4, 4**lo), (0, 1, 3, 2, 4)
             layout = old[:lo] + old[lo + 1 : hi] + (old[lo],) + old[hi:]
-        else:  # three digits, the middle one at mi
-            mi = sum(digits) - hi - lo
-            shape = (rows, 4, 4 ** (hi - mi - 1), 4, 4 ** (mi - lo - 1), 4, 4**lo)
-            axes = (0, 1, 3, 5, 2, 4, 6)
-            layout = old[:lo] + old[lo + 1 : mi] + old[mi + 1 : hi] + (old[lo], old[mi]) + old[hi:]
-        x = np.ascontiguousarray(x.reshape(shape).transpose(axes))
+            x = np.ascontiguousarray(x.reshape(shape).transpose(axes))
+        else:  # the group lands on _LANDING_DIGIT and the two digits above it
+            land = _LANDING_DIGIT if n >= _LANDING_DIGIT + 3 else 0
+            rest = [d for d in range(n) if d not in digits]
+            order = rest[:land] + sorted(digits) + rest[land:]  # order[d]: the old digit now at d
+            layout = tuple(old[d] for d in order)
+            x = np.ascontiguousarray(x.reshape((4,) * n).transpose([n - 1 - d for d in reversed(order)]))
+            rows = 4 ** (n - 3 - land)
         state._buf = x
         state._layout = None if layout == tuple(range(n)) else layout
     x = x.reshape(rows, len(t), -1)

@@ -5,7 +5,8 @@ noise model with one parameter (or parameter group) replaced.  Two metrics:
 
 - ``success:PATTERN``: probability mass of the final ensemble distribution
   on outcomes matching PATTERN (most significant bit first, ``x`` = don't
-  care), marginalizing the ``x`` positions.
+  care), marginalizing the ``x`` positions.  A circuit with no ``ensemble``
+  is refused from its compiled schedule, before any row runs.
 - ``fidelity`` (or ``fidelity:FILE``): overlap Tr(rho1 rho2) of the final
   state with the noiseless final state, or with a saved reference state.
 
@@ -19,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .circuit import NOISE_KEYS, NoiseModel
-from .engine import Record, _compile_text, execute_schedule, make_initial_state, parse_init
+from .engine import _compile_text, execute_schedule, make_initial_state, parse_init
 from .state import DEFAULT_QUBIT_CAP, PauliState, overlap
 
 GROUP_KEYS = {
@@ -46,13 +47,6 @@ def pattern_mass(dist: dict[str, float], pattern: str) -> float:
     )
 
 
-def _last_ensemble(records: list[Record]) -> dict[str, float]:
-    for rec in reversed(records):
-        if rec.kind == "ensemble":
-            return rec.dist
-    raise ValueError("success metric needs an ensemble instruction in the circuit")
-
-
 @dataclass
 class SweepRow:
     value: float
@@ -77,6 +71,8 @@ def sweep(
         pattern = metric.partition(":")[2]
         if len(pattern) != n or set(pattern) - {"0", "1", "x"}:
             raise ValueError(f"success pattern must be {n} characters over 0/1/x")
+        if not any(ins.kind == "ensemble" for part in schedule.partitions for ins in part.members):
+            raise ValueError("success metric needs an ensemble instruction in the circuit")
     elif metric == "fidelity":
         reference = make_initial_state(n, spec, base)
         execute_schedule(reference, schedule, NoiseModel())
@@ -95,7 +91,7 @@ def sweep(
         state = make_initial_state(n, spec, noise)
         records = execute_schedule(state, schedule, noise)
         if pattern is not None:
-            m = pattern_mass(_last_ensemble(records), pattern)
+            m = pattern_mass(next(r.dist for r in reversed(records) if r.kind == "ensemble"), pattern)
         else:
             m = overlap(state, reference)
         rows.append(SweepRow(value, m, len(schedule)))

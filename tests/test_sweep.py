@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from paulisim.circuit import NoiseModel
+from paulisim.cli import main
 from paulisim.errors import StateFormatError
 from paulisim.generators import adder_success_pattern, gen_adder
 from paulisim.state import init_bitstring, save_state
@@ -75,9 +78,23 @@ def test_sweep_refuses_fidelity_with_an_empty_path():
         sweep(BELL, "r", [1.0], "fidelity:")
 
 
-def test_sweep_requires_ensemble_for_success_metric():
-    with pytest.raises(ValueError):
+def test_sweep_requires_ensemble_for_success_metric(tmp_path, monkeypatch, capsys):
+    # refused from the compiled schedule, before any row runs; the package's
+    # ``sweep`` name is the function, so the module comes from sys.modules
+    module, calls = sys.modules["paulisim.sweep"], []
+    run = module.execute_schedule
+    monkeypatch.setattr(module, "execute_schedule", lambda *a: calls.append(a) or run(*a))
+    with pytest.raises(ValueError, match="success metric needs an ensemble instruction in the circuit"):
         sweep("qubits 2\nh q[0]\n", "r", [1.0], "success:xx")
+    text = "qubits 10\nh q[0]\ncx q[0],q[9]\nmeasure q[9]\n"
+    with pytest.raises(ValueError, match="success metric needs an ensemble instruction in the circuit"):
+        sweep(text, "r", [1.0, 0.9], "success:" + "x" * 10)
+    path = tmp_path / "no_ensemble.circ"
+    path.write_text(text)
+    argv = ["sweep", "--circuit", str(path), "--param", "r", "--values", "1.0", "--metric", "success:" + "x" * 10]
+    assert main(argv) == 2
+    assert "success metric needs an ensemble" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_sweep_reference_qubit_mismatch(tmp_path):

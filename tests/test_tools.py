@@ -1,6 +1,7 @@
 """tools/ab_pairs.py: it refuses a run that is not clean or checkouts at paths of
-different lengths, and it writes the gain rule, the no-regression check and a
-traced run of each side on every declared workload.  tools/code_lines.py: it
+different lengths, it writes the gain rule, the no-regression check and a
+traced run of each side on every declared workload, and it prints the traced
+layers of the claimed workload whose ranges part.  tools/code_lines.py: it
 counts a package's code lines, leaving out blanks, comments and docstrings."""
 
 import importlib.util
@@ -16,9 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_pairs.py"
 
 # a stand-in for perfbench/run.py: a clean run, or one of six ways to fail;
-# it reports its --trace flag as a metric, logs each traced run's tree and
-# workload to the file ../runs.log, and adds 0.5 to wall_s on every third
-# traced run of its tree
+# it reports its --trace flag and a layer time of its tree as metrics, logs
+# each traced run's tree and workload to the file ../runs.log, and adds 0.5
+# to wall_s on every third traced run of its tree
 _STUB = """
 import json, sys
 from pathlib import Path
@@ -38,13 +39,14 @@ if mode in ("silent", "garbled", "not_an_object"):
     print({{"silent": "", "garbled": "wall_s 1.0", "not_an_object": "[1, 2]"}}[mode])
     sys.exit(0)
 print(json.dumps({{"correct": mode != "wrong", "attempted": 2, "failed": int(mode == "failed"),
-                  "metrics": {{"wall_s": {{"value": wall}}, "trace.on": {{"value": trace}}}}}}))
+                  "metrics": {{"wall_s": {{"value": wall}}, "trace.on": {{"value": trace}},
+                              "layer_s": {{"value": {layer!r}}}}}}}))
 """
 
 
-def _tree(root: Path, mode: str, wall: float = 1.0) -> Path:
+def _tree(root: Path, mode: str, wall: float = 1.0, layer: float = 1.0) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(_STUB.format(mode=mode, wall=wall))
+    (root / "perfbench" / "run.py").write_text(_STUB.format(mode=mode, wall=wall, layer=layer))
     return root
 
 
@@ -107,6 +109,22 @@ def test_the_record_holds_a_traced_run_of_each_side_on_every_workload(tmp_path):
             assert traced[w]["wall_s"] == statistics.median(v)
         assert spread["verify7"]["wall_s"]["max"] > spread["verify7"]["wall_s"]["min"]
         assert [r["trace.on"] for r in record["runs"][side]] == [0, 0]
+
+
+@pytest.mark.parametrize("layer, side", [(3.0, "below"), (0.5, "above")])
+def test_the_tool_prints_the_traced_layers_whose_ranges_part(tmp_path, layer, side):
+    # both trees read the same wall_s and trace.on; only the parent's layer_s differs
+    parent, change = _tree(tmp_path / "parent", "clean", layer=layer), _tree(tmp_path / "change", "clean")
+    path = ROOT / "BENCH_layer_probe.json"
+    try:
+        run = _ab(parent, change, 2, tag="layer_probe")
+        assert run.returncode == 0, run.stderr
+        record = json.loads(path.read_text())
+    finally:
+        path.unlink(missing_ok=True)
+    traced = [line for line in run.stdout.splitlines() if line.startswith("traced ")]
+    assert traced == [f"traced verify7 layer_s: median {layer:.4g} -> 1, change range wholly {side} the parent's"]
+    assert _tool().separated(record, "verify7") == [("layer_s", layer, 1.0, side)]
 
 
 def _tool():

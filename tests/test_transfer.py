@@ -541,8 +541,9 @@ def test_engine_matches_oracle_on_noisy_random_circuits(n, n_instr, seed, values
 # --- pending groups of up to three qubits -------------------------------------------
 #
 # Below kernel._GROUPS_FROM_N qubits every group holds one qubit, so the
-# tests above run the one-qubit path.  Each test here but the last three lowers
-# the constant to 1, so groups of two and three qubits form at every n.
+# tests above run the one-qubit path.  Each test here lowers the constant to 1,
+# so groups of two and three qubits form at every n, but the last three and
+# the n = 10 cases of the landing test, which run the constant as shipped.
 
 
 def _group_at_every_n(monkeypatch) -> None:
@@ -694,6 +695,37 @@ def test_a_group_flush_that_moves_digits_keeps_peak_memory(monkeypatch):
     assert np.max(np.abs(s.coeffs - want.coeffs)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 10], ids=["n8_lowered", "n10_shipped"])
+@pytest.mark.parametrize("move", [False, True], ids=["identity", "moved"])
+def test_a_moved_group_of_three_lands_on_digits_two_to_four(monkeypatch, n, move):
+    rng = np.random.default_rng([34, n])
+    s = PauliState(n, rng.uniform(-1.0, 1.0, 4**n))
+    if move:
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "_GROUPS_FROM_N", n + 1)  # so that the cx makes its own pass
+            moved(s)  # qubit 0 on digit n - 2, the rest one digit down
+    ref = canonical(s)
+    with monkeypatch.context() as m:
+        if n < kernel._GROUPS_FROM_N:
+            _group_at_every_n(m)
+        sizes = _passes(m)
+        for qubits in ((0, 3), (6, 3)):  # the group {0, 3, 6}, on digits apart
+            t = bounded_transfer(rng, 16)
+            apply_transfer(s, qubits, t)
+            ref.coeffs[:] = reference_transfer(ref, qubits, t)
+        old = s._layout or tuple(range(n))
+        group = [old[d] for d in sorted(s._digits((0, 3, 6)))]  # the group's qubits by old digit
+        assert max(s._digits(group)) - min(s._digits(group)) > 2
+        t = bounded_transfer(rng, 16)
+        apply_transfer(s, (0, n - 1), t)  # four qubits: the group goes to the buffer
+        ref.coeffs[:] = reference_transfer(ref, (0, n - 1), t)
+        assert sizes == [64]
+    layout = s._layout or tuple(range(n))
+    assert [layout[d] for d in (2, 3, 4)] == group
+    assert [k for k in layout if k not in group] == [k for k in old if k not in group]
+    assert np.max(np.abs(s.coeffs - ref.coeffs)) <= 1e-12
+
+
 def _toffoli_rich(rng: np.random.Generator, n: int) -> str:
     """Toffolis on overlapping triples between one-qubit gates and readouts."""
     lines = [f"qubits {n}"]
@@ -753,7 +785,7 @@ def test_a_grouped_adder_row_matches_the_ungrouped_one(monkeypatch):
 
 
 def test_an_adder_row_at_ten_qubits_makes_few_passes(monkeypatch):
-    # a pass per cx would be 77; groups of three bring it to 19
+    # a pass per cx would be 77; groups of three bring it to 18
     sizes = _passes(monkeypatch)
     run_circuit(gen_adder("011", "010"), _ADDER_NOISE)
     assert len(sizes) <= 24, sizes

@@ -27,11 +27,15 @@ parent's quartile range.  Each end-to-end metric also gets a no-regression
 entry: it holds when the change's median is at most the parent's times
 (1 + the metric's ``bound`` in BENCHMARK.json), and the metric is unresolved
 when the parent's quartile range over its median is wider than that bound,
-unless every change run reads lower than every parent run.  The two
-checkouts must sit at paths of equal length, because the path alone moves
-peak RSS.  A run that fails, ends without a JSON line on stdout, is not
-correct or has a failed operation stops the tool with a non-zero exit,
-naming the run and printing its stderr.  Standard library only.
+unless every change run reads lower than every parent run.  Last, the
+tool prints each traced metric of ``--workload`` whose change range (min
+to max over its ``TRACED_REPEATS`` rounds) lies wholly above or below the
+parent's, with both medians: the layers where a saving or a cost shows.
+The two checkouts must sit at paths of equal length, because the path
+alone moves peak RSS.  A run that fails, ends without a JSON line on
+stdout, is not correct or has a failed operation stops the tool with a
+non-zero exit, naming the run and printing its stderr.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -106,6 +110,18 @@ def no_regression(record: dict, metric: str, bound: float) -> dict:
             "unresolved": (q3 - q1) / parent > bound and not every_run_lower}
 
 
+def separated(record: dict, workload: str) -> list[tuple[str, float, float, str]]:
+    """Each traced metric of ``workload`` whose change range lies wholly below or
+    above the parent's, as (metric, parent median, change median, "below" or "above")."""
+    parent, change = (record["traced_spread"][s][workload] for s in ("parent", "change"))
+    out = []
+    for m, p in parent.items():
+        c = change[m]
+        if c["max"] < p["min"] or c["min"] > p["max"]:
+            out.append((m, p["median"], c["median"], "below" if c["max"] < p["min"] else "above"))
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True)
@@ -168,6 +184,8 @@ def main() -> int:
         print(f"{m}: median {record['median']['parent'][m]:.4f} -> {record['median']['change'][m]:.4f}, "
               f"change lower in {record['change_won'][m]:.0%} of pairs, gain rule "
               f"{'holds' if record['gain_rule'][m]['holds'] else 'fails'}{verdict}")
+    for m, p, c, side in separated(record, args.workload):
+        print(f"traced {args.workload} {m}: median {p:.4g} -> {c:.4g}, change range wholly {side} the parent's")
     print(f"wrote {path}")
     return 0
 
