@@ -267,6 +267,8 @@ def run_circuit(
     """Full pipeline on circuit text; returns the report with final state."""
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     noise = noise or NoiseModel()
     start = time.perf_counter()
     n, instructions, merged, schedule, spec = _compile_text(circuit_text, init, DEFAULT_QUBIT_CAP)

@@ -7,7 +7,9 @@ reads its outcome, then applies its update as a transfer matrix; each
 returned distribution passes ``_finalize``.  ``measure``, ``expect`` and
 ``bell`` read only the coefficients whose digits off their qubits are 0,
 through ``PauliState.marginal``, which makes no pass over the state; the
-ensemble reads the whole state through ``PauliState.tensor``.
+ensemble reads the 2^n coefficients it needs through ``PauliState.z_block``,
+which from 10 qubits up (``state._GROUPS_FROM_N``) reads them through the
+pending factors and makes no pass either.
 
 ``measure_qubit`` and ``expect_pauli_string`` each check their input and
 build their readout transfers, then run a private step, ``_measure`` or
@@ -18,17 +20,19 @@ as one (3, 4, 4) stack; a public call builds its own.  Either way a
 readout transfer is a row of ``_axis_transfers``, so it has the same bits.
 
 The ensemble contraction.  prob(b) needs only the 2^n coefficients whose
-digits all lie in {0, 3}, a strided (2,) * n view of the tensor.  Each
-qubit's two outcome bits come from its (digit 0, digit 3) pair through the
-2x2 map [[1, d1], [1, -d1]], so the distribution is that map on every axis
-of the view.  ``_bitstring_probs`` applies it one axis at a time as one
-(2, 2) @ (2, 2^(n-1)) product on a copy with that axis first and the
-others in order, the operands ``numpy.tensordot`` would build, so the bits
-are the same; a step costs a few microseconds, where the generic
-tensordot and moveaxis calls cost tens.  The outcome labels are built once
+digits all lie in {0, 3}, the (2,) * n block ``PauliState.z_block``
+returns.  Each qubit's two outcome bits come from its (digit 0, digit 3)
+pair through the 2x2 map [[1, d1], [1, -d1]], so the distribution is that
+map on every axis of the block.  ``_bitstring_probs`` applies it one axis
+at a time as one (2, 2) @ (2, 2^(n-1)) product on a copy with that axis
+first and the others in order, the operands ``numpy.tensordot`` would
+build, so the bits are the same; a step costs a few microseconds, where
+the generic tensordot and moveaxis calls cost tens.  The outcome labels are built once
 per qubit count.  The ensemble's update, digits 1 and 2 gone and digit 3
 scaled by d1 on every qubit, is one checked 4x4 transfer that
-``state._product`` composes into every group's pending factor.
+``state._product`` composes into every group's pending factor, so the next
+full read applies it; a sweep row, which keeps only the distribution, never
+makes that read.
 
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string
@@ -205,12 +209,12 @@ def _measure(
 def _bitstring_probs(state: PauliState, d1: float) -> np.ndarray:
     """The ensemble readout, indexed by bitstring with qubit n - 1 most significant.
 
-    The map [[1, d1], [1, -d1]] on every axis of the {0, 3} view, one axis
-    at a time (see the module docstring).
+    The map [[1, d1], [1, -d1]] on every axis of ``state.z_block()``, one
+    axis at a time (see the module docstring).
     """
     n = state.n
     m = np.array([[1.0, d1], [1.0, -d1]])  # (digit 0, d1 * digit 3) -> the two outcome bits
-    x = m.dot(state.tensor()[(slice(None, None, 3),) * n].reshape(2, -1))
+    x = m.dot(state.z_block().reshape(2, -1))
     for ax in range(1, n):  # x holds axis ax - 1 first, then the others in order
         x = x.reshape((2,) * n).transpose((ax, *range(1, ax), 0, *range(ax + 1, n)))
         x = m.dot(x.reshape(2, -1))

@@ -25,7 +25,7 @@ first three, and ``load_state`` checks positivity too, for files of at most
 Every state update is a Pauli transfer matrix (PTM), a real 4^m x 4^m
 matrix on m = 1 or 2 qubits, applied by ``apply_transfer`` or
 ``apply_product``, and every readout reads through ``PauliState.coeffs``,
-``.tensor`` or ``.marginal``.  A diagonal PTM is a matrix like any other,
+``.tensor``, ``.marginal`` or ``.z_block``.  A diagonal PTM is a matrix like any other,
 and every pass is a matmul.  Every PTM must have first row (1, 0, ..., 0),
 and the kernel refuses one that does not, so ``a[0]`` comes out of each
 update bit for bit.  ``apply_transfer`` and ``apply_product`` check the
@@ -67,7 +67,7 @@ Steiger arXiv:1704.01127).  A two-qubit PTM on (a, b) composes into the
 union of a's and b's groups when that union holds at most three qubits;
 otherwise it flushes the larger of those groups that holds two or more,
 one pass, and tries again.  Below ``_GROUPS_FROM_N`` qubits every group
-holds one qubit.  A factor leaves its group in one of three ways:
+holds one qubit.  A factor reaches the coefficients in one of four ways:
 
 * below ``_GROUPS_FROM_N`` qubits, a two-qubit PTM T on (a, b) applies
   T (P_a kron P_b) in the one pass it makes, and both factors are gone; from
@@ -81,7 +81,17 @@ holds one qubit.  A factor leaves its group in one of three ways:
   qubits and their group mates whose other digits are 0, applies those
   groups' factors to it, takes the mates' digits at 0, and leaves the state
   as it is.  A factor on any other qubit has first row e0, so it cannot
-  change that block: a readout of a few qubits makes no pass at all.
+  change that block: a readout of a few qubits makes no pass at all;
+* ``z_block()``, the ensemble's read of the 2^n coefficients whose digits
+  all lie in {0, 3}, is a full read below ``_GROUPS_FROM_N`` qubits, which
+  keeps the pinned outputs' bits.  From ``_GROUPS_FROM_N`` up it reads the
+  block through the factors and leaves the state as it is: each lone
+  qubit's digit is contracted with rows 0 and 3 of its factor, halving the
+  array, then each group's digits with its factor's rows in {0, 3}^m.  It
+  makes no pass, and its temporaries stay within one state when some qubit
+  is lone (with or without a factor), since that digit halves the array
+  before any group's copy; with none, a group on digits apart copies the
+  whole buffer once.
 
 Factors are never written in place, so ``copy()`` shares them and stays
 cheap and independent.
@@ -90,6 +100,7 @@ cheap and independent.
 from __future__ import annotations
 
 import io
+import math
 import re
 import warnings
 from functools import lru_cache
@@ -133,7 +144,8 @@ class PauliState:
 
     ``coeffs`` and ``tensor`` are full reads: they apply every pending
     factor first (see the module docstring).  ``marginal`` reads the block
-    of coefficients a readout needs without a pass over the state.  The
+    of coefficients a readout needs without a pass over the state, and so
+    does ``z_block`` from ``_GROUPS_FROM_N`` qubits up.  The
     constructor keeps a C-contiguous float64 array as given, without a
     copy (any other array it copies into one), and
     ``coeffs`` returns that same array until a pass replaces it: a
@@ -222,6 +234,45 @@ class PauliState:
             kept = [k for k in order if k in qubits]
             block = np.ascontiguousarray(block.transpose([kept.index(k) for k in qubits]))
         return block
+
+    def z_block(self) -> np.ndarray:
+        """The coefficients whose every digit is 0 or 3, as a new (2,) * n array.
+
+        Axis ``n - 1 - k`` indexes qubit ``k``'s digit, 0 or 3, as in
+        ``tensor``.  Below ``_GROUPS_FROM_N`` qubits this is a copy of the
+        strided view of ``tensor``, after its full read.  From
+        ``_GROUPS_FROM_N`` up the block is read through the pending factors
+        and the state does not change: going down the physical digits, a
+        lone qubit's digit is contracted with rows 0 and 3 of its factor (a
+        strided slice when it has none), each step halving the array; then
+        each group of two or three is contracted with its factor's rows in
+        {0, 3}^m, one group at a time; then one transpose puts the axes in
+        logical order.
+        """
+        n = self.n
+        if n < _GROUPS_FROM_N:  # the flush keeps the pinned outputs' bits
+            return self.tensor()[(slice(None, None, 3),) * n].copy()
+        at = self._layout or range(n)
+        axes = [at[d] for d in reversed(range(n))]  # the qubit on each axis of x, top digit first
+        x, groups = self._buf.reshape((4,) * n), []
+        for i, k in enumerate(axes):
+            g = self._pending.get(k)
+            if g is None:
+                x = x[(slice(None),) * i + (slice(None, None, 3),)]
+            elif len(g[0]) == 1:
+                x = _contract(x, i, 1, g[1][::3])
+            elif g[0][0] == k:  # each group once, at its first qubit
+                groups.append(g)
+        for qs, f in groups:
+            m, pos = len(qs), sorted(axes.index(k) for k in qs)
+            f = _permuted(f, [qs.index(axes[a]) for a in pos])  # its digits in axis order
+            rows = f.reshape((4,) * m + (-1,))[(slice(None, None, 3),) * m].reshape(2**m, -1)
+            i = pos[0]
+            if pos[-1] - i >= m:  # apart: the group's axes go first, in one transposed copy
+                pos += [a for a in range(n) if a not in pos]
+                x, axes, i = np.ascontiguousarray(x.transpose(pos)), [axes[a] for a in pos], 0
+            x = _contract(x, i, m, rows)
+        return np.ascontiguousarray(x.transpose([axes.index(k) for k in reversed(range(n))]))
 
     def axis(self, k: int) -> int:
         """Tensor-view axis belonging to qubit ``k``."""
@@ -321,6 +372,18 @@ def _kron(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
     b = _EYE if b is None else b
     size = len(a) * len(b)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
+
+
+def _contract(x: np.ndarray, i: int, m: int, rows: np.ndarray) -> np.ndarray:
+    """``x`` with its m axes from ``i`` on, each 4 wide, contracted with the columns of
+    ``rows`` (r x 4^m) into m axes 2 wide: r = 2^m rows in {0, 3}^m."""
+    shape = x.shape
+    y = x.reshape(math.prod(shape[:i]), 4**m, -1)  # a copy only after a strided slice
+    if y.shape[2] == 1:  # the axes last; rows @ y would run many tiny products
+        out = y[:, :, 0] @ rows.T
+    else:
+        out = np.matmul(rows, y)
+    return out.reshape(shape[:i] + (2,) * m + shape[i + m :])
 
 
 def _permuted(t: np.ndarray, order: list[int]) -> np.ndarray:

@@ -17,7 +17,9 @@ The grouped pseudo-parameters ``r`` and ``alpha`` set all four axis values
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .circuit import NOISE_KEYS, NoiseModel
 from .engine import _compile_text, execute_schedule, make_initial_state, parse_init
@@ -39,12 +41,25 @@ def build_noise(base: NoiseModel, param: str, value: float) -> NoiseModel:
 
 
 def pattern_mass(dist: dict[str, float], pattern: str) -> float:
-    """Probability of outcomes matching a 0/1/x pattern (x marginalized)."""
-    return sum(
-        p
-        for label, p in dist.items()
-        if all(pc in ("x", lc) for lc, pc in zip(label, pattern))
-    )
+    """Probability of outcomes matching a 0/1/x pattern (x marginalized).
+
+    The matching probabilities are summed in the order of ``dist``.  A
+    pattern of another length than the labels, or with a character other
+    than 0, 1 and x, is refused (``ValueError``).
+    """
+    width = len(next(iter(dist), pattern))
+    if len(pattern) != width:
+        raise ValueError(f"pattern {pattern!r} has {len(pattern)} characters, the outcomes {width}")
+    match = _matcher(pattern)
+    return sum(p for label, p in dist.items() if match(label))
+
+
+@lru_cache(maxsize=64)
+def _matcher(pattern: str):
+    """A full match of a 0/1/x pattern, x matching either bit, compiled once per pattern."""
+    if set(pattern) - {"0", "1", "x"}:
+        raise ValueError(f"pattern {pattern!r} holds a character other than 0, 1 and x")
+    return re.compile(pattern.replace("x", "[01]")).fullmatch
 
 
 @dataclass

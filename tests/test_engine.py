@@ -1,3 +1,4 @@
+import sys
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from helpers import random_circuit_text
 from paulisim import engine, oracle
 from paulisim.circuit import Instruction, NoiseModel, format_instruction, parse_circuit
+from paulisim.cli import main
 from paulisim.engine import (
     execute_schedule,
     make_initial_state,
@@ -125,6 +127,19 @@ def test_qubit_capacity_enforced_before_compiling():
 def test_negative_shots_rejected():
     with pytest.raises(ValueError):
         run_circuit(BELL, shots=-1)
+
+
+def test_a_negative_seed_is_refused_before_the_circuit_runs(tmp_path, monkeypatch, capsys):
+    module, calls = sys.modules["paulisim.engine"], []
+    run = module.execute_schedule
+    monkeypatch.setattr(module, "execute_schedule", lambda *a: calls.append(a) or run(*a))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run_circuit(BELL, shots=10, seed=-1)
+    path = tmp_path / "bell.circ"
+    path.write_text(BELL)
+    assert main(["run", "--circuit", str(path), "--shots", "10", "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_verify_enforces_oracle_cap():

@@ -8,7 +8,8 @@ path by a relation between two runs instead of by a reference value.
 Relabelling: a circuit run again with its qubits renamed by a permutation
 gives the renamed final state and records.  Renaming moves every group onto
 other physical digits, so a layout that records the wrong qubit for a digit
-breaks it.
+breaks it, and so does an ensemble read (``PauliState.z_block``) that
+contracts a pending group wrongly or puts its axes in the wrong order.
 """
 
 import re
@@ -49,6 +50,17 @@ def _moves_of_three(monkeypatch) -> list[int]:
     return moves
 
 
+def _grouped_reads(monkeypatch) -> list[bool]:
+    """For each ``z_block`` read from now on, whether a group of two or more was pending."""
+    reads = []
+    read = kernel.PauliState.z_block
+    def spy(s):
+        reads.append(any(len(g[0]) > 1 for g in s._pending.values()))
+        return read(s)
+    monkeypatch.setattr(kernel.PauliState, "z_block", spy)
+    return reads
+
+
 @pytest.mark.parametrize("n, seed", [(10, 1), (10, 2), (10, 3), (11, 4)])
 def test_relabelling_the_qubits_relabels_the_state_and_the_records(monkeypatch, n, seed):
     rng = np.random.default_rng([71, n, seed])
@@ -56,11 +68,13 @@ def test_relabelling_the_qubits_relabels_the_state_and_the_records(monkeypatch, 
     perm = [int(k) for k in rng.permutation(n)]
     noise = random_noise(rng)
     init = ("zero", "uniform", "thermal")[seed % 3]
-    moves = _moves_of_three(monkeypatch)
+    moves, reads = _moves_of_three(monkeypatch), _grouped_reads(monkeypatch)
     want = run_circuit(text, noise, init=init)
-    moved_before = len(moves)
+    moved_before, read_before = len(moves), list(reads)
     got = run_circuit(_relabelled(text, perm), noise, init=init)
     assert moved_before > 0 and len(moves) > moved_before, "no group of three moved"
+    # an ensemble reads through a pending group's factor, in both runs
+    assert any(read_before) and any(reads[len(read_before) :]), "no ensemble read through a group"
     assert got.partitions == want.partitions
 
     # qubit k of the first run is qubit perm[k] of the second: tensor axis n - 1 - k

@@ -43,6 +43,23 @@ def test_pattern_mass_marginalizes_dont_cares():
     assert pattern_mass(dist, "000") == 0.0
 
 
+def test_pattern_mass_sums_what_the_prefix_match_summed_and_refuses_bad_patterns():
+    rng = np.random.default_rng(47)
+    labels = [format(i, "010b") for i in range(2**10)]
+    for _ in range(50):
+        p = rng.random(2**10)
+        dist = dict(zip(labels, (p / p.sum()).tolist()))
+        pattern = "".join(rng.choice(list("01x"), size=10, p=[0.2, 0.2, 0.6]))
+        old = sum(p for label, p in dist.items() if all(pc in ("x", lc) for lc, pc in zip(label, pattern)))
+        assert pattern_mass(dist, pattern) == old, pattern
+    dist = {"00": 0.5, "11": 0.5}
+    for pattern in ("1", "1x1"):  # a prefix, and one character too many
+        with pytest.raises(ValueError, match="characters, the outcomes 2"):
+            pattern_mass(dist, pattern)
+    with pytest.raises(ValueError, match="a character other than 0, 1 and x"):
+        pattern_mass(dist, "2x")
+
+
 def test_sweep_success_metric_on_bell():
     rows = sweep(BELL, "d1", [1.0, 0.9], "success:11")
     assert abs(rows[0].metric - 0.5) < 1e-12

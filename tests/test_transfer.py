@@ -542,8 +542,9 @@ def test_engine_matches_oracle_on_noisy_random_circuits(n, n_instr, seed, values
 #
 # Below kernel._GROUPS_FROM_N qubits every group holds one qubit, so the
 # tests above run the one-qubit path.  Each test here lowers the constant to 1,
-# so groups of two and three qubits form at every n, but the last three and
-# the n = 10 cases of the landing test, which run the constant as shipped.
+# so groups of two and three qubits form at every n, but the n = 10 cases of
+# the landing test and every test from the adder row on, which run the
+# constant as shipped.
 
 
 def _group_at_every_n(monkeypatch) -> None:
@@ -785,7 +786,8 @@ def test_a_grouped_adder_row_matches_the_ungrouped_one(monkeypatch):
 
 
 def test_an_adder_row_at_ten_qubits_makes_few_passes(monkeypatch):
-    # a pass per cx would be 77; groups of three bring it to 18
+    # a pass per cx would be 77; groups of three bring it to 18, and the
+    # ensemble's read through the pending factors to 13
     sizes = _passes(monkeypatch)
     run_circuit(gen_adder("011", "010"), _ADDER_NOISE)
     assert len(sizes) <= 24, sizes
@@ -808,3 +810,88 @@ def test_a_deep_small_circuit_makes_the_passes_it_made_before_groups(monkeypatch
     sizes = _passes(monkeypatch)
     run_circuit(text, noise)
     assert len(sizes) == 112 and set(sizes) == {16}
+
+
+# --- the ensemble's read through the pending factors -----------------------------
+
+
+def _z_view(s: PauliState) -> np.ndarray:
+    """The {0, 3} block of a flushed copy of ``s``, by the strided view."""
+    return s.copy().tensor()[(slice(None, None, 3),) * s.n]
+
+
+def _pending_block(rng, n: int, case: str) -> PauliState:
+    """A state at the 2^-n scale whose factors are all pending, with no pass made.
+
+    "apart": a triple and a pair on random qubits of a random layout, lone
+    factors, and two qubits with none.  "adjacent": on a random layout, a
+    triple on digits 5, 3, 4 and a pair on digits 7, 8 (each in another
+    order than its digits'), the rest lone.  "triples": three triples and
+    one lone factor at n = 10.  "none": the identity layout, no factor.
+    """
+    s = PauliState(n, rng.uniform(-1.0, 1.0, 4**n) * 2.0**-n)
+    buf = s._buf
+    if case == "none":
+        return s
+    s._layout = tuple(int(k) for k in rng.permutation(n))
+    if case == "adjacent":
+        at = s._layout
+        q = [at[5], at[3], at[4], at[7], at[8]] + [k for k in at if k not in (at[5], at[3], at[4], at[7], at[8])]
+    else:
+        q = [int(k) for k in rng.permutation(n)]
+    groups = [(q[0], q[1]), (q[2], q[0])]  # the triple {q0, q1, q2}
+    groups += [(q[3], q[4]), (q[5], q[3]), (q[6], q[7]), (q[8], q[6])] if case == "triples" else [(q[3], q[4])]
+    for pair in groups:
+        apply_transfer(s, pair, bounded_transfer(rng, 16))
+    lone = q[9:] if case == "triples" else q[5:] if case == "adjacent" else q[5:-2]
+    for k in lone:
+        apply_transfer(s, (k,), bounded_transfer(rng, 4))
+    assert s._buf is buf, "building the state made a pass"
+    sizes = sorted(len(g[0]) for k, g in s._pending.items() if g[0][0] == k)
+    assert sizes == {"apart": [1] * (n - 7) + [2, 3], "adjacent": [1] * (n - 5) + [2, 3], "triples": [1, 3, 3, 3]}[case]
+    return s
+
+
+@pytest.mark.parametrize(
+    "n, case",
+    [(10, "apart"), (10, "adjacent"), (10, "triples"), (10, "none"), (11, "apart"), (11, "adjacent"), (12, "apart")],
+)
+def test_the_z_block_reads_through_the_pending_factors(n, case):
+    s = _pending_block(np.random.default_rng([89, n, len(case)]), n, case)
+    buf, layout, pending = s._buf, s._layout, dict(s._pending)
+    state_bytes = s._buf.nbytes
+    tracemalloc.start()
+    try:
+        got = s.z_block()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s._buf is buf and s._layout == layout and s._pending == pending
+    assert peak <= state_bytes + _OBJECT_SLACK, f"{peak / state_bytes:.2f}x the state"
+    want = _z_view(s)
+    assert got.shape == (2,) * n and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-15 * 2.0**-n
+
+
+def _ensemble_ready(n: int) -> PauliState:
+    """A valid state with every qubit's factor pending, from 10 qubits up a
+    group of three and a pair among them."""
+    s = kernel.init_uniform(n)
+    for c, t in ((0, 5), (7, 0), (3, 6), (1, 2)):  # {0, 5, 7} and {3, 6} from 10 up
+        gates.apply_cnot(s, c, t, _NOISY)
+        gates.apply_u3(s, t, 0.3 * t, 0.2, -0.1 * c, _NOISY)
+    memory.end_of_partition(s, _NOISY)
+    return s
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_the_ensemble_makes_no_pass_from_ten_qubits(monkeypatch, n):
+    s = _ensemble_ready(n)
+    assert any(len(g[0]) > 1 for g in s._pending.values()) == (n >= kernel._GROUPS_FROM_N)
+    want = measurement.ensemble_distribution(canonical(s), _NOISY)
+    sizes = _passes(monkeypatch)
+    got = measurement.ensemble_distribution(s, _NOISY)
+    # below the constant, the full read as before: one pass per digit pair
+    assert sizes == ([] if n >= kernel._GROUPS_FROM_N else [16] * (n // 2))
+    assert got.keys() == want.keys()
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-15
