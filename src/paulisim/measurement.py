@@ -27,12 +27,12 @@ map on every axis of the block.  ``_bitstring_probs`` applies it one axis
 at a time as one (2, 2) @ (2, 2^(n-1)) product on a copy with that axis
 first and the others in order, the operands ``numpy.tensordot`` would
 build, so the bits are the same; a step costs a few microseconds, where
-the generic tensordot and moveaxis calls cost tens.  The outcome labels are built once
-per qubit count.  The ensemble's update, digits 1 and 2 gone and digit 3
-scaled by d1 on every qubit, is one checked 4x4 transfer that
-``state._product`` composes into every group's pending factor, so the next
-full read applies it; a sweep row, which keeps only the distribution, never
-makes that read.
+the generic tensordot and moveaxis calls cost tens.  The outcome labels
+are built once per qubit count.  The ensemble's update, digits 1 and 2
+gone and digit 3 scaled by d1 on every qubit, is one checked 4x4 transfer
+that ``state._product`` composes into every group's pending factor, so the
+next full read applies it; a sweep row, which keeps only the distribution,
+never makes that read.
 
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string

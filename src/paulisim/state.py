@@ -25,13 +25,13 @@ first three, and ``load_state`` checks positivity too, for files of at most
 Every state update is a Pauli transfer matrix (PTM), a real 4^m x 4^m
 matrix on m = 1 or 2 qubits, applied by ``apply_transfer`` or
 ``apply_product``, and every readout reads through ``PauliState.coeffs``,
-``.tensor``, ``.marginal`` or ``.z_block``.  A diagonal PTM is a matrix like any other,
-and every pass is a matmul.  Every PTM must have first row (1, 0, ..., 0),
-and the kernel refuses one that does not, so ``a[0]`` comes out of each
-update bit for bit.  ``apply_transfer`` and ``apply_product`` check the
-matrix they are given (``_checked``: its shape and first row, on a private
-copy), and ``apply_transfer`` range-checks its qubits, before the private
-step ``_transfer`` or ``_product`` applies it.  A caller that applies many
+``.tensor``, ``.marginal`` or ``.z_block``.  A diagonal PTM is a matrix
+like any other, and every pass is a matmul.  Every PTM must have first row
+(1, 0, ..., 0), and the kernel refuses one that does not, so ``a[0]`` comes
+out of each update bit for bit.  ``apply_transfer`` and ``apply_product``
+check the matrix they are given (``_checked``: its shape and first row, on
+a private copy), and ``apply_transfer`` range-checks its qubits, before the
+private step ``_transfer`` or ``_product`` applies it.  A caller that applies many
 PTMs builds them as one (N, 4, 4) stack, has ``_checked`` test every
 matrix's shape and first row at once, checks the qubits itself, and hands
 the stack's rows to ``_transfer`` or ``_product``; ``engine.execute_schedule``

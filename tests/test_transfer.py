@@ -834,27 +834,29 @@ def _pending_block(rng, n: int, case: str) -> PauliState:
     if case == "none":
         return s
     s._layout = tuple(int(k) for k in rng.permutation(n))
-    if case == "adjacent":
-        at = s._layout
-        q = [at[5], at[3], at[4], at[7], at[8]] + [k for k in at if k not in (at[5], at[3], at[4], at[7], at[8])]
-    else:
-        q = [int(k) for k in rng.permutation(n)]
-    groups = [(q[0], q[1]), (q[2], q[0])]  # the triple {q0, q1, q2}
-    groups += [(q[3], q[4]), (q[5], q[3]), (q[6], q[7]), (q[8], q[6])] if case == "triples" else [(q[3], q[4])]
-    for pair in groups:
+    q = [int(k) for k in rng.permutation(n)]
+    if case == "adjacent":  # the qubits on digits 5, 3, 4, 7, 8 first
+        q = [s._layout[d] for d in (5, 3, 4, 7, 8)]
+        q += [k for k in s._layout if k not in q]
+    pairs = [(q[0], q[1]), (q[2], q[0]), (q[3], q[4])]  # the triple {q0, q1, q2}, the pair {q3, q4}
+    lone = q[5:] if case == "adjacent" else q[5:-2]
+    if case == "triples":  # {q3, q4, q5} and {q6, q7, q8}, one lone factor
+        pairs += [(q[5], q[3]), (q[6], q[7]), (q[8], q[6])]
+        lone = q[9:]
+    for pair in pairs:
         apply_transfer(s, pair, bounded_transfer(rng, 16))
-    lone = q[9:] if case == "triples" else q[5:] if case == "adjacent" else q[5:-2]
     for k in lone:
         apply_transfer(s, (k,), bounded_transfer(rng, 4))
     assert s._buf is buf, "building the state made a pass"
     sizes = sorted(len(g[0]) for k, g in s._pending.items() if g[0][0] == k)
-    assert sizes == {"apart": [1] * (n - 7) + [2, 3], "adjacent": [1] * (n - 5) + [2, 3], "triples": [1, 3, 3, 3]}[case]
+    assert sizes == ([1, 3, 3, 3] if case == "triples" else [1] * len(lone) + [2, 3])
     return s
 
 
 @pytest.mark.parametrize(
     "n, case",
-    [(10, "apart"), (10, "adjacent"), (10, "triples"), (10, "none"), (11, "apart"), (11, "adjacent"), (12, "apart")],
+    [(10, "apart"), (10, "adjacent"), (10, "triples"), (10, "none"),
+     (11, "apart"), (11, "adjacent"), (12, "apart")],
 )
 def test_the_z_block_reads_through_the_pending_factors(n, case):
     s = _pending_block(np.random.default_rng([89, n, len(case)]), n, case)
