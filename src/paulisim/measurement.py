@@ -6,7 +6,10 @@ when wanted, happens downstream from the returned distribution.  Each mode
 reads its outcome, then applies its update as a transfer matrix; each
 returned distribution passes ``_finalize``.  ``measure``, ``expect`` and
 ``bell`` read only the coefficients whose digits off their qubits are 0,
-through ``PauliState.marginal``, which makes no pass over the state; the
+through ``PauliState.marginal``, which makes no pass over the state; for
+``measure`` that is one strided slice of the qubit's 4 coefficients and,
+when the qubit has a factor of its own, one 4x4 product, and its two
+outcomes leave with ``_finalize``'s floats without building a dict; the
 ensemble reads the 2^n coefficients it needs through ``PauliState.z_block``,
 which from 10 qubits up (``state._GROUPS_FROM_N``) reads them through the
 pending factors and makes no pass either.
@@ -202,8 +205,11 @@ def _measure(
     bloch = state.marginal((k,))[1:]  # the digit-k Bloch triple, every other digit 0
     lean = 2**state.n * d1 * float(nvec @ bloch)
     _transfer(state, (k,), t)
-    p = np.array([(1.0 + lean) / 2.0, (1.0 - lean) / 2.0])
-    return tuple(_finalize(("+", "-"), p).values())
+    plus, minus = (1.0 + lean) / 2.0, (1.0 - lean) / 2.0
+    total = plus + minus  # numpy's sum of two floats
+    if plus >= 0.0 and minus >= 0.0 and abs(total - 1.0) <= _SUM_TOL:  # _finalize's floats, no dict
+        return plus / total, minus / total
+    return tuple(_finalize(("+", "-"), np.array([plus, minus])).values())
 
 
 def _bitstring_probs(state: PauliState, d1: float) -> np.ndarray:

@@ -46,10 +46,13 @@ them together in the one transposed copy the matmul needs anyway, and the
 buffer keeps that layout; a later pass on the same qubits runs on adjacent
 digits with no copy (the qubit remapping of Häner & Steiger,
 arXiv:1704.01127).  A pair's lower digit moves up to sit just below the
-higher one.  A group of three lands on digits ``_LANDING_DIGIT`` + 2 down
-to ``_LANDING_DIGIT`` (4, 3, 2; the lowest three on fewer than five
-qubits), where its 64x64 products run on cache-sized panels.  The moved
-digits keep their order, and so does every other digit.  A pass on one
+higher one.  A pair pass reads its two digits straight from the layout,
+and when the first-listed qubit sits lower, one fixed transpose of the
+16x16 matrix's (4, 4, 4, 4) form puts them high to low.  A group of three
+lands on digits ``_LANDING_DIGIT`` + 2 down to ``_LANDING_DIGIT`` (4, 3,
+2; the lowest three on fewer than five qubits), where its 64x64 products
+run on cache-sized panels.  The moved digits keep their order, and so does
+every other digit.  A pass on one
 qubit, and the passes of a full read over lone factors, never move a
 digit.  The layout is invisible outside this module: ``coeffs`` is always in
 the logical order above, and reading it on a moved layout makes one
@@ -206,11 +209,20 @@ class PauliState:
         pending factors is applied to it, and then the mates' digits are
         taken at 0.  A factor on any other qubit has first row e0, so it
         leaves these coefficients as they are.  No pass over the state, and
-        the state does not change.
+        the state does not change.  One qubit that is a group of its own,
+        with a factor P or none, is the read behind ``measure``: its 4
+        coefficients are one strided slice of the buffer, and the result is
+        ``P.dot`` of that slice (a copy of it with no factor), the same bits
+        as the block's (4, 4) @ (1, 4, 1) product.
         """
         m = len(qubits)
         for k in qubits:
             self.axis(k)  # range check
+        g = self._pending.get(qubits[0]) if m == 1 else None
+        if m == 1 and (g is None or len(g[0]) == 1):  # one qubit alone: its 4 coefficients, one strided slice
+            step = 4 ** (qubits[0] if self._layout is None else self._layout.index(qubits[0]))
+            v = self._buf[: 3 * step + 1 : step]
+            return v.copy() if g is None else g[1].dot(v)
         if len(set(qubits)) != m:
             raise ValueError(f"need distinct qubits, got {qubits}")
         order, factors = [], []  # the block's axes, each group's qubits together
@@ -305,10 +317,10 @@ class PauliState:
         # qubit k sits in digit layout.index(k), buffer axis n - 1 - digit
         return t.transpose([n - 1 - layout.index(k) for k in reversed(range(n))])
 
-    def _digits(self, qubits) -> list[int]:
+    def _digits(self, qubits) -> tuple[int, ...]:
         """The physical digit of each qubit."""
         layout = self._layout
-        return list(qubits) if layout is None else list(map(layout.index, qubits))
+        return tuple(qubits) if layout is None else tuple(map(layout.index, qubits))
 
     def _flush(self, groups=None) -> None:
         """Apply pending factors to the buffer: by default every one.
@@ -334,9 +346,9 @@ class PauliState:
         for lo in range(0, n - 1, 2):
             hi_p, lo_p = by_digit[lo + 1], by_digit[lo]
             if hi_p is not None or lo_p is not None:
-                _apply(self, [lo + 1, lo], _kron(hi_p, lo_p))
+                _apply(self, (lo + 1, lo), _kron(hi_p, lo_p))
         if n % 2 and by_digit[n - 1] is not None:
-            _apply(self, [n - 1], by_digit[n - 1])
+            _apply(self, (n - 1,), by_digit[n - 1])
 
     def __repr__(self) -> str:
         return f"PauliState(n={self.n})"
@@ -367,11 +379,15 @@ _LANDING_DIGIT = 2
 
 
 def _kron(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
-    """kron(a, b) of two pending factors, None as the 4x4 identity, by broadcasting."""
+    """kron(a, b) of two pending factors, None as the 4x4 identity.
+
+    One broadcast product of the two factors reshaped to (p, 1, p, 1) and
+    (1, q, 1, q): each entry is the single product ``np.kron`` makes.
+    """
     a = _EYE if a is None else a
     b = _EYE if b is None else b
-    size = len(a) * len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
+    p, q = len(a), len(b)
+    return (a.reshape(p, 1, p, 1) * b.reshape(1, q, 1, q)).reshape(p * q, p * q)
 
 
 def _contract(x: np.ndarray, i: int, m: int, rows: np.ndarray) -> np.ndarray:
@@ -483,7 +499,8 @@ def _transfer(state: PauliState, qubits: tuple[int, ...], t: np.ndarray) -> None
             pending.pop(qubits[0], None)
             pending.pop(qubits[1], None)
             t = t.dot(_kron(a and a[1], b and b[1]))
-        _apply(state, state._digits(qubits), t)
+        at = state._layout  # the pair's physical digits
+        _apply(state, qubits if at is None else (at.index(qubits[0]), at.index(qubits[1])), t)
         return
     if a is None or a is not b:  # not yet one group
         while True:  # flush the larger group until both fit
@@ -503,41 +520,47 @@ def _regroup(pending: dict, g: tuple) -> None:
         pending[k] = g
 
 
-def _apply(state: PauliState, digits: list[int], t: np.ndarray) -> None:
+def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
     """One pass of ``t`` over the buffer, on the listed physical digits.
 
-    ``t`` is kron-major in the order of ``digits``.  When the digits are not
-    adjacent they move together in one transposed copy, and the buffer
-    keeps that layout: a pair's lower digit moves up to sit just below the
-    higher one, and a group of three lands on the three digits from
-    ``_LANDING_DIGIT`` up (from 0 on fewer than five qubits).  The moved
-    digits keep their order, and so does every other digit.
+    ``t`` is kron-major in the order of ``digits``, 1 to 3 of them.  Two
+    digits come high to low by one fixed transpose of ``t``'s 4x4x4x4 form;
+    three through ``_permuted``.  When the digits are not adjacent they move
+    together in one transposed copy, and the buffer keeps that layout: a
+    pair's lower digit moves up to sit just below the higher one, and a
+    group of three lands on the three digits from ``_LANDING_DIGIT`` up
+    (from 0 on fewer than five qubits).  The moved digits keep their order,
+    and so does every other digit.  Then ``t`` runs as one batched
+    (rows, 4^m, cols) product.
     """
-    n, m = state.n, len(digits)
-    hi, lo, x = max(digits), min(digits), state._buf
-    rows = 4 ** (n - 1 - hi)
-    if digits[0] != hi or m == 3 and digits[1] < digits[2]:  # put the digits high to low
-        t = _permuted(t, sorted(range(m), key=digits.__getitem__, reverse=True))
-    if hi - lo >= m:
-        # Digits apart: a matmul cannot contract axes with gaps between them,
-        # so the digits move together (one copy) and stay there.  The old
-        # buffer goes before the matmul allocates.
-        old = state._layout or tuple(range(n))
-        if m == 2:  # the lower digit moves up next to hi
-            shape, axes = (rows, 4, 4 ** (hi - lo - 1), 4, 4**lo), (0, 1, 3, 2, 4)
+    n, m, x, layout = state.n, len(digits), state._buf, None
+    # Digits apart: a matmul cannot contract axes with gaps between them, so
+    # the digits move together (one copy) and stay there.  The old buffer
+    # goes before the matmul allocates.
+    if m == 2:
+        hi, lo = digits
+        if hi < lo:  # put the digits high to low
+            hi, lo, t = lo, hi, t.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+        if hi - lo > 1:  # the lower digit moves up next to hi
+            old = state._layout or tuple(range(n))
             layout = old[:lo] + old[lo + 1 : hi] + (old[lo],) + old[hi:]
-            x = np.ascontiguousarray(x.reshape(shape).transpose(axes))
-        else:  # the group lands on _LANDING_DIGIT and the two digits above it
+            shape = (4 ** (n - 1 - hi), 4, 4 ** (hi - lo - 1), 4, 4**lo)
+            x = np.ascontiguousarray(x.reshape(shape).transpose(0, 1, 3, 2, 4))
+    else:  # one digit, or three
+        hi, lo = max(digits), min(digits)
+        if digits[0] != hi or m == 3 and digits[1] < digits[2]:  # put the digits high to low
+            t = _permuted(t, sorted(range(m), key=digits.__getitem__, reverse=True))
+        if hi - lo > 2:  # the group lands on _LANDING_DIGIT and the two digits above it
             land = _LANDING_DIGIT if n >= _LANDING_DIGIT + 3 else 0
             rest = [d for d in range(n) if d not in digits]
             order = rest[:land] + sorted(digits) + rest[land:]  # order[d]: the old digit now at d
-            layout = tuple(old[d] for d in order)
+            old = state._layout or tuple(range(n))
+            layout, hi = tuple(old[d] for d in order), land + 2
             x = np.ascontiguousarray(x.reshape((4,) * n).transpose([n - 1 - d for d in reversed(order)]))
-            rows = 4 ** (n - 3 - land)
-        state._buf = x
-        state._layout = None if layout == tuple(range(n)) else layout
-    x = x.reshape(rows, len(t), -1)
-    if x.shape[2] == 1:  # digits last; t @ x would run `rows` tiny products
+    if layout is not None:  # the digits moved
+        state._buf, state._layout = x, None if layout == tuple(range(n)) else layout
+    x = x.reshape(4 ** (n - 1 - hi), len(t), -1)
+    if x.shape[2] == 1:  # digits last; t @ x would run one tiny product per row
         out = x[:, :, 0] @ t.T
     else:
         out = np.matmul(t, x)

@@ -79,6 +79,7 @@ def sweep(
 ) -> list[SweepRow]:
     base = base_noise or NoiseModel()
     n, _, _, schedule, spec = _compile_text(circuit_text, init, DEFAULT_QUBIT_CAP)
+    noises = [build_noise(base, param, value) for value in values]  # refuse a bad value before any row
 
     pattern = None
     reference: PauliState | None = None
@@ -101,8 +102,7 @@ def sweep(
         raise ValueError(f"unknown metric {metric!r}")
 
     rows = []
-    for value in values:
-        noise = build_noise(base, param, value)
+    for value, noise in zip(values, noises):
         state = make_initial_state(n, spec, noise)
         records = execute_schedule(state, schedule, noise)
         if pattern is not None:

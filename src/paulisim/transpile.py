@@ -235,6 +235,12 @@ class Schedule:
         return len(self.partitions)
 
 
+def _bad_qubits(ins: Instruction, register: frozenset[int]) -> bool:
+    """Whether ``ins`` lists a qubit outside ``register`` or one qubit twice."""
+    qs = ins.qubits
+    return not register.issuperset(qs) or len(qs) > 1 and len(set(qs)) < len(qs)
+
+
 def _lowest_qubit(ins: Instruction) -> int:
     return min(ins.qubits)
 
@@ -261,8 +267,7 @@ def partition(stack: QubitStack) -> Schedule:
         prev = cat
         if cat is None:  # a barrier only ends the phase
             continue
-        qs = ins.qubits
-        if not register.issuperset(qs) or len(qs) > 1 and len(set(qs)) < len(qs):
+        if _bad_qubits(ins, register):
             raise CompileError(f"need distinct qubits in 0..{stack.n - 1}: {format_instruction(ins)}")
         if cat == "solo":
             check_shape(ins, stack.n, CompileError)
@@ -340,8 +345,20 @@ def format_schedule(schedule: Schedule) -> str:
 def compile_circuit(
     n: int, instructions: list[Instruction]
 ) -> tuple[list[Instruction], Schedule]:
-    """decompose + merge + partition, with the schedule checked structurally."""
+    """decompose + merge + partition, with the schedule checked structurally.
+
+    A ``CompileError`` for a qubit out of range or repeated names the first
+    such instruction as the caller wrote it, not the select-set gate that
+    ``partition`` found (a fused ``u3`` for an ``h``, one gate of a Toffoli's
+    expansion).  Only that error path walks ``instructions`` again.
+    """
     merged = merge(n, decompose(instructions))
-    schedule = partition(build_stack(n, merged))
+    try:
+        schedule = partition(build_stack(n, merged))
+    except CompileError:
+        bad = [i for i in instructions if category_of(i.kind) and _bad_qubits(i, frozenset(range(n)))]
+        if not bad:
+            raise
+        raise CompileError(f"need distinct qubits in 0..{n - 1}: {format_instruction(bad[0])}") from None
     check_schedule(schedule, n, merged)
     return merged, schedule

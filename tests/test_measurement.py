@@ -403,6 +403,26 @@ def test_finalize_still_refuses_nan_negatives_and_bad_sums(values):
         _finalize(tuple(map(str, range(64))), many)
 
 
+def test_a_measure_returns_the_floats_and_refusals_of_finalize():
+    # a measure finalizes its two outcomes without a dict: the same floats as
+    # _finalize of the two-entry array, the same clamp and the same refusals
+    rng = np.random.default_rng(73)
+    edges = [0.5, -0.5, 0.5 * (1 + 4e-10), -0.5 * (1 + 4e-10), 0.5 * (1 + 4e-9), -0.5 * (1 + 4e-9),
+             0.0, -0.0, np.nan, np.inf, -np.inf]
+    for z in edges + list(rng.uniform(-0.5, 0.5, 500)):
+        for d1 in (1.0, 0.97):
+            s = PauliState(1, np.array([0.5, 0.0, 0.0, z]))
+            lean = 2 * d1 * float(Z @ s.marginal((0,))[1:])
+            try:
+                want = tuple(_finalize(("+", "-"), np.array([(1.0 + lean) / 2.0, (1.0 - lean) / 2.0])).values())
+            except InternalError:
+                with pytest.raises(InternalError):
+                    measure_qubit(s, 0, Z, NoiseModel(d1=d1))
+                continue
+            got = measure_qubit(s, 0, Z, NoiseModel(d1=d1))
+            assert type(got) is tuple and [repr(p) for p in got] == [repr(p) for p in want], (z, d1)
+
+
 # --- every readout against the oracle at six qubits ------------------------------
 
 READOUTS = ("measure", "measure_x", "measure_y", "reset", "expect", "ensemble", "bell")

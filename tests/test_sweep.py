@@ -114,6 +114,26 @@ def test_sweep_requires_ensemble_for_success_metric(tmp_path, monkeypatch, capsy
     assert calls == []
 
 
+def test_a_bad_swept_value_is_refused_before_any_row_runs(tmp_path, monkeypatch, capsys):
+    # every row's noise model is built before the first row, and before the
+    # noiseless reference run of the fidelity metric
+    module, calls = sys.modules["paulisim.sweep"], []
+    run = module.execute_schedule
+    monkeypatch.setattr(module, "execute_schedule", lambda *a: calls.append(a) or run(*a))
+    text = gen_adder("01", "10")
+    metric = "success:" + adder_success_pattern("01", "10")
+    with pytest.raises(ValueError, match=r"r_x must lie in \[0, 1\], got 1.5"):
+        sweep(text, "r", [1.0, 0.99, 1.5], metric)
+    with pytest.raises(ValueError, match=r"f must lie in \[0, 1\], got -0.5"):
+        sweep(BELL, "f", [1.0, -0.5], "fidelity")
+    path = tmp_path / "adder.circ"
+    path.write_text(text)
+    argv = ["sweep", "--circuit", str(path), "--param", "r", "--values", "1.0,0.99,1.5", "--metric", metric]
+    assert main(argv) == 2
+    assert "r_x must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_sweep_reference_qubit_mismatch(tmp_path):
     path = tmp_path / "target.txt"
     save_state(init_bitstring("101"), path)

@@ -2,7 +2,10 @@
 different lengths, it writes the gain rule, the no-regression check and a
 traced run of each side on every declared workload, and it prints the traced
 layers of the claimed workload whose ranges part.  tools/code_lines.py: it
-counts a package's code lines, leaving out blanks, comments and docstrings."""
+counts a package's code lines, leaving out blanks, comments and docstrings.
+tools/same_outputs.py: it feeds every tree the same inputs under one BLAS
+thread, and exits 0 on equal digests, 1 on unequal ones and 2 on a failed
+child."""
 
 import importlib.util
 import json
@@ -226,3 +229,80 @@ def test_code_lines_refuses_a_missing_directory(tmp_path):
     run = subprocess.run([sys.executable, str(CODE_LINES), str(tmp_path / "absent")], capture_output=True, text=True)
     assert run.returncode == 2
     assert "is not a directory" in run.stderr
+
+
+SAME_OUTPUTS = ROOT / "tools" / "same_outputs.py"
+
+# a stand-in for a tree's paulisim: each result's text is the tree's salt,
+# the input and the BLAS thread count; each call is logged to calls.log
+# beside the package
+_PAULISIM = """
+import os
+from pathlib import Path
+from types import SimpleNamespace
+import numpy as np
+SALT = {salt!r}
+if SALT == "crash":
+    raise SystemExit("stub cannot import")
+
+def _log(name):
+    with (Path(__file__).parent / "calls.log").open("a") as f:
+        f.write(name + "\\n")
+
+def _text(*parts):
+    return SALT + repr(parts) + os.environ["OPENBLAS_NUM_THREADS"]
+
+def parse_noise_config(text):
+    return text
+
+def run_circuit(circuit, noise, init, shots, seed):
+    _log("run")
+    coeffs = np.frombuffer(_text(circuit, noise, init, shots, seed).encode(), dtype=np.uint8)
+    return SimpleNamespace(to_text=lambda timing: _text(circuit, timing), final_state=SimpleNamespace(coeffs=coeffs))
+
+def verify_circuit(circuit, noise, init):
+    _log("verify")
+    return SimpleNamespace(to_text=lambda: _text(circuit, noise, init))
+
+def sweep(circuit, param, values, metric, noise):
+    _log("sweep")
+    return [SimpleNamespace(value=v, metric=_text(circuit, param, metric, noise), partitions=0) for v in values]
+
+def gen_adder(a, b):
+    return a + "+" + b
+
+def adder_success_pattern(a, b):
+    return a + b
+"""
+
+
+def _stub_tree(root: Path, salt: str) -> Path:
+    (root / "src" / "paulisim").mkdir(parents=True)
+    (root / "src" / "paulisim" / "__init__.py").write_text(_PAULISIM.format(salt=salt))
+    return root
+
+
+def _same(parent: Path, change: Path) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, str(SAME_OUTPUTS), "--parent", str(parent), "--change", str(change)]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("change_salt, code", [("same", 0), ("other", 1)])
+def test_same_outputs_compares_one_digest_per_tree(tmp_path, change_salt, code):
+    parent, change = _stub_tree(tmp_path / "a", "same"), _stub_tree(tmp_path / "b", change_salt)
+    run = _same(parent, change)
+    assert run.returncode == code, run.stderr
+    lines = run.stdout.splitlines()
+    digests = [line.split()[1] for line in lines[:2]]
+    assert [line.split()[0] for line in lines[:2]] == ["parent", "change"]
+    assert all(len(d) == 64 for d in digests) and (digests[0] == digests[1]) == (code == 0)
+    assert lines[2] == ("same outputs" if code == 0 else "outputs differ")
+    for tree in (parent, change):  # 200 deep_small, 6 verify7 (each run too), 20 sweeps, 2 rand12
+        calls = (tree / "src" / "paulisim" / "calls.log").read_text().split()
+        assert (calls.count("run"), calls.count("verify"), calls.count("sweep")) == (208, 6, 20)
+
+
+def test_same_outputs_stops_on_a_failed_child(tmp_path):
+    run = _same(_stub_tree(tmp_path / "a", "same"), _stub_tree(tmp_path / "b", "crash"))
+    assert run.returncode == 2
+    assert "stub cannot import" in run.stderr and run.stdout == ""

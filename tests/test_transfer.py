@@ -897,3 +897,101 @@ def test_the_ensemble_makes_no_pass_from_ten_qubits(monkeypatch, n):
     assert sizes == ([] if n >= kernel._GROUPS_FROM_N else [16] * (n // 2))
     assert got.keys() == want.keys()
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-15
+
+
+# --- the pair pass and the one-qubit read, pinned to the bits they had -----------
+#
+# Each reference below spells out the arithmetic the kernel used before the
+# pair pass took its digits high to low by one fixed transpose and the
+# one-qubit read became a strided slice: the same products in the same
+# shapes, so the kernel must match them bit for bit.
+
+
+def _kron_by_indexing(a, b) -> np.ndarray:
+    """kron(a, b) of two 4x4 factors, None as the identity, by four None indexings."""
+    a, b = (np.eye(4) if f is None else f for f in (a, b))
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
+
+def _pair_pass_by_permuting(s: PauliState, qubits: tuple[int, int], t: np.ndarray):
+    """The buffer and layout one pair pass of ``t`` leaves, with ``t`` put high to
+    low by ``_permuted`` and the product run by ``np.matmul``."""
+    n, layout = s.n, s._layout or tuple(range(s.n))
+    digits = [layout.index(k) for k in qubits]
+    hi, lo, x = max(digits), min(digits), s._buf
+    rows = 4 ** (n - 1 - hi)
+    if digits[0] != hi:
+        t = kernel._permuted(t, sorted(range(2), key=digits.__getitem__, reverse=True))
+    if hi - lo >= 2:  # the lower digit moves up next to hi
+        x = np.ascontiguousarray(x.reshape(rows, 4, 4 ** (hi - lo - 1), 4, 4**lo).transpose(0, 1, 3, 2, 4))
+        layout = layout[:lo] + layout[lo + 1 : hi] + (layout[lo],) + layout[hi:]
+    x = x.reshape(rows, 16, -1)
+    out = x[:, :, 0] @ t.T if x.shape[2] == 1 else np.matmul(t, x)
+    return out.reshape(-1), None if layout == tuple(range(n)) else layout
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_a_pair_pass_keeps_the_bits_of_the_permuted_pass(n):
+    rng = np.random.default_rng([97, n])
+    s = PauliState(n, rng.standard_normal(4**n))
+    passes = 0
+    while passes < 3 or n > 2 and s._layout is None:  # far-pair passes leave a random moved layout
+        a, b = (int(k) for k in rng.choice(n, 2, replace=False))
+        apply_transfer(s, (a, b), random_transfer(rng, 16))
+        passes += 1
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            t, lone = random_transfer(rng, 16), rng.integers(4)  # factors on neither, a, b or both
+            x = s.copy()
+            factors = [random_transfer(rng, 4) if lone & bit else None for bit in (1, 2)]
+            for k, f in zip((a, b), factors):
+                if f is not None:
+                    apply_transfer(x, (k,), f)
+            assert x._buf is not s._buf and np.array_equal(x._buf, s._buf)
+            want_buf, want_layout = _pair_pass_by_permuting(x, (a, b), t.dot(_kron_by_indexing(*factors)))
+            ideal = s.copy()
+            for k, f in zip((a, b), factors):
+                if f is not None:
+                    ideal = PauliState(n, reference_transfer(ideal, (k,), f))
+            ideal = reference_transfer(ideal, (a, b), t)
+            apply_transfer(x, (a, b), t)
+            assert x._pending == {} and x._layout == want_layout
+            assert x._buf.tobytes() == want_buf.tobytes(), (a, b, lone)
+            assert np.max(np.abs(x.coeffs - ideal)) <= 1e-12 * np.max(np.abs(ideal))
+
+
+def _one_qubit_read_by_matmul(s: PauliState, k: int) -> np.ndarray:
+    """qubit k's 4 coefficients, every other digit 0: a copy of the strided view
+    over k's group, its factor applied by ``np.matmul``, the mates' digits at 0."""
+    g = s._pending.get(k)
+    qs = (k,) if g is None else g[0]
+    at = s._layout or tuple(range(s.n))
+    strides = [s._buf.itemsize * 4 ** at.index(q) for q in qs]
+    block = np.ndarray((4,) * len(qs), np.float64, s._buf, 0, strides).copy()
+    if g is not None:
+        block = np.matmul(g[1], block.reshape(1, len(g[1]), -1)).reshape(block.shape)
+    return np.ascontiguousarray(block[tuple(slice(None) if q == k else 0 for q in qs)])
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_a_one_qubit_read_keeps_the_bits_of_the_matmul_read(n):
+    rng = np.random.default_rng([98, n])
+    s = PauliState(n, rng.standard_normal(4**n))
+    s._layout = tuple(int(k) for k in rng.permutation(n))
+    q = [int(k) for k in rng.permutation(n)]
+    if n >= kernel._GROUPS_FROM_N:  # a triple {q0, q1, q2} and a pair {q3, q4}
+        for pair in ((q[0], q[1]), (q[2], q[0]), (q[3], q[4])):
+            apply_transfer(s, pair, random_transfer(rng, 16))
+        q = q[5:]
+    for k in q[: len(q) // 2]:  # lone factors on half the rest
+        apply_transfer(s, (k,), random_transfer(rng, 4))
+    sizes = [len(s._pending[k][0]) if k in s._pending else 0 for k in range(n)]
+    assert 0 in sizes and 1 in sizes and (n < kernel._GROUPS_FROM_N or {2, 3} <= set(sizes))
+    buf = s._buf
+    for k in range(n):
+        got = s.marginal((k,))
+        assert got.shape == (4,) and not np.shares_memory(got, buf)
+        assert got.tobytes() == _one_qubit_read_by_matmul(s, k).tobytes(), (k, sizes[k])
+    assert s._buf is buf

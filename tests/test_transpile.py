@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import random_circuit_text, random_pauli_state
 from paulisim import oracle
-from paulisim.circuit import Instruction, parse_circuit
-from paulisim.errors import CompileError, InternalError
+from paulisim.circuit import Instruction, format_instruction, parse_circuit
+from paulisim.errors import CircuitSyntaxError, CompileError, InternalError
 from paulisim.generators import gen_adder, gen_qft
 from paulisim.transpile import (
     Partition,
@@ -304,7 +304,7 @@ def test_an_unknown_kind_is_refused_by_name():
         # a negative index would wrap in the partitioner's per-qubit list
         ([Instruction("cx", (0, -1)), Instruction("u1", (2,), (0.3,))], "cx q[0],q[-1]"),
         ([Instruction("measure", (-3,))], "measure q[-3]"),
-        ([Instruction("h", (5,))], "u3(1.5707963267948966,0.0,3.141592653589793) q[5]"),
+        ([Instruction("u3", (5,), (math.pi / 2, 0.0, math.pi))], "u3(1.5707963267948966,0.0,3.141592653589793) q[5]"),
         ([Instruction("cx", (1, 1))], "cx q[1],q[1]"),
         ([Instruction("bell", (1, 1))], "bell q[1],q[1]"),
     ],
@@ -314,6 +314,24 @@ def test_compile_refuses_a_qubit_outside_the_register_or_repeated(instructions, 
     with pytest.raises(CompileError) as err:
         compile_circuit(3, instructions)
     assert str(err.value) == f"need distinct qubits in 0..2: {named}"
+
+
+@pytest.mark.parametrize(
+    "instructions, named",
+    [
+        # partition finds the fused u3 of the h, and a u3 of the Toffoli's expansion
+        ([Instruction("h", (5,))], "h q[5]"),
+        ([Instruction("x", (0,)), Instruction("ccx", (0, 1, 7)), Instruction("h", (9,))], "ccx q[0],q[1],q[7]"),
+        ([Instruction("t", (2,)), Instruction("cx", (2, 2)), Instruction("s", (4,))], "cx q[2],q[2]"),
+    ],
+)
+def test_a_bad_qubit_is_named_in_the_instruction_the_caller_wrote(instructions, named):
+    with pytest.raises(CompileError) as err:
+        compile_circuit(3, instructions)
+    assert str(err.value) == f"need distinct qubits in 0..2: {named}"
+    text = "qubits 3\n" + "".join(format_instruction(ins) + "\n" for ins in instructions)
+    with pytest.raises(CircuitSyntaxError):  # parsed text keeps its parser error
+        parse_circuit(text)
 
 
 def _phase_of(merged: list[Instruction]) -> dict[int, int]:
