@@ -52,12 +52,11 @@ and when the first-listed qubit sits lower, one fixed transpose of the
 lands on digits ``_LANDING_DIGIT`` + 2 down to ``_LANDING_DIGIT`` (4, 3,
 2; the lowest three on fewer than five qubits), where its 64x64 products
 run on cache-sized panels.  The moved digits keep their order, and so does
-every other digit.  A pass on one
-qubit, and the passes of a full read over lone factors, never move a
-digit.  The layout is invisible outside this module: ``coeffs`` is always in
-the logical order above, and reading it on a moved layout makes one
-transposed copy and resets the layout; ``tensor`` is a logical view of the
-buffer, with no copy.
+every other digit.  A pass on one qubit, and the passes of a full read
+over lone factors, never move a digit.  The layout is invisible outside
+this module: ``coeffs`` is always in the logical order above, and reading
+it on a moved layout makes one transposed copy and resets the layout;
+``tensor`` is a logical view of the buffer, with no copy.
 
 Pending factors.  A PTM does not touch the buffer when it can compose into
 a pending factor: the state keeps one 4^m x 4^m factor for each group of at
