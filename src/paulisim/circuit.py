@@ -24,10 +24,11 @@ character is qubit 0; reports print the most significant bit first.
 One table, ``KINDS``, gives every mnemonic its angle count, its qubit
 count (None for the whole-register expect, ensemble and barrier, which list
 no qubits) and its partition category, and ``SCHEDULE_KINDS``, derived from
-it, holds the kinds a compiled schedule may hold.  The parser, the compiler,
-the engine and the dense oracle read only this table, and ``check_shape``
-is the one test of an ``Instruction`` against it that every boundary taking
-hand-built instructions makes.
+it, holds the kinds a compiled schedule may hold.  The parser and the
+compiler read only this table, and ``check_shape`` is the one test of an
+``Instruction`` against it that every boundary taking hand-built
+instructions makes; a compiled schedule makes it, with its other run-time
+checks, in ``transpile.Schedule.angles``.
 
 Each parsed line becomes an ``Instruction``, a named tuple equal by value
 to any record with the same fields.  The parser reads each distinct

@@ -1,18 +1,18 @@
 """End-to-end pipeline: parse, compile, execute with noise, report.
 
-Execution first checks the whole schedule, each member's kind and shape
-against ``circuit.KINDS`` among the rest, and builds and checks each PTM
-the run needs once, as stacks: gates, readouts, reset, and each partition
-category's memory PTMs (see ``execute_schedule``).  Then it walks the
+Execution first has the schedule check itself (``Schedule.angles``), then
+builds and checks each PTM the run needs once, as stacks: gates, readouts,
+reset, and each partition category's memory PTMs (see
+``execute_schedule``).  Then it walks the
 schedule partition by partition, applying gate members in the order the
 partitioner emitted them (ascending qubit index; members of one partition
 commute, so the order is a convention, not a semantic choice) and one
 memory-noise step after every partition, all through private steps that
 take those checked matrices.  ``verify_circuit`` runs the dense oracle on
-the same schedule, which checks it against the same table and builds its
-own channels once per run the same way.  All randomness is confined to
-optional shot sampling of the recorded distributions; the evolution itself
-is deterministic.
+the same schedule, which makes the same check and builds its own channels
+once per run the same way.  All randomness is confined to optional shot
+sampling of the recorded distributions; the evolution itself is
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, measurement, memory, oracle
-from .circuit import SCHEDULE_KINDS, Instruction, NoiseModel, check_shape, parse_circuit
+from .circuit import Instruction, NoiseModel, parse_circuit
 from .errors import StateFormatError
 from .state import (
     DEFAULT_QUBIT_CAP,
@@ -171,44 +171,24 @@ def execute_schedule(
 ) -> list[Record]:
     """Run a compiled schedule in place, returning measurement records.
 
-    One walk over the schedule first checks every member's kind against
-    ``circuit.SCHEDULE_KINDS``, its angle and qubit counts and expect string
-    against ``circuit.KINDS`` (``circuit.check_shape``) and its qubits, and
-    gathers the u1 and u3 angles and the expect strings' digits, so bad
-    input raises ``ValueError`` (``IndexError`` for a qubit out of range)
-    before the state changes.  Then each PTM a run can need is
-    built and checked once, whether the schedule uses it or not: the u1 and
-    u3 stacks, the cx PTM (``gates.cnot_transfer``, cached per noise pair),
-    the readout stack (the x, y and z readouts, the ensemble's and reset's
-    transfers), the Bell transfer, and each partition category's
-    decoherence and decay PTMs (``memory._clock_step``, which leaves out a
-    factor of 1).  The loop applies them in schedule order through the
-    private steps, and after each partition ``state._product`` composes its
+    ``Schedule.angles`` first checks every member and gathers the u1 and u3
+    angles, so a bad member raises before the state changes.  Then each PTM
+    a run can need is built and checked once, whether the schedule uses it
+    or not: the u1 and u3 stacks, the cx PTM (``gates.cnot_transfer``,
+    cached per noise pair), the readout stack (the x, y and z readouts, the
+    ensemble's and reset's transfers), the Bell transfer, and each partition
+    category's decoherence and decay PTMs (``memory._clock_step``, which
+    leaves out a factor of 1).  The loop applies them in schedule order
+    through the private steps, reading an expect string's digits at its
+    step, and after each partition ``state._product`` composes its
     category's memory PTMs into every group's factor.
     """
     n = state.n
-    u1, u3, strings = [], [], []
-    for part in schedule.partitions:
-        for ins in part.members:
-            k = ins.kind
-            if k not in SCHEDULE_KINDS:  # only select-set kinds reach a schedule
-                raise ValueError(f"unexpected kind {k!r} in schedule")
-            check_shape(ins, n)
-            for q in ins.qubits:
-                state.axis(q)  # range check
-            if len(ins.qubits) == 2 and ins.qubits[0] == ins.qubits[1]:  # cx, bell
-                raise ValueError(f"{k} needs two distinct qubits, got {ins.qubits}")
-            if k == "u1":
-                u1.append(ins.angles[0])
-            elif k == "u3":
-                u3.append(ins.angles)
-            elif k == "expect":
-                strings.append(measurement._pauli_digits(ins.string, n))
+    u1, u3 = schedule.angles(n)
     u1_ptms = iter(_checked(gates.rotation_transfers("z", u1, noise), (len(u1), 4, 4)))
     thetas, phis, lams = np.array(u3, dtype=np.float64).reshape(-1, 3).T
     u3_ptms = iter(_checked(gates.u3_transfers(thetas, phis, lams, noise), (len(u3), 4, 4)))
     cx = _checked(gates.cnot_transfer(noise), (16, 16))
-    digits = iter(strings)
     axes, readouts = measurement._readouts(noise.d1)
     ensemble, reset = readouts[3], readouts[4]
     bell = _checked(measurement._bell_transfer(noise.d2), (16, 16))
@@ -232,7 +212,8 @@ def execute_schedule(
                 probs = measurement._measure(state, ins.qubits[0], axes[i], readouts[i], noise.d1)
                 records.append(Record("measure", ins.qubits, k, probs))
             elif k == "expect":
-                value = measurement._expect(state, next(digits), noise.d1, readouts)
+                digits = measurement._pauli_digits(ins.string, n)
+                value = measurement._expect(state, digits, noise.d1, readouts)
                 records.append(Record("expect", (), ins.string, (value,)))
             elif k == "ensemble":
                 dist = measurement._ensemble(state, noise.d1, ensemble)

@@ -33,10 +33,10 @@ built by ``_readout_channel``: the projective measurement with weight d and
 full depolarisation of its qubits with weight 1 - d; its record is read
 from the state that channel leaves.
 
-Before rho changes, ``run_schedule_dense`` checks every member's kind and
-shape against ``circuit.KINDS``, the one table of instruction kinds, which
-defines the text format and holds no linear algebra; every channel here is
-the oracle's own.
+Before rho changes, ``run_schedule_dense`` has the schedule check itself
+(``Schedule.angles``, the engine's check too), so both refuse the same
+members alike; that check holds no linear algebra, and every channel here
+is the oracle's own, built from the angles it returns.
 
 ``apply_kraus`` and ``apply_unitary`` stay as the plain definitions the
 passes are pinned to in tests, and ``expectation`` as the whole-matrix
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import SCHEDULE_KINDS, check_shape
 from .state import PauliState
 
 SIGMA = np.array(
@@ -509,42 +508,27 @@ def _cx_mixture(alpha: float, r: float) -> np.ndarray:
 
 def _schedule_channels(n: int, schedule, noise) -> tuple:
     """Every noisy gate and memory channel a run of ``schedule`` on n qubits
-    needs, each built once.
+    needs, each built once, after ``Schedule.angles`` has checked every
+    member and gathered the angles.
 
-    One walk refuses, before rho changes, a kind no schedule holds
-    (``circuit.SCHEDULE_KINDS``), a member whose angle or qubit count or
-    expect string is wrong for its kind (``circuit.check_shape``: the kind
-    table defines the text format and holds no linear algebra) and a member
-    on a qubit outside the state or on one qubit twice, and gathers the
-    angles.  The u1 angles and the u3 phis and lambdas make one z stack
-    and the u3 thetas one y stack (``_rotation_mixtures``), and each u3's
-    Rz(phi) Ry(theta) Rz(lam) is two stacked matmuls, associated as
-    (Rz Ry) Rz.  The cx channel is built once per call, whether the
-    schedule holds a cx or not.  Returns an iterator over every member's
-    gate channel in schedule order (None for a member that is not a gate)
-    and the memory channel of each (f, g) pair of the schedule's partition
-    categories: None for f = g = 1, whose step is the identity.
+    The u1 angles and the u3 phis and lambdas make one z stack and the u3
+    thetas one y stack (``_rotation_mixtures``), and each u3's Rz(phi)
+    Ry(theta) Rz(lam) is two stacked matmuls, associated as (Rz Ry) Rz.
+    The cx channel is built once per call, whether the schedule holds a cx
+    or not.  Returns an iterator over every member's gate channel in
+    schedule order (None for a member that is not a gate) and the memory
+    channel of each (f, g) pair of the schedule's partition categories:
+    None for f = g = 1, whose step is the identity.
     """
-    kinds, u1, u3 = [], [], []
-    for part in schedule.partitions:
-        for ins in part.members:
-            k = ins.kind
-            if k not in SCHEDULE_KINDS:
-                raise ValueError(f"unexpected instruction kind {k!r} in a schedule")
-            check_shape(ins, n)
-            _check_qubits(n, ins.qubits)
-            kinds.append(k)
-            if k == "u1":
-                u1.append(ins.angles[0])
-            elif k == "u3":
-                u3.append(ins.angles)
+    u1, u3 = schedule.angles(n)
     thetas, phis, lams = np.array(u3, dtype=np.float64).reshape(-1, 3).T
     z = _rotation_mixtures("z", np.concatenate([u1, phis, lams]), *noise.axis("z"))
     y = _rotation_mixtures("y", thetas, *noise.axis("y"))
     n1, n3 = len(u1), len(u3)
     stacks = {"u1": iter(z[:n1]), "u3": iter(np.matmul(np.matmul(z[n1 : n1 + n3], y), z[n1 + n3 :]))}
     stacks["cx"] = itertools.repeat(_cx_mixture(noise.alpha_cx, noise.r_cx))
-    gates = [next(stacks[k]) if k in stacks else None for k in kinds]
+    members = (ins for part in schedule.partitions for ins in part.members)
+    gates = [next(stacks[ins.kind]) if ins.kind in stacks else None for ins in members]
     pairs = {noise.pair(part.category) for part in schedule.partitions}
     return iter(gates), {fg: None if fg == (1.0, 1.0) else _memory_channel(*fg, noise.p) for fg in pairs}
 
@@ -641,22 +625,27 @@ class _Run:
             self.cur, self.spare = self.spare, self.cur
         self.axes = order
 
+    def _operand(self, kept: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+        """rho as a (2,) * 2n tensor, and einsum labels for its axes that trace
+        out every qubit not in ``kept``: such a qubit's row bit n + q takes
+        its column bit's label q."""
+        n = self.n
+        labels = [a - n if a >= n and a - n not in kept else a for a in self.axes]
+        return self.cur.reshape((2,) * (2 * n)), labels
+
     def _reduced(self, qubits: tuple[int, ...]) -> np.ndarray:
         """Partial trace of rho over every qubit not listed, in an array of
         its own; the first listed is kron-major."""
         n, m = self.n, len(qubits)
         _check_qubits(n, qubits)
-        # a row bit n + q of a qubit traced out shares its column bit's label q
-        labels = [a - n if a >= n and a - n not in qubits else a for a in self.axes]
         # with nothing traced out einsum returns a view of rho, so copy
-        out = np.einsum(self.cur.reshape((2,) * (2 * n)), labels, [n + q for q in qubits] + list(qubits))
+        out = np.einsum(*self._operand(qubits), [n + q for q in qubits] + list(qubits))
         return out.copy().reshape(2**m, 2**m)
 
     def _diagonal(self) -> np.ndarray:
         """The diagonal of rho, as real numbers in an array of its own."""
         n = self.n
-        labels = [a - n if a >= n else a for a in self.axes]  # row bit n + q shares column bit q's label
-        diagonal = np.einsum(self.cur.reshape((2,) * (2 * n)), labels, list(range(n - 1, -1, -1)))
+        diagonal = np.einsum(*self._operand(()), list(range(n - 1, -1, -1)))
         return np.array(diagonal.real).reshape(-1)
 
     def _read(self, qubits: tuple[int, ...], effects: list[np.ndarray]) -> float:
@@ -674,9 +663,7 @@ class _Run:
         """
         n = self.n
         _check_qubits(n, qubits)
-        rho = self.cur.reshape((2,) * (2 * n))
-        # a row bit n + q of a qubit traced out shares its column bit's label q
-        labels = [a - n if a >= n and a - n not in qubits else a for a in self.axes]
+        rho, labels = self._operand(qubits)
         for i, (q, e) in enumerate(zip(qubits, effects)):
             if q in self.pending:
                 e = (self.pending[q].T @ e.T.reshape(-1)).reshape(2, 2).T
@@ -767,8 +754,8 @@ def run_instructions_dense(d: DenseState, instructions) -> list:
 def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     """Execute a compiled schedule with the full noise model, densely.
 
-    Before rho changes the run walks the schedule and builds every noisy
-    channel it needs once (``_schedule_channels``).  One ``_Run`` then steps
+    Before rho changes the schedule checks itself and every noisy channel
+    the run needs is built once (``_schedule_channels``).  One ``_Run`` then steps
     through the members as ``run_instructions_dense`` does, and after every
     partition ``end_partition`` composes its category's memory channel into
     every qubit's pending factor, so a memory step makes no pass of its own.

@@ -394,11 +394,19 @@ def _contract(x: np.ndarray, i: int, m: int, rows: np.ndarray) -> np.ndarray:
     ``rows`` (r x 4^m) into m axes 2 wide: r = 2^m rows in {0, 3}^m."""
     shape = x.shape
     y = x.reshape(math.prod(shape[:i]), 4**m, -1)  # a copy only after a strided slice
-    if y.shape[2] == 1:  # the axes last; rows @ y would run many tiny products
-        out = y[:, :, 0] @ rows.T
-    else:
-        out = np.matmul(rows, y)
-    return out.reshape(shape[:i] + (2,) * m + shape[i + m :])
+    return _batched(rows, y).reshape(shape[:i] + (2,) * m + shape[i + m :])
+
+
+def _batched(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``t`` (r x k) applied to the middle axis of ``x`` (rows, k, cols).
+
+    With cols 1 it is one gemm, ``x[:, :, 0] @ t.T`` of shape (rows, r): as
+    a batched product it would run one tiny product per row.  Otherwise it
+    is ``np.matmul(t, x)`` of shape (rows, r, cols).
+    """
+    if x.shape[2] == 1:
+        return x[:, :, 0] @ t.T
+    return np.matmul(t, x)
 
 
 def _permuted(t: np.ndarray, order: list[int]) -> np.ndarray:
@@ -558,12 +566,7 @@ def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
             x = np.ascontiguousarray(x.reshape((4,) * n).transpose([n - 1 - d for d in reversed(order)]))
     if layout is not None:  # the digits moved
         state._buf, state._layout = x, None if layout == tuple(range(n)) else layout
-    x = x.reshape(4 ** (n - 1 - hi), len(t), -1)
-    if x.shape[2] == 1:  # digits last; t @ x would run one tiny product per row
-        out = x[:, :, 0] @ t.T
-    else:
-        out = np.matmul(t, x)
-    state._buf = out.reshape(-1)
+    state._buf = _batched(t, x.reshape(4 ** (n - 1 - hi), len(t), -1)).reshape(-1)
 
 
 def apply_product(state: PauliState, t: np.ndarray) -> None:

@@ -20,6 +20,8 @@ Every kind's shape and category come from the one table ``circuit.KINDS``:
 take the whole register, and ``decompose`` refuses, by name, an
 instruction whose kind is not in it or whose angle or qubit count is wrong
 for its kind, so hand-built input fails here and not inside a rewrite.
+``Schedule.angles`` is the one run-time check of a compiled schedule, which
+the engine and the dense oracle both make before their state changes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import KINDS, _NAMED_SELECT, Instruction, check_shape, format_instruction
+from .circuit import KINDS, SCHEDULE_KINDS, _NAMED_SELECT, Instruction, check_shape, format_instruction
 from .errors import CompileError, InternalError
 
 _PI = math.pi
@@ -233,6 +235,43 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.partitions)
+
+    def angles(self, n: int) -> tuple[list[float], list[tuple[float, float, float]]]:
+        """The u1 angles and the u3 angle triples, in schedule order, of a run
+        on n qubits, once every member is checked.
+
+        This is the one run-time check of a schedule, which
+        ``execute_schedule`` and the dense oracle both make before their
+        state changes, so they refuse the same members with the same
+        messages.  One walk refuses a member whose kind no schedule holds
+        (``circuit.SCHEDULE_KINDS``) or whose angle count, qubit count or
+        expect string is wrong for its kind (``circuit.check_shape``) with
+        ``ValueError``, one on a qubit outside 0..n-1 with ``IndexError``,
+        and one on a qubit twice or with an angle that is not finite with
+        ``ValueError``.  Each message names the member.  The parser and
+        ``compile_circuit`` refuse every one of these but the non-finite
+        angle, which only a hand-built instruction can carry.
+        """
+        u1, u3 = [], []
+        for part in self.partitions:
+            for ins in part.members:
+                k = ins.kind
+                if k not in SCHEDULE_KINDS:
+                    raise ValueError(f"unexpected kind {k!r} in schedule: {format_instruction(ins)}")
+                check_shape(ins, n)
+                qs = ins.qubits
+                for q in qs:
+                    if not 0 <= q < n:
+                        raise IndexError(f"qubit index {q} out of range for n={n}: {format_instruction(ins)}")
+                if len(qs) == 2 and qs[0] == qs[1]:  # cx, bell
+                    raise ValueError(f"{k} needs distinct qubits: {format_instruction(ins)}")
+                if ins.angles and not all(map(math.isfinite, ins.angles)):  # u1, u3
+                    raise ValueError(f"{k} needs finite angles: {format_instruction(ins)}")
+                if k == "u1":
+                    u1.append(ins.angles[0])
+                elif k == "u3":
+                    u3.append(ins.angles)
+        return u1, u3
 
 
 def _bad_qubits(ins: Instruction, register: frozenset[int]) -> bool:

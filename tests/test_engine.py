@@ -246,7 +246,9 @@ def test_a_fault_in_the_oracle_readout_channel_shows_in_the_record(monkeypatch):
 
 
 def test_a_bad_member_is_refused_before_the_state_changes():
-    # execute_schedule checks every member in one walk before it applies any
+    # Schedule.angles checks every member in one walk before either executor
+    # applies any: the engine and the oracle raise the same error, and
+    # neither the state, its pending factors nor rho change
     noise = NoiseModel(r_z=0.99, d1=0.9, f=0.99, g=0.98)
     good = [
         Partition("gate", [Instruction("u1", (0,), (0.3,)), Instruction("u3", (1,), (0.1, 0.2, 0.3))]),
@@ -256,23 +258,42 @@ def test_a_bad_member_is_refused_before_the_state_changes():
     state = init_zero(3)
     execute_schedule(state, Schedule(good), noise)
     assert state.coeffs.tobytes() != init_zero(3).coeffs.tobytes()
+    nan, inf = float("nan"), float("inf")
     for bad, error, match in (
         (Instruction("u3", (3,), (0.1, 0.2, 0.3)), IndexError, "out of range"),
+        (Instruction("u1", (3,), (0.7,)), IndexError, "out of range"),
         (Instruction("cx", (0, 5)), IndexError, "out of range"),
         (Instruction("measure_y", (-1,)), IndexError, "out of range"),
+        (Instruction("measure_x", (-3,)), IndexError, "out of range"),
         (Instruction("reset", (3,)), IndexError, "out of range"),
+        (Instruction("reset", (-1,)), IndexError, "out of range"),
         (Instruction("bell", (1, 7)), IndexError, "out of range"),
         (Instruction("cx", (1, 1)), ValueError, "distinct"),
         (Instruction("bell", (2, 2)), ValueError, "distinct"),
         (Instruction("expect", (), (), "XYZW"), ValueError, "labels"),
         (Instruction("expect", (), (), "XQZ"), ValueError, "label"),
         (Instruction("h", (0,)), ValueError, "unexpected kind"),
+        (Instruction("u1", (0,), (nan,)), ValueError, "finite"),
+        (Instruction("u1", (0,), (-inf,)), ValueError, "finite"),
+        (Instruction("u3", (1,), (0.1, nan, 0.3)), ValueError, "finite"),
+        (Instruction("u3", (1,), (inf, 0.2, 0.3)), ValueError, "finite"),
     ):
+        schedule = Schedule(good + [Partition("gate", [bad])])
         state = init_zero(3)
-        with pytest.raises(error, match=match):
-            execute_schedule(state, Schedule(good + [Partition("gate", [bad])]), noise)
-        assert not state._pending, bad
-        assert state.coeffs.tobytes() == init_zero(3).coeffs.tobytes(), bad
+        apply_transfer(state, (2,), np.diag([1.0, 0.5, 0.5, 1.0]))  # a pending factor
+        want = state.copy()
+        with pytest.raises(error, match=match) as engine_error:
+            execute_schedule(state, schedule, noise)
+        assert _pending_bytes(state) == _pending_bytes(want), bad
+        assert state.coeffs.tobytes() == want.coeffs.tobytes(), bad
+
+        dense = oracle.dense_zero(3)
+        rho = dense.rho.copy()
+        with pytest.raises(error) as oracle_error:
+            oracle.run_schedule_dense(dense, schedule, noise)
+        assert type(oracle_error.value) is type(engine_error.value), bad
+        assert str(oracle_error.value) == str(engine_error.value), bad
+        assert dense.rho.tobytes() == rho.tobytes(), bad
 
 
 # hand-built members whose angle count, qubit count or expect string is
@@ -297,8 +318,8 @@ def _pending_bytes(s):
 
 @pytest.mark.parametrize("bad", MISSHAPEN, ids=format_instruction)
 def test_a_member_of_the_wrong_shape_is_refused_at_every_boundary(bad):
-    # the compiler names the source form; the engine and the oracle each
-    # refuse it in their first walk, after a u3 they have not yet applied
+    # the compiler names the source form; the engine and the oracle refuse it
+    # with one message (Schedule.angles), before the u3 ahead of it applies
     first = Instruction("u3", (2,), (0.1, 0.2, 0.3))
     with pytest.raises(CompileError) as err:
         compile_circuit(3, [first, bad])
@@ -309,13 +330,14 @@ def test_a_member_of_the_wrong_shape_is_refused_at_every_boundary(bad):
     state = init_zero(3)
     apply_transfer(state, (2,), np.diag([1.0, 0.5, 0.5, 1.0]))  # a pending factor
     want = state.copy()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as engine_error:
         execute_schedule(state, schedule, noise)
     assert _pending_bytes(state) == _pending_bytes(want)  # nothing applied or flushed
     assert state.coeffs.tobytes() == want.coeffs.tobytes()
 
     dense = oracle.dense_zero(3)
     rho = dense.rho.copy()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as oracle_error:
         oracle.run_schedule_dense(dense, schedule, noise)
+    assert str(oracle_error.value) == str(engine_error.value)
     assert dense.rho.tobytes() == rho.tobytes()

@@ -398,10 +398,8 @@ def test_oracle_imports_nothing_from_the_engine():
             imported |= {(node.level, node.module, alias.name) for alias in node.names}
         elif isinstance(node, ast.Import):
             assert all(alias.name.split(".")[0] != "paulisim" for alias in node.names)
-    # from circuit only the instruction-kind table, which holds no linear
-    # algebra: the kinds a schedule holds and each kind's shape check
-    circuit = {(1, "circuit", "SCHEDULE_KINDS"), (1, "circuit", "check_shape")}
-    assert imported == {(1, "state", "PauliState"), *circuit}
+    # a schedule checks itself (Schedule.angles), so nothing from circuit
+    assert imported == {(1, "state", "PauliState")}
 
 
 def test_superop_rejects_incomplete_sets():
@@ -889,7 +887,7 @@ def test_one_step_behind_both_entry_points(rng):
         _assert_records_match(got, want, 1e-12)
 
     d = oracle.dense_zero(1)
-    with pytest.raises(ValueError, match="unexpected instruction kind 'h' in a schedule"):
+    with pytest.raises(ValueError, match=r"unexpected kind 'h' in schedule: h q\[0\]"):
         _run_one(d, Instruction("h", (0,)), NoiseModel())
     # a run that raises leaves rho in order, with every instruction before the failing one
     d = oracle.dense_zero(2)
@@ -917,26 +915,11 @@ def test_the_compiled_schedule_keeps_the_raw_channel_at_scale(rng):
     assert kinds >= {"ccx", "barrier", "reset", "measure", "measure_x", "measure_y", "expect", "ensemble", "bell"}
 
 
-def test_a_qubit_outside_the_state_is_refused_before_rho_changes(rng):
-    # a schedule's walk refuses the member before rho changes, as the engine does
-    noise = random_noise(rng)
-    first = Partition("gate", [Instruction("u3", (0,), (0.1, 0.2, 0.3)), Instruction("cx", (0, 1))])
-    bad = {
-        Instruction("u3", (5,), (0.4, 0.5, 0.6)): IndexError,
-        Instruction("reset", (-1,)): IndexError,
-        Instruction("u1", (2,), (0.7,)): IndexError,
-        Instruction("measure_x", (-3,)): IndexError,
-        Instruction("cx", (0, 2)): IndexError,
-        Instruction("bell", (1, 1)): ValueError,
-    }
-    for ins, error in bad.items():
-        d = oracle.to_dense(random_pauli_state(rng, 2))
-        before = d.rho.copy()
-        with pytest.raises(error, match="out of range|repeat"):
-            oracle.run_schedule_dense(d, Schedule([first, Partition("gate", [ins])]), noise)
-        assert d.rho.tobytes() == before.tobytes(), ins
-
-    # a raw run refuses it at its step, with every instruction before it applied
+def test_a_raw_run_refuses_a_qubit_outside_the_state_at_its_step(rng):
+    # with every instruction before it applied; a compiled schedule's bad
+    # qubits are refused before rho changes by Schedule.angles, which
+    # test_engine.py's test_a_bad_member_is_refused_before_the_state_changes
+    # checks for the engine and the oracle alike
     h = Instruction("h", (0,))
     for ins in (Instruction("h", (7,)), Instruction("x", (-1,)), Instruction("reset", (2,)), Instruction("u1", (-2,), (0.3,))):
         d, want = _pair(rng, 2)

@@ -483,6 +483,19 @@ def test_format_schedule_layout():
     assert lines[-1] == "2 measurement | measure q[0] ; measure q[1]"
 
 
+def test_schedule_angles_are_the_u1_and_u3_angles_in_schedule_order():
+    src = "qubits 3\nu3(0.1,0.2,0.3) q[2]\nu1(0.4) q[0]\ncx q[0],q[1]\nu1(0.5) q[1]\nmeasure q[1]\nexpect XYZ\n"
+    n, ins = parse_circuit(src)
+    _, schedule = compile_circuit(n, ins)
+    # gate members are listed by lowest qubit, so u1(0.4) on q[0] leads
+    assert schedule.angles(n) == ([0.4, 0.5], [(0.1, 0.2, 0.3)])
+    assert Schedule().angles(0) == ([], [])
+    # the one refusal the parser cannot reach by text: a non-finite angle
+    bad = Schedule([Partition("gate", [Instruction("u3", (0,), (0.1, float("nan"), 0.3))])])
+    with pytest.raises(ValueError, match=r"u3 needs finite angles: u3\(0\.1,nan,0\.3\) q\[0\]"):
+        bad.angles(1)
+
+
 def test_compile_concentrates_interleaved_gate_rounds():
     # staircase: all three cnots must land in distinct rounds
     src = "qubits 3\ncx q[0],q[1]\ncx q[1],q[2]\ncx q[0],q[1]\n"
