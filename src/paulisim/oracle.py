@@ -755,10 +755,11 @@ def run_schedule_dense(d: DenseState, schedule, noise) -> list:
     """Execute a compiled schedule with the full noise model, densely.
 
     Before rho changes the schedule checks itself and every noisy channel
-    the run needs is built once (``_schedule_channels``).  One ``_Run`` then steps
-    through the members as ``run_instructions_dense`` does, and after every
-    partition ``end_partition`` composes its category's memory channel into
-    every qubit's pending factor, so a memory step makes no pass of its own.
+    the run needs is built once (``_schedule_channels``).  One ``_Run`` then
+    steps through the members as ``run_instructions_dense`` does, and after
+    every partition ``end_partition`` composes its category's memory channel
+    into every qubit's pending factor, so a memory step makes no pass of its
+    own.
     """
     gates, memory = _schedule_channels(d.n, schedule, noise)
     run = _Run(d, _readouts(noise.d1, noise.d2))
