@@ -26,9 +26,9 @@ count (None for the whole-register expect, ensemble and barrier, which list
 no qubits) and its partition category, and ``SCHEDULE_KINDS``, derived from
 it, holds the kinds a compiled schedule may hold.  The parser and the
 compiler read only this table, and ``check_shape`` is the one test of an
-``Instruction`` against it that every boundary taking hand-built
-instructions makes; a compiled schedule makes it, with its other run-time
-checks, in ``transpile.Schedule.angles``.
+``Instruction`` against it.  Two checks make it: ``transpile.compile_circuit``
+on the instructions its caller wrote, and ``transpile.Schedule.angles`` on
+a compiled schedule before a run.
 
 Each parsed line becomes an ``Instruction``, a named tuple equal by value
 to any record with the same fields.  The parser reads each distinct
@@ -74,8 +74,8 @@ class Kind(NamedTuple):
     category: str | None  # partition category; None for barrier, which only ends a phase
 
 
-# Every instruction kind: the text format's mnemonics, the shape each boundary
-# that takes an Instruction checks, and the partitioner's categories.
+# Every instruction kind: the text format's mnemonics, the shape check_shape
+# tests, and the partitioner's categories.
 KINDS: dict[str, Kind] = {
     **dict.fromkeys(_NAMED_SELECT, Kind(0, 1, "gate")),
     "u1": Kind(1, 1, "gate"),
@@ -112,19 +112,26 @@ class Instruction(NamedTuple):
     string: str = ""
 
 
-def check_shape(ins: Instruction, n: int | None = None, error: type[Exception] = ValueError) -> None:
+def check_shape(ins: Instruction, n: int, error: type[Exception] = ValueError) -> None:
     """Raise ``error`` naming ``ins`` unless it has the shape ``KINDS`` gives its kind.
 
-    The angle and qubit counts must match, a kind of the whole register
-    listing no qubits; the kind must be a key of ``KINDS``.  Given the
-    register size n, an expect string must also hold one label in IXYZ per
-    qubit.
+    The kind must be a key of ``KINDS``, the angle and qubit counts must
+    match, a kind of the whole register listing no qubits, every angle must
+    be finite, and an expect string must hold one label in IXYZ per qubit of
+    the n-qubit register.  The two checks that call it are
+    ``transpile.compile_circuit``, for hand-built instructions, and
+    ``transpile.Schedule.angles``, for schedules.
     """
-    n_angles, n_qubits, _ = KINDS[ins.kind]
+    kind = KINDS.get(ins.kind)
+    if kind is None:
+        raise error(f"unknown kind {ins.kind!r}: {format_instruction(ins)}")
+    n_angles, n_qubits, _ = kind
     if len(ins.angles) != n_angles or len(ins.qubits) != (n_qubits or 0):
         want = "no qubits" if n_qubits is None else f"{n_qubits} qubit(s)"
         raise error(f"{ins.kind} needs {n_angles} angle(s) and {want}: {format_instruction(ins)}")
-    if n is not None and ins.kind == "expect":
+    if n_angles and not all(map(math.isfinite, ins.angles)):  # u1, u2, u3
+        raise error(f"{ins.kind} needs finite angles: {format_instruction(ins)}")
+    if ins.kind == "expect":
         if len(ins.string) != n or not _PAULI_LABELS.issuperset(ins.string):
             raise error(f"expect needs {n} Pauli labels in IXYZ: {format_instruction(ins)}")
 

@@ -176,12 +176,13 @@ def execute_schedule(
     a run can need is built and checked once, whether the schedule uses it
     or not: the u1 and u3 stacks, the cx PTM (``gates.cnot_transfer``,
     cached per noise pair), the readout stack (the x, y and z readouts, the
-    ensemble's and reset's transfers), the Bell transfer, and each partition
-    category's decoherence and decay PTMs (``memory._clock_step``, which
-    leaves out a factor of 1).  The loop applies them in schedule order
-    through the private steps, reading an expect string's digits at its
-    step, and after each partition ``state._product`` composes its
-    category's memory PTMs into every group's factor.
+    z one the ensemble's update too, and reset's transfer), the Bell
+    transfer, and each partition category's decoherence and decay PTMs
+    (``memory._clock_step``, which leaves out a factor of 1).  The loop
+    applies them in schedule order through the private steps, reading an
+    expect string's digits at its step, and after each partition
+    ``state._product`` composes its category's memory PTMs into every
+    group's factor.
     """
     n = state.n
     u1, u3 = schedule.angles(n)
@@ -190,7 +191,7 @@ def execute_schedule(
     u3_ptms = iter(_checked(gates.u3_transfers(thetas, phis, lams, noise), (len(u3), 4, 4)))
     cx = _checked(gates.cnot_transfer(noise), (16, 16))
     axes, readouts = measurement._readouts(noise.d1)
-    ensemble, reset = readouts[3], readouts[4]
+    ensemble, reset = readouts[2], readouts[3]  # the z readout is the ensemble's update
     bell = _checked(measurement._bell_transfer(noise.d2), (16, 16))
     categories = {part.category for part in schedule.partitions}
     clock = {c: memory._clock_step(*noise.pair(c), noise.p) for c in categories}

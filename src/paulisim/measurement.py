@@ -19,8 +19,9 @@ build their readout transfers, then run a private step, ``_measure`` or
 ``_expect``, that reads the record and applies them through
 ``state._transfer``.  The engine calls those steps directly with the x, y
 and z readout transfers of ``_readouts``, built and checked once per run
-as one (3, 4, 4) stack; a public call builds its own.  Either way a
-readout transfer is a row of ``_axis_transfers``, so it has the same bits.
+with reset's as one (4, 4, 4) stack; a public call builds its own.  Either
+way a readout transfer is a row of ``_axis_transfers``, so it has the same
+bits.
 
 The ensemble contraction.  prob(b) needs only the 2^n coefficients whose
 digits all lie in {0, 3}, the (2,) * n block ``PauliState.z_block``
@@ -32,10 +33,10 @@ first and the others in order, the operands ``numpy.tensordot`` would
 build, so the bits are the same; a step costs a few microseconds, where
 the generic tensordot and moveaxis calls cost tens.  The outcome labels
 are built once per qubit count.  The ensemble's update, digits 1 and 2
-gone and digit 3 scaled by d1 on every qubit, is one checked 4x4 transfer
-that ``state._product`` composes into every group's pending factor, so the
-next full read applies it; a sweep row, which keeps only the distribution,
-never makes that read.
+gone and digit 3 scaled by d1 on every qubit, is the z readout transfer
+of ``_readouts`` that ``measure`` applies.  ``state._product`` composes it
+into every group's pending factor, so the next full read applies it; a
+sweep row, which keeps only the distribution, never makes that read.
 
 Readout error enters through two damping factors: d1 scales the measured
 Bloch component for every single-qubit readout (and each qubit of a string
@@ -118,21 +119,16 @@ def _unit_axes(axes) -> np.ndarray:
     return nvecs
 
 
-def _ensemble_transfer(d1: float) -> np.ndarray:
-    """The ensemble's update on each qubit: digits 1 and 2 vanish, digit 3 scales by d1."""
-    return np.diag([1.0, 0.0, 0.0, d1])
-
-
 def _readouts(d1: float) -> tuple[np.ndarray, np.ndarray]:
-    """The x, y and z unit axes, and the one-qubit readout transfers as a checked (5, 4, 4) stack.
+    """The x, y and z unit axes, and the one-qubit readout transfers as a checked (4, 4, 4) stack.
 
     Row i serves ``measure_x``, ``measure_y`` and ``measure`` (i = 0, 1, 2)
     and each qubit of an ``expect`` string with Pauli digit i + 1; row 3 is
-    the ensemble's transfer and row 4 reset's.
+    reset's.  The z row, diag(1, 0, 0, d1), is the ensemble's update on
+    each qubit too.
     """
     axes = _unit_axes(_UNIT_AXES)
-    stack = [*_axis_transfers(axes, d1), _ensemble_transfer(d1), _RESET]
-    return axes, _checked(stack, (5, 4, 4))
+    return axes, _checked([*_axis_transfers(axes, d1), _RESET], (4, 4, 4))
 
 
 @lru_cache(maxsize=16)
@@ -237,8 +233,7 @@ def ensemble_distribution(
     update zeroes every coefficient with a digit in {1, 2} and scales each
     digit-3 occurrence by d1.
     """
-    t = _checked(_ensemble_transfer(noise.d1), (4, 4))
-    return _ensemble(state, noise.d1, t)
+    return _ensemble(state, noise.d1, _readouts(noise.d1)[1][2])
 
 
 def _ensemble(state: PauliState, d1: float, t: np.ndarray) -> dict[str, float]:

@@ -736,15 +736,18 @@ def run_instructions_dense(d: DenseState, instructions) -> list:
     One ``_Run`` steps through them: each gate is the channel of its exact
     unitary, built at its step, measurements are ideal projective channels
     (with their non-selective updates), barriers do nothing, and a qubit
-    outside the state raises ``IndexError`` at its step.  The run finishes
-    before it returns, or raises with every instruction before the failing
-    one applied.  Returns the measurement records as plain tuples; mutates
+    outside the state raises ``IndexError`` and an angle that is not finite
+    ``ValueError`` at its step, before its channel is built.  The run
+    finishes before it returns, or raises with every instruction before the
+    failing one applied.  Returns the measurement records as plain tuples; mutates
     ``d``.
     """
     run = _Run(d, _readouts(1.0, 1.0))
     try:
         for ins in instructions:
             u = _GATE_UNITARY.get(ins.kind)
+            if u is not None and not np.isfinite(ins.angles).all():
+                raise ValueError(f"{ins.kind} needs finite angles, got {ins.angles}")
             run.step(ins, None if u is None else superop([u(ins.angles)]))
     finally:
         run.finish()

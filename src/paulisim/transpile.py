@@ -16,12 +16,14 @@ Idle time between partitions is where memory noise elapses, so partition
 count is the circuit's effective clock depth.
 
 Every kind's shape and category come from the one table ``circuit.KINDS``:
-``category_of`` reads its category, ``merge`` and ``_touched`` which kinds
-take the whole register, and ``decompose`` refuses, by name, an
-instruction whose kind is not in it or whose angle or qubit count is wrong
-for its kind, so hand-built input fails here and not inside a rewrite.
-``Schedule.angles`` is the one run-time check of a compiled schedule, which
-the engine and the dense oracle both make before their state changes.
+``category_of`` reads its category, and ``merge`` and ``_touched`` which
+kinds take the whole register.  There are two checks.  ``compile_circuit``
+walks the instructions its caller wrote once, before any stage runs, and
+refuses each bad one by its source form; ``decompose``, ``merge`` and
+``partition`` are stages over that checked input and refuse nothing.
+``Schedule.angles`` checks a compiled schedule before a run, for the engine
+and the dense oracle alike.  ``check_schedule`` is not an input check: it
+tests the stages' output against their input.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ _ZERO_TOL = 1e-12
 
 
 def category_of(kind: str) -> str | None:
-    """Partition category of an instruction kind (``circuit.KINDS``); None for barriers."""
-    try:
-        return KINDS[kind].category
-    except KeyError:
-        raise CompileError(f"unsupported instruction kind {kind!r}") from None
+    """Partition category of a kind of ``circuit.KINDS``; None for barriers.
+
+    It reads the table and refuses nothing: ``compile_circuit`` refuses an
+    unknown kind before any stage asks.
+    """
+    return KINDS[kind].category
 
 
 def _touched(ins: Instruction, n: int) -> tuple[int, ...]:
@@ -88,18 +91,14 @@ def _toffoli_sequence(a: int, b: int, t: int) -> list[Instruction]:
 def decompose(instructions: list[Instruction]) -> list[Instruction]:
     """Rewrite every gate into the select set {u1, u3, cx}.
 
-    Each instruction must have a kind of ``circuit.KINDS`` and the angle and
-    qubit counts it gives that kind, or ``CompileError`` names it.  Named
-    gates take their forms in ``circuit._NAMED_SELECT``; u2 and ccx expand;
-    u1, u3, cx, measurements, reset, solo readouts and barriers pass
-    untouched.
+    It takes checked input, as ``compile_circuit`` or the parser hands it
+    on, and refuses nothing.  Named gates take their forms in
+    ``circuit._NAMED_SELECT``; u2 and ccx expand; u1, u3, cx, measurements,
+    reset, solo readouts and barriers pass untouched.
     """
     out: list[Instruction] = []
     for ins in instructions:
         k = ins.kind
-        if k not in KINDS:
-            raise CompileError(f"cannot decompose instruction: {format_instruction(ins)}")
-        check_shape(ins, error=CompileError)
         if k in _NAMED_SELECT:
             kind, angles = _NAMED_SELECT[k]
             out.append(Instruction(kind, ins.qubits, angles))
@@ -178,7 +177,7 @@ def merge(n: int, instructions: list[Instruction]) -> list[Instruction]:
     The fused gate takes the flat position of the run's first member, so the
     output's gate/measurement phase structure matches the source circuit's.
     A gate that runs alone keeps its source form.  A fused identity still
-    emits (as u1(0)); gate count never increases.
+    emits (as u1(0)); gate count never increases.  It takes checked input.
     """
     out: list[Instruction] = []
     open_runs: dict[int, int] = {}  # qubit -> place in out of its open run's first gate
@@ -244,13 +243,12 @@ class Schedule:
         ``execute_schedule`` and the dense oracle both make before their
         state changes, so they refuse the same members with the same
         messages.  One walk refuses a member whose kind no schedule holds
-        (``circuit.SCHEDULE_KINDS``) or whose angle count, qubit count or
-        expect string is wrong for its kind (``circuit.check_shape``) with
-        ``ValueError``, one on a qubit outside 0..n-1 with ``IndexError``,
-        and one on a qubit twice or with an angle that is not finite with
-        ``ValueError``.  Each message names the member.  The parser and
-        ``compile_circuit`` refuse every one of these but the non-finite
-        angle, which only a hand-built instruction can carry.
+        (``circuit.SCHEDULE_KINDS``) or that ``circuit.check_shape`` refuses
+        (a wrong angle or qubit count, an angle that is not finite, a bad
+        expect string) with ``ValueError``, one on a qubit outside 0..n-1
+        with ``IndexError``, and one on a qubit twice with ``ValueError``.
+        Each message names the member.  A schedule that ``compile_circuit``
+        returns passes; a hand-built one need not.
         """
         u1, u3 = [], []
         for part in self.partitions:
@@ -265,19 +263,11 @@ class Schedule:
                         raise IndexError(f"qubit index {q} out of range for n={n}: {format_instruction(ins)}")
                 if len(qs) == 2 and qs[0] == qs[1]:  # cx, bell
                     raise ValueError(f"{k} needs distinct qubits: {format_instruction(ins)}")
-                if ins.angles and not all(map(math.isfinite, ins.angles)):  # u1, u3
-                    raise ValueError(f"{k} needs finite angles: {format_instruction(ins)}")
                 if k == "u1":
                     u1.append(ins.angles[0])
                 elif k == "u3":
                     u3.append(ins.angles)
         return u1, u3
-
-
-def _bad_qubits(ins: Instruction, register: frozenset[int]) -> bool:
-    """Whether ``ins`` lists a qubit outside ``register`` or one qubit twice."""
-    qs = ins.qubits
-    return not register.issuperset(qs) or len(qs) > 1 and len(set(qs)) < len(qs)
 
 
 def _lowest_qubit(ins: Instruction) -> int:
@@ -287,15 +277,12 @@ def _lowest_qubit(ins: Instruction) -> int:
 def partition(stack: QubitStack) -> Schedule:
     """Place each instruction in the first partition its phase and qubits allow.
 
-    Raises ``CompileError`` for an instruction on a qubit outside the
-    register or on one qubit twice, and for a solo readout whose shape is
-    wrong for its kind, an expect string that is not one label in IXYZ per
-    qubit among them (``circuit.check_shape``).  Only a caller that builds
-    instructions itself can hand these in: the parser refuses them all.
+    It takes checked input, every qubit in the register and none listed
+    twice, as ``compile_circuit`` or the parser hands it on, and refuses
+    nothing.
     """
     parts: list[Partition] = []
     free = [0] * stack.n  # first partition each qubit may join next
-    register = frozenset(range(stack.n))
     start = 0  # first partition of the current phase
     last_measure = 0  # partition of the latest measurement
     prev: str | None = None
@@ -306,10 +293,7 @@ def partition(stack: QubitStack) -> Schedule:
         prev = cat
         if cat is None:  # a barrier only ends the phase
             continue
-        if _bad_qubits(ins, register):
-            raise CompileError(f"need distinct qubits in 0..{stack.n - 1}: {format_instruction(ins)}")
         if cat == "solo":
-            check_shape(ins, stack.n, CompileError)
             parts.append(Partition("solo", [ins]))
             continue
         slot = start
@@ -384,20 +368,24 @@ def format_schedule(schedule: Schedule) -> str:
 def compile_circuit(
     n: int, instructions: list[Instruction]
 ) -> tuple[list[Instruction], Schedule]:
-    """decompose + merge + partition, with the schedule checked structurally.
+    """decompose + merge + partition on checked input, the schedule checked structurally.
 
-    A ``CompileError`` for a qubit out of range or repeated names the first
-    such instruction as the caller wrote it, not the select-set gate that
-    ``partition`` found (a fused ``u3`` for an ``h``, one gate of a Toffoli's
-    expansion).  Only that error path walks ``instructions`` again.
+    This is the one compile-time check of hand-built instructions (the
+    parser refuses the same faults in text).  One walk over ``instructions``,
+    before any stage runs, raises ``CompileError`` on the first one whose
+    kind, angle count, qubit count, angles or expect string
+    ``circuit.check_shape`` refuses, or that lists a qubit outside 0..n-1 or
+    one qubit twice.  The message ends with the instruction as the caller
+    wrote it, not a gate a stage made of it.  A compiled schedule is checked
+    again before a run by ``Schedule.angles``.
     """
+    register = frozenset(range(n))
+    for ins in instructions:
+        check_shape(ins, n, CompileError)
+        qs = ins.qubits
+        if not register.issuperset(qs) or len(qs) > 1 and len(set(qs)) < len(qs):
+            raise CompileError(f"need distinct qubits in 0..{n - 1}: {format_instruction(ins)}")
     merged = merge(n, decompose(instructions))
-    try:
-        schedule = partition(build_stack(n, merged))
-    except CompileError:
-        bad = [i for i in instructions if category_of(i.kind) and _bad_qubits(i, frozenset(range(n)))]
-        if not bad:
-            raise
-        raise CompileError(f"need distinct qubits in 0..{n - 1}: {format_instruction(bad[0])}") from None
+    schedule = partition(build_stack(n, merged))
     check_schedule(schedule, n, merged)
     return merged, schedule

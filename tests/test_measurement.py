@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_pauli_state, run_alone
-from paulisim import oracle
+from paulisim import measurement, oracle
 from paulisim import state as kernel
 from paulisim.circuit import NOISE_KEYS, NOISELESS, Instruction, NoiseModel
 from paulisim.engine import verify_circuit
@@ -186,6 +186,15 @@ def test_ensemble_update_equals_per_qubit_z_measurements(rng):
     for q in range(3):
         measure_qubit(s2, q, Z, noise)
     assert np.max(np.abs(s1.coeffs - s2.coeffs)) < 1e-12
+    # the update is the z readout's row of measurement._readouts, which is
+    # diag(1, 0, 0, d1) to the byte, and each qubit's pending factor after
+    # an ensemble on a fresh state is that row
+    for d1 in (1.0, 0.97, 0.5, 0.123456789, 0.0, 1e-300):
+        z = measurement._readouts(d1)[1][2]
+        assert z.tobytes() == np.diag([1.0, 0.0, 0.0, d1]).tobytes(), d1
+        s = init_zero(2)
+        ensemble_distribution(s, NoiseModel(d1=d1))
+        assert [f.tobytes() for _, f in s._pending.values()] == [z.tobytes()] * 2, d1
 
 
 def test_ensemble_matches_dense_diagonal(rng):

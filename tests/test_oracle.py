@@ -929,6 +929,19 @@ def test_a_raw_run_refuses_a_qubit_outside_the_state_at_its_step(rng):
         assert d.rho.tobytes() == want.rho.tobytes(), ins
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, at", [("u1", 0), ("u2", 0), ("u2", 1), ("u3", 0), ("u3", 1), ("u3", 2)])
+def test_a_raw_run_refuses_an_angle_that_is_not_finite_at_its_step(rng, kind, at, bad):
+    # before its channel is built, so rho stays as it was and numpy warns of
+    # nothing (this suite raises every warning as an error)
+    angles = [0.3] * KINDS[kind].angles
+    angles[at] = bad
+    d, want = _pair(rng, 1)
+    with pytest.raises(ValueError, match=f"^{kind} needs finite angles"):
+        oracle.run_instructions_dense(d, [Instruction(kind, (0,), tuple(angles))])
+    assert d.rho.tobytes() == want.rho.tobytes()
+
+
 # Deferral: one-qubit channels wait as pending factors, and the result is
 # the immediate route's, where every channel makes its own pass at once.
 

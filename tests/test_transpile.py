@@ -289,13 +289,67 @@ def test_category_of_kinds():
     assert category_of("barrier") is None
 
 
-def test_an_unknown_kind_is_refused_by_name():
+_NAN, _INF = math.nan, math.inf
+
+# hand-built faults at n = 3; the parser refuses each one in text
+HAND_BUILT_FAULTS = [
+    # an unknown kind
+    Instruction("foo", (0,)),
+    # a wrong angle or qubit count
+    Instruction("u3", (0,), (0.1,)),
+    Instruction("u1", (0,)),
+    Instruction("h", (0,), (0.1,)),
+    Instruction("cx", (1,)),
+    Instruction("ccx", (0, 1)),
+    Instruction("measure", (0, 1)),
+    Instruction("ensemble", (0,)),
+    # an expect string of the wrong length or with a bad label
+    Instruction("expect", string="ZZ"),
+    Instruction("expect", string="XQZ"),
+    # a qubit out of range, negative or repeated
+    Instruction("h", (3,)),
+    Instruction("h", (-1,)),
+    Instruction("h", (1, 1)),
+    Instruction("cx", (0, 3)),
+    Instruction("cx", (-1, 0)),
+    Instruction("cx", (2, 2)),
+    Instruction("ccx", (0, 1, 5)),
+    Instruction("ccx", (0, -2, 1)),
+    Instruction("ccx", (0, 1, 0)),
+    Instruction("bell", (0, 4)),
+    Instruction("bell", (-1, 0)),
+    Instruction("bell", (1, 1)),
+    Instruction("measure", (3,)),
+    Instruction("measure", (-1,)),
+    Instruction("measure", (0, 0)),
+    # an angle that is not finite
+    Instruction("u1", (0,), (_NAN,)),
+    Instruction("u1", (0,), (_INF,)),
+    Instruction("u1", (0,), (-_INF,)),
+    Instruction("u2", (0,), (_NAN, 0.0)),
+    Instruction("u2", (0,), (0.0, _INF)),
+    Instruction("u2", (0,), (-_INF, 0.0)),
+    Instruction("u3", (0,), (_NAN, 0.1, 0.2)),
+    Instruction("u3", (0,), (0.1, _INF, 0.2)),
+    Instruction("u3", (0,), (0.1, 0.2, -_INF)),
+]
+
+_H0 = Instruction("h", (0,))
+
+
+@pytest.mark.parametrize("before, after", [((), ()), ((_H0,), ()), ((), (_H0,))], ids=["alone", "after_h", "before_h"])
+@pytest.mark.parametrize("bad", HAND_BUILT_FAULTS, ids=lambda ins: format_instruction(ins).replace(" ", "_"))
+def test_compile_refuses_a_hand_built_fault_in_the_instruction_the_caller_wrote(bad, before, after):
+    # compile_circuit checks the caller's instructions once, before any
+    # stage runs, so no stage sees the fault: a u1(nan) q[0] next to an
+    # h q[0] is refused as written, not as the u3 a fusion would make of it
+    instructions = [*before, bad, *after]
     with pytest.raises(CompileError) as err:
-        category_of("foo")
-    assert str(err.value) == "unsupported instruction kind 'foo'"
-    with pytest.raises(CompileError) as err:
-        decompose([Instruction("h", (0,)), Instruction("foo", (0,))])
-    assert str(err.value) == "cannot decompose instruction: foo q[0]"
+        compile_circuit(3, instructions)
+    assert str(err.value).endswith(f": {format_instruction(bad)}")
+    text = "qubits 3\n" + "".join(format_instruction(ins) + "\n" for ins in instructions)
+    with pytest.raises(CircuitSyntaxError):
+        parse_circuit(text)
 
 
 @pytest.mark.parametrize(
