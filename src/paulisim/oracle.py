@@ -739,8 +739,8 @@ def run_instructions_dense(d: DenseState, instructions) -> list:
     outside the state raises ``IndexError`` and an angle that is not finite
     ``ValueError`` at its step, before its channel is built.  The run
     finishes before it returns, or raises with every instruction before the
-    failing one applied.  Returns the measurement records as plain tuples; mutates
-    ``d``.
+    failing one applied.  Returns the measurement records as plain tuples;
+    mutates ``d``.
     """
     run = _Run(d, _readouts(1.0, 1.0))
     try:
