@@ -175,8 +175,9 @@ def execute_schedule(
     angles, so a bad member raises before the state changes.  Then each PTM
     a run can need is built and checked once, whether the schedule uses it
     or not: the u1 and u3 stacks, the cx PTM (``gates.cnot_transfer``,
-    cached per noise pair), the readout stack (the x, y and z readouts, the
-    z one the ensemble's update too, and reset's transfer), the Bell
+    cached per noise pair), the readout stack (``measurement._readouts``,
+    cached per d1: the x, y and z readouts, the z one the ensemble's update
+    too, and reset's transfer), the Bell
     transfer, and each partition category's decoherence and decay PTMs
     (``memory._clock_step``, which leaves out a factor of 1).  The loop
     applies them in schedule order through the private steps, reading an

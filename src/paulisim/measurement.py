@@ -18,10 +18,11 @@ pending factors and makes no pass either.
 build their readout transfers, then run a private step, ``_measure`` or
 ``_expect``, that reads the record and applies them through
 ``state._transfer``.  The engine calls those steps directly with the x, y
-and z readout transfers of ``_readouts``, built and checked once per run
-with reset's as one (4, 4, 4) stack; a public call builds its own.  Either
-way a readout transfer is a row of ``_axis_transfers``, so it has the same
-bits.
+and z readout transfers of ``_readouts``, built and checked once per d1
+with reset's as one read-only (4, 4, 4) stack, which the public
+``expect_pauli_string`` and ``ensemble_distribution`` share; ``measure_qubit``,
+on any axis, builds its own.  Either way a readout transfer is a row of
+``_axis_transfers``, so it has the same bits.
 
 The ensemble contraction.  prob(b) needs only the 2^n coefficients whose
 digits all lie in {0, 3}, the (2,) * n block ``PauliState.z_block``
@@ -125,10 +126,22 @@ def _readouts(d1: float) -> tuple[np.ndarray, np.ndarray]:
     Row i serves ``measure_x``, ``measure_y`` and ``measure`` (i = 0, 1, 2)
     and each qubit of an ``expect`` string with Pauli digit i + 1; row 3 is
     reset's.  The z row, diag(1, 0, 0, d1), is the ensemble's update on
-    each qubit too.
+    each qubit too.  Both arrays are built once per d1 and cached, keyed by
+    ``float.hex`` so that -0.0, whose rows hold zeros of the other sign, is
+    not served 0.0's; both are read-only, as rows become pending factors,
+    which are never written in place.
     """
+    return _readouts_of(float(d1).hex())
+
+
+@lru_cache(maxsize=16)
+def _readouts_of(d1: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_readouts`` of the d1 whose ``float.hex`` is ``d1``."""
     axes = _unit_axes(_UNIT_AXES)
-    return axes, _checked([*_axis_transfers(axes, d1), _RESET], (4, 4, 4))
+    stack = _checked([*_axis_transfers(axes, float.fromhex(d1)), _RESET], (4, 4, 4))
+    axes.setflags(write=False)
+    stack.setflags(write=False)
+    return axes, stack
 
 
 @lru_cache(maxsize=16)

@@ -125,6 +125,9 @@ PSD_TOL = 1e-9
 
 _FILE_HEADER = "pauli-dm v1"
 
+# coefficients per chunk of text save_state formats and writes at once
+_SAVE_CHUNK = 2**14
+
 # where str.splitlines ends a line: the header is the file's first line
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -619,7 +622,43 @@ def _product(state: PauliState, transfers: list) -> None:
 
 
 def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
-    """Raise ``CapacityError`` for n above ``max_qubits``, ``ValueError`` for n < 1."""
+    """Raise ``CapacityError`` for n above ``max_qubits``, ``ValueError`` for n < 1.
+
+    The cap bounds memory through what each entry point holds at its peak,
+    in states of 8 * 4^n bytes (2 GiB at 14 qubits):
+
+    ==============================================  =========================
+    entry point                                     peak, in states
+    ==============================================  =========================
+    ``run_circuit``; ``verify_circuit``'s engine    2: a pass writes a new
+                                                    buffer as it reads the old
+    ``sweep``, ``success`` metric                   2: a row releases its
+                                                    state before the next
+    ``sweep``, ``fidelity`` metric                  3: the reference besides
+    ``save_state``                                  1, plus one chunk's text
+    ``load_state``                                  twice the file text,
+                                                    plus 2
+    ==============================================  =========================
+
+    ``tests/test_peaks.py`` pins the first four, and building a state, at
+    n = 10.  ``tools/peak_states.py`` measured each cell below as the traced
+    peak in states / the RSS growth in MiB over the post-import baseline:
+    the adder at 10 and 13 qubits, the Fourier transform at 11 and 12, one
+    BLAS thread on a 2-vCPU x86-64 VM.  save_state's RSS includes building
+    its state, whose last outer product holds 1.25 states.
+
+    ==  ===========  =============  ==============  ===========
+    n   run          success sweep  fidelity sweep  save_state
+    ==  ===========  =============  ==============  ===========
+    10  2.03 / 16    2.05 / 16      3.05 / 25       1.18 / 10
+    11  2.01 / 70    2.02 / 75      3.02 / 107      1.05 / 40
+    12  2.00 / 257   2.01 / 268     3.01 / 396      1.01 / 160
+    13  2.00 / 1037  2.00 / 1050    3.00 / 1562     1.00 / 640
+    ==  ===========  =============  ==============  ===========
+
+    So at the cap of 14 qubits a run or a success sweep needs about
+    2 x 2 GiB, a fidelity sweep 3 x 2 GiB and ``save_state`` 2 GiB.
+    """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if n > max_qubits:
@@ -630,11 +669,18 @@ def _product_state(factors: list[np.ndarray]) -> PauliState:
     """Tensor product of per-qubit coefficient 4-vectors; factors[k] is qubit k.
 
     Each step is one outer product, the same single multiplications
-    ``np.kron`` makes, without its generic reshaping.
+    ``np.kron`` makes, without its generic reshaping.  The 4^n result is
+    allocated before the intermediates and the last product is written into
+    it, so a state built just after another was released takes the block
+    that state left, not a new one beside a quarter-state intermediate.
     """
     coeffs = factors[0]
-    for f in factors[1:]:  # qubit 0 first: later factors become more significant
-        coeffs = np.multiply.outer(f, coeffs).reshape(-1)
+    if len(factors) > 1:
+        out = np.empty(4 ** len(factors))
+        for f in factors[1:-1]:  # qubit 0 first: later factors become more significant
+            coeffs = np.multiply.outer(f, coeffs).reshape(-1)
+        np.multiply.outer(factors[-1], coeffs, out=out.reshape(4, -1))
+        coeffs = out
     return PauliState(len(factors), coeffs)
 
 
@@ -718,15 +764,18 @@ def save_state(s: PauliState, sink: str | Path | io.TextIOBase) -> None:
     """Write the coefficient file: a header line, then one decimal per line.
 
     Values are printed with full round-trip precision so save/load is
-    bit-exact.
+    bit-exact.  The header goes first, then the coefficients' text in
+    chunks of ``_SAVE_CHUNK``, so the peak is the state plus one chunk's
+    text, not the whole file's.
     """
-    lines = [f"{_FILE_HEADER} n={s.n}"]
-    lines.extend(repr(float(c)) for c in s.coeffs)
-    text = "\n".join(lines) + "\n"
     if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text)
-    else:
-        sink.write(text)
+        with open(sink, "w") as f:
+            save_state(s, f)
+        return
+    c = s.coeffs
+    sink.write(f"{_FILE_HEADER} n={s.n}\n")
+    for i in range(0, len(c), _SAVE_CHUNK):
+        sink.write("\n".join(map(repr, c[i : i + _SAVE_CHUNK].tolist())) + "\n")
 
 
 def _read_coefficients(body: str, n: int) -> np.ndarray:

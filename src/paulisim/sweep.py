@@ -12,6 +12,11 @@ noise model with one parameter (or parameter group) replaced.  Two metrics:
 
 The grouped pseudo-parameters ``r`` and ``alpha`` set all four axis values
 (x, y, z, cx) at once.
+
+Each row releases its state once its metric is read, before the next row
+builds its own, so a ``success`` sweep holds at most the two states one
+pass needs, as ``run_circuit`` does, and a ``fidelity`` sweep holds its
+reference besides: three (see ``state.check_capacity``).
 """
 
 from __future__ import annotations
@@ -109,6 +114,7 @@ def sweep(
             m = pattern_mass(next(r.dist for r in reversed(records) if r.kind == "ensemble"), pattern)
         else:
             m = overlap(state, reference)
+        del state  # released before the next row's state is built, which takes its block
         rows.append(SweepRow(value, m, len(schedule)))
     return rows
 

@@ -197,6 +197,20 @@ def test_ensemble_update_equals_per_qubit_z_measurements(rng):
         assert [f.tobytes() for _, f in s._pending.values()] == [z.tobytes()] * 2, d1
 
 
+def test_the_readout_stack_is_built_once_per_d1_and_refuses_a_write():
+    # the cache is keyed by float.hex, so -0.0 gets its own rows, whose zeros
+    # keep their sign, not 0.0's
+    for d1 in (1.0, 0.97, 0.0, -0.0, 1e-300):
+        axes, stack = measurement._readouts(d1)
+        assert measurement._readouts(d1)[1] is stack, d1
+        fresh = measurement._axis_transfers(measurement._unit_axes(measurement._UNIT_AXES), d1)
+        assert stack.tobytes() == np.concatenate([fresh, measurement._RESET[None]]).tobytes(), d1
+        for a in (axes, stack, stack[2]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 2.0
+    assert measurement._readouts(-0.0)[1].tobytes() != measurement._readouts(0.0)[1].tobytes()
+
+
 def test_ensemble_matches_dense_diagonal(rng):
     noise = NoiseModel(d1=0.9)
     s = random_pauli_state(rng, 3)

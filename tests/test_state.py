@@ -84,6 +84,29 @@ def test_product_states_are_the_kron_products_bit_for_bit(n):
         assert state.coeffs.tobytes() == want.tobytes()  # zero signs included
 
 
+def _outer_chain(factors) -> np.ndarray:
+    """The product state as the outer-product chain built it before its result was allocated first."""
+    coeffs = factors[0]
+    for f in factors[1:]:
+        coeffs = np.multiply.outer(f, coeffs).reshape(-1)
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_states_keep_the_bytes_of_the_outer_product_chain(n):
+    # n = 1 has no outer product: the state is the factor itself
+    bits = "".join(np.random.default_rng([83, n]).choice(list("01"), size=n))
+    sign = {"0": 0.5, "1": -0.5}
+    cases = [
+        (init_zero(n), [[0.5, 0.0, 0.0, 0.5]] * n),
+        (init_uniform(n), [[0.5, 0.5, 0.0, 0.0]] * n),
+        (init_thermal(n, 0.9), [[0.5, 0.0, 0.0, 0.9 - 0.5]] * n),
+        (init_bitstring(bits), [[0.5, 0.0, 0.0, sign[c]] for c in reversed(bits)]),
+    ]
+    for state, factors in cases:
+        assert state.coeffs.tobytes() == _outer_chain(np.array(factors)).tobytes()
+
+
 def test_bitstring_rejects_non_binary():
     with pytest.raises(ValueError):
         init_bitstring("102")
@@ -255,6 +278,29 @@ def test_save_load_round_trip_stream(rng):
     assert text.startswith("pauli-dm v1 n=2\n")
     loaded = load_state(io.StringIO(text))
     assert np.array_equal(loaded.coeffs, s.coeffs)
+
+
+def _whole_text(s: PauliState) -> str:
+    """The state file as save_state wrote it before it wrote in chunks: one joined text."""
+    lines = [f"pauli-dm v1 n={s.n}"]
+    lines.extend(repr(float(c)) for c in s.coeffs)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 5, 9])
+def test_save_state_writes_the_bytes_of_the_whole_text_writer(tmp_path, n):
+    coeffs = np.random.default_rng([89, n]).uniform(-1.0, 1.0, 4**n) * 2.0**-n
+    coeffs[0] = 2.0**-n
+    coeffs[1:4] = [-0.0, 1e-300, 5e-324]  # a negative zero, a tiny normal and the least subnormal
+    coeffs[-1] = -2.5e-310  # a negative subnormal
+    s = PauliState(n, coeffs)
+    want = _whole_text(s)
+    path = tmp_path / "state.txt"
+    save_state(s, path)
+    assert path.read_bytes() == want.encode()
+    buf = io.StringIO()
+    save_state(s, buf)
+    assert buf.getvalue() == want
 
 
 def test_load_rejects_bad_header_and_sizes(tmp_path):

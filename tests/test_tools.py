@@ -5,7 +5,9 @@ layers of the claimed workload whose ranges part.  tools/code_lines.py: it
 counts a package's code lines, leaving out blanks, comments and docstrings.
 tools/same_outputs.py: it feeds every tree the same inputs under one BLAS
 thread, and exits 0 on equal digests, 1 on unequal ones and 2 on a failed
-child."""
+child.  tools/peak_states.py: it prints each entry point's traced peak in
+states and its RSS growth, from children that import the given tree under
+one BLAS thread, and exits 2 on a failed child."""
 
 import importlib.util
 import json
@@ -306,3 +308,90 @@ def test_same_outputs_stops_on_a_failed_child(tmp_path):
     run = _same(_stub_tree(tmp_path / "a", "same"), _stub_tree(tmp_path / "b", "crash"))
     assert run.returncode == 2
     assert "stub cannot import" in run.stderr and run.stdout == ""
+
+
+PEAK_STATES = ROOT / "tools" / "peak_states.py"
+ENTRY_POINTS = ["run_circuit", "success_sweep", "fidelity_sweep", "save_state"]
+
+# a stand-in for a tree's paulisim whose entry points hold a known number of
+# 7-qubit states of 8 * 4^7 bytes: a run and a success sweep two, a fidelity
+# sweep three, save_state half a state besides the one it is given; each
+# import logs its BLAS thread count to calls.log beside the package
+_HOLDING = """
+import os
+from pathlib import Path
+from types import SimpleNamespace
+if {crash!r}:
+    raise SystemExit("stub cannot import")
+with (Path(__file__).parent / "calls.log").open("a") as f:
+    f.write(os.environ["OPENBLAS_NUM_THREADS"] + "\\n")
+
+def _states(n, k):
+    return b"\\x01" * int(k * 8 * 4**n)
+
+def parse_noise_config(text):
+    return text
+
+def gen_adder(a, b):
+    return a + b
+
+def adder_success_pattern(a, b):
+    return a + b
+
+def gen_qft(n):
+    return ""
+
+def run_circuit(circuit, noise):
+    return SimpleNamespace(final_state=SimpleNamespace(coeffs=_states(7, 2)))
+
+def sweep(circuit, param, values, metric, noise):
+    held = _states(7, 3 if metric == "fidelity" else 2)
+    return []
+
+def init_thermal(n, p):
+    return _states(n, 1)
+
+def save_state(state, sink):
+    held = _states(7, 0.5)
+"""
+
+
+def _peaks(n: int, tree: Path | None = None) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, str(PEAK_STATES), "--n", str(n)] + (["--tree", str(tree)] if tree else [])
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def _table(stdout: str) -> dict[str, tuple[float, float]]:
+    lines = stdout.splitlines()
+    assert lines[1] == "entry\tpeak_states\trss_growth_mib"
+    rows = [line.split("\t") for line in lines[2:]]
+    return {entry: (float(peak), float(rss)) for entry, peak, rss in rows}
+
+
+def test_peak_states_prints_each_entry_point_of_this_checkout():
+    run = _peaks(4)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0] == f"n=4, state 0.00195312 MiB, tree {ROOT}"
+    table = _table(run.stdout)
+    assert list(table) == ENTRY_POINTS
+    assert all(peak >= 1.0 and rss >= 0.0 for peak, rss in table.values()), table
+
+
+def test_peak_states_counts_states_of_the_given_tree(tmp_path):
+    pkg = tmp_path / "src" / "paulisim"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(_HOLDING.format(crash=False))
+    run = _peaks(7, tmp_path)
+    assert run.returncode == 0, run.stderr
+    peaks = {entry: peak for entry, (peak, _) in _table(run.stdout).items()}
+    assert peaks == pytest.approx(dict(zip(ENTRY_POINTS, [2.0, 2.0, 3.0, 1.5])), abs=0.02)
+    assert (pkg / "calls.log").read_text().split() == ["1"] * 8  # two children per entry point
+
+
+def test_peak_states_stops_on_a_failed_child(tmp_path):
+    pkg = tmp_path / "src" / "paulisim"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(_HOLDING.format(crash=True))
+    run = _peaks(4, tmp_path)
+    assert run.returncode == 2
+    assert "stub cannot import" in run.stderr and "run_circuit child" in run.stderr
