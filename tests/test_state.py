@@ -69,23 +69,8 @@ def _kron_product(factors) -> np.ndarray:
     return coeffs
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_product_states_are_the_kron_products_bit_for_bit(n):
-    bits = "".join(np.random.default_rng([79, n]).choice(list("01"), size=n))
-    sign = {"0": 0.5, "1": -0.5}
-    cases = [
-        (init_zero(n), [[0.5, 0.0, 0.0, 0.5]] * n),
-        (init_uniform(n), [[0.5, 0.5, 0.0, 0.0]] * n),
-        (init_thermal(n, 0.3), [[0.5, 0.0, 0.0, 0.3 - 0.5]] * n),
-        (init_bitstring(bits), [[0.5, 0.0, 0.0, sign[c]] for c in reversed(bits)]),
-    ]
-    for state, factors in cases:
-        want = _kron_product(np.array(factors))
-        assert state.coeffs.tobytes() == want.tobytes()  # zero signs included
-
-
 def _outer_chain(factors) -> np.ndarray:
-    """The product state as the outer-product chain built it before its result was allocated first."""
+    """The product state as a chain of outer products, each into a new array."""
     coeffs = factors[0]
     for f in factors[1:]:
         coeffs = np.multiply.outer(f, coeffs).reshape(-1)
@@ -93,18 +78,21 @@ def _outer_chain(factors) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_product_states_keep_the_bytes_of_the_outer_product_chain(n):
-    # n = 1 has no outer product: the state is the factor itself
-    bits = "".join(np.random.default_rng([83, n]).choice(list("01"), size=n))
+def test_product_states_are_the_kron_products_bit_for_bit(n):
+    # and the bytes of the outer-product chain; n = 1 has no outer product
+    bits = "".join(np.random.default_rng([79, n]).choice(list("01"), size=n))
     sign = {"0": 0.5, "1": -0.5}
     cases = [
         (init_zero(n), [[0.5, 0.0, 0.0, 0.5]] * n),
         (init_uniform(n), [[0.5, 0.5, 0.0, 0.0]] * n),
+        (init_thermal(n, 0.3), [[0.5, 0.0, 0.0, 0.3 - 0.5]] * n),
         (init_thermal(n, 0.9), [[0.5, 0.0, 0.0, 0.9 - 0.5]] * n),
         (init_bitstring(bits), [[0.5, 0.0, 0.0, sign[c]] for c in reversed(bits)]),
     ]
     for state, factors in cases:
-        assert state.coeffs.tobytes() == _outer_chain(np.array(factors)).tobytes()
+        want = _kron_product(np.array(factors))
+        assert state.coeffs.tobytes() == want.tobytes()  # zero signs included
+        assert want.tobytes() == _outer_chain(np.array(factors)).tobytes()
 
 
 def test_bitstring_rejects_non_binary():
