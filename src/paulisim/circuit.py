@@ -23,19 +23,24 @@ character is qubit 0; reports print the most significant bit first.
 
 One table, ``KINDS``, gives every mnemonic its angle count, its qubit
 count (None for the whole-register expect, ensemble and barrier, which list
-no qubits) and its partition category, and ``SCHEDULE_KINDS``, derived from
-it, holds the kinds a compiled schedule may hold.  The parser and the
-compiler read only this table, and ``check_shape`` is the one test of an
-``Instruction`` against it.  Two checks make it: ``transpile.compile_circuit``
-on the instructions its caller wrote, and ``transpile.Schedule.angles`` on
-a compiled schedule before a run.
+no qubits) and its partition category.  Three views are derived from it:
+``SCHEDULE_KINDS``, the kinds a compiled schedule may hold, and the flat
+``CATEGORY`` and ``WHOLE_REGISTER``, which the compiler's walks read, one
+lookup per record.  The parser and the compiler read only these, and
+``check_shape`` is the one test of an ``Instruction`` against ``KINDS``.
+Each instruction is checked once on its way to a schedule: circuit text by
+the parser, which refuses every fault ``check_shape`` and the qubit test
+would; a hand-built list by ``transpile.compile_circuit``'s door; and a
+compiled schedule by ``transpile.Schedule.angles`` before a run.
 
 Each parsed line becomes an ``Instruction``, a named tuple equal by value
 to any record with the same fields.  The parser reads each distinct
 (stripped line, qubit count) once per process: a bounded LRU cache
 (``_LINE_CACHE_SIZE`` entries) keeps the fields of recent lines, and every
 occurrence of a line still gets a record of its own.  A line that fails to
-parse is never cached, and its error names its own line number.
+parse is never cached, and its error names its own line number.  A cache
+miss on a u1, u2 or u3 line with decimal angles, the usual one, is read by
+one regular-expression match.
 
 Noise configuration files hold ``key = value`` lines (same comment rule,
 repeated keys: last one wins).  Omitted keys default to the noiseless value.
@@ -94,6 +99,11 @@ KINDS: dict[str, Kind] = {
 # transpile.decompose rewrites (the named gates, u2 and ccx) into {u1, u3, cx}
 SCHEDULE_KINDS = frozenset(KINDS) - {*_NAMED_SELECT, "u2", "ccx", "barrier"}
 
+# each kind's partition category, and the kinds of the whole register (which
+# list no qubits), as flat lookups for the compiler's per-record walks
+CATEGORY: dict[str, str | None] = {k: shape.category for k, shape in KINDS.items()}
+WHOLE_REGISTER = frozenset(k for k, shape in KINDS.items() if shape.qubits is None)
+
 _PAULI_LABELS = frozenset("IXYZ")
 
 
@@ -122,26 +132,32 @@ def check_shape(ins: Instruction, n: int, error: type[Exception] = ValueError) -
     ``transpile.compile_circuit``, for hand-built instructions, and
     ``transpile.Schedule.angles``, for schedules.
     """
-    kind = KINDS.get(ins.kind)
-    if kind is None:
-        raise error(f"unknown kind {ins.kind!r}: {format_instruction(ins)}")
-    n_angles, n_qubits, _ = kind
-    if len(ins.angles) != n_angles or len(ins.qubits) != (n_qubits or 0):
+    kind, qubits, angles, string = ins
+    shape = KINDS.get(kind)
+    if shape is None:
+        raise error(f"unknown kind {kind!r}: {format_instruction(ins)}")
+    n_angles, n_qubits, _ = shape
+    if len(angles) != n_angles or len(qubits) != (n_qubits or 0):
         want = "no qubits" if n_qubits is None else f"{n_qubits} qubit(s)"
-        raise error(f"{ins.kind} needs {n_angles} angle(s) and {want}: {format_instruction(ins)}")
-    if n_angles and not all(map(math.isfinite, ins.angles)):  # u1, u2, u3
-        raise error(f"{ins.kind} needs finite angles: {format_instruction(ins)}")
-    if ins.kind == "expect":
-        if len(ins.string) != n or not _PAULI_LABELS.issuperset(ins.string):
+        raise error(f"{kind} needs {n_angles} angle(s) and {want}: {format_instruction(ins)}")
+    if n_angles and not all(map(math.isfinite, angles)):  # u1, u2, u3
+        raise error(f"{kind} needs finite angles: {format_instruction(ins)}")
+    if kind == "expect":
+        if len(string) != n or not _PAULI_LABELS.issuperset(string):
             raise error(f"expect needs {n} Pauli labels in IXYZ: {format_instruction(ins)}")
 
 
+_DECIMAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # one optional sign, then pi, pi/INT with INT >= 1, or a decimal literal;
 # re.A: \d is ASCII only, where int() and float() take any script's digits
-_ANGLE = re.compile(r"[+-]?(?:pi(?:/(0*[1-9]\d*))?|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", re.A)
+_ANGLE = re.compile(rf"[+-]?(?:pi(?:/(0*[1-9]\d*))?|{_DECIMAL})", re.A)
 _OPERAND = re.compile(r"q\[(\d+)\]", re.A)
 _INSTRUCTION = re.compile(r"([a-z_][a-z_0-9]*)(?:\s*\(([^)]*)\))?(?:\s+(.*))?")
 _HEADER = re.compile(r"qubits\s+(\d+)", re.A)
+# a u1, u2 or u3 line with decimal angles and one space before its operand,
+# the parser's usual cache miss: a subset of what the general path reads
+_SIGNED = rf"([+-]?{_DECIMAL})"
+_ANGLE_GATE = re.compile(rf"(u[123])\({_SIGNED}(?:,{_SIGNED})?(?:,{_SIGNED})?\) q\[(\d+)\]", re.A)
 
 
 def _parse_angle(token: str) -> float:
@@ -177,7 +193,28 @@ def _parse_operands(rest: str, count: int, n: int) -> tuple[int, ...]:
     return tuple(qubits)
 
 
-def _parse_instruction(line: str, n: int) -> Instruction:
+def _parse_angle_gate(line: str, n: int) -> tuple | None:
+    """The fields of a u1, u2 or u3 line that ``_ANGLE_GATE`` reads whole and
+    the general path would accept as it is; None for any other line."""
+    m = _ANGLE_GATE.fullmatch(line)
+    if m is None:
+        return None
+    name, a, b, c, q = m.groups()
+    if b is None:
+        angles = (float(a),)
+    else:
+        angles = (float(a), float(b)) if c is None else (float(a), float(b), float(c))
+    qubit = int(q)
+    if len(angles) != KINDS[name].angles or qubit >= n or not all(map(math.isfinite, angles)):
+        return None  # the general path names the fault
+    return name, (qubit,), angles, ""
+
+
+def _parse_instruction(line: str, n: int) -> tuple:
+    """The four fields of one stripped instruction line, as a plain tuple."""
+    fast = _parse_angle_gate(line, n)
+    if fast is not None:
+        return fast
     m = _INSTRUCTION.fullmatch(line)
     if not m:
         raise CircuitSyntaxError(f"cannot parse {line!r}")
@@ -196,12 +233,12 @@ def _parse_instruction(line: str, n: int) -> Instruction:
         bad = set(rest) - _PAULI_LABELS
         if bad:
             raise CircuitSyntaxError(f"bad Pauli label {sorted(bad)[0]!r} in expect string")
-        return Instruction("expect", string=rest)
+        return "expect", (), (), rest
 
     if n_qubits is None:  # barrier, ensemble
         if angle_src is not None or rest:
             raise CircuitSyntaxError(f"{name} takes no operands")
-        return Instruction(name)
+        return name, (), (), ""
 
     if n_angles == 0:
         if angle_src is not None:
@@ -214,7 +251,7 @@ def _parse_instruction(line: str, n: int) -> Instruction:
         if len(tokens) != n_angles:
             raise CircuitSyntaxError(f"{name} needs {n_angles} angle(s), got {len(tokens)}")
         angles = tuple([_parse_angle(t) for t in tokens])
-    return Instruction(name, _parse_operands(rest, n_qubits, n), angles)
+    return name, _parse_operands(rest, n_qubits, n), angles, ""
 
 
 # Distinct (line, qubit count) pairs whose parse stays cached.  On
@@ -226,7 +263,8 @@ def _parse_instruction(line: str, n: int) -> Instruction:
 # 4096: 73%) and hold about 0.43 MiB (4096: four times that).
 _LINE_CACHE_SIZE = 1024
 
-# the parse of one stripped instruction line; a malformed one raises, uncached
+# the fields of one stripped instruction line; a malformed one raises, uncached.
+# Plain tuples: a record made from one copies its items once, from a record twice
 _parse_line = lru_cache(maxsize=_LINE_CACHE_SIZE)(_parse_instruction)
 
 
@@ -239,7 +277,7 @@ def parse_circuit(text: str) -> tuple[int, list[Instruction]]:
     n = None
     instructions: list[Instruction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if n is None:
@@ -251,7 +289,7 @@ def parse_circuit(text: str) -> tuple[int, list[Instruction]]:
                 raise CircuitSyntaxError("qubit count must be at least 1", lineno)
             continue
         try:
-            # a fresh record with the cached record's fields
+            # a fresh record with the cached fields
             instructions.append(tuple.__new__(Instruction, _parse_line(line, n)))
         except CircuitSyntaxError as exc:
             raise CircuitSyntaxError(exc.args[0], lineno) from None

@@ -1,5 +1,10 @@
 """End-to-end pipeline: parse, compile, execute with noise, report.
 
+Circuit text is checked once, by the parser, and its records go straight
+to ``transpile.compile_checked``: they do not pass ``compile_circuit``'s
+door, which checks hand-built lists.  The compiled schedule is checked
+again as execution starts, by ``Schedule.angles``.
+
 Execution first has the schedule check itself (``Schedule.angles``), then
 builds and checks each PTM the run needs once, as stacks: gates, readouts,
 reset, and each partition category's memory PTMs (see
@@ -39,7 +44,7 @@ from .state import (
     load_state,
     purity,
 )
-from .transpile import Schedule, compile_circuit
+from .transpile import Schedule, compile_checked
 
 # each measure mnemonic's row in measurement._readouts
 _AXES = {"measure_x": 0, "measure_y": 1, "measure": 2}
@@ -159,10 +164,13 @@ def make_initial_state(
 def _compile_text(
     circuit_text: str, init: str, cap: int
 ) -> tuple[int, list[Instruction], list[Instruction], Schedule, InitSpec]:
-    """The entry points' front end: parse, refuse n > cap, compile, parse ``init``."""
+    """The entry points' front end: parse, refuse n > cap, compile, parse ``init``.
+
+    The parser has checked every record, so the stages take them as they are.
+    """
     n, instructions = parse_circuit(circuit_text)
     check_capacity(n, cap)
-    merged, schedule = compile_circuit(n, instructions)
+    merged, schedule = compile_checked(n, instructions)
     return n, instructions, merged, schedule, parse_init(n, init)
 
 

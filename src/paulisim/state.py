@@ -128,12 +128,17 @@ _FILE_HEADER = "pauli-dm v1"
 # coefficients per chunk of text save_state formats and writes at once
 _SAVE_CHUNK = 2**14
 
+# bytes load_state reads, one at a time, for the header line of a file; the
+# header save_state writes takes at most 17
+_HEADER_BYTES = 64
+
 # where str.splitlines ends a line: the header is the file's first line
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 # two numbers on one line: numpy reads both, float() neither.  Searched only
 # when the body holds a space or tab: the scan alone takes 0.16 s at n = 9.
 _TWO_ON_A_LINE = re.compile(r"\S[ \t]+\S")
+_TWO_ON_A_LINE_BYTES = re.compile(_TWO_ON_A_LINE.pattern.encode())
 
 
 class PauliState:
@@ -636,12 +641,15 @@ def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
                                                     state before the next
     ``sweep``, ``fidelity`` metric                  3: the reference besides
     ``save_state``                                  1, plus one chunk's text
-    ``load_state``                                  twice the file text,
-                                                    plus 2
+    ``load_state``, above the oracle's cap          the file's text, plus 1
     ==============================================  =========================
 
-    ``tests/test_peaks.py`` pins the first four, and building a state, at
-    n = 10.  ``tools/peak_states.py`` measured each cell below as the traced
+    ``tests/test_peaks.py`` pins all five, and building a state, at n = 10.
+    A random-valued file is 2.8 states of text, so ``load_state`` peaks at
+    about 3.8 states (5.7 when it read the file as text, which held the
+    bytes and their decoding at once).  Up to the oracle's cap its
+    positivity check holds the dense matrix besides.
+    ``tools/peak_states.py`` measured each cell below as the traced
     peak in states / the RSS growth in MiB over the post-import baseline:
     the adder at 10 and 13 qubits, the Fourier transform at 11 and 12, one
     BLAS thread on a 2-vCPU x86-64 VM.  save_state's RSS includes building
@@ -657,7 +665,8 @@ def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
     ==  ===========  =============  ==============  ===========
 
     So at the cap of 14 qubits a run or a success sweep needs about
-    2 x 2 GiB, a fidelity sweep 3 x 2 GiB and ``save_state`` 2 GiB.
+    2 x 2 GiB, a fidelity sweep 3 x 2 GiB, ``save_state`` 2 GiB and
+    ``load_state`` about 8 GiB (5.7 GiB of text and the 2 GiB state).
     """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
@@ -778,12 +787,22 @@ def save_state(s: PauliState, sink: str | Path | io.TextIOBase) -> None:
         sink.write("\n".join(map(repr, c[i : i + _SAVE_CHUNK].tolist())) + "\n")
 
 
-def _read_coefficients(body: str, n: int) -> np.ndarray:
+def _decode(data: bytes) -> str:
+    """``data`` decoded as ``open`` decodes a file in text mode."""
+    import locale  # here, not at the top: 1.5 ms that only a file load needs
+
+    return data.decode(locale.getpreferredencoding(False))
+
+
+def _read_coefficients(body: str | bytes, n: int) -> np.ndarray:
     """The 4^n coefficients of a state file body, one per line, blank lines skipped.
 
-    numpy parses the body in one call into the array.  Only when that parse
-    fails, or reads text ``float`` would refuse (two numbers on one line),
-    are the lines walked one by one, for the first bad one and its error.
+    numpy parses the body (text, or the bytes of a file) in one call into
+    the array, and its finiteness is read from its least and greatest
+    value, with no temporary array.  Only when that parse fails, or reads
+    text ``float`` would refuse (two numbers on one line), are the lines
+    walked one by one, for the first bad one and its error; bytes are
+    decoded for the walk as ``open`` decodes a file.
     """
     try:
         with warnings.catch_warnings():  # numpy < 2 warns on unread text, then returns a prefix
@@ -791,13 +810,21 @@ def _read_coefficients(body: str, n: int) -> np.ndarray:
             values = np.fromstring(body, sep="\n")
     except (ValueError, DeprecationWarning):
         values = None
+    if isinstance(body, bytes):
+        space, tab, two = b" ", b"\t", _TWO_ON_A_LINE_BYTES
+    else:
+        space, tab, two = " ", "\t", _TWO_ON_A_LINE
     if (
         values is not None
         and len(values) == 4**n
-        and np.isfinite(values).all()
-        and not ((" " in body or "\t" in body) and _TWO_ON_A_LINE.search(body))
+        and np.isfinite(values.min())  # NaN propagates to the min, inf to the max
+        and np.isfinite(values.max())
+        and not ((space in body or tab in body) and two.search(body))
     ):
         return values
+    del values
+    if isinstance(body, bytes):
+        body = _decode(body)
     found = []
     for line in body.splitlines():
         if not line.strip():
@@ -820,17 +847,30 @@ def _read_coefficients(body: str, n: int) -> np.ndarray:
 def load_state(source: str | Path | io.TextIOBase) -> PauliState:
     """Read a coefficient file and check the state invariants.
 
-    Up to ``oracle.ORACLE_QUBIT_CAP`` qubits the density matrix must also be
-    positive: no eigenvalue below -``PSD_TOL``.
+    The header line (ended as ``str.splitlines`` ends it) is read and
+    checked first, then the body in one read, which is the only copy of the
+    file held: a path is read as bytes, since text mode would hold the bytes
+    and their decoded text at once.  The body goes before the state is
+    checked.  Up to ``oracle.ORACLE_QUBIT_CAP`` qubits the density matrix
+    must also be positive: no eigenvalue below -``PSD_TOL``.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
-    brk = _LINE_BREAK.search(text)
-    start, end = brk.span() if brk else (len(text), len(text))
-    header, body = text[:start], text[end:]
-    del text, brk  # the match holds the text too: keep one copy of the file, not two
+        # unbuffered, so the body's read is one allocation: a buffered reader
+        # joins what it holds after readline to the rest, a second copy
+        with open(source, "rb", buffering=0) as f:
+            first = f.readline(_HEADER_BYTES)
+            if first.endswith(b"\n"):
+                return _load(_decode(first), f.read)
+        with open(source) as f:  # no "\n" near the top: read as text, as it always was
+            return load_state(f)
+    return _load(source.readline(), source.read)
+
+
+def _load(first: str, read_body) -> PauliState:
+    """``load_state`` from the file's first line, as far as its first newline,
+    and a reader of the rest."""
+    brk = _LINE_BREAK.search(first)
+    header, rest = (first[: brk.start()], first[brk.end() :]) if brk else (first, "")
     if not header.startswith(_FILE_HEADER):
         raise StateFormatError(f"missing header line {_FILE_HEADER!r} n=<n>")
     m = re.fullmatch(_FILE_HEADER + r" n=([1-9][0-9]*)", header)  # only what save_state writes
@@ -840,7 +880,12 @@ def load_state(source: str | Path | io.TextIOBase) -> PauliState:
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"file declares n={n}, above the qubit cap of {DEFAULT_QUBIT_CAP}")
 
-    state = PauliState(n, _read_coefficients(body, n))
+    body = read_body()
+    if rest:  # the header ended at a separator before the "\n": the rest of its line opens the body
+        body = rest + (_decode(body) if isinstance(body, bytes) else body)
+    coeffs = _read_coefficients(body, n)
+    del body  # the text goes before the checks allocate
+    state = PauliState(n, coeffs)
     state.validate()
     from . import oracle  # here, not at the top: oracle imports this module
 

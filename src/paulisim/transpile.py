@@ -15,44 +15,45 @@ members in source order.
 Idle time between partitions is where memory noise elapses, so partition
 count is the circuit's effective clock depth.
 
-Every kind's shape and category come from the one table ``circuit.KINDS``:
-``category_of`` reads its category, and ``merge`` and ``_touched`` which
-kinds take the whole register.  There are two checks.  ``compile_circuit``
-walks the instructions its caller wrote once, before any stage runs, and
-refuses each bad one by its source form; ``decompose``, ``merge`` and
-``partition`` are stages over that checked input and refuse nothing.
-``Schedule.angles`` checks a compiled schedule before a run, for the engine
-and the dense oracle alike.  ``check_schedule`` is not an input check: it
-tests the stages' output against their input.
+Every kind's shape and category come from the one table ``circuit.KINDS``,
+through its flat views: ``partition`` and ``check_schedule`` read
+``circuit.CATEGORY``, and ``merge`` and ``check_schedule`` read which
+kinds take the whole register from ``circuit.WHOLE_REGISTER``.  Each walk reads from a record only the fields
+it needs, once.  Each instruction is checked once.  Circuit text is checked
+by the parser, and the engine hands the parser's records straight to
+``compile_checked``.  A hand-built list is checked by ``compile_circuit``'s
+door, one walk over the instructions its caller wrote before any stage
+runs, which refuses each bad one by its source form.  ``decompose``,
+``merge`` and ``partition`` are stages over checked input and refuse
+nothing.  ``Schedule.angles`` checks a compiled schedule before a run, for
+the engine and the dense oracle alike.  ``check_schedule`` is not an input
+check: it tests the stages' output against their input.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import KINDS, SCHEDULE_KINDS, _NAMED_SELECT, Instruction, check_shape, format_instruction
+from .circuit import (
+    CATEGORY,
+    SCHEDULE_KINDS,
+    WHOLE_REGISTER,
+    _NAMED_SELECT,
+    Instruction,
+    check_shape,
+    format_instruction,
+)
 from .errors import CompileError, InternalError
 
 _PI = math.pi
 _ZERO_TOL = 1e-12
 
-
-def category_of(kind: str) -> str | None:
-    """Partition category of a kind of ``circuit.KINDS``; None for barriers.
-
-    It reads the table and refuses nothing: ``compile_circuit`` refuses an
-    unknown kind before any stage asks.
-    """
-    return KINDS[kind].category
-
-
-def _touched(ins: Instruction, n: int) -> tuple[int, ...]:
-    if KINDS[ins.kind].qubits is None:  # expect, ensemble, barrier
-        return tuple(range(n))
-    return ins.qubits
+# a record from its four fields, without the named tuple's Python-level __new__
+_new = tuple.__new__
 
 
 # ---------------------------------------------------------------------------
@@ -84,30 +85,33 @@ def _toffoli_sequence(a: int, b: int, t: int) -> list[Instruction]:
     out = []
     for name, qubits in seq:
         kind, angles = _NAMED_SELECT.get(name, (name, ()))
-        out.append(Instruction(kind, qubits, angles))
+        out.append(_new(Instruction, (kind, qubits, angles, "")))
     return out
 
 
 def decompose(instructions: list[Instruction]) -> list[Instruction]:
     """Rewrite every gate into the select set {u1, u3, cx}.
 
-    It takes checked input, as ``compile_circuit`` or the parser hands it
-    on, and refuses nothing.  Named gates take their forms in
+    It takes checked input, the parser's records or what ``compile_circuit``'s
+    door let through, and refuses nothing.  Named gates take their forms in
     ``circuit._NAMED_SELECT``; u2 and ccx expand; u1, u3, cx, measurements,
-    reset, solo readouts and barriers pass untouched.
+    reset, solo readouts and barriers pass untouched.  It reads a record's
+    kind, and its qubits and angles only when it rewrites the record.
     """
     out: list[Instruction] = []
+    append = out.append
     for ins in instructions:
         k = ins.kind
-        if k in _NAMED_SELECT:
-            kind, angles = _NAMED_SELECT[k]
-            out.append(Instruction(kind, ins.qubits, angles))
+        select = _NAMED_SELECT.get(k)
+        if select is not None:
+            append(_new(Instruction, (select[0], ins.qubits, select[1], "")))
         elif k == "u2":
-            out.append(Instruction("u3", ins.qubits, (_PI / 2, ins.angles[0], ins.angles[1])))
+            f, l = ins.angles
+            append(_new(Instruction, ("u3", ins.qubits, (_PI / 2, f, l), "")))
         elif k == "ccx":
             out.extend(_toffoli_sequence(*ins.qubits))
         else:
-            out.append(ins)
+            append(ins)
     return out
 
 
@@ -121,54 +125,75 @@ def _wrap_angle(a: float) -> float:
     return r + 2.0 * _PI if r <= -_PI else r
 
 
-def _su2_ry(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def _reduced(a: float) -> float:
+    """``a`` reduced into [-pi, pi] through its sine and cosine.
+
+    ``math.sin`` and ``math.cos`` reduce by pi itself; ``_wrap_angle``'s
+    remainder is by the float 2 pi, which is 2.4e-16 short, so near the float
+    maximum it is off by whole turns.
+    """
+    return math.atan2(math.sin(a), math.cos(a))
 
 
-def _su2_rz(l: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * l), np.exp(0.5j * l)])
+def _add(a: float, b: float) -> float:
+    """``a + b`` of two finite angles, or, where that overflows, the sum of
+    both reduced into [-pi, pi] (the same gate)."""
+    s = a + b
+    return s if math.isfinite(s) else _reduced(a) + _reduced(b)
 
 
 def _zyz(theta2: float, lam: float, theta1: float) -> tuple[float, float, float]:
     """Angles (alpha, beta, gamma) with Rz(a)Ry(b)Rz(g) = Ry(t2)Rz(lam)Ry(t1).
 
     The product is SU(2), [[a, -conj(b)], [b, conj(a)]]; beta comes from the
-    moduli via atan2, the z angles from the phases, with the degenerate
-    branches (|a| or |b| ~ 0) pinned to 0.
+    moduli via atan2, the z angles from the phases (numpy's arctan2, the
+    function ``np.angle`` calls), with the degenerate branches (|a| or
+    |b| ~ 0) pinned to 0.  The Ry, Rz, Ry product is made of the same two
+    2x2 complex products as ever, so the angles keep their bits.
     """
-    m = _su2_ry(theta2) @ _su2_rz(lam) @ _su2_ry(theta1)
-    a, b = m[0, 0], m[1, 0]
-    beta = 2.0 * math.atan2(abs(b), abs(a))
-    ssum = -2.0 * np.angle(a) if abs(a) > _ZERO_TOL else 0.0
-    sdiff = 2.0 * np.angle(b) if abs(b) > _ZERO_TOL else 0.0
+    c2, s2 = math.cos(theta2 / 2), math.sin(theta2 / 2)
+    c1, s1 = math.cos(theta1 / 2), math.sin(theta1 / 2)
+    m = (
+        np.array(((c2, -s2), (s2, c2)), dtype=np.complex128)
+        @ np.array(((np.exp(-0.5j * lam), 0j), (0j, np.exp(0.5j * lam))))
+        @ np.array(((c1, -s1), (s1, c1)), dtype=np.complex128)
+    )
+    (a, _), (b, _) = m.tolist()
+    abs_a, abs_b = abs(a), abs(b)
+    beta = 2.0 * math.atan2(abs_b, abs_a)
+    ssum = -2.0 * float(np.arctan2(a.imag, a.real)) if abs_a > _ZERO_TOL else 0.0
+    sdiff = 2.0 * float(np.arctan2(b.imag, b.real)) if abs_b > _ZERO_TOL else 0.0
     return (ssum + sdiff) / 2.0, beta, (ssum - sdiff) / 2.0
 
 
 def _fuse(kind: str, angles: tuple[float, ...], ins: Instruction) -> tuple[str, tuple[float, ...]]:
-    """A run's (kind, angles), "u1" or "u3", after one more gate ``ins`` on its qubit."""
-    if kind == "u1" and ins.kind == "u1":
-        return "u1", (angles[0] + ins.angles[0],)
+    """A run's (kind, angles), "u1" or "u3", after one more gate ``ins`` on its qubit.
+
+    A sum of two angles that overflows adds them reduced (``_add``).
+    """
+    k, more = ins.kind, ins.angles
+    if kind == "u1" and k == "u1":
+        return "u1", (_add(angles[0], more[0]),)
     if kind == "u1":
-        t, f, l = ins.angles
-        return "u3", (t, f, l + angles[0])
-    if ins.kind == "u1":
+        t, f, l = more
+        return "u3", (t, f, _add(l, angles[0]))
+    if k == "u1":
         t, f, l = angles
-        return "u3", (t, f + ins.angles[0], l)
+        return "u3", (t, _add(f, more[0]), l)
     t1, f1, l1 = angles
-    t2, f2, l2 = ins.angles
-    alpha, beta, gamma = _zyz(t2, l2 + f1, t1)
+    t2, f2, l2 = more
+    alpha, beta, gamma = _zyz(t2, _add(l2, f1), t1)
     return "u3", (beta, f2 + alpha, gamma + l1)
 
 
 def _fused(q: tuple[int, ...], kind: str, angles: tuple[float, ...]) -> Instruction:
     """The one gate of a run of two or more, angles on the canonical branch."""
     if kind == "u1":
-        return Instruction("u1", q, (_wrap_angle(angles[0]),))
+        return _new(Instruction, ("u1", q, (_wrap_angle(angles[0]),), ""))
     t, f, l = angles
     if abs(_wrap_angle(t)) < _ZERO_TOL:
-        return Instruction("u1", q, (_wrap_angle(f + l),))
-    return Instruction("u3", q, (_wrap_angle(t), _wrap_angle(f), _wrap_angle(l)))
+        return _new(Instruction, ("u1", q, (_wrap_angle(_add(f, l)),), ""))
+    return _new(Instruction, ("u3", q, (_wrap_angle(t), _wrap_angle(f), _wrap_angle(l)), ""))
 
 
 def merge(n: int, instructions: list[Instruction]) -> list[Instruction]:
@@ -191,10 +216,13 @@ def merge(n: int, instructions: list[Instruction]) -> list[Instruction]:
                 open_runs[q] = len(out)
                 out.append(ins)
             else:
-                first = out[i]
-                fused[i] = _fuse(*fused.get(i, (first.kind, first.angles)), ins)
+                run = fused.get(i)
+                if run is None:
+                    first = out[i]
+                    run = first.kind, first.angles
+                fused[i] = _fuse(*run, ins)
             continue
-        if KINDS[kind].qubits is None:  # the runs stay in out at their start positions
+        if kind in WHOLE_REGISTER:  # the runs stay in out at their start positions
             open_runs.clear()
         else:
             for q in ins.qubits:
@@ -248,16 +276,15 @@ class Schedule:
         expect string) with ``ValueError``, one on a qubit outside 0..n-1
         with ``IndexError``, and one on a qubit twice with ``ValueError``.
         Each message names the member.  A schedule that ``compile_circuit``
-        returns passes; a hand-built one need not.
+        or ``compile_checked`` returns passes; a hand-built one need not.
         """
         u1, u3 = [], []
         for part in self.partitions:
             for ins in part.members:
-                k = ins.kind
+                k, qs = ins.kind, ins.qubits
                 if k not in SCHEDULE_KINDS:
                     raise ValueError(f"unexpected kind {k!r} in schedule: {format_instruction(ins)}")
                 check_shape(ins, n)
-                qs = ins.qubits
                 for q in qs:
                     if not 0 <= q < n:
                         raise IndexError(f"qubit index {q} out of range for n={n}: {format_instruction(ins)}")
@@ -278,8 +305,9 @@ def partition(stack: QubitStack) -> Schedule:
     """Place each instruction in the first partition its phase and qubits allow.
 
     It takes checked input, every qubit in the register and none listed
-    twice, as ``compile_circuit`` or the parser hands it on, and refuses
-    nothing.
+    twice, as the parser or ``compile_circuit``'s door hands it on, and
+    refuses nothing.  It reads a record's kind, and its qubits unless it is
+    a barrier or a solo readout.
     """
     parts: list[Partition] = []
     free = [0] * stack.n  # first partition each qubit may join next
@@ -287,7 +315,7 @@ def partition(stack: QubitStack) -> Schedule:
     last_measure = 0  # partition of the latest measurement
     prev: str | None = None
     for ins in stack.instructions:
-        cat = category_of(ins.kind)
+        cat = CATEGORY[ins.kind]
         if cat != prev or cat == "solo":
             start = len(parts)
         prev = cat
@@ -296,8 +324,9 @@ def partition(stack: QubitStack) -> Schedule:
         if cat == "solo":
             parts.append(Partition("solo", [ins]))
             continue
+        qs = ins.qubits
         slot = start
-        for q in ins.qubits:
+        for q in qs:
             if free[q] > slot:
                 slot = free[q]
         if cat == "measurement":
@@ -307,10 +336,10 @@ def partition(stack: QubitStack) -> Schedule:
         if slot == len(parts):
             parts.append(Partition(cat, []))
         parts[slot].members.append(ins)
-        for q in ins.qubits:
+        for q in qs:
             free[q] = slot + 1
-    for part in parts:
-        if part.category == "gate":
+    for part in parts:  # a lone member is sorted already
+        if part.category == "gate" and len(part.members) > 1:
             part.members.sort(key=_lowest_qubit)
     return Schedule(parts)
 
@@ -325,24 +354,45 @@ def check_schedule(schedule: Schedule, n: int, instructions: list[Instruction]) 
     One pass: each member takes the next source rank of its object, and the
     ranks on each qubit must grow.  Raises InternalError on violation.
     """
-    unplaced: dict[int, list[int]] = {}  # object id -> source ranks, next one last
-    for rank in reversed(range(len(instructions))):
-        if instructions[rank].kind != "barrier":
-            unplaced.setdefault(id(instructions[rank]), []).append(rank)
+    # object id -> its next unplaced source rank; an object listed more than
+    # once keeps its further ranks, last first, in ``later``
+    rank_of = {id(ins): rank for rank, ins in enumerate(instructions)}
+    later: dict[int, list[int]] = {}
+    if len(rank_of) < len(instructions):
+        rank_of.clear()
+        for rank in reversed(range(len(instructions))):
+            key = id(instructions[rank])
+            if key in rank_of:
+                later.setdefault(key, []).append(rank_of[key])
+            rank_of[key] = rank
+    register = range(n)
     last = [-1] * n  # source rank of the latest member touching each qubit
     bad: set[int] = set()
     for part in schedule.partitions:
-        cats = {category_of(m.kind) for m in part.members}
-        if cats != {part.category}:
-            raise InternalError(f"partition tagged {part.category} holds {sorted(cats, key=str)}")
-        if part.category == "solo" and len(part.members) != 1:
+        category, members = part.category, part.members
+        mixed = not members
+        for m in members:
+            if CATEGORY[m.kind] != category:
+                mixed = True
+        if mixed:
+            cats = {CATEGORY[m.kind] for m in members}
+            raise InternalError(f"partition tagged {category} holds {sorted(cats, key=str)}")
+        if category == "solo" and len(members) != 1:
             raise InternalError("expect/ensemble/bell must be alone in a partition")
-        gate = part.category == "gate"
+        gate = category == "gate"
         used: set[int] = set()
-        for m in part.members:
-            ranks = unplaced.get(id(m))
-            rank = ranks.pop() if ranks else None
-            for q in _touched(m, n):
+        for m in members:
+            if category is None:  # barriers hold no source rank
+                rank = None
+            else:
+                key = id(m)
+                rank = rank_of.pop(key, None)
+                if later and key in later:
+                    ranks = later[key]
+                    rank_of[key] = ranks.pop()
+                    if not ranks:
+                        del later[key]
+            for q in register if m.kind in WHOLE_REGISTER else m.qubits:
                 if gate and q in used:
                     raise InternalError(f"qubit {q} used twice in one gate partition")
                 used.add(q)
@@ -350,8 +400,10 @@ def check_schedule(schedule: Schedule, n: int, instructions: list[Instruction]) 
                     last[q] = rank
                 else:
                     bad.add(q)  # reordered, repeated or not in the source
-    for rank in (r for ranks in unplaced.values() for r in ranks):  # dropped
-        bad.update(_touched(instructions[rank], n))
+    for rank in (*rank_of.values(), *(r for ranks in later.values() for r in ranks)):  # dropped
+        ins = instructions[rank]
+        if ins.kind != "barrier":
+            bad.update(register if ins.kind in WHOLE_REGISTER else ins.qubits)
     if bad:
         raise InternalError(f"schedule reorders the instructions of qubit {min(bad)}")
 
@@ -365,27 +417,47 @@ def format_schedule(schedule: Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compile_circuit(
-    n: int, instructions: list[Instruction]
-) -> tuple[list[Instruction], Schedule]:
-    """decompose + merge + partition on checked input, the schedule checked structurally.
-
-    This is the one compile-time check of hand-built instructions (the
-    parser refuses the same faults in text).  One walk over ``instructions``,
-    before any stage runs, raises ``CompileError`` on the first one whose
-    kind, angle count, qubit count, angles or expect string
+def _check_instructions(n: int, instructions: list[Instruction]) -> None:
+    """``compile_circuit``'s door: refuse the first instruction that
     ``circuit.check_shape`` refuses, or that lists a qubit outside 0..n-1 or
-    one qubit twice.  The message ends with the instruction as the caller
-    wrote it, not a gate a stage made of it.  A compiled schedule is checked
-    again before a run by ``Schedule.angles``.
-    """
+    one qubit twice, with ``CompileError`` naming it as the caller wrote it."""
     register = frozenset(range(n))
     for ins in instructions:
         check_shape(ins, n, CompileError)
         qs = ins.qubits
         if not register.issuperset(qs) or len(qs) > 1 and len(set(qs)) < len(qs):
             raise CompileError(f"need distinct qubits in 0..{n - 1}: {format_instruction(ins)}")
+
+
+def compile_checked(n: int, instructions: list[Instruction]) -> tuple[list[Instruction], Schedule]:
+    """decompose + merge + partition on checked input, the schedule checked structurally.
+
+    The input is the parser's records, which the parser has checked, or a
+    list that ``compile_circuit``'s door let through; it refuses nothing.
+    The engine compiles circuit text through it.
+    """
     merged = merge(n, decompose(instructions))
     schedule = partition(build_stack(n, merged))
     check_schedule(schedule, n, merged)
     return merged, schedule
+
+
+def compile_circuit(
+    n: int, instructions: Iterable[Instruction]
+) -> tuple[list[Instruction], Schedule]:
+    """``compile_checked`` on hand-built instructions, checked at the door first.
+
+    This is the one compile-time check of hand-built instructions (the
+    parser refuses the same faults in text, and the engine skips this door
+    for it).  The input is taken as a list once, so a one-shot iterable
+    compiles as its list does.  One walk over it, before any stage runs,
+    raises ``CompileError`` on the first instruction whose kind, angle
+    count, qubit count, angles or expect string ``circuit.check_shape``
+    refuses, or that lists a qubit outside 0..n-1 or one qubit twice.  The
+    message ends with the instruction as the caller wrote it, not a gate a
+    stage made of it.  A compiled schedule is checked again before a run by
+    ``Schedule.angles``.
+    """
+    instructions = list(instructions)
+    _check_instructions(n, instructions)
+    return compile_checked(n, instructions)

@@ -313,3 +313,42 @@ def test_the_line_cache_stays_at_its_bound():
     assert [i.angles[0] for i in ins] == [i + 0.5 for i in range(size + 50)]
     info = circuit._parse_line.cache_info()
     assert info.maxsize == size and info.currsize == size
+
+
+def _angle_gate_lines() -> list[str]:
+    """u1/u2/u3 lines in the forms the one-match read takes and in many it
+    leaves to the general path: signs, exponents, leading zeros, overflow,
+    -0, spaces, pi, bad counts and operands."""
+    rng = np.random.default_rng(3404)
+    forms = ["{:.17g}", "{:.3f}", "{:e}", "{:.0f}.", ".{:.0f}", "+{:g}", "{:.6E}", "0{:.2f}"]
+    lines = []
+    for _ in range(3000):
+        kind = ("u1", "u2", "u3")[rng.integers(3)]
+        count = int(rng.integers(1, 4)) if rng.random() < 0.2 else int(kind[1])
+        values = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-5, 3, count)
+        angles = ",".join(forms[rng.integers(len(forms))].format(v).replace("+-", "-") for v in values)
+        qubit = int(rng.integers(0, 5)) if rng.random() < 0.2 else int(rng.integers(0, 3))
+        lines.append(f"{kind}({angles}) q[{qubit:0{int(rng.integers(1, 3))}d}]")
+    lines += [
+        "u1(1e308) q[0]", "u1(1e309) q[0]", "u1(-1e999) q[0]", "u1(-0) q[0]", "u1(-0.0e5) q[1]",
+        "u1(1.) q[0]", "u1(.5) q[0]", "u1(+.5e-3) q[0]", "u1(1e) q[0]", "u1(--1) q[0]", "u1(1.5.2) q[0]",
+        "u1(pi) q[0]", "u2(0,-pi/2) q[1]", "u3(1, 2, 3) q[0]", "u3(1,2,3)  q[0]", "u3(1,2,3) q[0],q[1]",
+        "u3(1,2) q[0]", "u2(1,2,3) q[0]", "u1() q[0]", "u1(1,) q[0]", "u3(1,2,3) q[3]", "u3(1,2,3) q[ 0]",
+        "u1(١) q[0]", "u1(1) q[١]", "u4(1) q[0]", "u1(1)q[0]", "u1 (1) q[0]", "u1(1) q[0] ",
+    ]
+    return lines
+
+
+def test_the_one_match_read_of_an_angle_gate_agrees_with_the_general_path(monkeypatch):
+    def outcome(line):
+        try:
+            return repr(circuit._parse_instruction(line, 3))
+        except CircuitSyntaxError as exc:
+            return "refused: " + str(exc)
+
+    lines = _angle_gate_lines()
+    got = [outcome(line) for line in lines]
+    taken = sum(circuit._parse_angle_gate(line, 3) is not None for line in lines)
+    monkeypatch.setattr(circuit, "_parse_angle_gate", lambda line, n: None)
+    assert got == [outcome(line) for line in lines]
+    assert 1000 < taken < len(lines) - 500  # both paths read many lines

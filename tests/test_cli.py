@@ -59,14 +59,15 @@ def test_run_schedule_dump_to_file(tmp_path):
 
 
 def test_run_schedule_dump_compiles_once(tmp_path, capsys, monkeypatch):
+    # the engine compiles parsed text through compile_checked, past the door
     calls = []
-    compile_circuit = engine.compile_circuit
+    compile_checked = engine.compile_checked
 
     def counted(*args):
         calls.append(args)
-        return compile_circuit(*args)
+        return compile_checked(*args)
 
-    monkeypatch.setattr(engine, "compile_circuit", counted)
+    monkeypatch.setattr(engine, "compile_checked", counted)
     circuit = write(tmp_path / "bell.circ", BELL)
     assert main(["run", "--circuit", circuit, "--schedule-dump", "-"]) == 0
     assert len(calls) == 1

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_circuit_text
 from paulisim import engine, oracle
-from paulisim.circuit import Instruction, NoiseModel, format_instruction, parse_circuit
+from paulisim.circuit import CATEGORY, Instruction, NoiseModel, format_instruction, parse_circuit
 from paulisim.cli import main
 from paulisim.engine import (
     execute_schedule,
@@ -26,7 +26,7 @@ from paulisim.state import (
     save_state,
 )
 from paulisim.sweep import sweep
-from paulisim.transpile import Partition, Schedule, category_of, compile_circuit, format_schedule
+from paulisim.transpile import Partition, Schedule, compile_circuit, format_schedule
 
 BELL = "qubits 2\nh q[0]\ncx q[0],q[1]\nensemble\n"
 
@@ -325,7 +325,7 @@ def test_a_member_of_the_wrong_shape_is_refused_at_every_boundary(bad):
         compile_circuit(3, [first, bad])
     assert str(err.value).endswith(f": {format_instruction(bad)}")
 
-    schedule = Schedule([Partition("gate", [first]), Partition(category_of(bad.kind), [bad])])
+    schedule = Schedule([Partition("gate", [first]), Partition(CATEGORY[bad.kind], [bad])])
     noise = NoiseModel(r_z=0.99, d1=0.9, f=0.99, g=0.98)
     state = init_zero(3)
     apply_transfer(state, (2,), np.diag([1.0, 0.5, 0.5, 1.0]))  # a pending factor

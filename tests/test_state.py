@@ -340,6 +340,28 @@ def test_a_file_whose_lines_break_on_a_separator_loads_through_the_line_walk(tmp
     assert loaded.n == 2 and loaded.coeffs.tobytes() == s.coeffs.tobytes()
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\f", "\x1c", "\u2028"])
+@pytest.mark.parametrize("spaced", [False, True], ids=["plain", "two_on_a_line"])
+def test_load_state_ends_the_header_where_splitlines_does(tmp_path, rng, brk, spaced):
+    # a path is read as bytes after the header line, a stream as text; the
+    # header may end at any separator str.splitlines knows, and the body
+    # keeps "\n" after it, so the rest of the header's line opens the body
+    s = random_pauli_state(rng, 2)
+    buf = io.StringIO()
+    save_state(s, buf)
+    header, _, body = buf.getvalue().partition("\n")
+    # numpy reads two numbers on one line, float() neither
+    text = header + brk + ("0.0 " if spaced else "") + body
+    path = tmp_path / "state.txt"
+    path.write_text(text, newline="")
+    for source in (path, io.StringIO(text, newline="")):
+        if spaced:
+            with pytest.raises(StateFormatError, match="coefficient 0 is not a number"):
+                load_state(source)
+        else:
+            assert load_state(source).coeffs.tobytes() == s.coeffs.tobytes()
+
+
 def test_load_peak_memory_is_the_file_text_plus_the_state(tmp_path):
     # 9 qubits: above the oracle cap, so no dense positivity check allocates
     n = 9

@@ -395,3 +395,112 @@ def test_peak_states_stops_on_a_failed_child(tmp_path):
     run = _peaks(4, tmp_path)
     assert run.returncode == 2
     assert "stub cannot import" in run.stderr and "run_circuit child" in run.stderr
+
+
+# stand-ins for a tree's paulisim and its engine for ab_pairs.py --in-process:
+# each phase busy-waits a known number of milliseconds; each import logs the
+# module's name, its BLAS thread count and whether a plain "paulisim" is
+# loaded, to calls.log beside the package
+_IN_PROCESS_INIT = """
+import os, sys
+from pathlib import Path
+from . import engine
+from .engine import run_circuit
+with (Path(__file__).parent / "calls.log").open("a") as f:
+    f.write(f"{{__name__}} {{os.environ['OPENBLAS_NUM_THREADS']}} {{'paulisim' in sys.modules}}\\n")
+
+def parse_noise_config(text):
+    return text
+
+def gen_adder(a, b):
+    return a + b
+
+def adder_success_pattern(a, b):
+    return a + b
+
+def sweep(circuit, param, values, metric, noise, init):
+    engine._wait(engine.WHOLE)
+
+def verify_circuit(circuit, noise, init):
+    engine._wait(engine.WHOLE)
+"""
+
+_IN_PROCESS_ENGINE = """
+import time
+PARSE, COMPILE, EXECUTE, SAMPLE, WHOLE = {ms!r}
+
+def _wait(ms):
+    end = time.perf_counter() + ms / 1000
+    while time.perf_counter() < end:
+        pass
+
+def parse_circuit(text):
+    _wait(PARSE)
+    return 3, []
+
+def _compile_text(text, init, cap):
+    n, instructions = parse_circuit(text)
+    _wait(COMPILE)
+    return n, instructions, instructions, None, None
+
+def execute_schedule(state, schedule, noise):
+    _wait(EXECUTE)
+    return []
+
+def _sample_counts(records, shots, seed):
+    _wait(SAMPLE)
+
+def run_circuit(circuit, noise, init="zero", shots=0, seed=None):
+    n, instructions, merged, schedule, spec = _compile_text(circuit, init, 14)
+    records = execute_schedule(None, schedule, noise)
+    if shots > 0:
+        _sample_counts(records, shots, seed)
+"""
+
+
+def _timed_tree(root: Path, ms: tuple) -> Path:
+    pkg = root / "src" / "paulisim"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(_IN_PROCESS_INIT.format())
+    (pkg / "engine.py").write_text(_IN_PROCESS_ENGINE.format(ms=ms))
+    return root
+
+
+def _in_process(parent: Path, change: Path, workload: str) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, str(TOOL), "--in-process", "--parent", str(parent), "--change", str(change),
+           "--workload", workload, "--pairs", "3"]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def test_in_process_pairs_put_each_saving_in_its_phase(tmp_path):
+    # the change halves parse and compile and keeps execute; rand12's run ops
+    # sample nothing (shots 0), so no sample phase is timed
+    parent = _timed_tree(tmp_path / "parent", (2.0, 2.0, 2.0, 2.0, 4.0))
+    change = _timed_tree(tmp_path / "chg", (1.0, 1.0, 2.0, 2.0, 2.0))
+    run = _in_process(parent, change, "rand12")
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    phases = out["phases"]
+    assert list(phases) == ["parse", "compile", "execute", "op"]
+    assert out["seeds"] == [1, 2, 3] and all(p["ops"] == 6 for p in phases.values())  # 2 ops a round
+    for phase in ("parse", "compile"):
+        lo, hi = phases[phase]["interval"]
+        assert 0.4 < lo <= phases[phase]["ratio"] <= hi < 0.6, phases[phase]
+    assert 0.8 < phases["execute"]["ratio"] < 1.25
+    assert phases["parse"]["parent_s"] == pytest.approx(0.002, rel=0.5)
+    assert "parse\t" in run.stdout and "[" in run.stdout
+    # each round in its own interpreter: each tree under its own name, one
+    # BLAS thread, no plain paulisim loaded
+    for tree, name in ((parent, "paulisim_parent"), (change, "paulisim_change")):
+        log = (tree / "src" / "paulisim" / "calls.log").read_text().split()
+        assert log == [name, "1", "False"] * 3
+    assert [line.split()[-3] for line in run.stdout.splitlines()[:3]] == ["parent", "change", "parent"]
+
+
+def test_in_process_pairs_time_a_verify_op_whole(tmp_path):
+    parent = _timed_tree(tmp_path / "parent", (0.0, 0.0, 0.0, 0.0, 2.0))
+    change = _timed_tree(tmp_path / "chg", (0.0, 0.0, 0.0, 0.0, 1.0))
+    run = _in_process(parent, change, "verify7")
+    assert run.returncode == 0, run.stderr
+    phases = json.loads(run.stdout.splitlines()[-1])["phases"]
+    assert list(phases) == ["op"] and 0.4 < phases["op"]["ratio"] < 0.6

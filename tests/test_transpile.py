@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import random_circuit_text, random_pauli_state
 from paulisim import oracle
-from paulisim.circuit import Instruction, format_instruction, parse_circuit
+from paulisim.circuit import CATEGORY, Instruction, format_instruction, parse_circuit
+from paulisim.engine import run_circuit
 from paulisim.errors import CircuitSyntaxError, CompileError, InternalError
 from paulisim.generators import gen_adder, gen_qft
 from paulisim.transpile import (
     Partition,
     Schedule,
     build_stack,
-    category_of,
     check_schedule,
     compile_circuit,
     decompose,
@@ -142,6 +142,42 @@ def test_merge_wraps_angles_to_principal_range():
     lam = out[0].angles[0]
     assert -math.pi < lam <= math.pi
     assert abs(lam - (6.0 - 2 * math.pi)) < 1e-12
+
+
+# one overflowing sum per case; each u3 has a zero phi or lambda, so the
+# oracle's exp(i (phi + lambda)) is exact and it can judge the fused gate
+@pytest.mark.parametrize(
+    "gates",
+    [
+        "u1(1e308) q[0]\nu1(1e308) q[0]\n",  # u1 then u1: the phases' sum
+        "u1(1.7e308) q[0]\nu3(1,0,1.5e308) q[0]\n",  # u1 then u3: its lambda
+        "u3(1,1.6e308,0) q[0]\nu1(1.2e308) q[0]\n",  # u3 then u1: its phi
+        "u3(1,1e308,0) q[0]\nu3(1,0,1e308) q[0]\n",  # u3 then u3: the Rz between the Ry
+        "u1(1.1e308) q[0]\nu3(0,1.3e308,0) q[0]\n",  # a fused u3 of theta 0: phi + lambda
+        "u3(1,-1e308,0) q[0]\nu3(2,0,-1.5e308) q[0]\n",  # both negative
+    ],
+)
+def test_fusion_of_angles_whose_sum_overflows_keeps_the_gate(gates):
+    # where a sum of two finite angles overflows, the fusion adds them
+    # reduced, so the fused gate is finite and the same gate; warnings are
+    # errors here, so numpy warns of nothing
+    text = "qubits 1\nh q[0]\nbarrier\n" + gates  # the barrier keeps the h apart
+    n, ins = parse_circuit(text)
+    merged, _ = compile_circuit(n, ins)
+    assert len(merged) == 3 and all(math.isfinite(a) for m in merged for a in m.angles)
+    report = run_circuit(text)
+    d = oracle.dense_zero(1)
+    oracle.run_instructions_dense(d, ins)
+    assert np.max(np.abs(report.final_state.coeffs - oracle.from_dense(d).coeffs)) < 1e-12
+
+
+def test_an_overflowing_fusion_runs_without_a_warning():
+    # a u3 whose phi + lambda rounds is no exact gate for the oracle to judge,
+    # but it compiles to finite angles and runs (it raised or warned before)
+    for gates in ("u3(1,1e308,1) q[0]\nu3(1,2,1e308) q[0]\n", "u3(0,1e308,1e308) q[0]\nu1(1) q[0]\n"):
+        merged, _ = compile_circuit(*parse_circuit("qubits 1\n" + gates))
+        assert len(merged) == 1 and all(math.isfinite(a) for a in merged[0].angles)
+        assert run_circuit("qubits 1\n" + gates + "measure q[0]\n").records
 
 
 @settings(max_examples=30, deadline=None)
@@ -281,12 +317,12 @@ def test_barrier_splits_a_measurement_phase():
 
 
 def test_category_of_kinds():
-    assert category_of("u3") == "gate"
-    assert category_of("cx") == "gate"
-    assert category_of("measure") == "measurement"
-    assert category_of("reset") == "measurement"
-    assert category_of("ensemble") == "solo"
-    assert category_of("barrier") is None
+    assert CATEGORY["u3"] == "gate"
+    assert CATEGORY["cx"] == "gate"
+    assert CATEGORY["measure"] == "measurement"
+    assert CATEGORY["reset"] == "measurement"
+    assert CATEGORY["ensemble"] == "solo"
+    assert CATEGORY["barrier"] is None
 
 
 _NAN, _INF = math.nan, math.inf
@@ -393,7 +429,7 @@ def _phase_of(merged: list[Instruction]) -> dict[int, int]:
     barrier and category change, and every solo on its own."""
     phase, prev, out = 0, None, {}
     for ins in merged:
-        cat = category_of(ins.kind)
+        cat = CATEGORY[ins.kind]
         if cat != prev or cat == "solo":
             phase += 1
         prev = cat
@@ -419,7 +455,7 @@ def _is_valid(schedule: Schedule, n: int, merged: list[Instruction]) -> bool:
     ordered = [spans[k] for k in sorted(spans)]
     if any(max(a) >= min(b) for a, b in zip(ordered, ordered[1:])):
         return False
-    measures = [ins for ins in merged if category_of(ins.kind) == "measurement"]
+    measures = [ins for ins in merged if CATEGORY[ins.kind] == "measurement"]
     return all(where[id(a)] <= where[id(b)] for a, b in zip(measures, measures[1:]))
 
 

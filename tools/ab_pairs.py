@@ -36,15 +36,48 @@ alone moves peak RSS.  A run that fails, ends without a JSON line on
 stdout, is not correct or has a failed operation stops the tool with a
 non-zero exit, naming the run and printing its stderr.  Standard library
 only.
+
+    python3 tools/ab_pairs.py --in-process --parent DIR --change DIR --workload W --pairs N
+
+``--in-process`` runs N rounds, each in a fresh child interpreter with
+one BLAS thread.  A round loads both trees' ``paulisim`` under the module
+names ``paulisim_parent`` and ``paulisim_change``
+(``importlib.util.spec_from_file_location`` on ``DIR/src/paulisim``), so
+neither tree imports the other; the parent's tree is loaded first in even
+rounds and the change's in odd ones, since the tree loaded second reads
+up to 0.6% faster parses on identical code.  Round i takes the op list of
+seed ``--seed`` + i from ``perfbench/workloads.py`` of the checkout that
+holds this script, for the ``run_seconds`` that BENCHMARK.json sets, and
+runs each op on both trees, the first-loaded first in ops 0 and 3 of every
+four and second in ops 1 and 2 (ABBA).  One untimed op per tree warms its
+caches first.  A run op calls the tree's ``run_circuit`` with timers on
+the names its ``engine`` module looks up: ``parse_circuit`` (parse),
+``_compile_text`` less its parse (compile: the input check, if any, and the
+compile stages), ``execute_schedule`` (execute) and ``_sample_counts``
+(sample); ``op`` is the whole call.  A sweep or verify op times only its
+entry point (``op``).  For each phase the tool prints each side's median
+seconds per op and the median over all ops of the change/parent ratio,
+with a 95% interval from a two-level bootstrap (rounds resampled, then
+ops within each round; fixed seed), so the spread between interpreters
+counts as well as the spread between ops; then the same as one JSON line.
+It writes no record: process-level pairs stay the source of end-to-end
+and RSS claims.  numpy, the BLAS and the garbage collector are shared by
+both trees in a round, so an allocation or a collection one tree causes
+can land in the other's time; the alternation spreads that over both.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
+import os
+import random
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,6 +85,9 @@ COUNTS = ("correct", "attempted", "failed")
 # traced rounds per side for the claimed workload: a single traced run of
 # one layer spreads by up to a third between runs of one tree
 TRACED_REPEATS = 3
+# the phases of a run op, in order, and the resamples of each phase's interval
+PHASES = ("parse", "compile", "execute", "sample", "op")
+BOOTSTRAP = 1000
 
 
 def _last_json(stdout: str) -> dict:
@@ -122,6 +158,146 @@ def separated(record: dict, workload: str) -> list[tuple[str, float, float, str]
     return out
 
 
+def load_tree(tree: Path, name: str):
+    """The checkout's ``paulisim`` package, imported as the module ``name``."""
+    pkg = tree / "src" / "paulisim"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Timed:
+    """Timers on the names a tree's ``engine`` module looks up for a run op."""
+
+    NAMES = {"parse_circuit": "parse", "_compile_text": "front", "execute_schedule": "execute",
+             "_sample_counts": "sample"}
+
+    def __init__(self, package) -> None:
+        self.package = package
+        self.seconds: dict[str, float] = {}
+        engine = importlib.import_module(package.__name__ + ".engine")
+        for name, phase in self.NAMES.items():
+            setattr(engine, name, self._wrap(getattr(engine, name), phase))
+
+    def _wrap(self, fn, phase: str):
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds[phase] = self.seconds.get(phase, 0.0) + time.perf_counter() - start
+        return timed
+
+    def op(self, op: dict) -> dict[str, float]:
+        """Seconds per phase of one op on this tree."""
+        ps = self.package
+        noise = ps.parse_noise_config(op["noise"])
+        if op["kind"] == "sweep":  # the adder's text, as perfbench/worker.py fills it in
+            a, b = op["addends"]
+            op = dict(op, circuit=ps.gen_adder(a, b), metric="success:" + ps.adder_success_pattern(a, b))
+        self.seconds = {}
+        start = time.perf_counter()
+        if op["kind"] == "run":
+            ps.run_circuit(op["circuit"], noise, init=op["init"], shots=op["shots"], seed=op["seed"])
+        elif op["kind"] == "sweep":
+            ps.sweep(op["circuit"], op["param"], op["values"], op["metric"], noise, init=op["init"])
+        else:
+            ps.verify_circuit(op["circuit"], noise, init=op["init"])
+        total = time.perf_counter() - start
+        if op["kind"] != "run":
+            return {"op": total}
+        s = self.seconds
+        return {"parse": s["parse"], "compile": s["front"] - s["parse"], "execute": s["execute"],
+                "sample": s.get("sample", 0.0), "op": total}
+
+
+def ratio_interval(rounds: list[list[float]], seed: int = 0) -> tuple[float, float, float]:
+    """The median of all ratios and a 95% interval of it that resamples the
+    rounds, then the ratios within each chosen round."""
+    rng = random.Random(seed)
+    medians = []
+    for _ in range(BOOTSTRAP):
+        pooled: list[float] = []
+        for ratios in rng.choices(rounds, k=len(rounds)):
+            pooled += rng.choices(ratios, k=len(ratios))
+        medians.append(statistics.median(pooled))
+    medians.sort()
+    whole = statistics.median(r for ratios in rounds for r in ratios)
+    return whole, medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
+
+
+def in_process_round(workload: str, seed: int, seconds: float, order: list[list[str]]) -> dict:
+    """One round in this interpreter: each side's seconds per op and phase.
+
+    ``order`` lists [side, tree] in the order the trees load and take the
+    first op of each four."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    sides = {side: _Timed(load_tree(Path(tree), f"paulisim_{side}")) for side, tree in order}
+    first, second = sides
+    ops = workloads.make_ops(workload, seed, seconds)
+    for timed in sides.values():
+        timed.op(ops[0])
+    times: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    for j, op in enumerate(ops):
+        for side in (first, second) if j % 4 in (0, 3) else (second, first):
+            for phase, t in sides[side].op(op).items():
+                times[side].setdefault(phase, []).append(t)
+    return times
+
+
+# argv[1]: this script's directory; argv[2]: in_process_round's arguments as JSON
+_ROUND = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import ab_pairs
+print(json.dumps(ab_pairs.in_process_round(*json.loads(sys.argv[2]))))
+"""
+
+
+def in_process(args: argparse.Namespace, seconds: float) -> int:
+    """Alternate both trees per op, one child interpreter a round, and print each phase's ratio."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    trees = [["parent", str(args.parent.resolve())], ["change", str(args.change.resolve())]]
+    seeds = [args.seed + i for i in range(args.pairs)]
+    times: dict[str, dict[str, list[list[float]]]] = {"parent": {}, "change": {}}  # per round
+    for i, seed in enumerate(seeds):
+        order = trees if i % 2 == 0 else trees[::-1]
+        round_args = json.dumps([args.workload, seed, seconds, order])
+        proc = subprocess.run([sys.executable, "-c", _ROUND, str(ROOT / "tools"), round_args],
+                              capture_output=True, text=True, env=env)
+        out = _last_json(proc.stdout)
+        if proc.returncode != 0 or not out:
+            sys.exit(f"in-process round {i + 1} (seed {seed}) failed:\n{proc.stderr}")
+        for side, phases in out.items():
+            for phase, ts in phases.items():
+                times[side].setdefault(phase, []).append(ts)
+        print(f"round {i + 1}/{args.pairs} seed {seed}: {len(out['parent']['op'])} ops, "
+              f"{order[0][0]} loaded first", flush=True)
+    report = {}
+    for phase in (p for p in PHASES if p in times["parent"]):
+        rounds = [[(p, c) for p, c in zip(ps, cs) if p > 0 and c > 0]
+                  for ps, cs in zip(times["parent"][phase], times["change"][phase])]
+        rounds = [r for r in rounds if r]
+        if not rounds:
+            continue
+        ratio, lo, hi = ratio_interval([[c / p for p, c in r] for r in rounds])
+        report[phase] = {"parent_s": statistics.median(p for r in rounds for p, _ in r),
+                         "change_s": statistics.median(c for r in rounds for _, c in r),
+                         "ratio": ratio, "interval": [lo, hi], "ops": sum(map(len, rounds))}
+    print(f"in-process {args.workload}: {args.pairs} rounds, one interpreter each, ABBA per op, one BLAS thread")
+    print("phase\tparent_ms\tchange_ms\tratio\t95% interval")
+    for phase, r in report.items():
+        print(f"{phase}\t{1e3 * r['parent_s']:.4f}\t{1e3 * r['change_s']:.4f}\t{r['ratio']:.4f}\t"
+              f"[{r['interval'][0]:.4f}, {r['interval'][1]:.4f}]")
+    print(json.dumps({"workload": args.workload, "rounds": args.pairs, "seeds": seeds, "phases": report}))
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True)
@@ -130,14 +306,18 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--tag", default=None, help="file tag; default: the workload")
+    ap.add_argument("--in-process", action="store_true",
+                    help="alternate both trees per op in this interpreter and print phase ratios")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2: the record holds each side's quartiles")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, declared = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
+    if args.in_process:
+        return in_process(args, seconds)
     if len(str(args.parent.resolve())) != len(str(args.change.resolve())):
         ap.error("--parent and --change must resolve to paths of equal length: "
                  "the checkout's path alone moves peak RSS")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds, declared = spec["run_seconds"], [w["name"] for w in spec["workloads"]]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
