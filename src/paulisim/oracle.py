@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -409,8 +410,24 @@ _BELL_PROJECTORS = tuple(_bell_projector(signs) for signs in BELL_SIGNS.values()
 
 def _readouts(d1: float, d2: float) -> tuple:
     """A run's readout channels: the x, y and z readouts with damping d1,
-    and the Bell readout with damping d2."""
-    return tuple(_axis_readout(axis, d1) for axis in _AXES), _readout_channel(list(_BELL_PROJECTORS), d2)
+    and the Bell readout with damping d2.
+
+    Built once per (d1, d2) and cached, keyed by ``float.hex`` so that
+    -0.0, whose channels hold zeros of the other sign, is not served 0.0's;
+    every channel is read-only, since a run composes each into new arrays
+    and never writes one in place.
+    """
+    return _readouts_of(float(d1).hex(), float(d2).hex())
+
+
+@lru_cache(maxsize=16)
+def _readouts_of(d1: str, d2: str) -> tuple:
+    """``_readouts`` of the pair whose ``float.hex`` forms are ``d1`` and ``d2``."""
+    axis = tuple(_axis_readout(a, float.fromhex(d1)) for a in _AXES)
+    bell = _readout_channel(list(_BELL_PROJECTORS), float.fromhex(d2))
+    for s in (*axis, bell):
+        s.setflags(write=False)
+    return axis, bell
 
 
 # the superoperator of reset: rho -> P0 rho P0 + X P1 rho P1 X

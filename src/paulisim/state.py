@@ -97,13 +97,32 @@ holds one qubit.  A factor reaches the coefficients in one of four ways:
 
 Factors are never written in place, so ``copy()`` shares them and stays
 cheap and independent.
+
+Threads.  From ``_SPLIT_FROM`` coefficients (9 qubits) up, each full-state
+write is split over row chunks of the fresh array it fills, one chunk per
+CPU in the process's affinity mask (``_split``): a digit move's transposed
+copy, a pass's batched product (over its rows; a pass with one row, or
+with one column, which is a single gemm, runs whole), the logical-order
+copy ``coeffs`` makes on a moved layout, and the last outer product of a
+product state.  Each chunk makes the same per-row products or copies the
+whole call makes, so every output keeps its bits whatever the CPU count,
+and no new buffer is held: the chunks write into the one fresh array (the
+per-kernel, multi-core slicing of Häner & Steiger and of QuEST, Jones et
+al. arXiv:1802.08032).  The calling thread takes one chunk and daemon
+workers, started at the first split, the others.  A process allowed one
+CPU, a state below the crossover and a split from a second thread while
+the workers are busy run each write as one call; a forked child drops the
+parent's workers and starts its own.  The affinity mask (``taskset``, say)
+is the only control.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import re
+import threading
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -186,7 +205,7 @@ class PauliState:
         """The 4^n coefficients in logical order, every pending factor applied."""
         self._flush()
         if self._layout is not None:
-            self._buf = np.ascontiguousarray(self._view()).reshape(-1)
+            self._buf = _copied(self._view()).reshape(-1)
             self._layout = None
         return self._buf
 
@@ -417,6 +436,134 @@ def _batched(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(t, x)
 
 
+#: Smallest state, in coefficients, whose full-state writes are split across
+#: the CPUs this process may use (``_split``); below it each runs as one
+#: numpy call.  The hand-off to a worker costs 30-60 us.  On a 2-vCPU x86-64
+#: VM, one BLAS thread, best of 15 in two runs: at n = 6 and 7 a split
+#: 16- or 64-wide pass or move copy took 0.04-0.07 ms against 0.01-0.06 ms
+#: whole, at n = 8 the split gained in one run and lost in the other, and
+#: from n = 9 up it gained in both (a 64-wide pass at n = 10: 2.0-2.1 ms
+#: against 2.8-4.0 ms).
+_SPLIT_FROM = 4**9
+
+# The CPUs in this process's affinity mask, read at the first split (0 until
+# then); one (start, done, job) per worker thread, started as splits need
+# them: the caller puts (fill, lo, hi) in job[0] and releases start, and the
+# worker runs it, leaves an exception it raised in job[1], drops the job and
+# releases done; the lock a split holds while the workers are its own.
+_cpus = 0
+_workers: list = []
+_busy = threading.Lock()
+
+
+def _split(rows: int, fill) -> None:
+    """``fill(lo, hi)`` over chunks of ``range(rows)`` that together cover it, one per CPU.
+
+    ``fill`` writes rows lo .. hi - 1 of a fresh array and nothing else, so
+    the chunks may run at once: each is one numpy call that releases the
+    GIL.  The calling thread takes the first chunk and one persistent daemon
+    worker each of the others, and the call returns when every chunk is
+    done, raising the first exception a chunk raised.  With one CPU, fewer
+    rows than two, or the workers busy with another thread's split, it is
+    one call ``fill(0, rows)``.  No worker keeps ``fill`` once its chunk is
+    done, so no array outlives the call through it.
+    """
+    global _cpus
+    if not _cpus:
+        _cpus = _cpu_count()
+    chunks = min(_cpus, rows)
+    if chunks < 2 or not _busy.acquire(blocking=False):
+        fill(0, rows)
+        return
+    try:
+        while len(_workers) < chunks - 1:
+            _workers.append(_start_worker())
+        bounds = [rows * i // chunks for i in range(chunks + 1)]
+        handed = list(zip(_workers, bounds[1:-1], bounds[2:]))
+        for (start, _, job), lo, hi in handed:
+            job[0] = fill, lo, hi
+            start.release()
+        try:
+            fill(0, bounds[1])
+        finally:  # every chunk is done before the caller sees the array, or an error
+            error = None
+            try:
+                for (_, done, job), _, _ in handed:
+                    done.acquire()
+                    error, job[1] = error or job[1], None
+            except BaseException:  # interrupted: a worker may still run, so none is handed more
+                _workers.clear()
+                raise
+        if error is not None:
+            raise error
+    finally:
+        _busy.release()
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _start_worker() -> tuple:
+    """A new daemon worker thread for ``_split``, waiting for its first chunk."""
+    start, done, job = threading.Lock(), threading.Lock(), [None, None]
+    start.acquire()
+    done.acquire()
+    threading.Thread(target=_work, args=(start, done, job), name="paulisim-split", daemon=True).start()
+    return start, done, job
+
+
+def _work(start, done, job: list) -> None:
+    """A worker's loop: run each chunk handed to it, keeping nothing of it after."""
+    while True:
+        start.acquire()
+        fill, lo, hi = job[0]
+        job[0] = None
+        try:
+            fill(lo, hi)
+        except BaseException as e:
+            job[1] = e
+        del fill  # its closure holds the arrays of the pass
+        done.release()
+
+
+def _forget_workers() -> None:
+    """In a forked child: the workers stayed in the parent, so the next split starts new ones."""
+    global _busy
+    _workers.clear()
+    _busy = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _copied(v: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(v)``; from ``_SPLIT_FROM`` coefficients up, the
+    copy is split over v's leading axis."""
+    if v.size < _SPLIT_FROM:
+        return np.ascontiguousarray(v)
+    out = np.empty(v.shape, v.dtype)
+    _split(len(v), lambda lo, hi: np.copyto(out[lo:hi], v[lo:hi]))
+    return out
+
+
+def _pass(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_batched(t, x)`` for a full-state pass: from ``_SPLIT_FROM``
+    coefficients up, a batched product (cols above 1) is split over its
+    rows, each chunk the same per-row products into a fresh array, so the
+    same bits."""
+    if x.size < _SPLIT_FROM or x.shape[2] == 1:
+        return _batched(t, x)
+    out = np.empty((len(x), len(t), x.shape[2]))
+    _split(len(x), lambda lo, hi: np.matmul(t, x[lo:hi], out=out[lo:hi]))
+    return out
+
+
 def _permuted(t: np.ndarray, order: list[int]) -> np.ndarray:
     """``t`` on m qubits with its digits taken in ``order``: new digit i is old order[i]."""
     m = len(order)
@@ -559,8 +706,7 @@ def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
         if hi - lo > 1:  # the lower digit moves up next to hi
             old = state._layout or tuple(range(n))
             layout = old[:lo] + old[lo + 1 : hi] + (old[lo],) + old[hi:]
-            shape = (4 ** (n - 1 - hi), 4, 4 ** (hi - lo - 1), 4, 4**lo)
-            x = np.ascontiguousarray(x.reshape(shape).transpose(0, 1, 3, 2, 4))
+            x = _copied(x.reshape(4 ** (n - hi), 4 ** (hi - lo - 1), 4, 4**lo).transpose(0, 2, 1, 3))
     else:  # one digit, or three
         hi, lo = max(digits), min(digits)
         if digits[0] != hi or m == 3 and digits[1] < digits[2]:  # put the digits high to low
@@ -571,10 +717,10 @@ def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
             order = rest[:land] + sorted(digits) + rest[land:]  # order[d]: the old digit now at d
             old = state._layout or tuple(range(n))
             layout, hi = tuple(old[d] for d in order), land + 2
-            x = np.ascontiguousarray(x.reshape((4,) * n).transpose([n - 1 - d for d in reversed(order)]))
+            x = _copied(x.reshape((4,) * n).transpose([n - 1 - d for d in reversed(order)]))
     if layout is not None:  # the digits moved
         state._buf, state._layout = x, None if layout == tuple(range(n)) else layout
-    state._buf = _batched(t, x.reshape(4 ** (n - 1 - hi), len(t), -1)).reshape(-1)
+    state._buf = _pass(t, x.reshape(4 ** (n - 1 - hi), len(t), -1)).reshape(-1)
 
 
 def apply_product(state: PauliState, t: np.ndarray) -> None:
@@ -667,6 +813,9 @@ def check_capacity(n: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> None:
     So at the cap of 14 qubits a run or a success sweep needs about
     2 x 2 GiB, a fidelity sweep 3 x 2 GiB, ``save_state`` 2 GiB and
     ``load_state`` about 8 GiB (5.7 GiB of text and the 2 GiB state).
+    Splitting a full-state write across CPUs (see the module docstring)
+    changes none of these peaks: the chunks fill the one array the whole
+    write would allocate, and no worker keeps an array after its chunk.
     """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
@@ -682,13 +831,19 @@ def _product_state(factors: list[np.ndarray]) -> PauliState:
     allocated before the intermediates and the last product is written into
     it, so a state built just after another was released takes the block
     that state left, not a new one beside a quarter-state intermediate.
+    From ``_SPLIT_FROM`` coefficients up that product is split over its four
+    rows (``_split``).
     """
     coeffs = factors[0]
     if len(factors) > 1:
         out = np.empty(4 ** len(factors))
         for f in factors[1:-1]:  # qubit 0 first: later factors become more significant
             coeffs = np.multiply.outer(f, coeffs).reshape(-1)
-        np.multiply.outer(factors[-1], coeffs, out=out.reshape(4, -1))
+        top, rows = factors[-1], out.reshape(4, -1)
+        if len(out) < _SPLIT_FROM:
+            np.multiply.outer(top, coeffs, out=rows)
+        else:
+            _split(4, lambda lo, hi: np.multiply.outer(top[lo:hi], coeffs, out=rows[lo:hi]))
         coeffs = out
     return PauliState(len(factors), coeffs)
 

@@ -1,5 +1,6 @@
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -241,6 +242,9 @@ def test_a_fault_in_the_oracle_readout_channel_shows_in_the_record(monkeypatch):
     # so a wrong readout weight shows in the record, not only in the state
     build = oracle._readout_channel
     monkeypatch.setattr(oracle, "_readout_channel", lambda proj, d: build(proj, d - 0.05))
+    # the channels are cached per (d1, d2): build them afresh, in a cache of
+    # this test's own, so that the faulty ones reach no other test
+    monkeypatch.setattr(oracle, "_readouts_of", lru_cache(oracle._readouts_of.__wrapped__))
     res = verify_circuit("qubits 2\nh q[0]\nmeasure_x q[0]\ncx q[0],q[1]\n", NoiseModel(d1=0.9))
     assert res.record_divergence >= 1e-3
 

@@ -1132,3 +1132,18 @@ def test_a_whole_run_holds_at_most_three_copies_of_rho_besides_rho():
             finally:
                 tracemalloc.stop()
             assert peak <= 3 * d.rho.nbytes, (seed, name, peak / d.rho.nbytes)
+
+
+def test_the_readouts_are_built_once_per_pair_and_refuse_a_write():
+    # keyed by float.hex, so -0.0 gets its own entry, not 0.0's
+    for d1, d2 in ((1.0, 1.0), (0.97, 0.9), (0.0, 0.5), (-0.0, 0.5), (0.5, -0.0), (1e-300, 0.0)):
+        axis, bell = oracle._readouts(d1, d2)
+        assert oracle._readouts(d1, d2)[1] is bell and oracle._readouts(d1, d2)[0] is axis
+        fresh = [oracle._axis_readout(a, d1) for a in oracle._AXES]
+        fresh.append(oracle._readout_channel(list(oracle._BELL_PROJECTORS), d2))
+        assert [s.tobytes() for s in (*axis, bell)] == [s.tobytes() for s in fresh], (d1, d2)
+        for s in (*axis, bell):
+            with pytest.raises(ValueError, match="read-only"):
+                s[0, 0] = 2.0
+    assert oracle._readouts(-0.0, 0.5) is not oracle._readouts(0.0, 0.5)
+    assert oracle._readouts(0.5, -0.0) is not oracle._readouts(0.5, 0.0)

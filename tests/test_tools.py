@@ -7,10 +7,13 @@ tools/same_outputs.py: it feeds every tree the same inputs under one BLAS
 thread, and exits 0 on equal digests, 1 on unequal ones and 2 on a failed
 child.  tools/peak_states.py: it prints each entry point's traced peak in
 states and its RSS growth, from children that import the given tree under
-one BLAS thread, and exits 2 on a failed child."""
+one BLAS thread, and exits 2 on a failed child.  Both ab_pairs.py's record
+and JSON line and peak_states.py's report give the CPUs their children may
+use."""
 
 import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -93,6 +96,7 @@ def test_the_record_holds_a_traced_run_of_each_side_on_every_workload(tmp_path):
         record = json.loads(path.read_text())
     finally:
         path.unlink(missing_ok=True)
+    assert record["cpus"] == _cpus()
     declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     # verify7, the claimed workload, gets three rounds; each round flips which tree goes first
     rounds = [w for w in declared for _ in range(3 if w == "verify7" else 1)]
@@ -356,6 +360,11 @@ def save_state(state, sink):
 """
 
 
+def _cpus() -> int:
+    """The CPUs in this process's affinity mask, which the tools' children inherit."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def _peaks(n: int, tree: Path | None = None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, str(PEAK_STATES), "--n", str(n)] + (["--tree", str(tree)] if tree else [])
     return subprocess.run(cmd, capture_output=True, text=True)
@@ -371,7 +380,7 @@ def _table(stdout: str) -> dict[str, tuple[float, float]]:
 def test_peak_states_prints_each_entry_point_of_this_checkout():
     run = _peaks(4)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[0] == f"n=4, state 0.00195312 MiB, tree {ROOT}"
+    assert run.stdout.splitlines()[0] == f"n=4, state 0.00195312 MiB, tree {ROOT}, cpus {_cpus()}"
     table = _table(run.stdout)
     assert list(table) == ENTRY_POINTS
     assert all(peak >= 1.0 and rss >= 0.0 for peak, rss in table.values()), table
@@ -483,6 +492,7 @@ def test_in_process_pairs_put_each_saving_in_its_phase(tmp_path):
     phases = out["phases"]
     assert list(phases) == ["parse", "compile", "execute", "op"]
     assert out["seeds"] == [1, 2, 3] and all(p["ops"] == 6 for p in phases.values())  # 2 ops a round
+    assert out["cpus"] == _cpus()
     for phase in ("parse", "compile"):
         lo, hi = phases[phase]["interval"]
         assert 0.4 < lo <= phases[phase]["ratio"] <= hi < 0.6, phases[phase]

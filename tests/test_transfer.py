@@ -1,9 +1,14 @@
 """The transfer kernel: layout, memory, trace row, and engine vs oracle."""
 
+import hashlib
 import importlib.util
 import io
+import multiprocessing
 import tempfile
+import threading
 import tracemalloc
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -995,3 +1000,168 @@ def test_a_one_qubit_read_keeps_the_bits_of_the_matmul_read(n):
         assert got.shape == (4,) and not np.shares_memory(got, buf)
         assert got.tobytes() == _one_qubit_read_by_matmul(s, k).tobytes(), (k, sizes[k])
     assert s._buf is buf
+
+
+# Splitting a full-state write across the CPUs (state._split).  Each case is
+# one write from the split route's crossover up: it must leave the buffer's
+# bytes and the layout of the unsplit route, whatever the chunk count.
+
+
+def _split_writes(rng, n: int) -> dict:
+    """Each split write as a function of a fresh state, on random data."""
+    t16, t64 = random_transfer(rng, 16), random_transfer(rng, 64)
+    factors = [rng.standard_normal(4) for _ in range(n)]
+    perm = tuple(int(k) for k in rng.permutation(n))
+
+    def on_moved_layout(s):
+        s._layout = perm
+        return s.coeffs
+
+    return {
+        "adjacent_pair": lambda s: kernel._apply(s, (5, 4), t16),
+        "moved_pair": lambda s: kernel._apply(s, (n - 1, 1), t16),
+        "group_onto_4_to_2": lambda s: kernel._apply(s, (n - 1, 6, 0), t64),
+        "top_digits": lambda s: kernel._apply(s, (n - 1, n - 2), t16),  # one row: unsplit
+        "coeffs_on_a_moved_layout": on_moved_layout,
+        "product_state": lambda s: setattr(s, "_buf", kernel._product_state(factors)._buf),
+    }
+
+
+def _threads_per_split(monkeypatch) -> list[int]:
+    """How many threads ran chunks of each split from now on."""
+    counts, split = [], kernel._split
+
+    def counted(rows, fill):
+        threads = set()
+        split(rows, lambda lo, hi: threads.add(threading.get_ident()) or fill(lo, hi))
+        counts.append(len(threads))
+
+    monkeypatch.setattr(kernel, "_split", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", range(9, 12))
+def test_a_split_write_keeps_the_bytes_of_the_unsplit_one(monkeypatch, n):
+    assert 4**9 == kernel._SPLIT_FROM
+    rng = np.random.default_rng([35, n])
+    start = rng.standard_normal(4**n)
+    for case, write in _split_writes(rng, n).items():
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "_SPLIT_FROM", 4 ** (n + 1))
+            want = PauliState(n, start.copy())
+            write(want)
+        for chunks in (1, 2, 3):
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "_cpus", chunks)
+                threads = _threads_per_split(m)
+                got = PauliState(n, start.copy())
+                write(got)
+            assert got._layout == want._layout, (case, chunks)
+            assert got._buf.tobytes() == want._buf.tobytes(), (case, chunks)
+            # the threads that ran each split: a move and then its pass, or
+            # one write; the pass of a moved pair, and on the top digits, has
+            # one row and runs whole
+            assert threads == {
+                "moved_pair": [chunks, 1],
+                "group_onto_4_to_2": [chunks, chunks],
+                "top_digits": [1],
+            }.get(case, [chunks]), (case, chunks)
+        if case == "group_onto_4_to_2":
+            assert [want._layout[d] for d in (4, 3, 2)] == [n - 1, 6, 0]
+
+
+def test_a_worker_error_reaches_the_caller_and_the_next_split_still_runs(monkeypatch):
+    monkeypatch.setattr(kernel, "_cpus", 3)
+
+    def fill(lo, hi):
+        if lo > 0:
+            raise ZeroDivisionError(f"chunk from {lo}")
+
+    with pytest.raises(ZeroDivisionError, match="chunk from 3"):
+        kernel._split(9, fill)
+    chunks = []
+    kernel._split(9, lambda lo, hi: chunks.append((lo, hi, threading.get_ident())))
+    assert sorted(c[:2] for c in chunks) == [(0, 3), (3, 6), (6, 9)]
+    assert len({c[2] for c in chunks}) == 3
+    rng = np.random.default_rng(351)
+    s, t = PauliState(9, rng.standard_normal(4**9)), random_transfer(rng, 16)
+    want = reference_transfer(s, (5, 4), t)
+    threads = _threads_per_split(monkeypatch)
+    kernel._apply(s, (5, 4), t)
+    assert threads == [3] and np.max(np.abs(s.coeffs - want)) <= 1e-12
+
+
+def test_an_interrupted_split_hands_its_workers_nothing_more(monkeypatch):
+    # a worker whose done the caller never took may still be running, and a
+    # later split that took its stale done would return before it finished
+    monkeypatch.setattr(kernel, "_cpus", 2)
+    kernel._split(2, lambda lo, hi: None)
+    start, done, job = kernel._workers[0]
+
+    class Interrupted:
+        def acquire(self):
+            done.acquire()
+            raise KeyboardInterrupt
+
+    kernel._workers[0] = start, Interrupted(), job
+    with pytest.raises(KeyboardInterrupt):
+        kernel._split(2, lambda lo, hi: None)
+    assert kernel._workers == []
+    threads = set()
+    kernel._split(2, lambda lo, hi: threads.add(threading.get_ident()))
+    assert len(threads) == 2 and kernel._workers[0][0] is not start
+
+
+def test_a_split_write_keeps_no_array_alive(monkeypatch):
+    # a worker that kept its last chunk's closure would keep that pass's
+    # input, the released buffer, alive as well
+    monkeypatch.setattr(kernel, "_cpus", 2)
+    rng = np.random.default_rng(352)
+    n, t = 9, random_transfer(rng, 16)
+    s = PauliState(n, rng.standard_normal(4**n))
+    for write in (
+        lambda: kernel._apply(s, (n - 1, 1), t),  # a move, then a pass
+        lambda: kernel._apply(s, (5, 4), t),  # a pass alone
+        lambda: setattr(s, "_layout", tuple(reversed(range(n)))) or s.coeffs,  # a copy alone
+    ):
+        old = weakref.ref(s._buf)
+        write()
+        assert old() is None
+
+
+def _forked_pass(s: PauliState, t: np.ndarray, out) -> None:
+    """Run in a forked child: one split pass, then its digest and how many threads ran it."""
+    threads = set()
+    split = kernel._split
+    kernel._split = lambda rows, fill: split(
+        rows, lambda lo, hi: threads.add(threading.get_ident()) or fill(lo, hi)
+    )
+    kernel._apply(s, (s.n - 1, 1), t)
+    out.send((hashlib.sha256(s._buf.tobytes()).hexdigest(), s._layout, len(threads)))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork here")
+def test_a_forked_child_starts_its_own_workers(monkeypatch):
+    monkeypatch.setattr(kernel, "_cpus", 2)
+    rng = np.random.default_rng(353)
+    s, t = PauliState(10, rng.standard_normal(4**10)), random_transfer(rng, 16)
+    want = s.copy()
+    kernel._apply(want, (9, 1), t)  # the parent's workers exist now
+    assert kernel._workers
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_forked_pass, args=(s, t, send))
+    with warnings.catch_warnings():  # Python 3.12 warns that a threaded process forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    try:
+        assert receive.poll(30), "the child's pass never finished"
+        digest, layout, threads = receive.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():  # hung on the parent's workers: end it, or the session waits for it
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert (digest, layout) == (hashlib.sha256(want._buf.tobytes()).hexdigest(), want._layout)
+    assert threads == 2

@@ -64,6 +64,13 @@ It writes no record: process-level pairs stay the source of end-to-end
 and RSS claims.  numpy, the BLAS and the garbage collector are shared by
 both trees in a round, so an allocation or a collection one tree causes
 can land in the other's time; the alternation spreads that over both.
+Each loaded tree is its own copy of ``paulisim.state``, so each starts its
+own worker threads at its first large pass; the trees run one op at a time,
+so their workers never run at once.
+
+In both modes the record or JSON line gives ``cpus``, the CPUs in this
+process's affinity mask, which every child inherits: with one, no full-state
+pass is split across threads.
 """
 
 from __future__ import annotations
@@ -88,6 +95,14 @@ TRACED_REPEATS = 3
 # the phases of a run op, in order, and the resamples of each phase's interval
 PHASES = ("parse", "compile", "execute", "sample", "op")
 BOOTSTRAP = 1000
+
+
+def cpus() -> int:
+    """The CPUs a child of this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _last_json(stdout: str) -> dict:
@@ -294,7 +309,8 @@ def in_process(args: argparse.Namespace, seconds: float) -> int:
     for phase, r in report.items():
         print(f"{phase}\t{1e3 * r['parent_s']:.4f}\t{1e3 * r['change_s']:.4f}\t{r['ratio']:.4f}\t"
               f"[{r['interval'][0]:.4f}, {r['interval'][1]:.4f}]")
-    print(json.dumps({"workload": args.workload, "rounds": args.pairs, "seeds": seeds, "phases": report}))
+    print(json.dumps({"workload": args.workload, "rounds": args.pairs, "seeds": seeds, "cpus": cpus(),
+                      "phases": report}))
     return 0
 
 
@@ -328,7 +344,7 @@ def main() -> int:
               flush=True)
     names = [k for k in runs["parent"][0] if k != "seed" and k not in COUNTS]
     record = {
-        "workload": args.workload, "pairs": args.pairs, "seconds": seconds,
+        "workload": args.workload, "pairs": args.pairs, "seconds": seconds, "cpus": cpus(),
         "seeds": [args.seed + i for i in range(args.pairs)], "runs": runs,
         "median": {s: {m: statistics.median(r[m] for r in runs[s]) for m in names} for s in runs},
         "quartiles": {s: {m: statistics.quantiles([r[m] for r in runs[s]], n=4) for m in names} for s in runs},

@@ -24,7 +24,10 @@ p = 0.95), and the sweeps run r over 1.0, 0.995 and 0.99.  The entry points:
 Each entry point runs in two children.  One traces it with ``tracemalloc``
 and prints the traced peak over 8 * 4^N bytes, the state's size; the other
 runs it untraced and prints the growth of ``ru_maxrss`` over the child's
-baseline right after ``import paulisim``, in MiB.  A 13-qubit state is
+baseline right after ``import paulisim``, in MiB.  The report's first
+line gives the CPUs the children may run on (this process's affinity mask,
+which they inherit): from 9 qubits up, a full-state pass is split across
+that many threads, and with one it is not.  A 13-qubit state is
 512 MiB, so a fidelity sweep at N = 13 needs about 1.5 GiB.  The tool
 prints one line per entry point and exits 0, or 2 when a child fails,
 printing its stderr.  Standard library only.
@@ -73,6 +76,14 @@ else:
 """
 
 
+def cpus() -> int:
+    """The CPUs a child of this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def measure(tree: Path, entry: str, n: int, traced: bool) -> float:
     """One child's number; exits 2 with its stderr if it fails."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
@@ -91,7 +102,7 @@ def main() -> int:
     ap.add_argument("--tree", type=Path, default=ROOT)
     args = ap.parse_args()
     tree = args.tree.resolve()
-    print(f"n={args.n}, state {8 * 4**args.n / 2**20:g} MiB, tree {tree}")
+    print(f"n={args.n}, state {8 * 4**args.n / 2**20:g} MiB, tree {tree}, cpus {cpus()}")
     print("entry\tpeak_states\trss_growth_mib")
     for entry in ENTRY_POINTS:
         rss = measure(tree, entry, args.n, traced=False)
