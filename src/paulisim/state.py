@@ -205,7 +205,8 @@ class PauliState:
         """The 4^n coefficients in logical order, every pending factor applied."""
         self._flush()
         if self._layout is not None:
-            self._buf = _copied(self._view()).reshape(-1)
+            v = self._view()
+            self._buf = (np.ascontiguousarray(v) if v.size < _SPLIT_FROM else _split_copy(v)).reshape(-1)
             self._layout = None
         return self._buf
 
@@ -542,23 +543,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _copied(v: np.ndarray) -> np.ndarray:
-    """``np.ascontiguousarray(v)``; from ``_SPLIT_FROM`` coefficients up, the
-    copy is split over v's leading axis."""
-    if v.size < _SPLIT_FROM:
-        return np.ascontiguousarray(v)
+def _split_copy(v: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(v)``, the copy split over v's leading axis."""
     out = np.empty(v.shape, v.dtype)
     _split(len(v), lambda lo, hi: np.copyto(out[lo:hi], v[lo:hi]))
     return out
 
 
-def _pass(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_batched(t, x)`` for a full-state pass: from ``_SPLIT_FROM``
-    coefficients up, a batched product (cols above 1) is split over its
-    rows, each chunk the same per-row products into a fresh array, so the
-    same bits."""
-    if x.size < _SPLIT_FROM or x.shape[2] == 1:
-        return _batched(t, x)
+def _split_pass(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_batched(t, x)`` for x with more than one column, split over x's
+    rows: each chunk makes the same per-row products into the one fresh
+    array, so the bits are the same."""
     out = np.empty((len(x), len(t), x.shape[2]))
     _split(len(x), lambda lo, hi: np.matmul(t, x[lo:hi], out=out[lo:hi]))
     return out
@@ -693,9 +688,12 @@ def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
     group of three lands on the three digits from ``_LANDING_DIGIT`` up
     (from 0 on fewer than five qubits).  The moved digits keep their order,
     and so does every other digit.  Then ``t`` runs as one batched
-    (rows, 4^m, cols) product.
+    (rows, 4^m, cols) product.  From ``_SPLIT_FROM`` coefficients up, the
+    move and the product (when cols is above 1) are split across the CPUs
+    (``_split_copy``, ``_split_pass``); below it each is one numpy call.
     """
     n, m, x, layout = state.n, len(digits), state._buf, None
+    whole = x.size < _SPLIT_FROM  # below the crossover each write is one numpy call
     # Digits apart: a matmul cannot contract axes with gaps between them, so
     # the digits move together (one copy) and stay there.  The old buffer
     # goes before the matmul allocates.
@@ -706,7 +704,8 @@ def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
         if hi - lo > 1:  # the lower digit moves up next to hi
             old = state._layout or tuple(range(n))
             layout = old[:lo] + old[lo + 1 : hi] + (old[lo],) + old[hi:]
-            x = _copied(x.reshape(4 ** (n - hi), 4 ** (hi - lo - 1), 4, 4**lo).transpose(0, 2, 1, 3))
+            x = x.reshape(4 ** (n - hi), 4 ** (hi - lo - 1), 4, 4**lo).transpose(0, 2, 1, 3)
+            x = np.ascontiguousarray(x) if whole else _split_copy(x)
     else:  # one digit, or three
         hi, lo = max(digits), min(digits)
         if digits[0] != hi or m == 3 and digits[1] < digits[2]:  # put the digits high to low
@@ -717,10 +716,12 @@ def _apply(state: PauliState, digits: tuple[int, ...], t: np.ndarray) -> None:
             order = rest[:land] + sorted(digits) + rest[land:]  # order[d]: the old digit now at d
             old = state._layout or tuple(range(n))
             layout, hi = tuple(old[d] for d in order), land + 2
-            x = _copied(x.reshape((4,) * n).transpose([n - 1 - d for d in reversed(order)]))
+            x = x.reshape((4,) * n).transpose([n - 1 - d for d in reversed(order)])
+            x = np.ascontiguousarray(x) if whole else _split_copy(x)
     if layout is not None:  # the digits moved
         state._buf, state._layout = x, None if layout == tuple(range(n)) else layout
-    state._buf = _pass(t, x.reshape(4 ** (n - 1 - hi), len(t), -1)).reshape(-1)
+    x = x.reshape(4 ** (n - 1 - hi), len(t), -1)
+    state._buf = (_batched(t, x) if whole or x.shape[2] == 1 else _split_pass(t, x)).reshape(-1)
 
 
 def apply_product(state: PauliState, t: np.ndarray) -> None:
